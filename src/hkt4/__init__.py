@@ -14,7 +14,6 @@ from .quaternions import (
     HypercomplexFrame,
     Quaternion,
     independence_rank,
-    quat_mul,
     structure_matrix,
     verify_frame,
 )

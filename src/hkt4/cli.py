@@ -2,13 +2,15 @@
 reports.
 
 Exit codes: 0 when every check passes, 1 on a check failure, 2 on usage
-errors. Flags mirror an optional key=value config file (flags win), and the
-HKT4_OUT_DIR environment variable supplies a default output directory for
-bare report filenames.
+errors, including unknown config keys and non-finite numbers. Flags mirror
+an optional key=value config file (flags win), and the HKT4_OUT_DIR
+environment variable supplies a default output directory for bare report
+filenames.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import re
@@ -17,8 +19,8 @@ from fractions import Fraction
 
 import click
 
+from . import __version__, suites
 from .report import VerificationReport, emit_report
-from . import suites
 
 DEFAULT_SEED = 314159
 
@@ -36,6 +38,13 @@ def _check_q(q: Fraction):
     if q is None or q <= 1:
         raise click.UsageError("the multiplier must satisfy q > 1")
     return q
+
+
+def _check_numbers(tol: float, flow_eps):
+    if not (math.isfinite(tol) and tol > 0):
+        raise click.UsageError(f"tol must be positive and finite, got {tol!r}")
+    if flow_eps is not None and not math.isfinite(flow_eps):
+        raise click.UsageError(f"flow must be finite, got {flow_eps!r}")
 
 
 def _load_config(path):
@@ -57,11 +66,13 @@ def _apply_config(ctx: click.Context, config):
     if not config:
         return
     values = _load_config(config)
-    for param in ctx.command.params:
-        if param.name == "config":
-            continue
-        keys = {param.name} | {opt.lstrip("-").replace("-", "_")
-                               for opt in param.opts}
+    keys_of = {param: {param.name} | {opt.lstrip("-").replace("-", "_")
+                                      for opt in param.opts}
+               for param in ctx.command.params if param.name != "config"}
+    unknown = values.keys() - set().union(*keys_of.values())
+    if unknown:
+        raise click.UsageError(f"unknown config key: {', '.join(sorted(unknown))}")
+    for param, keys in keys_of.items():
         hits = keys & values.keys()
         if not hits:
             continue
@@ -113,7 +124,7 @@ def common_options(fn):
 
 
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Exact and numerical checks for hypercomplex geometry on 4-manifolds:
     Hopf-surface strong-HKT identities and the instanton-moduli tangent
@@ -162,6 +173,7 @@ def moduli_cmd(ctx, grid, rank, tol, flow_eps, out, fmt, seed, config):
         raise click.UsageError("grid must be >= 3")
     if rank < 2:
         raise click.UsageError("rank must be >= 2")
+    _check_numbers(ctx.params["tol"], ctx.params["flow_eps"])
     checks = suites.moduli_suite(grid, rank, ctx.params["tol"],
                                  seed=ctx.params["seed"],
                                  flow_eps=ctx.params["flow_eps"])
@@ -207,6 +219,8 @@ def parse_form_spec(spec: str):
                 indices = (a, b)
             else:
                 coeff *= float(factor)
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"term {term!r} has a non-finite coefficient")
         if indices is None:
             raise ValueError(f"term {term!r} has no basis factor dxA^dxB")
         out[indices] = out.get(indices, 0j) + coeff
@@ -249,7 +263,9 @@ def degree_cmd(ctx, f_spec, omega_spec, out):
         value = degree(F, omega)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    doc = json.dumps({"degree": value})
+    if not math.isfinite(value):
+        raise click.UsageError("the degree overflows a float")
+    doc = json.dumps({"degree": value}, allow_nan=False)
     click.echo(doc)
     path = _resolve_out(out)
     if path:
@@ -270,6 +286,7 @@ def report_cmd(ctx, q, grid, rank, tol, flow_eps, out, fmt, seed, config):
     """Run the composite suite (Hopf + flat control + moduli) and report."""
     _apply_config(ctx, config)
     q = _check_q(ctx.params["q"])
+    _check_numbers(ctx.params["tol"], ctx.params["flow_eps"])
     rep = suites.full_report(q=q, grid=ctx.params["grid"], rank=ctx.params["rank"],
                              tol=ctx.params["tol"], seed=ctx.params["seed"],
                              flow_eps=ctx.params["flow_eps"])

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .exact import ScalarField, _frac
-from .forms import RationalForm, exterior_d, scale_pullback, twisted_d
+from .forms import ConstantMetric, RationalForm, exterior_d, scale_pullback, twisted_d
 from .hermitian import (
     ConformalMetric,
     bihermitian_check,
@@ -21,7 +21,6 @@ from .hermitian import (
     hkt_report,
     metric_from_form,
 )
-from .forms import ConstantMetric
 from .quaternions import HypercomplexFrame, Matrix, independence_rank
 from .report import EXACT_ZERO, CheckRecorder, CheckResult
 
@@ -43,13 +42,17 @@ class HopfSpec:
 
 @dataclass
 class HopfGeometry:
-    spec: HopfSpec
+    """Chart data built from the potential phi = r^2: the six forms
+    w_L = d d^c_L phi * s, the metric read off w_I+(., I+.), and the torsion
+    3-forms of both frames. ``spec`` is None for the flat control, which has
+    no quotient. Nothing is checked here; the verifiers below report."""
+
+    spec: Optional[HopfSpec]
     phi: ScalarField
     left: HypercomplexFrame
     right: HypercomplexFrame
     structures: Dict[str, Matrix]
     omegas: Dict[str, RationalForm]
-    metric_candidates: Dict[str, tuple]
     metric: ConformalMetric
     H_plus: RationalForm
     H_minus: RationalForm
@@ -59,92 +62,39 @@ class HopfGeometry:
         return self.spec.q
 
 
-class HopfInvariantError(AssertionError):
-    """A construction-time identity of the Hopf geometry failed; the message
-    names the first failing identity."""
-
-
-def build_hopf(spec: HopfSpec | Fraction | int) -> HopfGeometry:
-    """Build the Hopf chart data and assert its structural identities."""
-    if not isinstance(spec, HopfSpec):
-        spec = HopfSpec(spec)
+def _build(spec: Optional[HopfSpec], scale: ScalarField | Fraction) -> HopfGeometry:
     phi = ScalarField.phi()
     left = HypercomplexFrame.left()
     right = HypercomplexFrame.right()
     structures = dict(zip(STRUCTURE_NAMES, (*left.matrices(), *right.matrices())))
-
     phi_form = RationalForm.function(phi)
-    inv_phi = ScalarField.inv_phi()
-    omegas = {}
-    for name, L in structures.items():
-        omegas[name] = exterior_d(twisted_d(L, phi_form)) * inv_phi
-
-    # the six bilinear forms omega_L(., L.) must agree componentwise
-    metrics = {name: metric_from_form(omegas[name], structures[name])
-               for name in STRUCTURE_NAMES}
-    first = metrics["I+"]
-    for name in STRUCTURE_NAMES[1:]:
-        if metrics[name] != first:
-            raise HopfInvariantError(
-                f"metric candidates differ: omega_{name}(., {name}.) != omega_I+(., I+.)")
-
-    # the common metric is conformally Euclidean; factor it out exactly
-    factor = first[0][0]
-    for a in range(4):
-        for b in range(4):
-            expected = factor if a == b else ScalarField.const(0)
-            if first[a][b] != expected:
-                raise HopfInvariantError("common metric is not conformally Euclidean")
+    omegas = {name: exterior_d(twisted_d(L, phi_form)) * scale
+              for name, L in structures.items()}
+    factor = metric_from_form(omegas["I+"], structures["I+"])[0][0]
     metric = ConformalMetric(factor, ConstantMetric.euclidean())
-
-    # each omega_L must also arise as the Hermitian form of the common metric
-    for name, L in structures.items():
-        if hermitian_form(metric, L) != omegas[name]:
-            raise HopfInvariantError(f"omega_{name} != g({name}., .)")
-
-    # scale invariance: descent to the quotient
-    for name in STRUCTURE_NAMES:
-        if scale_pullback(omegas[name], spec.q) != omegas[name]:
-            raise HopfInvariantError(f"omega_{name} is not invariant under x -> qx")
-
-    H_plus = twisted_d(structures["I+"], omegas["I+"])
-    H_minus = twisted_d(structures["I-"], omegas["I-"])
     return HopfGeometry(spec=spec, phi=phi, left=left, right=right,
-                        structures=structures, omegas=omegas,
-                        metric_candidates=metrics, metric=metric,
-                        H_plus=H_plus, H_minus=H_minus)
+                        structures=structures, omegas=omegas, metric=metric,
+                        H_plus=twisted_d(structures["I+"], omegas["I+"]),
+                        H_minus=twisted_d(structures["I-"], omegas["I-"]))
 
 
-@dataclass
-class FlatControl:
-    """Euclidean control geometry: same shape as HopfGeometry but with the
-    flat metric, so every torsion form vanishes (the hyperkahler regime)."""
-
-    left: HypercomplexFrame
-    right: HypercomplexFrame
-    structures: Dict[str, Matrix]
-    omegas: Dict[str, RationalForm]
-    metric: ConstantMetric
-    H_plus: RationalForm
-    H_minus: RationalForm
+def build_hopf(spec: HopfSpec | Fraction | int) -> HopfGeometry:
+    """The Hopf chart: w_L = d d^c_L phi / phi, metric (4/phi) Euclid."""
+    if not isinstance(spec, HopfSpec):
+        spec = HopfSpec(spec)
+    return _build(spec, ScalarField.inv_phi())
 
 
-def build_flat_control() -> FlatControl:
-    left = HypercomplexFrame.left()
-    right = HypercomplexFrame.right()
-    structures = dict(zip(STRUCTURE_NAMES, (*left.matrices(), *right.matrices())))
-    metric = ConstantMetric.euclidean()
-    omegas = {name: hermitian_form(metric, L) for name, L in structures.items()}
-    return FlatControl(left=left, right=right, structures=structures,
-                       omegas=omegas, metric=metric,
-                       H_plus=twisted_d(structures["I+"], omegas["I+"]),
-                       H_minus=twisted_d(structures["I-"], omegas["I-"]))
+def build_flat_control() -> HopfGeometry:
+    """Euclidean control: w_L = d d^c_L phi / 4 = g(L., .) for the flat
+    metric, so every torsion form vanishes (the hyperkahler regime)."""
+    return _build(None, Fraction(1, 4))
 
 
-def verify_strong_hkt(geo, side: str) -> List[CheckResult]:
+def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
     """Certify that the metric is strong HKT for the requested frame: the
     three torsion 3-forms coincide, the common value is d-closed, and it is
-    nonzero away from the flat control."""
+    nonzero unless the metric is constant (the flat control)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     rec = CheckRecorder()
@@ -159,8 +109,8 @@ def verify_strong_hkt(geo, side: str) -> List[CheckResult]:
               f"d^c_J{tag} w_J{tag} = d^c_K{tag} w_K{tag}")
     rec.exact(f"hopf.{side}.torsion-closed", exterior_d(rep.H),
               "dH = 0 (strong HKT)")
-    flat = isinstance(geo, FlatControl)
-    if flat:
+    factor = geo.metric.factor
+    if factor.k == 0 and factor.num.is_constant():
         rec.exact(f"hopf.{side}.torsion-zero", rep.H.is_zero(),
                   "hyperkahler iff H = 0")
     else:
@@ -171,7 +121,7 @@ def verify_strong_hkt(geo, side: str) -> List[CheckResult]:
     return rec.checks
 
 
-def verify_44(geo) -> List[CheckResult]:
+def verify_44(geo: HopfGeometry) -> List[CheckResult]:
     """Certify the two-frame structure: opposite closed torsions and
     independent frames. A zero-torsion input passes the opposition trivially
     and is flagged as hyperkahler-degenerate."""
@@ -222,7 +172,9 @@ def verify_descent(geo: HopfGeometry) -> List[CheckResult]:
 
 
 def verify_common_metric(geo: HopfGeometry) -> List[CheckResult]:
-    """Re-derive the six bilinear forms and compare them pairwise."""
+    """Compare the six bilinear forms w_L(., L.) pairwise, check that the
+    common one is conformally Euclidean with the factor of ``geo.metric``,
+    and that each w_L is the Hermitian form g(L., .) of that metric."""
     rec = CheckRecorder()
     mats = {name: metric_from_form(geo.omegas[name], geo.structures[name])
             for name in STRUCTURE_NAMES}
@@ -231,10 +183,19 @@ def verify_common_metric(geo: HopfGeometry) -> List[CheckResult]:
         ok = mats[name] == base
         rec.exact(f"hopf.common-metric.{name}", ok,
                   "the six w_L(., L.) induce one metric")
+    factor, zero = geo.metric.factor, ScalarField.const(0)
+    conformal = all(base[a][b] == (factor if a == b else zero)
+                    for a in range(4) for b in range(4))
+    rec.exact("hopf.common-metric.conformal", conformal,
+              "the common metric is conformally Euclidean")
+    for name, L in geo.structures.items():
+        rec.exact(f"hopf.hermitian-form.{name}",
+                  hermitian_form(geo.metric, L) - geo.omegas[name],
+                  "w_L = g(L., .) for the common metric")
     return rec.checks
 
 
-def verify_gauduchon(geo) -> List[CheckResult]:
+def verify_gauduchon(geo: HopfGeometry) -> List[CheckResult]:
     from .hermitian import gauduchon_defect
     rec = CheckRecorder()
     for name, L in geo.structures.items():

@@ -9,7 +9,6 @@ by the ledger).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -98,24 +97,6 @@ def degree(F: DegreeInput, omega: RationalForm,
                              "curvature coefficients")
         return re / (2 * math.pi) * float(volume_normalization)
     raise TypeError(f"unsupported curvature input: {type(F)!r}")
-
-
-@dataclass
-class DegreeDatum:
-    """Curvature, Gauduchon form, and the resulting degree, kept together."""
-
-    F: DegreeInput
-    omega: RationalForm
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("degree must be finite")
-
-
-def degree_datum(F: DegreeInput, omega: RationalForm,
-                 volume_normalization: Fraction = Fraction(1)) -> DegreeDatum:
-    return DegreeDatum(F, omega, degree(F, omega, volume_normalization))
 
 
 def slope(deg: Union[float, Fraction], rank: int) -> float:

@@ -387,18 +387,38 @@ class LatticeField:
             magic = fh.read(len(cls.MAGIC))
             if magic != cls.MAGIC:
                 raise ValueError("not a lattice field file")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode())
-            if header.get("format") != "lattice-field-v1":
-                raise ValueError("unsupported field format")
-            N, n, degree = header["N"], header["n"], header["degree"]
-            shape = (N, N, N, N, n, n)
-            count = int(np.prod(shape))
-            comps = {}
-            for t in header["components"]:
-                raw = fh.read(count * 16)
-                arr = np.frombuffer(raw, dtype="<c16").reshape(shape)
-                comps[tuple(t)] = arr.astype(complex)
+            raw = fh.read(8)
+            if len(raw) < 8:
+                raise ValueError("lattice field file is truncated in its header")
+            (hlen,) = struct.unpack("<Q", raw)
+            blob = fh.read(hlen)
+            if len(blob) < hlen:
+                raise ValueError("lattice field file is truncated in its header")
+            header = json.loads(blob.decode())
+            payload = fh.read()
+        if not isinstance(header, dict) or header.get("format") != "lattice-field-v1":
+            raise ValueError("unsupported field format")
+        N, n, degree = header.get("N"), header.get("n"), header.get("degree")
+        if not all(type(v) is int for v in (N, n, degree)) or N < 3 or n < 1 \
+                or not 0 <= degree <= 4:
+            raise ValueError(f"bad lattice field header: N={N!r}, n={n!r}, "
+                             f"degree={degree!r}")
+        if (header.get("endianness"), header.get("dtype"), header.get("order"),
+                header.get("components")) != (
+                "little", "complex128", "C", [list(t) for t in TUPLES[degree]]):
+            raise ValueError("bad lattice field header: unsupported layout")
+        shape = (N, N, N, N, n, n)
+        block = int(np.prod(shape)) * 16
+        want = block * len(TUPLES[degree])
+        if len(payload) < want:
+            raise ValueError(f"lattice field file is truncated: payload has "
+                             f"{len(payload)} bytes, the header needs {want}")
+        if len(payload) > want:
+            raise ValueError(f"lattice field file has {len(payload) - want} "
+                             f"bytes after its payload")
+        comps = {t: np.frombuffer(payload, dtype="<c16", count=block // 16,
+                                  offset=i * block).reshape(shape).astype(complex)
+                 for i, t in enumerate(TUPLES[degree])}
         return cls(degree, N, n, comps, project=False)
 
 

@@ -79,11 +79,6 @@ class Quaternion:
         return f"Quaternion({self.w}, {self.x}, {self.y}, {self.z})"
 
 
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product."""
-    return p * q
-
-
 @dataclass(frozen=True)
 class AxisTriple:
     """Rational point (a, b, c) on the unit 2-sphere."""

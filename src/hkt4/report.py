@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import List, Union
 
@@ -63,17 +62,6 @@ class CheckRecorder:
 
     def __init__(self):
         self.checks: List[CheckResult] = []
-
-    def run(self, name: str, fn, paper_ref: str = "plumbing"):
-        """fn returns (ok, defect); exceptions become failures."""
-        t0 = time.perf_counter()
-        try:
-            ok, defect = fn()
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            ok, defect = False, f"error: {exc}"
-        ms = (time.perf_counter() - t0) * 1000.0
-        self.add(name, ok, defect, paper_ref, ms)
-        return ok
 
     def add(self, name, ok, defect, paper_ref="plumbing", ms=0.0):
         status = "pass" if ok else "fail"

@@ -108,7 +108,8 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
               "F = 0 for the flat connection")
 
     tb = horizontal_slice(A, frame.I, tol, frame=frame)
-    expected = 4 * (n * n - 1)
+    rep = verify_moduli_structure(tb, frame)
+    expected = rep.expected_dim
     rec.add("moduli.kernel-dimension", tb.dimension == expected,
             float(abs(tb.dimension - expected)),
             "dim T[A] = 4 (n^2 - 1) at the flat connection")
@@ -118,7 +119,6 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
     rec.add("moduli.slice-equations", worst < tol, worst,
             "d_A^+ a = 0 and Lambda d^c_L a = 0")
 
-    rep = verify_moduli_structure(tb, frame)
     dims_ok = all(d == expected for d in rep.kernel_dims.values())
     rec.add("moduli.slice-same-for-IJK",
             dims_ok and max(rep.slice_distances.values()) < tol,

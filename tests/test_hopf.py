@@ -1,13 +1,14 @@
 """End-to-end exact verification of the Hopf chart geometry."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from hkt4.exact import Poly, ScalarField
 from hkt4.forms import RationalForm, exterior_d, scale_pullback
+from hkt4.hermitian import metric_from_form
 from hkt4.hopf import (
-    HopfInvariantError,
     HopfSpec,
     build_flat_control,
     build_hopf,
@@ -42,8 +43,9 @@ def test_build_invariants_pass(geo):
     assert set(geo.omegas) == {"I+", "J+", "K+", "I-", "J-", "K-"}
     # the common metric is 4/phi times the euclidean metric
     assert geo.metric.factor == ScalarField(Poly.const(4), 1)
-    base = geo.metric_candidates["I+"]
-    assert all(m == base for m in geo.metric_candidates.values())
+    base = metric_from_form(geo.omegas["I+"], geo.structures["I+"])
+    assert all(metric_from_form(geo.omegas[name], L) == base
+               for name, L in geo.structures.items())
 
 
 def test_omegas_do_not_depend_on_q(geo):
@@ -113,7 +115,23 @@ def test_verify_descent(geo):
 
 
 def test_verify_common_metric(geo):
-    assert all_pass(verify_common_metric(geo))
+    checks = verify_common_metric(geo)
+    assert all_pass(checks)
+    names = {c.name for c in checks}
+    assert "hopf.common-metric.conformal" in names
+    assert sum(1 for n in names if n.startswith("hopf.hermitian-form.")) == 6
+
+
+def test_tampered_geometry_fails_common_metric(geo):
+    # phi * w_I+ is not g(I+., .); w_J+ in place of w_I+ pairs with I+ to a
+    # bilinear form that is not conformally Euclidean
+    for omega in (geo.omegas["I+"] * geo.phi, geo.omegas["J+"]):
+        fake = dataclasses.replace(geo, omegas={**geo.omegas, "I+": omega})
+        failed = {c.name for c in verify_common_metric(fake)
+                  if c.status == "fail"}
+        assert {"hopf.common-metric.conformal", "hopf.common-metric.J+",
+                "hopf.hermitian-form.I+"} <= failed
+        assert "hopf.hermitian-form.J+" not in failed
 
 
 def test_verify_gauduchon(geo):
@@ -133,7 +151,6 @@ def test_axis_family(geo):
 def test_tampered_frame_fails_44(geo):
     # replacing the right frame by the left one breaks opposition and
     # independence
-    import dataclasses
     fake = dataclasses.replace(geo, right=geo.left,
                                H_minus=geo.H_plus,
                                structures={**geo.structures,

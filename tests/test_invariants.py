@@ -8,7 +8,7 @@ import pytest
 
 from hkt4.exact import QI, ScalarField
 from hkt4.forms import RationalForm
-from hkt4.invariants import degree, degree_datum, slope, stability_compare
+from hkt4.invariants import degree, slope, stability_compare
 from hkt4.lattice import LatticeField
 
 OMEGA = RationalForm(2, {(0, 1): ScalarField.const(1),
@@ -83,13 +83,6 @@ def test_degree_linear_in_omega():
     w2 = RationalForm(2, {(0, 1): ScalarField.const(2),
                           (2, 3): ScalarField.const(2)})
     assert abs(degree(F, w2) - 2 * degree(F, OMEGA)) < 1e-12
-
-
-def test_degree_datum_bundles_inputs():
-    F = u1_field({(0, 1): -2j * math.pi})
-    datum = degree_datum(F, OMEGA)
-    assert abs(datum.value - 1.0) < 1e-12
-    assert datum.omega is OMEGA
 
 
 def test_slope():

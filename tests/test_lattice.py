@@ -190,6 +190,17 @@ def test_serialization_roundtrip(tmp_path):
     assert blob.startswith(b"LATF1\n")
 
 
+def test_serialization_rejects_truncated_payload(tmp_path):
+    rng = np.random.default_rng(10)
+    path = tmp_path / "field.latf"
+    LatticeField.random(1, 3, 2, rng).save(path)
+    blob = path.read_bytes()
+    for cut in (5, 16 * 7):
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(ValueError, match="truncated"):
+            LatticeField.load(path)
+
+
 def test_serialization_rejects_garbage(tmp_path):
     path = tmp_path / "junk.latf"
     path.write_bytes(b"not a field")

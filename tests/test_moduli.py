@@ -4,7 +4,14 @@ horizontal slice, induced quaternionic structures, L^2 metric."""
 import numpy as np
 import pytest
 
-from hkt4.lattice import LatticeField, l2_inner, su_basis
+from hkt4.lattice import (
+    TUPLES,
+    LatticeField,
+    action_matrix,
+    apply_matrix,
+    l2_inner,
+    su_basis,
+)
 from hkt4.moduli import (
     Connection,
     FlowDiverged,
@@ -279,6 +286,18 @@ def test_induced_structure_examples():
     ib = induced_structure(FRAME.J, b)
     assert ib.max_defect_from_su() < 1e-12
     assert (induced_structure(FRAME.J, ib) + b).norm() < 1e-12
+
+
+def test_induced_structure_matches_coordinate_formula():
+    # the (p,q) definition sqrt(-1)(a^{0,1} - a^{1,0}) equals -L(a)
+    rng = np.random.default_rng(53)
+    for N in (3, 4):
+        a = LatticeField.random(1, N, 2, rng)
+        for L in FRAME.matrices():
+            got = induced_structure(L, a)
+            want = apply_matrix(-action_matrix(L, 1), a.comps, 1, 1)
+            for t in TUPLES[1]:
+                assert np.max(np.abs(got.comps[t] - want.get(t, 0))) < 1e-12
 
 
 def test_verify_moduli_structure_passes():

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from hkt4 import __version__
 from hkt4.cli import main, parse_form_spec
 from hkt4.report import (
     CheckResult,
@@ -86,6 +87,33 @@ def test_parse_form_spec():
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
+
+    def test_version_from_source(self):
+        result = self.runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert __version__ in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["degree", "--f", "nan*dx0^dx1", "--omega", "dx0^dx1"],
+        ["degree", "--f", "1e999*i*dx0^dx1", "--omega", "dx0^dx1"],
+        ["degree", "--f", "1e300*i*dx0^dx1", "--omega", "1e300*dx2^dx3"],
+        ["moduli", "--tol", "nan"],
+        ["moduli", "--tol", "-1"],
+        ["moduli", "--flow", "inf"],
+        ["report", "--tol", "nan"],
+        ["report", "--tol", "-1"],
+    ])
+    def test_non_finite_numbers_are_usage_errors(self, args):
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "NaN" not in result.output and "Infinity" not in result.output
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grdi = 5\n")
+        result = self.runner.invoke(main, ["moduli", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "grdi" in result.output
 
     def test_verify_hopf_passes(self):
         result = self.runner.invoke(main, ["verify-hopf", "--q", "2"])
