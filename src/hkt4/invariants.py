@@ -8,6 +8,7 @@ by the ledger).
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -16,7 +17,7 @@ import numpy as np
 
 from .exact import QI, ScalarField
 from .forms import RationalForm, wedge
-from .lattice import TUPLES, LatticeField, wedge_pairing
+from .lattice import LatticeField, _form_to_vector, wedge_pairing
 
 
 def _integrate_unit_cell(f: ScalarField) -> QI:
@@ -46,22 +47,8 @@ def integral_top_form(top: RationalForm) -> QI:
 def _lattice_degree_integral(F: LatticeField, omega: RationalForm) -> complex:
     if F.n != 1:
         raise ValueError("degree needs scalar (rank-1) curvature values")
-    omega_vec = np.zeros(6, dtype=complex)
-    for i, t in enumerate(TUPLES[2]):
-        c = omega.coeffs.get(t)
-        if c is not None:
-            if c.k != 0 or not c.num.is_constant():
-                raise ValueError("omega must be constant on the torus")
-            omega_vec[i] = complex(c.num.constant_value())
-    pairing = wedge_pairing(2)
-    total = 0.0 + 0.0j
-    for i, s in enumerate(TUPLES[2]):
-        arr = F.comps[s][..., 0, 0]
-        for j, t in enumerate(TUPLES[2]):
-            sign = pairing[i, j]
-            if sign:
-                total += sign * omega_vec[j] * complex(np.mean(arr))
-    return total
+    means = np.mean(F.data[..., 0, 0], axis=(1, 2, 3, 4))
+    return complex(means @ wedge_pairing(2) @ _form_to_vector(omega, 2))
 
 
 DegreeInput = Union[RationalForm, LatticeField]
@@ -79,8 +66,11 @@ def degree(F: DegreeInput, omega: RationalForm,
     if isinstance(F, LatticeField):
         if F.degree != 2:
             raise ValueError("curvature must be a 2-form")
-        integral = _lattice_degree_integral(F, omega)
-        val = 1j * integral / (2 * math.pi) * float(volume_normalization)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = (1j * _lattice_degree_integral(F, omega) / (2 * math.pi)
+                   * float(volume_normalization))
+        if not cmath.isfinite(val):
+            raise ValueError("the degree is not finite")
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise ValueError("degree came out non-real; curvature is not "
                              "anti-Hermitian scalar")

@@ -2,13 +2,16 @@
 derivatives, plus the constant linear-algebra data (star, structure actions,
 Lambda rows) shared with the exact symbolic engine.
 
-Array layout: every component is a complex array of shape
-(..., N, N, N, N, n, n); the four lattice axes always sit directly before
-the two matrix axes, so operators broadcast over arbitrary leading batch
-axes. The torus has unit periods; mode frequencies are the signed FFT
-representatives (the Nyquist mode of an even grid maps to -N/2, keeping
-every nonzero mode's frequency nonzero so the spectral complexes have no
-spurious kernels).
+Array layout: a degree-m field is one complex array of shape
+(..., C, N, N, N, N, n, n). The component axis C holds the
+C = binomial(4, m) basis forms dx_t in ``TUPLES[m]`` order (lexicographic
+index tuples), the four lattice axes follow, and the two matrix axes come
+last, so operators broadcast over arbitrary leading batch axes. A constant
+component operator (star, structure action, (p,q) projector, Lambda row) is
+one matrix applied over the component axis. The torus has unit periods;
+mode frequencies are the signed FFT representatives (the Nyquist mode of an
+even grid maps to -N/2, keeping every nonzero mode's frequency nonzero so
+the spectral complexes have no spurious kernels).
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import itertools
 import json
 import struct
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .forms import (
+    DC_SIGN,
     ConstantMetric,
     RationalForm,
     _merge_sign,
@@ -32,11 +36,13 @@ from .forms import (
 )
 from .quaternions import Matrix
 
-IndexTuple = Tuple[int, ...]
-
 TUPLES = {m: tuple(itertools.combinations(range(4), m)) for m in range(5)}
 
 LATTICE_AXES = (-6, -5, -4, -3)
+
+# the six grid and matrix axes: ``data[(..., idx) + _GRID]`` picks the
+# components ``idx`` of a field array or of a stack of them
+_GRID = (slice(None),) * 6
 
 _EUCLID = ConstantMetric.euclidean()
 
@@ -122,6 +128,13 @@ def wedge_pairing(degree_a: int) -> np.ndarray:
     return out
 
 
+def apply_components(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """A constant matrix over the component axis:
+    out[..., s, x] = sum_t mat[s, t] data[..., t, x]."""
+    flat = data.reshape(data.shape[:-6] + (-1,))
+    return (mat @ flat).reshape(data.shape[:-7] + (len(mat),) + data.shape[-6:])
+
+
 # ---------------------------------------------------------------------------
 # spectral derivatives
 
@@ -144,97 +157,90 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-Comps = Dict[IndexTuple, np.ndarray]
+def _covariant(arr: np.ndarray, mu: int, N: int,
+               A: Optional[np.ndarray]) -> np.ndarray:
+    """D_mu = d_mu + [A_mu, .]; plain d_mu when A is None."""
+    term = deriv(arr, mu, N)
+    if A is not None:
+        term += _commutator(A[mu], arr)
+    return term
 
 
-def _accumulate(out: Comps, key: IndexTuple, val: np.ndarray):
-    if key in out:
-        out[key] = out[key] + val
-    else:
-        out[key] = val
-
-
-def d_raw(comps: Comps, degree: int, N: int, A: Comps | None = None) -> Comps:
-    """d (or the gauge-coupled d_A when A is given) from degree to degree+1."""
-    out: Comps = {}
-    for t, arr in comps.items():
-        for mu in range(4):
-            if mu in t:
-                continue
-            merged, sign = _merge_sign((mu,), t)
-            term = deriv(arr, mu, N)
-            if A is not None:
-                term = term + _commutator(A[(mu,)], arr)
-            _accumulate(out, merged, sign * term)
-    return out
-
-
-def d_star_one_form(comps: Comps, N: int, A: Comps | None = None) -> np.ndarray:
-    """Codifferential of a 1-form: -sum_mu D_mu a_mu (flat metric)."""
-    total = None
+@lru_cache(maxsize=None)
+def _incidence(degree: int):
+    """Signed incidence of d on degree-m components, one entry per mu: the
+    components t without mu, the position of mu ^ t among the
+    (m+1)-components, and the sign of that merge."""
+    out = []
     for mu in range(4):
-        arr = comps[(mu,)]
-        term = deriv(arr, mu, N)
-        if A is not None:
-            term = term + _commutator(A[(mu,)], arr)
-        total = term if total is None else total + term
-    return -total
+        src, dst, sign = [], [], []
+        for j, t in enumerate(TUPLES[degree]):
+            merged, s = _merge_sign((mu,), t)
+            if s:
+                src.append(j)
+                dst.append(TUPLES[degree + 1].index(merged))
+                sign.append(float(s))
+        out.append((np.array(src), np.array(dst),
+                    np.array(sign).reshape(-1, 1, 1, 1, 1, 1, 1)))
+    return tuple(out)
 
 
-def apply_matrix(mat: np.ndarray, comps: Comps, degree_in: int,
-                 degree_out: int) -> Comps:
-    """Apply a constant component matrix (like a structure action or star)."""
-    tin, tout = TUPLES[degree_in], TUPLES[degree_out]
-    out: Comps = {}
-    for i, s in enumerate(tout):
-        acc = None
-        for j, t in enumerate(tin):
-            c = mat[i, j]
-            if c == 0 or t not in comps:
-                continue
-            term = c * comps[t]
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[s] = acc
+def d_raw(data: np.ndarray, degree: int, N: int,
+          A: Optional[np.ndarray] = None) -> np.ndarray:
+    """d (or the gauge-coupled d_A when the connection array A of shape
+    (4, N, N, N, N, n, n) is given) from degree to degree+1."""
+    out = np.zeros(data.shape[:-7] + (len(TUPLES[degree + 1]),) + data.shape[-6:],
+                   dtype=complex)
+    for mu, (src, dst, sign) in enumerate(_incidence(degree)):
+        out[(..., dst) + _GRID] += sign * _covariant(data[(..., src) + _GRID],
+                                                     mu, N, A)
     return out
 
 
-def dc_raw(L: Matrix, comps: Comps, degree: int, N: int,
-           A: Comps | None = None) -> Comps:
+def d_adjoint(data: np.ndarray, degree: int, N: int,
+              A: Optional[np.ndarray] = None) -> np.ndarray:
+    """L^2 adjoint of d_raw, from degree to degree-1 (flat metric): each
+    D_mu is skew-adjoint, so the incidence is read backwards with a minus
+    sign. On 1-forms this is -sum_mu D_mu a_mu."""
+    out = np.zeros(data.shape[:-7] + (len(TUPLES[degree - 1]),) + data.shape[-6:],
+                   dtype=complex)
+    for mu, (src, dst, sign) in enumerate(_incidence(degree - 1)):
+        out[(..., src) + _GRID] -= sign * _covariant(data[(..., dst) + _GRID],
+                                                     mu, N, A)
+    return out
+
+
+def dc_raw(L: Matrix, data: np.ndarray, degree: int, N: int,
+           A: Optional[np.ndarray] = None) -> np.ndarray:
     """Twisted differential d^c_L = DC_SIGN (-1)^m L d_A L on lattice forms."""
-    from .forms import DC_SIGN
-
     sign = DC_SIGN * (-1 if degree % 2 else 1)
-    inner = apply_matrix(action_matrix(L, degree), comps, degree, degree)
-    dd = d_raw(inner, degree, N, A=A)
-    outer = apply_matrix(action_matrix(L, degree + 1), dd, degree + 1, degree + 1)
-    if sign < 0:
-        outer = {t: -v for t, v in outer.items()}
-    return outer
+    inner = apply_components(action_matrix(L, degree), data)
+    return apply_components(sign * action_matrix(L, degree + 1),
+                            d_raw(inner, degree, N, A=A))
 
 
-def lambda_of(L: Matrix, comps2: Comps) -> np.ndarray:
-    row = lambda_row(L)
-    total = None
-    for j, t in enumerate(TUPLES[2]):
-        c = row[j]
-        if c == 0 or t not in comps2:
-            continue
-        term = c * comps2[t]
-        total = term if total is None else total + term
-    return total
+def mean_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Site average of tr(a b) for arrays (..., N, N, N, N, n, n); leading
+    axes broadcast. numpy's pairwise summation keeps a single pairing
+    accurate when it nearly cancels, which a BLAS dot product does not."""
+    N = a.shape[-3]
+    return np.sum(a * np.swapaxes(b, -1, -2), axis=(-6, -5, -4, -3, -2, -1)) / N ** 4
 
 
-def frob_norm_sq(comps: Comps, N: int) -> float:
-    """Site-averaged squared Frobenius norm, summed over components."""
-    total = 0.0
-    for arr in comps.values():
-        total += float(np.sum(np.abs(arr) ** 2)) / N ** 4
-    return total
+def l2_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of ``l2_inner`` between the fields of two stacks of field
+    arrays, as one matrix product (a whole basis at once)."""
+    N = a.shape[-3]
+    fa = a.reshape(len(a), -1)
+    fb = np.swapaxes(b, -1, -2).reshape(len(b), -1)
+    return -(fa @ fb.T).real / N ** 4
 
 
-def frob_norm(comps: Comps, N: int) -> float:
-    return float(np.sqrt(frob_norm_sq(comps, N)))
+def sq_norm(data: np.ndarray) -> np.ndarray:
+    """Site-averaged squared Frobenius norm of each field in a stack, summed
+    over its components."""
+    N = data.shape[-3]
+    return np.sum(np.abs(data) ** 2, axis=(-7, -6, -5, -4, -3, -2, -1)) / N ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +285,12 @@ def project_su(arr: np.ndarray, n: int) -> np.ndarray:
 
 class LatticeField:
     """Degree-p form with values in su(n) (u(1) when n = 1), sampled on the
-    N^4 grid. Values are projected to the Lie algebra on write."""
+    N^4 grid, held as one array ``data`` of shape (C, N, N, N, N, n, n) in
+    ``TUPLES[degree]`` order. It is built from a dict of components (absent
+    ones are zero) or from such an array, and projected to the Lie algebra
+    on write."""
 
-    def __init__(self, degree: int, N: int, n: int, comps: Comps,
+    def __init__(self, degree: int, N: int, n: int, comps,
                  project: bool = True):
         if not 0 <= degree <= 4:
             raise ValueError("degree must be in 0..4")
@@ -290,14 +299,21 @@ class LatticeField:
         self.degree = degree
         self.N = N
         self.n = n
-        shape = (N, N, N, N, n, n)
-        out: Comps = {}
-        for t in TUPLES[degree]:
-            arr = np.asarray(comps.get(t, np.zeros(shape)), dtype=complex)
-            if arr.shape != shape:
-                raise ValueError(f"component {t} has shape {arr.shape}, want {shape}")
-            out[t] = project_su(arr, n) if project else arr.copy()
-        self.comps = out
+        shape = (len(TUPLES[degree]), N, N, N, N, n, n)
+        if isinstance(comps, np.ndarray):
+            data = np.array(comps, dtype=complex)
+            if data.shape != shape:
+                raise ValueError(f"field array has shape {data.shape}, want {shape}")
+        else:
+            data = np.zeros(shape, dtype=complex)
+            for i, t in enumerate(TUPLES[degree]):
+                if t in comps:
+                    arr = np.asarray(comps[t], dtype=complex)
+                    if arr.shape != shape[1:]:
+                        raise ValueError(f"component {t} has shape {arr.shape}, "
+                                         f"want {shape[1:]}")
+                    data[i] = arr
+        self.data = project_su(data, n) if project else data
 
     @staticmethod
     def zeros(degree: int, N: int, n: int) -> "LatticeField":
@@ -307,36 +323,26 @@ class LatticeField:
     def random(degree: int, N: int, n: int, rng: np.random.Generator,
                scale: float = 1.0) -> "LatticeField":
         basis = su_basis(n)
-        comps = {}
-        for t in TUPLES[degree]:
-            coeff = rng.standard_normal((N, N, N, N, basis.shape[0]))
-            comps[t] = scale * np.einsum("...a,aij->...ij", coeff, basis)
-        return LatticeField(degree, N, n, comps, project=False)
-
-    def copy(self) -> "LatticeField":
-        return LatticeField(self.degree, self.N, self.n,
-                            {t: a.copy() for t, a in self.comps.items()},
+        coeff = rng.standard_normal((len(TUPLES[degree]), N, N, N, N, basis.shape[0]))
+        return LatticeField(degree, N, n,
+                            scale * np.einsum("...a,aij->...ij", coeff, basis),
                             project=False)
 
-    def fourier(self) -> Comps:
-        """Spectral representation: plain FFT of each component."""
-        return {t: np.fft.fftn(a, axes=LATTICE_AXES) for t, a in self.comps.items()}
+    def copy(self) -> "LatticeField":
+        return LatticeField(self.degree, self.N, self.n, self.data, project=False)
 
     def __add__(self, other: "LatticeField") -> "LatticeField":
         self._check_compatible(other)
-        return LatticeField(self.degree, self.N, self.n,
-                            {t: self.comps[t] + other.comps[t] for t in self.comps},
+        return LatticeField(self.degree, self.N, self.n, self.data + other.data,
                             project=False)
 
     def __sub__(self, other: "LatticeField") -> "LatticeField":
         self._check_compatible(other)
-        return LatticeField(self.degree, self.N, self.n,
-                            {t: self.comps[t] - other.comps[t] for t in self.comps},
+        return LatticeField(self.degree, self.N, self.n, self.data - other.data,
                             project=False)
 
     def __mul__(self, scalar: float) -> "LatticeField":
-        return LatticeField(self.degree, self.N, self.n,
-                            {t: scalar * a for t, a in self.comps.items()},
+        return LatticeField(self.degree, self.N, self.n, scalar * self.data,
                             project=False)
 
     __rmul__ = __mul__
@@ -349,20 +355,19 @@ class LatticeField:
             raise ValueError("incompatible lattice fields")
 
     def norm(self) -> float:
-        return frob_norm(self.comps, self.N)
+        return float(np.sqrt(sq_norm(self.data)))
 
     def max_defect_from_su(self) -> float:
         """How far the stored values are from the Lie algebra (diagnostic)."""
-        worst = 0.0
-        for arr in self.comps.values():
-            worst = max(worst, float(np.max(np.abs(arr - project_su(arr, self.n)))))
-        return worst
+        return float(np.max(np.abs(self.data - project_su(self.data, self.n))))
 
     # -- serialization ------------------------------------------------------
 
     MAGIC = b"LATF1\n"
 
     def save(self, path):
+        """Magic, little-endian uint64 header length, JSON header, then the
+        array in memory order: one complex128 block per component."""
         header = {
             "format": "lattice-field-v1",
             "N": self.N,
@@ -378,8 +383,7 @@ class LatticeField:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            for t in TUPLES[self.degree]:
-                fh.write(np.ascontiguousarray(self.comps[t]).astype("<c16").tobytes())
+            fh.write(self.data.astype("<c16").tobytes())
 
     @classmethod
     def load(cls, path) -> "LatticeField":
@@ -407,27 +411,20 @@ class LatticeField:
                 header.get("components")) != (
                 "little", "complex128", "C", [list(t) for t in TUPLES[degree]]):
             raise ValueError("bad lattice field header: unsupported layout")
-        shape = (N, N, N, N, n, n)
-        block = int(np.prod(shape)) * 16
-        want = block * len(TUPLES[degree])
+        shape = (len(TUPLES[degree]), N, N, N, N, n, n)
+        want = int(np.prod(shape)) * 16
         if len(payload) < want:
             raise ValueError(f"lattice field file is truncated: payload has "
                              f"{len(payload)} bytes, the header needs {want}")
         if len(payload) > want:
             raise ValueError(f"lattice field file has {len(payload) - want} "
                              f"bytes after its payload")
-        comps = {t: np.frombuffer(payload, dtype="<c16", count=block // 16,
-                                  offset=i * block).reshape(shape).astype(complex)
-                 for i, t in enumerate(TUPLES[degree])}
-        return cls(degree, N, n, comps, project=False)
+        data = np.frombuffer(payload, dtype="<c16").reshape(shape)
+        return cls(degree, N, n, data, project=False)
 
 
 def l2_inner(a: LatticeField, b: LatticeField) -> float:
     """L^2 inner product -integral tr(a ^ *b), positive definite on su(n)
     valued fields; the flat star reduces it to a component sum."""
     a._check_compatible(b)
-    total = 0.0
-    for t in a.comps:
-        prod = np.einsum("...ij,...ji->...", a.comps[t], b.comps[t])
-        total -= float(np.real(np.sum(prod))) / a.N ** 4
-    return total
+    return -float(np.sum(mean_trace(a.data, b.data)).real)

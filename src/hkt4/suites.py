@@ -115,7 +115,7 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
             "dim T[A] = 4 (n^2 - 1) at the flat connection")
     rec.add("moduli.kernel-gap", tb.gap_ok,
             0.0 if not np.isfinite(tb.gap) else 1.0 / tb.gap, "plumbing")
-    worst = max(tb.residual(b) for b in tb.basis)
+    worst = float(tb.residual(tb.basis).max())
     rec.add("moduli.slice-equations", worst < tol, worst,
             "d_A^+ a = 0 and Lambda d^c_L a = 0")
 
@@ -135,18 +135,11 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
                 "L^2 metric Hermitian for each induced structure")
 
     # Hermitian 2-form against the L^2 metric: one consistent sign
-    def rand_elem():
-        coeff = rng.standard_normal(tb.dimension)
-        out = None
-        for c, b in zip(coeff, tb.basis):
-            term = b * float(c)
-            out = term if out is None else out + term
-        return out
-
     signs = set()
     worst_rel = 0.0
     for _ in range(hermitian_pairs):
-        a1, a2 = rand_elem(), rand_elem()
+        a1 = tb.element(rng.standard_normal(tb.dimension))
+        a2 = tb.element(rng.standard_normal(tb.dimension))
         w = moduli_hermitian_form(tb, a1, a2)
         g = l2_inner(induced_structure(tb.structure, a1), a2)
         if abs(g) > 1e-9:

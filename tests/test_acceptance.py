@@ -148,20 +148,12 @@ def test_criterion_08_moduli_hermitian_form():
     tol = 1e-8
     tb = horizontal_slice(Connection.flat(4, 2), LEFT.I, 1e-10, frame=LEFT)
     rng = np.random.default_rng(SEED)
-
-    def rand_elem():
-        coeff = rng.standard_normal(tb.dimension)
-        out = None
-        for c, b in zip(coeff, tb.basis):
-            term = b * float(c)
-            out = term if out is None else out + term
-        return out
-
     signs = set()
     worst = 0.0
     pairs = 0
     while pairs < 100:
-        a1, a2 = rand_elem(), rand_elem()
+        a1 = tb.element(rng.standard_normal(tb.dimension))
+        a2 = tb.element(rng.standard_normal(tb.dimension))
         g = l2_inner(induced_structure(tb.structure, a1), a2)
         if abs(g) < 1e-9:
             continue

@@ -4,26 +4,36 @@ matrices, inner products, serialization."""
 import numpy as np
 import pytest
 
+import json
+import struct
+
 from hkt4.lattice import (
     LatticeField,
     TUPLES,
     action_matrix,
+    apply_components,
+    d_adjoint,
     d_raw,
-    d_star_one_form,
     dc_raw,
     deriv,
-    frob_norm,
     l2_inner,
-    lambda_of,
     lambda_row,
     project_su,
     sd_projector,
+    sq_norm,
     star_matrix,
     su_basis,
 )
 from hkt4.quaternions import HypercomplexFrame
 
 LEFT = HypercomplexFrame.left()
+
+
+def cartan_connection(N, n, charge):
+    """charge * diag(i, -i, 0, ...) dx0 as a connection array."""
+    A = np.zeros((4, N, N, N, N, n, n), dtype=complex)
+    A[0, ..., 0, 0], A[0, ..., 1, 1] = 1j * charge, -1j * charge
+    return A
 
 
 def test_su_basis_orthonormal():
@@ -77,8 +87,8 @@ def test_d_squared_zero_on_lattice():
     rng = np.random.default_rng(3)
     N = 4
     a = LatticeField.random(1, N, 2, rng)
-    dd = d_raw(d_raw(a.comps, 1, N), 2, N)
-    assert frob_norm(dd, N) < 1e-12
+    dd = d_raw(d_raw(a.data, 1, N), 2, N)
+    assert np.sqrt(sq_norm(dd)) < 1e-12
 
 
 def test_d_star_adjointness():
@@ -86,12 +96,30 @@ def test_d_star_adjointness():
     N = 4
     a = LatticeField.random(1, N, 2, rng)
     s = LatticeField.random(0, N, 2, rng)
-    ds = LatticeField(1, N, 2, d_raw(s.comps, 0, N), project=False)
+    ds = LatticeField(1, N, 2, d_raw(s.data, 0, N), project=False)
     lhs = l2_inner(ds, a)
-    dstar = d_star_one_form(a.comps, N)
-    prod = np.einsum("...ij,...ji->...", s.comps[()], dstar)
+    dstar = d_adjoint(a.data, 1, N)
+    prod = np.einsum("...ij,...ji->...", s.data, dstar)
     rhs = -float(np.real(np.sum(prod))) / N ** 4
     assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("charge", [0.0, 0.37])
+def test_d_adjoint_is_l2_adjoint_of_d_raw(degree, charge):
+    # <d_A s, a> = <s, d_A^* a> for s of degree - 1 and a of degree, at the
+    # flat connection and at a constant Cartan connection
+    rng = np.random.default_rng(12)
+    N, n = 3, 2
+    A = cartan_connection(N, n, charge) if charge else None
+    s = LatticeField.random(degree - 1, N, n, rng)
+    a = LatticeField.random(degree, N, n, rng)
+    ds = LatticeField(degree, N, n, d_raw(s.data, degree - 1, N, A=A), project=False)
+    dstar_a = LatticeField(degree - 1, N, n, d_adjoint(a.data, degree, N, A=A),
+                           project=False)
+    lhs = l2_inner(ds, a)
+    assert abs(lhs) > 1e-3
+    assert abs(lhs - l2_inner(s, dstar_a)) < 1e-12 * max(1.0, abs(lhs))
 
 
 def test_action_matrix_consistency_with_symbolic():
@@ -133,9 +161,9 @@ def test_dc_on_lattice_matches_symbol():
     N = 4
     rng = np.random.default_rng(5)
     a = LatticeField.random(1, N, 2, rng)
-    dc = dc_raw(LEFT.I, a.comps, 1, N)
-    lam = lambda_of(LEFT.I, dc)
-    dstar = d_star_one_form(a.comps, N)
+    dc = dc_raw(LEFT.I, a.data, 1, N)
+    lam = apply_components(lambda_row(LEFT.I)[None], dc)
+    dstar = d_adjoint(a.data, 1, N)
     assert float(np.max(np.abs(lam - dstar))) < 1e-12
 
 
@@ -168,15 +196,6 @@ def test_field_arithmetic_and_norm():
         a + LatticeField.random(1, 4, 2, rng)
 
 
-def test_fourier_roundtrip():
-    rng = np.random.default_rng(8)
-    a = LatticeField.random(2, 3, 2, rng)
-    spec = a.fourier()
-    for t, arr in spec.items():
-        back = np.fft.ifftn(arr, axes=(-6, -5, -4, -3))
-        assert np.max(np.abs(back - a.comps[t])) < 1e-12
-
-
 def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     a = LatticeField.random(2, 3, 3, rng)
@@ -188,6 +207,27 @@ def test_serialization_roundtrip(tmp_path):
     # header is inspectable json after the magic and length prefix
     blob = path.read_bytes()
     assert blob.startswith(b"LATF1\n")
+
+
+def test_serialization_layout_pinned(tmp_path):
+    # the file is magic, <Q header length, JSON header, then one <c16 block
+    # per component in TUPLES order, each in row-major grid and matrix order
+    rng = np.random.default_rng(13)
+    N, n, degree = 3, 2, 2
+    comps = {t: rng.standard_normal((N, N, N, N, n, n))
+             + 1j * rng.standard_normal((N, N, N, N, n, n)) for t in TUPLES[degree]}
+    path = tmp_path / "field.latf"
+    LatticeField(degree, N, n, comps, project=False).save(path)
+    header = json.dumps({
+        "format": "lattice-field-v1", "N": N, "n": n, "degree": degree,
+        "endianness": "little", "dtype": "complex128", "order": "C",
+        "components": [list(t) for t in TUPLES[degree]],
+    }).encode()
+    want = b"LATF1\n" + struct.pack("<Q", len(header)) + header
+    for t in TUPLES[degree]:
+        for z in comps[t].ravel():
+            want += struct.pack("<dd", z.real, z.imag)
+    assert path.read_bytes() == want
 
 
 def test_serialization_rejects_truncated_payload(tmp_path):

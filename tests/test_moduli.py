@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from hkt4.lattice import (
-    TUPLES,
     LatticeField,
     action_matrix,
-    apply_matrix,
+    apply_components,
+    l2_gram,
     l2_inner,
     su_basis,
 )
@@ -20,6 +20,7 @@ from hkt4.moduli import (
     coulomb_identity_defect,
     curvature,
     gauge_direction,
+    gauge_kernel_dim,
     he_residual,
     horizontal_slice,
     induced_structure,
@@ -77,9 +78,9 @@ def test_curvature_constant_noncommuting():
     A = constant_connection(3, 2, [(0, a * t1), (1, b * t2)])
     F = curvature(A)
     expected = a * b * (t1 @ t2 - t2 @ t1)
-    assert np.allclose(F.comps[(0, 1)][0, 0, 0, 0], expected)
-    for t in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        assert np.max(np.abs(F.comps[t])) < 1e-15
+    assert np.allclose(F.data[0][0, 0, 0, 0], expected)
+    # every other component: (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+    assert np.max(np.abs(F.data[1:])) < 1e-15
 
 
 def test_asd_residual_on_basis_forms():
@@ -109,8 +110,7 @@ def test_asd_residual_cross_checked_against_dense_projector():
     F = LatticeField.random(2, N, n, rng)
     from hkt4.lattice import star_matrix
     P = 0.5 * (np.eye(6) + star_matrix(2))
-    comps = np.stack([F.comps[t] for t in sorted(F.comps)], axis=0)
-    proj = np.einsum("st,t...->s...", P, comps)
+    proj = np.einsum("st,t...->s...", P, F.data)
     _, norm = asd_residual(F)
     oracle = float(np.sqrt(np.sum(np.abs(proj) ** 2) / N ** 4))
     assert np.isclose(norm, oracle)
@@ -221,8 +221,7 @@ def test_horizontal_slice_requires_asd_base():
 
 def test_slice_elements_satisfy_equations():
     tb = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
-    for b in tb.basis:
-        assert tb.residual(b) < 1e-13
+    assert tb.residual(tb.basis).max() < 1e-13
 
 
 def test_dense_oracle_matches_mode_kernel_n2():
@@ -265,8 +264,7 @@ def test_gauge_orthogonality_of_slice():
     for _ in range(5):
         xi = LatticeField.random(0, 4, 2, rng)
         v = gauge_direction(xi, A)
-        for b in tb.basis:
-            assert abs(l2_inner(b, v)) < 1e-12
+        assert np.abs(l2_gram(tb.basis, v.data[None])).max() < 1e-12
 
 
 def test_induced_structure_examples():
@@ -277,9 +275,8 @@ def test_induced_structure_examples():
     a = LatticeField(1, N, n, {(0,): arr}, project=False)
     ia = induced_structure(FRAME.I, a)
     # I~(dx0 x g) = -I(dx0) x g = +dx1 x g under the ledger sign
-    assert np.allclose(ia.comps[(1,)], arr)
-    for t in ((0,), (2,), (3,)):
-        assert np.max(np.abs(ia.comps[t])) < 1e-15
+    assert np.allclose(ia.data[1], arr)
+    assert np.max(np.abs(ia.data[[0, 2, 3]])) < 1e-15
     # involution and realness
     rng = np.random.default_rng(51)
     b = LatticeField.random(1, N, n, rng)
@@ -295,9 +292,8 @@ def test_induced_structure_matches_coordinate_formula():
         a = LatticeField.random(1, N, 2, rng)
         for L in FRAME.matrices():
             got = induced_structure(L, a)
-            want = apply_matrix(-action_matrix(L, 1), a.comps, 1, 1)
-            for t in TUPLES[1]:
-                assert np.max(np.abs(got.comps[t] - want.get(t, 0))) < 1e-12
+            want = apply_components(-action_matrix(L, 1), a.data)
+            assert np.max(np.abs(got.data - want)) < 1e-12
 
 
 def test_verify_moduli_structure_passes():
@@ -307,6 +303,27 @@ def test_verify_moduli_structure_passes():
     assert rep.kernel_dims == {"I": 12, "J": 12, "K": 12}
     assert max(rep.identity_defects.values()) < 1e-12
     assert max(rep.metric_defects.values()) < 1e-12
+
+
+def test_verify_moduli_structure_at_cartan_connection():
+    # a flat connection with non-central holonomy: the stabiliser is the
+    # Cartan line, so the slice is 4-dimensional, not 4 (n^2 - 1)
+    _, _, t3 = pauli_su2()
+    A = constant_connection(3, 2, [(0, 0.37 * t3)])
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    rep = verify_moduli_structure(tb, FRAME)
+    assert rep.expected_dim == 4
+    assert rep.kernel_dims == {"I": 4, "J": 4, "K": 4}
+    assert rep.passed
+
+
+def test_gauge_kernel_dim():
+    _, _, t3 = pauli_su2()
+    assert gauge_kernel_dim(Connection.flat(3, 2), 1e-10) == 3
+    assert gauge_kernel_dim(Connection.flat(3, 3), 1e-10) == 8
+    # holonomy exp(pi i sigma3) = -1 is central: the whole of su(2) is fixed
+    A = constant_connection(3, 2, [(0, np.pi * t3)])
+    assert gauge_kernel_dim(A, 1e-10) == 3
 
 
 def test_verify_moduli_structure_detects_sign_flip():
@@ -331,17 +348,9 @@ def test_l2_metric_invariant_under_induced_structures():
 def test_moduli_hermitian_form_antisymmetric_and_sign():
     tb = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
     rng = np.random.default_rng(71)
-
-    def rand_elem():
-        coeff = rng.standard_normal(tb.dimension)
-        out = None
-        for c, b in zip(coeff, tb.basis):
-            t = b * float(c)
-            out = t if out is None else out + t
-        return out
-
     for _ in range(10):
-        a1, a2 = rand_elem(), rand_elem()
+        a1 = tb.element(rng.standard_normal(tb.dimension))
+        a2 = tb.element(rng.standard_normal(tb.dimension))
         w12 = moduli_hermitian_form(tb, a1, a2)
         w21 = moduli_hermitian_form(tb, a2, a1)
         assert abs(w12 + w21) < 1e-10
@@ -356,7 +365,7 @@ def test_moduli_hermitian_form_rejects_non_slice_input():
     rng = np.random.default_rng(81)
     a = LatticeField.random(1, 3, 2, rng)  # generic field is not in the slice
     with pytest.raises(ValueError):
-        moduli_hermitian_form(tb, a, tb.basis[0])
+        moduli_hermitian_form(tb, a, tb.element(np.eye(tb.dimension)[0]))
 
 
 def test_moduli_hermitian_form_zero_mode_closed_form():
