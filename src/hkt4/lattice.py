@@ -286,9 +286,9 @@ def project_su(arr: np.ndarray, n: int) -> np.ndarray:
 class LatticeField:
     """Degree-p form with values in su(n) (u(1) when n = 1), sampled on the
     N^4 grid, held as one array ``data`` of shape (C, N, N, N, N, n, n) in
-    ``TUPLES[degree]`` order. It is built from a dict of components (absent
-    ones are zero) or from such an array, and projected to the Lie algebra
-    on write."""
+    ``TUPLES[degree]`` order. It is built from a dict keyed by those
+    component tuples (absent ones are zero, any other key is an error) or
+    from such an array, and projected to the Lie algebra on write."""
 
     def __init__(self, degree: int, N: int, n: int, comps,
                  project: bool = True):
@@ -306,13 +306,14 @@ class LatticeField:
                 raise ValueError(f"field array has shape {data.shape}, want {shape}")
         else:
             data = np.zeros(shape, dtype=complex)
-            for i, t in enumerate(TUPLES[degree]):
-                if t in comps:
-                    arr = np.asarray(comps[t], dtype=complex)
-                    if arr.shape != shape[1:]:
-                        raise ValueError(f"component {t} has shape {arr.shape}, "
-                                         f"want {shape[1:]}")
-                    data[i] = arr
+            for t, arr in comps.items():
+                if t not in TUPLES[degree]:
+                    raise ValueError(f"{t!r} is not a component of a degree-{degree} form")
+                arr = np.asarray(arr, dtype=complex)
+                if arr.shape != shape[1:]:
+                    raise ValueError(f"component {t} has shape {arr.shape}, "
+                                     f"want {shape[1:]}")
+                data[TUPLES[degree].index(t)] = arr
         self.data = project_su(data, n) if project else data
 
     @staticmethod

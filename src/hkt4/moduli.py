@@ -3,10 +3,10 @@ anti-self-duality residual, a descent flow toward the ASD equations, the
 horizontal slice and its induced quaternionic structures, and the L^2
 metric and Hermitian form on the slice.
 
-Quantitative kernel claims are made at flat base connections, where the
-stacked slice operator is block diagonal over Fourier modes and the kernel
-can be certified mode by mode; a dense brute-force null space is available
-as an independent cross-check for small problems.
+Quantitative kernel claims are made at flat and constant Cartan base
+connections, where the stacked slice operator is block diagonal over Fourier
+modes and matrix entries and the kernel is certified mode by mode; a dense
+brute-force null space covers other connections and cross-checks the rest.
 """
 
 from __future__ import annotations
@@ -79,13 +79,10 @@ class Connection:
     def flat(N: int, n: int) -> "Connection":
         return Connection(LatticeField.zeros(1, N, n))
 
-    def is_zero(self) -> bool:
-        return not np.any(self.A.data)
-
 
 def _coupling(A: Optional[Connection]) -> Optional[np.ndarray]:
     """The connection array d_A couples to, or None for d itself."""
-    return None if A is None or A.is_zero() else A.A.data
+    return None if A is None or not np.any(A.A.data) else A.A.data
 
 
 # the index pairs (mu, nu), mu < nu, of the 2-form components
@@ -288,17 +285,20 @@ def _slice_basis(A: Connection, L: Matrix, tol: float, max_dense_dim: int):
     """Kernel basis of the stacked operator (d_A^+, Lambda d^c_L), with the
     smallest non-kernel singular value and the kernel gap.
 
-    At the flat connection the operator is block diagonal over Fourier
-    modes, so the kernel is certified by per-mode singular values (no
-    discretization pollution); otherwise a dense brute-force null space is
-    extracted, guarded by ``max_dense_dim``.
+    At a flat and constant Cartan connection (A = 0 too) the operator is
+    block diagonal over Fourier modes and matrix entries, so the kernel is
+    certified by per-block singular values (no discretization pollution);
+    otherwise a dense null space is extracted, guarded by ``max_dense_dim``.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _, res_norm = asd_residual(curvature(A))
     if res_norm > max(tol, 1e-8):
         raise ValueError(f"base connection is not ASD enough: |F+| = {res_norm:.3e}")
-    if A.is_zero():
-        return _flat_slice_basis(A.N, A.n, L, tol)
-    return _dense_slice_basis(A, L, tol, max_dense_dim)
+    shifts = _cartan_shifts(A)
+    if shifts is None:
+        return _dense_slice_basis(A, L, tol, max_dense_dim)
+    return _mode_slice_basis(A.N, L, tol, shifts)
 
 
 def horizontal_slice(A: Connection, L: Matrix, tol: float,
@@ -319,24 +319,58 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
                         gap_ok=gap > GAP_THRESHOLD)
 
 
-def _flat_slice_basis(N: int, n: int, L: Matrix, tol: float):
+def _modes(N: int) -> np.ndarray:
+    """The frequency vectors xi of the N^4 Fourier modes, shape (N^4, 4)."""
     freqs = frequencies(N)
-    xi = np.stack(np.meshgrid(freqs, freqs, freqs, freqs, indexing="ij"),
-                  axis=-1).reshape(-1, 4)
-    sv = np.linalg.svd(_mode_symbol(L, xi), compute_uv=False)[:, -1]
-    zero = ~xi.any(axis=1)
-    bad = np.flatnonzero(~zero & (sv < tol))
+    return np.stack(np.meshgrid(freqs, freqs, freqs, freqs, indexing="ij"),
+                    axis=-1).reshape(-1, 4)
+
+
+def _cartan_shifts(A: Connection) -> Optional[np.ndarray]:
+    """The shifts theta_j - theta_k, shape (n, n, 4), of a connection whose
+    array is exactly the constant diagonal A_mu = i diag(theta^mu), or None.
+    D_mu acts on e^{i xi.x} E_jk as i(xi_mu + theta_j^mu - theta_k^mu)."""
+    a = A.A.data
+    theta = np.diagonal(a[:, 0, 0, 0, 0], axis1=-2, axis2=-1).imag
+    diag = 1j * theta[..., None] * np.eye(A.n)
+    if not np.all(a == diag[:, None, None, None, None]):
+        return None
+    return np.moveaxis(theta[:, :, None] - theta[:, None, :], 0, -1)
+
+
+def _stabiliser_fields(N: int, vanish: np.ndarray) -> np.ndarray:
+    """The su(n) generators each of whose entries (j, k) has a channel that
+    vanishes at some Fourier mode (``vanish``, shape (n, n, N^4)), with
+    every off-diagonal entry turned by the lattice phase e^{i xi.x} of its
+    mode: shape (k, N, N, N, N, n, n). At A = 0 every phase is 1."""
+    gens = su_basis(len(vanish))
+    keep = np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))
+    xi = _modes(N)[vanish.argmax(axis=-1)]
+    phase = np.exp(1j * np.einsum("m...,jkm->...jk", np.indices((N,) * 4) / N, xi))
+    g = gens[keep][:, None, None, None, None]
+    # the diagonal (Cartan) entries carry no phase
+    return np.where(np.eye(len(vanish), dtype=bool), g, g * phase)
+
+
+def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
+    """Per-mode certificate and basis at a constant Cartan connection: the
+    block of entry (j, k) at the mode xi is the symbol at xi + shifts[j, k],
+    and each distinct shift is evaluated once, in one batched SVD."""
+    alpha, channel = np.unique(shifts.reshape(-1, 4), axis=0, return_inverse=True)
+    sv = np.linalg.svd(_mode_symbol(L, _modes(N) + alpha[:, None]), compute_uv=False)
+    small = (sv < tol).sum(axis=-1)
+    bad = np.argwhere((small > 0) & (small < 4))
     if len(bad):
-        k = tuple(int(i) for i in np.unravel_index(bad[0], (N,) * 4))
+        k = tuple(int(i) for i in np.unravel_index(bad[0, 1], (N,) * 4))
         raise RuntimeError(f"unexpected slice kernel at mode {k}")
-    min_sv = float(sv[~zero].min())
-    max_kernel_sv = float(sv[zero].max())
+    vanish = small == 4
+    min_sv = float(sv[..., -1][~vanish].min())
+    max_kernel_sv = float(sv[..., 0][vanish].max())
     gap = min_sv / max_kernel_sv if max_kernel_sv > 0 else np.inf
-    # the constant fields dx_mu x g, row mu * (n^2 - 1) + g
-    gens = su_basis(n)
-    basis = np.zeros((4, len(gens), 4, N, N, N, N, n, n), dtype=complex)
-    mu = np.arange(4)
-    basis[mu, :, mu] = gens[:, None, None, None, None]
+    fields = _stabiliser_fields(N, vanish[channel.reshape(shifts.shape[:2])])
+    # the fields dx_mu x g, row mu * len(fields) + g
+    basis = np.zeros((4, len(fields), 4) + fields.shape[1:], dtype=complex)
+    basis[np.arange(4), :, np.arange(4)] = fields
     return basis.reshape((-1,) + basis.shape[2:]), min_sv, float(gap)
 
 
@@ -391,10 +425,13 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float, max_dense_dim: int)
 
 def gauge_kernel_dim(A: Connection, tol: float) -> int:
     """dim ker(d_A on su(n)-valued 0-forms): the Lie algebra of the
-    stabiliser of A. It is n^2 - 1 at A = 0 and is read from the dense
-    singular values of d_A otherwise."""
-    if A.is_zero():
-        return A.n ** 2 - 1
+    stabiliser of A: at a constant Cartan connection, the generators whose
+    entries all have a vanishing 0-form symbol i(xi + theta_j - theta_k);
+    otherwise, the kernel of the dense singular values of d_A."""
+    shifts = _cartan_shifts(A)
+    if shifts is not None:
+        vanish = np.linalg.norm(_modes(A.N) + shifts[:, :, None], axis=-1) < tol
+        return len(_stabiliser_fields(A.N, vanish))
     M = _real_matrix(d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data))
     _, kernel_mask = _kernel_split(np.linalg.svd(M, compute_uv=False), M.shape[1], tol)
     return int(kernel_mask.sum())

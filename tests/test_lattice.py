@@ -66,6 +66,16 @@ def test_field_projection_on_write():
     assert f.max_defect_from_su() < 1e-14
 
 
+def test_field_rejects_keys_that_are_not_components():
+    arr = np.zeros((3, 3, 3, 3, 2, 2), dtype=complex)
+    arr[...] = su_basis(2)[0]
+    # a 2-form component given to a 1-form, and an unsorted 2-form index pair
+    with pytest.raises(ValueError, match=r"\(0, 1\) is not a component of a degree-1"):
+        LatticeField(1, 3, 2, {(0, 1): arr})
+    with pytest.raises(ValueError, match=r"\(1, 0\) is not a component of a degree-2"):
+        LatticeField(2, 3, 2, {(0, 1): arr, (1, 0): arr})
+
+
 def test_spectral_derivative_exact_on_modes():
     N = 5
     x = np.arange(N) / N

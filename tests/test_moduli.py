@@ -4,10 +4,13 @@ horizontal slice, induced quaternionic structures, L^2 metric."""
 import numpy as np
 import pytest
 
+from hkt4 import moduli
 from hkt4.lattice import (
     LatticeField,
     action_matrix,
     apply_components,
+    d_raw,
+    frequencies,
     l2_gram,
     l2_inner,
     su_basis,
@@ -29,6 +32,9 @@ from hkt4.moduli import (
     verify_moduli_structure,
     ym_flow,
     _dense_slice_basis,
+    _mode_symbol,
+    _real_matrix,
+    _unit_fields,
 )
 from hkt4.quaternions import HypercomplexFrame
 
@@ -219,6 +225,19 @@ def test_horizontal_slice_requires_asd_base():
         horizontal_slice(A, FRAME.I, 1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_horizontal_slice_rejects_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        horizontal_slice(Connection.flat(3, 2), FRAME.I, tol)
+
+
+def test_horizontal_slice_rejects_a_partial_mode_kernel():
+    # the blocks at |xi| = 2 pi have singular values 2 pi / sqrt(2) (three
+    # times) and 2 pi, so a tolerance of 5 gives each a partial kernel
+    with pytest.raises(RuntimeError, match="unexpected slice kernel"):
+        horizontal_slice(Connection.flat(3, 2), FRAME.I, 5.0)
+
+
 def test_slice_elements_satisfy_equations():
     tb = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
     assert tb.residual(tb.basis).max() < 1e-13
@@ -324,6 +343,98 @@ def test_gauge_kernel_dim():
     # holonomy exp(pi i sigma3) = -1 is central: the whole of su(2) is fixed
     A = constant_connection(3, 2, [(0, np.pi * t3)])
     assert gauge_kernel_dim(A, 1e-10) == 3
+
+
+def cartan_connection(N, mu, theta):
+    """theta: the eigenvalues theta_j of A_mu = i diag(theta) dx_mu."""
+    return constant_connection(N, len(theta), [(mu, np.diag(1j * np.asarray(theta)))])
+
+
+def dense_gauge_kernel_dim(A, tol):
+    # oracle: the real matrix of d_A on su(n)-valued 0-forms and its SVD
+    M = _real_matrix(d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data))
+    s = np.linalg.svd(M, compute_uv=False)
+    return M.shape[1] - int(np.sum(s >= tol * max(1.0, s.max())))
+
+
+# (mu, theta, slice dimension 4 dim(stabiliser)) at N = 3
+CARTAN_CASES = [
+    # generic holonomy: the stabiliser is the maximal torus, 4 (n - 1)
+    (0, [0.37, -0.37], 4),
+    (2, [0.3, 0.5, -0.8], 8),
+    # central holonomy -1 and exp(2 pi i / 3): all of su(n), 4 (n^2 - 1)
+    (0, [np.pi, -np.pi], 12),
+    (3, [2 * np.pi / 3, 2 * np.pi / 3, -4 * np.pi / 3], 32),
+    # two equal eigenvalues: s(u(2) + u(1)), of dimension 4
+    (1, [0.5, 0.5, -1.0], 16),
+]
+
+
+@pytest.mark.parametrize("mu,theta,dim", CARTAN_CASES)
+def test_slice_dimension_is_four_times_stabiliser(mu, theta, dim):
+    A = cartan_connection(3, mu, theta)
+    assert gauge_kernel_dim(A, 1e-10) == dense_gauge_kernel_dim(A, 1e-10) == dim // 4
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    assert tb.dimension == dim and tb.gap_ok
+    assert np.abs(tb.gram - np.eye(dim)).max() < 1e-12
+    assert tb.residual(tb.basis).max() < 1e-12
+    rep = verify_moduli_structure(tb, FRAME)
+    assert rep.expected_dim == dim and rep.passed
+
+
+@pytest.mark.parametrize("mu,theta", [
+    (0, [0.37, -0.37]), (0, [np.pi, -np.pi]), (1, [0.5, 0.5, -1.0])])
+def test_cartan_slice_matches_dense_oracle(mu, theta, monkeypatch):
+    A = cartan_connection(3, mu, theta)
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    # keep the singular values of the dense path's one SVD of its
+    # (14 N^4 n^2) x (4 N^4 (n^2 - 1)) matrix instead of building it again
+    dense_svds, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        dense_svds.append(out[1])
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    basis, _, _ = _dense_slice_basis(A, FRAME.I, 1e-10, max_dense_dim=4000)
+    monkeypatch.undo()
+    assert len(basis) == tb.dimension
+    assert subspace_distance(tb.basis, basis) < 1e-6
+    # the shift rule: entry (j, k) at the mode xi has the symbol at
+    # xi + theta_j - theta_k; the n - 1 Cartan directions have shift 0
+    n = len(theta)
+    shifts = [np.eye(4)[mu] * (theta[j] - theta[k])
+              for j in range(n) for k in range(n) if j != k]
+    shifts += [np.zeros(4)] * (n - 1)
+    f = frequencies(3)
+    xi = np.stack(np.meshgrid(f, f, f, f, indexing="ij"), axis=-1).reshape(-1, 4)
+    per_mode = np.sort(np.concatenate(
+        [np.linalg.svd(_mode_symbol(FRAME.I, xi + a), compute_uv=False).ravel()
+         for a in shifts]))
+    (dense,) = dense_svds
+    assert dense.shape == per_mode.shape == (4 * 3 ** 4 * (n * n - 1),)
+    dense = np.sort(dense)
+    assert np.abs(per_mode - dense).max() < 1e-12 * dense.max()
+
+
+def test_commuting_non_diagonal_connection_takes_dense_path(monkeypatch):
+    # constant and flat, but not diagonal: the per-mode rule does not apply
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _dense_slice_basis(*args)
+
+    monkeypatch.setattr(moduli, "_dense_slice_basis", spy)
+    t1 = pauli_su2()[0]
+    tb = horizontal_slice(constant_connection(3, 2, [(0, 0.37 * t1)]), FRAME.I,
+                          1e-10, frame=FRAME)
+    assert len(calls) == 1
+    assert tb.dimension == 4 and tb.gap_ok
+    # the same holonomy in diagonal form is certified per mode
+    horizontal_slice(cartan_connection(3, 0, [0.37, -0.37]), FRAME.I, 1e-10)
+    assert len(calls) == 1
 
 
 def test_verify_moduli_structure_detects_sign_flip():
