@@ -3,18 +3,33 @@ and rational fields of the shape P / phi^k with phi = x0^2 + x1^2 + x2^2 + x3^2.
 
 Every identity downstream is certified by exact zero tests in this ring, so
 no floating point is allowed anywhere in this module.
+
+A polynomial stores Gaussian-integer numerator pairs ``{monomial: (a, b)}``,
+each meaning (a + b sqrt(-1)) / den, over one positive denominator ``den``.
+Every result is normalised once: pairs (0, 0) are dropped and den and all
+a, b are divided by their gcd (Knuth, TAOCP Vol. 2, 4.6.1), so equal
+polynomials have equal storage and the zero polynomial is ``({}, 1)``.
+Products and sums are Python integer operations; no Fraction is built.
+
+A field P / phi^k is canonical when phi does not divide P for k > 0. phi is
+a quadratic form of rank 4, hence irreducible and so prime in the unique
+factorisation domain Q(i)[x0..x3]. For canonical P / phi^a and Q / phi^b:
+  * the product with a, b > 0 has numerator PQ, and phi divides neither
+    factor, so not PQ;
+  * the sum with a > b has numerator P + Q phi^(a-b), which is P mod phi;
+  * the partial d_i (P / phi^a), a > 0, has numerator d_i P phi - 2a x_i P,
+    which is -2a x_i P mod phi, and phi divides neither x_i nor P.
+These results are canonical as computed. Only sums of equal k, products
+with a factor of k = 0 and exact quotients can gain a factor phi, and only
+there is it divided out, by long division in x0 (phi is monic in x0).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-Rat = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from itertools import chain
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 
 def _frac(v) -> Fraction:
@@ -76,6 +91,18 @@ class QI:
 
     __rmul__ = __mul__
 
+    def __pow__(self, e: int):
+        """Integer powers by repeated squaring."""
+        if e < 0:
+            return QI(1) / self ** -e
+        out, base = QI(1), self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
     def __truediv__(self, other):
         o = QI.coerce(other)
         d = o.abs2()
@@ -109,10 +136,17 @@ I_UNIT = QI(0, 1)
 
 # Monomials are exponent 4-tuples (e0, e1, e2, e3).
 Monomial = tuple
+Terms = Dict[Monomial, Tuple[int, int]]
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+def _gaussian(v) -> Tuple[int, int, int]:
+    """(a, b, d) with v = (a + b sqrt(-1)) / d and d > 0."""
+    if isinstance(v, int):
+        return v, 0, 1
+    c = QI.coerce(v)
+    d = math.lcm(c.re.denominator, c.im.denominator)
+    return (c.re.numerator * (d // c.re.denominator),
+            c.im.numerator * (d // c.im.denominator), d)
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -124,18 +158,45 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Poly:
-    """Polynomial in x0..x3 with QI coefficients, stored sparsely."""
+    """Polynomial in x0..x3 with Gaussian-rational coefficients, stored
+    sparsely as Gaussian-integer pairs over one denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, coeffs: Mapping[Monomial, QI] | None = None):
-        cleaned = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = QI.coerce(c)
-                if not c.is_zero():
-                    cleaned[tuple(m)] = c
-        self.coeffs = cleaned
+        parts = {tuple(m): _gaussian(c) for m, c in (coeffs or {}).items()}
+        den = math.lcm(*(d for _, _, d in parts.values())) if parts else 1
+        p = Poly._make({m: (a * (den // d), b * (den // d))
+                        for m, (a, b, d) in parts.items()}, den)
+        self.terms, self.den = p.terms, p.den
+
+    @staticmethod
+    def _make(terms: Terms, den: int) -> "Poly":
+        """terms / den, brought to normal form."""
+        terms = {m: c for m, c in terms.items() if c[0] or c[1]}
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *chain.from_iterable(terms.values()))
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = {m: (a // g, b // g) for m, (a, b) in terms.items()}
+                den //= g
+        return Poly._raw(terms, den)
+
+    @staticmethod
+    def _raw(terms: Terms, den: int) -> "Poly":
+        """terms / den already in normal form."""
+        p = Poly.__new__(Poly)
+        p.terms, p.den = terms, den
+        return p
+
+    @property
+    def coeffs(self) -> Dict[Monomial, QI]:
+        """The coefficients as Gaussian rationals (a fresh dict)."""
+        d = self.den
+        return {m: QI(Fraction(a, d), Fraction(b, d)) for m, (a, b) in self.terms.items()}
 
     @staticmethod
     def zero() -> "Poly":
@@ -143,14 +204,13 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = QI.coerce(c)
-        return Poly({(0, 0, 0, 0): c}) if c else Poly()
+        return Poly({(0, 0, 0, 0): c})
 
     @staticmethod
     def variable(i: int) -> "Poly":
         e = [0, 0, 0, 0]
         e[i] = 1
-        return Poly({tuple(e): QI(1)})
+        return Poly._raw({tuple(e): (1, 0)}, 1)
 
     @staticmethod
     def coerce(v) -> "Poly":
@@ -159,88 +219,76 @@ class Poly:
         return Poly.const(v)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == (0, 0, 0, 0) for m in self.coeffs)
+        return all(m == (0, 0, 0, 0) for m in self.terms)
 
     def constant_value(self) -> QI:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.coeffs.get((0, 0, 0, 0), QI(0))
+        a, b = self.terms.get((0, 0, 0, 0), (0, 0))
+        return QI(Fraction(a, self.den), Fraction(b, self.den))
 
     def degree(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             return -1
-        return max(sum(m) for m in self.coeffs)
+        return max(sum(m) for m in self.terms)
 
     def __add__(self, other):
         o = Poly.coerce(other)
-        out = dict(self.coeffs)
-        for m, c in o.coeffs.items():
-            s = out.get(m, QI(0)) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        p = Poly.__new__(Poly)
-        p.coeffs = out
-        return p
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
+        den = self.den * o.den // math.gcd(self.den, o.den)
+        s, t = den // self.den, den // o.den
+        out = {m: (a * s, b * s) for m, (a, b) in self.terms.items()}
+        for m, (a, b) in o.terms.items():
+            c = out.get(m)
+            out[m] = (a * t, b * t) if c is None else (c[0] + a * t, c[1] + b * t)
+        return Poly._make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return p
+        return Poly._raw({m: (-a, -b) for m, (a, b) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-Poly.coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
-            c = QI.coerce(other)
-            if c.is_zero():
-                return Poly()
-            p = Poly.__new__(Poly)
-            p.coeffs = {m: cc * c for m, cc in self.coeffs.items()}
-            return p
+            x, y, d = _gaussian(other)
+            return Poly._make({m: (a * x - b * y, a * y + b * x)
+                               for m, (a, b) in self.terms.items()}, self.den * d)
         o = Poly.coerce(other)
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in o.coeffs.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, QI(0)) + c1 * c2
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        p = Poly.__new__(Poly)
-        p.coeffs = out
-        return p
+        out: Terms = {}
+        get = out.get
+        for (p0, p1, p2, p3), (a, b) in self.terms.items():
+            for (q0, q1, q2, q3), (x, y) in o.terms.items():
+                m = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
+                re, im = a * x - b * y, a * y + b * x
+                c = get(m)
+                out[m] = (re, im) if c is None else (c[0] + re, c[1] + im)
+        return Poly._make(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def partial(self, i: int) -> "Poly":
         out = {}
-        for m, c in self.coeffs.items():
-            if m[i] == 0:
-                continue
-            e = list(m)
-            e[i] -= 1
-            out[tuple(e)] = c * m[i]
-        p = Poly.__new__(Poly)
-        p.coeffs = out
-        return p
+        for m, (a, b) in self.terms.items():
+            e = m[i]
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1:]] = (a * e, b * e)
+        return Poly._make(out, self.den)
 
     def conj(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.coeffs = {m: c.conj() for m, c in self.coeffs.items()}
-        return p
+        return Poly._raw({m: (a, -b) for m, (a, b) in self.terms.items()}, self.den)
 
     def _leading(self) -> Monomial:
         # lex order with x0 > x1 > x2 > x3
-        return max(self.coeffs)
+        return max(self.terms)
 
     def divmod_poly(self, divisor: "Poly"):
         """Multivariate division by a single divisor under lex order.
@@ -251,78 +299,108 @@ class Poly:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         lead = divisor._leading()
-        lead_c = divisor.coeffs[lead]
-        quot: dict = {}
-        rem: dict = {}
-        work = dict(self.coeffs)
-        while work:
-            m = max(work)
-            c = work.pop(m)
+        la, lb = divisor.terms[lead]
+        norm = la * la + lb * lb
+        quot = rem = Poly()
+        work = self
+        while work.terms:
+            m = max(work.terms)
+            a, b = work.terms[m]
             if _mono_divides(lead, m):
-                qm = _mono_div(m, lead)
-                qc = c / lead_c
-                quot[qm] = quot.get(qm, QI(0)) + qc
-                for dm, dc in divisor.coeffs.items():
-                    if dm == lead:
-                        continue
-                    t = _mono_mul(qm, dm)
-                    s = work.get(t, QI(0)) - qc * dc
-                    if s.is_zero():
-                        work.pop(t, None)
-                    else:
-                        work[t] = s
+                # (a + bi)/work.den divided by (la + lb i)/divisor.den
+                dd = divisor.den
+                step = Poly._make({_mono_div(m, lead): ((a * la + b * lb) * dd,
+                                                        (b * la - a * lb) * dd)},
+                                  work.den * norm)
+                quot = quot + step
+                work = work - step * divisor
             else:
-                rem[m] = c
-        q = Poly.__new__(Poly)
-        q.coeffs = {m: c for m, c in quot.items() if not c.is_zero()}
-        r = Poly.__new__(Poly)
-        r.coeffs = {m: c for m, c in rem.items() if not c.is_zero()}
-        return q, r
+                head = Poly._raw({m: (a, b)}, work.den)
+                rem = rem + head
+                work = work - head
+        return quot, rem
 
     def evaluate(self, point: Iterable) -> QI:
         pt = [QI.coerce(v) for v in point]
         total = QI(0)
         for m, c in self.coeffs.items():
-            term = c
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * pt[i]
-            total = total + term
+            for v, e in zip(pt, m):
+                c = c * v ** e
+            total = total + c
         return total
 
-    def scale_arguments(self, q: Fraction) -> "Poly":
-        """P(x) -> P(q*x)."""
+    def scale_arguments(self, q: Fraction, shift: int = 0) -> "Poly":
+        """P(x) -> q^shift P(q*x), in one pass over the terms."""
+        q = _frac(q)
+        p, r, c = q.numerator, q.denominator, q ** shift
+        hi = max(map(sum, self.terms), default=0)
+        # q^(deg + shift) = p^deg r^(hi - deg) c / r^hi
         out = {}
-        for m, c in self.coeffs.items():
-            out[m] = c * (q ** sum(m))
-        p = Poly.__new__(Poly)
-        p.coeffs = {m: c for m, c in out.items() if not c.is_zero()}
-        return p
+        for m, (a, b) in self.terms.items():
+            s = p ** sum(m) * r ** (hi - sum(m)) * c.numerator
+            out[m] = (a * s, b * s)
+        return Poly._make(out, self.den * r ** hi * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         names = ("x0", "x1", "x2", "x3")
+        coeffs = self.coeffs
         parts = []
-        for m in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[m]
+        for m in sorted(coeffs, reverse=True):
             factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                        for i, e in enumerate(m) if e]
             body = "*".join(factors)
-            parts.append(f"({c!r})*{body}" if body else f"({c!r})")
+            parts.append(f"({coeffs[m]!r})*{body}" if body else f"({coeffs[m]!r})")
         return " + ".join(parts)
 
 
 PHI = Poly({(2, 0, 0, 0): QI(1), (0, 2, 0, 0): QI(1),
             (0, 0, 2, 0): QI(1), (0, 0, 0, 2): QI(1)})
+_PHI_POWERS = [Poly.const(1), PHI]
+_PHI_PARTIALS = tuple(PHI.partial(i) for i in range(4))
+
+
+def _phi_pow(n: int) -> Poly:
+    while len(_PHI_POWERS) <= n:
+        _PHI_POWERS.append(_PHI_POWERS[-1] * PHI)
+    return _PHI_POWERS[n]
+
+
+def _phi_quotient(p: Poly) -> Optional[Poly]:
+    """p / phi when phi divides p, else None.
+
+    Long division in x0 by the monic x0^2 + (x1^2 + x2^2 + x3^2): each term
+    at x0^e, from the top down, moves to the quotient and sends minus itself
+    times x1^2, x2^2 and x3^2 down to x0^(e-2). What is left has x0-degree
+    below 2; it is the lex normal form modulo phi, the remainder
+    ``divmod_poly(PHI)`` gives. The quotient keeps p's denominator and
+    content (Gauss's lemma, phi being primitive), so it is in normal form.
+    """
+    work = dict(p.terms)
+    quot = {}
+    for e in range(max(m[0] for m in work), 1, -1):
+        for m in [m for m in work if m[0] == e]:
+            a, b = work.pop(m)
+            if not (a or b):
+                continue
+            _, e1, e2, e3 = m
+            quot[(e - 2, e1, e2, e3)] = (a, b)
+            for t in ((e - 2, e1 + 2, e2, e3), (e - 2, e1, e2 + 2, e3),
+                      (e - 2, e1, e2, e3 + 2)):
+                c = work.get(t)
+                work[t] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
+    if any(a or b for a, b in work.values()):
+        return None
+    return Poly._raw(quot, p.den)
 
 
 class ScalarField:
@@ -338,16 +416,21 @@ class ScalarField:
         num = Poly.coerce(num)
         if k < 0:
             raise ValueError("denominator exponent must be >= 0")
-        while k > 0 and not num.is_zero():
-            q, r = num.divmod_poly(PHI)
-            if r.is_zero():
-                num, k = q, k - 1
-            else:
+        while k > 0 and num.terms:
+            q = _phi_quotient(num)
+            if q is None:
                 break
-        if num.is_zero():
-            k = 0
+            num, k = q, k - 1
         self.num = num
-        self.k = k
+        self.k = k if num.terms else 0
+
+    @staticmethod
+    def _canonical(num: Poly, k: int) -> "ScalarField":
+        """num / phi^k that is canonical by construction (see the module
+        docstring); skips the reduction."""
+        f = ScalarField.__new__(ScalarField)
+        f.num, f.k = num, k if num.terms else 0
+        return f
 
     @staticmethod
     def coerce(v) -> "ScalarField":
@@ -373,39 +456,34 @@ class ScalarField:
     def __bool__(self):
         return not self.is_zero()
 
-    def _phi_pow(self, n: int) -> Poly:
-        p = Poly.const(1)
-        for _ in range(n):
-            p = p * PHI
-        return p
-
     def __add__(self, other):
         o = ScalarField.coerce(other)
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return o
+        if self.k == o.k:
+            return ScalarField(self.num + o.num, self.k)
         k = max(self.k, o.k)
-        a = self.num * self._phi_pow(k - self.k)
-        b = o.num * self._phi_pow(k - o.k)
-        return ScalarField(a + b, k)
+        return ScalarField._canonical(self.num * _phi_pow(k - self.k)
+                                      + o.num * _phi_pow(k - o.k), k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = ScalarField.__new__(ScalarField)
-        f.num, f.k = -self.num, self.k
-        return f
+        return ScalarField._canonical(-self.num, self.k)
 
     def __sub__(self, other):
         return self + (-ScalarField.coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
-            c = QI.coerce(other)
-            if c.is_zero():
-                return ScalarField.const(0)
-            f = ScalarField.__new__(ScalarField)
-            f.num, f.k = self.num * c, self.k
-            return f
+            return ScalarField._canonical(self.num * other, self.k)
         o = ScalarField.coerce(other)
-        return ScalarField(self.num * o.num, self.k + o.k)
+        num = self.num * o.num
+        if self.k and o.k:
+            return ScalarField._canonical(num, self.k + o.k)
+        return ScalarField(num, self.k + o.k)
 
     __rmul__ = __mul__
 
@@ -417,42 +495,37 @@ class ScalarField:
         if self.is_zero():
             return ScalarField.const(0)
         if o.num.is_constant():
-            c = o.num.constant_value()
-            f = self.num * (QI(1) / c)
-            return ScalarField(f * self._phi_pow(o.k), self.k)
-        num = self.num * self._phi_pow(o.k)
-        q, r = num.divmod_poly(o.num)
+            # (P / c) phi^(o.k) / phi^(k): the common phi powers cancel and
+            # phi does not divide P
+            j = min(o.k, self.k)
+            num = self.num * (QI(1) / o.num.constant_value())
+            return ScalarField._canonical(num * _phi_pow(o.k - j), self.k - j)
+        q, r = (self.num * _phi_pow(o.k)).divmod_poly(o.num)
         if not r.is_zero():
             raise ValueError("inexact field division")
         return ScalarField(q, self.k)
 
     def partial(self, i: int) -> "ScalarField":
         if self.k == 0:
-            return ScalarField(self.num.partial(i), 0)
-        num = self.num.partial(i) * PHI - self.num * PHI.partial(i) * self.k
-        return ScalarField(num, self.k + 1)
+            return ScalarField._canonical(self.num.partial(i), 0)
+        num = self.num.partial(i) * PHI - self.num * _PHI_PARTIALS[i] * self.k
+        return ScalarField._canonical(num, self.k + 1)
 
     def conj(self) -> "ScalarField":
-        f = ScalarField.__new__(ScalarField)
-        f.num, f.k = self.num.conj(), self.k
-        return f
+        return ScalarField._canonical(self.num.conj(), self.k)
 
     def scale_arguments(self, q: Fraction) -> "ScalarField":
-        """f(x) -> f(q*x); exact because phi(q*x) = q^2 phi(x)."""
+        """f(x) -> f(q*x); exact because phi(q*x) = q^2 phi(x), and canonical
+        because phi divides P(q*x) only if it divides P."""
         q = _frac(q)
         if q == 0:
             raise ValueError("scale factor must be nonzero")
-        num = Poly()
-        for m, c in self.num.coeffs.items():
-            num = num + Poly({m: c * (q ** (sum(m) - 2 * self.k))})
-        return ScalarField(num, self.k)
+        return ScalarField._canonical(self.num.scale_arguments(q, -2 * self.k), self.k)
 
     def evaluate(self, point) -> QI:
         val = self.num.evaluate(point)
         if self.k:
-            den = PHI.evaluate(point)
-            for _ in range(self.k):
-                val = val / den
+            val = val / PHI.evaluate(point) ** self.k
         return val
 
     def max_abs_coeff(self) -> float:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Dict, Tuple
 
-from .exact import QI, ScalarField, _frac
+from .exact import I_UNIT, QI, ScalarField, _frac
 from .quaternions import IDENTITY, Matrix, squares_to_minus_id
 
 IndexTuple = Tuple[int, ...]
@@ -226,54 +226,50 @@ def _covector_rows(L: Matrix):
     return tuple(tuple(QI.coerce(L[i][j]) for j in range(4)) for i in range(4))
 
 
+@lru_cache(maxsize=None)
 def _check_acs(L: Matrix):
+    # a failed check raises, and lru_cache keeps no result for it
     if not squares_to_minus_id(L):
         raise ValueError("matrix does not square to -Id")
+
+
+def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:
+    """The wedge product, in order, of covectors given as {j: coefficient of
+    dx_j}, as coefficients over the sorted basis forms."""
+    acc: Dict[IndexTuple, QI] = {(): QI(1)}
+    for cov in covectors:
+        nxt: Dict[IndexTuple, QI] = {}
+        for part, c in acc.items():
+            for j, cj in cov.items():
+                merged, sign = _merge_sign(part, (j,))
+                if sign:
+                    nxt[merged] = nxt.get(merged, QI(0)) + c * cj * sign
+        acc = nxt
+    return {s: c for s, c in acc.items() if not c.is_zero()}
+
+
+def _basis_matrix(degree: int, column) -> Tuple[Tuple[QI, ...], ...]:
+    """Matrix over the degree-m basis forms whose column t is the
+    coefficient dict ``column(t)``."""
+    tuples = _ALL_TUPLES[degree]
+    index = {t: i for i, t in enumerate(tuples)}
+    out = [[QI(0)] * len(tuples) for _ in range(len(tuples))]
+    for j, t in enumerate(tuples):
+        for s, c in column(t).items():
+            out[index[s]][j] = c
+    return tuple(tuple(row) for row in out)
 
 
 @lru_cache(maxsize=None)
 def _action_matrix(L: Matrix, degree: int):
     """Matrix of the pullback action on degree-m basis forms over QI."""
     rows = _covector_rows(L)
-    tuples = _ALL_TUPLES[degree]
-    index = {t: i for i, t in enumerate(tuples)}
-    cols = {}
-    for t in tuples:
-        acc: Dict[IndexTuple, QI] = {(): QI(1)}
-        for i in t:
-            nxt: Dict[IndexTuple, QI] = {}
-            for part, c in acc.items():
-                for j in range(4):
-                    cij = rows[i][j]
-                    if cij.is_zero():
-                        continue
-                    merged, sign = _merge_sign(part, (j,))
-                    if sign == 0:
-                        continue
-                    term = c * cij
-                    if sign < 0:
-                        term = -term
-                    prev = nxt.get(merged, QI(0)) + term
-                    if prev.is_zero():
-                        nxt.pop(merged, None)
-                    else:
-                        nxt[merged] = prev
-            acc = nxt
-        cols[t] = acc
-    out = [[QI(0)] * len(tuples) for _ in range(len(tuples))]
-    for t, col in cols.items():
-        for s, c in col.items():
-            out[index[s]][index[t]] = c
-    return tuple(tuple(row) for row in out)
+    return _basis_matrix(degree, lambda t: _wedge_covectors(dict(enumerate(rows[i]))
+                                                            for i in t))
 
 
-def structure_action(L: Matrix, a: RationalForm) -> RationalForm:
-    """(L a)(X1..Xm) = a(L X1, .., L Xm); coefficients stay at the base point
-    because L is constant on the chart."""
-    _check_acs(L)
-    if a.degree == 0:
-        return a
-    mat = _action_matrix(L, a.degree)
+def _apply_matrix(mat, a: RationalForm) -> RationalForm:
+    """A constant matrix over the basis forms of a's degree, applied to a."""
     tuples = _ALL_TUPLES[a.degree]
     index = {t: i for i, t in enumerate(tuples)}
     out: Dict[IndexTuple, ScalarField] = {}
@@ -293,6 +289,15 @@ def structure_action(L: Matrix, a: RationalForm) -> RationalForm:
     r = RationalForm.__new__(RationalForm)
     r.degree, r.coeffs = a.degree, out
     return r
+
+
+def structure_action(L: Matrix, a: RationalForm) -> RationalForm:
+    """(L a)(X1..Xm) = a(L X1, .., L Xm); coefficients stay at the base point
+    because L is constant on the chart."""
+    _check_acs(L)
+    if a.degree == 0:
+        return a
+    return _apply_matrix(_action_matrix(L, a.degree), a)
 
 
 def twisted_d(L: Matrix, a: RationalForm) -> RationalForm:
@@ -329,77 +334,42 @@ def _selftest_positive_ddc() -> bool:
     return True
 
 
-def pq_project(L: Matrix, a: RationalForm, p: int, q: int) -> RationalForm:
-    """Projection onto the (p,q) part of a complexified form w.r.t. L.
+@lru_cache(maxsize=None)
+def _pq_matrix(L: Matrix, degree: int, p: int):
+    """Matrix of the projection onto bidegree (p, degree - p) on degree-m
+    basis forms over QI.
 
     Each basis covector splits as dx_i = pi^{1,0} dx_i + pi^{0,1} dx_i with
     pi^{1,0} = (1 - sqrt(-1) L)/2; expanding the product over a basis m-form
     and collecting terms of bidegree (p,q) gives the projector exactly.
     """
+    rows = _covector_rows(L)
+    half = QI(Fraction(1, 2))
+    # splits[i] = ((1,0) piece, (0,1) piece) of dx_i as {j: coefficient}
+    splits = [tuple({j: (int(i == j) + sign * I_UNIT * rows[i][j]) * half for j in range(4)}
+                    for sign in (-1, 1)) for i in range(4)]
+
+    def column(t):
+        total: Dict[IndexTuple, QI] = {}
+        for choice in itertools.product((0, 1), repeat=degree):
+            if choice.count(0) == p:
+                for s, c in _wedge_covectors(splits[i][side]
+                                             for i, side in zip(t, choice)).items():
+                    total[s] = total.get(s, QI(0)) + c
+        return total
+
+    return _basis_matrix(degree, column)
+
+
+def pq_project(L: Matrix, a: RationalForm, p: int, q: int) -> RationalForm:
+    """Projection onto the (p,q) part of a complexified form w.r.t. L, by
+    the constant projector matrix of ``_pq_matrix``."""
     _check_acs(L)
     if p < 0 or q < 0 or p + q != a.degree:
         raise DegreeError(f"(p,q)=({p},{q}) incompatible with degree {a.degree}")
     if a.degree == 0:
         return a
-    rows = _covector_rows(L)
-    i_unit = QI(0, 1)
-    half = QI(Fraction(1, 2))
-
-    def split(i: int):
-        # returns ((1,0) piece, (0,1) piece) as coefficient dicts over dx_j
-        base = {i: QI(1)}
-        lrow = {j: rows[i][j] for j in range(4) if not rows[i][j].is_zero()}
-        plus = {}
-        minus = {}
-        for j in range(4):
-            b = base.get(j, QI(0))
-            l = lrow.get(j, QI(0))
-            pc = (b - i_unit * l) * half
-            mc = (b + i_unit * l) * half
-            if not pc.is_zero():
-                plus[j] = pc
-            if not mc.is_zero():
-                minus[j] = mc
-        return plus, minus
-
-    splits = {i: split(i) for i in range(4)}
-    out: Dict[IndexTuple, ScalarField] = {}
-    for t, f in a.coeffs.items():
-        for choice in itertools.product((0, 1), repeat=a.degree):
-            if choice.count(0) != p:
-                continue
-            # wedge the chosen pieces in the order of t
-            acc: Dict[IndexTuple, QI] = {(): QI(1)}
-            for pos, i in enumerate(t):
-                piece = splits[i][choice[pos]]
-                nxt: Dict[IndexTuple, QI] = {}
-                for part, c in acc.items():
-                    for j, cj in piece.items():
-                        merged, sign = _merge_sign(part, (j,))
-                        if sign == 0:
-                            continue
-                        term = c * cj
-                        if sign < 0:
-                            term = -term
-                        prev = nxt.get(merged, QI(0)) + term
-                        if prev.is_zero():
-                            nxt.pop(merged, None)
-                        else:
-                            nxt[merged] = prev
-                acc = nxt
-                if not acc:
-                    break
-            for s, c in acc.items():
-                term = f * c
-                prev = out.get(s)
-                term = term if prev is None else prev + term
-                if term.is_zero():
-                    out.pop(s, None)
-                else:
-                    out[s] = term
-    r = RationalForm.__new__(RationalForm)
-    r.degree, r.coeffs = a.degree, out
-    return r
+    return _apply_matrix(_pq_matrix(L, a.degree, p), a)
 
 
 # ---------------------------------------------------------------------------

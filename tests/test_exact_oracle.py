@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from hkt4.exact import PHI, Poly, QI, ScalarField
+from hkt4.exact import PHI, Poly, QI, ScalarField, _phi_quotient
 from hkt4.hopf import build_hopf
 from hkt4.quaternions import HypercomplexFrame
 
@@ -122,9 +122,13 @@ def test_div_exact_matches_sympy(f, g, c):
 @ORACLE
 @given(polys, st.integers(0, 2), st.integers(0, 3))
 def test_phi_reduction_matches_generic_division(p, j, k):
-    # canonicalisation strips phi factors exactly as repeated generic lex
-    # division by phi does
     num = p * phi_pow(j)
+    # the dedicated division by phi agrees with generic lex division
+    if not num.is_zero():
+        q, r = num.divmod_poly(PHI)
+        assert _phi_quotient(num) == (q if r.is_zero() else None)
+    # canonicalisation strips phi factors exactly as repeated generic
+    # division does
     f = ScalarField(num, k)
     ref_num, ref_k = num, k
     while ref_k > 0 and not ref_num.is_zero():
