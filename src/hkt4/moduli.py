@@ -241,14 +241,16 @@ def _mode_symbol(L: Matrix, xi: np.ndarray) -> np.ndarray:
 class TangentBasis:
     """Orthonormal basis of the horizontal slice at a connection, stacked as
     one array (d, 4, N, N, N, N, n, n), with the Gram matrix of the L^2
-    metric and the matrices of the three induced structures in that
-    basis."""
+    metric, the matrices of the three induced structures in that basis and,
+    for each structure, the largest L^2 distance of its images of the basis
+    from the slice."""
 
     base: Connection
     structure: Matrix
     basis: np.ndarray
     gram: np.ndarray
     ops: Dict[str, np.ndarray]
+    invariance_defects: Dict[str, float]
     tol: float
     min_nonkernel_sv: float
     gap: float
@@ -312,9 +314,16 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     gram = l2_gram(basis, basis)
     if np.linalg.eigvalsh(gram).min() <= 0:
         raise ValueError("slice Gram matrix is not positive definite")
-    ops = {name: np.linalg.solve(gram, l2_gram(basis, induced_structure(Lf, basis)))
-           for name, Lf in zip("IJK", frame.matrices())}
+    ops, invariance = {}, {}
+    for name, Lf in zip("IJK", frame.matrices()):
+        # one stack of images at a time: its matrix in the basis, and how far
+        # the images lie from the span of the basis
+        images = induced_structure(Lf, basis)
+        ops[name] = np.linalg.solve(gram, l2_gram(basis, images))
+        recon = np.tensordot(ops[name].T, basis, axes=1)
+        invariance[name] = float(np.sqrt(sq_norm(images - recon)).max())
     return TangentBasis(base=A, structure=L, basis=basis, gram=gram, ops=ops,
+                        invariance_defects=invariance,
                         tol=tol, min_nonkernel_sv=min_sv, gap=gap,
                         gap_ok=gap > GAP_THRESHOLD)
 
@@ -450,12 +459,6 @@ def induced_structure(L: Matrix, a):
     return LatticeField(1, a.N, a.n, out, project=False) if is_field else out
 
 
-def _invariance_defect(tb: TangentBasis, name: str, L: Matrix) -> float:
-    images = induced_structure(L, tb.basis)
-    recon = np.tensordot(tb.ops[name].T, tb.basis, axes=1)
-    return float(np.sqrt(sq_norm(images - recon)).max())
-
-
 def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
     """Operator-norm distance of the orthogonal projectors onto the spans of
     two stacked bases."""
@@ -524,15 +527,13 @@ def verify_moduli_structure(tb: TangentBasis,
         "IJ = K": spectral(I_m @ J_m - K_m),
         "IJ = -JI": spectral(I_m @ J_m + J_m @ I_m),
     }
-    invariance = {name: _invariance_defect(tb, name, L)
-                  for name, L in zip("IJK", frame.matrices())}
     metric = {name: spectral(M.T @ tb.gram @ M - tb.gram)
               for name, M in tb.ops.items()}
     gram_defect = spectral(tb.gram - eye)
     return ModuliStructureReport(kernel_dims=dims, expected_dim=expected,
                                  slice_distances=distances,
                                  identity_defects=identity_defects,
-                                 invariance_defects=invariance,
+                                 invariance_defects=dict(tb.invariance_defects),
                                  metric_defects=metric,
                                  gram_defect=gram_defect, tol=tol)
 
