@@ -241,9 +241,15 @@ def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:
         nxt: Dict[IndexTuple, QI] = {}
         for part, c in acc.items():
             for j, cj in cov.items():
+                # zero entries are most of a covector of a structure matrix
+                if cj.is_zero():
+                    continue
                 merged, sign = _merge_sign(part, (j,))
-                if sign:
-                    nxt[merged] = nxt.get(merged, QI(0)) + c * cj * sign
+                if not sign:
+                    continue
+                term = c * cj if sign > 0 else -(c * cj)
+                prev = nxt.get(merged)
+                nxt[merged] = term if prev is None else prev + term
         acc = nxt
     return {s: c for s, c in acc.items() if not c.is_zero()}
 
