@@ -396,7 +396,7 @@ def _fraction_sqrt(v: Fraction) -> Fraction:
 class ConstantMetric:
     """Symmetric positive-definite 4x4 matrix of exact rationals."""
 
-    __slots__ = ("matrix", "_inv", "_sqrt_det")
+    __slots__ = ("matrix", "_inv", "_star")
 
     def __init__(self, matrix):
         m = tuple(tuple(_frac(v) for v in row) for row in matrix)
@@ -411,7 +411,7 @@ class ConstantMetric:
                 raise ValueError("metric must be positive definite")
         self.matrix = m
         self._inv = None
-        self._sqrt_det = None
+        self._star = None
 
     @staticmethod
     def euclidean() -> "ConstantMetric":
@@ -420,15 +420,25 @@ class ConstantMetric:
     def det(self) -> Fraction:
         return _det([list(r) for r in self.matrix])
 
-    def sqrt_det(self) -> Fraction:
-        if self._sqrt_det is None:
-            self._sqrt_det = _fraction_sqrt(self.det())
-        return self._sqrt_det
-
     def inverse(self):
         if self._inv is None:
             self._inv = _mat_inverse(self.matrix)
         return self._inv
+
+    def star_table(self) -> Dict[Tuple[IndexTuple, IndexTuple], Fraction]:
+        """(s, t) -> the nonzero coefficient <dx_sc, dx_t> sqrt(det) eps(sc s)
+        of dx_s in *dx_t, sc the complement of s; built once per metric."""
+        if self._star is None:
+            ginv, sd = self.inverse(), _fraction_sqrt(self.det())
+            self._star = {}
+            for s in itertools.chain.from_iterable(_ALL_TUPLES.values()):
+                sc = tuple(i for i in range(4) if i not in s)
+                for t in _ALL_TUPLES[len(sc)]:
+                    # <dx_sc, dx_t>: the inverse-metric minor, rows sc, cols t
+                    w = _det([[ginv[a][b] for b in t] for a in sc]) if sc else 1
+                    if w != 0:
+                        self._star[s, t] = w * sd * _perm_sign(sc + s)
+        return self._star
 
     def __eq__(self, other):
         if not isinstance(other, ConstantMetric):
@@ -476,30 +486,14 @@ def _perm_sign(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-def _basis_inner(ginv, s: IndexTuple, t: IndexTuple) -> Fraction:
-    """<dx_s, dx_t> = det of the inverse-metric minor (rows s, cols t)."""
-    if not s:
-        return Fraction(1)
-    sub = [[ginv[a][b] for b in t] for a in s]
-    return _det(sub)
-
-
 def hodge_star(g: ConstantMetric, a: RationalForm) -> RationalForm:
     """Hodge star for a constant metric and the fixed orientation dx0123."""
-    ginv = g.inverse()
-    sd = g.sqrt_det()
+    table = g.star_table()
     m = a.degree
     out: Dict[IndexTuple, ScalarField] = {}
     for s in _ALL_TUPLES[4 - m]:
-        sc = tuple(i for i in range(4) if i not in s)
-        eps = _perm_sign(sc + s)
-        total = None
-        for t, f in a.coeffs.items():
-            w = _basis_inner(ginv, sc, t)
-            if w == 0:
-                continue
-            term = f * (w * sd * eps)
-            total = term if total is None else total + term
+        terms = [f * table[s, t] for t, f in a.coeffs.items() if (s, t) in table]
+        total = sum(terms[1:], terms[0]) if terms else None
         if total is not None and not total.is_zero():
             out[s] = total
     r = RationalForm.__new__(RationalForm)
