@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import struct
 from functools import lru_cache
 from typing import Optional
@@ -144,17 +145,30 @@ def frequencies(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
 
 
+@lru_cache(maxsize=None)
+def _diff_matrix(N: int) -> np.ndarray:
+    """ifft(diag(i k) fft(I)), the differentiation matrix of the symbol i k
+    (Trefethen, Spectral Methods in MATLAB, ch. 3); read-only, as shared."""
+    D = np.fft.ifft(1j * frequencies(N)[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
+    D.flags.writeable = False
+    return D
+
+
 def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:
-    """Spectral partial derivative along lattice axis mu."""
-    axis = LATTICE_AXES[mu]
-    shape = [1] * arr.ndim
-    shape[axis] = N
-    ik = (1j * frequencies(N)).reshape(shape)
-    return np.fft.ifft(ik * np.fft.fft(arr, axis=axis), axis=axis)
+    """Spectral partial derivative along lattice axis mu: one batched product
+    with the differentiation matrix over the (before, axis, after) view."""
+    axis = arr.ndim + LATTICE_AXES[mu]
+    view = arr.reshape(math.prod(arr.shape[:axis]), N, math.prod(arr.shape[axis + 1:]))
+    return (_diff_matrix(N) @ view).reshape(arr.shape)
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def matmul_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for broadcast stacks of small n x n matrices as n multiply-adds
+    of whole arrays, faster than ``@``'s loop over tiny products."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
 
 
 def _covariant(arr: np.ndarray, mu: int, N: int,
@@ -162,7 +176,7 @@ def _covariant(arr: np.ndarray, mu: int, N: int,
     """D_mu = d_mu + [A_mu, .]; plain d_mu when A is None."""
     term = deriv(arr, mu, N)
     if A is not None:
-        term += _commutator(A[mu], arr)
+        term += matmul_small(A[mu], arr) - matmul_small(arr, A[mu])
     return term
 
 
@@ -217,14 +231,6 @@ def dc_raw(L: Matrix, data: np.ndarray, degree: int, N: int,
     inner = apply_components(action_matrix(L, degree), data)
     return apply_components(sign * action_matrix(L, degree + 1),
                             d_raw(inner, degree, N, A=A))
-
-
-def mean_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Site average of tr(a b) for arrays (..., N, N, N, N, n, n); leading
-    axes broadcast. numpy's pairwise summation keeps a single pairing
-    accurate when it nearly cancels, which a BLAS dot product does not."""
-    N = a.shape[-3]
-    return np.sum(a * np.swapaxes(b, -1, -2), axis=(-6, -5, -4, -3, -2, -1)) / N ** 4
 
 
 def l2_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -426,6 +432,9 @@ class LatticeField:
 
 def l2_inner(a: LatticeField, b: LatticeField) -> float:
     """L^2 inner product -integral tr(a ^ *b), positive definite on su(n)
-    valued fields; the flat star reduces it to a component sum."""
+    valued fields; the flat star reduces it to a component sum. numpy's
+    pairwise summation keeps a single pairing accurate when it nearly
+    cancels, which a BLAS dot product (``l2_gram``) does not."""
     a._check_compatible(b)
-    return -float(np.sum(mean_trace(a.data, b.data)).real)
+    prod = a.data * np.swapaxes(b.data, -1, -2)
+    return -float(np.sum(np.sum(prod, axis=(-6, -5, -4, -3, -2, -1)) / a.N ** 4).real)

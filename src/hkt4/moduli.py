@@ -30,7 +30,7 @@ from .lattice import (
     l2_gram,
     l2_inner,  # noqa: F401 - the slice's L^2 metric, in this namespace too
     lambda_row,
-    mean_trace,
+    matmul_small,
     pq_matrix,
     sd_projector,
     sq_norm,
@@ -93,8 +93,8 @@ def curvature(conn: Connection) -> LatticeField:
     """F = dA + A ^ A; exactly zero for constant commuting connections."""
     a = conn.A.data
     F = d_raw(a, 1, conn.N)
-    F += a[_MU] @ a[_NU]
-    F -= a[_NU] @ a[_MU]
+    F += matmul_small(a[_MU], a[_NU])
+    F -= matmul_small(a[_NU], a[_MU])
     return LatticeField(2, conn.N, conn.n, F)
 
 
@@ -538,18 +538,35 @@ def verify_moduli_structure(tb: TangentBasis,
                                  gram_defect=gram_defect, tol=tol)
 
 
+def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W[i, j] = omega~(a_i, b_j), the integral of omega_L ^ tr(a_i ^ b_j),
+    for two stacks of 1-form arrays (k, 4, N, N, N, N, n, n), with the slice
+    representatives as their own horizontal lifts: the site-averaged traces
+    tr(a_i,mu b_j,nu) for every (i, mu, j, nu) come from one product over
+    the components (real on su(n)-valued fields)."""
+    grid = a.shape[-6:]
+    tr = -l2_gram(a.reshape((-1,) + grid), b.reshape((-1,) + grid))
+    tr = tr.reshape(len(a), 4, len(b), 4)
+    # tr(a ^ b) as a scalar 2-form, shape (6, len(a), len(b))
+    tr2 = tr[:, _MU, :, _NU] - tr[:, _NU, :, _MU]
+    return np.tensordot(np.real(hermitian_form_vector(L) @ wedge_pairing(2)), tr2, axes=1)
+
+
+def hermitian_sign_defect(W: np.ndarray, G: np.ndarray) -> float:
+    """|W - s G|_2 / |G|_2 with s the sign of the Frobenius pairing <W, G>:
+    zero exactly when W = +G or W = -G."""
+    s = np.sign(np.sum(W * G))
+    return float(np.linalg.norm(W - s * G, 2) / np.linalg.norm(G, 2))
+
+
 def moduli_hermitian_form(tb: TangentBasis, a1: LatticeField,
                           a2: LatticeField) -> float:
-    """The integral of omega_L ^ tr(a1 ^ a2) over the torus, with the slice
-    representatives as their own horizontal lifts. Inputs must lie in the
+    """omega~(a1, a2) as in ``hermitian_form_matrix``. Inputs must lie in the
     slice."""
     defect = float(tb.projection_defect(np.stack([a1.data, a2.data])).max())
     if defect > max(tb.tol, 1e-8):
         raise ValueError(f"input not in the slice: defect {defect:.3e}")
-    # site averages of tr(a1_mu a2_nu), then tr(a1 ^ a2) as a scalar 2-form
-    tr = mean_trace(a1.data[:, None], a2.data[None])
-    tr2 = tr[_MU, _NU] - tr[_NU, _MU]
-    return float(np.real(hermitian_form_vector(tb.structure) @ wedge_pairing(2) @ tr2))
+    return float(hermitian_form_matrix(tb.structure, a1.data[None], a2.data[None])[0, 0])
 
 
 def gauge_direction(xi: LatticeField, A: Connection) -> LatticeField:

@@ -18,6 +18,7 @@ from hkt4.lattice import (
     deriv,
     l2_inner,
     lambda_row,
+    matmul_small,
     project_su,
     sd_projector,
     sq_norm,
@@ -91,6 +92,50 @@ def test_derivative_constant_is_exactly_zero():
     arr = np.ones((N, N, N, N, 2, 2), dtype=complex)
     for mu in range(4):
         assert np.all(deriv(arr, mu, N) == 0)
+
+
+def fft_deriv(arr, mu, N):
+    """Reference spectral derivative: an FFT along the lattice axis, the
+    symbol i k with the signed frequencies (Nyquist at -N/2), inverse FFT."""
+    axis = (-6, -5, -4, -3)[mu]
+    k = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
+    shape = [1] * arr.ndim
+    shape[axis] = N
+    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(arr, axis=axis), axis=axis)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deriv_matches_fft_reference(N, n):
+    rng = np.random.default_rng(100 * N + n)
+    # two leading batch axes and a component axis
+    shape = (2, 1, 3) + (N,) * 4 + (n, n)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for mu in range(4):
+        ref = fft_deriv(arr, mu, N)
+        got = deriv(arr, mu, N)
+        assert got.shape == arr.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matmul_small_matches_matmul(n):
+    rng = np.random.default_rng(7 + n)
+
+    def rand(*shape):
+        return rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+
+    for sa, sb in [((), ()), ((5,), (5,)), ((3, 1, 4), (2, 4)), ((6,), (2, 1, 6)),
+                   ((2, 3), ())]:
+        a, b = rand(*sa), rand(*sb)
+        ref = a @ b
+        got = matmul_small(a, b)
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-14, atol=1e-14)
+    # a real factor against a complex one
+    a = rng.standard_normal((4, n, n))
+    b = rand(4)
+    assert np.allclose(matmul_small(a, b), a @ b, rtol=1e-14, atol=1e-14)
 
 
 def test_d_squared_zero_on_lattice():

@@ -25,6 +25,8 @@ from hkt4.moduli import (
     gauge_direction,
     gauge_kernel_dim,
     he_residual,
+    hermitian_form_matrix,
+    hermitian_sign_defect,
     horizontal_slice,
     induced_structure,
     moduli_hermitian_form,
@@ -469,6 +471,35 @@ def test_moduli_hermitian_form_antisymmetric_and_sign():
         # fixed ledger sign: omega~ = -g(I~ a1, a2)
         g = l2_inner(induced_structure(tb.structure, a1), a2)
         assert abs(w12 + g) < 1e-9 * max(1.0, abs(g))
+
+
+@pytest.mark.parametrize("N, n, charge", [(3, 2, None), (4, 2, None), (4, 3, None),
+                                           (4, 2, 0.37)])
+def test_hermitian_form_matrix_matches_l2_pairing(N, n, charge):
+    # c1^T W c2 = omega~(a1, a2) = -(I~ a1, a2) for a_k = sum_i c_k[i] b_i,
+    # at flat slices and at the constant Cartan connection 0.37 i sigma3 dx0
+    A = (Connection.flat(N, n) if charge is None
+         else constant_connection(N, n, [(0, charge * pauli_su2()[2])]))
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    W = hermitian_form_matrix(tb.structure, tb.basis, tb.basis)
+    assert W.shape == (tb.dimension, tb.dimension)
+    rng = np.random.default_rng(17 * N + n)
+    for _ in range(5):
+        c1, c2 = rng.standard_normal((2, tb.dimension))
+        a1, a2 = tb.element(c1), tb.element(c2)
+        g = l2_inner(induced_structure(tb.structure, a1), a2)
+        assert abs(c1 @ W @ c2 + g) <= 1e-12 * abs(g)
+        assert abs(moduli_hermitian_form(tb, a1, a2) - c1 @ W @ c2) <= 1e-12 * abs(g)
+    G = l2_gram(induced_structure(tb.structure, tb.basis), tb.basis)
+    assert hermitian_sign_defect(W, G) < 1e-12
+
+
+def test_hermitian_sign_check_fails_for_another_structure():
+    # the Hermitian form of J against the L^2 pairing of I~ is no multiple
+    tb = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
+    G = l2_gram(induced_structure(FRAME.I, tb.basis), tb.basis)
+    assert hermitian_sign_defect(hermitian_form_matrix(FRAME.I, tb.basis, tb.basis), G) < 1e-12
+    assert hermitian_sign_defect(hermitian_form_matrix(FRAME.J, tb.basis, tb.basis), G) > 0.5
 
 
 def test_moduli_hermitian_form_rejects_non_slice_input():
