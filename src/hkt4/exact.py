@@ -494,16 +494,19 @@ class ScalarField:
             raise ZeroDivisionError("division by zero field")
         if self.is_zero():
             return ScalarField.const(0)
-        if o.num.is_constant():
-            # (P / c) phi^(o.k) / phi^(k): the common phi powers cancel and
-            # phi does not divide P
-            j = min(o.k, self.k)
-            num = self.num * (QI(1) / o.num.constant_value())
-            return ScalarField._canonical(num * _phi_pow(o.k - j), self.k - j)
-        q, r = (self.num * _phi_pow(o.k)).divmod_poly(o.num)
+        # a k = 0 divisor Q phi^s: divide by Q, coprime to phi, then by phi^s
+        den, k = o.num, self.k
+        while not o.k and (q := _phi_quotient(den)) is not None:
+            den, k = q, k + 1
+        if den.is_constant():
+            # P phi^(o.k) / (c phi^k): common phi powers cancel; phi | P only if k > self.k
+            j = min(o.k, k)
+            num = self.num * (QI(1) / den.constant_value()) * _phi_pow(o.k - j)
+            return (ScalarField if k > self.k else ScalarField._canonical)(num, k - j)
+        q, r = (self.num * _phi_pow(o.k)).divmod_poly(den)
         if not r.is_zero():
             raise ValueError("inexact field division")
-        return ScalarField(q, self.k)
+        return ScalarField(q, k)
 
     def partial(self, i: int) -> "ScalarField":
         if self.k == 0:

@@ -119,6 +119,10 @@ class TorsionReport:
     def strong(self) -> bool:
         return self.dH.is_zero()
 
+    def bihermitian_with(self, other: "TorsionReport") -> bool:
+        """Opposite closed torsions; see bihermitian_check."""
+        return (self.torsion_T + other.torsion_T).is_zero() and self.strong and other.strong
+
 
 def bismut_torsion(g, L: Matrix) -> TorsionReport:
     omega = hermitian_form(g, L)
@@ -157,25 +161,21 @@ class HKTReport:
 
 
 def hkt_report(g, frame: HypercomplexFrame) -> HKTReport:
-    gm = _as_conformal(g)
-    for name, L in zip("IJK", frame.matrices()):
-        if not check_hermitian(gm, L):
-            raise ValueError(f"metric is not Hermitian for {name}")
-    omegas = {name: hermitian_form(gm, L)
-              for name, L in zip("IJK", frame.matrices())}
-    torsions = {name: twisted_d(L, omegas[name])
-                for name, L in zip("IJK", frame.matrices())}
+    return hkt_from_torsions(frame, [bismut_torsion(g, L) for L in frame.matrices()])
+
+
+def hkt_from_torsions(frame: HypercomplexFrame, reports) -> HKTReport:
+    """HKT data of (g, frame) from the torsion reports of g for I, J, K."""
+    torsions = {name: rep.torsion_H for name, rep in zip("IJK", reports)}
     match = ((torsions["I"] - torsions["J"]).is_zero(),
              (torsions["J"] - torsions["K"]).is_zero(),
              (torsions["I"] - torsions["K"]).is_zero())
-    H = torsions["I"]
-    Omega = omegas["J"] + omegas["K"] * QI(0, 1)
+    Omega = reports[1].omega + reports[2].omega * QI(0, 1)
     if not (pq_project(frame.I, Omega, 2, 0) - Omega).is_zero():
         raise AssertionError("Omega = w_J + i w_K is not of type (2,0) for I")
-    dOmega = exterior_d(Omega)
-    del_Omega = pq_project(frame.I, dOmega, 3, 0)
+    del_Omega = pq_project(frame.I, exterior_d(Omega), 3, 0)
     return HKTReport(Omega=Omega, del_Omega=del_Omega, torsion_match=match,
-                     strong=exterior_d(H).is_zero(), H=H, torsions=torsions)
+                     strong=reports[0].strong, H=torsions["I"], torsions=torsions)
 
 
 def average_metric(g0: ConstantMetric, frame: HypercomplexFrame) -> ConstantMetric:
@@ -193,8 +193,4 @@ def average_metric(g0: ConstantMetric, frame: HypercomplexFrame) -> ConstantMetr
 def bihermitian_check(g, L_plus: Matrix, L_minus: Matrix) -> bool:
     """True iff the two Bismut torsion 3-forms are exact negatives of each
     other and both are closed."""
-    rep_p = bismut_torsion(g, L_plus)
-    rep_m = bismut_torsion(g, L_minus)
-    opposite = (rep_p.torsion_T + rep_m.torsion_T).is_zero()
-    closed = rep_p.dH.is_zero() and rep_m.dH.is_zero()
-    return opposite and closed
+    return bismut_torsion(g, L_plus).bihermitian_with(bismut_torsion(g, L_minus))

@@ -16,9 +16,9 @@ from .exact import ScalarField, _frac
 from .forms import ConstantMetric, RationalForm, exterior_d, scale_pullback, twisted_d
 from .hermitian import (
     ConformalMetric,
-    bihermitian_check,
+    bismut_torsion,
     hermitian_form,
-    hkt_report,
+    hkt_from_torsions,
     metric_from_form,
 )
 from .quaternions import HypercomplexFrame, Matrix, independence_rank
@@ -97,17 +97,23 @@ def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
     nonzero unless the metric is constant (the flat control)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    frame = geo.left if side == "left" else geo.right
+    return _strong_hkt(geo, side, {L: bismut_torsion(geo.metric, L) for L in frame.matrices()})
+
+
+def _strong_hkt(geo: HopfGeometry, side: str, reports: dict) -> List[CheckResult]:
+    """verify_strong_hkt on torsion reports keyed by structure matrix."""
     rec = CheckRecorder()
     frame = geo.left if side == "left" else geo.right
     tag = "+" if side == "left" else "-"
-    rep = hkt_report(geo.metric, frame)
+    rep = hkt_from_torsions(frame, [reports[L] for L in frame.matrices()])
     rec.exact(f"hopf.{side}.torsion-equal-IJ",
               rep.torsions["I"] - rep.torsions["J"],
               f"d^c_I{tag} w_I{tag} = d^c_J{tag} w_J{tag}")
     rec.exact(f"hopf.{side}.torsion-equal-JK",
               rep.torsions["J"] - rep.torsions["K"],
               f"d^c_J{tag} w_J{tag} = d^c_K{tag} w_K{tag}")
-    rec.exact(f"hopf.{side}.torsion-closed", exterior_d(rep.H),
+    rec.exact(f"hopf.{side}.torsion-closed", reports[frame.I].dH,
               "dH = 0 (strong HKT)")
     factor = geo.metric.factor
     if factor.k == 0 and factor.num.is_constant():
@@ -124,11 +130,13 @@ def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
 def verify_44(geo: HopfGeometry) -> List[CheckResult]:
     """Certify the two-frame structure: opposite closed torsions and
     independent frames. A zero-torsion input passes the opposition trivially
-    and is flagged as hyperkahler-degenerate."""
+    and is flagged as hyperkahler-degenerate. Each structure's torsion is
+    computed once and read by both strong-HKT sides and the nine pairs."""
     rec = CheckRecorder()
+    reports = {L: bismut_torsion(geo.metric, L) for L in {
+        *geo.structures.values(), *geo.left.matrices(), *geo.right.matrices()}}
     for side in ("left", "right"):
-        for c in verify_strong_hkt(geo, side):
-            rec.checks.append(c)
+        rec.checks += _strong_hkt(geo, side, reports)
     rec.exact("hopf.torsion-opposition", geo.H_plus + geo.H_minus,
               "T+ = -T-")
     rec.exact("hopf.torsion-plus-closed", exterior_d(geo.H_plus), "dT+ = 0")
@@ -139,8 +147,8 @@ def verify_44(geo: HopfGeometry) -> List[CheckResult]:
             "rank span{I+,J+,K+,I-,J-,K-} = 6")
     for lname in ("I+", "J+", "K+"):
         for rname in ("I-", "J-", "K-"):
-            ok = bihermitian_check(geo.metric, geo.structures[lname],
-                                   geo.structures[rname])
+            ok = reports[geo.structures[lname]].bihermitian_with(
+                reports[geo.structures[rname]])
             rec.exact(f"hopf.bihermitian.{lname}{rname}", ok,
                       "cross pairs (L+, L-) are bi-Hermitian")
     if geo.H_plus.is_zero():
@@ -210,13 +218,13 @@ def verify_axis_family(geo: HopfGeometry, axes) -> List[CheckResult]:
     rec = CheckRecorder()
     phi_form = RationalForm.function(geo.phi)
     inv_phi = ScalarField.inv_phi()
+    reference = metric_from_form(geo.omegas["I+"], geo.structures["I+"])
     for axis in axes:
         L = geo.left.span_structure(axis)
         omega = exterior_d(twisted_d(L, phi_form)) * inv_phi
         label = f"({axis[0]},{axis[1]},{axis[2]})" if not hasattr(axis, "a") \
             else f"({axis.a},{axis.b},{axis.c})"
-        same_metric = metric_from_form(omega, L) == metric_from_form(
-            geo.omegas["I+"], geo.structures["I+"])
+        same_metric = metric_from_form(omega, L) == reference
         rec.exact(f"hopf.axis-metric.{label}", same_metric,
                   "every induced structure gives the same metric")
         rec.exact(f"hopf.axis-torsion.{label}",

@@ -105,14 +105,20 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(_frac(v) for v in row) for row in rows)
 
 
+_ZERO = Fraction(0)
 IDENTITY: Matrix = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
+    """a b, multiplying only nonzero entries: a frame matrix has 4 of 16."""
+    out = [[_ZERO] * 4 for _ in range(4)]
+    for acc, row in zip(out, a):
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y if acc[j] else x * y
+    return tuple(map(tuple, out))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -133,7 +139,7 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 
 def mat_apply(a: Matrix, v: Sequence[Fraction]):
-    return tuple(sum(a[i][j] * v[j] for j in range(4)) for i in range(4))
+    return tuple(sum((x * y for x, y in zip(row, v) if x and y), _ZERO) for row in a)
 
 
 def squares_to_minus_id(a: Matrix) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Union
 
@@ -104,7 +105,8 @@ class VerificationReport:
                 {
                     "name": c.name,
                     "status": c.status,
-                    "defect": c.defect,
+                    "defect": c.defect if isinstance(c.defect, str) or math.isfinite(c.defect)
+                    else str(c.defect),  # "nan", "inf" or "-inf": JSON has no such numbers
                     "paper_ref": c.paper_ref,
                     "ms": round(c.ms, 3),
                 }
@@ -113,7 +115,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     def to_markdown(self) -> str:
         lines = [

@@ -88,8 +88,14 @@ def test_scalarfield_div_exact():
     assert g == ScalarField(p * PHI, 1)
     h = ScalarField(p * p, 0).div_exact(ScalarField(p, 0))
     assert h == ScalarField(p, 0)
+    # a divisor with a factor phi moves it into the denominator
+    x0 = ScalarField(Poly.variable(0), 0)
+    assert x0.div_exact(ScalarField(PHI, 0)) == ScalarField(Poly.variable(0), 1)
+    assert ScalarField.const(1).div_exact(ScalarField.phi()) == ScalarField.inv_phi()
+    assert ScalarField(PHI * 2, 0).div_exact(ScalarField(PHI * PHI, 0)) \
+        == ScalarField.inv_phi() * 2
     with pytest.raises(ValueError):
-        ScalarField(Poly.variable(0), 0).div_exact(ScalarField(PHI, 0))
+        x0.div_exact(ScalarField(Poly.variable(1), 0))
 
 
 def test_scale_arguments_homogeneity():

@@ -97,6 +97,14 @@ def test_partial_matches_sympy(f, i):
     assert_canonical(f.partial(i), sp.diff(field_sym(f), X[i]))
 
 
+def in_ring(expr) -> bool:
+    """expr is P / phi^k: its reduced denominator is a constant times a
+    power of phi."""
+    _, d = sp.fraction(sp.cancel(sp.together(expr)))
+    degree = sp.Poly(d, *X).total_degree()
+    return degree % 2 == 0 and sp.cancel(d / SPHI ** (degree // 2)).is_number
+
+
 @ORACLE
 @given(fields(1), fields(1), gaussian)
 def test_div_exact_matches_sympy(f, g, c):
@@ -105,18 +113,36 @@ def test_div_exact_matches_sympy(f, g, c):
                          field_sym(f) / poly_sym(Poly.const(c)))
     if g.is_zero():
         return
-    # an exact quotient by construction, for a divisor whose numerator is
-    # coprime to phi
-    if g.k > 0 or not phi_divides(g.num):
-        assert_canonical((f * g).div_exact(g), field_sym(f))
-    # an arbitrary pair: exact iff g.num divides f.num phi^(g.k)
-    target = poly_sym(f.num) * SPHI ** g.k / poly_sym(g.num)
+    # an exact quotient by construction, whatever the phi factors of g
+    assert_canonical((f * g).div_exact(g), field_sym(f))
+    # an arbitrary pair: exact iff the quotient is in the ring
+    quotient = field_sym(f) / field_sym(g)
     try:
         h = f.div_exact(g)
     except ValueError:
-        assert not sp.cancel(target).is_polynomial(*X)
+        assert not in_ring(quotient)
     else:
-        assert_canonical(h, field_sym(f) / field_sym(g))
+        assert_canonical(h, quotient)
+
+
+@pytest.mark.parametrize("f, g", [
+    (ScalarField.const(1), ScalarField.phi()),
+    (ScalarField(Poly.variable(0), 0), ScalarField.phi()),
+    (ScalarField(Poly.variable(0), 1), ScalarField(PHI * PHI * QI(0, 2), 0)),
+    (ScalarField(PHI * Poly.variable(1), 0), ScalarField(PHI * Poly.variable(1), 0)),
+])
+def test_div_exact_by_phi_multiples(f, g):
+    assert in_ring(field_sym(f) / field_sym(g))
+    assert_canonical(f.div_exact(g), field_sym(f) / field_sym(g))
+    assert_canonical((f * g).div_exact(g), field_sym(f))
+
+
+def test_div_exact_rejects_quotients_outside_the_ring():
+    x0, x1 = (ScalarField(Poly.variable(i), 0) for i in range(2))
+    for f, g in ((x0, x1), (ScalarField.const(1), x0 * ScalarField.phi())):
+        assert not in_ring(field_sym(f) / field_sym(g))
+        with pytest.raises(ValueError):
+            f.div_exact(g)
 
 
 @ORACLE

@@ -7,7 +7,7 @@ import pytest
 
 from hkt4.exact import Poly, ScalarField
 from hkt4.forms import RationalForm, exterior_d, scale_pullback
-from hkt4.hermitian import metric_from_form
+from hkt4.hermitian import ConformalMetric, metric_from_form
 from hkt4.hopf import (
     HopfSpec,
     build_flat_control,
@@ -161,6 +161,50 @@ def test_tampered_frame_fails_44(geo):
     failed = {c.name for c in checks if c.status == "fail"}
     assert "hopf.torsion-opposition" in failed
     assert "hopf.frame-independence" in failed
+
+
+# Every check verify_44 and verify_gauduchon report, in order.
+CHECKS_44_GAUDUCHON = (
+    [f"hopf.{side}.{name}" for side in ("left", "right")
+     for name in ("torsion-equal-IJ", "torsion-equal-JK", "torsion-closed",
+                  "torsion-nonzero", "del-Omega-zero")]
+    + ["hopf.torsion-opposition", "hopf.torsion-plus-closed",
+       "hopf.torsion-minus-closed", "hopf.frame-independence"]
+    + [f"hopf.bihermitian.{p}{m}" for p in ("I+", "J+", "K+") for m in ("I-", "J-", "K-")]
+    + [f"hopf.gauduchon.{name}" for name in ("I+", "J+", "K+", "I-", "J-", "K-")])
+
+
+def _tampered_metric(geo):
+    # (4 + 4 x0^2) / phi: still Hermitian for all six structures, but no
+    # longer strong or Gauduchon
+    x0 = Poly.variable(0)
+    factor = ScalarField(Poly.const(4) + x0 * x0 * 4, 1)
+    return dataclasses.replace(geo, metric=ConformalMetric(factor, geo.metric.base))
+
+
+def _tampered_structure(geo):
+    # I- read as I+, while the right frame keeps R_i: the pairs (L+, I-)
+    # become same-side pairs
+    return dataclasses.replace(geo, structures={**geo.structures,
+                                                "I-": geo.structures["I+"]})
+
+
+# The failing checks of each tampered geometry, recorded on the verifier
+# that computed two torsion reports per bi-Hermitian pair; sharing one report
+# per structure must not change any status.
+@pytest.mark.parametrize("tamper, failing", [
+    (_tampered_metric,
+     {"hopf.left.torsion-closed", "hopf.right.torsion-closed"}
+     | {f"hopf.bihermitian.{p}{m}" for p in ("I+", "J+", "K+") for m in ("I-", "J-", "K-")}
+     | {f"hopf.gauduchon.{name}" for name in ("I+", "J+", "K+", "I-", "J-", "K-")}),
+    (_tampered_structure,
+     {"hopf.bihermitian.I+I-", "hopf.bihermitian.J+I-", "hopf.bihermitian.K+I-"}),
+], ids=["metric-factor", "structure"])
+def test_shared_torsion_reports_keep_every_status(geo, tamper, failing):
+    fake = tamper(geo)
+    statuses = [(c.name, c.status) for c in verify_44(fake) + verify_gauduchon(fake)]
+    assert statuses == [(name, "fail" if name in failing else "pass")
+                        for name in CHECKS_44_GAUDUCHON]
 
 
 def test_build_hopf_accepts_plain_rational():

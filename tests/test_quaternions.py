@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hkt4.quaternions import (
+    IDENTITY,
     AxisTriple,
     HypercomplexFrame,
     Quaternion,
+    mat,
     independence_rank,
     mat_add,
     mat_apply,
@@ -119,6 +121,48 @@ def test_structure_matrix_linear_in_axis():
     rhs = mat_add(mat_scale(structure_matrix("left", (1, 0, 0)), a),
                   mat_scale(structure_matrix("left", (0, 1, 0)), b))
     assert lhs == rhs
+
+
+def _dense_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+                 for i in range(4))
+
+
+def _dense_apply(a, v):
+    return tuple(sum(a[i][j] * v[j] for j in range(4)) for i in range(4))
+
+
+def _rand_sparse(rng, density):
+    """Random rational 4x4 matrix, each entry nonzero with probability
+    density; some rows are left all zero."""
+    zero_rows = {i for i in range(4) if rng.random() < 0.2}
+    return mat([[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                 if i not in zero_rows and rng.random() < density else 0
+                 for _ in range(4)] for i in range(4)])
+
+
+def test_sparse_products_match_dense_formula():
+    rng = random.Random(811)
+    frame = HypercomplexFrame.left()
+    axis = frame.span_structure((Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)))
+    fixed = [IDENTITY, mat_neg(IDENTITY), frame.I, frame.K, axis,
+             mat([[0] * 4] * 4), HypercomplexFrame.right().J]
+    randoms = [_rand_sparse(rng, d) for d in (0.1, 0.25, 0.5, 0.75, 1.0) for _ in range(6)]
+    pool = fixed + randoms
+    for a in pool:
+        for b in pool:
+            assert mat_mul(a, b) == _dense_mul(a, b)
+        for v in ((1, 2, 3, 4), (0, Fraction(1, 3), 0, -2), (0, 0, 0, 0)):
+            v = tuple(Fraction(x) for x in v)
+            assert mat_apply(a, v) == _dense_apply(a, v)
+    # products whose terms cancel to exact zero, with Fraction entries
+    n = mat([[1, 1, 0, 0], [0, 0, 0, 0], [2, 2, 0, 0], [0, 0, 0, 0]])
+    m = mat([[1, 0, 3, 0], [-1, 0, -3, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    zero = mat_mul(n, m)
+    assert zero == _dense_mul(n, m) == mat([[0] * 4] * 4)
+    assert all(type(v) is Fraction for row in zero for v in row)
+    assert mat_mul(axis, axis) == _dense_mul(axis, axis) == mat_neg(IDENTITY)
+    assert mat_apply(n, (1, -1, 5, 7)) == _dense_apply(n, (1, -1, 5, 7)) == (0, 0, 0, 0)
 
 
 def test_left_and_right_actions_commute():

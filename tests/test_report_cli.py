@@ -42,6 +42,20 @@ def test_report_json_schema():
     assert isinstance(by_name["c.third"]["defect"], float)
 
 
+def test_report_json_encodes_non_finite_defects_as_strings():
+    rep = VerificationReport(checks=[
+        CheckResult("a.nan", "fail", float("nan")),
+        CheckResult("b.inf", "fail", float("inf")),
+        CheckResult("c.neg", "fail", float("-inf")),
+        CheckResult("d.finite", "pass", 0.5),
+    ])
+    doc = rep.to_json()
+    assert "NaN" not in doc and "Infinity" not in doc
+    defects = {c["name"]: c["defect"] for c in json.loads(doc)["checks"]}
+    assert defects == {"a.nan": "nan", "b.inf": "inf", "c.neg": "-inf", "d.finite": 0.5}
+    assert json.loads(emit_report(rep)) == json.loads(doc)
+
+
 def test_report_markdown():
     md = make_report().to_markdown()
     assert md.startswith("# verification report (FAIL)")
