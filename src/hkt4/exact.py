@@ -22,6 +22,11 @@ factorisation domain Q(i)[x0..x3]. For canonical P / phi^a and Q / phi^b:
 These results are canonical as computed. Only sums of equal k, products
 with a factor of k = 0 and exact quotients can gain a factor phi, and only
 there is it divided out, by long division in x0 (phi is monic in x0).
+
+A linear combination sum c_j P_j / phi^(k_j) with nonzero constants c_j has
+numerator sum c_j P_j phi^(k - k_j) over the largest k. When only one term
+sits at k > 0, that numerator is c_j P_j mod phi, so it is canonical as
+computed; only two or more terms at the largest k > 0 call for a reduction.
 """
 
 from __future__ import annotations
@@ -551,3 +556,42 @@ class ScalarField:
         if self.k == 0:
             return repr(self.num)
         return f"({self.num!r}) / phi^{self.k}"
+
+
+def _lincomb(terms) -> ScalarField:
+    """The canonical sum of c f over the list ``terms`` of (x, y, d, f), each
+    a nonzero field f with a nonzero constant c = (x + y sqrt(-1)) / d in
+    integers, d > 0.
+
+    Each numerator is lifted to the largest k and the Gaussian-integer pairs
+    are accumulated over one common denominator, then normalised once; phi
+    is divided out only where the module docstring says it can divide.
+    """
+    if not terms:
+        return ScalarField._canonical(Poly._raw({}, 1), 0)
+    if len(terms) == 1 and terms[0][1:3] == (0, 1) and terms[0][0] in (1, -1):
+        return terms[0][3] if terms[0][0] == 1 else -terms[0][3]
+    k = max(t[3].k for t in terms)
+    den = math.lcm(*[t[2] * t[3].num.den for t in terms])
+    out: Terms = {}
+    get = out.get
+    top = 0
+    for x, y, d, f in terms:
+        s = den // (d * f.num.den)
+        x, y = x * s, y * s
+        if f.k == k:
+            top += 1
+            for m, (a, b) in f.num.terms.items():
+                re, im = a * x - b * y, a * y + b * x
+                v = get(m)
+                out[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
+            continue
+        lift = _phi_pow(k - f.k).terms
+        for (p0, p1, p2, p3), (a, b) in f.num.terms.items():
+            re, im = a * x - b * y, a * y + b * x
+            for (q0, q1, q2, q3), (c, _) in lift.items():
+                m = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
+                v = get(m)
+                out[m] = (re * c, im * c) if v is None else (v[0] + re * c, v[1] + im * c)
+    num = Poly._make(out, den)
+    return (ScalarField if k and top > 1 else ScalarField._canonical)(num, k)

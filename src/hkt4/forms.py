@@ -13,13 +13,13 @@ Conventions (see docs/conventions.md):
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Dict, Tuple
 
-from .exact import I_UNIT, QI, ScalarField, _frac
-from .quaternions import IDENTITY, Matrix, squares_to_minus_id
+from .exact import I_UNIT, QI, ScalarField, _frac, _gaussian, _lincomb
+from .quaternions import IDENTITY, Matrix
 
 IndexTuple = Tuple[int, ...]
 
@@ -28,6 +28,7 @@ IndexTuple = Tuple[int, ...]
 DC_SIGN = -1
 
 _ALL_TUPLES = {m: tuple(itertools.combinations(range(4), m)) for m in range(5)}
+_INDEX = {m: {t: i for i, t in enumerate(ts)} for m, ts in _ALL_TUPLES.items()}
 
 TOP = (0, 1, 2, 3)
 
@@ -220,89 +221,67 @@ def exterior_d(a: RationalForm) -> RationalForm:
     return r
 
 
-@lru_cache(maxsize=None)
-def _covector_rows(L: Matrix):
-    """L(dx_i) as coefficient tuples: row i of L."""
-    return tuple(tuple(QI.coerce(L[i][j]) for j in range(4)) for i in range(4))
-
-
-@lru_cache(maxsize=None)
-def _check_acs(L: Matrix):
-    # a failed check raises, and lru_cache keeps no result for it
-    if not squares_to_minus_id(L):
+def _integer_matrix(L: Matrix):
+    """(D, D L), D the lcm of L's denominators; raises ValueError unless L
+    squares to -Id (on a cache miss: lru_cache keeps no raised result)."""
+    D = math.lcm(*(v.denominator for row in L for v in row))
+    M = [[v.numerator * (D // v.denominator) for v in row] for row in L]
+    if any(sum(M[i][k] * M[k][j] for k in range(4)) != (-D * D if i == j else 0)
+           for i in range(4) for j in range(4)):
         raise ValueError("matrix does not square to -Id")
+    return D, M
 
 
-def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:
-    """The wedge product, in order, of covectors given as {j: coefficient of
-    dx_j}, as coefficients over the sorted basis forms."""
-    acc: Dict[IndexTuple, QI] = {(): QI(1)}
-    for cov in covectors:
-        nxt: Dict[IndexTuple, QI] = {}
-        for part, c in acc.items():
-            for j, cj in cov.items():
-                # zero entries are most of a covector of a structure matrix
-                if cj.is_zero():
-                    continue
-                merged, sign = _merge_sign(part, (j,))
-                if not sign:
-                    continue
-                term = c * cj if sign > 0 else -(c * cj)
-                prev = nxt.get(merged)
-                nxt[merged] = term if prev is None else prev + term
-        acc = nxt
-    return {s: c for s, c in acc.items() if not c.is_zero()}
-
-
-def _basis_matrix(degree: int, column) -> Tuple[Tuple[QI, ...], ...]:
-    """Matrix over the degree-m basis forms whose column t is the
-    coefficient dict ``column(t)``."""
-    tuples = _ALL_TUPLES[degree]
-    index = {t: i for i, t in enumerate(tuples)}
-    out = [[QI(0)] * len(tuples) for _ in range(len(tuples))]
-    for j, t in enumerate(tuples):
-        for s, c in column(t).items():
-            out[index[s]][j] = c
-    return tuple(tuple(row) for row in out)
+def _columns(degree: int, column):
+    """A constant matrix over the degree-m basis forms by columns: column t
+    holds the nonzero entries of the coefficient dict ``column(t)`` as
+    integer triples (s, x, y, d), entry (s, t) being (x + y sqrt(-1)) / d."""
+    return tuple(tuple((s, *_gaussian(c)) for s, c in column(t).items() if c)
+                 for t in _ALL_TUPLES[degree])
 
 
 @lru_cache(maxsize=None)
 def _action_matrix(L: Matrix, degree: int):
-    """Matrix of the pullback action on degree-m basis forms over QI."""
-    rows = _covector_rows(L)
-    return _basis_matrix(degree, lambda t: _wedge_covectors(dict(enumerate(rows[i]))
-                                                            for i in t))
+    """Columns of the pullback action on degree-m basis forms: the m-th
+    compound matrix of L, whose entry (s, t) is the minor of L with rows t
+    and columns s. The minors are taken of the integer matrix D L, D the lcm
+    of L's denominators, and divided by D^m."""
+    D, M = _integer_matrix(L)
+    Dm = D ** degree
+    cols = []
+    for t in _ALL_TUPLES[degree]:
+        col = []
+        for s in _ALL_TUPLES[degree]:
+            x = _det([[M[i][j] for j in s] for i in t])
+            if x:
+                g = math.gcd(x, Dm)
+                col.append((s, x // g, 0, Dm // g))
+        cols.append(tuple(col))
+    return tuple(cols)
 
 
-def _apply_matrix(mat, a: RationalForm) -> RationalForm:
-    """A constant matrix over the basis forms of a's degree, applied to a."""
-    tuples = _ALL_TUPLES[a.degree]
-    index = {t: i for i, t in enumerate(tuples)}
-    out: Dict[IndexTuple, ScalarField] = {}
+def _apply_matrix(cols, a: RationalForm, degree: int | None = None) -> RationalForm:
+    """A constant matrix in the columns of ``_columns`` applied to a, into
+    ``degree`` (a's own by default): one fused combination per coefficient."""
+    index = _INDEX[a.degree]
+    terms: Dict[IndexTuple, list] = {}
     for t, f in a.coeffs.items():
-        j = index[t]
-        for i, s in enumerate(tuples):
-            c = mat[i][j]
-            if c.is_zero():
-                continue
-            term = f * c
-            prev = out.get(s)
-            term = term if prev is None else prev + term
-            if term.is_zero():
-                out.pop(s, None)
-            else:
-                out[s] = term
+        for s, x, y, d in cols[index[t]]:
+            terms.setdefault(s, []).append((x, y, d, f))
+    out = {}
+    for s, ts in terms.items():
+        f = _lincomb(ts)
+        if f.num.terms:
+            out[s] = f
     r = RationalForm.__new__(RationalForm)
-    r.degree, r.coeffs = a.degree, out
+    r.degree, r.coeffs = a.degree if degree is None else degree, out
     return r
 
 
 def structure_action(L: Matrix, a: RationalForm) -> RationalForm:
-    """(L a)(X1..Xm) = a(L X1, .., L Xm); coefficients stay at the base point
-    because L is constant on the chart."""
-    _check_acs(L)
-    if a.degree == 0:
-        return a
+    """(L a)(X1..Xm) = a(L X1, .., L Xm) by the compound matrix of
+    ``_action_matrix``; coefficients stay at the base point because L is
+    constant on the chart."""
     return _apply_matrix(_action_matrix(L, a.degree), a)
 
 
@@ -340,19 +319,41 @@ def _selftest_positive_ddc() -> bool:
     return True
 
 
+def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:
+    """The wedge product, in order, of covectors given as {j: coefficient of
+    dx_j}, as coefficients over the sorted basis forms."""
+    acc: Dict[IndexTuple, QI] = {(): QI(1)}
+    for cov in covectors:
+        nxt: Dict[IndexTuple, QI] = {}
+        for part, c in acc.items():
+            for j, cj in cov.items():
+                # zero entries are most of a covector of a structure matrix
+                if cj.is_zero():
+                    continue
+                merged, sign = _merge_sign(part, (j,))
+                if not sign:
+                    continue
+                term = c * cj if sign > 0 else -(c * cj)
+                prev = nxt.get(merged)
+                nxt[merged] = term if prev is None else prev + term
+        acc = nxt
+    return {s: c for s, c in acc.items() if not c.is_zero()}
+
+
 @lru_cache(maxsize=None)
 def _pq_matrix(L: Matrix, degree: int, p: int):
-    """Matrix of the projection onto bidegree (p, degree - p) on degree-m
-    basis forms over QI.
+    """Columns of the projection onto bidegree (p, degree - p) on degree-m
+    basis forms.
 
     Each basis covector splits as dx_i = pi^{1,0} dx_i + pi^{0,1} dx_i with
     pi^{1,0} = (1 - sqrt(-1) L)/2; expanding the product over a basis m-form
     and collecting terms of bidegree (p,q) gives the projector exactly.
     """
-    rows = _covector_rows(L)
+    _integer_matrix(L)
     half = QI(Fraction(1, 2))
-    # splits[i] = ((1,0) piece, (0,1) piece) of dx_i as {j: coefficient}
-    splits = [tuple({j: (int(i == j) + sign * I_UNIT * rows[i][j]) * half for j in range(4)}
+    # splits[i] = ((1,0) piece, (0,1) piece) of dx_i as {j: coefficient};
+    # L(dx_i) is row i of L
+    splits = [tuple({j: (int(i == j) + sign * I_UNIT * L[i][j]) * half for j in range(4)}
                     for sign in (-1, 1)) for i in range(4)]
 
     def column(t):
@@ -364,17 +365,14 @@ def _pq_matrix(L: Matrix, degree: int, p: int):
                     total[s] = total.get(s, QI(0)) + c
         return total
 
-    return _basis_matrix(degree, column)
+    return _columns(degree, column)
 
 
 def pq_project(L: Matrix, a: RationalForm, p: int, q: int) -> RationalForm:
     """Projection onto the (p,q) part of a complexified form w.r.t. L, by
     the constant projector matrix of ``_pq_matrix``."""
-    _check_acs(L)
     if p < 0 or q < 0 or p + q != a.degree:
         raise DegreeError(f"(p,q)=({p},{q}) incompatible with degree {a.degree}")
-    if a.degree == 0:
-        return a
     return _apply_matrix(_pq_matrix(L, a.degree, p), a)
 
 
@@ -386,7 +384,7 @@ def _fraction_sqrt(v: Fraction) -> Fraction:
     if v < 0:
         raise ValueError("negative determinant")
     n, d = v.numerator, v.denominator
-    rn, rd = isqrt(n), isqrt(d)
+    rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn != n or rd * rd != d:
         raise ValueError("metric determinant is not a rational square; "
                          "exact Hodge star unavailable")
@@ -425,20 +423,23 @@ class ConstantMetric:
             self._inv = _mat_inverse(self.matrix)
         return self._inv
 
-    def star_table(self) -> Dict[Tuple[IndexTuple, IndexTuple], Fraction]:
-        """(s, t) -> the nonzero coefficient <dx_sc, dx_t> sqrt(det) eps(sc s)
-        of dx_s in *dx_t, sc the complement of s; built once per metric."""
+    def star_columns(self, degree: int):
+        """Columns of the Hodge star on degree-m forms, as ``_columns``
+        gives them: dx_s has coefficient <dx_sc, dx_t> sqrt(det) eps(sc s)
+        in *dx_t, sc the complement of s. Built once per metric."""
         if self._star is None:
             ginv, sd = self.inverse(), _fraction_sqrt(self.det())
-            self._star = {}
-            for s in itertools.chain.from_iterable(_ALL_TUPLES.values()):
-                sc = tuple(i for i in range(4) if i not in s)
-                for t in _ALL_TUPLES[len(sc)]:
+
+            def column(t):
+                out = {}
+                for s in _ALL_TUPLES[4 - len(t)]:
+                    sc = tuple(i for i in range(4) if i not in s)
                     # <dx_sc, dx_t>: the inverse-metric minor, rows sc, cols t
-                    w = _det([[ginv[a][b] for b in t] for a in sc]) if sc else 1
-                    if w != 0:
-                        self._star[s, t] = w * sd * _perm_sign(sc + s)
-        return self._star
+                    out[s] = _det([[ginv[a][b] for b in t] for a in sc]) * sd * _perm_sign(sc + s)
+                return out
+
+            self._star = {m: _columns(m, column) for m in _ALL_TUPLES}
+        return self._star[degree]
 
     def __eq__(self, other):
         if not isinstance(other, ConstantMetric):
@@ -452,15 +453,16 @@ class ConstantMetric:
         return f"ConstantMetric({self.matrix})"
 
 
-def _det(m) -> Fraction:
-    n = len(m)
-    if n == 1:
-        return _frac(m[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = _frac(m[0][j]) * _det(minor)
-        total += term if j % 2 == 0 else -term
+def _det(m):
+    """Determinant by expansion along the first row, exact over ints and
+    Fractions; 1 for the empty matrix."""
+    if not m:
+        return 1
+    total = 0
+    for j, v in enumerate(m[0]):
+        if v:
+            term = v * _det([row[:j] + row[j + 1:] for row in m[1:]])
+            total += -term if j % 2 else term
     return total
 
 
@@ -488,17 +490,7 @@ def _perm_sign(seq) -> int:
 
 def hodge_star(g: ConstantMetric, a: RationalForm) -> RationalForm:
     """Hodge star for a constant metric and the fixed orientation dx0123."""
-    table = g.star_table()
-    m = a.degree
-    out: Dict[IndexTuple, ScalarField] = {}
-    for s in _ALL_TUPLES[4 - m]:
-        terms = [f * table[s, t] for t, f in a.coeffs.items() if (s, t) in table]
-        total = sum(terms[1:], terms[0]) if terms else None
-        if total is not None and not total.is_zero():
-            out[s] = total
-    r = RationalForm.__new__(RationalForm)
-    r.degree, r.coeffs = 4 - m, out
-    return r
+    return _apply_matrix(g.star_columns(a.degree), a, 4 - a.degree)
 
 
 def lambda_contract(omega: RationalForm, a: RationalForm) -> ScalarField:

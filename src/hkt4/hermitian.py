@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
-from .exact import QI, ScalarField
+from .exact import QI, ScalarField, _lincomb
 from .forms import (
     RationalForm,
     exterior_d,
@@ -79,20 +79,19 @@ def hermitian_form(g, L: Matrix) -> RationalForm:
 
 
 def metric_from_form(omega: RationalForm, L: Matrix):
-    """Bilinear form omega(., L.) as a 4x4 matrix of ScalarFields."""
-    W = [[ScalarField.const(0)] * 4 for _ in range(4)]
-    for (a, b), f in omega.coeffs.items():
-        W[a][b] = f
-        W[b][a] = -f
-    out = [[ScalarField.const(0)] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            acc = ScalarField.const(0)
-            for c in range(4):
-                if L[c][b] != 0:
-                    acc = acc + W[a][c] * QI(L[c][b])
-            out[a][b] = acc
-    return tuple(tuple(row) for row in out)
+    """Bilinear form omega(., L.) as a 4x4 matrix of ScalarFields: entry
+    (a, b) is sum_c omega_ac L_cb, one fused linear combination."""
+    def entry(a, b):
+        terms = []
+        for c in range(4):
+            v = L[c][b]
+            f = omega.coeffs.get((a, c) if a < c else (c, a)) if v and a != c else None
+            if f is not None:
+                x = v.numerator if a < c else -v.numerator
+                terms.append((x, 0, v.denominator, f))
+        return _lincomb(terms)
+
+    return tuple(tuple(entry(a, b) for b in range(4)) for a in range(4))
 
 
 @dataclass

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from .exact import ScalarField, _frac
 from .forms import ConstantMetric, RationalForm, exterior_d, scale_pullback, twisted_d
 from .hermitian import (
     ConformalMetric,
+    TorsionReport,
     bismut_torsion,
-    hermitian_form,
     hkt_from_torsions,
     metric_from_form,
 )
@@ -61,6 +62,13 @@ class HopfGeometry:
     def q(self) -> Fraction:
         return self.spec.q
 
+    @cached_property
+    def torsions(self) -> Dict[Matrix, TorsionReport]:
+        """The torsion report of ``metric`` for each structure of ``structures``
+        and both frames, computed on first use; every verifier reads these."""
+        return {L: bismut_torsion(self.metric, L) for L in {
+            *self.structures.values(), *self.left.matrices(), *self.right.matrices()}}
+
 
 def _build(spec: Optional[HopfSpec], scale: ScalarField | Fraction) -> HopfGeometry:
     phi = ScalarField.phi()
@@ -97,13 +105,8 @@ def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
     nonzero unless the metric is constant (the flat control)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    frame = geo.left if side == "left" else geo.right
-    return _strong_hkt(geo, side, {L: bismut_torsion(geo.metric, L) for L in frame.matrices()})
-
-
-def _strong_hkt(geo: HopfGeometry, side: str, reports: dict) -> List[CheckResult]:
-    """verify_strong_hkt on torsion reports keyed by structure matrix."""
     rec = CheckRecorder()
+    reports = geo.torsions
     frame = geo.left if side == "left" else geo.right
     tag = "+" if side == "left" else "-"
     rep = hkt_from_torsions(frame, [reports[L] for L in frame.matrices()])
@@ -130,13 +133,12 @@ def _strong_hkt(geo: HopfGeometry, side: str, reports: dict) -> List[CheckResult
 def verify_44(geo: HopfGeometry) -> List[CheckResult]:
     """Certify the two-frame structure: opposite closed torsions and
     independent frames. A zero-torsion input passes the opposition trivially
-    and is flagged as hyperkahler-degenerate. Each structure's torsion is
-    computed once and read by both strong-HKT sides and the nine pairs."""
+    and is flagged as hyperkahler-degenerate. Both strong-HKT sides and the
+    nine pairs read the torsion reports of ``geo.torsions``."""
     rec = CheckRecorder()
-    reports = {L: bismut_torsion(geo.metric, L) for L in {
-        *geo.structures.values(), *geo.left.matrices(), *geo.right.matrices()}}
+    reports = geo.torsions
     for side in ("left", "right"):
-        rec.checks += _strong_hkt(geo, side, reports)
+        rec.checks += verify_strong_hkt(geo, side)
     rec.exact("hopf.torsion-opposition", geo.H_plus + geo.H_minus,
               "T+ = -T-")
     rec.exact("hopf.torsion-plus-closed", exterior_d(geo.H_plus), "dT+ = 0")
@@ -198,16 +200,17 @@ def verify_common_metric(geo: HopfGeometry) -> List[CheckResult]:
               "the common metric is conformally Euclidean")
     for name, L in geo.structures.items():
         rec.exact(f"hopf.hermitian-form.{name}",
-                  hermitian_form(geo.metric, L) - geo.omegas[name],
+                  geo.torsions[L].omega - geo.omegas[name],
                   "w_L = g(L., .) for the common metric")
     return rec.checks
 
 
 def verify_gauduchon(geo: HopfGeometry) -> List[CheckResult]:
-    from .hermitian import gauduchon_defect
+    """d d^c_L w_L = 0 for the six structures: the ``dH`` of each torsion
+    report, which is ``hermitian.gauduchon_defect``."""
     rec = CheckRecorder()
     for name, L in geo.structures.items():
-        rec.exact(f"hopf.gauduchon.{name}", gauduchon_defect(geo.metric, L),
+        rec.exact(f"hopf.gauduchon.{name}", geo.torsions[L].dH,
                   "d d^c_L w_L = 0 for every structure")
     return rec.checks
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Literal, Sequence, Tuple
 
 from .exact import _frac
@@ -146,6 +147,18 @@ def squares_to_minus_id(a: Matrix) -> bool:
     return mat_mul(a, a) == mat_neg(IDENTITY)
 
 
+class _HashedMatrix(tuple):
+    """A structure matrix that hashes once: it keys the operator caches of
+    forms.py, where hashing 16 Fractions would cost more than most lookups."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
+
+
 def _mult_matrix(u: Quaternion, side: Side) -> Matrix:
     cols = []
     for name in ("1", "i", "j", "k"):
@@ -165,12 +178,13 @@ def structure_matrix(side: Side, axis: AxisTriple | Sequence) -> Matrix:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not isinstance(axis, AxisTriple):
         axis = AxisTriple(*axis)
-    return _mult_matrix(axis.as_quaternion(), side)
+    return _HashedMatrix(_mult_matrix(axis.as_quaternion(), side))
 
 
 @dataclass(frozen=True)
 class HypercomplexFrame:
-    """Triple (I, J, K) of exact structure matrices satisfying IJ = -JI = K."""
+    """Triple (I, J, K) of exact structure matrices satisfying IJ = -JI = K;
+    ``left()`` and ``right()`` each return one shared instance."""
 
     side: Side
     I: Matrix
@@ -178,6 +192,7 @@ class HypercomplexFrame:
     K: Matrix
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def left() -> "HypercomplexFrame":
         return HypercomplexFrame(
             "left",
@@ -187,6 +202,7 @@ class HypercomplexFrame:
         )
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def right() -> "HypercomplexFrame":
         # Right multiplications satisfy the opposite-algebra relations
         # R_i R_j = R_{ji} = -R_k, so the stored K is -R_k to restore
@@ -195,19 +211,30 @@ class HypercomplexFrame:
             "right",
             structure_matrix("right", (1, 0, 0)),
             structure_matrix("right", (0, 1, 0)),
-            mat_neg(structure_matrix("right", (0, 0, 1))),
+            _HashedMatrix(mat_neg(structure_matrix("right", (0, 0, 1)))),
         )
 
     def matrices(self):
         return (self.I, self.J, self.K)
 
+    @cached_property
+    def failures(self) -> Tuple[str, ...]:
+        """Those of I^2 = J^2 = K^2 = -Id, IJ = K and JI = -K that fail,
+        checked exactly on first use."""
+        I, J, K, minus_id = self.I, self.J, self.K, mat_neg(IDENTITY)
+        checks = (("I^2 = -Id", mat_mul(I, I), minus_id), ("J^2 = -Id", mat_mul(J, J), minus_id),
+                  ("K^2 = -Id", mat_mul(K, K), minus_id), ("IJ = K", mat_mul(I, J), K),
+                  ("JI = -K", mat_mul(J, I), mat_neg(K)))
+        return tuple(name for name, got, want in checks if got != want)
+
     def span_structure(self, axis: AxisTriple | Sequence) -> Matrix:
         """a*I + b*J + c*K for a unit axis; squares to -Id."""
         if not isinstance(axis, AxisTriple):
             axis = AxisTriple(*axis)
-        m = mat_add(mat_add(mat_scale(self.I, axis.a), mat_scale(self.J, axis.b)),
-                    mat_scale(self.K, axis.c))
-        return m
+        terms = tuple(zip((axis.a, axis.b, axis.c), self.matrices()))
+        # each frame matrix has 4 nonzero entries of 16
+        return _HashedMatrix(tuple(sum((w * m[i][j] for w, m in terms if m[i][j]), _ZERO)
+                                   for j in range(4)) for i in range(4))
 
 
 @dataclass
@@ -224,17 +251,7 @@ def verify_frame(frame: HypercomplexFrame) -> FrameReport:
 
     Failures are collected and reported, never raised.
     """
-    I, J, K = frame.I, frame.J, frame.K
-    minus_id = mat_neg(IDENTITY)
-    failures = []
-    for name, m in (("I^2 = -Id", I), ("J^2 = -Id", J), ("K^2 = -Id", K)):
-        if mat_mul(m, m) != minus_id:
-            failures.append(name)
-    if mat_mul(I, J) != K:
-        failures.append("IJ = K")
-    if mat_mul(J, I) != mat_neg(K):
-        failures.append("JI = -K")
-    return FrameReport(failures)
+    return FrameReport(list(frame.failures))
 
 
 def _exact_rank(rows) -> int:
@@ -272,9 +289,8 @@ def independence_rank(left: HypercomplexFrame, right: HypercomplexFrame) -> int:
     of the other family. Both frames must verify first.
     """
     for tag, f in (("left", left), ("right", right)):
-        rep = verify_frame(f)
-        if not rep.passed:
-            raise ValueError(f"{tag} frame fails identities: {rep.failures}")
+        if f.failures:
+            raise ValueError(f"{tag} frame fails identities: {list(f.failures)}")
     rows = []
     for m in (*left.matrices(), *right.matrices()):
         rows.append([m[i][j] for i in range(4) for j in range(4)])

@@ -170,7 +170,7 @@ def calculus_suite(seed: int = 0, trials: int = 25) -> List[CheckResult]:
     """Seeded random exact-form properties of the symbolic engine."""
     import itertools
 
-    from .exact import Poly, QI, ScalarField
+    from .exact import Poly, ScalarField
     from .forms import (
         ConstantMetric,
         RationalForm,
@@ -190,12 +190,14 @@ def calculus_suite(seed: int = 0, trials: int = 25) -> List[CheckResult]:
     omega_I = hermitian_form(euclid, frame.I)
 
     def rand_scalar():
-        coeffs = {}
+        # a/b + (c/e) sqrt(-1) with b, e in {1, 2}: integer pairs over 2
+        terms = {}
         for _ in range(rng.randint(1, 3)):
             mono = tuple(rng.randint(0, 1) for _ in range(4))
-            coeffs[mono] = QI(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                              Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-        return ScalarField(Poly(coeffs), rng.randint(0, 1))
+            a, b, c, e = (rng.randint(-3, 3), rng.randint(1, 2),
+                          rng.randint(-3, 3), rng.randint(1, 2))
+            terms[mono] = (a * (2 // b), c * (2 // e))
+        return ScalarField(Poly._make(terms, 2), rng.randint(0, 1))
 
     def rand_form(degree):
         coeffs = {}

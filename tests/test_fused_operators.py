@@ -1,0 +1,154 @@
+"""Oracles for the integer fast paths of the constant operators: the
+compound-matrix pullback against the wedge expansion, and every fused linear
+combination (structure_action, pq_project, hodge_star, metric_from_form)
+against a per-term ScalarField sum."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from hkt4.exact import PHI, Poly, QI, ScalarField, _lincomb
+from hkt4.forms import (
+    _ALL_TUPLES,
+    ConstantMetric,
+    RationalForm,
+    _action_matrix,
+    _pq_matrix,
+    _wedge_covectors,
+    hodge_star,
+    pq_project,
+    structure_action,
+)
+from hkt4.hermitian import metric_from_form
+from hkt4.quaternions import AxisTriple, HypercomplexFrame
+from hkt4.suites import random_rational_axis
+
+FRAMES = (HypercomplexFrame.left(), HypercomplexFrame.right())
+
+
+def axis_structures(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        axis = random_rational_axis(rng)
+        for frame in FRAMES:
+            yield frame.span_structure(axis)
+
+
+def as_dict(column):
+    """A column of integer triples as {s: Gaussian rational}."""
+    return {s: QI(Fraction(x, d), Fraction(y, d)) for s, x, y, d in column}
+
+
+def rand_scalar(rng):
+    # mixed k up to 2, Gaussian-rational coefficients
+    coeffs = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, 2) for _ in range(4))
+        coeffs[mono] = QI(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                          Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return ScalarField(Poly(coeffs), rng.randint(0, 2))
+
+
+def rand_form(rng, degree):
+    coeffs = {t: rand_scalar(rng) for t in _ALL_TUPLES[degree] if rng.random() < 0.8}
+    return RationalForm(degree, coeffs)
+
+
+def per_term(columns, a, degree):
+    """The constant matrix applied to a by ScalarField products and sums, one
+    term at a time."""
+    out = RationalForm.zero(degree)
+    for t, f in a.coeffs.items():
+        for s, c in as_dict(columns[_ALL_TUPLES[a.degree].index(t)]).items():
+            out = out + RationalForm(degree, {s: f * c})
+    return out
+
+
+def test_action_matrix_is_the_wedge_expansion():
+    for L in axis_structures(seed=5, count=50):
+        rows = [dict(enumerate(QI.coerce(v) for v in row)) for row in L]
+        for degree in range(1, 5):
+            cols = _action_matrix(L, degree)
+            for t, col in zip(_ALL_TUPLES[degree], cols):
+                expected = _wedge_covectors(rows[i] for i in t)
+                assert as_dict(col) == expected
+
+
+def test_structure_action_matches_per_term_sum():
+    rng = random.Random(17)
+    for L in axis_structures(seed=6, count=6):
+        for degree in range(1, 5):
+            a = rand_form(rng, degree)
+            expected = per_term(_action_matrix(L, degree), a, degree)
+            assert structure_action(L, a) == expected
+
+
+def test_pq_project_matches_per_term_sum():
+    rng = random.Random(18)
+    for L in axis_structures(seed=7, count=3):
+        for degree in range(1, 4):
+            a = rand_form(rng, degree)
+            for p in range(degree + 1):
+                expected = per_term(_pq_matrix(L, degree, p), a, degree)
+                assert pq_project(L, a, p, degree - p) == expected
+
+
+@pytest.mark.parametrize("g", [ConstantMetric.euclidean(),
+                               ConstantMetric(((4, 0, 0, 0), (0, 1, 0, 0),
+                                               (0, 0, Fraction(9, 4), 0), (0, 0, 0, 1))),
+                               ConstantMetric(((2, 1, 0, 0), (1, 2, 0, 0),
+                                               (0, 0, 2, 1), (0, 0, 1, 2)))],
+                         ids=["euclidean", "diagonal", "coupled"])
+def test_hodge_star_matches_per_term_sum(g):
+    rng = random.Random(19)
+    for degree in range(5):
+        a = rand_form(rng, degree)
+        expected = per_term(g.star_columns(degree), a, 4 - degree)
+        assert hodge_star(g, a) == expected
+
+
+def test_metric_from_form_matches_per_term_sum():
+    rng = random.Random(20)
+    for L in axis_structures(seed=8, count=5):
+        omega = rand_form(rng, 2)
+        W = [[ScalarField.const(0)] * 4 for _ in range(4)]
+        for (a, b), f in omega.coeffs.items():
+            W[a][b], W[b][a] = f, -f
+        got = metric_from_form(omega, L)
+        for a, b in itertools.product(range(4), repeat=2):
+            expected = ScalarField.const(0)
+            for c in range(4):
+                expected = expected + W[a][c] * QI(L[c][b])
+            assert got[a][b] == expected
+
+
+def test_lincomb_cancels_to_zero():
+    rng = random.Random(21)
+    f, g = rand_scalar(rng), rand_scalar(rng)
+    total = _lincomb([(2, 1, 3, f), (1, 0, 1, g), (-2, -1, 3, f), (-1, 0, 1, g)])
+    assert total.is_zero() and total.k == 0
+
+
+def test_lincomb_divides_out_phi_at_the_top():
+    x = [Poly.variable(i) for i in range(4)]
+    top = ScalarField(x[0] * x[0], 1)
+    rest = ScalarField(x[1] * x[1] + x[2] * x[2] + x[3] * x[3], 1)
+    total = _lincomb([(1, 0, 1, top), (1, 0, 1, rest)])
+    assert total == ScalarField.const(1) and total.k == 0
+    # one term at the top k is canonical as lifted: x0^2/phi^2 + 1/phi
+    mixed = _lincomb([(1, 0, 1, ScalarField(x[0] * x[0], 2)),
+                      (1, 0, 1, ScalarField.inv_phi())])
+    assert mixed == ScalarField(x[0] * x[0] + PHI, 2) and mixed.k == 2
+
+
+def test_structure_action_divides_out_phi():
+    # column 0 of aI + bJ + cK is (0, a, b, c), so (L u)_0 = a u_1 + b u_2
+    L = HypercomplexFrame.left().span_structure(AxisTriple(Fraction(3, 5), Fraction(4, 5), 0))
+    x = [Poly.variable(i) for i in range(4)]
+    u = RationalForm(1, {(1,): ScalarField(x[0] * x[0], 1) * Fraction(5, 3),
+                         (2,): ScalarField(x[1] * x[1] + x[2] * x[2] + x[3] * x[3], 1)
+                         * Fraction(5, 4)})
+    image = structure_action(L, u)
+    assert image.coeffs[(0,)] == ScalarField.const(1) and image.coeffs[(0,)].k == 0

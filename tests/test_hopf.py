@@ -212,3 +212,24 @@ def test_build_hopf_accepts_plain_rational():
     build_hopf(Fraction(5, 2))
     with pytest.raises(ValueError):
         build_hopf(1)
+
+
+def test_torsions_computed_once_per_geometry(monkeypatch):
+    from hkt4 import hermitian, hopf
+
+    calls = []
+
+    def counted(g, L):
+        calls.append(L)
+        return hermitian.bismut_torsion(g, L)
+
+    monkeypatch.setattr(hopf, "bismut_torsion", counted)
+    fresh = build_hopf(Fraction(3, 2))
+    checks = (verify_common_metric(fresh) + verify_44(fresh) + verify_gauduchon(fresh)
+              + verify_strong_hkt(fresh, "left"))
+    assert all_pass(checks)
+    assert sorted(calls) == sorted(fresh.structures.values())
+    # a replaced geometry does not inherit the reports of the original
+    tampered = _tampered_metric(fresh)
+    assert not all_pass(verify_gauduchon(tampered))
+    assert len(calls) == 12

@@ -210,3 +210,26 @@ def test_independence_rank_requires_verified_frames():
     broken = HypercomplexFrame("right", left.I, left.J, mat_neg(left.K))
     with pytest.raises(ValueError):
         independence_rank(left, broken)
+
+
+def test_frames_are_shared_and_verified_once(monkeypatch):
+    import dataclasses
+
+    from hkt4 import quaternions
+
+    left, right = HypercomplexFrame.left(), HypercomplexFrame.right()
+    assert left is HypercomplexFrame.left() and right is HypercomplexFrame.right()
+    assert independence_rank(left, right) == 6
+    calls = []
+    monkeypatch.setattr(quaternions, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert independence_rank(left, right) == 6 and verify_frame(left).passed
+    assert not calls
+    # each report is a fresh object over the immutable verdict
+    rep = verify_frame(left)
+    rep.failures.append("tampered")
+    assert verify_frame(left).passed and left.failures == ()
+    # a tampered copy of a verified frame is checked afresh, and fails
+    minus_k = dataclasses.replace(right, K=mat_neg(right.K))
+    with pytest.raises(ValueError, match="right frame fails identities"):
+        independence_rank(left, minus_k)
+    assert calls
