@@ -23,10 +23,14 @@ These results are canonical as computed. Only sums of equal k, products
 with a factor of k = 0 and exact quotients can gain a factor phi, and only
 there is it divided out, by long division in x0 (phi is monic in x0).
 
-A linear combination sum c_j P_j / phi^(k_j) with nonzero constants c_j has
-numerator sum c_j P_j phi^(k - k_j) over the largest k. When only one term
-sits at k > 0, that numerator is c_j P_j mod phi, so it is canonical as
-computed; only two or more terms at the largest k > 0 call for a reduction.
+A fused sum, sum_j c_j P_j / phi^(k_j) with nonzero constants c_j, has
+numerator sum_j c_j P_j phi^(k - k_j) over the largest k: a combination of fields,
+a coefficient of d (signed partials, each canonical as above) or of a wedge
+(signed products). When only one term sits at k > 0 and it is canonical, that
+numerator is c_j P_j mod phi, so it is canonical as computed. A reduction is
+called for only by two or more terms at the largest k > 0, or by one product
+there with a factor of k = 0: in (phi dx0) ^ (dx1 / phi) the product phi / phi
+is 1, with k = 0.
 """
 
 from __future__ import annotations
@@ -162,6 +166,43 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
 
+def _mul_terms(p: Terms, q: Terms) -> Terms:
+    """The pairs of the product of two numerators, not normalised."""
+    out: Terms = {}
+    get = out.get
+    for (p0, p1, p2, p3), (a, b) in p.items():
+        for (q0, q1, q2, q3), (x, y) in q.items():
+            m = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
+            re, im = a * x - b * y, a * y + b * x
+            c = get(m)
+            out[m] = (re, im) if c is None else (c[0] + re, c[1] + im)
+    return out
+
+
+def _partial_terms(p: Terms, k: int, i: int) -> Terms:
+    """The pairs, not normalised and over p's denominator, of the numerator
+    of d_i (P / phi^k): d_i P for k = 0, else d_i P phi - 2k x_i P over
+    phi^(k+1), gathered in one pass as e x^(m-e_i) phi - 2k x_i x^m for each
+    term x^m of P with e = m_i."""
+    out: Terms = {}
+    get = out.get
+    lift, u = (_PHI_EXPONENTS, -2 * k) if k else (((0, 0, 0, 0),), 0)
+    for m, (a, b) in p.items():
+        e = m[i]
+        if e:
+            ea, eb = e * a, e * b
+            n0, n1, n2, n3 = m[:i] + (e - 1,) + m[i + 1:]
+            for s0, s1, s2, s3 in lift:
+                t = (n0 + s0, n1 + s1, n2 + s2, n3 + s3)
+                c = get(t)
+                out[t] = (ea, eb) if c is None else (c[0] + ea, c[1] + eb)
+        if u:
+            t = m[:i] + (e + 1,) + m[i + 1:]
+            c = get(t)
+            out[t] = (u * a, u * b) if c is None else (c[0] + u * a, c[1] + u * b)
+    return out
+
+
 class Poly:
     """Polynomial in x0..x3 with Gaussian-rational coefficients, stored
     sparsely as Gaussian-integer pairs over one denominator."""
@@ -268,25 +309,12 @@ class Poly:
             return Poly._make({m: (a * x - b * y, a * y + b * x)
                                for m, (a, b) in self.terms.items()}, self.den * d)
         o = Poly.coerce(other)
-        out: Terms = {}
-        get = out.get
-        for (p0, p1, p2, p3), (a, b) in self.terms.items():
-            for (q0, q1, q2, q3), (x, y) in o.terms.items():
-                m = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
-                re, im = a * x - b * y, a * y + b * x
-                c = get(m)
-                out[m] = (re, im) if c is None else (c[0] + re, c[1] + im)
-        return Poly._make(out, self.den * o.den)
+        return Poly._make(_mul_terms(self.terms, o.terms), self.den * o.den)
 
     __rmul__ = __mul__
 
     def partial(self, i: int) -> "Poly":
-        out = {}
-        for m, (a, b) in self.terms.items():
-            e = m[i]
-            if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = (a * e, b * e)
-        return Poly._make(out, self.den)
+        return Poly._make(_partial_terms(self.terms, 0, i), self.den)
 
     def conj(self) -> "Poly":
         return Poly._raw({m: (a, -b) for m, (a, b) in self.terms.items()}, self.den)
@@ -371,7 +399,7 @@ class Poly:
 PHI = Poly({(2, 0, 0, 0): QI(1), (0, 2, 0, 0): QI(1),
             (0, 0, 2, 0): QI(1), (0, 0, 0, 2): QI(1)})
 _PHI_POWERS = [Poly.const(1), PHI]
-_PHI_PARTIALS = tuple(PHI.partial(i) for i in range(4))
+_PHI_EXPONENTS = tuple(PHI.terms)
 
 
 def _phi_pow(n: int) -> Poly:
@@ -514,10 +542,8 @@ class ScalarField:
         return ScalarField(q, k)
 
     def partial(self, i: int) -> "ScalarField":
-        if self.k == 0:
-            return ScalarField._canonical(self.num.partial(i), 0)
-        num = self.num.partial(i) * PHI - self.num * _PHI_PARTIALS[i] * self.k
-        return ScalarField._canonical(num, self.k + 1)
+        num = Poly._make(_partial_terms(self.num.terms, self.k, i), self.num.den)
+        return ScalarField._canonical(num, self.k + 1 if self.k else 0)
 
     def conj(self) -> "ScalarField":
         return ScalarField._canonical(self.num.conj(), self.k)
@@ -558,40 +584,61 @@ class ScalarField:
         return f"({self.num!r}) / phi^{self.k}"
 
 
-def _lincomb(terms) -> ScalarField:
-    """The canonical sum of c f over the list ``terms`` of (x, y, d, f), each
-    a nonzero field f with a nonzero constant c = (x + y sqrt(-1)) / d in
-    integers, d > 0.
-
-    Each numerator is lifted to the largest k and the Gaussian-integer pairs
-    are accumulated over one common denominator, then normalised once; phi
-    is divided out only where the module docstring says it can divide.
-    """
-    if not terms:
+def _fuse(parts) -> ScalarField:
+    """The canonical sum of the list ``parts`` of (x, y, d, terms, k, loose),
+    each (x + y sqrt(-1)) / d, in integers with d > 0, times the nonzero
+    Gaussian-integer pairs ``terms`` over phi^k; phi may divide ``terms`` only
+    if ``loose``. The pairs are lifted to the largest k, accumulated over one
+    common denominator and normalised once; phi is divided out only where the
+    module docstring says it can divide."""
+    if not parts:
         return ScalarField._canonical(Poly._raw({}, 1), 0)
-    if len(terms) == 1 and terms[0][1:3] == (0, 1) and terms[0][0] in (1, -1):
-        return terms[0][3] if terms[0][0] == 1 else -terms[0][3]
-    k = max(t[3].k for t in terms)
-    den = math.lcm(*[t[2] * t[3].num.den for t in terms])
+    k = max(p[4] for p in parts)
+    den = math.lcm(*[p[2] for p in parts])
     out: Terms = {}
     get = out.get
-    top = 0
-    for x, y, d, f in terms:
-        s = den // (d * f.num.den)
+    top, loose = 0, False
+    for x, y, d, terms, j, flag in parts:
+        s = den // d
         x, y = x * s, y * s
-        if f.k == k:
+        if j == k:
             top += 1
-            for m, (a, b) in f.num.terms.items():
+            loose = loose or flag
+            for m, (a, b) in terms.items():
                 re, im = a * x - b * y, a * y + b * x
                 v = get(m)
                 out[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
             continue
-        lift = _phi_pow(k - f.k).terms
-        for (p0, p1, p2, p3), (a, b) in f.num.terms.items():
+        lift = _phi_pow(k - j).terms
+        for (p0, p1, p2, p3), (a, b) in terms.items():
             re, im = a * x - b * y, a * y + b * x
             for (q0, q1, q2, q3), (c, _) in lift.items():
                 m = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
                 v = get(m)
                 out[m] = (re * c, im * c) if v is None else (v[0] + re * c, v[1] + im * c)
     num = Poly._make(out, den)
-    return (ScalarField if k and top > 1 else ScalarField._canonical)(num, k)
+    return (ScalarField if k and (top > 1 or loose) else ScalarField._canonical)(num, k)
+
+
+def _lincomb(terms) -> ScalarField:
+    """The canonical sum of c f over the list ``terms`` of (x, y, d, f), each
+    a nonzero field f with a nonzero constant c = (x + y sqrt(-1)) / d in
+    integers, d > 0."""
+    if len(terms) == 1 and terms[0][1:3] == (0, 1) and terms[0][0] in (1, -1):
+        return terms[0][3] if terms[0][0] == 1 else -terms[0][3]
+    return _fuse([(x, y, d * f.num.den, f.num.terms, f.k, False) for x, y, d, f in terms])
+
+
+def _dsum(terms) -> ScalarField:
+    """The canonical sum of sign d_mu f over the list ``terms`` of
+    (sign, mu, f), sign = +-1: each partial is canonical as computed."""
+    parts = [(sign, 0, f.num.den, _partial_terms(f.num.terms, f.k, mu),
+              f.k + 1 if f.k else 0, False) for sign, mu, f in terms]
+    return _fuse([p for p in parts if p[3]])
+
+
+def _prodsum(terms) -> ScalarField:
+    """The canonical sum of sign f g over the list ``terms`` of (sign, f, g),
+    sign = +-1, f and g nonzero: a product is loose when f or g has k = 0."""
+    return _fuse([(sign, 0, f.num.den * g.num.den, _mul_terms(f.num.terms, g.num.terms),
+                   f.k + g.k, not (f.k and g.k)) for sign, f, g in terms])

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .exact import I_UNIT, QI, ScalarField, _frac, _gaussian, _lincomb
+from .exact import I_UNIT, QI, ScalarField, _dsum, _frac, _gaussian, _lincomb, _prodsum
 from .quaternions import IDENTITY, Matrix
 
 IndexTuple = Tuple[int, ...]
@@ -26,6 +26,10 @@ IndexTuple = Tuple[int, ...]
 # Global sign of the twisted differential relative to the bare composition
 # (-1)^m L d L; fixed by the positivity self test below.
 DC_SIGN = -1
+
+# Entries kept by each operator cache: a request uses about 45 structure
+# matrix and degree keys, which stay cached while stale random axes go.
+OPERATOR_CACHE_SIZE = 256
 
 _ALL_TUPLES = {m: tuple(itertools.combinations(range(4), m)) for m in range(5)}
 _INDEX = {m: {t: i for i, t in enumerate(ts)} for m, ts in _ALL_TUPLES.items()}
@@ -37,13 +41,17 @@ class DegreeError(ValueError):
     pass
 
 
-def _merge_sign(s: IndexTuple, t: IndexTuple):
-    """Sorted merge of disjoint index tuples with the permutation sign."""
-    if set(s) & set(t):
-        return None, 0
-    inversions = sum(1 for a in s for b in t if a > b)
-    merged = tuple(sorted(s + t))
-    return merged, -1 if inversions % 2 else 1
+def _perm_sign(seq) -> int:
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
+# (s, t) -> (sorted merge of s and t, its permutation sign) for every pair of
+# disjoint index tuples; a pair that is not disjoint has no entry
+_MERGE = {(s, t): (tuple(sorted(s + t)), _perm_sign(s + t))
+          for s in itertools.chain(*_ALL_TUPLES.values())
+          for t in itertools.chain(*_ALL_TUPLES.values()) if not set(s) & set(t)}
 
 
 class RationalForm:
@@ -176,48 +184,38 @@ def wedge(a: RationalForm, b: RationalForm) -> RationalForm:
     m = a.degree + b.degree
     if m > 4:
         raise DegreeError(f"wedge degree {a.degree}+{b.degree} exceeds 4")
-    out: Dict[IndexTuple, ScalarField] = {}
+    groups: Dict[IndexTuple, list] = {}
     for s, fs in a.coeffs.items():
         for t, ft in b.coeffs.items():
-            merged, sign = _merge_sign(s, t)
-            if sign == 0:
-                continue
-            term = fs * ft
-            if sign < 0:
-                term = -term
-            prev = out.get(merged)
-            term = term if prev is None else prev + term
-            if term.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = term
-    r = RationalForm.__new__(RationalForm)
-    r.degree, r.coeffs = m, out
-    return r
+            hit = _MERGE.get((s, t))
+            if hit:
+                groups.setdefault(hit[0], []).append((hit[1], fs, ft))
+    return _form(m, groups, _prodsum)
 
 
 def exterior_d(a: RationalForm) -> RationalForm:
     """Exterior derivative with exact coefficients."""
     if a.degree > 3:
         raise DegreeError("d of a top-degree form is not defined here")
-    out: Dict[IndexTuple, ScalarField] = {}
+    groups: Dict[IndexTuple, list] = {}
     for t, f in a.coeffs.items():
         for mu in range(4):
-            if mu in t:
-                continue
-            df = f.partial(mu)
-            if df.is_zero():
-                continue
-            merged, sign = _merge_sign((mu,), t)
-            term = df if sign > 0 else -df
-            prev = out.get(merged)
-            term = term if prev is None else prev + term
-            if term.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = term
+            hit = _MERGE.get(((mu,), t))
+            if hit:
+                groups.setdefault(hit[0], []).append((hit[1], mu, f))
+    return _form(a.degree + 1, groups, _dsum)
+
+
+def _form(degree: int, groups: Dict[IndexTuple, list], kernel) -> RationalForm:
+    """The degree-m form whose coefficient at s is ``kernel(groups[s])``, one
+    fused sum per coefficient, zeros dropped."""
+    out = {}
+    for s, ts in groups.items():
+        f = kernel(ts)
+        if f.num.terms:
+            out[s] = f
     r = RationalForm.__new__(RationalForm)
-    r.degree, r.coeffs = a.degree + 1, out
+    r.degree, r.coeffs = degree, out
     return r
 
 
@@ -240,7 +238,7 @@ def _columns(degree: int, column):
                  for t in _ALL_TUPLES[degree])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _action_matrix(L: Matrix, degree: int):
     """Columns of the pullback action on degree-m basis forms: the m-th
     compound matrix of L, whose entry (s, t) is the minor of L with rows t
@@ -268,14 +266,7 @@ def _apply_matrix(cols, a: RationalForm, degree: int | None = None) -> RationalF
     for t, f in a.coeffs.items():
         for s, x, y, d in cols[index[t]]:
             terms.setdefault(s, []).append((x, y, d, f))
-    out = {}
-    for s, ts in terms.items():
-        f = _lincomb(ts)
-        if f.num.terms:
-            out[s] = f
-    r = RationalForm.__new__(RationalForm)
-    r.degree, r.coeffs = a.degree if degree is None else degree, out
-    return r
+    return _form(a.degree if degree is None else degree, terms, _lincomb)
 
 
 def structure_action(L: Matrix, a: RationalForm) -> RationalForm:
@@ -327,12 +318,11 @@ def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:
         nxt: Dict[IndexTuple, QI] = {}
         for part, c in acc.items():
             for j, cj in cov.items():
+                hit = _MERGE.get((part, (j,)))
                 # zero entries are most of a covector of a structure matrix
-                if cj.is_zero():
+                if not hit or cj.is_zero():
                     continue
-                merged, sign = _merge_sign(part, (j,))
-                if not sign:
-                    continue
+                merged, sign = hit
                 term = c * cj if sign > 0 else -(c * cj)
                 prev = nxt.get(merged)
                 nxt[merged] = term if prev is None else prev + term
@@ -340,7 +330,7 @@ def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:
     return {s: c for s, c in acc.items() if not c.is_zero()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _pq_matrix(L: Matrix, degree: int, p: int):
     """Columns of the projection onto bidegree (p, degree - p) on degree-m
     basis forms.
@@ -480,12 +470,6 @@ def _mat_inverse(m):
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def _perm_sign(seq) -> int:
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
 
 
 def hodge_star(g: ConstantMetric, a: RationalForm) -> RationalForm:

@@ -27,9 +27,9 @@ import numpy as np
 
 from .forms import (
     DC_SIGN,
+    _MERGE,
     ConstantMetric,
     RationalForm,
-    _merge_sign,
     hodge_star,
     lambda_contract,
     pq_project,
@@ -123,8 +123,8 @@ def wedge_pairing(degree_a: int) -> np.ndarray:
     out = np.zeros((na, nb))
     for i, s in enumerate(TUPLES[degree_a]):
         for j, t in enumerate(TUPLES[4 - degree_a]):
-            merged, sign = _merge_sign(s, t)
-            if sign and merged == (0, 1, 2, 3):
+            merged, sign = _MERGE.get((s, t), (None, 0))
+            if merged == (0, 1, 2, 3):
                 out[i, j] = sign
     return out
 
@@ -189,7 +189,7 @@ def _incidence(degree: int):
     for mu in range(4):
         src, dst, sign = [], [], []
         for j, t in enumerate(TUPLES[degree]):
-            merged, s = _merge_sign((mu,), t)
+            merged, s = _MERGE.get(((mu,), t), (None, 0))
             if s:
                 src.append(j)
                 dst.append(TUPLES[degree + 1].index(merged))

@@ -291,7 +291,12 @@ def independence_rank(left: HypercomplexFrame, right: HypercomplexFrame) -> int:
     for tag, f in (("left", left), ("right", right)):
         if f.failures:
             raise ValueError(f"{tag} frame fails identities: {list(f.failures)}")
-    rows = []
-    for m in (*left.matrices(), *right.matrices()):
-        rows.append([m[i][j] for i in range(4) for j in range(4)])
-    return _exact_rank(rows)
+    return _span_rank(left, right)
+
+
+@lru_cache(maxsize=4)
+def _span_rank(left: HypercomplexFrame, right: HypercomplexFrame) -> int:
+    """The rank of the six frame matrices, once per pair of the few frames
+    in use (``left()`` and ``right()`` are shared)."""
+    return _exact_rank([[m[i][j] for i in range(4) for j in range(4)]
+                        for m in (*left.matrices(), *right.matrices())])

@@ -1,7 +1,7 @@
-"""Oracles for the integer fast paths of the constant operators: the
-compound-matrix pullback against the wedge expansion, and every fused linear
-combination (structure_action, pq_project, hodge_star, metric_from_form)
-against a per-term ScalarField sum."""
+"""Oracles for the integer fast paths of the exact operators: the
+compound-matrix pullback against the wedge expansion, and every fused sum
+(structure_action, pq_project, hodge_star, metric_from_form, exterior_d,
+wedge) against a per-term ScalarField sum."""
 
 import itertools
 import random
@@ -17,9 +17,11 @@ from hkt4.forms import (
     _action_matrix,
     _pq_matrix,
     _wedge_covectors,
+    exterior_d,
     hodge_star,
     pq_project,
     structure_action,
+    wedge,
 )
 from hkt4.hermitian import metric_from_form
 from hkt4.quaternions import AxisTriple, HypercomplexFrame
@@ -152,3 +154,78 @@ def test_structure_action_divides_out_phi():
                          * Fraction(5, 4)})
     image = structure_action(L, u)
     assert image.coeffs[(0,)] == ScalarField.const(1) and image.coeffs[(0,)].k == 0
+
+
+def merge_sign(seq):
+    inversions = sum(1 for i, a in enumerate(seq) for b in seq[i + 1:] if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def d_per_term(a):
+    """d a by ScalarField.partial and +, one term at a time."""
+    out = RationalForm.zero(a.degree + 1)
+    for t, f in a.coeffs.items():
+        for mu in set(range(4)) - set(t):
+            s = tuple(sorted((mu,) + t))
+            out = out + RationalForm(a.degree + 1, {s: f.partial(mu) * merge_sign((mu,) + t)})
+    return out
+
+
+def wedge_per_term(a, b):
+    """a ^ b by ScalarField * and +, one term at a time."""
+    out = RationalForm.zero(a.degree + b.degree)
+    for s, f in a.coeffs.items():
+        for t, g in b.coeffs.items():
+            if not set(s) & set(t):
+                out = out + RationalForm(out.degree, {tuple(sorted(s + t)): f * g * merge_sign(s + t)})
+    return out
+
+
+def test_exterior_d_matches_per_term_sum():
+    rng = random.Random(22)
+    for degree in range(4):
+        for _ in range(6):
+            a = rand_form(rng, degree)
+            assert exterior_d(a) == d_per_term(a)
+
+
+def test_wedge_matches_per_term_sum():
+    # the phi factor on b gives products of a k = 0 factor that phi divides
+    rng = random.Random(23)
+    for da in range(5):
+        for db in range(5 - da):
+            for scale in (1, ScalarField.phi()):
+                a, b = rand_form(rng, da), rand_form(rng, db) * scale
+                assert wedge(a, b) == wedge_per_term(a, b)
+
+
+def test_wedge_divides_out_phi_of_one_product():
+    a = RationalForm(1, {(0,): ScalarField.phi()})
+    b = RationalForm(1, {(1,): ScalarField.inv_phi()})
+    product = wedge(a, b)
+    assert product == RationalForm.basis((0, 1)) and product.coeffs[(0, 1)].k == 0
+
+
+def test_exterior_d_divides_out_phi_at_the_top():
+    # d_0(x0 x1/phi) - d_1(x0^2/phi) = (x1 phi - 2 x0^2 x1 + 2 x0^2 x1)/phi^2
+    x = [Poly.variable(i) for i in range(4)]
+    a = RationalForm(1, {(0,): ScalarField(x[0] * x[0], 1), (1,): ScalarField(x[0] * x[1], 1)})
+    da = exterior_d(a)
+    assert da.coeffs[(0, 1)] == ScalarField(x[1], 1) and da.coeffs[(0, 1)].k == 1
+    assert da == d_per_term(a)
+
+
+def test_dd_is_exactly_zero():
+    # a = x0 dx1 - x1 dx0, built with phi in and out, so d a = 2 dx0^dx1 only
+    # once phi is divided out of the wedge and of d; d d a = 0 holds for any
+    # representative, so d a is pinned too
+    x = [Poly.variable(i) for i in range(4)]
+    a = wedge(RationalForm.function(ScalarField.phi()),
+              RationalForm(1, {(0,): ScalarField(-x[1], 1), (1,): ScalarField(x[0], 1)}))
+    da = exterior_d(a)
+    assert da == RationalForm.basis((0, 1), 2) and da.coeffs[(0, 1)].k == 0
+    assert exterior_d(da) == RationalForm.zero(3)
+    rng = random.Random(24)
+    for degree in range(3):
+        for _ in range(4):
+            assert exterior_d(exterior_d(rand_form(rng, degree))) == RationalForm.zero(degree + 2)

@@ -233,3 +233,14 @@ def test_torsions_computed_once_per_geometry(monkeypatch):
     tampered = _tampered_metric(fresh)
     assert not all_pass(verify_gauduchon(tampered))
     assert len(calls) == 12
+
+
+def test_operator_caches_stay_bounded_over_fresh_axes():
+    from hkt4 import forms
+    from hkt4.suites import hopf_suite
+
+    for seed in range(1000, 1050):
+        hopf_suite(Fraction(2), seed=seed)
+        for cache in (forms._action_matrix, forms._pq_matrix):
+            assert cache.cache_info().currsize <= forms.OPERATOR_CACHE_SIZE
+    assert forms._action_matrix.cache_info().currsize == forms.OPERATOR_CACHE_SIZE

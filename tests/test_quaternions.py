@@ -233,3 +233,16 @@ def test_frames_are_shared_and_verified_once(monkeypatch):
     with pytest.raises(ValueError, match="right frame fails identities"):
         independence_rank(left, minus_k)
     assert calls
+
+
+def test_independence_rank_is_computed_once_per_pair(monkeypatch):
+    from hkt4 import quaternions
+
+    left, right = HypercomplexFrame.left(), HypercomplexFrame.right()
+    quaternions._span_rank.cache_clear()
+    calls = []
+    exact_rank = quaternions._exact_rank
+    monkeypatch.setattr(quaternions, "_exact_rank", lambda rows: calls.append(1) or exact_rank(rows))
+    assert independence_rank(left, right) == 6
+    assert independence_rank(left, right) == 6
+    assert len(calls) == 1
