@@ -182,20 +182,15 @@ def _covariant(arr: np.ndarray, mu: int, N: int,
 
 @lru_cache(maxsize=None)
 def _incidence(degree: int):
-    """Signed incidence of d on degree-m components, one entry per mu: the
-    components t without mu, the position of mu ^ t among the
-    (m+1)-components, and the sign of that merge."""
+    """Signed incidence of d on degree-m components: one entry (mu, src, dst,
+    sign) per direction mu and component t = ``src`` without mu, with ``dst``
+    the position of mu ^ t among the (m+1)-components and ``sign`` the merge's."""
     out = []
     for mu in range(4):
-        src, dst, sign = [], [], []
-        for j, t in enumerate(TUPLES[degree]):
-            merged, s = _MERGE.get(((mu,), t), (None, 0))
-            if s:
-                src.append(j)
-                dst.append(TUPLES[degree + 1].index(merged))
-                sign.append(float(s))
-        out.append((np.array(src), np.array(dst),
-                    np.array(sign).reshape(-1, 1, 1, 1, 1, 1, 1)))
+        for src, t in enumerate(TUPLES[degree]):
+            merged, sign = _MERGE.get(((mu,), t), (None, 0))
+            if sign:
+                out.append((mu, src, TUPLES[degree + 1].index(merged), sign))
     return tuple(out)
 
 
@@ -205,9 +200,10 @@ def d_raw(data: np.ndarray, degree: int, N: int,
     (4, N, N, N, N, n, n) is given) from degree to degree+1."""
     out = np.zeros(data.shape[:-7] + (len(TUPLES[degree + 1]),) + data.shape[-6:],
                    dtype=complex)
-    for mu, (src, dst, sign) in enumerate(_incidence(degree)):
-        out[(..., dst) + _GRID] += sign * _covariant(data[(..., src) + _GRID],
-                                                     mu, N, A)
+    for mu, src, dst, sign in _incidence(degree):
+        term = _covariant(data[(..., src) + _GRID], mu, N, A)
+        target = out[(..., dst) + _GRID]
+        (np.add if sign > 0 else np.subtract)(target, term, out=target)
     return out
 
 
@@ -218,9 +214,10 @@ def d_adjoint(data: np.ndarray, degree: int, N: int,
     sign. On 1-forms this is -sum_mu D_mu a_mu."""
     out = np.zeros(data.shape[:-7] + (len(TUPLES[degree - 1]),) + data.shape[-6:],
                    dtype=complex)
-    for mu, (src, dst, sign) in enumerate(_incidence(degree - 1)):
-        out[(..., src) + _GRID] -= sign * _covariant(data[(..., dst) + _GRID],
-                                                     mu, N, A)
+    for mu, src, dst, sign in _incidence(degree - 1):
+        term = _covariant(data[(..., dst) + _GRID], mu, N, A)
+        target = out[(..., src) + _GRID]
+        (np.subtract if sign > 0 else np.add)(target, term, out=target)
     return out
 
 

@@ -12,6 +12,7 @@ brute-force null space covers other connections and cross-checks the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -239,15 +240,19 @@ def _mode_symbol(L: Matrix, xi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TangentBasis:
-    """Orthonormal basis of the horizontal slice at a connection, stacked as
-    one array (d, 4, N, N, N, N, n, n), with the Gram matrix of the L^2
-    metric, the matrices of the three induced structures in that basis and,
-    for each structure, the largest L^2 distance of its images of the basis
-    from the slice."""
+    """Orthonormal basis ``coeffs[i] * phase`` of the horizontal slice at a
+    connection, with the Gram matrix of the L^2 metric, the matrices of the
+    three induced structures in that basis and, for each structure, the
+    largest L^2 distance of its images of the basis from the slice, all from
+    ``coeffs`` alone: per mode, ``coeffs`` (d, 4, 1, 1, 1, 1, n, n) is each
+    element at x = 0 and ``phase`` (N, N, N, N, n, n) the shared unit-modulus
+    phase of each matrix entry (Parseval); on the dense path ``coeffs`` is
+    the grid basis and ``phase`` is 1. The grid ``basis`` is built on use."""
 
     base: Connection
     structure: Matrix
-    basis: np.ndarray
+    coeffs: np.ndarray
+    phase: np.ndarray
     gram: np.ndarray
     ops: Dict[str, np.ndarray]
     invariance_defects: Dict[str, float]
@@ -258,7 +263,11 @@ class TangentBasis:
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.coeffs)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self.coeffs * self.phase
 
     def element(self, coeff: np.ndarray) -> LatticeField:
         """The slice field sum_i coeff[i] basis[i]."""
@@ -283,49 +292,44 @@ GAP_THRESHOLD = 1e3
 MAX_DENSE_DIM = 3200
 
 
-def _slice_basis(A: Connection, L: Matrix, tol: float, max_dense_dim: int):
-    """Kernel basis of the stacked operator (d_A^+, Lambda d^c_L), with the
-    smallest non-kernel singular value and the kernel gap.
+def _slice_basis(A: Connection, L: Matrix, tol: float):
+    """``TangentBasis`` coefficients and phase of the kernel of the stacked
+    operator (d_A^+, Lambda d^c_L), its smallest non-kernel singular value
+    and the kernel gap: at a flat and constant Cartan connection (A = 0 too)
+    the operator is block diagonal over Fourier modes and matrix entries, so
+    the kernel is certified by per-block singular values (no discretization
+    pollution); otherwise it is a dense null space, up to ``MAX_DENSE_DIM``."""
+    shifts = _cartan_shifts(A)
+    if shifts is None:
+        basis, min_sv, gap = _dense_slice_basis(A, L, tol, MAX_DENSE_DIM)
+        return basis, np.ones((), dtype=complex), min_sv, gap
+    return _mode_slice_basis(A.N, L, tol, shifts)
 
-    At a flat and constant Cartan connection (A = 0 too) the operator is
-    block diagonal over Fourier modes and matrix entries, so the kernel is
-    certified by per-block singular values (no discretization pollution);
-    otherwise a dense null space is extracted, guarded by ``max_dense_dim``.
-    """
+
+def horizontal_slice(A: Connection, L: Matrix, tol: float,
+                     frame: Optional[HypercomplexFrame] = None) -> TangentBasis:
+    """The slice basis cut by L, with its L^2 Gram matrix and the matrices
+    of the three induced structures of ``frame`` in that basis."""
+    if frame is None:
+        frame = HypercomplexFrame.left()
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     _, res_norm = asd_residual(curvature(A))
     if res_norm > max(tol, 1e-8):
         raise ValueError(f"base connection is not ASD enough: |F+| = {res_norm:.3e}")
-    shifts = _cartan_shifts(A)
-    if shifts is None:
-        return _dense_slice_basis(A, L, tol, max_dense_dim)
-    return _mode_slice_basis(A.N, L, tol, shifts)
-
-
-def horizontal_slice(A: Connection, L: Matrix, tol: float,
-                     frame: Optional[HypercomplexFrame] = None,
-                     max_dense_dim: int = MAX_DENSE_DIM) -> TangentBasis:
-    """The slice basis cut by L, with its L^2 Gram matrix and the matrices
-    of the three induced structures of ``frame`` in that basis."""
-    if frame is None:
-        frame = HypercomplexFrame.left()
-    basis, min_sv, gap = _slice_basis(A, L, tol, max_dense_dim)
-    gram = l2_gram(basis, basis)
+    coeffs, phase, min_sv, gap = _slice_basis(A, L, tol)
+    gram = l2_gram(coeffs, coeffs)
     if np.linalg.eigvalsh(gram).min() <= 0:
         raise ValueError("slice Gram matrix is not positive definite")
     ops, invariance = {}, {}
     for name, Lf in zip("IJK", frame.matrices()):
-        # one stack of images at a time: its matrix in the basis, and how far
-        # the images lie from the span of the basis
-        images = induced_structure(Lf, basis)
-        ops[name] = np.linalg.solve(gram, l2_gram(basis, images))
-        recon = np.tensordot(ops[name].T, basis, axes=1)
+        images = induced_structure(Lf, coeffs)
+        ops[name] = np.linalg.solve(gram, l2_gram(coeffs, images))
+        recon = np.tensordot(ops[name].T, coeffs, axes=1)
         invariance[name] = float(np.sqrt(sq_norm(images - recon)).max())
-    return TangentBasis(base=A, structure=L, basis=basis, gram=gram, ops=ops,
-                        invariance_defects=invariance,
-                        tol=tol, min_nonkernel_sv=min_sv, gap=gap,
-                        gap_ok=gap > GAP_THRESHOLD)
+    return TangentBasis(base=A, structure=L, coeffs=coeffs, phase=phase, gram=gram,
+                        ops=ops, invariance_defects=invariance, tol=tol,
+                        min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD)
 
 
 def _modes(N: int) -> np.ndarray:
@@ -347,18 +351,11 @@ def _cartan_shifts(A: Connection) -> Optional[np.ndarray]:
     return np.moveaxis(theta[:, :, None] - theta[:, None, :], 0, -1)
 
 
-def _stabiliser_fields(N: int, vanish: np.ndarray) -> np.ndarray:
+def _stabiliser(vanish: np.ndarray) -> np.ndarray:
     """The su(n) generators each of whose entries (j, k) has a channel that
-    vanishes at some Fourier mode (``vanish``, shape (n, n, N^4)), with
-    every off-diagonal entry turned by the lattice phase e^{i xi.x} of its
-    mode: shape (k, N, N, N, N, n, n). At A = 0 every phase is 1."""
+    vanishes at some Fourier mode (``vanish``, shape (n, n, N^4))."""
     gens = su_basis(len(vanish))
-    keep = np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))
-    xi = _modes(N)[vanish.argmax(axis=-1)]
-    phase = np.exp(1j * np.einsum("m...,jkm->...jk", np.indices((N,) * 4) / N, xi))
-    g = gens[keep][:, None, None, None, None]
-    # the diagonal (Cartan) entries carry no phase
-    return np.where(np.eye(len(vanish), dtype=bool), g, g * phase)
+    return gens[np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))]
 
 
 def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
@@ -376,11 +373,15 @@ def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
     min_sv = float(sv[..., -1][~vanish].min())
     max_kernel_sv = float(sv[..., 0][vanish].max())
     gap = min_sv / max_kernel_sv if max_kernel_sv > 0 else np.inf
-    fields = _stabiliser_fields(N, vanish[channel.reshape(shifts.shape[:2])])
-    # the fields dx_mu x g, row mu * len(fields) + g
-    basis = np.zeros((4, len(fields), 4) + fields.shape[1:], dtype=complex)
-    basis[np.arange(4), :, np.arange(4)] = fields
-    return basis.reshape((-1,) + basis.shape[2:]), min_sv, float(gap)
+    vanish = vanish[channel.reshape(shifts.shape[:2])]
+    gens = _stabiliser(vanish)
+    # dx_mu x g at x = 0, row mu * len(gens) + g, and the phase e^{i xi.x} of
+    # each entry's first vanishing mode (1 on the diagonal and at A = 0)
+    coeffs = np.einsum("mt,g...jk->mgt...jk", np.eye(4), gens[:, None, None, None, None])
+    xi = _modes(N)[vanish.argmax(axis=-1)]
+    phase = np.exp(1j * np.einsum("m...,jkm->...jk", np.indices((N,) * 4) / N, xi))
+    phase[..., np.eye(len(vanish), dtype=bool)] = 1.0
+    return coeffs.reshape((-1,) + coeffs.shape[2:]), phase, min_sv, float(gap)
 
 
 def _unit_fields(degree: int, N: int, n: int) -> np.ndarray:
@@ -440,7 +441,7 @@ def gauge_kernel_dim(A: Connection, tol: float) -> int:
     shifts = _cartan_shifts(A)
     if shifts is not None:
         vanish = np.linalg.norm(_modes(A.N) + shifts[:, :, None], axis=-1) < tol
-        return len(_stabiliser_fields(A.N, vanish))
+        return len(_stabiliser(vanish))
     M = _real_matrix(d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data))
     _, kernel_mask = _kernel_split(np.linalg.svd(M, compute_uv=False), M.shape[1], tol)
     return int(kernel_mask.sum())
@@ -507,14 +508,16 @@ def verify_moduli_structure(tb: TangentBasis,
     the stabiliser of the base connection."""
     if frame is None:
         frame = HypercomplexFrame.left()
-    tol = tb.tol
-    A = tb.base
+    tol, A = tb.tol, tb.base
     dims = {"I": tb.dimension}
     distances = {}
     for name, L in zip("JK", (frame.J, frame.K)):
-        other, _, _ = _slice_basis(A, L, tol, MAX_DENSE_DIM)
+        other, phase, _, _ = _slice_basis(A, L, tol)
         dims[name] = len(other)
-        distances[f"I-{name}"] = subspace_distance(tb.basis, other)
+        # the coefficients stand for the fields only under a shared phase
+        distances[f"I-{name}"] = (subspace_distance(tb.coeffs, other)
+                                  if np.array_equal(phase, tb.phase)
+                                  else subspace_distance(tb.basis, other * phase))
     expected = 4 * gauge_kernel_dim(A, tol)
 
     I_m, J_m, K_m = tb.ops["I"], tb.ops["J"], tb.ops["K"]

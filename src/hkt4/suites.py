@@ -113,7 +113,7 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
     expected = rep.expected_dim
     rec.add("moduli.kernel-dimension", tb.dimension == expected,
             float(abs(tb.dimension - expected)),
-            "dim T[A] = 4 (n^2 - 1) at the flat connection")
+            "dim T[A] = 4 dim H^0(A)")
     rec.add("moduli.kernel-gap", tb.gap_ok,
             0.0 if not np.isfinite(tb.gap) else 1.0 / tb.gap, "plumbing")
     worst = float(tb.residual(tb.basis).max())
@@ -136,8 +136,8 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
                 "L^2 metric Hermitian for each induced structure")
 
     # Hermitian 2-form against the L^2 metric on the whole slice: W = s G
-    W = hermitian_form_matrix(tb.structure, tb.basis, tb.basis)
-    G = l2_gram(induced_structure(tb.structure, tb.basis), tb.basis)
+    W = hermitian_form_matrix(tb.structure, tb.coeffs, tb.coeffs)
+    G = l2_gram(induced_structure(tb.structure, tb.coeffs), tb.coeffs)
     defect = hermitian_sign_defect(W, G)
     rec.add("moduli.hermitian-form-sign", defect < 1e-8, defect,
             "omega~(a1,a2) = +/- (I~ a1, a2) with one global sign")

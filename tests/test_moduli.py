@@ -13,6 +13,7 @@ from hkt4.lattice import (
     frequencies,
     l2_gram,
     l2_inner,
+    sq_norm,
     su_basis,
 )
 from hkt4.moduli import (
@@ -437,6 +438,64 @@ def test_commuting_non_diagonal_connection_takes_dense_path(monkeypatch):
     # the same holonomy in diagonal form is certified per mode
     horizontal_slice(cartan_connection(3, 0, [0.37, -0.37]), FRAME.I, 1e-10)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("charge", [None, 0.37, np.pi])
+def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
+    # the slice claims computed from the one-site coefficients equal those
+    # computed from the grid basis coeffs * phase, at A = 0 and at the Cartan
+    # connections charge i sigma3 dx0 (off-diagonal phases at charge pi)
+    A = (Connection.flat(N, 2) if charge is None
+         else constant_connection(N, 2, [(0, charge * pauli_su2()[2])]))
+    cuts, slice_basis = [], moduli._slice_basis
+
+    def spy(*args):
+        out = slice_basis(*args)
+        cuts.append(out[0].shape)
+        return out
+
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    monkeypatch.setattr(moduli, "_slice_basis", spy)
+    rep = verify_moduli_structure(tb, FRAME)
+    monkeypatch.undo()
+    # neither the claims nor the J and K cuts build grid fields
+    assert "basis" not in vars(tb)
+    assert tb.coeffs.shape[2:6] == (1, 1, 1, 1)
+    assert [shape[2:6] for shape in cuts] == [(1, 1, 1, 1)] * 2
+    if charge == np.pi:
+        assert np.abs(tb.phase - 1).max() > 1.0
+    b = tb.basis
+    assert b.shape == (tb.dimension, 4) + (N,) * 4 + (2, 2)
+    gram = l2_gram(b, b)
+    assert np.abs(tb.gram - gram).max() < 1e-12
+    for name, L in zip("IJK", FRAME.matrices()):
+        images = induced_structure(L, b)
+        ops = np.linalg.solve(gram, l2_gram(b, images))
+        assert np.abs(tb.ops[name] - ops).max() < 1e-12
+        recon = np.tensordot(ops.T, b, axes=1)
+        invariance = float(np.sqrt(sq_norm(images - recon)).max())
+        assert abs(tb.invariance_defects[name] - invariance) < 1e-12
+    W = hermitian_form_matrix(FRAME.I, b, b)
+    assert np.abs(hermitian_form_matrix(FRAME.I, tb.coeffs, tb.coeffs) - W).max() < 1e-12
+    G = l2_gram(induced_structure(FRAME.I, b), b)
+    assert np.abs(l2_gram(induced_structure(FRAME.I, tb.coeffs), tb.coeffs) - G).max() < 1e-12
+    for name, L in zip("JK", (FRAME.J, FRAME.K)):
+        coeffs, phase, _, _ = moduli._slice_basis(A, L, 1e-10)
+        grid = subspace_distance(b, coeffs * phase)
+        assert abs(rep.slice_distances[f"I-{name}"] - grid) < 1e-12
+
+
+def test_cuts_with_different_phases_are_compared_on_the_grid():
+    # a J or K cut whose lattice phase differs from the I cut's is not the
+    # same slice even when the coefficients agree
+    A = constant_connection(3, 2, [(0, np.pi * pauli_su2()[2])])
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    assert verify_moduli_structure(tb, FRAME).passed
+    tb.phase = np.conj(tb.phase)
+    rep = verify_moduli_structure(tb, FRAME)
+    assert min(rep.slice_distances.values()) > 0.5
+    assert not rep.passed
 
 
 def test_verify_moduli_structure_detects_sign_flip():
