@@ -33,7 +33,6 @@ from .hermitian import (
     ConformalMetric,
     HKTReport,
     TorsionReport,
-    average_metric,
     bihermitian_check,
     bismut_torsion,
     check_hermitian,

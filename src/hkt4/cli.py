@@ -1,11 +1,11 @@
 """Command-line surface: named verification suites with machine-readable
 reports.
 
-Exit codes: 0 when every check passes, 1 on a check failure, 2 on usage
-errors, including unknown config keys and non-finite numbers. Flags mirror
-an optional key=value config file (flags win), and the HKT4_OUT_DIR
-environment variable supplies a default output directory for bare report
-filenames.
+Exit codes: 0 when every check passes, 1 on a check failure or an --out
+path that cannot be written, 2 on usage errors, including unknown config
+keys and non-finite numbers. Flags mirror an optional key=value config
+file (flags win), and the HKT4_OUT_DIR environment variable supplies a
+default output directory for bare report filenames.
 """
 
 from __future__ import annotations
@@ -95,14 +95,23 @@ def _resolve_out(out):
     return out
 
 
-def _finish(checks, fmt, out, seed) -> int:
-    report = VerificationReport(checks=checks, seed=seed)
+def _emit(doc: str, out) -> None:
+    """Write ``doc`` to ``out`` when given, then echo it. A path that cannot
+    be written is an error (exit 1) for every command."""
     try:
-        doc = emit_report(report, fmt, _resolve_out(out))
+        path = _resolve_out(out)
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
     except OSError as exc:
         raise click.ClickException(f"cannot write report: {exc}")
     click.echo(doc)
-    return 0 if report.passed else 1
+
+
+def _finish(ctx: click.Context, report: VerificationReport):
+    """Emit the report in the requested format; exit 0 if it passed, else 1."""
+    _emit(emit_report(report, ctx.params["fmt"]), ctx.params["out"])
+    ctx.exit(0 if report.passed else 1)
 
 
 _common = [
@@ -141,7 +150,7 @@ def verify_hopf(ctx, q, out, fmt, seed, config):
     _apply_config(ctx, config)
     q = _check_q(ctx.params["q"])
     checks = suites.hopf_suite(q, seed=ctx.params["seed"])
-    ctx.exit(_finish(checks, ctx.params["fmt"], ctx.params["out"], ctx.params["seed"]))
+    _finish(ctx, VerificationReport(checks=checks, seed=ctx.params["seed"]))
 
 
 @main.command("verify-flat")
@@ -151,7 +160,7 @@ def verify_flat(ctx, out, fmt, seed, config):
     """Flat control run: Euclidean metric, both frames, zero torsion."""
     _apply_config(ctx, config)
     checks = suites.flat_suite()
-    ctx.exit(_finish(checks, ctx.params["fmt"], ctx.params["out"], ctx.params["seed"]))
+    _finish(ctx, VerificationReport(checks=checks, seed=ctx.params["seed"]))
 
 
 @main.command("moduli")
@@ -177,7 +186,7 @@ def moduli_cmd(ctx, grid, rank, tol, flow_eps, out, fmt, seed, config):
     checks = suites.moduli_suite(grid, rank, ctx.params["tol"],
                                  seed=ctx.params["seed"],
                                  flow_eps=ctx.params["flow_eps"])
-    ctx.exit(_finish(checks, ctx.params["fmt"], ctx.params["out"], ctx.params["seed"]))
+    _finish(ctx, VerificationReport(checks=checks, seed=ctx.params["seed"]))
 
 
 _TERM_BASIS = re.compile(r"dx(\d)\^dx(\d)$")
@@ -263,12 +272,7 @@ def degree_cmd(ctx, f_spec, omega_spec, out):
         value = degree(F, omega)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    doc = json.dumps({"degree": value}, allow_nan=False)
-    click.echo(doc)
-    path = _resolve_out(out)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+    _emit(json.dumps({"degree": value}, allow_nan=False), out)
     ctx.exit(0)
 
 
@@ -288,9 +292,7 @@ def report_cmd(ctx, q, grid, rank, tol, flow_eps, out, fmt, seed, config):
     rep = suites.full_report(q=q, grid=ctx.params["grid"], rank=ctx.params["rank"],
                              tol=ctx.params["tol"], seed=ctx.params["seed"],
                              flow_eps=ctx.params["flow_eps"])
-    doc = emit_report(rep, ctx.params["fmt"], _resolve_out(ctx.params["out"]))
-    click.echo(doc)
-    ctx.exit(0 if rep.passed else 1)
+    _finish(ctx, rep)
 
 
 if __name__ == "__main__":

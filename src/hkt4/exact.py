@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 
 def _frac(v) -> Fraction:
@@ -69,9 +69,6 @@ class QI:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def conj(self) -> "QI":
-        return QI(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -99,18 +96,6 @@ class QI:
         return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        """Integer powers by repeated squaring."""
-        if e < 0:
-            return QI(1) / self ** -e
-        out, base = QI(1), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __truediv__(self, other):
         o = QI.coerce(other)
@@ -276,11 +261,6 @@ class Poly:
         a, b = self.terms.get((0, 0, 0, 0), (0, 0))
         return QI(Fraction(a, self.den), Fraction(b, self.den))
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def __add__(self, other):
         o = Poly.coerce(other)
         if not o.terms:
@@ -316,9 +296,6 @@ class Poly:
     def partial(self, i: int) -> "Poly":
         return Poly._make(_partial_terms(self.terms, 0, i), self.den)
 
-    def conj(self) -> "Poly":
-        return Poly._raw({m: (a, -b) for m, (a, b) in self.terms.items()}, self.den)
-
     def _leading(self) -> Monomial:
         # lex order with x0 > x1 > x2 > x3
         return max(self.terms)
@@ -352,15 +329,6 @@ class Poly:
                 rem = rem + head
                 work = work - head
         return quot, rem
-
-    def evaluate(self, point: Iterable) -> QI:
-        pt = [QI.coerce(v) for v in point]
-        total = QI(0)
-        for m, c in self.coeffs.items():
-            for v, e in zip(pt, m):
-                c = c * v ** e
-            total = total + c
-        return total
 
     def scale_arguments(self, q: Fraction, shift: int = 0) -> "Poly":
         """P(x) -> q^shift P(q*x), in one pass over the terms."""
@@ -545,9 +513,6 @@ class ScalarField:
         num = Poly._make(_partial_terms(self.num.terms, self.k, i), self.num.den)
         return ScalarField._canonical(num, self.k + 1 if self.k else 0)
 
-    def conj(self) -> "ScalarField":
-        return ScalarField._canonical(self.num.conj(), self.k)
-
     def scale_arguments(self, q: Fraction) -> "ScalarField":
         """f(x) -> f(q*x); exact because phi(q*x) = q^2 phi(x), and canonical
         because phi divides P(q*x) only if it divides P."""
@@ -555,12 +520,6 @@ class ScalarField:
         if q == 0:
             raise ValueError("scale factor must be nonzero")
         return ScalarField._canonical(self.num.scale_arguments(q, -2 * self.k), self.k)
-
-    def evaluate(self, point) -> QI:
-        val = self.num.evaluate(point)
-        if self.k:
-            val = val / PHI.evaluate(point) ** self.k
-        return val
 
     def max_abs_coeff(self) -> float:
         """Crude magnitude of the field, for defect reporting only."""

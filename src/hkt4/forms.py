@@ -150,12 +150,6 @@ class RationalForm:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "RationalForm":
-        r = RationalForm.__new__(RationalForm)
-        r.degree = self.degree
-        r.coeffs = {t: f.conj() for t, f in self.coeffs.items()}
-        return r
-
     def __eq__(self, other):
         if not isinstance(other, RationalForm):
             return NotImplemented

@@ -24,7 +24,6 @@ from .quaternions import (
     HypercomplexFrame,
     Matrix,
     mat_mul,
-    mat_scale,
     mat_transpose,
 )
 
@@ -110,11 +109,6 @@ class TorsionReport:
     ratio: Fraction = TORSION_RATIO_T_OVER_H
 
     @property
-    def kahler(self) -> bool:
-        """dw = 0: torsion-free regime, Bismut = Levi-Civita."""
-        return self.torsion_T.is_zero()
-
-    @property
     def strong(self) -> bool:
         return self.dH.is_zero()
 
@@ -175,18 +169,6 @@ def hkt_from_torsions(frame: HypercomplexFrame, reports) -> HKTReport:
     del_Omega = pq_project(frame.I, exterior_d(Omega), 3, 0)
     return HKTReport(Omega=Omega, del_Omega=del_Omega, torsion_match=match,
                      strong=reports[0].strong, H=torsions["I"], torsions=torsions)
-
-
-def average_metric(g0: ConstantMetric, frame: HypercomplexFrame) -> ConstantMetric:
-    """Average g0 over 1, I, J, K; the result is Hermitian for the whole
-    2-sphere of structures spanned by the frame."""
-    acc = [[Fraction(v) for v in row] for row in g0.matrix]
-    for L in frame.matrices():
-        pulled = mat_mul(mat_transpose(L), mat_mul(g0.matrix, L))
-        for i in range(4):
-            for j in range(4):
-                acc[i][j] += pulled[i][j]
-    return ConstantMetric(mat_scale(tuple(tuple(r) for r in acc), Fraction(1, 4)))
 
 
 def bihermitian_check(g, L_plus: Matrix, L_minus: Matrix) -> bool:

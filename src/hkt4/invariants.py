@@ -54,8 +54,7 @@ def _lattice_degree_integral(F: LatticeField, omega: RationalForm) -> complex:
 DegreeInput = Union[RationalForm, LatticeField]
 
 
-def degree(F: DegreeInput, omega: RationalForm,
-           volume_normalization: Fraction = Fraction(1)) -> float:
+def degree(F: DegreeInput, omega: RationalForm) -> float:
     """(sqrt(-1) / 2 pi) * integral of F ^ omega, real for anti-Hermitian F.
 
     F may be a symbolic 2-form with imaginary coefficients or a rank-1
@@ -67,8 +66,7 @@ def degree(F: DegreeInput, omega: RationalForm,
         if F.degree != 2:
             raise ValueError("curvature must be a 2-form")
         with np.errstate(over="ignore", invalid="ignore"):
-            val = (1j * _lattice_degree_integral(F, omega) / (2 * math.pi)
-                   * float(volume_normalization))
+            val = 1j * _lattice_degree_integral(F, omega) / (2 * math.pi)
         if not cmath.isfinite(val):
             raise ValueError("the degree is not finite")
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
@@ -85,7 +83,7 @@ def degree(F: DegreeInput, omega: RationalForm,
         if abs(im) > 1e-9 * max(1.0, abs(re)):
             raise ValueError("degree came out non-real; pass imaginary-valued "
                              "curvature coefficients")
-        return re / (2 * math.pi) * float(volume_normalization)
+        return re / (2 * math.pi)
     raise TypeError(f"unsupported curvature input: {type(F)!r}")
 
 

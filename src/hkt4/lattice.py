@@ -361,10 +361,6 @@ class LatticeField:
     def norm(self) -> float:
         return float(np.sqrt(sq_norm(self.data)))
 
-    def max_defect_from_su(self) -> float:
-        """How far the stored values are from the Lie algebra (diagnostic)."""
-        return float(np.max(np.abs(self.data - project_su(self.data, self.n))))
-
     # -- serialization ------------------------------------------------------
 
     MAGIC = b"LATF1\n"

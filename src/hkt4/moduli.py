@@ -486,7 +486,6 @@ class ModuliStructureReport:
     identity_defects: Dict[str, float]
     invariance_defects: Dict[str, float]
     metric_defects: Dict[str, float]
-    gram_defect: float
     tol: float
 
     @property
@@ -532,13 +531,11 @@ def verify_moduli_structure(tb: TangentBasis,
     }
     metric = {name: spectral(M.T @ tb.gram @ M - tb.gram)
               for name, M in tb.ops.items()}
-    gram_defect = spectral(tb.gram - eye)
     return ModuliStructureReport(kernel_dims=dims, expected_dim=expected,
                                  slice_distances=distances,
                                  identity_defects=identity_defects,
                                  invariance_defects=dict(tb.invariance_defects),
-                                 metric_defects=metric,
-                                 gram_defect=gram_defect, tol=tol)
+                                 metric_defects=metric, tol=tol)
 
 
 def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -570,12 +567,6 @@ def moduli_hermitian_form(tb: TangentBasis, a1: LatticeField,
     if defect > max(tb.tol, 1e-8):
         raise ValueError(f"input not in the slice: defect {defect:.3e}")
     return float(hermitian_form_matrix(tb.structure, a1.data[None], a2.data[None])[0, 0])
-
-
-def gauge_direction(xi: LatticeField, A: Connection) -> LatticeField:
-    """Pure-gauge tangent direction d_A xi of a 0-form xi."""
-    return LatticeField(1, xi.N, xi.n, d_raw(xi.data, 0, xi.N, A=_coupling(A)),
-                        project=False)
 
 
 def coulomb_identity_defect(a: LatticeField, L: Matrix,

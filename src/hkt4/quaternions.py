@@ -37,9 +37,6 @@ class Quaternion:
     def coords(self):
         return (self.w, self.x, self.y, self.z)
 
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def norm_sq(self) -> Fraction:
         return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
 

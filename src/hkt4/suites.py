@@ -3,6 +3,8 @@ and the acceptance tests are thin layers over these."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -10,6 +12,17 @@ from typing import List, Optional
 
 import numpy as np
 
+from .exact import Poly, ScalarField
+from .forms import (
+    ConstantMetric,
+    RationalForm,
+    exterior_d,
+    hodge_star,
+    lambda_contract,
+    pq_project,
+    wedge,
+)
+from .hermitian import hermitian_form
 from .hopf import (
     build_flat_control,
     build_hopf,
@@ -19,6 +32,7 @@ from .hopf import (
     verify_descent,
     verify_gauduchon,
 )
+from .invariants import degree, slope
 from .lattice import LatticeField, l2_gram
 from .lattice import l2_inner  # noqa: F401 - the L^2 metric, in this namespace too
 from .moduli import (
@@ -166,22 +180,12 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
     return _timed(rec.checks, t0)
 
 
-def calculus_suite(seed: int = 0, trials: int = 25) -> List[CheckResult]:
+# random draws per identity in calculus_suite
+CALCULUS_TRIALS = 25
+
+
+def calculus_suite(seed: int = 0) -> List[CheckResult]:
     """Seeded random exact-form properties of the symbolic engine."""
-    import itertools
-
-    from .exact import Poly, ScalarField
-    from .forms import (
-        ConstantMetric,
-        RationalForm,
-        exterior_d,
-        hodge_star,
-        lambda_contract,
-        pq_project,
-        wedge,
-    )
-    from .hermitian import hermitian_form
-
     rec = CheckRecorder()
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -207,7 +211,7 @@ def calculus_suite(seed: int = 0, trials: int = 25) -> List[CheckResult]:
         return RationalForm(degree, coeffs)
 
     ok_d2 = ok_leibniz = ok_pq = ok_30 = ok_star = True
-    for _ in range(trials):
+    for _ in range(CALCULUS_TRIALS):
         a = rand_form(rng.randint(0, 2))
         ok_d2 = ok_d2 and exterior_d(exterior_d(a)).is_zero()
         da, db = rng.randint(0, 1), rng.randint(1, 2)
@@ -240,13 +244,6 @@ def calculus_suite(seed: int = 0, trials: int = 25) -> List[CheckResult]:
 
 
 def degree_suite() -> List[CheckResult]:
-    import math
-
-    from .exact import ScalarField
-    from .forms import RationalForm
-    from .invariants import degree, slope
-    from .lattice import LatticeField
-
     rec = CheckRecorder()
     t0 = time.perf_counter()
     omega = RationalForm(2, {(0, 1): ScalarField.const(1),

@@ -104,9 +104,3 @@ def test_scale_arguments_homogeneity():
     assert ScalarField.phi().scale_arguments(q) == ScalarField.phi() * Fraction(9, 4)
     # 1/phi scales by q^-2
     assert ScalarField.inv_phi().scale_arguments(q) == ScalarField.inv_phi() * Fraction(4, 9)
-
-
-def test_evaluate():
-    f = ScalarField(Poly.variable(0) * Poly.variable(0), 1)
-    # x0^2 / phi at (1,1,1,1) = 1/4
-    assert f.evaluate([1, 1, 1, 1]) == QI(Fraction(1, 4))

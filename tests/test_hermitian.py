@@ -1,7 +1,6 @@
 """Hermitian forms, Bismut torsion, Gauduchon defects, HKT and bi-Hermitian
 checks on the flat chart and the conformally flat Hopf chart."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from hkt4.forms import ConstantMetric, RationalForm, wedge
 from hkt4.hermitian import (
     ConformalMetric,
     TORSION_RATIO_T_OVER_H,
-    average_metric,
     bihermitian_check,
     bismut_torsion,
     check_hermitian,
@@ -20,7 +18,7 @@ from hkt4.hermitian import (
     hkt_report,
     metric_from_form,
 )
-from hkt4.quaternions import AxisTriple, HypercomplexFrame
+from hkt4.quaternions import HypercomplexFrame, mat_mul, mat_transpose
 
 LEFT = HypercomplexFrame.left()
 RIGHT = HypercomplexFrame.right()
@@ -76,14 +74,14 @@ def test_bismut_torsion_flat():
     for L in (*LEFT.matrices(), *RIGHT.matrices()):
         rep = bismut_torsion(EUCLID, L)
         assert rep.torsion_T.is_zero() and rep.torsion_H.is_zero()
-        assert rep.kahler and rep.strong
+        assert rep.strong
 
 
 def test_bismut_torsion_hopf_nonzero_closed():
     rep = bismut_torsion(hopf_metric(), LEFT.I)
     assert not rep.torsion_H.is_zero()
     assert rep.dH.is_zero()
-    assert not rep.kahler
+    assert not rep.torsion_T.is_zero()
     assert rep.ratio == TORSION_RATIO_T_OVER_H == Fraction(-1)
     # torsion of a conformally flat metric: frozen hand expansion
     x = [ScalarField(Poly.variable(i), 1) for i in range(4)]  # x_i / phi
@@ -132,9 +130,11 @@ def test_hkt_report_hopf():
 
 def test_hkt_report_del_omega_vanishes_even_for_odd_metrics():
     # any hyperhermitian metric on the 4-chart has del Omega = 0 since there
-    # are no (3,0) forms; use an averaged random metric
-    g0 = ConstantMetric([[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 5]])
-    g = average_metric(g0, LEFT)
+    # are no (3,0) forms; use a random metric averaged over 1, I, J, K
+    g0 = ((2, 1, 0, 0), (1, 3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 5))
+    pulled = [g0] + [mat_mul(mat_transpose(L), mat_mul(g0, L)) for L in LEFT.matrices()]
+    g = ConstantMetric([[Fraction(sum(m[i][j] for m in pulled), 4) for j in range(4)]
+                        for i in range(4)])
     rep = hkt_report(g, LEFT)
     assert rep.del_Omega.is_zero()
 
@@ -155,34 +155,6 @@ def test_hkt_report_rejects_non_hyperhermitian():
     g = ConstantMetric([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(ValueError):
         hkt_report(g, LEFT)
-
-
-def test_average_metric():
-    assert average_metric(EUCLID, LEFT) == EUCLID
-    g0 = ConstantMetric([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
-    g = average_metric(g0, LEFT)
-    expected = ConstantMetric([[Fraction(5, 2), 0, 0, 0], [0, Fraction(5, 2), 0, 0],
-                               [0, 0, Fraction(5, 2), 0], [0, 0, 0, Fraction(5, 2)]])
-    assert g == expected
-    # idempotent
-    assert average_metric(g, LEFT) == g
-
-
-def test_average_metric_hermitian_for_random_axes():
-    rng = random.Random(61)
-    g0 = ConstantMetric([[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 4, 0], [1, 0, 0, 5]])
-    g = average_metric(g0, LEFT)
-    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1),
-            (Fraction(3, 5), Fraction(4, 5), 0),
-            (Fraction(3, 5), 0, Fraction(4, 5)),
-            (0, Fraction(5, 13), Fraction(12, 13)),
-            (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
-            (Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3)),
-            (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)),
-            (Fraction(12, 13), Fraction(3, 13), Fraction(4, 13))]
-    for axis in axes:
-        L = LEFT.span_structure(AxisTriple(*axis))
-        assert check_hermitian(g, L)
 
 
 def test_metric_from_form_recovers_metric():

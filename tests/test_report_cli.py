@@ -184,6 +184,16 @@ class TestCli:
         assert result.exit_code == 1
         assert "cannot write report" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["report"],
+        ["degree", "--f", "-2*pi*i*dx0^dx1", "--omega", "dx0^dx1+dx2^dx3"],
+    ])
+    def test_unwritable_out_is_clean_failure_for_report_and_degree(self, tmp_path, args):
+        result = self.runner.invoke(main, args + ["--out", str(tmp_path / "no" / "x.json")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot write report" in result.output
+
     def test_degree_command(self):
         result = self.runner.invoke(
             main, ["degree", "--f", "-2*pi*i*dx0^dx1",
