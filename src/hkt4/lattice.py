@@ -111,6 +111,19 @@ def lambda_row(L: Matrix) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def slice_matrix(L: Matrix) -> np.ndarray:
+    """The slice operator as one 7 x 16 matrix on the covariant gradient
+    components D_mu a_t (column 4 mu + t): the self-dual part of d, then
+    Lambda of d^c_L = -DC_SIGN L d L on 1-forms. Constant component matrices
+    commute with [A_mu, .], so the matrix holds with a connection too."""
+    inc = np.zeros((6, 16))
+    for mu, src, dst, sign in _incidence(1):
+        inc[dst, 4 * mu + src] = sign
+    dc = -DC_SIGN * action_matrix(L, 2) @ inc @ np.kron(np.eye(4), action_matrix(L, 1))
+    return np.vstack([sd_projector() @ inc, lambda_row(L) @ dc])
+
+
+@lru_cache(maxsize=None)
 def pq_matrix(L: Matrix, degree: int, p: int, q: int) -> np.ndarray:
     return _constant_op_matrix(lambda f: pq_project(L, f, p, q), degree, degree)
 
@@ -162,13 +175,40 @@ def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:
     return (_diff_matrix(N) @ view).reshape(arr.shape)
 
 
-def matmul_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for broadcast stacks of small n x n matrices as n multiply-adds
-    of whole arrays, faster than ``@``'s loop over tiny products."""
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
+def _entry_planes(x: np.ndarray, ndim: int) -> np.ndarray:
+    """The entry planes p[i, j] = x[..., i, j] of a stack of n x n matrices,
+    its leading axes padded to ``ndim - 2``, as one contiguous array."""
+    x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
+    return np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+
+
+def _plane_product(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Entry planes of a @ b from those of a and b: the n outer products of
+    a column of a with a row of b, summed in order of k, each one pass over
+    contiguous planes."""
+    out = pa[:, 0, None] * pb[None, 0]
+    for k in range(1, len(pa)):
+        out += pa[:, k, None] * pb[None, k]
     return out
+
+
+def matmul_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for broadcast stacks of small n x n matrices, on contiguous
+    entry planes (``@`` loops over tiny products instead)."""
+    ndim = max(a.ndim, b.ndim)
+    out = _plane_product(_entry_planes(a, ndim), _entry_planes(b, ndim))
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[a, x] = a x - x a for broadcast stacks of small matrices, from one
+    entry-plane copy of each factor; rounded as matmul_small(a, x) -
+    matmul_small(x, a)."""
+    ndim = max(a.ndim, x.ndim)
+    pa, px = _entry_planes(a, ndim), _entry_planes(x, ndim)
+    out = _plane_product(pa, px)
+    out -= _plane_product(px, pa)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _covariant(arr: np.ndarray, mu: int, N: int,
@@ -176,7 +216,7 @@ def _covariant(arr: np.ndarray, mu: int, N: int,
     """D_mu = d_mu + [A_mu, .]; plain d_mu when A is None."""
     term = deriv(arr, mu, N)
     if A is not None:
-        term += matmul_small(A[mu], arr) - matmul_small(arr, A[mu])
+        term += commutator(A[mu], arr)
     return term
 
 
@@ -192,6 +232,18 @@ def _incidence(degree: int):
             if sign:
                 out.append((mu, src, TUPLES[degree + 1].index(merged), sign))
     return tuple(out)
+
+
+def covariant_gradient(data: np.ndarray, N: int,
+                       A: Optional[np.ndarray] = None) -> np.ndarray:
+    """The components D_mu a_t of a degree-m field (or stack), component
+    C mu + t for the C components a_t: one D_mu per direction over every
+    component at once."""
+    C = data.shape[-7]
+    grad = np.empty(data.shape[:-7] + (4 * C,) + data.shape[-6:], dtype=complex)
+    for mu in range(4):
+        grad[(..., slice(C * mu, C * mu + C)) + _GRID] = _covariant(data, mu, N, A)
+    return grad
 
 
 def d_raw(data: np.ndarray, degree: int, N: int,
@@ -278,12 +330,17 @@ def su_basis(n: int) -> np.ndarray:
 
 
 def project_su(arr: np.ndarray, n: int) -> np.ndarray:
-    """Anti-Hermitian part, traceless for n >= 2 (u(1) keeps its trace)."""
-    ah = 0.5 * (arr - np.conj(np.swapaxes(arr, -1, -2)))
+    """Anti-Hermitian part, traceless for n >= 2 (u(1) keeps its trace),
+    one entry plane at a time."""
+    out = np.empty(arr.shape, dtype=complex)
+    for i, j in np.ndindex(n, n):
+        np.subtract(arr[..., i, j], np.conj(arr[..., j, i]), out=out[..., i, j])
+    out *= 0.5
     if n >= 2:
-        tr = np.trace(ah, axis1=-1, axis2=-2) / n
-        ah = ah - tr[..., None, None] * np.eye(n)
-    return ah
+        tr = np.trace(out, axis1=-2, axis2=-1) / n
+        for i in range(n):
+            out[..., i, i] -= tr
+    return out
 
 
 class LatticeField:

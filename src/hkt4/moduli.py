@@ -23,6 +23,7 @@ from .lattice import (
     TUPLES,
     action_matrix,
     apply_components,
+    covariant_gradient,
     d_adjoint,
     d_raw,
     dc_raw,
@@ -34,6 +35,7 @@ from .lattice import (
     matmul_small,
     pq_matrix,
     sd_projector,
+    slice_matrix,
     sq_norm,
     su_basis,
     wedge_pairing,
@@ -84,6 +86,19 @@ class Connection:
 def _coupling(A: Optional[Connection]) -> Optional[np.ndarray]:
     """The connection array d_A couples to, or None for d itself."""
     return None if A is None or not np.any(A.A.data) else A.A.data
+
+
+# bytes of covariant gradient (four times the fields' own) per chunk of a
+# stack of 1-form arrays that the grid checks stream, so that their memory is
+# O(chunk N^4) whatever the stack's length
+GRID_CHUNK_BYTES = 1 << 23
+
+
+def _chunks(stack: np.ndarray):
+    """(start, chunk) over consecutive chunks of a stack of 1-form arrays
+    within ``GRID_CHUNK_BYTES``, at least one field each."""
+    step = max(1, GRID_CHUNK_BYTES // (4 * stack[0].nbytes))
+    return [(start, stack[start:start + step]) for start in range(0, len(stack), step)]
 
 
 # the index pairs (mu, nu), mu < nu, of the 2-form components
@@ -209,16 +224,15 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
 
 def slice_operator(A: Connection, L: Matrix):
     """The stacked slice operator a -> (P_sd d_A a, Lambda d^c_{L,A} a) on
-    raw 1-form arrays (..., 4, N, N, N, N, n, n); the image has seven
-    components, the six of the self-dual 2-form and then Lambda (no
-    Lie-algebra projection, so kernels are honest)."""
+    raw 1-form arrays (..., 4, N, N, N, N, n, n): ``slice_matrix`` on one
+    covariant gradient. The image has seven components, the six of the
+    self-dual 2-form and then Lambda (no Lie-algebra projection, so kernels
+    are honest)."""
     N, Ac = A.N, _coupling(A)
-    row = lambda_row(L)[None]
+    mat = slice_matrix(L)
 
     def op(a: np.ndarray) -> np.ndarray:
-        plus = apply_components(sd_projector(), d_raw(a, 1, N, A=Ac))
-        lam = apply_components(row, dc_raw(L, a, 1, N, A=Ac))
-        return np.concatenate([plus, lam], axis=-7)
+        return apply_components(mat, covariant_gradient(a, N, Ac))
 
     return op
 
@@ -247,7 +261,8 @@ class TangentBasis:
     ``coeffs`` alone: per mode, ``coeffs`` (d, 4, 1, 1, 1, 1, n, n) is each
     element at x = 0 and ``phase`` (N, N, N, N, n, n) the shared unit-modulus
     phase of each matrix entry (Parseval); on the dense path ``coeffs`` is
-    the grid basis and ``phase`` is 1. The grid ``basis`` is built on use."""
+    the grid basis and ``phase`` is 1. The grid ``basis`` is built on use.
+    ``curvature_norm`` is |F_A| of the base, as the ASD guard computed it."""
 
     base: Connection
     structure: Matrix
@@ -260,6 +275,7 @@ class TangentBasis:
     min_nonkernel_sv: float
     gap: float
     gap_ok: bool
+    curvature_norm: float
 
     @property
     def dimension(self) -> int:
@@ -277,7 +293,8 @@ class TangentBasis:
     def residual(self, a: np.ndarray) -> np.ndarray:
         """Defect of the slice equations (raw operator) on each 1-form array
         of a stack."""
-        return np.sqrt(sq_norm(slice_operator(self.base, self.structure)(a)))
+        op = slice_operator(self.base, self.structure)
+        return np.concatenate([np.sqrt(sq_norm(op(chunk))) for _, chunk in _chunks(a)])
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a
@@ -314,7 +331,8 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
         frame = HypercomplexFrame.left()
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    _, res_norm = asd_residual(curvature(A))
+    F = curvature(A)
+    _, res_norm = asd_residual(F)
     if res_norm > max(tol, 1e-8):
         raise ValueError(f"base connection is not ASD enough: |F+| = {res_norm:.3e}")
     coeffs, phase, min_sv, gap = _slice_basis(A, L, tol)
@@ -329,7 +347,8 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
         invariance[name] = float(np.sqrt(sq_norm(images - recon)).max())
     return TangentBasis(base=A, structure=L, coeffs=coeffs, phase=phase, gram=gram,
                         ops=ops, invariance_defects=invariance, tol=tol,
-                        min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD)
+                        min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD,
+                        curvature_norm=F.norm())
 
 
 def _modes(N: int) -> np.ndarray:
@@ -417,7 +436,11 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float, max_dense_dim: int)
         raise ValueError(f"dense kernel extraction needs dimension <= "
                          f"{max_dense_dim}, got {dim}")
     unit = _unit_fields(1, N, n)
-    M = _real_matrix(slice_operator(A, L)(unit))
+    # the real matrix of the seven-component images, one chunk of columns at a time
+    op = slice_operator(A, L)
+    M = np.empty((2 * 7 * N ** 4 * n * n, len(unit)), order="F")
+    for start, chunk in _chunks(unit):
+        M[:, start:start + len(chunk)] = _real_matrix(op(chunk))
     _, s, vt = np.linalg.svd(M, full_matrices=False)
     svals, kernel_mask = _kernel_split(s, M.shape[1], tol)
     kernel_dim = int(kernel_mask.sum())
@@ -569,20 +592,25 @@ def moduli_hermitian_form(tb: TangentBasis, a1: LatticeField,
     return float(hermitian_form_matrix(tb.structure, a1.data[None], a2.data[None])[0, 0])
 
 
-def coulomb_identity_defect(a: LatticeField, L: Matrix,
-                            A: Optional[Connection] = None) -> float:
-    """Norm of d*_A a - Lambda d^c_L a - *(d^c_L omega_L ^ a).
+def coulomb_identity_defect(a, L: Matrix, A: Optional[Connection] = None) -> float:
+    """Largest norm of d*_A a - Lambda d^c_L a - *(d^c_L omega_L ^ a) over a
+    1-form field or a stack of 1-form arrays (k, 4, N, N, N, N, n, n),
+    streamed in chunks.
 
     On the flat torus the Hermitian forms are constant, so the last term
     vanishes identically; it is still assembled in full so the identity is
     checked as stated, not in a simplified form."""
-    N, Ac = a.N, _coupling(A)
-    lhs = d_adjoint(a.data, 1, N, A=Ac)
-    mid = apply_components(lambda_row(L)[None], dc_raw(L, a.data, 1, N, A=Ac))
+    stack = a.data[None] if isinstance(a, LatticeField) else a
+    N, Ac = stack.shape[-3], _coupling(A)
     # d^c_L omega_L from the constant Hermitian form (exactly zero spectrally)
     omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
-    dc_omega = dc_raw(L, omega, 2, N)
-    # (d^c omega) ^ a is a 4-form; its star is the scalar coefficient
-    term3 = np.sum(apply_components(wedge_pairing(3).T, dc_omega) * a.data,
-                   axis=0, keepdims=True)
-    return float(np.sqrt(sq_norm(lhs - mid - term3)))
+    star_wedge = apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
+
+    def defects(chunk: np.ndarray) -> np.ndarray:
+        lhs = d_adjoint(chunk, 1, N, A=Ac)
+        mid = apply_components(lambda_row(L)[None], dc_raw(L, chunk, 1, N, A=Ac))
+        # (d^c omega) ^ a is a 4-form; its star is the scalar coefficient
+        term3 = np.sum(star_wedge * chunk, axis=-7, keepdims=True)
+        return np.sqrt(sq_norm(lhs - mid - term3))
+
+    return float(np.concatenate([defects(chunk) for _, chunk in _chunks(stack)]).max())

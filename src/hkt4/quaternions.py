@@ -127,11 +127,6 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-v for v in row) for row in a)
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = _frac(c)
-    return tuple(tuple(c * v for v in row) for row in a)
-
-
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
 

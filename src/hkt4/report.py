@@ -134,15 +134,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def emit_report(report: VerificationReport, fmt: str = "json", path=None) -> str:
-    """Serialize a report; write to ``path`` when given."""
+def emit_report(report: VerificationReport, fmt: str = "json") -> str:
+    """Serialize a report."""
     if fmt == "json":
-        doc = report.to_json()
-    elif fmt == "markdown":
-        doc = report.to_markdown()
-    else:
-        raise ValueError(f"unknown report format: {fmt}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    return doc
+        return report.to_json()
+    if fmt == "markdown":
+        return report.to_markdown()
+    raise ValueError(f"unknown report format: {fmt}")

@@ -12,6 +12,7 @@ from hkt4.lattice import (
     TUPLES,
     action_matrix,
     apply_components,
+    commutator,
     d_adjoint,
     d_raw,
     dc_raw,
@@ -136,6 +137,65 @@ def test_matmul_small_matches_matmul(n):
     a = rng.standard_normal((4, n, n))
     b = rand(4)
     assert np.allclose(matmul_small(a, b), a @ b, rtol=1e-14, atol=1e-14)
+
+
+def broadcast_matmul(a, b):
+    """Reference small-matrix product: n broadcast multiply-adds of whole
+    arrays, whose inner loops run over one matrix row."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def broadcast_project_su(arr, n):
+    """Reference su(n) projection on whole arrays."""
+    ah = 0.5 * (arr - np.conj(np.swapaxes(arr, -1, -2)))
+    if n >= 2:
+        tr = np.trace(ah, axis1=-1, axis2=-2) / n
+        ah = ah - tr[..., None, None] * np.eye(n)
+    return ah
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_entry_plane_kernels_match_broadcast_formulas(n):
+    rng = np.random.default_rng(20 + n)
+
+    def rand(*shape):
+        return rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+
+    def close(got, ref):
+        return got.shape == ref.shape and \
+            np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+
+    for sa, sx in [((), ()), ((5,), (5,)), ((3, 1, 4), (2, 4)), ((4,), (2, 3, 4)),
+                   ((2, 3), ())]:
+        a, x = rand(*sa), rand(*sx)
+        assert close(commutator(a, x), broadcast_matmul(a, x) - broadcast_matmul(x, a))
+        assert close(project_su(x, n), broadcast_project_su(x, n))
+    x = rand(2, 3, 4)
+    p = project_su(x, n)
+    assert np.abs(p + np.conj(np.swapaxes(p, -1, -2))).max() == 0.0
+    trace = np.trace(p, axis1=-1, axis2=-2)
+    if n == 1:
+        # u(1) keeps its trace: the imaginary part of the scalar
+        assert np.array_equal(p[..., 0, 0], 1j * x[..., 0, 0].imag)
+        assert np.abs(trace).min() > 0
+    else:
+        assert np.abs(trace).max() < 1e-15 * n
+
+
+def test_even_grid_nyquist_takes_d_out_of_su():
+    # on an even grid the Nyquist symbol i 2 pi (-N/2) is not a real
+    # derivative, so d of an su(2) 1-form has a Hermitian part; an odd grid
+    # has no Nyquist mode and its differentiation matrix is exactly real
+    def hermitian_part(N):
+        a = LatticeField.random(1, N, 2, np.random.default_rng(15))
+        da = d_raw(a.data, 1, N)
+        return np.sqrt(sq_norm(0.5 * (da + np.conj(np.swapaxes(da, -1, -2)))))
+
+    assert hermitian_part(4) > 1.0
+    assert hermitian_part(5) == 0.0
 
 
 def test_d_squared_zero_on_lattice():

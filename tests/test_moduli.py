@@ -4,16 +4,19 @@ horizontal slice, induced quaternionic structures, L^2 metric."""
 import numpy as np
 import pytest
 
-from hkt4 import moduli
+from hkt4 import moduli, suites
 from hkt4.lattice import (
     LatticeField,
     action_matrix,
     apply_components,
     d_raw,
+    dc_raw,
     frequencies,
     l2_gram,
     l2_inner,
+    lambda_row,
     project_su,
+    sd_projector,
     sq_norm,
     su_basis,
 )
@@ -277,6 +280,108 @@ def test_coulomb_identity_random_fields():
             a = LatticeField.random(1, N, 2, rng)
             for L in FRAME.matrices():
                 assert coulomb_identity_defect(a, L) < 1e-10
+
+
+def composed_slice_operator(A, L):
+    """Reference slice operator: P_sd d_A a and Lambda d^c_{L,A} a, each
+    through its own differential."""
+    Ac = None if not np.any(A.A.data) else A.A.data
+
+    def op(a):
+        plus = apply_components(sd_projector(), d_raw(a, 1, A.N, A=Ac))
+        lam = apply_components(lambda_row(L)[None], dc_raw(L, a, 1, A.N, A=Ac))
+        return np.concatenate([plus, lam], axis=-7)
+
+    return op
+
+
+def sample_connections(N, n, rng):
+    """A = 0, 0.37 i sigma3 dx0 (padded with a zero eigenvalue at n = 3) and
+    a random connection, which is not flat."""
+    theta = [0.37, -0.37] + [0.0] * (n - 2)
+    return [Connection.flat(N, n), cartan_connection(N, 0, theta),
+            Connection(LatticeField.random(1, N, n, rng))]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_fused_slice_operator_matches_composition(N, n):
+    # one covariant gradient and one 7 x 16 matrix equal P_sd d_A (+) Lambda d^c_L
+    rng = np.random.default_rng(50 + 10 * N + n)
+    a = np.stack([LatticeField.random(1, N, n, rng).data for _ in range(3)])
+    for A in sample_connections(N, n, rng):
+        for L in FRAME.matrices():
+            got = moduli.slice_operator(A, L)(a)
+            ref = composed_slice_operator(A, L)(a)
+            assert got.shape == ref.shape == (3, 7) + a.shape[2:]
+            assert np.all(np.sqrt(sq_norm(got - ref)) <= 1e-13 * np.sqrt(sq_norm(a)))
+
+
+def test_chunked_slice_residual_is_bit_identical_to_one_pass(monkeypatch):
+    rng = np.random.default_rng(53)
+    A = cartan_connection(3, 0, [0.37, -0.37])
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    stack = np.concatenate([tb.basis, [LatticeField.random(1, 3, 2, rng).data
+                                       for _ in range(3)]])
+    whole = np.sqrt(sq_norm(moduli.slice_operator(A, FRAME.I)(stack)))
+    assert whole[:tb.dimension].max() < 1e-12 < whole[tb.dimension:].min()
+    # chunks of 3 fields, the last one short, and one field per chunk
+    for fields in (3, 1):
+        monkeypatch.setattr(moduli, "GRID_CHUNK_BYTES", fields * 4 * stack[0].nbytes)
+        assert np.array_equal(tb.residual(stack), whole)
+
+
+def test_chunked_dense_matrix_is_bit_identical_to_one_pass(monkeypatch):
+    # the dense oracle's matrix, written chunk by chunk, before its SVD
+    A = Connection(LatticeField.random(1, 3, 2, np.random.default_rng(54)))
+    matrices = []
+
+    class Captured(Exception):
+        pass
+
+    def spy(M, *args, **kwargs):
+        matrices.append(np.array(M))
+        raise Captured
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    unit = _unit_fields(1, 3, 2)
+    # 972 unit fields in chunks of 50, the last one short
+    monkeypatch.setattr(moduli, "GRID_CHUNK_BYTES", 50 * 4 * unit[0].nbytes)
+    with pytest.raises(Captured):
+        _dense_slice_basis(A, FRAME.J, 1e-10, max_dense_dim=4000)
+    (M,) = matrices
+    assert np.array_equal(M, _real_matrix(moduli.slice_operator(A, FRAME.J)(unit)))
+
+
+def test_stacked_coulomb_defect_is_the_per_field_maximum(monkeypatch):
+    rng = np.random.default_rng(55)
+    N, n = 4, 2
+    fields = [LatticeField.random(1, N, n, rng) for _ in range(4)]
+    stack = np.stack([f.data for f in fields])
+    for A in sample_connections(N, n, rng):
+        for L in FRAME.matrices():
+            per_field = max(coulomb_identity_defect(f, L, A) for f in fields)
+            assert coulomb_identity_defect(stack, L, A) == per_field < 1e-10
+            # in chunks of three fields, the last one short
+            with monkeypatch.context() as m:
+                m.setattr(moduli, "GRID_CHUNK_BYTES", 3 * 4 * stack[0].nbytes)
+                assert coulomb_identity_defect(stack, L, A) == per_field
+
+
+def test_moduli_suite_reads_the_curvature_the_slice_guard_computed(monkeypatch):
+    calls, real = [], moduli.curvature
+
+    def spy(conn):
+        calls.append(conn)
+        return real(conn)
+
+    monkeypatch.setattr(moduli, "curvature", spy)
+    checks = suites.moduli_suite(3, 2, 1e-10)
+    assert len(calls) == 1
+    (flat,) = [c for c in checks if c.name == "moduli.flat-curvature"]
+    assert (flat.status, flat.defect) == ("pass", "exact-zero")
+    tb = horizontal_slice(cartan_connection(3, 0, [0.37, -0.37]), FRAME.I, 1e-10)
+    assert tb.curvature_norm == real(tb.base).norm() < 1e-15
 
 
 def test_gauge_orthogonality_of_slice():

@@ -16,7 +16,6 @@ from hkt4.quaternions import (
     mat_apply,
     mat_mul,
     mat_neg,
-    mat_scale,
     squares_to_minus_id,
     structure_matrix,
     verify_frame,
@@ -118,8 +117,9 @@ def test_structure_matrix_linear_in_axis():
     # before normalization the map is linear: check on an exact S^2 point
     a, b = Fraction(3, 5), Fraction(4, 5)
     lhs = structure_matrix("left", (a, b, 0))
-    rhs = mat_add(mat_scale(structure_matrix("left", (1, 0, 0)), a),
-                  mat_scale(structure_matrix("left", (0, 1, 0)), b))
+    scaled = [tuple(tuple(c * v for v in row) for row in structure_matrix("left", axis))
+              for c, axis in ((a, (1, 0, 0)), (b, (0, 1, 0)))]
+    rhs = mat_add(*scaled)
     assert lhs == rhs
 
 
