@@ -24,7 +24,7 @@ from .quaternions import IDENTITY, Matrix
 IndexTuple = Tuple[int, ...]
 
 # Global sign of the twisted differential relative to the bare composition
-# (-1)^m L d L; fixed by the positivity self test below.
+# (-1)^m L d L; fixed by positivity of d d^c_I(r^2), which the tests pin.
 DC_SIGN = -1
 
 # Entries kept by each operator cache: a request uses about 45 structure
@@ -274,34 +274,14 @@ def twisted_d(L: Matrix, a: RationalForm) -> RationalForm:
     """Twisted differential of an m-form: DC_SIGN * (-1)^m * L(d(L(a))).
 
     The bare composition leaves the overall sign of d^c ambiguous; DC_SIGN
-    normalizes it so that d(d^c phi) is positive on the flat chart (checked
-    once by a self test).
+    normalizes it so that d(d^c phi) is positive on the flat chart (pinned
+    by the tests).
     """
-    _selftest_positive_ddc()
     if a.degree > 3:
         raise DegreeError("twisted differential needs degree <= 3")
     sign = DC_SIGN * (-1 if a.degree % 2 else 1)
     res = structure_action(L, exterior_d(structure_action(L, a)))
     return res if sign > 0 else -res
-
-
-@lru_cache(maxsize=1)
-def _selftest_positive_ddc() -> bool:
-    # dd^c_I(r^2) must equal 4(dx0^dx1 + dx2^dx3) with the left I; this pins
-    # DC_SIGN once and detects convention regressions at first use.
-    from .quaternions import structure_matrix
-
-    I = structure_matrix("left", (1, 0, 0))
-    phi = RationalForm.function(ScalarField.phi())
-    sign = DC_SIGN  # twisted_d on a 0-form, written out to avoid recursion
-    dcphi = structure_action(I, exterior_d(structure_action(I, phi)))
-    dcphi = dcphi if sign > 0 else -dcphi
-    ddc = exterior_d(dcphi)
-    expected = RationalForm(2, {(0, 1): ScalarField.const(4),
-                                (2, 3): ScalarField.const(4)})
-    if ddc != expected:
-        raise AssertionError("twisted differential sign convention broken")
-    return True
 
 
 def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:

@@ -8,7 +8,6 @@ the Hopf metric enters: factor * constant base metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Tuple
 
 from .exact import QI, ScalarField, _lincomb
@@ -16,7 +15,6 @@ from .forms import (
     RationalForm,
     exterior_d,
     pq_project,
-    structure_action,
     twisted_d,
     ConstantMetric,
 )
@@ -26,11 +24,6 @@ from .quaternions import (
     mat_mul,
     mat_transpose,
 )
-
-# Fixed ratio between the torsion 3-form T = L(d omega_L) and H = d^c_L
-# omega_L under the sign conventions of this package. Asserted, never
-# assumed, by bismut_torsion.
-TORSION_RATIO_T_OVER_H = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -95,18 +88,14 @@ def metric_from_form(omega: RationalForm, L: Matrix):
 
 @dataclass
 class TorsionReport:
-    """Torsion data of the Bismut connection for one Hermitian pair (g, L).
-
-    torsion_T = L(d omega_L) and torsion_H = d^c_L omega_L are proportional
-    with the fixed ratio above; both are carried so the proportionality is
-    asserted rather than silently assumed.
-    """
+    """Torsion data of the Bismut connection for one Hermitian pair (g, L):
+    the torsion 3-form torsion_H = d^c_L omega_L and its differential. For
+    an L-Hermitian metric L omega_L = omega_L, so L(d omega_L) = -torsion_H;
+    the tests pin that convention."""
 
     omega: RationalForm
-    torsion_T: RationalForm
     torsion_H: RationalForm
     dH: RationalForm
-    ratio: Fraction = TORSION_RATIO_T_OVER_H
 
     @property
     def strong(self) -> bool:
@@ -114,23 +103,19 @@ class TorsionReport:
 
     def bihermitian_with(self, other: "TorsionReport") -> bool:
         """Opposite closed torsions; see bihermitian_check."""
-        return (self.torsion_T + other.torsion_T).is_zero() and self.strong and other.strong
+        return (self.torsion_H + other.torsion_H).is_zero() and self.strong and other.strong
 
 
 def bismut_torsion(g, L: Matrix) -> TorsionReport:
     omega = hermitian_form(g, L)
-    T = structure_action(L, exterior_d(omega))
     H = twisted_d(L, omega)
-    if not (T - H * TORSION_RATIO_T_OVER_H).is_zero():
-        raise AssertionError("torsion convention violated: T != ratio * H")
-    return TorsionReport(omega=omega, torsion_T=T, torsion_H=H, dH=exterior_d(H))
+    return TorsionReport(omega=omega, torsion_H=H, dH=exterior_d(H))
 
 
 def gauduchon_defect(g, L: Matrix) -> RationalForm:
     """The 4-form d d^c_L omega_L; zero exactly when g is Gauduchon for L
     (surface case of the dd^c condition)."""
-    omega = hermitian_form(g, L)
-    return exterior_d(twisted_d(L, omega))
+    return bismut_torsion(g, L).dH
 
 
 @dataclass
@@ -164,8 +149,6 @@ def hkt_from_torsions(frame: HypercomplexFrame, reports) -> HKTReport:
              (torsions["J"] - torsions["K"]).is_zero(),
              (torsions["I"] - torsions["K"]).is_zero())
     Omega = reports[1].omega + reports[2].omega * QI(0, 1)
-    if not (pq_project(frame.I, Omega, 2, 0) - Omega).is_zero():
-        raise AssertionError("Omega = w_J + i w_K is not of type (2,0) for I")
     del_Omega = pq_project(frame.I, exterior_d(Omega), 3, 0)
     return HKTReport(Omega=Omega, del_Omega=del_Omega, torsion_match=match,
                      strong=reports[0].strong, H=torsions["I"], torsions=torsions)

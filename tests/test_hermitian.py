@@ -6,10 +6,16 @@ from fractions import Fraction
 import pytest
 
 from hkt4.exact import Poly, QI, ScalarField
-from hkt4.forms import ConstantMetric, RationalForm, wedge
+from hkt4.forms import (
+    ConstantMetric,
+    RationalForm,
+    exterior_d,
+    pq_project,
+    structure_action,
+    wedge,
+)
 from hkt4.hermitian import (
     ConformalMetric,
-    TORSION_RATIO_T_OVER_H,
     bihermitian_check,
     bismut_torsion,
     check_hermitian,
@@ -18,7 +24,8 @@ from hkt4.hermitian import (
     hkt_report,
     metric_from_form,
 )
-from hkt4.quaternions import HypercomplexFrame, mat_mul, mat_transpose
+from hkt4.hopf import build_hopf
+from hkt4.quaternions import AxisTriple, HypercomplexFrame, mat_mul, mat_transpose
 
 LEFT = HypercomplexFrame.left()
 RIGHT = HypercomplexFrame.right()
@@ -63,7 +70,6 @@ def test_hermitian_form_rejects_bad_metric():
 
 
 def test_hermitian_form_is_11():
-    from hkt4.forms import pq_project
     for L in (*LEFT.matrices(), *RIGHT.matrices()):
         w = hermitian_form(hopf_metric(), L)
         assert pq_project(L, w, 2, 0).is_zero()
@@ -73,7 +79,7 @@ def test_hermitian_form_is_11():
 def test_bismut_torsion_flat():
     for L in (*LEFT.matrices(), *RIGHT.matrices()):
         rep = bismut_torsion(EUCLID, L)
-        assert rep.torsion_T.is_zero() and rep.torsion_H.is_zero()
+        assert rep.torsion_H.is_zero()
         assert rep.strong
 
 
@@ -81,8 +87,6 @@ def test_bismut_torsion_hopf_nonzero_closed():
     rep = bismut_torsion(hopf_metric(), LEFT.I)
     assert not rep.torsion_H.is_zero()
     assert rep.dH.is_zero()
-    assert not rep.torsion_T.is_zero()
-    assert rep.ratio == TORSION_RATIO_T_OVER_H == Fraction(-1)
     # torsion of a conformally flat metric: frozen hand expansion
     x = [ScalarField(Poly.variable(i), 1) for i in range(4)]  # x_i / phi
     expected = RationalForm(3, {
@@ -92,6 +96,34 @@ def test_bismut_torsion_hopf_nonzero_closed():
         (1, 2, 3): x[0] * ScalarField(Poly.const(-8), 1),
     })
     assert rep.torsion_H == expected
+
+
+def test_torsion_convention_T_equals_minus_H():
+    # the ledger's T / H = -1: T = L(d omega_L) is -d^c_L omega_L for every
+    # L-Hermitian metric, since L omega_L = omega_L
+    geo = build_hopf(2)
+    x0 = Poly.variable(0)
+    tampered = ConformalMetric(ScalarField(Poly.const(4) + x0 * x0 * 4, 1), EUCLID)
+    axes = (AxisTriple(Fraction(3, 5), Fraction(4, 5), 0),
+            AxisTriple(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
+            AxisTriple(Fraction(12, 13), Fraction(3, 13), Fraction(4, 13)))
+    six = (*LEFT.matrices(), *RIGHT.matrices())
+    cases = ([(geo.metric, L) for L in geo.structures.values()]
+             + [(EUCLID, L) for L in six] + [(tampered, L) for L in six]
+             + [(geo.metric, frame.span_structure(axis))
+                for frame in (LEFT, RIGHT) for axis in axes])
+    for g, L in cases:
+        rep = bismut_torsion(g, L)
+        T = structure_action(L, exterior_d(rep.omega))
+        assert (T + rep.torsion_H).is_zero()
+
+
+def test_hkt_Omega_is_20_for_I():
+    for g in (hopf_metric(), EUCLID):
+        for frame in (LEFT, RIGHT):
+            Omega = hkt_report(g, frame).Omega
+            assert not Omega.is_zero()
+            assert (pq_project(frame.I, Omega, 2, 0) - Omega).is_zero()
 
 
 def test_gauduchon_defect_flat_and_hopf():

@@ -249,28 +249,31 @@ def test_slice_elements_satisfy_equations():
     assert tb.residual(tb.basis).max() < 1e-13
 
 
-def test_dense_oracle_matches_mode_kernel_n2():
+def test_dense_oracle_matches_mode_kernel_n2(monkeypatch):
     # brute-force null space of the materialized operator
+    monkeypatch.setattr(moduli, "MAX_DENSE_DIM", 4000)
     A = Connection.flat(3, 2)
-    basis, min_sv, gap = _dense_slice_basis(A, FRAME.I, 1e-8, max_dense_dim=4000)
+    basis, min_sv, gap = _dense_slice_basis(A, FRAME.I, 1e-8)
     assert len(basis) == 12
     assert gap > 1e3
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
     assert subspace_distance(tb.basis, basis) < 1e-6
 
 
-def test_dense_oracle_matches_mode_kernel_n3():
+def test_dense_oracle_matches_mode_kernel_n3(monkeypatch):
+    monkeypatch.setattr(moduli, "MAX_DENSE_DIM", 4000)
     A = Connection.flat(3, 3)
-    basis, _, gap = _dense_slice_basis(A, FRAME.I, 1e-8, max_dense_dim=4000)
+    basis, _, gap = _dense_slice_basis(A, FRAME.I, 1e-8)
     assert len(basis) == 32
     assert gap > 1e3
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
     assert subspace_distance(tb.basis, basis) < 1e-6
 
 
-def test_dense_guard():
+def test_dense_guard(monkeypatch):
+    monkeypatch.setattr(moduli, "MAX_DENSE_DIM", 100)
     with pytest.raises(ValueError):
-        _dense_slice_basis(Connection.flat(4, 3), FRAME.I, 1e-8, max_dense_dim=100)
+        _dense_slice_basis(Connection.flat(4, 3), FRAME.I, 1e-8)
 
 
 def test_coulomb_identity_random_fields():
@@ -278,8 +281,7 @@ def test_coulomb_identity_random_fields():
     for N in (3, 4):
         for _ in range(3):
             a = LatticeField.random(1, N, 2, rng)
-            for L in FRAME.matrices():
-                assert coulomb_identity_defect(a, L) < 1e-10
+            assert coulomb_identity_defect(a, FRAME.matrices()) < 1e-10
 
 
 def composed_slice_operator(A, L):
@@ -347,8 +349,9 @@ def test_chunked_dense_matrix_is_bit_identical_to_one_pass(monkeypatch):
     unit = _unit_fields(1, 3, 2)
     # 972 unit fields in chunks of 50, the last one short
     monkeypatch.setattr(moduli, "GRID_CHUNK_BYTES", 50 * 4 * unit[0].nbytes)
+    monkeypatch.setattr(moduli, "MAX_DENSE_DIM", 4000)
     with pytest.raises(Captured):
-        _dense_slice_basis(A, FRAME.J, 1e-10, max_dense_dim=4000)
+        _dense_slice_basis(A, FRAME.J, 1e-10)
     (M,) = matrices
     assert np.array_equal(M, _real_matrix(moduli.slice_operator(A, FRAME.J)(unit)))
 
@@ -359,13 +362,44 @@ def test_stacked_coulomb_defect_is_the_per_field_maximum(monkeypatch):
     fields = [LatticeField.random(1, N, n, rng) for _ in range(4)]
     stack = np.stack([f.data for f in fields])
     for A in sample_connections(N, n, rng):
+        worst = []
         for L in FRAME.matrices():
-            per_field = max(coulomb_identity_defect(f, L, A) for f in fields)
-            assert coulomb_identity_defect(stack, L, A) == per_field < 1e-10
-            # in chunks of three fields, the last one short
-            with monkeypatch.context() as m:
-                m.setattr(moduli, "GRID_CHUNK_BYTES", 3 * 4 * stack[0].nbytes)
-                assert coulomb_identity_defect(stack, L, A) == per_field
+            per_field = max(coulomb_identity_defect(f, [L], A) for f in fields)
+            assert coulomb_identity_defect(stack, [L], A) == per_field < 1e-10
+            worst.append(per_field)
+        # one d*_A shared by the three structures: the worst of the three
+        assert coulomb_identity_defect(stack, FRAME.matrices(), A) == max(worst)
+        # in chunks of three fields, the last one short
+        with monkeypatch.context() as m:
+            m.setattr(moduli, "GRID_CHUNK_BYTES", 3 * 4 * stack[0].nbytes)
+            assert coulomb_identity_defect(stack, FRAME.matrices(), A) == max(worst)
+
+
+def test_moduli_suite_checks_the_coulomb_identity_in_one_call(monkeypatch):
+    calls, real = [], suites.coulomb_identity_defect
+
+    def spy(a, structures, A=None):
+        calls.append(len(structures))
+        return real(a, structures, A)
+
+    monkeypatch.setattr(suites, "coulomb_identity_defect", spy)
+    suites.moduli_suite(3, 2, 1e-10)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("N", [4, 5])
+@pytest.mark.parametrize("theta", [None, [0.37, -0.37], [np.pi, -np.pi]],
+                         ids=["flat", "cartan", "cartan-pi"])
+def test_slices_of_the_three_structures_share_their_phase(N, theta):
+    # verify_moduli_structure compares the J and K slices to I's through
+    # their coefficients alone, which stand for the fields under one phase;
+    # at theta = pi the off-diagonal entries vanish at a mode xi != 0
+    A = Connection.flat(N, 2) if theta is None else cartan_connection(N, 0, theta)
+    _, phase_I, _, _ = moduli._slice_basis(A, FRAME.I, 1e-10)
+    assert np.all(phase_I == 1) == (theta is None or theta[0] < 1)
+    for L in (FRAME.J, FRAME.K):
+        _, phase, _, _ = moduli._slice_basis(A, L, 1e-10)
+        assert np.array_equal(phase, phase_I)
 
 
 def test_moduli_suite_reads_the_curvature_the_slice_guard_computed(monkeypatch):
@@ -504,8 +538,9 @@ def test_cartan_slice_matches_dense_oracle(mu, theta, monkeypatch):
         dense_svds.append(out[1])
         return out
 
+    monkeypatch.setattr(moduli, "MAX_DENSE_DIM", 4000)
     monkeypatch.setattr(np.linalg, "svd", spy)
-    basis, _, _ = _dense_slice_basis(A, FRAME.I, 1e-10, max_dense_dim=4000)
+    basis, _, _ = _dense_slice_basis(A, FRAME.I, 1e-10)
     monkeypatch.undo()
     assert len(basis) == tb.dimension
     assert subspace_distance(tb.basis, basis) < 1e-6
@@ -589,18 +624,6 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
         coeffs, phase, _, _ = moduli._slice_basis(A, L, 1e-10)
         grid = subspace_distance(b, coeffs * phase)
         assert abs(rep.slice_distances[f"I-{name}"] - grid) < 1e-12
-
-
-def test_cuts_with_different_phases_are_compared_on_the_grid():
-    # a J or K cut whose lattice phase differs from the I cut's is not the
-    # same slice even when the coefficients agree
-    A = constant_connection(3, 2, [(0, np.pi * pauli_su2()[2])])
-    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
-    assert verify_moduli_structure(tb, FRAME).passed
-    tb.phase = np.conj(tb.phase)
-    rep = verify_moduli_structure(tb, FRAME)
-    assert min(rep.slice_distances.values()) > 0.5
-    assert not rep.passed
 
 
 def test_verify_moduli_structure_detects_sign_flip():

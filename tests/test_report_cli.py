@@ -66,6 +66,13 @@ def test_report_markdown():
         emit_report(make_report(), "yaml")
 
 
+def test_full_report_names_each_check_once():
+    from hkt4.suites import full_report
+
+    names = [c.name for c in full_report().checks]
+    assert len(names) == len(set(names))
+
+
 def test_report_pass_status():
     rep = VerificationReport(checks=[
         CheckResult("x", "pass", "exact-zero"),
