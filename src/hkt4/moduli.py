@@ -23,6 +23,7 @@ from .lattice import (
     TUPLES,
     action_matrix,
     apply_components,
+    commutator,
     covariant_gradient,
     d_adjoint,
     d_raw,
@@ -32,7 +33,6 @@ from .lattice import (
     l2_gram,
     l2_inner,  # noqa: F401 - the slice's L^2 metric, in this namespace too
     lambda_row,
-    matmul_small,
     pq_matrix,
     sd_projector,
     slice_matrix,
@@ -94,11 +94,11 @@ def _coupling(A: Optional[Connection]) -> Optional[np.ndarray]:
 GRID_CHUNK_BYTES = 1 << 23
 
 
-def _chunks(stack: np.ndarray):
-    """(start, chunk) over consecutive chunks of a stack of 1-form arrays
-    within ``GRID_CHUNK_BYTES``, at least one field each."""
-    step = max(1, GRID_CHUNK_BYTES // (4 * stack[0].nbytes))
-    return [(start, stack[start:start + step]) for start in range(0, len(stack), step)]
+def _chunks(count: int, field_bytes: int):
+    """Slices of consecutive chunks of a stack of ``count`` 1-form arrays of
+    ``field_bytes`` each within ``GRID_CHUNK_BYTES``, at least one field each."""
+    step = max(1, GRID_CHUNK_BYTES // (4 * field_bytes))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 # the index pairs (mu, nu), mu < nu, of the 2-form components
@@ -109,8 +109,7 @@ def curvature(conn: Connection) -> LatticeField:
     """F = dA + A ^ A; exactly zero for constant commuting connections."""
     a = conn.A.data
     F = d_raw(a, 1, conn.N)
-    F += matmul_small(a[_MU], a[_NU])
-    F -= matmul_small(a[_NU], a[_MU])
+    F += commutator(a[_MU], a[_NU])
     return LatticeField(2, conn.N, conn.n, F)
 
 
@@ -173,8 +172,12 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
             target: float) -> FlowResult:
     """Gradient descent on the squared self-dual residual |F+|^2.
 
-    Monotone non-increase is enforced by step halving; the step grows gently
-    after accepted moves. ``target`` bounds the squared residual.
+    ``step`` is the first step; after an accepted move s, with y the change
+    of the gradient, the step is s^T s / s^T y if s^T y > 0, else the last
+    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988), under a monotone
+    guard (Raydan, SIAM J. Optim. 7, 1997): a move is accepted only if
+    |F+|^2 does not increase, else the step is halved. ``target`` bounds the
+    squared residual.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -189,8 +192,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     if not np.isfinite(s2):
         raise FlowDiverged("non-finite residual at the starting connection")
     history = [s2]
-    iters = 0
-    max_step = step * 64
+    iters, last = 0, None
     while iters < max_iters and s2 > target:
         grad = 2.0 * d_adjoint(plus, 2, N, A.data)
         gnorm2 = float(sq_norm(grad))
@@ -198,6 +200,10 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
             raise FlowDiverged("non-finite gradient")
         if gnorm2 == 0.0:
             break
+        if last is not None:
+            s, y = A.data - last[0], grad - last[1]
+            sty = np.vdot(s, y).real
+            step = np.vdot(s, s).real / sty if sty > 0 else step
         accepted = False
         for _ in range(60):
             trial = LatticeField(1, N, n, A.data - step * grad)
@@ -205,8 +211,8 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
             if not np.isfinite(s2_new):
                 raise FlowDiverged("non-finite residual")
             if s2_new <= s2:
+                last = (A.data, grad)
                 A, s2, plus = trial, s2_new, plus_new
-                step = min(step * 1.25, max_step)
                 accepted = True
                 break
             step *= 0.5
@@ -285,6 +291,13 @@ class TangentBasis:
     def basis(self) -> np.ndarray:
         return self.coeffs * self.phase
 
+    def basis_residual(self) -> np.ndarray:
+        """``residual`` of the grid basis, one chunk of ``coeffs * phase`` at
+        a time, so the whole basis is never held."""
+        size = self.phase.itemsize * np.broadcast(self.coeffs[0], self.phase).size
+        return np.concatenate([self.residual(self.coeffs[s] * self.phase)
+                               for s in _chunks(len(self.coeffs), size)])
+
     def element(self, coeff: np.ndarray) -> LatticeField:
         """The slice field sum_i coeff[i] basis[i]."""
         return LatticeField(1, self.base.N, self.base.n,
@@ -294,7 +307,8 @@ class TangentBasis:
         """Defect of the slice equations (raw operator) on each 1-form array
         of a stack."""
         op = slice_operator(self.base, self.structure)
-        return np.concatenate([np.sqrt(sq_norm(op(chunk))) for _, chunk in _chunks(a)])
+        return np.concatenate([np.sqrt(sq_norm(op(a[s])))
+                               for s in _chunks(len(a), a[0].nbytes)])
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a
@@ -439,8 +453,8 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     # the real matrix of the seven-component images, one chunk of columns at a time
     op = slice_operator(A, L)
     M = np.empty((2 * 7 * N ** 4 * n * n, len(unit)), order="F")
-    for start, chunk in _chunks(unit):
-        M[:, start:start + len(chunk)] = _real_matrix(op(chunk))
+    for cols in _chunks(len(unit), unit[0].nbytes):
+        M[:, cols] = _real_matrix(op(unit[cols]))
     _, s, vt = np.linalg.svd(M, full_matrices=False)
     svals, kernel_mask = _kernel_split(s, M.shape[1], tol)
     kernel_dim = int(kernel_mask.sum())
@@ -611,7 +625,8 @@ def coulomb_identity_defect(a, structures: Sequence[Matrix],
 
     terms = [(L, star_wedge(L)) for L in structures]
     defects = []
-    for _, chunk in _chunks(stack):
+    for s in _chunks(len(stack), stack[0].nbytes):
+        chunk = stack[s]
         lhs = d_adjoint(chunk, 1, N, A=Ac)
         for L, sw in terms:
             mid = apply_components(lambda_row(L)[None], dc_raw(L, chunk, 1, N, A=Ac))

@@ -25,6 +25,7 @@ from hkt4.lattice import (
     sq_norm,
     star_matrix,
     su_basis,
+    _diff_matrix,
 )
 from hkt4.quaternions import HypercomplexFrame
 
@@ -278,6 +279,67 @@ def test_d_raw_and_d_adjoint_match_gather_scatter(degree, charged):
                           _gather_scatter_d(x, degree, N, A, adjoint=False))
     assert np.array_equal(d_adjoint(y, degree + 1, N, A=A),
                           _gather_scatter_d(y, degree, N, A, adjoint=True))
+
+
+def _per_entry_d(data, degree, N, A, adjoint):
+    """Reference d_raw (or d_adjoint, from degree + 1) with one D_mu per
+    incidence entry, added in place in the order of the entries."""
+    from hkt4.forms import _MERGE
+    from hkt4.lattice import _covariant
+
+    grid = (slice(None),) * 6
+    C_out = len(TUPLES[degree if adjoint else degree + 1])
+    out = np.zeros(data.shape[:-7] + (C_out,) + data.shape[-6:], dtype=complex)
+    for mu in range(4):
+        for src, t in enumerate(TUPLES[degree]):
+            merged, sign = _MERGE.get(((mu,), t), (None, 0))
+            if not sign:
+                continue
+            dst = TUPLES[degree + 1].index(merged)
+            read, write = (dst, src) if adjoint else (src, dst)
+            term = _covariant(data[(..., read) + grid], mu, N, A)
+            target = out[(..., write) + grid]
+            (np.add if (sign > 0) != adjoint else np.subtract)(target, term, out=target)
+    return out
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("charged", [False, True])
+def test_d_raw_and_d_adjoint_match_the_per_entry_loop(N, n, charged):
+    # one D_mu per direction on the components it reads is bit-identical to
+    # one D_mu per incidence entry, on a single field and on a stack
+    rng = np.random.default_rng(30 + 9 * N + 3 * n + charged)
+    A = LatticeField.random(1, N, n, rng).data if charged else None
+    for degree in range(4):
+        for lead in [(), (2,)]:
+            x = LatticeField.random(degree, N, n, rng).data
+            y = LatticeField.random(degree + 1, N, n, rng).data
+            if lead:
+                x = np.stack([x, LatticeField.random(degree, N, n, rng).data])
+                y = np.stack([y, LatticeField.random(degree + 1, N, n, rng).data])
+            assert np.array_equal(d_raw(x, degree, N, A=A),
+                                  _per_entry_d(x, degree, N, A, adjoint=False))
+            assert np.array_equal(d_adjoint(y, degree + 1, N, A=A),
+                                  _per_entry_d(y, degree, N, A, adjoint=True))
+
+
+@pytest.mark.parametrize("N", [3, 4, 8, 16])
+@pytest.mark.parametrize("n", [2, 3])
+def test_deriv_matches_the_batched_product_on_every_axis(N, n):
+    # the one product with kron(D_N^T, I) along the last axis (small N n^2)
+    # and the batched (before, N, after) product elsewhere agree with the
+    # batched product, on a field and on a stack of fields
+    rng = np.random.default_rng(40 + N + n)
+    for shape in [(1,), (2, 3)] if N < 16 else [(1,), (2, 1)]:
+        shape = shape + (N,) * 4 + (n, n)
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for mu in range(4):
+            axis = arr.ndim - 6 + mu
+            view = arr.reshape(int(np.prod(shape[:axis])), N, -1)
+            ref = (_diff_matrix(N) @ view).reshape(shape)
+            got = deriv(arr, mu, N)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(arr).max()
 
 
 def test_action_matrix_consistency_with_symbolic():

@@ -9,6 +9,7 @@ from hkt4.lattice import (
     LatticeField,
     action_matrix,
     apply_components,
+    d_adjoint,
     d_raw,
     dc_raw,
     frequencies,
@@ -209,6 +210,61 @@ def test_ym_flow_reduces_residual():
     assert res.initial / res.final > 1e6
 
 
+def fixed_growth_flow(A0, step, max_iters, target):
+    """Reference descent on |F+|^2 with the step grown 1.25x per accepted
+    move up to 64 times the first one, halved on a rejected one."""
+    N, n = A0.N, A0.n
+    A, max_step = A0.A.copy(), step * 64
+
+    def residual_sq(a):
+        plus = apply_components(sd_projector(), curvature(Connection(a)).data)
+        return float(sq_norm(plus)), plus
+
+    s2, plus = residual_sq(A)
+    history = [s2]
+    while len(history) <= max_iters and s2 > target:
+        grad = 2.0 * d_adjoint(plus, 2, N, A.data)
+        for _ in range(60):
+            trial = LatticeField(1, N, n, A.data - step * grad)
+            s2_new, plus_new = residual_sq(trial)
+            if s2_new <= s2:
+                A, s2, plus = trial, s2_new, plus_new
+                step = min(step * 1.25, max_step)
+                break
+            step *= 0.5
+        history.append(s2)
+    return history
+
+
+def suite_flow_start(N, n, seed, eps):
+    """The perturbation ``moduli_suite`` flows from: drawn after its five
+    random Coulomb-identity fields."""
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        LatticeField.random(1, N, n, rng)
+    return Connection(LatticeField.random(1, N, n, rng, scale=eps))
+
+
+def test_barzilai_borwein_flow_and_fixed_growth_flow_reach_the_target():
+    A0 = suite_flow_start(4, 2, 0, 1e-2)
+    _, r0 = asd_residual(curvature(A0))
+    target = r0 ** 2 * 1e-7
+    reference = fixed_growth_flow(A0, 1e-3, 10_000, target)
+    res = ym_flow(A0, step=1e-3, max_iters=10_000, target=target)
+    assert reference[-1] <= target and res.converged
+    for history in (reference, res.history):
+        assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_flow_from_the_rank_3_suite_start_at_seed_8_converges():
+    # the fixed-growth step stopped at max_iters = 10,000 from this start
+    A0 = suite_flow_start(4, 3, 8, 1e-2)
+    _, r0 = asd_residual(curvature(A0))
+    res = ym_flow(A0, step=1e-3, max_iters=10_000, target=r0 ** 2 * 1e-7)
+    assert res.converged and res.iterations < 1000
+    assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+
+
 def test_horizontal_slice_dimension_n2():
     # dimension must not depend on the grid (no spurious discrete kernel,
     # even grids with their Nyquist modes included)
@@ -331,6 +387,20 @@ def test_chunked_slice_residual_is_bit_identical_to_one_pass(monkeypatch):
     for fields in (3, 1):
         monkeypatch.setattr(moduli, "GRID_CHUNK_BYTES", fields * 4 * stack[0].nbytes)
         assert np.array_equal(tb.residual(stack), whole)
+
+
+@pytest.mark.parametrize("theta", [None, [np.pi, -np.pi]])
+def test_streamed_basis_residual_is_the_residual_of_the_basis(theta, monkeypatch):
+    # each chunk built from coeffs * phase gives the residual of the whole
+    # grid basis, bit for bit, on the flat slice and on a Cartan slice
+    # whose root pair has a non-trivial phase
+    A = Connection.flat(4, 2) if theta is None else cartan_connection(4, 0, theta)
+    tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+    assert np.all(tb.phase == 1) == (theta is None)
+    whole = tb.residual(tb.basis)
+    for fields in (5, 1):
+        monkeypatch.setattr(moduli, "GRID_CHUNK_BYTES", fields * 4 * tb.basis[0].nbytes)
+        assert np.array_equal(tb.basis_residual(), whole)
 
 
 def test_chunked_dense_matrix_is_bit_identical_to_one_pass(monkeypatch):

@@ -175,6 +175,15 @@ class TestCli:
         assert "moduli.flow-monotone" in names
         assert "moduli.flow-reduction" in names
 
+    def test_moduli_flow_from_the_slow_rank_3_start(self):
+        # from this start the fixed-growth step ran to its 10,000 iterations
+        result = self.runner.invoke(main, ["moduli", "--grid", "4", "--rank", "3",
+                                           "--flow", "1e-2", "--seed", "8"])
+        assert result.exit_code == 0
+        by_name = {c["name"]: c for c in json.loads(result.output)["checks"]}
+        assert by_name["moduli.flow-monotone"]["status"] == "pass"
+        assert by_name["moduli.flow-reduction"]["status"] == "pass"
+
     def test_unwritable_out_is_clean_failure(self, tmp_path):
         result = self.runner.invoke(
             main, ["verify-flat", "--out", str(tmp_path / "no" / "x.json")])
