@@ -291,24 +291,19 @@ class TangentBasis:
     def basis(self) -> np.ndarray:
         return self.coeffs * self.phase
 
-    def basis_residual(self) -> np.ndarray:
-        """``residual`` of the grid basis, one chunk of ``coeffs * phase`` at
-        a time, so the whole basis is never held."""
-        size = self.phase.itemsize * np.broadcast(self.coeffs[0], self.phase).size
-        return np.concatenate([self.residual(self.coeffs[s] * self.phase)
-                               for s in _chunks(len(self.coeffs), size)])
-
     def element(self, coeff: np.ndarray) -> LatticeField:
         """The slice field sum_i coeff[i] basis[i]."""
         return LatticeField(1, self.base.N, self.base.n,
                             np.tensordot(coeff, self.basis, axes=1), project=False)
 
-    def residual(self, a: np.ndarray) -> np.ndarray:
+    def residual(self, a: np.ndarray, phase=1) -> np.ndarray:
         """Defect of the slice equations (raw operator) on each 1-form array
-        of a stack."""
+        of the stack ``a * phase``, built one chunk at a time: from
+        ``coeffs`` and ``phase`` the whole grid basis is never held."""
         op = slice_operator(self.base, self.structure)
-        return np.concatenate([np.sqrt(sq_norm(op(a[s])))
-                               for s in _chunks(len(a), a[0].nbytes)])
+        size = np.broadcast(a[0], phase).size * np.result_type(a, phase).itemsize
+        return np.concatenate([np.sqrt(sq_norm(op(a[s] * phase)))
+                               for s in _chunks(len(a), size)])
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a

@@ -130,7 +130,7 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
             "dim T[A] = 4 dim H^0(A)")
     rec.add("moduli.kernel-gap", tb.gap_ok,
             0.0 if not np.isfinite(tb.gap) else 1.0 / tb.gap, "plumbing")
-    worst = float(tb.basis_residual().max())
+    worst = float(tb.residual(tb.coeffs, tb.phase).max())
     rec.add("moduli.slice-equations", worst < tol, worst,
             "d_A^+ a = 0 and Lambda d^c_L a = 0")
 

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import json
+import os
 import struct
+import subprocess
+import sys
+
+import hkt4
 
 from hkt4.lattice import (
     LatticeField,
@@ -340,6 +345,35 @@ def test_deriv_matches_the_batched_product_on_every_axis(N, n):
             ref = (_diff_matrix(N) @ view).reshape(shape)
             got = deriv(arr, mu, N)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(arr).max()
+
+
+def test_sq_norm_rounds_the_same_on_one_and_two_blas_threads():
+    # a 1-form at N = 8, n = 2 has 65,536 reals, above the size at which
+    # OpenBLAS splits a dot product across threads
+    code = ("import numpy as np; from hkt4.lattice import LatticeField, sq_norm; "
+            "rng = np.random.default_rng(0); "
+            "fs = np.stack([LatticeField.random(1, 8, 2, rng).data for _ in range(4)]); "
+            "print(repr(sq_norm(fs).tolist()), repr([sq_norm(f).tolist() for f in fs]))")
+    src = os.path.dirname(os.path.dirname(hkt4.__file__))
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
+
+
+def test_sq_norm_of_each_field_whatever_the_stack_and_dtype():
+    # bit for bit the same in any stack, which the chunked residuals rely on
+    rng = np.random.default_rng(9)
+    fs = np.stack([LatticeField.random(2, 8, 2, rng).data for _ in range(5)])
+    norms = sq_norm(fs)
+    assert np.array_equal(norms, np.concatenate([sq_norm(fs[:2]), sq_norm(fs[2:])]))
+    assert np.array_equal(norms, [sq_norm(f) for f in fs])
+    a = np.arange(2 * 4 * 3 ** 4 * 4, dtype=float).reshape((2, 4) + (3,) * 4 + (2, 2))
+    want = (a ** 2).reshape(2, -1).sum(axis=1) / 3 ** 4
+    assert np.allclose(sq_norm(a), want, rtol=1e-15)
+    assert np.allclose(sq_norm(a + 1j * a), 2 * want, rtol=1e-15)
 
 
 def test_action_matrix_consistency_with_symbolic():

@@ -245,13 +245,17 @@ def suite_flow_start(N, n, seed, eps):
     return Connection(LatticeField.random(1, N, n, rng, scale=eps))
 
 
-def test_barzilai_borwein_flow_and_fixed_growth_flow_reach_the_target():
+def test_barzilai_borwein_flow_takes_no_more_iterations_than_fixed_growth():
+    # the fixed-growth step as the reference: from the same start both
+    # reach the target monotonically, the BB step in no more iterations
+    # (16 against 17 here; 243 against 3,173 from the (4, 3) start at seed 0)
     A0 = suite_flow_start(4, 2, 0, 1e-2)
     _, r0 = asd_residual(curvature(A0))
     target = r0 ** 2 * 1e-7
     reference = fixed_growth_flow(A0, 1e-3, 10_000, target)
     res = ym_flow(A0, step=1e-3, max_iters=10_000, target=target)
     assert reference[-1] <= target and res.converged
+    assert res.iterations <= len(reference) - 1
     for history in (reference, res.history):
         assert all(b <= a for a, b in zip(history, history[1:]))
 
@@ -400,7 +404,7 @@ def test_streamed_basis_residual_is_the_residual_of_the_basis(theta, monkeypatch
     whole = tb.residual(tb.basis)
     for fields in (5, 1):
         monkeypatch.setattr(moduli, "GRID_CHUNK_BYTES", fields * 4 * tb.basis[0].nbytes)
-        assert np.array_equal(tb.basis_residual(), whole)
+        assert np.array_equal(tb.residual(tb.coeffs, tb.phase), whole)
 
 
 def test_chunked_dense_matrix_is_bit_identical_to_one_pass(monkeypatch):
