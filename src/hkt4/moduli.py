@@ -4,15 +4,15 @@ horizontal slice and its induced quaternionic structures, and the L^2
 metric and Hermitian form on the slice.
 
 Quantitative kernel claims are made at flat and constant Cartan base
-connections, where the stacked slice operator is block diagonal over Fourier
-modes and matrix entries and the kernel is certified mode by mode; a dense
-brute-force null space covers other connections and cross-checks the rest.
+connections, where the slice operator is block diagonal over Fourier modes
+and matrix entries, and one constant identity of its symbol gives each
+block's singular values; a dense null space covers other connections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,6 @@ from .lattice import (
     LATTICE_AXES,
     LatticeField,
     TUPLES,
-    action_matrix,
     apply_components,
     commutator,
     covariant_gradient,
@@ -243,21 +242,6 @@ def slice_operator(A: Connection, L: Matrix):
     return op
 
 
-def _mode_symbol(L: Matrix, xi: np.ndarray) -> np.ndarray:
-    """Stacked 7x4 symbols of the slice operator at the Fourier modes xi,
-    shape (..., 4) -> (..., 7, 4)."""
-    dsym = np.zeros(xi.shape[:-1] + (6, 4), dtype=complex)
-    for r, (a, b) in enumerate(TUPLES[2]):
-        dsym[..., r, b] += 1j * xi[..., a]
-        dsym[..., r, a] -= 1j * xi[..., b]
-    l1 = action_matrix(L, 1)
-    l2 = action_matrix(L, 2)
-    top = sd_projector() @ dsym
-    # twisted differential on 1-forms carries overall sign +1 (ledger)
-    bottom = lambda_row(L) @ l2 @ dsym @ l1
-    return np.concatenate([top, bottom[..., None, :]], axis=-2)
-
-
 @dataclass
 class TangentBasis:
     """Orthonormal basis ``coeffs[i] * phase`` of the horizontal slice at a
@@ -316,14 +300,15 @@ class TangentBasis:
 
 GAP_THRESHOLD = 1e3
 MAX_DENSE_DIM = 3200
+SYMBOL_TOL = 1e-12  # the largest symbol-identity defect round-off explains
 
 
 def _slice_basis(A: Connection, L: Matrix, tol: float):
     """``TangentBasis`` coefficients and phase of the kernel of the stacked
     operator (d_A^+, Lambda d^c_L), its smallest non-kernel singular value
     and the kernel gap: at a flat and constant Cartan connection (A = 0 too)
-    the operator is block diagonal over Fourier modes and matrix entries, so
-    the kernel is certified by per-block singular values (no discretization
+    the operator is block diagonal over Fourier modes and matrix entries, and
+    each block's singular values follow from |xi + shift| (no discretization
     pollution); otherwise it is a dense null space, up to ``MAX_DENSE_DIM``."""
     shifts = _cartan_shifts(A)
     if shifts is None:
@@ -360,11 +345,13 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
                         curvature_norm=F.norm())
 
 
+@lru_cache(maxsize=None)
 def _modes(N: int) -> np.ndarray:
-    """The frequency vectors xi of the N^4 Fourier modes, shape (N^4, 4)."""
-    freqs = frequencies(N)
-    return np.stack(np.meshgrid(freqs, freqs, freqs, freqs, indexing="ij"),
-                    axis=-1).reshape(-1, 4)
+    """The frequency vectors xi of the N^4 Fourier modes in grid order, shape
+    (N^4, 4); read-only, as shared."""
+    xi = frequencies(N)[np.indices((N,) * 4).reshape(4, -1).T]
+    xi.flags.writeable = False
+    return xi
 
 
 def _cartan_shifts(A: Connection) -> Optional[np.ndarray]:
@@ -379,30 +366,45 @@ def _cartan_shifts(A: Connection) -> Optional[np.ndarray]:
     return np.moveaxis(theta[:, :, None] - theta[:, None, :], 0, -1)
 
 
-def _stabiliser(vanish: np.ndarray) -> np.ndarray:
-    """The su(n) generators each of whose entries (j, k) has a channel that
-    vanishes at some Fourier mode (``vanish``, shape (n, n, N^4))."""
-    gens = su_basis(len(vanish))
-    return gens[np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))]
+def _mode_kernel(N: int, shifts: np.ndarray, tol: float):
+    """The kernel rule at a constant Cartan connection: the norms r = |xi +
+    shifts[j, k]| at the N^4 modes, shape (n, n, N^4), one pass per distinct
+    shift; the mask r < tol of the vanishing channels; and the stabiliser,
+    the su(n) generators each of whose entries has a vanishing channel."""
+    alpha, channel = np.unique(shifts.reshape(-1, 4), axis=0, return_inverse=True)
+    norms = np.linalg.norm(_modes(N) + alpha[:, None], axis=-1)
+    norms = norms[channel.reshape(shifts.shape[:2])]
+    vanish, gens = norms < tol, su_basis(len(shifts))
+    return norms, vanish, gens[np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))]
+
+
+@lru_cache(maxsize=None)
+def _certify_symbol(L: Matrix) -> None:
+    """Check S_a^H S_b + S_b^H S_a = delta_ab I + (e_a e_b^T + e_b e_a^T)/2 on
+    the slice symbols S_a = i slice_matrix(L)[:, 4a:4a+4] at the unit vectors,
+    which gives sigma^H sigma = (|xi|^2 I + xi xi^T)/2 at every real xi."""
+    eye = np.eye(4)
+    S = 1j * slice_matrix(L).reshape(7, 4, 4).swapaxes(0, 1)
+    G = np.einsum("aji,bjk->abik", S.conj(), S)
+    want = np.einsum("ab,ik->abik", eye, eye) + (np.einsum("ai,bk->abik", eye, eye)
+                                                 + np.einsum("bi,ak->abik", eye, eye)) / 2
+    defect = float(np.abs(G + G.swapaxes(0, 1) - want).max())
+    if defect > SYMBOL_TOL:
+        raise RuntimeError(f"the slice symbol of this structure is not "
+                           f"(|xi|^2 I + xi xi^T)/2: defect {defect:.3e}")
 
 
 def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
-    """Per-mode certificate and basis at a constant Cartan connection: the
-    block of entry (j, k) at the mode xi is the symbol at xi + shifts[j, k],
-    and each distinct shift is evaluated once, in one batched SVD."""
-    alpha, channel = np.unique(shifts.reshape(-1, 4), axis=0, return_inverse=True)
-    sv = np.linalg.svd(_mode_symbol(L, _modes(N) + alpha[:, None]), compute_uv=False)
-    small = (sv < tol).sum(axis=-1)
-    bad = np.argwhere((small > 0) & (small < 4))
-    if len(bad):
-        k = tuple(int(i) for i in np.unravel_index(bad[0, 1], (N,) * 4))
-        raise RuntimeError(f"unexpected slice kernel at mode {k}")
-    vanish = small == 4
-    min_sv = float(sv[..., -1][~vanish].min())
-    max_kernel_sv = float(sv[..., 0][vanish].max())
+    """Per-mode basis at a constant Cartan connection: by the identity that
+    ``_certify_symbol`` checks, the block of entry (j, k) at the mode xi has
+    the singular values r (1, 2^-1/2, 2^-1/2, 2^-1/2), r = |xi + shifts[j, k]|,
+    so the smallest non-kernel one is the least r >= tol over sqrt 2 and the
+    largest kernel one the largest r < tol."""
+    _certify_symbol(L)
+    norms, vanish, gens = _mode_kernel(N, shifts, tol)
+    min_sv = float(norms.min(where=~vanish, initial=np.inf)) / np.sqrt(2)
+    max_kernel_sv = float(norms.max(where=vanish, initial=0.0))
     gap = min_sv / max_kernel_sv if max_kernel_sv > 0 else np.inf
-    vanish = vanish[channel.reshape(shifts.shape[:2])]
-    gens = _stabiliser(vanish)
     # dx_mu x g at x = 0, row mu * len(gens) + g, and the phase e^{i xi.x} of
     # each entry's first vanishing mode (1 on the diagonal and at A = 0)
     coeffs = np.einsum("mt,g...jk->mgt...jk", np.eye(4), gens[:, None, None, None, None])
@@ -455,9 +457,8 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     kernel_dim = int(kernel_mask.sum())
     if kernel_dim == 0:
         raise RuntimeError("no kernel found for the slice operator")
-    nonkernel = svals[~kernel_mask]
-    min_nonkernel = float(nonkernel.min()) if len(nonkernel) else np.inf
-    max_kernel = float(svals[kernel_mask].max())
+    min_nonkernel = float(svals.min(where=~kernel_mask, initial=np.inf))
+    max_kernel = float(svals.max(where=kernel_mask, initial=0.0))
     gap = min_nonkernel / max_kernel if max_kernel > 0 else np.inf
     # vt rows are Euclidean-orthonormal, and the unit fields have L^2 Gram
     # matrix I / N^4, so N^2 makes the kernel L^2-orthonormal
@@ -472,8 +473,7 @@ def gauge_kernel_dim(A: Connection, tol: float) -> int:
     otherwise, the kernel of the dense singular values of d_A."""
     shifts = _cartan_shifts(A)
     if shifts is not None:
-        vanish = np.linalg.norm(_modes(A.N) + shifts[:, :, None], axis=-1) < tol
-        return len(_stabiliser(vanish))
+        return len(_mode_kernel(A.N, shifts, tol)[2])
     M = _real_matrix(d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data))
     _, kernel_mask = _kernel_split(np.linalg.svd(M, compute_uv=False), M.shape[1], tol)
     return int(kernel_mask.sum())
@@ -543,8 +543,8 @@ def verify_moduli_structure(tb: TangentBasis,
     dims = {"I": tb.dimension}
     distances = {}
     for name, L in zip("JK", (frame.J, frame.K)):
-        # the cuts share I's phase, which depends only on A and N (the mode
-        # symbols of the six frame structures have the same singular values)
+        # the cuts share I's phase: which modes vanish, |xi + shift| < tol,
+        # depends only on A, N and tol once the symbol identity holds
         other, _, _, _ = _slice_basis(A, L, tol)
         dims[name] = len(other)
         distances[f"I-{name}"] = subspace_distance(tb.coeffs, other)

@@ -1,6 +1,8 @@
 """Moduli tangent space on the flat torus: curvature, ASD residual, flow,
 horizontal slice, induced quaternionic structures, L^2 metric."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from hkt4.lattice import (
     lambda_row,
     project_su,
     sd_projector,
+    slice_matrix,
     sq_norm,
     su_basis,
+    TUPLES,
 )
 from hkt4.moduli import (
     Connection,
@@ -39,13 +43,59 @@ from hkt4.moduli import (
     verify_moduli_structure,
     ym_flow,
     _dense_slice_basis,
-    _mode_symbol,
     _real_matrix,
     _unit_fields,
 )
-from hkt4.quaternions import HypercomplexFrame
+from hkt4.quaternions import HypercomplexFrame, structure_matrix
 
 FRAME = HypercomplexFrame.left()
+
+
+def _mode_symbol(L, xi):
+    """Oracle: the stacked 7x4 symbols of the slice operator at the
+    frequencies xi, (..., 4) -> (..., 7, 4), built from the symbol of d on
+    1-forms, the self-dual projector and Lambda d^c_L."""
+    dsym = np.zeros(xi.shape[:-1] + (6, 4), dtype=complex)
+    for r, (a, b) in enumerate(TUPLES[2]):
+        dsym[..., r, b] += 1j * xi[..., a]
+        dsym[..., r, a] -= 1j * xi[..., b]
+    l1 = action_matrix(L, 1)
+    l2 = action_matrix(L, 2)
+    top = sd_projector() @ dsym
+    # twisted differential on 1-forms carries overall sign +1 (ledger)
+    bottom = lambda_row(L) @ l2 @ dsym @ l1
+    return np.concatenate([top, bottom[..., None, :]], axis=-2)
+
+
+def mode_table(N):
+    f = frequencies(N)
+    return np.stack(np.meshgrid(f, f, f, f, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
+def svd_mode_slice_basis(N, L, tol, shifts):
+    """Oracle for the per-mode slice at a constant Cartan connection: one
+    batched SVD of the symbol at every mode and distinct shift. A block is in
+    the kernel when all four singular values are below tol; a block with
+    some but not all below tol raises."""
+    alpha, channel = np.unique(shifts.reshape(-1, 4), axis=0, return_inverse=True)
+    sv = np.linalg.svd(_mode_symbol(L, mode_table(N) + alpha[:, None]), compute_uv=False)
+    small = (sv < tol).sum(axis=-1)
+    bad = np.argwhere((small > 0) & (small < 4))
+    if len(bad):
+        k = tuple(int(i) for i in np.unravel_index(bad[0, 1], (N,) * 4))
+        raise RuntimeError(f"unexpected slice kernel at mode {k}")
+    vanish = small == 4
+    min_sv = float(sv[..., -1][~vanish].min())
+    max_kernel_sv = float(sv[..., 0][vanish].max())
+    gap = min_sv / max_kernel_sv if max_kernel_sv > 0 else np.inf
+    vanish = vanish[channel.reshape(shifts.shape[:2])]
+    gens = su_basis(len(vanish))
+    gens = gens[np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))]
+    coeffs = np.einsum("mt,g...jk->mgt...jk", np.eye(4), gens[:, None, None, None, None])
+    xi = mode_table(N)[vanish.argmax(axis=-1)]
+    phase = np.exp(1j * np.einsum("m...,jkm->...jk", np.indices((N,) * 4) / N, xi))
+    phase[..., np.eye(len(vanish), dtype=bool)] = 1.0
+    return coeffs.reshape((-1,) + coeffs.shape[2:]), phase, min_sv, float(gap)
 
 
 def constant_connection(N, n, values):
@@ -297,11 +347,27 @@ def test_horizontal_slice_rejects_tol_that_is_not_positive_and_finite(tol):
         horizontal_slice(Connection.flat(3, 2), FRAME.I, tol)
 
 
-def test_horizontal_slice_rejects_a_partial_mode_kernel():
-    # the blocks at |xi| = 2 pi have singular values 2 pi / sqrt(2) (three
-    # times) and 2 pi, so a tolerance of 5 gives each a partial kernel
-    with pytest.raises(RuntimeError, match="unexpected slice kernel"):
-        horizontal_slice(Connection.flat(3, 2), FRAME.I, 5.0)
+def diagonal_connection(N, t):
+    """A = i diag(t, -t) dx0: its off-diagonal channels have the shift 2t."""
+    return constant_connection(N, 2, [(0, np.diag([1j * t, -1j * t]))])
+
+
+@pytest.mark.parametrize("t,dim", [(4e-11, 12), (6e-11, 4), (7e-11, 4), (8e-11, 4)])
+def test_slice_near_a_resonance_follows_the_gauge_kernel_rule(t, dim):
+    # at t = 6e-11 and 7e-11 the off-diagonal blocks at xi = 0 have singular
+    # values 2t >= tol and 2t / sqrt 2 < tol: the per-mode SVD found a partial
+    # kernel there and raised; the norm rule |xi + shift| < tol, the one
+    # gauge_kernel_dim applies, puts each block on one side
+    A, tol = diagonal_connection(5, t), 1e-10
+    tb = horizontal_slice(A, FRAME.I, tol, frame=FRAME)
+    assert tb.dimension == 4 * gauge_kernel_dim(A, tol) == dim
+    # the least non-kernel block: the off-diagonal one at xi = 0 when it is
+    # outside the kernel, else the one at xi = -2 pi e_0
+    least = 2 * t if dim == 4 else 2 * np.pi - 2 * t
+    assert tb.min_nonkernel_sv == pytest.approx(least / np.sqrt(2), rel=1e-14)
+    if t in (6e-11, 7e-11):
+        with pytest.raises(RuntimeError, match="unexpected slice kernel"):
+            svd_mode_slice_basis(5, FRAME.I, tol, moduli._cartan_shifts(A))
 
 
 def test_slice_elements_satisfy_equations():
@@ -633,6 +699,82 @@ def test_cartan_slice_matches_dense_oracle(mu, theta, monkeypatch):
     assert dense.shape == per_mode.shape == (4 * 3 ** 4 * (n * n - 1),)
     dense = np.sort(dense)
     assert np.abs(per_mode - dense).max() < 1e-12 * dense.max()
+
+
+ORACLE_CONNECTIONS = {
+    "flat": lambda N: Connection.flat(N, 2),
+    "generic": lambda N: cartan_connection(N, 0, [0.37, -0.37]),
+    "central": lambda N: cartan_connection(N, 0, [np.pi, -np.pi]),
+    "resonant": lambda N: cartan_connection(N, 1, [0.5, 0.5, -1.0]),
+    "near-4e-11": lambda N: diagonal_connection(N, 4e-11),
+    "near-8e-11": lambda N: diagonal_connection(N, 8e-11),
+}
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8])
+@pytest.mark.parametrize("name", list(ORACLE_CONNECTIONS))
+def test_mode_slice_basis_matches_the_per_mode_svd(N, name):
+    A = ORACLE_CONNECTIONS[name](N)
+    # the three cuts at N <= 5, one of them, in turn, at N = 8
+    turn = list(ORACLE_CONNECTIONS).index(name) % 3
+    cuts = FRAME.matrices() if N < 8 else FRAME.matrices()[turn:turn + 1]
+    for L in cuts:
+        coeffs, phase, min_sv, gap = moduli._slice_basis(A, L, 1e-10)
+        want = svd_mode_slice_basis(N, L, 1e-10, moduli._cartan_shifts(A))
+        assert np.array_equal(coeffs, want[0]) and np.array_equal(phase, want[1])
+        assert abs(min_sv - want[2]) <= 1e-14 * want[2]
+        assert gap == want[3] or abs(gap - want[3]) <= 1e-14 * want[3]
+        assert np.isfinite(gap) == (name == "near-4e-11")
+
+
+def test_the_mode_slice_runs_no_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("an SVD on the per-mode path")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    tb = horizontal_slice(cartan_connection(4, 0, [np.pi, -np.pi]), FRAME.J, 1e-10)
+    assert tb.dimension == 12
+
+
+def test_the_mode_table_is_one_shared_read_only_array():
+    xi = moduli._modes(4)
+    assert moduli._modes(4) is xi and not xi.flags.writeable
+    assert np.array_equal(xi, mode_table(4))
+
+
+def test_rational_axis_structures_pass_the_symbol_certificate():
+    # every orthogonal complex structure, left or right, satisfies the
+    # identity; on a rational axis it holds up to round-off
+    rng = random.Random(5)
+    axes = [suites.random_rational_axis(rng) for _ in range(6)]
+    structures = [structure_matrix(side, axis) for side in ("left", "right") for axis in axes]
+    for L in structures + list(FRAME.matrices()) + list(HypercomplexFrame.right().matrices()):
+        moduli._certify_symbol(L)
+        # the certified symbols are the oracle's at the unit vectors
+        S = 1j * slice_matrix(L).reshape(7, 4, 4).swapaxes(0, 1)
+        assert np.abs(S - _mode_symbol(L, np.eye(4))).max() < 1e-15
+    A = cartan_connection(4, 2, [0.3, 0.5, -0.8])
+    for L in structures[::5]:
+        coeffs, phase, min_sv, _ = moduli._slice_basis(A, L, 1e-10)
+        want = svd_mode_slice_basis(4, L, 1e-10, moduli._cartan_shifts(A))
+        assert len(coeffs) == 8 and np.array_equal(coeffs, want[0])
+        assert np.array_equal(phase, want[1])
+        assert abs(min_sv - want[2]) <= 1e-14 * want[2]
+
+
+def test_a_slice_symbol_breaking_the_identity_raises(monkeypatch):
+    # every structure the lattice accepts satisfies the identity, so break
+    # the operator: doubling the Lambda row adds 3 xi xi^T to sigma^H sigma,
+    # and no SVD falls back
+    real = moduli.slice_matrix
+    monkeypatch.setattr(moduli, "slice_matrix",
+                        lambda L: real(L) * np.r_[np.ones(6), 2.0][:, None])
+    moduli._certify_symbol.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="slice symbol"):
+            horizontal_slice(Connection.flat(3, 2), FRAME.I, 1e-10)
+    finally:
+        moduli._certify_symbol.cache_clear()
 
 
 def test_commuting_non_diagonal_connection_takes_dense_path(monkeypatch):
