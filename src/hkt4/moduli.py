@@ -105,10 +105,12 @@ _MU, _NU = np.array(TUPLES[2]).T
 
 
 def curvature(conn: Connection) -> LatticeField:
-    """F = dA + A ^ A; exactly zero for constant commuting connections."""
+    """F = dA + A ^ A; exactly zero for constant commuting connections. At
+    A = 0 the all-zero commutator is skipped."""
     a = conn.A.data
     F = d_raw(a, 1, conn.N)
-    F += commutator(a[_MU], a[_NU])
+    if _coupling(conn) is not None:
+        F += commutator(a[_MU], a[_NU])
     return LatticeField(2, conn.N, conn.n, F)
 
 
@@ -288,6 +290,24 @@ class TangentBasis:
         size = np.broadcast(a[0], phase).size * np.result_type(a, phase).itemsize
         return np.concatenate([np.sqrt(sq_norm(op(a[s] * phase)))
                                for s in _chunks(len(a), size)])
+
+    def slice_defects(self) -> np.ndarray:
+        """``residual(coeffs, phase)`` without the grid basis: D_A acts entry
+        by entry at a constant Cartan connection, so D_mu(coeffs[i] * phase)
+        = coeffs[i] * D_mu phase, and element i's image on entry e is B_ie
+        G_e, with B_ie = slice_matrix(L) (7 x 4 x 4) times coeffs[i][:, e]
+        and G_e the 4 x N^4 gradient of the phase's entry e. With G_e^T =
+        Q_e R_e, |B_ie G_e|_F = |B_ie R_e^T|_F (N^2 times the site-averaged
+        norm), so no image is formed on the grid; ``residual`` stays the
+        grid oracle. The dense path (``phase`` 1) is ``residual(coeffs)``."""
+        if self.phase.ndim == 0:
+            return self.residual(self.coeffs)
+        N, n = self.base.N, self.base.n
+        grad = covariant_gradient(self.phase[None], N, _coupling(self.base))
+        R = np.linalg.qr(grad.reshape(4, -1, n * n).T, mode="r") / N ** 2
+        B = np.einsum("smt,ite->iesm", slice_matrix(self.structure).reshape(7, 4, 4),
+                      self.coeffs.reshape(self.dimension, 4, n * n))
+        return np.linalg.norm((B @ R.swapaxes(-1, -2)).reshape(self.dimension, -1), axis=1)
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a
@@ -600,6 +620,19 @@ def moduli_hermitian_form(tb: TangentBasis, a1: LatticeField,
     return float(hermitian_form_matrix(tb.structure, a1.data[None], a2.data[None])[0, 0])
 
 
+# two grids' worth of a frame's three structures: each entry holds 4 N^4
+# complex numbers
+@lru_cache(maxsize=6)
+def _star_wedge(L: Matrix, N: int) -> np.ndarray:
+    """The components of *(d^c_L omega_L ^ .) on 1-forms on the N^4 grid, as
+    a (4, N, N, N, N, 1, 1) array, d^c_L omega_L from the constant Hermitian
+    form (exactly zero spectrally); read-only, as shared."""
+    omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
+    sw = apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
+    sw.flags.writeable = False
+    return sw
+
+
 def coulomb_identity_defect(a, structures: Sequence[Matrix],
                             A: Optional[Connection] = None) -> float:
     """Largest norm of d*_A a - Lambda d^c_L a - *(d^c_L omega_L ^ a) over
@@ -608,17 +641,12 @@ def coulomb_identity_defect(a, structures: Sequence[Matrix],
     computed once for all the structures.
 
     On the flat torus the Hermitian forms are constant, so the last term
-    vanishes identically; it is still assembled in full so the identity is
-    checked as stated, not in a simplified form."""
+    vanishes identically; it is still assembled in full (once per structure
+    and grid, ``_star_wedge``) so the identity is checked as stated, not in a
+    simplified form."""
     stack = a.data[None] if isinstance(a, LatticeField) else a
     N, Ac = stack.shape[-3], _coupling(A)
-
-    def star_wedge(L: Matrix) -> np.ndarray:
-        # d^c_L omega_L from the constant Hermitian form (exactly zero spectrally)
-        omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
-        return apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
-
-    terms = [(L, star_wedge(L)) for L in structures]
+    terms = [(L, _star_wedge(L, N)) for L in structures]
     defects = []
     for s in _chunks(len(stack), stack[0].nbytes):
         chunk = stack[s]

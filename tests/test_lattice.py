@@ -191,6 +191,31 @@ def test_entry_plane_kernels_match_broadcast_formulas(n):
         assert np.abs(trace).max() < 1e-15 * n
 
 
+def trace_project_su(arr, n):
+    """project_su with the trace taken by np.trace."""
+    out = np.empty(arr.shape, dtype=complex)
+    for i, j in np.ndindex(n, n):
+        np.subtract(arr[..., i, j], np.conj(arr[..., j, i]), out=out[..., i, j])
+    out *= 0.5
+    if n >= 2:
+        tr = np.trace(out, axis1=-2, axis2=-1) / n
+        for i in range(n):
+            out[..., i, i] -= tr
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_project_su_trace_rounds_as_np_trace(n):
+    # the diagonal planes added in order give np.trace bit for bit, signed
+    # zeros included, on contiguous and strided stacks
+    rng = np.random.default_rng(30 + n)
+    x = rng.standard_normal((3, 4, 4, 4, 4, n, n)) + 1j * rng.standard_normal((3, 4, 4, 4, 4, n, n))
+    x[0, ..., 0, :] = -0.0
+    x.imag[1, ..., 0, 0] = -0.0
+    for arr in (x, x[:, ::2], np.zeros_like(x), -np.zeros_like(x)):
+        assert project_su(arr, n).tobytes() == trace_project_su(arr, n).tobytes()
+
+
 def test_even_grid_nyquist_takes_d_out_of_su():
     # on an even grid the Nyquist symbol i 2 pi (-N/2) is not a real
     # derivative, so d of an su(2) 1-form has a Hermitian part; an odd grid

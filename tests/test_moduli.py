@@ -1,7 +1,9 @@
 """Moduli tangent space on the flat torus: curvature, ASD residual, flow,
 horizontal slice, induced quaternionic structures, L^2 metric."""
 
+import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hkt4.lattice import (
     d_raw,
     dc_raw,
     frequencies,
+    hermitian_form_vector,
     l2_gram,
     l2_inner,
     lambda_row,
@@ -23,6 +26,7 @@ from hkt4.lattice import (
     slice_matrix,
     sq_norm,
     su_basis,
+    wedge_pairing,
     TUPLES,
 )
 from hkt4.moduli import (
@@ -126,6 +130,20 @@ def test_torus_spec_validation():
 def test_curvature_zero_for_flat():
     A = Connection.flat(3, 2)
     assert curvature(A).norm() == 0.0
+
+
+def test_flat_curvature_is_d_without_the_commutator():
+    A = Connection.flat(3, 2)
+    assert np.array_equal(curvature(A).data, d_raw(A.A.data, 1, 3))
+    A = Connection.flat(16, 2)
+    tracemalloc.start()
+    try:
+        curvature(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 6-pair commutator of the zero array alone took 168 MB
+    assert peak < 100e6
 
 
 def test_curvature_zero_for_constant_commuting():
@@ -515,6 +533,30 @@ def test_stacked_coulomb_defect_is_the_per_field_maximum(monkeypatch):
             assert coulomb_identity_defect(stack, FRAME.matrices(), A) == max(worst)
 
 
+def inline_coulomb_defect(stack, L, A):
+    """Oracle: the Coulomb defect of a stack for one structure with
+    *(d^c_L omega_L ^ .) assembled on every call."""
+    N, Ac = stack.shape[-3], None if A is None or not np.any(A.A.data) else A.A.data
+    omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
+    sw = apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
+    lhs = d_adjoint(stack, 1, N, A=Ac)
+    mid = apply_components(lambda_row(L)[None], dc_raw(L, stack, 1, N, A=Ac))
+    term3 = np.sum(sw * stack, axis=-7, keepdims=True)
+    return float(np.sqrt(sq_norm(lhs - mid - term3)).max())
+
+
+def test_coulomb_constant_term_is_built_once_per_structure_and_grid():
+    rng = np.random.default_rng(56)
+    N, n = 4, 2
+    stack = np.stack([LatticeField.random(1, N, n, rng).data for _ in range(3)])
+    for L in FRAME.matrices():
+        sw = moduli._star_wedge(L, N)
+        assert moduli._star_wedge(L, N) is sw and not sw.flags.writeable
+        assert sw.shape == (4, N, N, N, N, 1, 1)
+        for A in sample_connections(N, n, rng):
+            assert coulomb_identity_defect(stack, [L], A) == inline_coulomb_defect(stack, L, A)
+
+
 def test_moduli_suite_checks_the_coulomb_identity_in_one_call(monkeypatch):
     calls, real = [], suites.coulomb_identity_defect
 
@@ -727,6 +769,33 @@ def test_mode_slice_basis_matches_the_per_mode_svd(N, name):
         assert np.isfinite(gap) == (name == "near-4e-11")
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 8])
+@pytest.mark.parametrize("name", ["flat", "generic", "central", "resonant"])
+def test_slice_defects_match_the_grid_residual(N, name):
+    # one gradient of the phase and its R factors give the slice-equation
+    # defects of the grid basis
+    A = ORACLE_CONNECTIONS[name](N)
+    for L in FRAME.matrices():
+        tb = horizontal_slice(A, L, 1e-10, frame=FRAME)
+        got, want = tb.slice_defects(), tb.residual(tb.basis)
+        assert got.shape == want.shape == (tb.dimension,)
+        assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["generic", "resonant"])
+def test_slice_defects_of_non_kernel_coefficients_match_the_residual(name):
+    # constants off the kernel: the off-diagonal entries of the generic and
+    # of the resonant connection have a shift and so a non-zero gradient
+    rng = np.random.default_rng(55)
+    for N in (4, 5):
+        tb = horizontal_slice(ORACLE_CONNECTIONS[name](N), FRAME.K, 1e-10, frame=FRAME)
+        coeffs = rng.standard_normal(tb.coeffs.shape) + 1j * rng.standard_normal(tb.coeffs.shape)
+        tb = dataclasses.replace(tb, coeffs=coeffs)
+        got, want = tb.slice_defects(), tb.residual(coeffs, tb.phase)
+        assert 0.1 < want.min() and want.max() < 100
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
 def test_the_mode_slice_runs_no_svd(monkeypatch):
     def svd(*args, **kwargs):
         raise AssertionError("an SVD on the per-mode path")
@@ -791,6 +860,9 @@ def test_commuting_non_diagonal_connection_takes_dense_path(monkeypatch):
                           1e-10, frame=FRAME)
     assert len(calls) == 1
     assert tb.dimension == 4 and tb.gap_ok
+    # with no phase, the slice defects are the grid residual of the basis
+    assert tb.phase.ndim == 0
+    assert np.array_equal(tb.slice_defects(), tb.residual(tb.coeffs))
     # the same holonomy in diagonal form is certified per mode
     horizontal_slice(cartan_connection(3, 0, [0.37, -0.37]), FRAME.I, 1e-10)
     assert len(calls) == 1
