@@ -185,18 +185,11 @@ def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:
     return (_diff_matrix(N) @ view).reshape(arr.shape)
 
 
-@lru_cache(maxsize=None)
-def _plane_axes(ndim: int):
-    """The ``transpose`` axes that move the two matrix axes of an ndim-array
-    to the front, and those that move them back to the end."""
-    return (ndim - 2, ndim - 1) + tuple(range(ndim - 2)), tuple(range(2, ndim)) + (0, 1)
-
-
 def _entry_planes(x: np.ndarray, ndim: int) -> np.ndarray:
     """The entry planes p[i, j] = x[..., i, j] of a stack of n x n matrices,
     its leading axes padded to ``ndim - 2``, as one contiguous array."""
     x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
-    return np.ascontiguousarray(x.transpose(_plane_axes(ndim)[0]))
+    return np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
 
 
 def _plane_product(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -214,7 +207,7 @@ def matmul_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entry planes (``@`` loops over tiny products instead)."""
     ndim = max(a.ndim, b.ndim)
     out = _plane_product(_entry_planes(a, ndim), _entry_planes(b, ndim))
-    return out.transpose(_plane_axes(ndim)[1])
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -225,7 +218,7 @@ def commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     pa, px = _entry_planes(a, ndim), _entry_planes(x, ndim)
     out = _plane_product(pa, px)
     out -= _plane_product(px, pa)
-    return out.transpose(_plane_axes(ndim)[1])
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _covariant(arr: np.ndarray, mu: int, N: int,
@@ -271,7 +264,7 @@ def _incidence_pass(data: np.ndarray, degree: int, N: int,
                    + data.shape[-6:], dtype=complex)
     for mu, (src, dst, sign) in enumerate(_incidence(degree)):
         read, write = (dst, src) if adjoint else (src, dst)
-        terms = _covariant(data.take(read, axis=-7), mu, N, A)
+        terms = _covariant(np.take(data, read, axis=-7), mu, N, A)
         for i, (j, s) in enumerate(zip(write, sign)):
             target = out[(..., j) + _GRID]
             (np.add if (s > 0) != adjoint else np.subtract)(

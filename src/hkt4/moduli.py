@@ -244,6 +244,25 @@ def slice_operator(A: Connection, L: Matrix):
     return op
 
 
+def _r_factor(g: np.ndarray) -> np.ndarray:
+    """The k x k factor R_e of g[e]^T = Q_e R_e for a stack (E, k, M) of k
+    long rows, by modified Gram-Schmidt: its R is as accurate as
+    Householder's, and its sums are numpy's own, so, like ``sq_norm``, it
+    rounds the same on any thread count (LAPACK's QR calls threaded BLAS on
+    these tall matrices). A zero row gives a zero row of R."""
+    v = np.array(g, dtype=complex, order="C")
+    k = v.shape[-2]
+    R = np.zeros(v.shape[:-2] + (k, k), dtype=complex)
+    for j in range(k):
+        row = v[:, j]
+        norm = np.sqrt((row.real * row.real + row.imag * row.imag).sum(axis=-1))
+        q = np.divide(row, norm[:, None], out=np.zeros_like(row), where=norm[:, None] > 0)
+        R[:, j, j] = norm
+        R[:, j, j + 1:] = (q.conj()[:, None] * v[:, j + 1:]).sum(axis=-1)
+        v[:, j + 1:] -= R[:, j, j + 1:, None] * q[:, None]
+    return R
+
+
 @dataclass
 class TangentBasis:
     """Orthonormal basis ``coeffs[i] * phase`` of the horizontal slice at a
@@ -304,10 +323,11 @@ class TangentBasis:
             return self.residual(self.coeffs)
         N, n = self.base.N, self.base.n
         grad = covariant_gradient(self.phase[None], N, _coupling(self.base))
-        R = np.linalg.qr(grad.reshape(4, -1, n * n).T, mode="r") / N ** 2
+        R = _r_factor(grad.reshape(4, -1, n * n).transpose(2, 0, 1)) / N ** 2
         B = np.einsum("smt,ite->iesm", slice_matrix(self.structure).reshape(7, 4, 4),
                       self.coeffs.reshape(self.dimension, 4, n * n))
-        return np.linalg.norm((B @ R.swapaxes(-1, -2)).reshape(self.dimension, -1), axis=1)
+        return np.linalg.norm(np.einsum("iesm,etm->iest", B, R).reshape(self.dimension, -1),
+                              axis=1)
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a
@@ -620,19 +640,6 @@ def moduli_hermitian_form(tb: TangentBasis, a1: LatticeField,
     return float(hermitian_form_matrix(tb.structure, a1.data[None], a2.data[None])[0, 0])
 
 
-# two grids' worth of a frame's three structures: each entry holds 4 N^4
-# complex numbers
-@lru_cache(maxsize=6)
-def _star_wedge(L: Matrix, N: int) -> np.ndarray:
-    """The components of *(d^c_L omega_L ^ .) on 1-forms on the N^4 grid, as
-    a (4, N, N, N, N, 1, 1) array, d^c_L omega_L from the constant Hermitian
-    form (exactly zero spectrally); read-only, as shared."""
-    omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
-    sw = apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
-    sw.flags.writeable = False
-    return sw
-
-
 def coulomb_identity_defect(a, structures: Sequence[Matrix],
                             A: Optional[Connection] = None) -> float:
     """Largest norm of d*_A a - Lambda d^c_L a - *(d^c_L omega_L ^ a) over
@@ -641,12 +648,17 @@ def coulomb_identity_defect(a, structures: Sequence[Matrix],
     computed once for all the structures.
 
     On the flat torus the Hermitian forms are constant, so the last term
-    vanishes identically; it is still assembled in full (once per structure
-    and grid, ``_star_wedge``) so the identity is checked as stated, not in a
-    simplified form."""
+    vanishes identically; it is still assembled in full so the identity is
+    checked as stated, not in a simplified form."""
     stack = a.data[None] if isinstance(a, LatticeField) else a
     N, Ac = stack.shape[-3], _coupling(A)
-    terms = [(L, _star_wedge(L, N)) for L in structures]
+
+    def star_wedge(L: Matrix) -> np.ndarray:
+        # d^c_L omega_L from the constant Hermitian form (exactly zero spectrally)
+        omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
+        return apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
+
+    terms = [(L, star_wedge(L)) for L in structures]
     defects = []
     for s in _chunks(len(stack), stack[0].nbytes):
         chunk = stack[s]

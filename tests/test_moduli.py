@@ -2,7 +2,10 @@
 horizontal slice, induced quaternionic structures, L^2 metric."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,6 @@ from hkt4.lattice import (
     d_raw,
     dc_raw,
     frequencies,
-    hermitian_form_vector,
     l2_gram,
     l2_inner,
     lambda_row,
@@ -26,7 +28,6 @@ from hkt4.lattice import (
     slice_matrix,
     sq_norm,
     su_basis,
-    wedge_pairing,
     TUPLES,
 )
 from hkt4.moduli import (
@@ -533,30 +534,6 @@ def test_stacked_coulomb_defect_is_the_per_field_maximum(monkeypatch):
             assert coulomb_identity_defect(stack, FRAME.matrices(), A) == max(worst)
 
 
-def inline_coulomb_defect(stack, L, A):
-    """Oracle: the Coulomb defect of a stack for one structure with
-    *(d^c_L omega_L ^ .) assembled on every call."""
-    N, Ac = stack.shape[-3], None if A is None or not np.any(A.A.data) else A.A.data
-    omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
-    sw = apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
-    lhs = d_adjoint(stack, 1, N, A=Ac)
-    mid = apply_components(lambda_row(L)[None], dc_raw(L, stack, 1, N, A=Ac))
-    term3 = np.sum(sw * stack, axis=-7, keepdims=True)
-    return float(np.sqrt(sq_norm(lhs - mid - term3)).max())
-
-
-def test_coulomb_constant_term_is_built_once_per_structure_and_grid():
-    rng = np.random.default_rng(56)
-    N, n = 4, 2
-    stack = np.stack([LatticeField.random(1, N, n, rng).data for _ in range(3)])
-    for L in FRAME.matrices():
-        sw = moduli._star_wedge(L, N)
-        assert moduli._star_wedge(L, N) is sw and not sw.flags.writeable
-        assert sw.shape == (4, N, N, N, N, 1, 1)
-        for A in sample_connections(N, n, rng):
-            assert coulomb_identity_defect(stack, [L], A) == inline_coulomb_defect(stack, L, A)
-
-
 def test_moduli_suite_checks_the_coulomb_identity_in_one_call(monkeypatch):
     calls, real = [], suites.coulomb_identity_defect
 
@@ -794,6 +771,34 @@ def test_slice_defects_of_non_kernel_coefficients_match_the_residual(name):
         got, want = tb.slice_defects(), tb.residual(coeffs, tb.phase)
         assert 0.1 < want.min() and want.max() < 100
         assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+def test_r_factor_gives_the_gram_matrix_of_the_rows():
+    # upper triangular with R^H R = conj(g) g^T, a zero row and a dependent
+    # row included
+    rng = np.random.default_rng(57)
+    g = rng.standard_normal((3, 4, 300)) + 1j * rng.standard_normal((3, 4, 300))
+    g[1, 2] = 0
+    g[2, 3] = 2j * g[2, 0]
+    R = moduli._r_factor(g)
+    assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
+    gram = np.conj(g) @ g.swapaxes(-1, -2)
+    assert np.abs(R.conj().swapaxes(-1, -2) @ R - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
+def test_slice_defects_round_the_same_on_one_and_two_blas_threads():
+    # the R factors sum over 4,096 and 65,536 sites per entry at N = 8 and
+    # 16, long enough for a BLAS reduction to be split over threads
+    code = ("from hkt4.moduli import TorusSpec, Connection, horizontal_slice; "
+            "print([repr(horizontal_slice(Connection.flat(N, 2), TorusSpec(N, 2).frame.I, "
+            "1e-10).slice_defects().tolist()) for N in (5, 8, 16)])")
+    src = os.path.dirname(os.path.dirname(moduli.__file__))
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 def test_the_mode_slice_runs_no_svd(monkeypatch):
