@@ -33,7 +33,6 @@ from .hermitian import (
     ConformalMetric,
     HKTReport,
     TorsionReport,
-    bihermitian_check,
     bismut_torsion,
     check_hermitian,
     gauduchon_defect,
@@ -52,18 +51,16 @@ from .hopf import (
 from .lattice import LatticeField, l2_inner
 from .moduli import (
     Connection,
-    HEReport,
     TangentBasis,
     TorusSpec,
     asd_residual,
     coulomb_identity_defect,
     curvature,
-    he_residual,
     horizontal_slice,
     induced_structure,
     moduli_hermitian_form,
     verify_moduli_structure,
     ym_flow,
 )
-from .invariants import degree, slope, stability_compare
+from .invariants import degree, slope
 from .report import VerificationReport, emit_report

@@ -102,7 +102,8 @@ class TorsionReport:
         return self.dH.is_zero()
 
     def bihermitian_with(self, other: "TorsionReport") -> bool:
-        """Opposite closed torsions; see bihermitian_check."""
+        """True iff the two Bismut torsion 3-forms are exact negatives of
+        each other and both are closed (dH = 0)."""
         return (self.torsion_H + other.torsion_H).is_zero() and self.strong and other.strong
 
 
@@ -152,9 +153,3 @@ def hkt_from_torsions(frame: HypercomplexFrame, reports) -> HKTReport:
     del_Omega = pq_project(frame.I, exterior_d(Omega), 3, 0)
     return HKTReport(Omega=Omega, del_Omega=del_Omega, torsion_match=match,
                      strong=reports[0].strong, H=torsions["I"], torsions=torsions)
-
-
-def bihermitian_check(g, L_plus: Matrix, L_minus: Matrix) -> bool:
-    """True iff the two Bismut torsion 3-forms are exact negatives of each
-    other and both are closed."""
-    return bismut_torsion(g, L_plus).bihermitian_with(bismut_torsion(g, L_minus))

@@ -1,4 +1,4 @@
-"""Degree, slope, and stability certificates for explicit curvature data.
+"""Degree and slope certificates for explicit curvature data.
 
 The degree integrand F ^ omega is imaginary for anti-Hermitian curvature, so
 the normalization inserts sqrt(-1)/(2 pi) to land in the reals (the degree is
@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -95,15 +95,3 @@ def slope(deg: Union[float, Fraction], rank: int) -> float:
         return float(deg / rank)
     return deg / rank
 
-
-def stability_compare(sub_slopes: Iterable[float], total_slope: float,
-                      tol: float = 0.0) -> str:
-    """Verdict relative to the supplied subobject slopes only: a certificate
-    checker, not a stability prover. Empty evidence is vacuously 'stable'."""
-    verdict = "stable"
-    for s in sub_slopes:
-        if s > total_slope + tol:
-            return "unstable"
-        if abs(s - total_slope) <= tol:
-            verdict = "semistable"
-    return verdict

@@ -202,18 +202,10 @@ def _plane_product(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for broadcast stacks of small n x n matrices, on contiguous
-    entry planes (``@`` loops over tiny products instead)."""
-    ndim = max(a.ndim, b.ndim)
-    out = _plane_product(_entry_planes(a, ndim), _entry_planes(b, ndim))
-    return np.moveaxis(out, (0, 1), (-2, -1))
-
-
 def commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """[a, x] = a x - x a for broadcast stacks of small matrices, from one
-    entry-plane copy of each factor; rounded as matmul_small(a, x) -
-    matmul_small(x, a)."""
+    entry-plane copy of each factor; rounded as the two products, each
+    summed in order of k, then one subtraction."""
     ndim = max(a.ndim, x.ndim)
     pa, px = _entry_planes(a, ndim), _entry_planes(x, ndim)
     out = _plane_product(pa, px)

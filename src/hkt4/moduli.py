@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import (
-    LATTICE_AXES,
     LatticeField,
     TUPLES,
     apply_components,
@@ -121,32 +120,6 @@ def asd_residual(F: LatticeField) -> Tuple[LatticeField, float]:
     plus = apply_components(sd_projector(), F.data)
     return (LatticeField(2, F.N, F.n, plus, project=False),
             float(np.sqrt(sq_norm(plus))))
-
-
-@dataclass
-class HEReport:
-    """Hermitian-Einstein diagnostic of a curvature 2-form."""
-
-    gamma: float
-    residual_norm: float
-    type_defect: float
-    integrable: bool
-
-
-def he_residual(F: LatticeField, L: Matrix, tol: float = 1e-10) -> HEReport:
-    """Contract F with the Hermitian form of L: gamma is the id_E component
-    of the average of sqrt(-1) Lambda F (zero for su(n)); the residual is the
-    deviation from that constant. The (1,1)-type check flags non-integrable
-    curvature."""
-    i_lam = 1j * apply_components(lambda_row(L)[None], F.data)
-    mean = np.mean(i_lam, axis=LATTICE_AXES, keepdims=True)
-    gamma = np.real(np.trace(mean, axis1=-2, axis2=-1)).item() / F.n
-    residual = float(np.sqrt(sq_norm(i_lam - mean)))
-    off = apply_components(np.vstack([pq_matrix(L, 2, 2, 0), pq_matrix(L, 2, 0, 2)]),
-                           F.data)
-    type_defect = float(np.sqrt(sq_norm(off)))
-    return HEReport(gamma=gamma, residual_norm=residual,
-                    type_defect=type_defect, integrable=type_defect < tol)
 
 
 class FlowDiverged(RuntimeError):

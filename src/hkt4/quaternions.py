@@ -119,24 +119,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(map(tuple, out))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(4)) for i in range(4))
-
-
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-v for v in row) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
-
-
-def mat_apply(a: Matrix, v: Sequence[Fraction]):
-    return tuple(sum((x * y for x, y in zip(row, v) if x and y), _ZERO) for row in a)
-
-
-def squares_to_minus_id(a: Matrix) -> bool:
-    return mat_mul(a, a) == mat_neg(IDENTITY)
 
 
 class _HashedMatrix(tuple):

@@ -16,7 +16,6 @@ from hkt4.forms import (
 )
 from hkt4.hermitian import (
     ConformalMetric,
-    bihermitian_check,
     bismut_torsion,
     check_hermitian,
     gauduchon_defect,
@@ -201,15 +200,18 @@ def test_metric_from_form_recovers_metric():
 
 def test_bihermitian_check():
     g = hopf_metric()
-    assert bihermitian_check(g, LEFT.I, RIGHT.I)
-    assert bihermitian_check(g, LEFT.J, RIGHT.K)
+    assert bismut_torsion(g, LEFT.I).bihermitian_with(bismut_torsion(g, RIGHT.I))
+    assert bismut_torsion(g, LEFT.J).bihermitian_with(bismut_torsion(g, RIGHT.K))
     # same-side pairs have equal (not opposite) nonzero torsions
-    assert not bihermitian_check(g, LEFT.I, LEFT.J)
+    assert not bismut_torsion(g, LEFT.I).bihermitian_with(bismut_torsion(g, LEFT.J))
     # flat: both torsions vanish, opposition is trivial
-    assert bihermitian_check(EUCLID, LEFT.I, RIGHT.I)
-    assert bihermitian_check(EUCLID, LEFT.I, LEFT.I)
+    flat_i = bismut_torsion(EUCLID, LEFT.I)
+    assert flat_i.bihermitian_with(bismut_torsion(EUCLID, RIGHT.I))
+    assert flat_i.bihermitian_with(flat_i)
 
 
 def test_bihermitian_check_self_pair_iff_torsion_free():
-    assert not bihermitian_check(hopf_metric(), LEFT.I, LEFT.I)
-    assert bihermitian_check(EUCLID, LEFT.J, LEFT.J)
+    hopf_i = bismut_torsion(hopf_metric(), LEFT.I)
+    assert not hopf_i.bihermitian_with(hopf_i)
+    flat_j = bismut_torsion(EUCLID, LEFT.J)
+    assert flat_j.bihermitian_with(flat_j)

@@ -1,4 +1,4 @@
-"""Degree, slope, and stability certificates."""
+"""Degree and slope certificates."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 
 from hkt4.exact import QI, ScalarField
 from hkt4.forms import RationalForm
-from hkt4.invariants import degree, slope, stability_compare
+from hkt4.invariants import degree, slope
 from hkt4.lattice import LatticeField
 
 OMEGA = RationalForm(2, {(0, 1): ScalarField.const(1),
@@ -97,19 +97,3 @@ def test_slope():
     # scaling
     assert slope(7 * 3.0, 2) == 7 * slope(3.0, 2)
 
-
-def test_stability_compare():
-    assert stability_compare([-1.0, 0.0], 0.0) == "semistable"
-    assert stability_compare([-1.0], 0.0) == "stable"
-    assert stability_compare([1.0], 0.0) == "unstable"
-    assert stability_compare([], 0.0) == "stable"
-
-
-def test_stability_monotone_in_evidence():
-    order = {"stable": 0, "semistable": 1, "unstable": 2}
-    evidence = [-2.0, -1.0, 0.0, 0.5]
-    prev = "stable"
-    for k in range(len(evidence) + 1):
-        verdict = stability_compare(evidence[:k], 0.0)
-        assert order[verdict] >= order[prev]
-        prev = verdict

@@ -24,7 +24,6 @@ from hkt4.lattice import (
     deriv,
     l2_inner,
     lambda_row,
-    matmul_small,
     project_su,
     sd_projector,
     sq_norm,
@@ -123,26 +122,6 @@ def test_deriv_matches_fft_reference(N, n):
         got = deriv(arr, mu, N)
         assert got.shape == arr.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_matmul_small_matches_matmul(n):
-    rng = np.random.default_rng(7 + n)
-
-    def rand(*shape):
-        return rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
-
-    for sa, sb in [((), ()), ((5,), (5,)), ((3, 1, 4), (2, 4)), ((6,), (2, 1, 6)),
-                   ((2, 3), ())]:
-        a, b = rand(*sa), rand(*sb)
-        ref = a @ b
-        got = matmul_small(a, b)
-        assert got.shape == ref.shape
-        assert np.allclose(got, ref, rtol=1e-14, atol=1e-14)
-    # a real factor against a complex one
-    a = rng.standard_normal((4, n, n))
-    b = rand(4)
-    assert np.allclose(matmul_small(a, b), a @ b, rtol=1e-14, atol=1e-14)
 
 
 def broadcast_matmul(a, b):

@@ -38,7 +38,6 @@ from hkt4.moduli import (
     coulomb_identity_defect,
     curvature,
     gauge_kernel_dim,
-    he_residual,
     hermitian_form_matrix,
     hermitian_sign_defect,
     horizontal_slice,
@@ -196,54 +195,6 @@ def test_asd_residual_cross_checked_against_dense_projector():
     _, norm = asd_residual(F)
     oracle = float(np.sqrt(np.sum(np.abs(proj) ** 2) / N ** 4))
     assert np.isclose(norm, oracle)
-
-
-def test_he_residual_asd_gives_zero():
-    N, n = 3, 2
-    t1 = pauli_su2()[0]
-    ones = np.zeros((N, N, N, N, n, n), dtype=complex)
-    ones[...] = t1
-    F = LatticeField(2, N, n, {(0, 1): ones, (2, 3): -ones}, project=False)
-    rep = he_residual(F, FRAME.I)
-    assert abs(rep.gamma) < 1e-14
-    assert rep.residual_norm < 1e-14
-    assert rep.integrable
-
-
-def test_he_residual_omega_times_su_element():
-    N, n = 3, 2
-    xi = pauli_su2()[2] * 0.5  # i sigma3 / 2: anti-hermitian diag traceless
-    ones = np.zeros((N, N, N, N, n, n), dtype=complex)
-    ones[...] = xi
-    F = LatticeField(2, N, n, {(0, 1): ones, (2, 3): ones}, project=False)
-    rep = he_residual(F, FRAME.I)
-    # i Lambda F = 2 i xi is constant: residual zero, gamma = tr/n = 0
-    assert rep.residual_norm < 1e-14
-    assert abs(rep.gamma) < 1e-14
-    assert rep.integrable  # omega_I is (1,1) for I
-
-
-def test_he_residual_flags_20_part():
-    N, n = 3, 2
-    t1 = pauli_su2()[0]
-    ones = np.zeros((N, N, N, N, n, n), dtype=complex)
-    ones[...] = t1
-    # dz1 ^ dz2 has no (1,1) part; its real part has pure (2,0)+(0,2) content
-    F = LatticeField(2, N, n, {(0, 2): ones, (1, 3): -ones}, project=False)
-    rep = he_residual(F, FRAME.I)
-    assert rep.type_defect > 0.1
-    assert not rep.integrable
-
-
-def test_he_residual_gamma_for_u1_identity_direction():
-    # line-bundle style curvature: F = omega_I x (i c), scalar rank 1
-    N, n, c = 3, 1, 0.25
-    ones = np.full((N, N, N, N, 1, 1), 1j * c, dtype=complex)
-    F = LatticeField(2, N, 1, {(0, 1): ones, (2, 3): ones}, project=False)
-    rep = he_residual(F, FRAME.I)
-    # i Lambda F = i * 2 * (i c) = -2c: gamma = -2c
-    assert np.isclose(rep.gamma, -2 * c)
-    assert rep.residual_norm < 1e-14
 
 
 def test_ym_flow_flat_returns_immediately():
