@@ -397,11 +397,17 @@ class LatticeField:
     @staticmethod
     def random(degree: int, N: int, n: int, rng: np.random.Generator,
                scale: float = 1.0) -> "LatticeField":
+        """Gaussian su(n) coefficients on ``su_basis(n)``, times ``scale``.
+        The real and imaginary parts are two real contractions written into
+        one complex array: bit for bit the complex contraction, at less
+        than half its cost."""
         basis = su_basis(n)
         coeff = rng.standard_normal((len(TUPLES[degree]), N, N, N, N, basis.shape[0]))
-        return LatticeField(degree, N, n,
-                            scale * np.einsum("...a,aij->...ij", coeff, basis),
-                            project=False)
+        data = np.empty(coeff.shape[:-1] + (n, n), dtype=complex)
+        np.einsum("...a,aij->...ij", coeff, basis.real, out=data.real)
+        np.einsum("...a,aij->...ij", coeff, basis.imag, out=data.imag)
+        data *= scale
+        return LatticeField(degree, N, n, data, project=False)
 
     def copy(self) -> "LatticeField":
         return LatticeField(self.degree, self.N, self.n, self.data, project=False)

@@ -11,11 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hkt4 import moduli, suites
+from hkt4 import lattice, moduli, suites
 from hkt4.lattice import (
     LatticeField,
     action_matrix,
     apply_components,
+    covariant_gradient,
     d_adjoint,
     d_raw,
     dc_raw,
@@ -495,6 +496,58 @@ def test_moduli_suite_checks_the_coulomb_identity_in_one_call(monkeypatch):
     monkeypatch.setattr(suites, "coulomb_identity_defect", spy)
     suites.moduli_suite(3, 2, 1e-10)
     assert calls == [3]
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_coulomb_rows_match_composition(N, n):
+    # the row block on one covariant gradient equals d*_A a and, for each
+    # structure, Lambda d^c_{L,A} a, each through its own differential
+    rng = np.random.default_rng(60 + 10 * N + n)
+    a = np.stack([LatticeField.random(1, N, n, rng).data for _ in range(2)])
+    rows = moduli._coulomb_rows(FRAME.matrices())
+    assert rows.shape == (4, 16)
+    for A in sample_connections(N, n, rng):
+        Ac = None if not np.any(A.A.data) else A.A.data
+        sides = apply_components(rows, covariant_gradient(a, N, Ac))
+        refs = [d_adjoint(a, 1, N, A=Ac)] + [
+            apply_components(lambda_row(L)[None], dc_raw(L, a, 1, N, A=Ac))
+            for L in FRAME.matrices()]
+        for i, ref in enumerate(refs):
+            got = sides[:, i:i + 1]
+            assert np.all(np.sqrt(sq_norm(got - ref)) <= 1e-12 * np.sqrt(sq_norm(ref)))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_coulomb_defect_sees_a_flipped_dc_sign(N, monkeypatch):
+    # with d^c_L of the wrong sign the two sides are d*_A a and -d*_A a, so
+    # the defect is 2 |d*_A a|: the check is not vacuous
+    rng = np.random.default_rng(70 + N)
+    a = LatticeField.random(1, N, 2, rng)
+    conns = [Connection.flat(N, 2), Connection(LatticeField.random(1, N, 2, rng))]
+    slice_matrix.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "DC_SIGN", -lattice.DC_SIGN)
+            for A in conns:
+                Ac = None if not np.any(A.A.data) else A.A.data
+                want = 2 * float(np.sqrt(sq_norm(d_adjoint(a.data, 1, N, A=Ac))))
+                got = coulomb_identity_defect(a, FRAME.matrices(), A)
+                assert want > 1.0
+                assert abs(got - want) <= 1e-12 * want
+    finally:
+        slice_matrix.cache_clear()
+    assert coulomb_identity_defect(a, FRAME.matrices(), conns[1]) < 1e-10
+
+
+def test_coulomb_identity_rejects_forms_of_other_degrees():
+    rng = np.random.default_rng(80)
+    for degree in (0, 2, 3):
+        with pytest.raises(ValueError, match=f"degree-{degree}"):
+            coulomb_identity_defect(LatticeField.random(degree, 3, 2, rng), FRAME.matrices())
+    two_forms = LatticeField.random(2, 3, 2, rng).data[None]
+    with pytest.raises(ValueError, match="6 components"):
+        coulomb_identity_defect(two_forms, FRAME.matrices())
 
 
 @pytest.mark.parametrize("N", [4, 5])
