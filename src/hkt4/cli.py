@@ -261,7 +261,7 @@ def degree_cmd(ctx, f_spec, omega_spec, out):
         raise click.UsageError(str(exc))
     N = 3
     comps = {t: np.full((N, N, N, N, 1, 1), c) for t, c in f_terms.items()}
-    F = LatticeField(2, N, 1, comps, project=False)
+    F = LatticeField(2, N, 1, comps)
     w_coeffs = {}
     for t, c in w_terms.items():
         if abs(c.imag) > 1e-15:

@@ -13,24 +13,20 @@ Products and sums are Python integer operations; no Fraction is built.
 
 A field P / phi^k is canonical when phi does not divide P for k > 0. phi is
 a quadratic form of rank 4, hence irreducible and so prime in the unique
-factorisation domain Q(i)[x0..x3]. For canonical P / phi^a and Q / phi^b:
-  * the product with a, b > 0 has numerator PQ, and phi divides neither
-    factor, so not PQ;
-  * the sum with a > b has numerator P + Q phi^(a-b), which is P mod phi;
-  * the partial d_i (P / phi^a), a > 0, has numerator d_i P phi - 2a x_i P,
-    which is -2a x_i P mod phi, and phi divides neither x_i nor P.
-These results are canonical as computed. Only sums of equal k, products
-with a factor of k = 0 and exact quotients can gain a factor phi, and only
-there is it divided out, by long division in x0 (phi is monic in x0).
-
-A fused sum, sum_j c_j P_j / phi^(k_j) with nonzero constants c_j, has
-numerator sum_j c_j P_j phi^(k - k_j) over the largest k: a combination of fields,
-a coefficient of d (signed partials, each canonical as above) or of a wedge
-(signed products). When only one term sits at k > 0 and it is canonical, that
-numerator is c_j P_j mod phi, so it is canonical as computed. A reduction is
-called for only by two or more terms at the largest k > 0, or by one product
-there with a factor of k = 0: in (phi dx0) ^ (dx1 / phi) the product phi / phi
-is 1, with k = 0.
+factorisation domain Q(i)[x0..x3]. Every sum, difference, product and partial
+is one canonical sum (``_fuse``): sum_j c_j T_j / phi^(k_j) over nonzero
+constants c_j has numerator sum_j c_j T_j phi^(k - k_j) over the largest k.
+A term is a field's numerator P; a product PQ of canonical P / phi^a and
+Q / phi^b over phi^(a+b), where phi divides neither factor when a, b > 0; or
+a partial d_i (P / phi^a), whose numerator d_i P phi - 2a x_i P over
+phi^(a+1) is -2a x_i P mod phi for a > 0, and phi divides neither x_i nor P.
+So a term is canonical as computed unless it is a product with a factor of
+k = 0, and when one canonical term sits alone at the largest k > 0 the
+numerator is c_j T_j mod phi, canonical too. Only two or more terms there,
+or one product with a factor of k = 0 (in (phi dx0) ^ (dx1 / phi) the
+product phi / phi is 1, with k = 0), call for a reduction, and only there is
+phi divided out, by long division in x0 (phi is monic in x0). The public
+constructor and exact quotients reduce the same way.
 """
 
 from __future__ import annotations
@@ -293,9 +289,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def partial(self, i: int) -> "Poly":
-        return Poly._make(_partial_terms(self.terms, 0, i), self.den)
-
     def _leading(self) -> Monomial:
         # lex order with x0 > x1 > x2 > x3
         return max(self.terms)
@@ -458,16 +451,7 @@ class ScalarField:
         return not self.is_zero()
 
     def __add__(self, other):
-        o = ScalarField.coerce(other)
-        if not o.num.terms:
-            return self
-        if not self.num.terms:
-            return o
-        if self.k == o.k:
-            return ScalarField(self.num + o.num, self.k)
-        k = max(self.k, o.k)
-        return ScalarField._canonical(self.num * _phi_pow(k - self.k)
-                                      + o.num * _phi_pow(k - o.k), k)
+        return _lincomb([(1, 0, 1, self), (1, 0, 1, ScalarField.coerce(other))])
 
     __radd__ = __add__
 
@@ -475,16 +459,12 @@ class ScalarField:
         return ScalarField._canonical(-self.num, self.k)
 
     def __sub__(self, other):
-        return self + (-ScalarField.coerce(other))
+        return _lincomb([(1, 0, 1, self), (-1, 0, 1, ScalarField.coerce(other))])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
-            return ScalarField._canonical(self.num * other, self.k)
-        o = ScalarField.coerce(other)
-        num = self.num * o.num
-        if self.k and o.k:
-            return ScalarField._canonical(num, self.k + o.k)
-        return ScalarField(num, self.k + o.k)
+            return _lincomb([(*_gaussian(other), self)])
+        return _prodsum([(1, self, ScalarField.coerce(other))])
 
     __rmul__ = __mul__
 
@@ -510,8 +490,7 @@ class ScalarField:
         return ScalarField(q, k)
 
     def partial(self, i: int) -> "ScalarField":
-        num = Poly._make(_partial_terms(self.num.terms, self.k, i), self.num.den)
-        return ScalarField._canonical(num, self.k + 1 if self.k else 0)
+        return _dsum([(1, i, self)])
 
     def scale_arguments(self, q: Fraction) -> "ScalarField":
         """f(x) -> f(q*x); exact because phi(q*x) = q^2 phi(x), and canonical
@@ -581,8 +560,8 @@ def _fuse(parts) -> ScalarField:
 
 def _lincomb(terms) -> ScalarField:
     """The canonical sum of c f over the list ``terms`` of (x, y, d, f), each
-    a nonzero field f with a nonzero constant c = (x + y sqrt(-1)) / d in
-    integers, d > 0."""
+    a field f with a constant c = (x + y sqrt(-1)) / d in integers, d > 0;
+    a zero c or f adds nothing."""
     if len(terms) == 1 and terms[0][1:3] == (0, 1) and terms[0][0] in (1, -1):
         return terms[0][3] if terms[0][0] == 1 else -terms[0][3]
     return _fuse([(x, y, d * f.num.den, f.num.terms, f.k, False) for x, y, d, f in terms])
@@ -598,6 +577,6 @@ def _dsum(terms) -> ScalarField:
 
 def _prodsum(terms) -> ScalarField:
     """The canonical sum of sign f g over the list ``terms`` of (sign, f, g),
-    sign = +-1, f and g nonzero: a product is loose when f or g has k = 0."""
+    sign = +-1: a product is loose when f or g has k = 0, as a zero field has."""
     return _fuse([(sign, 0, f.num.den * g.num.den, _mul_terms(f.num.terms, g.num.terms),
                    f.k + g.k, not (f.k and g.k)) for sign, f, g in terms])

@@ -107,46 +107,35 @@ class RationalForm:
         return not self.coeffs
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, one fused sum per coefficient."""
         if not isinstance(other, RationalForm):
             return NotImplemented
         if other.degree != self.degree:
             raise DegreeError("cannot add forms of different degree")
-        out = dict(self.coeffs)
+        groups = {t: [(1, 0, 1, f)] for t, f in self.coeffs.items()}
         for t, f in other.coeffs.items():
-            s = out.get(t)
-            s = f if s is None else s + f
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-        r = RationalForm.__new__(RationalForm)
-        r.degree, r.coeffs = self.degree, out
-        return r
+            groups.setdefault(t, []).append((sign, 0, 1, f))
+        return _form(self.degree, groups, _lincomb)
 
     def __neg__(self):
-        r = RationalForm.__new__(RationalForm)
-        r.degree = self.degree
-        r.coeffs = {t: -f for t, f in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
+        return _form(self.degree, {t: [(-1, 0, 1, f)] for t, f in self.coeffs.items()},
+                     _lincomb)
 
     def __mul__(self, scalar):
         if isinstance(scalar, ScalarField):
-            s = scalar
-        elif isinstance(scalar, (int, Fraction, QI)):
-            s = ScalarField.const(QI.coerce(scalar))
-        else:
-            return NotImplemented
-        out = {}
-        for t, f in self.coeffs.items():
-            p = f * s
-            if not p.is_zero():
-                out[t] = p
-        r = RationalForm.__new__(RationalForm)
-        r.degree, r.coeffs = self.degree, out
-        return r
+            return _form(self.degree, {t: [(1, f, scalar)] for t, f in self.coeffs.items()},
+                         _prodsum)
+        if isinstance(scalar, (int, Fraction, QI)):
+            c = _gaussian(scalar)
+            return _form(self.degree, {t: [(*c, f)] for t, f in self.coeffs.items()},
+                         _lincomb)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -471,12 +460,6 @@ def scale_pullback(a: RationalForm, q) -> RationalForm:
     q = _frac(q)
     if q == 0:
         raise ValueError("scale factor must be nonzero")
-    factor = q ** a.degree
-    out = {}
-    for t, f in a.coeffs.items():
-        g = f.scale_arguments(q) * factor
-        if not g.is_zero():
-            out[t] = g
-    r = RationalForm.__new__(RationalForm)
-    r.degree, r.coeffs = a.degree, out
-    return r
+    c = _gaussian(q ** a.degree)
+    return _form(a.degree, {t: [(*c, f.scale_arguments(q))] for t, f in a.coeffs.items()},
+                 _lincomb)

@@ -7,7 +7,7 @@ the Hopf metric enters: factor * constant base metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .exact import QI, ScalarField, _lincomb
@@ -121,18 +121,18 @@ def gauduchon_defect(g, L: Matrix) -> RationalForm:
 
 @dataclass
 class HKTReport:
-    """HKT data of a hyperhermitian pair (g, frame) with respect to I."""
+    """HKT data of a hyperhermitian pair (g, frame) with respect to I; the
+    torsion differences are I - J, J - K and I - K."""
 
     Omega: RationalForm
     del_Omega: RationalForm
-    torsion_match: Tuple[bool, bool, bool]
+    torsion_differences: Tuple[RationalForm, RationalForm, RationalForm]
     strong: bool
     H: RationalForm
-    torsions: dict = field(repr=False, default_factory=dict)
 
     @property
     def hkt(self) -> bool:
-        return all(self.torsion_match)
+        return all(d.is_zero() for d in self.torsion_differences)
 
     @property
     def hyperkahler(self) -> bool:
@@ -145,11 +145,9 @@ def hkt_report(g, frame: HypercomplexFrame) -> HKTReport:
 
 def hkt_from_torsions(frame: HypercomplexFrame, reports) -> HKTReport:
     """HKT data of (g, frame) from the torsion reports of g for I, J, K."""
-    torsions = {name: rep.torsion_H for name, rep in zip("IJK", reports)}
-    match = ((torsions["I"] - torsions["J"]).is_zero(),
-             (torsions["J"] - torsions["K"]).is_zero(),
-             (torsions["I"] - torsions["K"]).is_zero())
+    HI, HJ, HK = (rep.torsion_H for rep in reports)
     Omega = reports[1].omega + reports[2].omega * QI(0, 1)
     del_Omega = pq_project(frame.I, exterior_d(Omega), 3, 0)
-    return HKTReport(Omega=Omega, del_Omega=del_Omega, torsion_match=match,
-                     strong=reports[0].strong, H=torsions["I"], torsions=torsions)
+    return HKTReport(Omega=Omega, del_Omega=del_Omega,
+                     torsion_differences=(HI - HJ, HJ - HK, HI - HK),
+                     strong=reports[0].strong, H=HI)

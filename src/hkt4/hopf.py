@@ -110,11 +110,10 @@ def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
     frame = geo.left if side == "left" else geo.right
     tag = "+" if side == "left" else "-"
     rep = hkt_from_torsions(frame, [reports[L] for L in frame.matrices()])
-    rec.exact(f"hopf.{side}.torsion-equal-IJ",
-              rep.torsions["I"] - rep.torsions["J"],
+    IJ, JK, _ = rep.torsion_differences
+    rec.exact(f"hopf.{side}.torsion-equal-IJ", IJ,
               f"d^c_I{tag} w_I{tag} = d^c_J{tag} w_J{tag}")
-    rec.exact(f"hopf.{side}.torsion-equal-JK",
-              rep.torsions["J"] - rep.torsions["K"],
+    rec.exact(f"hopf.{side}.torsion-equal-JK", JK,
               f"d^c_J{tag} w_J{tag} = d^c_K{tag} w_K{tag}")
     rec.exact(f"hopf.{side}.torsion-closed", reports[frame.I].dH,
               "dH = 0 (strong HKT)")

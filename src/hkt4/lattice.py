@@ -361,11 +361,13 @@ class LatticeField:
     """Degree-p form with values in su(n) (u(1) when n = 1), sampled on the
     N^4 grid, held as one array ``data`` of shape (C, N, N, N, N, n, n) in
     ``TUPLES[degree]`` order. It is built from a dict keyed by those
-    component tuples (absent ones are zero, any other key is an error) or
-    from such an array, and projected to the Lie algebra on write."""
+    component tuples (absent ones are zero, any other key is an error),
+    which it writes into a fresh zero array, or from such an array, which it
+    stores as given, without a copy. Nothing is projected onto the Lie
+    algebra here; the callers whose arrays can leave it (``curvature`` and
+    the flow's trial step in ``moduli``) call ``project_su``."""
 
-    def __init__(self, degree: int, N: int, n: int, comps,
-                 project: bool = True):
+    def __init__(self, degree: int, N: int, n: int, comps):
         if not 0 <= degree <= 4:
             raise ValueError("degree must be in 0..4")
         if N < 3:
@@ -375,7 +377,7 @@ class LatticeField:
         self.n = n
         shape = (len(TUPLES[degree]), N, N, N, N, n, n)
         if isinstance(comps, np.ndarray):
-            data = (np.asarray if project else np.array)(comps, dtype=complex)
+            data = np.asarray(comps, dtype=complex)
             if data.shape != shape:
                 raise ValueError(f"field array has shape {data.shape}, want {shape}")
         else:
@@ -388,11 +390,11 @@ class LatticeField:
                     raise ValueError(f"component {t} has shape {arr.shape}, "
                                      f"want {shape[1:]}")
                 data[TUPLES[degree].index(t)] = arr
-        self.data = project_su(data, n) if project else data
+        self.data = data
 
     @staticmethod
     def zeros(degree: int, N: int, n: int) -> "LatticeField":
-        return LatticeField(degree, N, n, {}, project=False)
+        return LatticeField(degree, N, n, {})
 
     @staticmethod
     def random(degree: int, N: int, n: int, rng: np.random.Generator,
@@ -407,24 +409,21 @@ class LatticeField:
         np.einsum("...a,aij->...ij", coeff, basis.real, out=data.real)
         np.einsum("...a,aij->...ij", coeff, basis.imag, out=data.imag)
         data *= scale
-        return LatticeField(degree, N, n, data, project=False)
+        return LatticeField(degree, N, n, data)
 
     def copy(self) -> "LatticeField":
-        return LatticeField(self.degree, self.N, self.n, self.data, project=False)
+        return LatticeField(self.degree, self.N, self.n, self.data.copy())
 
     def __add__(self, other: "LatticeField") -> "LatticeField":
         self._check_compatible(other)
-        return LatticeField(self.degree, self.N, self.n, self.data + other.data,
-                            project=False)
+        return LatticeField(self.degree, self.N, self.n, self.data + other.data)
 
     def __sub__(self, other: "LatticeField") -> "LatticeField":
         self._check_compatible(other)
-        return LatticeField(self.degree, self.N, self.n, self.data - other.data,
-                            project=False)
+        return LatticeField(self.degree, self.N, self.n, self.data - other.data)
 
     def __mul__(self, scalar: float) -> "LatticeField":
-        return LatticeField(self.degree, self.N, self.n, scalar * self.data,
-                            project=False)
+        return LatticeField(self.degree, self.N, self.n, scalar * self.data)
 
     __rmul__ = __mul__
 
@@ -497,7 +496,7 @@ class LatticeField:
             raise ValueError(f"lattice field file has {len(payload) - want} "
                              f"bytes after its payload")
         data = np.frombuffer(payload, dtype="<c16").reshape(shape)
-        return cls(degree, N, n, data, project=False)
+        return cls(degree, N, n, data.copy())
 
 
 def l2_inner(a: LatticeField, b: LatticeField) -> float:

@@ -31,6 +31,7 @@ from .lattice import (
     l2_gram,
     l2_inner,  # noqa: F401 - the slice's L^2 metric, in this namespace too
     pq_matrix,
+    project_su,
     sd_projector,
     slice_matrix,
     sq_norm,
@@ -103,13 +104,14 @@ _MU, _NU = np.array(TUPLES[2]).T
 
 
 def curvature(conn: Connection) -> LatticeField:
-    """F = dA + A ^ A; exactly zero for constant commuting connections. At
-    A = 0 the all-zero commutator is skipped."""
+    """F = dA + A ^ A, projected onto su(n): at even N, d of an su(n) field
+    leaves it (docs/conventions.md, "Even grids"). Exactly zero for constant
+    commuting connections. At A = 0 the all-zero commutator is skipped."""
     a = conn.A.data
     F = d_raw(a, 1, conn.N)
     if _coupling(conn) is not None:
         F += commutator(a[_MU], a[_NU])
-    return LatticeField(2, conn.N, conn.n, F)
+    return LatticeField(2, conn.N, conn.n, project_su(F, conn.n))
 
 
 def asd_residual(F: LatticeField) -> Tuple[LatticeField, float]:
@@ -117,7 +119,7 @@ def asd_residual(F: LatticeField) -> Tuple[LatticeField, float]:
     if F.degree != 2:
         raise ValueError("curvature must be a 2-form")
     plus = apply_components(sd_projector(), F.data)
-    return (LatticeField(2, F.N, F.n, plus, project=False),
+    return (LatticeField(2, F.N, F.n, plus),
             float(np.sqrt(sq_norm(plus))))
 
 
@@ -179,7 +181,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
             step = np.vdot(s, s).real / sty if sty > 0 else step
         accepted = False
         for _ in range(60):
-            trial = LatticeField(1, N, n, A.data - step * grad)
+            trial = LatticeField(1, N, n, project_su(A.data - step * grad, n))
             s2_new, plus_new = residual_sq(trial)
             if not np.isfinite(s2_new):
                 raise FlowDiverged("non-finite residual")
@@ -271,7 +273,7 @@ class TangentBasis:
     def element(self, coeff: np.ndarray) -> LatticeField:
         """The slice field sum_i coeff[i] basis[i]."""
         return LatticeField(1, self.base.N, self.base.n,
-                            np.tensordot(coeff, self.basis, axes=1), project=False)
+                            np.tensordot(coeff, self.basis, axes=1))
 
     def residual(self, a: np.ndarray, phase=1) -> np.ndarray:
         """Defect of the slice equations (raw operator) on each 1-form array
@@ -501,7 +503,7 @@ def induced_structure(L: Matrix, a):
         raise ValueError("induced structure acts on 1-forms")
     mat = 1j * (pq_matrix(L, 1, 0, 1) - pq_matrix(L, 1, 1, 0))
     out = apply_components(mat, a.data if is_field else a)
-    return LatticeField(1, a.N, a.n, out, project=False) if is_field else out
+    return LatticeField(1, a.N, a.n, out) if is_field else out
 
 
 def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:

@@ -251,14 +251,12 @@ def degree_suite() -> List[CheckResult]:
               degree(RationalForm.zero(2), omega) == 0.0,
               "flat line bundles have degree zero")
     F = LatticeField(2, 3, 1,
-                     {(0, 1): np.full((3, 3, 3, 3, 1, 1), -2j * math.pi)},
-                     project=False)
+                     {(0, 1): np.full((3, 3, 3, 3, 1, 1), -2j * math.pi)})
     d = degree(F, omega)
     rec.add("degree.unit-chern-magnitude", abs(abs(d) - 1.0) < 1e-12,
             abs(abs(d) - 1.0), "unit first Chern class pairs to magnitude 1")
     F2 = LatticeField(2, 3, 1,
-                      {(2, 3): np.full((3, 3, 3, 3, 1, 1), 4j * math.pi)},
-                      project=False)
+                      {(2, 3): np.full((3, 3, 3, 3, 1, 1), 4j * math.pi)})
     additive = degree(F + F2, omega) == degree(F, omega) + degree(F2, omega)
     rec.exact("degree.additivity", additive, "degree is additive")
     rec.exact("degree.slope-arithmetic",

@@ -198,12 +198,11 @@ def test_criterion_11_degree_and_slope():
                              (2, 3): ScalarField.const(1)})
     ok = degree(RationalForm.zero(2), omega) == 0.0
     comps = {(0, 1): np.full((3, 3, 3, 3, 1, 1), -2j * math.pi)}
-    F = LatticeField(2, 3, 1, comps, project=False)
+    F = LatticeField(2, 3, 1, comps)
     d = degree(F, omega)
     ok = ok and abs(abs(d) - 1.0) < 1e-12
     # additivity (exact for exactly representable inputs) and slope arithmetic
-    F2 = LatticeField(2, 3, 1, {(2, 3): np.full((3, 3, 3, 3, 1, 1), 4j * math.pi)},
-                      project=False)
+    F2 = LatticeField(2, 3, 1, {(2, 3): np.full((3, 3, 3, 3, 1, 1), 4j * math.pi)})
     ok = ok and degree(F + F2, omega) == degree(F, omega) + degree(F2, omega)
     ok = ok and slope(Fraction(3), 2) == 1.5 and slope(0.0, 7) == 0.0
     report("criterion 11: degree normalization, additivity, slope arithmetic",

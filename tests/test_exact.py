@@ -37,9 +37,10 @@ def test_poly_ring_and_derivative():
     for _ in range(30):
         p, q = rand_poly(rng), rand_poly(rng)
         assert (p + q) * p == p * p + q * p
+        f, g = ScalarField(p, 0), ScalarField(q, 0)
         for i in range(4):
             # Leibniz for partial derivatives
-            assert (p * q).partial(i) == p.partial(i) * q + p * q.partial(i)
+            assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
 
 
 def test_poly_division_exact_and_inexact():

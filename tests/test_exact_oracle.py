@@ -15,6 +15,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from hkt4.exact import PHI, Poly, QI, ScalarField, _phi_quotient
+from hkt4.forms import RationalForm
 from hkt4.hopf import build_hopf
 from hkt4.quaternions import HypercomplexFrame
 
@@ -95,6 +96,77 @@ def test_product_matches_sympy(f, g):
 @given(fields(), st.integers(0, 3))
 def test_partial_matches_sympy(f, i):
     assert_canonical(f.partial(i), sp.diff(field_sym(f), X[i]))
+
+
+def form_sym(a: RationalForm):
+    return {t: field_sym(f) for t, f in a.coeffs.items()}
+
+
+def assert_form_canonical(form: RationalForm, exprs):
+    """Each coefficient of form is the reduced form of its expression in
+    ``exprs`` (absent keys are 0), and no stored coefficient is zero."""
+    assert all(not f.is_zero() for f in form.coeffs.values())
+    for t in set(form.coeffs) | set(exprs):
+        assert_canonical(form.coeffs.get(t, ScalarField.const(0)), exprs.get(t, 0))
+
+
+def assert_form_arithmetic(a: RationalForm, b: RationalForm, f: ScalarField, c: QI):
+    A, B = form_sym(a), form_sym(b)
+    keys = set(A) | set(B)
+    assert_form_canonical(a + b, {t: A.get(t, 0) + B.get(t, 0) for t in keys})
+    assert_form_canonical(a - b, {t: A.get(t, 0) - B.get(t, 0) for t in keys})
+    assert_form_canonical(-a, {t: -v for t, v in A.items()})
+    assert_form_canonical(a * f, {t: v * field_sym(f) for t, v in A.items()})
+    assert_form_canonical(a * c, {t: v * poly_sym(Poly.const(c)) for t, v in A.items()})
+
+
+# three of the six 2-form components, so that two forms share some
+two_forms = st.dictionaries(st.sampled_from([(0, 1), (0, 2), (2, 3)]), fields(1),
+                            max_size=3).map(lambda coeffs: RationalForm(2, coeffs))
+
+
+@ORACLE
+@given(two_forms, two_forms, fields(1), gaussian)
+def test_form_arithmetic_matches_sympy(a, b, f, c):
+    assert_form_arithmetic(a, b, f, c)
+
+
+def _x(i):
+    return ScalarField(Poly.variable(i), 0)
+
+
+# (a, b, f): at (0, 1) the top phi power cancels in the first a + b
+# (x0^2 / phi + (x1^2 + x2^2 + x3^2) / phi = 1) and in the second a - b
+# ((x0 + phi) / phi^2 - x0 / phi^2 = 1 / phi); at (0, 2) the same sums cancel
+# to zero; a * phi takes 1 / phi^k to 1 / phi^(k-1)
+_PHI_REST = ScalarField(PHI - Poly.variable(0) * Poly.variable(0), 0)
+CANCELLING = [
+    (RationalForm(2, {(0, 1): _x(0) * _x(0) * ScalarField.inv_phi(),
+                      (0, 2): ScalarField.inv_phi(2)}),
+     RationalForm(2, {(0, 1): _PHI_REST * ScalarField.inv_phi(),
+                      (0, 2): -ScalarField.inv_phi(2)}),
+     ScalarField.phi()),
+    (RationalForm(2, {(0, 1): (_x(0) + ScalarField.phi()) * ScalarField.inv_phi(2),
+                      (0, 2): _x(1) * ScalarField.inv_phi()}),
+     RationalForm(2, {(0, 1): _x(0) * ScalarField.inv_phi(2),
+                      (0, 2): _x(1) * ScalarField.inv_phi()}),
+     ScalarField.const(0)),
+]
+
+
+@pytest.mark.parametrize("a, b, f", CANCELLING)
+def test_form_arithmetic_cancellation_matches_sympy(a, b, f):
+    assert_form_arithmetic(a, b, f, QI(Fraction(-2, 3), 1))
+    assert_form_arithmetic(a, a, f, QI(0))
+    assert (a - a).is_zero() and (a + -a).is_zero()
+
+
+def test_form_arithmetic_cancellation_examples():
+    (a, b, f), (c, e, _) = CANCELLING
+    assert (a + b).coeffs == {(0, 1): ScalarField.const(1)}
+    assert (c - e).coeffs == {(0, 1): ScalarField.inv_phi()}
+    assert (a * f).coeffs == {(0, 1): _x(0) * _x(0),
+                              (0, 2): ScalarField.inv_phi()}
 
 
 def in_ring(expr) -> bool:

@@ -19,7 +19,7 @@ def u1_field(entries, N=3):
     comps = {}
     for t, val in entries.items():
         comps[t] = np.full((N, N, N, N, 1, 1), val, dtype=complex)
-    return LatticeField(2, N, 1, comps, project=False)
+    return LatticeField(2, N, 1, comps)
 
 
 def test_flat_line_bundle_degree_zero():
@@ -61,8 +61,8 @@ def test_degree_exact_form_vanishes():
     beta = np.zeros((N, N, N, N, 1, 1), dtype=complex)
     beta[..., 0, 0] = 1j * wave[None, :, None, None]  # beta = i e^{2pi i x1} dx0
     from hkt4.lattice import d_raw
-    beta_field = LatticeField(1, N, 1, {(0,): beta}, project=False)
-    F = LatticeField(2, N, 1, d_raw(beta_field.data, 1, N), project=False)
+    beta_field = LatticeField(1, N, 1, {(0,): beta})
+    F = LatticeField(2, N, 1, d_raw(beta_field.data, 1, N))
     assert abs(degree(F, OMEGA)) < 1e-12
 
 

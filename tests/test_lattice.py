@@ -6,6 +6,7 @@ import pytest
 
 import json
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -66,11 +67,34 @@ def test_project_su():
     assert np.allclose(project_su(p, 3), p)
 
 
-def test_field_projection_on_write():
+def test_field_stores_the_array_it_is_given():
+    # an array is stored as given, neither copied nor projected; a dict is
+    # written into a fresh array, and copy() copies
     rng = np.random.default_rng(2)
-    raw = rng.standard_normal((3, 3, 3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 3, 3, 2, 2))
-    f = LatticeField(0, 3, 2, {(): raw})
-    assert np.max(np.abs(f.data - project_su(f.data, 2))) < 1e-14
+    raw = rng.standard_normal((1, 3, 3, 3, 3, 2, 2)) + 1j * rng.standard_normal((1, 3, 3, 3, 3, 2, 2))
+    f = LatticeField(0, 3, 2, raw)
+    assert np.shares_memory(f.data, raw)
+    assert f.data.tobytes() == raw.tobytes()
+    g = LatticeField(0, 3, 2, {(): raw[0]})
+    assert not np.shares_memory(g.data, raw)
+    assert g.data.tobytes() == raw.tobytes()
+    h = f.copy()
+    assert not np.shares_memory(h.data, raw)
+    assert h.data.tobytes() == raw.tobytes()
+
+
+def test_dense_bench_connection_is_its_own_projection():
+    # the benchmark's dense connection charge * diag(i, -i) dx_mu is exactly
+    # anti-Hermitian and traceless, so storing it unprojected changes no bit
+    from bench.workloads import DENSE_CHARGES, Dense
+
+    dense, charges = Dense(), set()
+    for seed in range(40):
+        (req,) = dense.unit(random.Random(seed))
+        A = req.params["A"].A.data
+        assert project_su(A, 2).tobytes() == A.tobytes()
+        charges.add(req.params["charge"])
+    assert charges == set(DENSE_CHARGES)
 
 
 def test_field_rejects_keys_that_are_not_components():
@@ -237,7 +261,7 @@ def test_d_star_adjointness():
     N = 4
     a = LatticeField.random(1, N, 2, rng)
     s = LatticeField.random(0, N, 2, rng)
-    ds = LatticeField(1, N, 2, d_raw(s.data, 0, N), project=False)
+    ds = LatticeField(1, N, 2, d_raw(s.data, 0, N))
     lhs = l2_inner(ds, a)
     dstar = d_adjoint(a.data, 1, N)
     prod = np.einsum("...ij,...ji->...", s.data, dstar)
@@ -255,9 +279,8 @@ def test_d_adjoint_is_l2_adjoint_of_d_raw(degree, charge):
     A = cartan_connection(N, n, charge) if charge else None
     s = LatticeField.random(degree - 1, N, n, rng)
     a = LatticeField.random(degree, N, n, rng)
-    ds = LatticeField(degree, N, n, d_raw(s.data, degree - 1, N, A=A), project=False)
-    dstar_a = LatticeField(degree - 1, N, n, d_adjoint(a.data, degree, N, A=A),
-                           project=False)
+    ds = LatticeField(degree, N, n, d_raw(s.data, degree - 1, N, A=A))
+    dstar_a = LatticeField(degree - 1, N, n, d_adjoint(a.data, degree, N, A=A))
     lhs = l2_inner(ds, a)
     assert abs(lhs) > 1e-3
     assert abs(lhs - l2_inner(s, dstar_a)) < 1e-12 * max(1.0, abs(lhs))
@@ -453,8 +476,8 @@ def test_l2_inner_definite_and_parseval():
     c1[..., :, :] = np.cos(2 * np.pi * x)[:, None, None, None, None, None] * basis
     c2 = np.zeros((N, N, N, N, 2, 2), dtype=complex)
     c2[..., :, :] = np.cos(4 * np.pi * x)[:, None, None, None, None, None] * basis
-    f1 = LatticeField(1, N, 2, {(0,): c1}, project=False)
-    f2 = LatticeField(1, N, 2, {(0,): c2}, project=False)
+    f1 = LatticeField(1, N, 2, {(0,): c1})
+    f2 = LatticeField(1, N, 2, {(0,): c2})
     assert abs(l2_inner(f1, f2)) < 1e-14
     assert l2_inner(f1, f1) > 0
 
@@ -478,6 +501,7 @@ def test_serialization_roundtrip(tmp_path):
     b = LatticeField.load(path)
     assert b.degree == 2 and b.N == 3 and b.n == 3
     assert (a - b).norm() == 0.0
+    assert b.data.flags.writeable
     # header is inspectable json after the magic and length prefix
     blob = path.read_bytes()
     assert blob.startswith(b"LATF1\n")
@@ -491,7 +515,7 @@ def test_serialization_layout_pinned(tmp_path):
     comps = {t: rng.standard_normal((N, N, N, N, n, n))
              + 1j * rng.standard_normal((N, N, N, N, n, n)) for t in TUPLES[degree]}
     path = tmp_path / "field.latf"
-    LatticeField(degree, N, n, comps, project=False).save(path)
+    LatticeField(degree, N, n, comps).save(path)
     header = json.dumps({
         "format": "lattice-field-v1", "N": N, "n": n, "degree": degree,
         "endianness": "little", "dtype": "complex128", "order": "C",

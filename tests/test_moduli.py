@@ -172,8 +172,7 @@ def test_asd_residual_on_basis_forms():
     ones[...] = t1
 
     def two_form(entries):
-        return LatticeField(2, N, n, {t: c * ones for t, c in entries.items()},
-                            project=False)
+        return LatticeField(2, N, n, {t: c * ones for t, c in entries.items()})
 
     asd = two_form({(0, 1): 1.0, (2, 3): -1.0})
     plus, norm = asd_residual(asd)
@@ -246,7 +245,7 @@ def fixed_growth_flow(A0, step, max_iters, target):
     while len(history) <= max_iters and s2 > target:
         grad = 2.0 * d_adjoint(plus, 2, N, A.data)
         for _ in range(60):
-            trial = LatticeField(1, N, n, A.data - step * grad)
+            trial = LatticeField(1, N, n, project_su(A.data - step * grad, n))
             s2_new, plus_new = residual_sq(trial)
             if s2_new <= s2:
                 A, s2, plus = trial, s2_new, plus_new
@@ -596,7 +595,7 @@ def test_induced_structure_examples():
     g = su_basis(2)[1]
     arr = np.zeros((N, N, N, N, n, n), dtype=complex)
     arr[...] = g
-    a = LatticeField(1, N, n, {(0,): arr}, project=False)
+    a = LatticeField(1, N, n, {(0,): arr})
     ia = induced_structure(FRAME.I, a)
     # I~(dx0 x g) = -I(dx0) x g = +dx1 x g under the ledger sign
     assert np.allclose(ia.data[1], arr)
@@ -1016,7 +1015,7 @@ def test_moduli_hermitian_form_zero_mode_closed_form():
             arr = np.zeros((3, 3, 3, 3, 2, 2), dtype=complex)
             arr[...] = float(alpha[mu]) * g
             comps[(mu,)] = arr
-        return LatticeField(1, 3, 2, comps, project=False)
+        return LatticeField(1, 3, 2, comps)
 
     a1 = as_field(alphas[0], gsel[0])
     a2 = as_field(alphas[1], gsel[1])
