@@ -47,7 +47,8 @@ def integral_top_form(top: RationalForm) -> QI:
 def _lattice_degree_integral(F: LatticeField, omega: RationalForm) -> complex:
     if F.n != 1:
         raise ValueError("degree needs scalar (rank-1) curvature values")
-    means = np.mean(F.data[..., 0, 0], axis=(1, 2, 3, 4))
+    # F = i c for the u(1) coordinate c = -i F
+    means = 1j * np.mean(F.data[:, 0], axis=(1, 2, 3, 4))
     return complex(means @ wedge_pairing(2) @ _form_to_vector(omega, 2))
 
 

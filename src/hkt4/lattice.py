@@ -2,16 +2,18 @@
 derivatives, plus the constant linear-algebra data (star, structure actions,
 Lambda rows) shared with the exact symbolic engine.
 
-Array layout: a degree-m field is one complex array of shape
-(..., C, N, N, N, N, n, n). The component axis C holds the
-C = binomial(4, m) basis forms dx_t in ``TUPLES[m]`` order (lexicographic
-index tuples), the four lattice axes follow, and the two matrix axes come
-last, so operators broadcast over arbitrary leading batch axes. A constant
-component operator (star, structure action, (p,q) projector, Lambda row) is
-one matrix applied over the component axis. The torus has unit periods;
-mode frequencies are the signed FFT representatives (the Nyquist mode of an
-even grid maps to -N/2, keeping every nonzero mode's frequency nonzero so
-the spectral complexes have no spurious kernels).
+Array layout: a degree-p field is one complex array of shape
+(..., C, m, N, N, N, N): the C = binomial(4, p) components dx_t in
+``TUPLES[p]`` order (lexicographic index tuples), the m = n^2 - 1 complex
+coordinates on ``su_basis(n)`` (m = 1 for u(1)), then the four lattice
+axes, so operators broadcast over leading batch axes. A constant component
+operator (star, structure action, (p,q) projector, Lambda row) is one matrix
+over the component axis, the Lie bracket a structure-constant bracket over
+the coordinate axis; n x n matrices appear only in the dict constructor and
+the files of ``save`` and ``load``. The torus has unit periods; mode
+frequencies are the signed FFT representatives (the Nyquist mode of an even
+grid maps to -N/2, keeping every nonzero mode's frequency nonzero so the
+spectral complexes have no spurious kernels).
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ from .quaternions import Matrix
 
 TUPLES = {m: tuple(itertools.combinations(range(4), m)) for m in range(5)}
 
-LATTICE_AXES = (-6, -5, -4, -3)
-
-# the six grid and matrix axes: ``data[(..., idx) + _GRID]`` picks the
-# components ``idx`` of a field array or of a stack of them
-_GRID = (slice(None),) * 6
 
 _EUCLID = ConstantMetric.euclidean()
 
@@ -145,8 +142,8 @@ def wedge_pairing(degree_a: int) -> np.ndarray:
 def apply_components(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     """A constant matrix over the component axis:
     out[..., s, x] = sum_t mat[s, t] data[..., t, x]."""
-    flat = data.reshape(data.shape[:-6] + (-1,))
-    return (mat @ flat).reshape(data.shape[:-7] + (len(mat),) + data.shape[-6:])
+    flat = data.reshape(data.shape[:-5] + (-1,))
+    return (mat @ flat).reshape(data.shape[:-6] + (len(mat),) + data.shape[-5:])
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +156,12 @@ def frequencies(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _diff_matrix(N: int, entries: int = 0) -> np.ndarray:
+def _diff_matrix(N: int, after: int = 0) -> np.ndarray:
     """ifft(diag(i k) fft(I)), the differentiation matrix of the symbol i k
-    (Trefethen, Spectral Methods in MATLAB, ch. 3), or kron(D_N^T, I_m) for
-    m ``entries``, its product from the right; read-only, as shared."""
+    (Trefethen, Spectral Methods in MATLAB, ch. 3), or kron(D_N^T, I_after),
+    its product from the right on ``after`` trailing points; read-only."""
     D = np.fft.ifft(1j * frequencies(N)[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
-    D = np.kron(D.T, np.eye(entries)) if entries else D
+    D = np.kron(D.T, np.eye(after)) if after else D
     D.flags.writeable = False
     return D
 
@@ -172,45 +169,41 @@ def _diff_matrix(N: int, entries: int = 0) -> np.ndarray:
 def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:
     """Spectral partial derivative along lattice axis mu: one batched product
     with the differentiation matrix over the (before, axis, after) view.
-    Along mu = 3 those are tiny products (after = n^2), so at N n^2 <= 48 the
-    (-1, N^2, N n^2) view is multiplied by kron(D_N^T, I_{n^2}), N^2 rows per
-    product so that OpenBLAS keeps each on one thread. Batched over kron
-    time, one core, 1-16 components: N n^2 = 16 (N, n = 4, 2) 3.2-6.1, 32
-    (8, 2) 1.6-2.1, 36 (4, 3) 0.9-2.0, 64 (16, 2) 0.7-0.9, 72 (8, 3) 0.7-0.9."""
-    axis = arr.ndim + LATTICE_AXES[mu]
+    Along the last two axes those are tiny products (after = 1 and N), so at
+    N after <= 48 the (-1, N^2, N after) view is multiplied by
+    kron(D_N^T, I_after) instead, N^2 rows per product so that OpenBLAS
+    keeps each on one thread."""
+    axis = arr.ndim - 4 + mu
     after = math.prod(arr.shape[axis + 1:])
-    if mu == 3 and N * after <= 48:
+    if mu >= 2 and N * after <= 48:
         return (arr.reshape(-1, N * N, N * after) @ _diff_matrix(N, after)).reshape(arr.shape)
     view = arr.reshape(math.prod(arr.shape[:axis]), N, after)
     return (_diff_matrix(N) @ view).reshape(arr.shape)
 
 
-def _entry_planes(x: np.ndarray, ndim: int) -> np.ndarray:
-    """The entry planes p[i, j] = x[..., i, j] of a stack of n x n matrices,
-    its leading axes padded to ``ndim - 2``, as one contiguous array."""
-    x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
-    return np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+@lru_cache(maxsize=None)
+def _bracket_terms(m: int):
+    """The structure constants f_abc = tr([B_a, B_b] B_c^dagger) of the m
+    generators of ``su_basis``, round-off set to 0, grouped by pair: one
+    (a, b, cs, fs) for each pair a < b with a nonzero bracket."""
+    B = su_basis(math.isqrt(m + 1))
+    comm = B[:, None] @ B[None] - B[None] @ B[:, None]
+    f = np.einsum("abij,cij->abc", comm, B.conj()).real
+    f[np.abs(f) < 1e-12] = 0.0
+    return tuple((a, b, tuple(np.flatnonzero(f[a, b])), tuple(f[a, b][f[a, b] != 0]))
+                 for a, b in itertools.combinations(range(m), 2) if np.any(f[a, b]))
 
 
-def _plane_product(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Entry planes of a @ b from those of a and b: the n outer products of
-    a column of a with a row of b, summed in order of k, each one pass over
-    contiguous planes."""
-    out = pa[:, 0, None] * pb[None, 0]
-    for k in range(1, len(pa)):
-        out += pa[:, k, None] * pb[None, k]
-    return out
-
-
-def commutator(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[a, x] = a x - x a for broadcast stacks of small matrices, from one
-    entry-plane copy of each factor; rounded as the two products, each
-    summed in order of k, then one subtraction."""
-    ndim = max(a.ndim, x.ndim)
-    pa, px = _entry_planes(a, ndim), _entry_planes(x, ndim)
-    out = _plane_product(pa, px)
-    out -= _plane_product(px, pa)
-    return np.moveaxis(out, (0, 1), (-2, -1))
+def bracket(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Add [x, y]_c = sum_{a<b} f_abc (x_a y_b - x_b y_a), for broadcast
+    stacks of coordinates (axis -5), into ``out``: per pair, one difference
+    of products of coordinate planes, added into each c it reaches."""
+    xs, ys, outs = (np.moveaxis(v, -5, 0) for v in (x, y, out))
+    for a, b, cs, fs in _bracket_terms(len(xs)):
+        w = xs[a] * ys[b]
+        w -= xs[b] * ys[a]
+        for c, f in zip(cs, fs):
+            outs[c] += f * w
 
 
 def _covariant(arr: np.ndarray, mu: int, N: int,
@@ -218,7 +211,7 @@ def _covariant(arr: np.ndarray, mu: int, N: int,
     """D_mu = d_mu + [A_mu, .]; plain d_mu when A is None."""
     term = deriv(arr, mu, N)
     if A is not None:
-        term += commutator(A[mu], arr)
+        bracket(A[mu], arr, term)
     return term
 
 
@@ -240,10 +233,11 @@ def covariant_gradient(data: np.ndarray, N: int,
     """The components D_mu a_t of a degree-m field (or stack), component
     C mu + t for the C components a_t: one D_mu per direction over every
     component at once."""
-    C = data.shape[-7]
-    grad = np.empty(data.shape[:-7] + (4 * C,) + data.shape[-6:], dtype=complex)
+    C = data.shape[-6]
+    grad = np.empty(data.shape[:-6] + (4 * C,) + data.shape[-5:], dtype=complex)
+    components = np.moveaxis(grad, -6, 0)
     for mu in range(4):
-        grad[(..., slice(C * mu, C * mu + C)) + _GRID] = _covariant(data, mu, N, A)
+        components[C * mu:C * mu + C] = np.moveaxis(_covariant(data, mu, N, A), -6, 0)
     return grad
 
 
@@ -252,22 +246,22 @@ def _incidence_pass(data: np.ndarray, degree: int, N: int,
     """d_A from degree to degree+1, or its adjoint back: per direction mu, one
     D_mu on the components mu reads, each result then added into its target
     in incidence order with the incidence sign, negated for the adjoint."""
-    out = np.zeros(data.shape[:-7] + (len(TUPLES[degree + (not adjoint)]),)
-                   + data.shape[-6:], dtype=complex)
+    out = np.zeros(data.shape[:-6] + (len(TUPLES[degree + (not adjoint)]),)
+                   + data.shape[-5:], dtype=complex)
+    components = np.moveaxis(out, -6, 0)
     for mu, (src, dst, sign) in enumerate(_incidence(degree)):
         read, write = (dst, src) if adjoint else (src, dst)
-        terms = _covariant(np.take(data, read, axis=-7), mu, N, A)
+        terms = np.moveaxis(_covariant(np.take(data, read, axis=-6), mu, N, A), -6, 0)
         for i, (j, s) in enumerate(zip(write, sign)):
-            target = out[(..., j) + _GRID]
             (np.add if (s > 0) != adjoint else np.subtract)(
-                target, terms[(..., i) + _GRID], out=target)
+                components[j], terms[i], out=components[j])
     return out
 
 
 def d_raw(data: np.ndarray, degree: int, N: int,
           A: Optional[np.ndarray] = None) -> np.ndarray:
     """d (or the gauge-coupled d_A when the connection array A of shape
-    (4, N, N, N, N, n, n) is given) from degree to degree+1."""
+    (4, m, N, N, N, N) is given) from degree to degree+1."""
     return _incidence_pass(data, degree, N, A, adjoint=False)
 
 
@@ -291,19 +285,17 @@ def dc_raw(L: Matrix, data: np.ndarray, degree: int, N: int,
 def l2_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of ``l2_inner`` between the fields of two stacks of field
     arrays, as one matrix product (a whole basis at once)."""
-    N = a.shape[-3]
-    fa = a.reshape(len(a), -1)
-    fb = np.swapaxes(b, -1, -2).reshape(len(b), -1)
-    return -(fa @ fb.T).real / N ** 4
+    N = a.shape[-1]
+    return (a.reshape(len(a), -1) @ b.reshape(len(b), -1).T).real / N ** 4
 
 
 def sq_norm(data: np.ndarray) -> np.ndarray:
     """Site-averaged squared Frobenius norm of each field in a stack, summed
-    over its components: the squares of its real view, summed per field by
-    numpy, which, unlike a BLAS dot or a batched einsum, rounds the same
-    whatever the thread count and the stack."""
-    N = data.shape[-3]
-    flat = data.reshape(data.shape[:-7] + (-1,))
+    over its components: the squares of its (orthonormal) coordinates' real
+    view, summed per field by numpy, which, unlike a BLAS dot or a batched
+    einsum, rounds the same whatever the thread count and the stack."""
+    N = data.shape[-1]
+    flat = data.reshape(data.shape[:-6] + (-1,))
     flat = flat.view(flat.real.dtype)
     return (flat * flat).sum(axis=-1) / N ** 4
 
@@ -339,33 +331,15 @@ def su_basis(n: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def project_su(arr: np.ndarray, n: int) -> np.ndarray:
-    """Anti-Hermitian part, traceless for n >= 2 (u(1) keeps its trace),
-    one entry plane at a time; the trace adds the diagonal planes in order,
-    as ``np.trace`` does."""
-    out = np.empty(arr.shape, dtype=complex)
-    for i, j in np.ndindex(n, n):
-        np.subtract(arr[..., i, j], np.conj(arr[..., j, i]), out=out[..., i, j])
-    out *= 0.5
-    if n >= 2:
-        tr = out[..., 0, 0] + out[..., 1, 1]
-        for i in range(2, n):
-            tr += out[..., i, i]
-        tr /= n
-        for i in range(n):
-            out[..., i, i] -= tr
-    return out
-
-
 class LatticeField:
     """Degree-p form with values in su(n) (u(1) when n = 1), sampled on the
-    N^4 grid, held as one array ``data`` of shape (C, N, N, N, N, n, n) in
-    ``TUPLES[degree]`` order. It is built from a dict keyed by those
-    component tuples (absent ones are zero, any other key is an error),
-    which it writes into a fresh zero array, or from such an array, which it
-    stores as given, without a copy. Nothing is projected onto the Lie
-    algebra here; the callers whose arrays can leave it (``curvature`` and
-    the flow's trial step in ``moduli``) call ``project_su``."""
+    N^4 grid, held as one array ``data`` (C, m, N, N, N, N) of complex
+    coordinates on ``su_basis(n)`` in ``TUPLES[degree]`` order: stored as
+    given, without a copy, or contracted with tr(X B_a^dagger) from a dict
+    keyed by those component tuples (absent ones are zero, any other key is
+    an error) of grids (N, N, N, N, n, n) of traceless matrices (any scalar
+    when n = 1). The real part of the coordinates is the su(n) part, which
+    ``curvature`` and the flow's trial step in ``moduli`` take explicitly."""
 
     def __init__(self, degree: int, N: int, n: int, comps):
         if not 0 <= degree <= 4:
@@ -375,7 +349,7 @@ class LatticeField:
         self.degree = degree
         self.N = N
         self.n = n
-        shape = (len(TUPLES[degree]), N, N, N, N, n, n)
+        shape = (len(TUPLES[degree]), len(su_basis(n))) + (N,) * 4
         if isinstance(comps, np.ndarray):
             data = np.asarray(comps, dtype=complex)
             if data.shape != shape:
@@ -386,10 +360,14 @@ class LatticeField:
                 if t not in TUPLES[degree]:
                     raise ValueError(f"{t!r} is not a component of a degree-{degree} form")
                 arr = np.asarray(arr, dtype=complex)
-                if arr.shape != shape[1:]:
+                if arr.shape != (N,) * 4 + (n, n):
                     raise ValueError(f"component {t} has shape {arr.shape}, "
-                                     f"want {shape[1:]}")
-                data[TUPLES[degree].index(t)] = arr
+                                     f"want {(N,) * 4 + (n, n)}")
+                if n >= 2 and (np.abs(np.trace(arr, axis1=-2, axis2=-1)).max()
+                               > 1e-12 * np.abs(arr).max()):
+                    raise ValueError(f"component {t} is not traceless")
+                data[TUPLES[degree].index(t)] = np.einsum("...jk,ajk->a...", arr,
+                                                          su_basis(n).conj())
         self.data = data
 
     @staticmethod
@@ -399,16 +377,11 @@ class LatticeField:
     @staticmethod
     def random(degree: int, N: int, n: int, rng: np.random.Generator,
                scale: float = 1.0) -> "LatticeField":
-        """Gaussian su(n) coefficients on ``su_basis(n)``, times ``scale``.
-        The real and imaginary parts are two real contractions written into
-        one complex array: bit for bit the complex contraction, at less
-        than half its cost."""
-        basis = su_basis(n)
-        coeff = rng.standard_normal((len(TUPLES[degree]), N, N, N, N, basis.shape[0]))
-        data = np.empty(coeff.shape[:-1] + (n, n), dtype=complex)
-        np.einsum("...a,aij->...ij", coeff, basis.real, out=data.real)
-        np.einsum("...a,aij->...ij", coeff, basis.imag, out=data.imag)
-        data *= scale
+        """Gaussian su(n) coordinates on ``su_basis(n)``, times ``scale``,
+        drawn site by site (the coordinate axis last in the stream)."""
+        coeff = rng.standard_normal((len(TUPLES[degree]),) + (N,) * 4 + (len(su_basis(n)),))
+        data = np.zeros((coeff.shape[0], coeff.shape[-1]) + coeff.shape[1:-1], dtype=complex)
+        np.multiply(np.moveaxis(coeff, -1, 1), scale, out=data.real)
         return LatticeField(degree, N, n, data)
 
     def copy(self) -> "LatticeField":
@@ -443,7 +416,8 @@ class LatticeField:
 
     def save(self, path):
         """Magic, little-endian uint64 header length, JSON header, then the
-        array in memory order: one complex128 block per component."""
+        n x n matrices sum_a data_a B_a, one complex128 block per component in
+        row-major grid and matrix order."""
         header = {
             "format": "lattice-field-v1",
             "N": self.N,
@@ -459,7 +433,9 @@ class LatticeField:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(self.data.astype("<c16").tobytes())
+            B = su_basis(self.n)
+            mats = np.moveaxis(self.data, 1, -1) @ B.reshape(len(B), -1)
+            fh.write(mats.astype("<c16").tobytes())
 
     @classmethod
     def load(cls, path) -> "LatticeField":
@@ -487,23 +463,24 @@ class LatticeField:
                 header.get("components")) != (
                 "little", "complex128", "C", [list(t) for t in TUPLES[degree]]):
             raise ValueError("bad lattice field header: unsupported layout")
-        shape = (len(TUPLES[degree]), N, N, N, N, n, n)
-        want = int(np.prod(shape)) * 16
+        shape = (len(TUPLES[degree]),) + (N,) * 4 + (n, n)
+        want = math.prod(shape) * 16
         if len(payload) < want:
             raise ValueError(f"lattice field file is truncated: payload has "
                              f"{len(payload)} bytes, the header needs {want}")
         if len(payload) > want:
             raise ValueError(f"lattice field file has {len(payload) - want} "
                              f"bytes after its payload")
-        data = np.frombuffer(payload, dtype="<c16").reshape(shape)
-        return cls(degree, N, n, data.copy())
+        mats = np.frombuffer(payload, dtype="<c16").reshape(shape)
+        return cls(degree, N, n, dict(zip(TUPLES[degree], mats)))
 
 
 def l2_inner(a: LatticeField, b: LatticeField) -> float:
     """L^2 inner product -integral tr(a ^ *b), positive definite on su(n)
-    valued fields; the flat star reduces it to a component sum. numpy's
-    pairwise summation keeps a single pairing accurate when it nearly
-    cancels, which a BLAS dot product (``l2_gram``) does not."""
+    valued fields; the flat star reduces it to a component sum, and
+    -tr(B_a B_b) = delta_ab to the unconjugated sum of coordinate products.
+    numpy's pairwise summation keeps a single pairing accurate when it
+    nearly cancels, which a BLAS dot product (``l2_gram``) does not."""
     a._check_compatible(b)
-    prod = a.data * np.swapaxes(b.data, -1, -2)
-    return -float(np.sum(np.sum(prod, axis=(-6, -5, -4, -3, -2, -1)) / a.N ** 4).real)
+    prod = a.data * b.data
+    return float(np.sum(np.sum(prod, axis=(-5, -4, -3, -2, -1)) / a.N ** 4).real)

@@ -11,6 +11,7 @@ block's singular values; a dense null space covers other connections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,17 +22,17 @@ from .lattice import (
     LatticeField,
     TUPLES,
     apply_components,
-    commutator,
+    bracket,
     covariant_gradient,
     d_adjoint,
     d_raw,
     dc_raw,
+    deriv,
     frequencies,
     hermitian_form_vector,
     l2_gram,
     l2_inner,  # noqa: F401 - the slice's L^2 metric, in this namespace too
     pq_matrix,
-    project_su,
     sd_projector,
     slice_matrix,
     sq_norm,
@@ -104,14 +105,16 @@ _MU, _NU = np.array(TUPLES[2]).T
 
 
 def curvature(conn: Connection) -> LatticeField:
-    """F = dA + A ^ A, projected onto su(n): at even N, d of an su(n) field
-    leaves it (docs/conventions.md, "Even grids"). Exactly zero for constant
-    commuting connections. At A = 0 the all-zero commutator is skipped."""
+    """F = dA + A ^ A, the real part of its coordinates, which is its su(n)
+    part: at even N, d of an su(n) field leaves su(n) (docs/conventions.md,
+    "Even grids"). Exactly zero for constant commuting connections. At A = 0
+    the all-zero bracket is skipped."""
     a = conn.A.data
     F = d_raw(a, 1, conn.N)
     if _coupling(conn) is not None:
-        F += commutator(a[_MU], a[_NU])
-    return LatticeField(2, conn.N, conn.n, project_su(F, conn.n))
+        bracket(a[_MU], a[_NU], F)
+    F.imag = 0.0
+    return LatticeField(2, conn.N, conn.n, F)
 
 
 def asd_residual(F: LatticeField) -> Tuple[LatticeField, float]:
@@ -181,7 +184,9 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
             step = np.vdot(s, s).real / sty if sty > 0 else step
         accepted = False
         for _ in range(60):
-            trial = LatticeField(1, N, n, project_su(A.data - step * grad, n))
+            trial = A.data - step * grad
+            trial.imag = 0.0  # the su(n) part, as in ``curvature``
+            trial = LatticeField(1, N, n, trial)
             s2_new, plus_new = residual_sq(trial)
             if not np.isfinite(s2_new):
                 raise FlowDiverged("non-finite residual")
@@ -205,7 +210,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
 
 def slice_operator(A: Connection, L: Matrix):
     """The stacked slice operator a -> (P_sd d_A a, Lambda d^c_{L,A} a) on
-    raw 1-form arrays (..., 4, N, N, N, N, n, n): ``slice_matrix`` on one
+    raw 1-form arrays (..., 4, m, N, N, N, N): ``slice_matrix`` on one
     covariant gradient. The image has seven components, the six of the
     self-dual 2-form and then Lambda (no Lie-algebra projection, so kernels
     are honest)."""
@@ -237,17 +242,30 @@ def _r_factor(g: np.ndarray) -> np.ndarray:
     return R
 
 
+def _on_grid(coeffs: np.ndarray, phase) -> np.ndarray:
+    """The grid fields of one-site coordinates ``coeffs`` (..., m, 1, 1, 1,
+    1) with each matrix entry jk times its plane of ``phase``, through the
+    constant B_a,jk conj(B_b,jk), entry by entry; ``coeffs`` at ``phase`` 1."""
+    if np.ndim(phase) == 0:
+        return coeffs * phase
+    B = su_basis(len(phase)).reshape(-1, len(phase) ** 2)
+    weights = np.tensordot(coeffs[..., 0, 0, 0, 0], B[:, None] * B.conj()[None], axes=1)
+    out = 0
+    for w, plane in zip(np.moveaxis(weights, -1, 0), phase.reshape((-1,) + phase.shape[2:])):
+        out = out + w[..., None, None, None, None] * plane
+    return out
+
+
 @dataclass
 class TangentBasis:
-    """Orthonormal basis ``coeffs[i] * phase`` of the horizontal slice at a
-    connection, with the Gram matrix of the L^2 metric, the matrices of the
-    three induced structures in that basis and, for each structure, the
+    """Orthonormal basis ``_on_grid(coeffs, phase)`` of the horizontal slice
+    at a connection, with the Gram matrix of the L^2 metric, the matrices of
+    the three induced structures in that basis and, for each structure, the
     largest L^2 distance of its images of the basis from the slice, all from
-    ``coeffs`` alone: per mode, ``coeffs`` (d, 4, 1, 1, 1, 1, n, n) is each
-    element at x = 0 and ``phase`` (N, N, N, N, n, n) the shared unit-modulus
-    phase of each matrix entry (Parseval); on the dense path ``coeffs`` is
-    the grid basis and ``phase`` is 1. The grid ``basis`` is built on use.
-    ``curvature_norm`` is |F_A| of the base, as the ASD guard computed it."""
+    ``coeffs`` alone (Parseval): per mode, ``coeffs`` (d, 4, m, 1, 1, 1, 1)
+    are the coordinates at x = 0 and ``phase`` (n, n, N, N, N, N) the unit
+    phase of each matrix entry; on the dense path ``coeffs`` is the grid
+    basis and ``phase`` 1. ``curvature_norm`` is |F_A| of the base."""
 
     base: Connection
     structure: Matrix
@@ -268,7 +286,7 @@ class TangentBasis:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return self.coeffs * self.phase
+        return _on_grid(self.coeffs, self.phase)
 
     def element(self, coeff: np.ndarray) -> LatticeField:
         """The slice field sum_i coeff[i] basis[i]."""
@@ -276,36 +294,37 @@ class TangentBasis:
                             np.tensordot(coeff, self.basis, axes=1))
 
     def residual(self, a: np.ndarray, phase=1) -> np.ndarray:
-        """Defect of the slice equations (raw operator) on each 1-form array
-        of the stack ``a * phase``, built one chunk at a time: from
+        """Defect of the slice equations (raw operator) on each 1-form of the
+        stack ``_on_grid(a, phase)``, built one chunk at a time: from
         ``coeffs`` and ``phase`` the whole grid basis is never held."""
         op = slice_operator(self.base, self.structure)
-        size = np.broadcast(a[0], phase).size * np.result_type(a, phase).itemsize
-        return np.concatenate([np.sqrt(sq_norm(op(a[s] * phase)))
+        size = 16 * a[0].shape[0] * a[0].shape[1] * self.base.N ** 4
+        return np.concatenate([np.sqrt(sq_norm(op(_on_grid(a[s], phase))))
                                for s in _chunks(len(a), size)])
 
     def slice_defects(self) -> np.ndarray:
-        """``residual(coeffs, phase)`` without the grid basis: D_A acts entry
-        by entry at a constant Cartan connection, so D_mu(coeffs[i] * phase)
-        = coeffs[i] * D_mu phase, and element i's image on entry e is B_ie
-        G_e, with B_ie = slice_matrix(L) (7 x 4 x 4) times coeffs[i][:, e]
-        and G_e the 4 x N^4 gradient of the phase's entry e. With G_e^T =
-        Q_e R_e, |B_ie G_e|_F = |B_ie R_e^T|_F (N^2 times the site-averaged
-        norm), so no image is formed on the grid; ``residual`` stays the
-        grid oracle. The dense path (``phase`` 1) is ``residual(coeffs)``."""
+        """``residual(coeffs, phase)`` with no image on the grid: at a
+        constant Cartan connection D_mu acts on the matrix entry e as d_mu +
+        i shift_e, so element i's image on entry e is B_ie G_e, with B_ie the
+        7 x 4 matrix slice_matrix(L) times coeffs[i]'s entries e and G_e =
+        d phase_e + i shift_e phase_e = (Q_e R_e)^T: |B_ie G_e|_F =
+        |B_ie R_e^T|_F. On the dense path it is ``residual(coeffs)``."""
         if self.phase.ndim == 0:
             return self.residual(self.coeffs)
         N, n = self.base.N, self.base.n
-        grad = covariant_gradient(self.phase[None], N, _coupling(self.base))
-        R = _r_factor(grad.reshape(4, -1, n * n).transpose(2, 0, 1)) / N ** 2
-        B = np.einsum("smt,ite->iesm", slice_matrix(self.structure).reshape(7, 4, 4),
-                      self.coeffs.reshape(self.dimension, 4, n * n))
+        shifts = _cartan_shifts(self.base).reshape(n * n, 4, 1, 1, 1, 1)
+        planes = self.phase.reshape((n * n,) + (N,) * 4)
+        grad = np.stack([deriv(planes, mu, N) + 1j * shifts[:, mu] * planes
+                         for mu in range(4)], axis=1)
+        R = _r_factor(grad.reshape(n * n, 4, -1)) / N ** 2
+        entries = self.coeffs.reshape(self.dimension, 4, -1) @ su_basis(n).reshape(-1, n * n)
+        B = np.einsum("smt,ite->iesm", slice_matrix(self.structure).reshape(7, 4, 4), entries)
         return np.linalg.norm(np.einsum("iesm,etm->iest", B, R).reshape(self.dimension, -1),
                               axis=1)
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a
-        stack (k, 4, N, N, N, N, n, n); zero for a zero field."""
+        stack (k, 4, m, N, N, N, N); zero for a zero field."""
         coeff = np.linalg.solve(self.gram, l2_gram(self.basis, a))
         diff = np.sqrt(sq_norm(a - np.tensordot(coeff.T, self.basis, axes=1)))
         denom = np.sqrt(sq_norm(a))
@@ -369,14 +388,17 @@ def _modes(N: int) -> np.ndarray:
 
 
 def _cartan_shifts(A: Connection) -> Optional[np.ndarray]:
-    """The shifts theta_j - theta_k, shape (n, n, 4), of a connection whose
-    array is exactly the constant diagonal A_mu = i diag(theta^mu), or None.
+    """The shifts theta_j - theta_k, shape (n, n, 4), of A_mu = i
+    diag(theta^mu), whose coordinates are exactly constant and real on the
+    diagonal (Cartan) generators and exactly 0 on the others, or None.
     D_mu acts on e^{i xi.x} E_jk as i(xi_mu + theta_j^mu - theta_k^mu)."""
-    a = A.A.data
-    theta = np.diagonal(a[:, 0, 0, 0, 0], axis1=-2, axis2=-1).imag
-    diag = 1j * theta[..., None] * np.eye(A.n)
-    if not np.all(a == diag[:, None, None, None, None]):
+    gens, a = su_basis(A.n), A.A.data
+    diag = np.diagonal(gens, axis1=-2, axis2=-1)
+    cartan = np.all(gens == diag[..., None] * np.eye(A.n), axis=(-2, -1))
+    coords = a[:, :, 0, 0, 0, 0].real * cartan
+    if not np.all(a == coords[..., None, None, None, None]):
         return None
+    theta = coords @ diag.imag
     return np.moveaxis(theta[:, :, None] - theta[:, None, :], 0, -1)
 
 
@@ -384,12 +406,13 @@ def _mode_kernel(N: int, shifts: np.ndarray, tol: float):
     """The kernel rule at a constant Cartan connection: the norms r = |xi +
     shifts[j, k]| at the N^4 modes, shape (n, n, N^4), one pass per distinct
     shift; the mask r < tol of the vanishing channels; and the stabiliser,
-    the su(n) generators each of whose entries has a vanishing channel."""
+    the mask of the ``su_basis`` generators each of whose nonzero entries
+    has a vanishing channel."""
     alpha, channel = np.unique(shifts.reshape(-1, 4), axis=0, return_inverse=True)
     norms = np.linalg.norm(_modes(N) + alpha[:, None], axis=-1)
     norms = norms[channel.reshape(shifts.shape[:2])]
     vanish, gens = norms < tol, su_basis(len(shifts))
-    return norms, vanish, gens[np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))]
+    return norms, vanish, np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))
 
 
 @lru_cache(maxsize=None)
@@ -413,31 +436,28 @@ def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
     ``_certify_symbol`` checks, the block of entry (j, k) at the mode xi has
     the singular values r (1, 2^-1/2, 2^-1/2, 2^-1/2), r = |xi + shifts[j, k]|,
     so the smallest non-kernel one is the least r >= tol over sqrt 2 and the
-    largest kernel one the largest r < tol."""
+    largest kernel one the largest r < tol. The gap is the smallest
+    non-kernel value over the larger of the largest kernel one and tol."""
     _certify_symbol(L)
-    norms, vanish, gens = _mode_kernel(N, shifts, tol)
+    norms, vanish, stabiliser = _mode_kernel(N, shifts, tol)
     min_sv = float(norms.min(where=~vanish, initial=np.inf)) / np.sqrt(2)
-    max_kernel_sv = float(norms.max(where=vanish, initial=0.0))
-    gap = min_sv / max_kernel_sv if max_kernel_sv > 0 else np.inf
-    # dx_mu x g at x = 0, row mu * len(gens) + g, and the phase e^{i xi.x} of
-    # each entry's first vanishing mode (1 on the diagonal and at A = 0)
-    coeffs = np.einsum("mt,g...jk->mgt...jk", np.eye(4), gens[:, None, None, None, None])
+    gap = min_sv / max(float(norms.max(where=vanish, initial=0.0)), tol)
+    # dx_mu x g at x = 0, row mu * len(gens) + g, for the stabiliser's unit
+    # coordinate vectors g, and the phase e^{i xi.x} of each entry's first
+    # vanishing mode (1 on the diagonal and at A = 0)
+    gens = np.eye(len(stabiliser))[stabiliser]
+    coeffs = np.einsum("mt,ga->mgta", np.eye(4), gens).reshape(-1, 4, len(gens[0]), 1, 1, 1, 1)
     xi = _modes(N)[vanish.argmax(axis=-1)]
-    phase = np.exp(1j * np.einsum("m...,jkm->...jk", np.indices((N,) * 4) / N, xi))
-    phase[..., np.eye(len(vanish), dtype=bool)] = 1.0
-    return coeffs.reshape((-1,) + coeffs.shape[2:]), phase, min_sv, float(gap)
+    phase = np.exp(1j * np.einsum("jkm,m...->jk...", xi, np.indices((N,) * 4) / N))
+    phase[np.eye(len(vanish), dtype=bool)] = 1.0
+    return coeffs, phase, min_sv, gap
 
 
 def _unit_fields(degree: int, N: int, n: int) -> np.ndarray:
-    """The fields g dx_t supported at one site, one row per (component t,
-    site, generator g) in that order: the coordinate basis of su(n)-valued
-    degree-m forms, shape (C N^4 (n^2 - 1), C, N, N, N, N, n, n)."""
-    gens = su_basis(n)
-    cells = len(TUPLES[degree]) * N ** 4
-    unit = np.zeros((cells, len(gens), cells, n, n), dtype=complex)
-    at = np.arange(cells)
-    unit[at, :, at] = gens
-    return unit.reshape((cells * len(gens), len(TUPLES[degree])) + (N,) * 4 + (n, n))
+    """The coordinate unit fields of su(n)-valued degree-p forms, the
+    identity rows, shape (C m N^4, C, m, N, N, N, N)."""
+    shape = (len(TUPLES[degree]), len(su_basis(n))) + (N,) * 4
+    return np.eye(math.prod(shape)).reshape((-1,) + shape)
 
 
 def _real_matrix(stack: np.ndarray) -> np.ndarray:
@@ -446,12 +466,13 @@ def _real_matrix(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag], axis=1).T
 
 
-def _kernel_split(svals: np.ndarray, columns: int, tol: float):
-    """The singular values of a matrix with ``columns`` columns, padded with
-    the zeros LAPACK leaves out, and the mask of those in the kernel
-    relative to the largest."""
-    svals = np.concatenate([svals, np.zeros(max(0, columns - len(svals)))])
-    return svals, svals < tol * max(1.0, svals.max())
+def _dense_kernel(M: np.ndarray, tol: float):
+    """Singular values, right singular vectors and kernel mask (below tol
+    relative to the largest, the threshold returned too) of a real matrix M,
+    from the SVD of R in M = QR, which zero rows (Im at odd N) do not change."""
+    _, svals, vt = np.linalg.svd(np.linalg.qr(M[np.any(M, axis=1)], mode="r"))
+    threshold = tol * max(1.0, svals.max())
+    return svals, vt, svals < threshold, threshold
 
 
 def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
@@ -463,21 +484,19 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     unit = _unit_fields(1, N, n)
     # the real matrix of the seven-component images, one chunk of columns at a time
     op = slice_operator(A, L)
-    M = np.empty((2 * 7 * N ** 4 * n * n, len(unit)), order="F")
-    for cols in _chunks(len(unit), unit[0].nbytes):
+    M = np.empty((2 * 7 * dim // 4, dim), order="F")
+    for cols in _chunks(dim, 2 * unit[0].nbytes):
         M[:, cols] = _real_matrix(op(unit[cols]))
-    _, s, vt = np.linalg.svd(M, full_matrices=False)
-    svals, kernel_mask = _kernel_split(s, M.shape[1], tol)
+    svals, vt, kernel_mask, threshold = _dense_kernel(M, tol)
     kernel_dim = int(kernel_mask.sum())
     if kernel_dim == 0:
         raise RuntimeError("no kernel found for the slice operator")
     min_nonkernel = float(svals.min(where=~kernel_mask, initial=np.inf))
-    max_kernel = float(svals.max(where=kernel_mask, initial=0.0))
-    gap = min_nonkernel / max_kernel if max_kernel > 0 else np.inf
-    # vt rows are Euclidean-orthonormal, and the unit fields have L^2 Gram
-    # matrix I / N^4, so N^2 makes the kernel L^2-orthonormal
-    basis = N ** 2 * np.tensordot(vt[M.shape[1] - kernel_dim:], unit, axes=1)
-    return basis, min_nonkernel, float(gap)
+    gap = min_nonkernel / max(float(svals.max(where=kernel_mask, initial=0.0)), threshold)
+    # vt rows are Euclidean-orthonormal coordinates of unit fields with L^2
+    # Gram matrix I / N^4, so N^2 makes the kernel L^2-orthonormal
+    basis = N ** 2 * vt[dim - kernel_dim:].reshape((kernel_dim,) + unit.shape[1:])
+    return basis, min_nonkernel, gap
 
 
 def gauge_kernel_dim(A: Connection, tol: float) -> int:
@@ -487,16 +506,15 @@ def gauge_kernel_dim(A: Connection, tol: float) -> int:
     otherwise, the kernel of the dense singular values of d_A."""
     shifts = _cartan_shifts(A)
     if shifts is not None:
-        return len(_mode_kernel(A.N, shifts, tol)[2])
+        return int(_mode_kernel(A.N, shifts, tol)[2].sum())
     M = _real_matrix(d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data))
-    _, kernel_mask = _kernel_split(np.linalg.svd(M, compute_uv=False), M.shape[1], tol)
-    return int(kernel_mask.sum())
+    return int(_dense_kernel(M, tol)[2].sum())
 
 
 def induced_structure(L: Matrix, a):
     """The operator a -> sqrt(-1)(a^{0,1} - a^{1,0}) on 1-forms, computed
     through the (p,q) splitting as the ledger defines it, on a field or on a
-    stack of 1-form arrays (..., 4, N, N, N, N, n, n). The tests check that
+    stack of 1-form arrays (..., 4, m, N, N, N, N). The tests check that
     it equals the coordinate formula -L(a)."""
     is_field = isinstance(a, LatticeField)
     if is_field and a.degree != 1:
@@ -585,11 +603,11 @@ def verify_moduli_structure(tb: TangentBasis,
 
 def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W[i, j] = omega~(a_i, b_j), the integral of omega_L ^ tr(a_i ^ b_j),
-    for two stacks of 1-form arrays (k, 4, N, N, N, N, n, n), with the slice
+    for two stacks of 1-form arrays (k, 4, m, N, N, N, N), with the slice
     representatives as their own horizontal lifts: the site-averaged traces
     tr(a_i,mu b_j,nu) for every (i, mu, j, nu) come from one product over
     the components (real on su(n)-valued fields)."""
-    grid = a.shape[-6:]
+    grid = a.shape[-5:]
     tr = -l2_gram(a.reshape((-1,) + grid), b.reshape((-1,) + grid))
     tr = tr.reshape(len(a), 4, len(b), 4)
     # tr(a ^ b) as a scalar 2-form, shape (6, len(a), len(b))
@@ -627,7 +645,7 @@ def coulomb_identity_defect(a, structures: Sequence[Matrix],
                             A: Optional[Connection] = None) -> float:
     """Largest norm of d*_A a - Lambda d^c_L a - *(d^c_L omega_L ^ a) over
     the structures L and over a 1-form field or a stack of 1-form arrays
-    (k, 4, N, N, N, N, n, n), streamed in chunks: both sides of each chunk,
+    (k, 4, m, N, N, N, N), streamed in chunks: both sides of each chunk,
     d*_A a and Lambda d^c_L a for every L, are one constant row block
     (``_coulomb_rows``) on one covariant gradient.
 
@@ -641,14 +659,14 @@ def coulomb_identity_defect(a, structures: Sequence[Matrix],
         stack = a.data[None]
     else:
         stack = a
-        if stack.shape[-7] != 4:
+        if stack.shape[-6] != 4:
             raise ValueError(f"the Coulomb identity acts on 1-forms (4 components), "
-                             f"got {stack.shape[-7]} components")
-    N, Ac = stack.shape[-3], _coupling(A)
+                             f"got {stack.shape[-6]} components")
+    N, Ac = stack.shape[-1], _coupling(A)
 
     def star_wedge(L: Matrix) -> np.ndarray:
         # d^c_L omega_L from the constant Hermitian form (exactly zero spectrally)
-        omega = np.multiply.outer(hermitian_form_vector(L), np.ones((N,) * 4 + (1, 1)))
+        omega = np.multiply.outer(hermitian_form_vector(L), np.ones((1,) + (N,) * 4))
         return apply_components(wedge_pairing(3).T, dc_raw(L, omega, 2, N))
 
     terms = [star_wedge(L) for L in structures]
@@ -661,7 +679,7 @@ def coulomb_identity_defect(a, structures: Sequence[Matrix],
         # (d^c omega) ^ a is a 4-form; its star is the scalar coefficient
         return np.concatenate([
             np.sqrt(sq_norm(sides[:, :1] - sides[:, i:i + 1]
-                            - np.sum(sw * chunk, axis=-7, keepdims=True)))
+                            - np.sum(sw * chunk, axis=-6, keepdims=True)))
             for i, sw in enumerate(terms, 1)])
 
     return float(max(chunk_defects(stack[s]).max()

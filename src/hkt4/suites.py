@@ -156,7 +156,7 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
     rec.add("moduli.hermitian-form-sign", defect < 1e-8, defect,
             "omega~(a1,a2) = +/- (I~ a1, a2) with one global sign")
 
-    fields = np.empty((5, 4, N, N, N, N, n, n), dtype=complex)
+    fields = np.empty((5, 4, n * n - 1) + (N,) * 4, dtype=complex)
     for f in fields:
         f[...] = LatticeField.random(1, N, n, rng).data
     worst = coulomb_identity_defect(fields, frame.matrices())

@@ -1,5 +1,5 @@
-"""Lattice fields: su(n) projection, spectral derivatives, constant operator
-matrices, inner products, serialization."""
+"""Lattice fields: su(n) coordinates and their bracket, spectral
+derivatives, constant operator matrices, inner products, serialization."""
 
 import numpy as np
 import pytest
@@ -18,14 +18,13 @@ from hkt4.lattice import (
     TUPLES,
     action_matrix,
     apply_components,
-    commutator,
+    bracket,
     d_adjoint,
     d_raw,
     dc_raw,
     deriv,
     l2_inner,
     lambda_row,
-    project_su,
     sd_projector,
     sq_norm,
     star_matrix,
@@ -39,9 +38,25 @@ LEFT = HypercomplexFrame.left()
 
 def cartan_connection(N, n, charge):
     """charge * diag(i, -i, 0, ...) dx0 as a connection array."""
-    A = np.zeros((4, N, N, N, N, n, n), dtype=complex)
-    A[0, ..., 0, 0], A[0, ..., 1, 1] = 1j * charge, -1j * charge
-    return A
+    comp = np.zeros((N, N, N, N, n, n), dtype=complex)
+    comp[..., 0, 0], comp[..., 1, 1] = 1j * charge, -1j * charge
+    return LatticeField(1, N, n, {(0,): comp}).data
+
+
+def expand(x, n):
+    """The matrices sum_a x_a B_a of coordinates x (axis -5, grid after),
+    the matrix axes last."""
+    return np.einsum("...a,aij->...ij", np.moveaxis(x, -5, -1), su_basis(n))
+
+
+def contract(X, n):
+    """The coordinates tr(X B_a^dagger) of matrices X (matrix axes last), on
+    axis -5."""
+    return np.moveaxis(np.einsum("...ij,aij->...a", X, su_basis(n).conj()), -1, -5)
+
+
+def random_coordinates(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_su_basis_orthonormal():
@@ -57,43 +72,78 @@ def test_su_basis_orthonormal():
         assert np.allclose(gram, np.eye(dim))
 
 
-def test_project_su():
+def test_real_part_is_the_anti_hermitian_traceless_part():
+    # the real part of complex coordinates expands to the anti-Hermitian
+    # traceless part of their expansion (u(1) keeps its trace), and the
+    # constructor's contraction of a traceless matrix gives its coordinates
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    p = project_su(x, 3)
-    assert np.allclose(p + np.conj(p.T), 0)
-    assert abs(np.trace(p)) < 1e-14
-    # idempotent
-    assert np.allclose(project_su(p, 3), p)
+    for n in (1, 2, 3, 4):
+        x = random_coordinates(rng, (2, 3, max(1, n * n - 1)) + (3,) * 4)
+        X = expand(x, n)
+        ah = 0.5 * (X - np.conj(np.swapaxes(X, -1, -2)))
+        if n >= 2:
+            ah -= np.trace(ah, axis1=-2, axis2=-1)[..., None, None] * np.eye(n) / n
+        assert np.abs(expand(x.real, n) - ah).max() <= 1e-15 * np.abs(X).max()
+        if n >= 2:
+            assert np.abs(np.trace(X, axis1=-2, axis2=-1)).max() < 1e-14 * np.abs(X).max()
+        f = LatticeField(1, 3, n, {(t,): X[0, t] for t in range(3)})
+        assert np.abs(f.data[:3] - x[0]).max() <= 1e-15 * np.abs(x).max()
 
 
 def test_field_stores_the_array_it_is_given():
-    # an array is stored as given, neither copied nor projected; a dict is
-    # written into a fresh array, and copy() copies
+    # an array of coordinates is stored as given, neither copied nor
+    # projected; a dict of matrices is contracted into a fresh array, and
+    # copy() copies
     rng = np.random.default_rng(2)
-    raw = rng.standard_normal((1, 3, 3, 3, 3, 2, 2)) + 1j * rng.standard_normal((1, 3, 3, 3, 3, 2, 2))
+    raw = random_coordinates(rng, (1, 3, 3, 3, 3, 3))
     f = LatticeField(0, 3, 2, raw)
     assert np.shares_memory(f.data, raw)
     assert f.data.tobytes() == raw.tobytes()
-    g = LatticeField(0, 3, 2, {(): raw[0]})
+    g = LatticeField(0, 3, 2, {(): expand(raw, 2)[0]})
     assert not np.shares_memory(g.data, raw)
-    assert g.data.tobytes() == raw.tobytes()
+    assert np.abs(g.data - raw).max() <= 1e-15 * np.abs(raw).max()
     h = f.copy()
     assert not np.shares_memory(h.data, raw)
     assert h.data.tobytes() == raw.tobytes()
+    with pytest.raises(ValueError, match="field array has shape"):
+        LatticeField(0, 3, 2, expand(raw, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dict_constructor_rejects_a_traced_component(n):
+    rng = np.random.default_rng(3 + n)
+    X = expand(random_coordinates(rng, (n * n - 1,) + (3,) * 4), n)
+    LatticeField(0, 3, n, {(): X})
+    X[1, 2, 0, 1] += 1e-3 * np.eye(n)
+    with pytest.raises(ValueError, match="traceless"):
+        LatticeField(0, 3, n, {(): X})
+
+
+def test_u1_coordinate_is_minus_i_times_the_scalar_bit_for_bit():
+    # so the degree of a u(1) field, and ``hkt4 degree``, do not move
+    rng = np.random.default_rng(4)
+    X = random_coordinates(rng, (3, 3, 3, 3, 1, 1))
+    c = LatticeField(0, 3, 1, {(): X}).data[0, 0]
+    assert np.array_equal(c.real.view(np.uint64), X[..., 0, 0].imag.view(np.uint64))
+    assert np.array_equal(c.imag.view(np.uint64), (-X[..., 0, 0].real).view(np.uint64))
 
 
 def test_dense_bench_connection_is_its_own_projection():
-    # the benchmark's dense connection charge * diag(i, -i) dx_mu is exactly
-    # anti-Hermitian and traceless, so storing it unprojected changes no bit
+    # the benchmark's dense connection charge * diag(i, -i) dx_mu, given as
+    # a dict of 2 x 2 matrices, has real coordinates, which the real part
+    # keeps, constant and only on the Cartan generator, the last of su(2)
     from bench.workloads import DENSE_CHARGES, Dense
 
     dense, charges = Dense(), set()
+    assert np.array_equal(su_basis(2)[2], np.diag([1j, -1j]) / np.sqrt(2))
     for seed in range(40):
         (req,) = dense.unit(random.Random(seed))
         A = req.params["A"].A.data
-        assert project_su(A, 2).tobytes() == A.tobytes()
-        charges.add(req.params["charge"])
+        charge, mu = req.params["charge"], req.params["mu"]
+        assert not np.any(A.imag) and not np.any(A[:, :2])
+        assert not np.any(A[np.arange(4) != mu]) and np.all(A[mu, 2] == A[mu, 2, 0, 0, 0, 0])
+        assert A[mu, 2, 0, 0, 0, 0] == pytest.approx(np.sqrt(2) * charge, rel=1e-15)
+        charges.add(charge)
     assert charges == set(DENSE_CHARGES)
 
 
@@ -110,8 +160,8 @@ def test_field_rejects_keys_that_are_not_components():
 def test_spectral_derivative_exact_on_modes():
     N = 5
     x = np.arange(N) / N
-    grid = np.zeros((N, N, N, N, 1, 1), dtype=complex)
-    grid[..., 0, 0] = np.exp(2j * np.pi * x)[:, None, None, None]
+    grid = np.zeros((1, N, N, N, N), dtype=complex)
+    grid[0] = np.exp(2j * np.pi * x)[:, None, None, None]
     d0 = deriv(grid, 0, N)
     assert np.allclose(d0, 2j * np.pi * grid)
     assert np.allclose(deriv(grid, 1, N), 0)
@@ -119,7 +169,7 @@ def test_spectral_derivative_exact_on_modes():
 
 def test_derivative_constant_is_exactly_zero():
     N = 4
-    arr = np.ones((N, N, N, N, 2, 2), dtype=complex)
+    arr = np.ones((3, N, N, N, N), dtype=complex)
     for mu in range(4):
         assert np.all(deriv(arr, mu, N) == 0)
 
@@ -127,7 +177,7 @@ def test_derivative_constant_is_exactly_zero():
 def fft_deriv(arr, mu, N):
     """Reference spectral derivative: an FFT along the lattice axis, the
     symbol i k with the signed frequencies (Nyquist at -N/2), inverse FFT."""
-    axis = (-6, -5, -4, -3)[mu]
+    axis = (-4, -3, -2, -1)[mu]
     k = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N)
     shape = [1] * arr.ndim
     shape[axis] = N
@@ -138,8 +188,8 @@ def fft_deriv(arr, mu, N):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_deriv_matches_fft_reference(N, n):
     rng = np.random.default_rng(100 * N + n)
-    # two leading batch axes and a component axis
-    shape = (2, 1, 3) + (N,) * 4 + (n, n)
+    # two leading batch axes, a component and a coordinate axis
+    shape = (2, 1, 3, max(1, n * n - 1)) + (N,) * 4
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for mu in range(4):
         ref = fft_deriv(arr, mu, N)
@@ -148,81 +198,31 @@ def test_deriv_matches_fft_reference(N, n):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def broadcast_matmul(a, b):
-    """Reference small-matrix product: n broadcast multiply-adds of whole
-    arrays, whose inner loops run over one matrix row."""
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
-    return out
-
-
-def broadcast_project_su(arr, n):
-    """Reference su(n) projection on whole arrays."""
-    ah = 0.5 * (arr - np.conj(np.swapaxes(arr, -1, -2)))
-    if n >= 2:
-        tr = np.trace(ah, axis1=-1, axis2=-2) / n
-        ah = ah - tr[..., None, None] * np.eye(n)
-    return ah
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_entry_plane_kernels_match_broadcast_formulas(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bracket_matches_the_matrix_commutator(n):
+    # the structure-constant bracket of complex coordinates, added into an
+    # array, is the coordinates of the commutator of their expansions, on
+    # broadcast stacks
     rng = np.random.default_rng(20 + n)
-
-    def rand(*shape):
-        return rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
-
-    def close(got, ref):
-        return got.shape == ref.shape and \
-            np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
-
+    m = max(1, n * n - 1)
     for sa, sx in [((), ()), ((5,), (5,)), ((3, 1, 4), (2, 4)), ((4,), (2, 3, 4)),
                    ((2, 3), ())]:
-        a, x = rand(*sa), rand(*sx)
-        assert close(commutator(a, x), broadcast_matmul(a, x) - broadcast_matmul(x, a))
-        assert close(project_su(x, n), broadcast_project_su(x, n))
-    x = rand(2, 3, 4)
-    p = project_su(x, n)
-    assert np.abs(p + np.conj(np.swapaxes(p, -1, -2))).max() == 0.0
-    trace = np.trace(p, axis1=-1, axis2=-2)
-    if n == 1:
-        # u(1) keeps its trace: the imaginary part of the scalar
-        assert np.array_equal(p[..., 0, 0], 1j * x[..., 0, 0].imag)
-        assert np.abs(trace).min() > 0
-    else:
-        assert np.abs(trace).max() < 1e-15 * n
-
-
-def trace_project_su(arr, n):
-    """project_su with the trace taken by np.trace."""
-    out = np.empty(arr.shape, dtype=complex)
-    for i, j in np.ndindex(n, n):
-        np.subtract(arr[..., i, j], np.conj(arr[..., j, i]), out=out[..., i, j])
-    out *= 0.5
-    if n >= 2:
-        tr = np.trace(out, axis1=-2, axis2=-1) / n
-        for i in range(n):
-            out[..., i, i] -= tr
-    return out
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_project_su_trace_rounds_as_np_trace(n):
-    # the diagonal planes added in order give np.trace bit for bit, signed
-    # zeros included, on contiguous and strided stacks
-    rng = np.random.default_rng(30 + n)
-    x = rng.standard_normal((3, 4, 4, 4, 4, n, n)) + 1j * rng.standard_normal((3, 4, 4, 4, 4, n, n))
-    x[0, ..., 0, :] = -0.0
-    x.imag[1, ..., 0, 0] = -0.0
-    for arr in (x, x[:, ::2], np.zeros_like(x), -np.zeros_like(x)):
-        assert project_su(arr, n).tobytes() == trace_project_su(arr, n).tobytes()
+        a = random_coordinates(rng, sa + (m, 3, 1, 2, 1))
+        x = random_coordinates(rng, sx + (m, 1, 2, 2, 3))
+        A, X = expand(a, n), expand(x, n)
+        ref = contract(A @ X - X @ A, n)
+        base = random_coordinates(rng, ref.shape)
+        got = base.copy()
+        bracket(a, x, got)
+        assert np.abs(got - base - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_random_draw_is_the_complex_contraction_bit_for_bit(degree):
-    # two real contractions into one complex array round exactly as the
-    # complex one, signs of zero included, so seeded fields do not move
+    # the coordinates of the contraction sum_a coeff_a B_a of the normal
+    # draws (coordinate last in the stream) are the scaled draws themselves,
+    # bit for bit with real part only, so seeded fields stay the seeded
+    # su(n) fields; their expansion is the complex contraction
     for N in (3, 4, 5, 8):
         for n in (1, 2, 3, 4):
             for scale in (1.0, 1e-2, 0.3):
@@ -231,18 +231,23 @@ def test_random_draw_is_the_complex_contraction_bit_for_bit(degree):
                 basis = su_basis(n)
                 coeff = np.random.default_rng(seed).standard_normal(
                     (len(TUPLES[degree]), N, N, N, N, len(basis)))
-                want = scale * np.einsum("...a,aij->...ij", coeff, basis)
-                assert np.array_equal(got.data.view(np.uint64), want.view(np.uint64))
+                want = np.moveaxis(scale * coeff, -1, 1)
+                assert np.array_equal(got.data.real.view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(got.data.imag.view(np.uint64),
+                                      np.zeros_like(want).view(np.uint64))
+                contraction = scale * np.einsum("...a,aij->...ij", coeff, basis)
+                assert np.abs(expand(got.data, n) - contraction).max() \
+                    <= 1e-15 * np.abs(contraction).max()
 
 
 def test_even_grid_nyquist_takes_d_out_of_su():
     # on an even grid the Nyquist symbol i 2 pi (-N/2) is not a real
-    # derivative, so d of an su(2) 1-form has a Hermitian part; an odd grid
-    # has no Nyquist mode and its differentiation matrix is exactly real
+    # derivative, so d of an su(2) 1-form has a Hermitian part, the
+    # imaginary part of its coordinates; an odd grid has no Nyquist mode and
+    # its differentiation matrix is exactly real
     def hermitian_part(N):
         a = LatticeField.random(1, N, 2, np.random.default_rng(15))
-        da = d_raw(a.data, 1, N)
-        return np.sqrt(sq_norm(0.5 * (da + np.conj(np.swapaxes(da, -1, -2)))))
+        return np.sqrt(sq_norm(d_raw(a.data, 1, N).imag))
 
     assert hermitian_part(4) > 1.0
     assert hermitian_part(5) == 0.0
@@ -264,8 +269,7 @@ def test_d_star_adjointness():
     ds = LatticeField(1, N, 2, d_raw(s.data, 0, N))
     lhs = l2_inner(ds, a)
     dstar = d_adjoint(a.data, 1, N)
-    prod = np.einsum("...ij,...ji->...", s.data, dstar)
-    rhs = -float(np.real(np.sum(prod))) / N ** 4
+    rhs = float(np.real(np.sum(s.data * dstar))) / N ** 4
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -293,9 +297,9 @@ def _gather_scatter_d(data, degree, N, A, adjoint):
     from hkt4.forms import _MERGE
     from hkt4.lattice import _covariant
 
-    grid = (slice(None),) * 6
+    grid = (slice(None),) * 5
     C_out = len(TUPLES[degree if adjoint else degree + 1])
-    out = np.zeros(data.shape[:-7] + (C_out,) + data.shape[-6:], dtype=complex)
+    out = np.zeros(data.shape[:-6] + (C_out,) + data.shape[-5:], dtype=complex)
     for mu in range(4):
         src, dst, sign = [], [], []
         for j, t in enumerate(TUPLES[degree]):
@@ -305,7 +309,7 @@ def _gather_scatter_d(data, degree, N, A, adjoint):
                 dst.append(TUPLES[degree + 1].index(merged))
                 sign.append(float(sg))
         src, dst = np.array(src), np.array(dst)
-        sign = np.array(sign).reshape(-1, 1, 1, 1, 1, 1, 1)
+        sign = np.array(sign).reshape(-1, 1, 1, 1, 1, 1)
         if adjoint:
             out[(..., src) + grid] -= sign * _covariant(data[(..., dst) + grid], mu, N, A)
         else:
@@ -335,9 +339,9 @@ def _per_entry_d(data, degree, N, A, adjoint):
     from hkt4.forms import _MERGE
     from hkt4.lattice import _covariant
 
-    grid = (slice(None),) * 6
+    grid = (slice(None),) * 5
     C_out = len(TUPLES[degree if adjoint else degree + 1])
-    out = np.zeros(data.shape[:-7] + (C_out,) + data.shape[-6:], dtype=complex)
+    out = np.zeros(data.shape[:-6] + (C_out,) + data.shape[-5:], dtype=complex)
     for mu in range(4):
         for src, t in enumerate(TUPLES[degree]):
             merged, sign = _MERGE.get(((mu,), t), (None, 0))
@@ -375,19 +379,19 @@ def test_d_raw_and_d_adjoint_match_the_per_entry_loop(N, n, charged):
 @pytest.mark.parametrize("N", [3, 4, 8, 16])
 @pytest.mark.parametrize("n", [2, 3])
 def test_deriv_matches_the_batched_product_on_every_axis(N, n):
-    # the one product with kron(D_N^T, I) along the last axis (small N n^2)
-    # and the batched (before, N, after) product elsewhere agree with the
-    # batched product, on a field and on a stack of fields
+    # the one product with kron(D_N^T, I) along the last two axes (small
+    # N after) and the batched (before, N, after) product elsewhere agree
+    # with the batched product, on a field and on a stack of fields
     rng = np.random.default_rng(40 + N + n)
     for shape in [(1,), (2, 3)] if N < 16 else [(1,), (2, 1)]:
-        shape = shape + (N,) * 4 + (n, n)
+        shape = shape + (n * n - 1,) + (N,) * 4
         arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for mu in range(4):
-            axis = arr.ndim - 6 + mu
+            axis = arr.ndim - 4 + mu
             view = arr.reshape(int(np.prod(shape[:axis])), N, -1)
             ref = (_diff_matrix(N) @ view).reshape(shape)
             got = deriv(arr, mu, N)
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(arr).max()
+            assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
 
 
 def test_sq_norm_rounds_the_same_on_one_and_two_blas_threads():
@@ -413,7 +417,7 @@ def test_sq_norm_of_each_field_whatever_the_stack_and_dtype():
     norms = sq_norm(fs)
     assert np.array_equal(norms, np.concatenate([sq_norm(fs[:2]), sq_norm(fs[2:])]))
     assert np.array_equal(norms, [sq_norm(f) for f in fs])
-    a = np.arange(2 * 4 * 3 ** 4 * 4, dtype=float).reshape((2, 4) + (3,) * 4 + (2, 2))
+    a = np.arange(2 * 4 * 3 ** 4 * 4, dtype=float).reshape((2, 4, 4) + (3,) * 4)
     want = (a ** 2).reshape(2, -1).sum(axis=1) / 3 ** 4
     assert np.allclose(sq_norm(a), want, rtol=1e-15)
     assert np.allclose(sq_norm(a + 1j * a), 2 * want, rtol=1e-15)
@@ -494,14 +498,21 @@ def test_field_arithmetic_and_norm():
 
 
 def test_serialization_roundtrip(tmp_path):
+    # the file holds matrices and memory coordinates: for u(1), -i and i are
+    # exact, so the round trip is; for n >= 2 it is within a few ulps
     rng = np.random.default_rng(9)
-    a = LatticeField.random(2, 3, 3, rng)
     path = tmp_path / "field.latf"
-    a.save(path)
-    b = LatticeField.load(path)
-    assert b.degree == 2 and b.N == 3 and b.n == 3
-    assert (a - b).norm() == 0.0
-    assert b.data.flags.writeable
+    for n in (1, 2, 3):
+        a = LatticeField.random(2, 3, n, rng)
+        a.data.imag = rng.standard_normal(a.data.shape)
+        a.save(path)
+        b = LatticeField.load(path)
+        assert b.degree == 2 and b.N == 3 and b.n == n
+        if n == 1:
+            assert (a - b).norm() == 0.0
+        else:
+            assert 0 < (a - b).norm() <= 4 * np.finfo(float).eps * a.norm()
+        assert b.data.flags.writeable
     # header is inspectable json after the magic and length prefix
     blob = path.read_bytes()
     assert blob.startswith(b"LATF1\n")
@@ -509,13 +520,19 @@ def test_serialization_roundtrip(tmp_path):
 
 def test_serialization_layout_pinned(tmp_path):
     # the file is magic, <Q header length, JSON header, then one <c16 block
-    # per component in TUPLES order, each in row-major grid and matrix order
+    # per component in TUPLES order, each in row-major grid and matrix order,
+    # of the matrices sum_a x_a B_a of the traceless field's coordinates x.
+    # With coordinates +-2^k each product x_a B_a,jk is exact, and each entry
+    # sums at most two of them (n = 2), so the expansion rounds one way
     rng = np.random.default_rng(13)
     N, n, degree = 3, 2, 2
-    comps = {t: rng.standard_normal((N, N, N, N, n, n))
-             + 1j * rng.standard_normal((N, N, N, N, n, n)) for t in TUPLES[degree]}
+    shape = (len(TUPLES[degree]), 3) + (N,) * 4
+    powers = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+    x = rng.choice(powers, shape) + 1j * rng.choice(powers, shape)
+    mats = expand(x, n)
+    comps = dict(zip(TUPLES[degree], mats))
     path = tmp_path / "field.latf"
-    LatticeField(degree, N, n, comps).save(path)
+    LatticeField(degree, N, n, x).save(path)
     header = json.dumps({
         "format": "lattice-field-v1", "N": N, "n": n, "degree": degree,
         "endianness": "little", "dtype": "complex128", "order": "C",
