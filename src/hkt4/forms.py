@@ -204,13 +204,40 @@ def _form(degree: int, groups: Dict[IndexTuple, list], kernel) -> RationalForm:
 
 def _integer_matrix(L: Matrix):
     """(D, D L), D the lcm of L's denominators; raises ValueError unless L
-    squares to -Id (on a cache miss: lru_cache keeps no raised result)."""
+    squares to -Id."""
     D = math.lcm(*(v.denominator for row in L for v in row))
     M = [[v.numerator * (D // v.denominator) for v in row] for row in L]
     if any(sum(M[i][k] * M[k][j] for k in range(4)) != (-D * D if i == j else 0)
            for i in range(4) for j in range(4)):
         raise ValueError("matrix does not square to -Id")
     return D, M
+
+
+def _all_minors(m):
+    """Every minor of the exact 4 x 4 matrix m as {(rows, cols): minor}, for
+    index tuples of sizes 0..4 (70 minors, the empty one 1): each by one
+    Laplace step along its first row from the minors one size smaller."""
+    minors = {((), ()): 1}
+    for k in range(1, 5):
+        for t in _ALL_TUPLES[k]:
+            row, rest = m[t[0]], t[1:]
+            for s in _ALL_TUPLES[k]:
+                total = 0
+                for j, c in enumerate(s):
+                    if row[c]:
+                        term = row[c] * minors[rest, s[:j] + s[j + 1:]]
+                        total += -term if j % 2 else term
+                minors[t, s] = total
+    return minors
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _minors(L: Matrix):
+    """(D, every minor of D L), D the lcm of L's denominators: one table and
+    one ``_integer_matrix`` check per structure (on a miss: lru_cache keeps
+    no raised result)."""
+    D, M = _integer_matrix(L)
+    return D, _all_minors(M)
 
 
 def _columns(degree: int, column):
@@ -225,15 +252,15 @@ def _columns(degree: int, column):
 def _action_matrix(L: Matrix, degree: int):
     """Columns of the pullback action on degree-m basis forms: the m-th
     compound matrix of L, whose entry (s, t) is the minor of L with rows t
-    and columns s. The minors are taken of the integer matrix D L, D the lcm
-    of L's denominators, and divided by D^m."""
-    D, M = _integer_matrix(L)
+    and columns s. The minors are read from the table of the integer matrix
+    D L (``_minors``) and divided by D^m."""
+    D, minors = _minors(L)
     Dm = D ** degree
     cols = []
     for t in _ALL_TUPLES[degree]:
         col = []
         for s in _ALL_TUPLES[degree]:
-            x = _det([[M[i][j] for j in s] for i in t])
+            x = minors[t, s]
             if x:
                 g = math.gcd(x, Dm)
                 col.append((s, x // g, 0, Dm // g))
@@ -241,14 +268,16 @@ def _action_matrix(L: Matrix, degree: int):
     return tuple(cols)
 
 
-def _apply_matrix(cols, a: RationalForm, degree: int | None = None) -> RationalForm:
-    """A constant matrix in the columns of ``_columns`` applied to a, into
-    ``degree`` (a's own by default): one fused combination per coefficient."""
+def _apply_matrix(cols, a: RationalForm, degree: int | None = None,
+                  sign: int = 1) -> RationalForm:
+    """``sign`` times a constant matrix in the columns of ``_columns`` applied
+    to a, into ``degree`` (a's own by default): one fused combination per
+    coefficient."""
     index = _INDEX[a.degree]
     terms: Dict[IndexTuple, list] = {}
     for t, f in a.coeffs.items():
         for s, x, y, d in cols[index[t]]:
-            terms.setdefault(s, []).append((x, y, d, f))
+            terms.setdefault(s, []).append((sign * x, sign * y, d, f))
     return _form(a.degree if degree is None else degree, terms, _lincomb)
 
 
@@ -264,13 +293,12 @@ def twisted_d(L: Matrix, a: RationalForm) -> RationalForm:
 
     The bare composition leaves the overall sign of d^c ambiguous; DC_SIGN
     normalizes it so that d(d^c phi) is positive on the flat chart (pinned
-    by the tests).
+    by the tests). The sign is applied in the last action.
     """
     if a.degree > 3:
         raise DegreeError("twisted differential needs degree <= 3")
-    sign = DC_SIGN * (-1 if a.degree % 2 else 1)
-    res = structure_action(L, exterior_d(structure_action(L, a)))
-    return res if sign > 0 else -res
+    da = exterior_d(structure_action(L, a))
+    return _apply_matrix(_action_matrix(L, da.degree), da, sign=DC_SIGN * (-1) ** a.degree)
 
 
 def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:
@@ -302,7 +330,7 @@ def _pq_matrix(L: Matrix, degree: int, p: int):
     pi^{1,0} = (1 - sqrt(-1) L)/2; expanding the product over a basis m-form
     and collecting terms of bidegree (p,q) gives the projector exactly.
     """
-    _integer_matrix(L)
+    _minors(L)  # checks L once per structure, as the compound matrices do
     half = QI(Fraction(1, 2))
     # splits[i] = ((1,0) piece, (0,1) piece) of dx_i as {j: coefficient};
     # L(dx_i) is row i of L
@@ -357,9 +385,9 @@ class ConstantMetric:
             for j in range(4):
                 if m[i][j] != m[j][i]:
                     raise ValueError("metric must be symmetric")
-        for k in range(1, 5):
-            if _det([row[:k] for row in m[:k]]) <= 0:
-                raise ValueError("metric must be positive definite")
+        minors = _all_minors(m)
+        if any(minors[t, t] <= 0 for t in ((0,), (0, 1), (0, 1, 2), TOP)):
+            raise ValueError("metric must be positive definite")
         self.matrix = m
         self._inv = None
         self._star = None
@@ -369,7 +397,7 @@ class ConstantMetric:
         return ConstantMetric(IDENTITY)
 
     def det(self) -> Fraction:
-        return _det([list(r) for r in self.matrix])
+        return _all_minors(self.matrix)[TOP, TOP]
 
     def inverse(self):
         if self._inv is None:
@@ -381,14 +409,14 @@ class ConstantMetric:
         gives them: dx_s has coefficient <dx_sc, dx_t> sqrt(det) eps(sc s)
         in *dx_t, sc the complement of s. Built once per metric."""
         if self._star is None:
-            ginv, sd = self.inverse(), _fraction_sqrt(self.det())
+            minors, sd = _all_minors(self.inverse()), _fraction_sqrt(self.det())
 
             def column(t):
                 out = {}
                 for s in _ALL_TUPLES[4 - len(t)]:
                     sc = tuple(i for i in range(4) if i not in s)
                     # <dx_sc, dx_t>: the inverse-metric minor, rows sc, cols t
-                    out[s] = _det([[ginv[a][b] for b in t] for a in sc]) * sd * _perm_sign(sc + s)
+                    out[s] = minors[sc, t] * sd * _perm_sign(sc + s)
                 return out
 
             self._star = {m: _columns(m, column) for m in _ALL_TUPLES}
@@ -404,19 +432,6 @@ class ConstantMetric:
 
     def __repr__(self):
         return f"ConstantMetric({self.matrix})"
-
-
-def _det(m):
-    """Determinant by expansion along the first row, exact over ints and
-    Fractions; 1 for the empty matrix."""
-    if not m:
-        return 1
-    total = 0
-    for j, v in enumerate(m[0]):
-        if v:
-            term = v * _det([row[:j] + row[j + 1:] for row in m[1:]])
-            total += -term if j % 2 else term
-    return total
 
 
 def _mat_inverse(m):

@@ -198,12 +198,11 @@ def bracket(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
     """Add [x, y]_c = sum_{a<b} f_abc (x_a y_b - x_b y_a), for broadcast
     stacks of coordinates (axis -5), into ``out``: per pair, one difference
     of products of coordinate planes, added into each c it reaches."""
-    xs, ys, outs = (np.moveaxis(v, -5, 0) for v in (x, y, out))
-    for a, b, cs, fs in _bracket_terms(len(xs)):
-        w = xs[a] * ys[b]
-        w -= xs[b] * ys[a]
+    for a, b, cs, fs in _bracket_terms(x.shape[-5]):
+        w = x[..., a, :, :, :, :] * y[..., b, :, :, :, :]
+        w -= x[..., b, :, :, :, :] * y[..., a, :, :, :, :]
         for c, f in zip(cs, fs):
-            outs[c] += f * w
+            out[..., c, :, :, :, :] += f * w
 
 
 def _covariant(arr: np.ndarray, mu: int, N: int,
@@ -235,9 +234,8 @@ def covariant_gradient(data: np.ndarray, N: int,
     component at once."""
     C = data.shape[-6]
     grad = np.empty(data.shape[:-6] + (4 * C,) + data.shape[-5:], dtype=complex)
-    components = np.moveaxis(grad, -6, 0)
     for mu in range(4):
-        components[C * mu:C * mu + C] = np.moveaxis(_covariant(data, mu, N, A), -6, 0)
+        grad[..., C * mu:C * mu + C, :, :, :, :, :] = _covariant(data, mu, N, A)
     return grad
 
 
@@ -248,13 +246,13 @@ def _incidence_pass(data: np.ndarray, degree: int, N: int,
     in incidence order with the incidence sign, negated for the adjoint."""
     out = np.zeros(data.shape[:-6] + (len(TUPLES[degree + (not adjoint)]),)
                    + data.shape[-5:], dtype=complex)
-    components = np.moveaxis(out, -6, 0)
     for mu, (src, dst, sign) in enumerate(_incidence(degree)):
         read, write = (dst, src) if adjoint else (src, dst)
-        terms = np.moveaxis(_covariant(np.take(data, read, axis=-6), mu, N, A), -6, 0)
+        terms = _covariant(np.take(data, read, axis=-6), mu, N, A)
         for i, (j, s) in enumerate(zip(write, sign)):
+            target = out[..., j, :, :, :, :, :]
             (np.add if (s > 0) != adjoint else np.subtract)(
-                components[j], terms[i], out=components[j])
+                target, terms[..., i, :, :, :, :, :], out=target)
     return out
 
 

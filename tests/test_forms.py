@@ -130,9 +130,28 @@ def test_structure_action_fixes_hermitian_form():
 
 
 def test_structure_action_rejects_non_acs():
-    with pytest.raises(ValueError):
-        structure_action(tuple(tuple(Fraction(int(i == j)) for j in range(4))
-                               for i in range(4)), dx(0))
+    # in every degree, and again once the first refusal has been seen
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))
+    for degree in (1, 0, 1, 2, 3, 4):
+        with pytest.raises(ValueError, match=r"^matrix does not square to -Id$"):
+            structure_action(identity, RationalForm.basis(tuple(range(degree))))
+    with pytest.raises(ValueError, match=r"^matrix does not square to -Id$"):
+        pq_project(identity, dx(0), 1, 0)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "symmetric"),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, Fraction(1, 2)), (0, 0, 0, 1)), "symmetric"),
+    (((0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "positive definite"),
+    (((1, 2, 0, 0), (2, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "positive definite"),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)), "positive definite"),
+    (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)), "positive definite"),
+    (((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, Fraction(-1, 3))),
+     "positive definite"),
+], ids=["upper", "fraction", "minor1", "minor2", "minor3", "det-zero", "det-negative"])
+def test_constant_metric_rejects_with_its_messages(matrix, message):
+    with pytest.raises(ValueError, match=rf"^metric must be {message}$"):
+        ConstantMetric(matrix)
 
 
 def test_twisted_d_on_function():

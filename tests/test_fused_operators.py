@@ -12,6 +12,7 @@ import pytest
 from hkt4.exact import PHI, Poly, QI, ScalarField, _lincomb
 from hkt4.forms import (
     _ALL_TUPLES,
+    DC_SIGN,
     ConstantMetric,
     RationalForm,
     _action_matrix,
@@ -21,6 +22,7 @@ from hkt4.forms import (
     hodge_star,
     pq_project,
     structure_action,
+    twisted_d,
     wedge,
 )
 from hkt4.hermitian import metric_from_form
@@ -71,7 +73,7 @@ def per_term(columns, a, degree):
 def test_action_matrix_is_the_wedge_expansion():
     for L in axis_structures(seed=5, count=50):
         rows = [dict(enumerate(QI.coerce(v) for v in row)) for row in L]
-        for degree in range(1, 5):
+        for degree in range(5):
             cols = _action_matrix(L, degree)
             for t, col in zip(_ALL_TUPLES[degree], cols):
                 expected = _wedge_covectors(rows[i] for i in t)
@@ -85,6 +87,18 @@ def test_structure_action_matches_per_term_sum():
             a = rand_form(rng, degree)
             expected = per_term(_action_matrix(L, degree), a, degree)
             assert structure_action(L, a) == expected
+
+
+def test_twisted_d_is_the_signed_composition():
+    # the sign folded into the last action equals an explicit negation
+    rng = random.Random(22)
+    frame_structures = [L for frame in FRAMES for L in frame.matrices()]
+    for L in frame_structures + list(axis_structures(seed=9, count=20)):
+        for degree in range(4):
+            a = rand_form(rng, degree)
+            composed = structure_action(L, exterior_d(structure_action(L, a)))
+            expected = composed if DC_SIGN * (-1) ** degree > 0 else -composed
+            assert twisted_d(L, a) == expected
 
 
 def test_pq_project_matches_per_term_sum():

@@ -239,8 +239,35 @@ def test_operator_caches_stay_bounded_over_fresh_axes():
     from hkt4 import forms
     from hkt4.suites import hopf_suite
 
-    for seed in range(1000, 1050):
+    for seed in range(1000, 1070):
         hopf_suite(Fraction(2), seed=seed)
-        for cache in (forms._action_matrix, forms._pq_matrix):
+        for cache in (forms._minors, forms._action_matrix, forms._pq_matrix):
             assert cache.cache_info().currsize <= forms.OPERATOR_CACHE_SIZE
-    assert forms._action_matrix.cache_info().currsize == forms.OPERATOR_CACHE_SIZE
+    for cache in (forms._minors, forms._action_matrix):
+        assert cache.cache_info().currsize == forms.OPERATOR_CACHE_SIZE
+
+
+def test_each_structure_is_checked_once(monkeypatch):
+    # from cold caches, one hopf_suite checks each structure the compound
+    # matrices meet once, whatever the degrees and projectors it asks for
+    from hkt4 import forms
+    from hkt4.suites import hopf_suite
+
+    for cache in (forms._minors, forms._action_matrix, forms._pq_matrix):
+        cache.cache_clear()
+    checked, met = [], set()
+    integer_matrix, action_matrix = forms._integer_matrix, forms._action_matrix
+
+    def counted(L):
+        checked.append(L)
+        return integer_matrix(L)
+
+    def spied(L, degree):
+        met.add(L)
+        return action_matrix(L, degree)
+
+    monkeypatch.setattr(forms, "_integer_matrix", counted)
+    monkeypatch.setattr(forms, "_action_matrix", spied)
+    hopf_suite(Fraction(7, 3), seed=4)
+    assert len(met) > 6
+    assert sorted(checked) == sorted(met)

@@ -19,6 +19,7 @@ from hkt4.lattice import (
     action_matrix,
     apply_components,
     bracket,
+    covariant_gradient,
     d_adjoint,
     d_raw,
     dc_raw,
@@ -215,6 +216,48 @@ def test_bracket_matches_the_matrix_commutator(n):
         got = base.copy()
         bracket(a, x, got)
         assert np.abs(got - base - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+def _moveaxis_bracket(x, y, out):
+    """The bracket with the coordinate axis moved to the front of each
+    operand: the reference for the in-place indexing of ``bracket``."""
+    from hkt4.lattice import _bracket_terms
+
+    xs, ys, outs = (np.moveaxis(v, -5, 0) for v in (x, y, out))
+    for a, b, cs, fs in _bracket_terms(len(xs)):
+        w = xs[a] * ys[b]
+        w -= xs[b] * ys[a]
+        for c, f in zip(cs, fs):
+            outs[c] += f * w
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("charged", [False, True])
+def test_covariant_gradient_and_bracket_match_their_references_bit_for_bit(N, n, charged):
+    # the gradient is D_mu per direction, D_mu = d_mu + [A_mu, .] by the
+    # moveaxis bracket, on a single field and on a stack; the broadcast
+    # bracket of a single field with a stack, either way round, is the
+    # moveaxis bracket
+    rng = np.random.default_rng(70 + 9 * N + 3 * n + charged)
+    A = LatticeField.random(1, N, n, rng).data if charged else None
+    b = LatticeField.random(1, N, n, rng).data[1]
+    for degree in (1, 2):
+        for lead in [(), (2,)]:
+            x = random_coordinates(rng, lead + (len(TUPLES[degree]),) + b.shape)
+            want = []
+            for mu in range(4):
+                term = deriv(x, mu, N)
+                if A is not None:
+                    _moveaxis_bracket(A[mu], x, term)
+                want.append(term)
+            assert np.array_equal(covariant_gradient(x, N, A), np.concatenate(want, axis=-6))
+            for left, right in [(b, x), (x, b)]:
+                base = random_coordinates(rng, x.shape)
+                got, ref = base.copy(), base.copy()
+                bracket(left, right, got)
+                _moveaxis_bracket(left, right, ref)
+                assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
