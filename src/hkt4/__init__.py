@@ -28,6 +28,7 @@ from .forms import (
     structure_action,
     twisted_d,
     wedge,
+    wedge_sum,
 )
 from .hermitian import (
     ConformalMetric,

@@ -3,9 +3,11 @@ reports.
 
 Exit codes: 0 when every check passes, 1 on a check failure or an --out
 path that cannot be written, 2 on usage errors, including unknown config
-keys and non-finite numbers. Flags mirror an optional key=value config
-file (flags win), and the HKT4_OUT_DIR environment variable supplies a
-default output directory for bare report filenames.
+keys and non-finite numbers, and 3 on an internal error: any other
+exception, reported as one line on stderr without a traceback. Flags
+mirror an optional key=value config file (flags win), and the HKT4_OUT_DIR
+environment variable supplies a default output directory for bare report
+filenames.
 """
 
 from __future__ import annotations
@@ -132,7 +134,21 @@ def common_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an exception that is not click's own (usage,
+    --out write error, exit) is an internal error: one line, exit 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:  # noqa: BLE001 - told apart from a failed check
+            click.echo(f"Error: internal error: {type(exc).__name__}: {exc}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Exact and numerical checks for hypercomplex geometry on 4-manifolds:

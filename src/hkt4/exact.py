@@ -26,7 +26,15 @@ numerator is c_j T_j mod phi, canonical too. Only two or more terms there,
 or one product with a factor of k = 0 (in (phi dx0) ^ (dx1 / phi) the
 product phi / phi is 1, with k = 0), call for a reduction, and only there is
 phi divided out, by long division in x0 (phi is monic in x0). The public
-constructor and exact quotients reduce the same way.
+constructor and exact quotients reduce the same way. The division is
+preceded by one pass over the terms that evaluates the numerator at
+(1, 1, i, i), a zero of phi: a nonzero value proves that phi does not divide
+it, and a zero value falls through to the division.
+
+Equal fields have equal canonical forms, so a boolean identity check
+compares its two sides with ``==`` and builds no difference. A sum of
+signed wedge products (``forms.wedge_sum``) is, per coefficient, one
+canonical sum over the products of every pair.
 """
 
 from __future__ import annotations
@@ -378,7 +386,24 @@ def _phi_quotient(p: Poly) -> Optional[Poly]:
     below 2; it is the lex normal form modulo phi, the remainder
     ``divmod_poly(PHI)`` gives. The quotient keeps p's denominator and
     content (Gauss's lemma, phi being primitive), so it is in normal form.
+
+    phi vanishes at (1, 1, i, i), so a nonzero value p(1, 1, i, i), read off
+    in one pass as the sum of (a + b i) i^(e2 + e3), proves that phi does
+    not divide p; a zero value decides nothing and the division runs.
     """
+    re = im = 0
+    for (_, _, e2, e3), (a, b) in p.terms.items():
+        r = (e2 + e3) % 4
+        if r == 0:
+            re, im = re + a, im + b
+        elif r == 1:
+            re, im = re - b, im + a
+        elif r == 2:
+            re, im = re - a, im - b
+        else:
+            re, im = re + b, im - a
+    if re or im:
+        return None
     work = dict(p.terms)
     quot = {}
     for e in range(max(m[0] for m in work), 1, -1):

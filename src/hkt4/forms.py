@@ -164,15 +164,26 @@ class RationalForm:
 
 def wedge(a: RationalForm, b: RationalForm) -> RationalForm:
     """Exterior product; degree overflow past the top degree is an error."""
-    m = a.degree + b.degree
+    return wedge_sum([(1, a, b)])
+
+
+def wedge_sum(terms) -> RationalForm:
+    """The sum of sign a ^ b over the list ``terms`` of (sign, a, b), sign =
+    +-1: one fused sum of products per coefficient over every pair's
+    products. The terms must share one degree of at most 4."""
+    degrees = {a.degree + b.degree for _, a, b in terms}
+    if len(degrees) != 1:
+        raise DegreeError(f"wedge terms of degrees {sorted(degrees)}; want one degree")
+    m = degrees.pop()
     if m > 4:
-        raise DegreeError(f"wedge degree {a.degree}+{b.degree} exceeds 4")
+        raise DegreeError(f"wedge degree {m} exceeds 4")
     groups: Dict[IndexTuple, list] = {}
-    for s, fs in a.coeffs.items():
-        for t, ft in b.coeffs.items():
-            hit = _MERGE.get((s, t))
-            if hit:
-                groups.setdefault(hit[0], []).append((hit[1], fs, ft))
+    for sign, a, b in terms:
+        for s, fs in a.coeffs.items():
+            for t, ft in b.coeffs.items():
+                hit = _MERGE.get((s, t))
+                if hit:
+                    groups.setdefault(hit[0], []).append((sign * hit[1], fs, ft))
     return _form(m, groups, _prodsum)
 
 

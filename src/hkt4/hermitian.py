@@ -104,7 +104,7 @@ class TorsionReport:
     def bihermitian_with(self, other: "TorsionReport") -> bool:
         """True iff the two Bismut torsion 3-forms are exact negatives of
         each other and both are closed (dH = 0)."""
-        return (self.torsion_H + other.torsion_H).is_zero() and self.strong and other.strong
+        return self.torsion_H == -other.torsion_H and self.strong and other.strong
 
 
 def bismut_torsion(g, L: Matrix) -> TorsionReport:

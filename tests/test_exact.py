@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hkt4.exact import PHI, Poly, QI, ScalarField
+from hkt4.exact import PHI, Poly, QI, ScalarField, _phi_quotient
 
 
 def rand_qi(rng):
@@ -105,3 +106,27 @@ def test_scale_arguments_homogeneity():
     assert ScalarField.phi().scale_arguments(q) == ScalarField.phi() * Fraction(9, 4)
     # 1/phi scales by q^-2
     assert ScalarField.inv_phi().scale_arguments(q) == ScalarField.inv_phi() * Fraction(4, 9)
+
+
+gaussian = st.builds(QI, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), gaussian,
+                        min_size=1, max_size=4).map(Poly).filter(lambda p: p.terms)
+_x = [Poly.variable(i) for i in range(4)]
+# zero at (1, 1, i, i), as phi is, but not multiples of phi
+NEAR_MULTIPLES = (_x[2] - _x[3], _x[0] - _x[1], _x[0] * _x[2] - _x[1] * _x[3],
+                  _x[0] * _x[0] + _x[2] * _x[2], _x[1] * _x[3] - _x[0] * _x[2] + PHI)
+
+
+@settings(max_examples=150)
+@given(polys, st.sampled_from(("random", "multiple", "near")),
+       st.sampled_from(NEAR_MULTIPLES))
+def test_phi_pretest_never_decides_divisibility(p, kind, near):
+    """_phi_quotient agrees with generic division on random polynomials, on
+    multiples of phi and on polynomials that vanish where phi does."""
+    if kind == "multiple":
+        p = p * PHI
+    elif kind == "near":
+        p = p * near
+    q, r = p.divmod_poly(PHI)
+    assert _phi_quotient(p) == (q if r.is_zero() else None)

@@ -15,7 +15,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from hkt4.exact import PHI, Poly, QI, ScalarField, _phi_quotient
-from hkt4.forms import RationalForm
+from hkt4.forms import DegreeError, RationalForm, wedge, wedge_sum
 from hkt4.hopf import build_hopf
 from hkt4.quaternions import HypercomplexFrame
 
@@ -167,6 +167,81 @@ def test_form_arithmetic_cancellation_examples():
     assert (c - e).coeffs == {(0, 1): ScalarField.inv_phi()}
     assert (a * f).coeffs == {(0, 1): _x(0) * _x(0),
                               (0, 2): ScalarField.inv_phi()}
+
+
+def sym_wedge_sum(terms):
+    """sum of sign a ^ b in SymPy, coefficient by coefficient."""
+    out = {}
+    for sign, a, b in terms:
+        for s, fs in form_sym(a).items():
+            for t, ft in form_sym(b).items():
+                merged, parity = _merge(s, t)
+                if parity:
+                    out[merged] = out.get(merged, 0) + sign * parity * fs * ft
+    return out
+
+
+one_forms = st.dictionaries(st.sampled_from([(0,), (1,), (3,)]), fields(1),
+                            max_size=2).map(lambda coeffs: RationalForm(1, coeffs))
+wedge_terms = st.lists(st.tuples(st.sampled_from([1, -1]), one_forms, one_forms),
+                       min_size=1, max_size=3)
+
+
+@ORACLE
+@given(wedge_terms)
+def test_wedge_sum_matches_sympy(terms):
+    assert_form_canonical(wedge_sum(terms), sym_wedge_sum(terms))
+
+
+# In the first sum both products sit at phi^2 and their numerators x0^2 and
+# phi - x0^2 add up to phi, which cancels: the sum is dx0 ^ dx1 / phi. In the
+# second the product at phi^2 has the k = 0 factor phi, which cancels too:
+# phi dx2 ^ dx3 / phi^2 - x1 dx3 ^ dx2 / phi is (1 + x1) dx2 ^ dx3 / phi.
+CANCELLING_WEDGES = [
+    [(1, RationalForm(1, {(0,): _x(0) * _x(0) * ScalarField.inv_phi()}),
+      RationalForm(1, {(1,): ScalarField.inv_phi()})),
+     (1, RationalForm(1, {(0,): _PHI_REST * ScalarField.inv_phi()}),
+      RationalForm(1, {(1,): ScalarField.inv_phi()}))],
+    [(1, RationalForm(1, {(2,): ScalarField.phi()}),
+      RationalForm(1, {(3,): ScalarField.inv_phi(2)})),
+     (-1, RationalForm(1, {(3,): _x(1)}), RationalForm(1, {(2,): ScalarField.inv_phi()}))],
+]
+
+
+@pytest.mark.parametrize("terms", CANCELLING_WEDGES)
+def test_wedge_sum_cancellation_matches_sympy(terms):
+    assert_form_canonical(wedge_sum(terms), sym_wedge_sum(terms))
+
+
+def test_wedge_sum_cancellation_examples():
+    first, second = (wedge_sum(terms) for terms in CANCELLING_WEDGES)
+    assert first.coeffs == {(0, 1): ScalarField.inv_phi()}
+    assert second.coeffs == {(2, 3): (ScalarField.const(1) + _x(1)) * ScalarField.inv_phi()}
+
+
+def test_wedge_sum_degree_errors():
+    dx0, dx1 = RationalForm.dx(0), RationalForm.dx(1)
+    with pytest.raises(DegreeError):
+        wedge_sum([(1, dx0, dx1), (1, RationalForm.function(1), dx0)])
+    with pytest.raises(DegreeError):
+        wedge_sum([(1, RationalForm.basis((0, 1)), RationalForm.basis((0, 1, 2)))])
+    with pytest.raises(DegreeError):
+        wedge_sum([])
+
+
+@ORACLE
+@given(two_forms, two_forms, two_forms, one_forms, one_forms, st.booleans())
+def test_equal_forms_have_equal_canonical_forms(a, b, c, f, g, rebuild):
+    """Forms built equal in two ways compare equal, and == agrees with a
+    zero difference on pairs that are equal or not."""
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert wedge(a, f) == wedge(f, a)
+    assert wedge(f, g) == -wedge(g, f)
+    assert wedge(a, b) == wedge(b, a)
+    y = (a + b) - b if rebuild else b
+    assert (a == y) == (a - y).is_zero()
+    assert a == y or not rebuild
 
 
 def in_ring(expr) -> bool:

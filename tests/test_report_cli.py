@@ -126,6 +126,18 @@ class TestCli:
         assert result.exit_code == 2
         assert "grdi" in result.output
 
+    def test_internal_error_exits_3_without_traceback(self, monkeypatch):
+        from hkt4 import suites
+
+        def broken():
+            raise RuntimeError("suite broke")
+
+        monkeypatch.setattr(suites, "flat_suite", broken)
+        result = self.runner.invoke(main, ["verify-flat"])
+        assert result.exit_code == 3
+        assert result.stderr == "Error: internal error: RuntimeError: suite broke\n"
+        assert result.stdout == ""
+
     def test_verify_hopf_passes(self):
         result = self.runner.invoke(main, ["verify-hopf", "--q", "2"])
         assert result.exit_code == 0
