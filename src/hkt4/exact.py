@@ -378,7 +378,7 @@ def _phi_pow(n: int) -> Poly:
 
 
 def _phi_quotient(p: Poly) -> Optional[Poly]:
-    """p / phi when phi divides p, else None.
+    """p / phi when phi divides p (the zero polynomial when p is), else None.
 
     Long division in x0 by the monic x0^2 + (x1^2 + x2^2 + x3^2): each term
     at x0^e, from the top down, moves to the quotient and sends minus itself
@@ -406,7 +406,7 @@ def _phi_quotient(p: Poly) -> Optional[Poly]:
         return None
     work = dict(p.terms)
     quot = {}
-    for e in range(max(m[0] for m in work), 1, -1):
+    for e in range(max((m[0] for m in work), default=0), 1, -1):
         for m in [m for m in work if m[0] == e]:
             a, b = work.pop(m)
             if not (a or b):

@@ -146,15 +146,94 @@ class FlowResult:
         return self.history[-1]
 
 
+# the constant c of the flow's Fourier preconditioner c / (c + |kappa|^2):
+# pi^2, a quarter of the smallest nonzero |k|^2 = (2 pi)^2
+FLOW_SHIFT = math.pi ** 2
+
+
+@lru_cache(maxsize=None)
+def _flow_weights(N: int) -> np.ndarray:
+    """The weights w(k) = c / (c + sum_mu kappa_mu^2) of the flow's
+    preconditioner at the N^4 modes in FFT order, c = ``FLOW_SHIFT``;
+    read-only, as shared. kappa is ``frequencies(N)`` with the Nyquist
+    frequency of an even grid counted as 0: d of a real Nyquist mode is
+    imaginary and ``curvature`` drops it, so those modes have no linear
+    restoring force to damp. w(k) = w(-k), so the multiplier maps real
+    fields to real fields."""
+    kappa = frequencies(N).copy()
+    if N % 2 == 0:
+        kappa[N // 2] = 0.0
+    k2 = kappa ** 2
+    w = FLOW_SHIFT / (FLOW_SHIFT + k2[:, None, None, None] + k2[:, None, None]
+                      + k2[:, None] + k2)
+    w.flags.writeable = False
+    return w
+
+
+# grids of at most this many sites apply the flow's preconditioner as one
+# product with its dense N^4 x N^4 matrix (0.5 MB at N = 4), which is
+# cheaper there than numpy's per-axis FFT calls
+FLOW_DENSE_SITES = 4 ** 4
+
+
+def _fft_precondition(grad: np.ndarray, N: int) -> np.ndarray:
+    """P grad for the real coordinates of ``grad``: one real FFT pair over
+    the four lattice axes, ``_flow_weights(N)`` on the half spectrum."""
+    axes = (-4, -3, -2, -1)
+    spectrum = np.fft.rfftn(grad.real, axes=axes)
+    spectrum *= _flow_weights(N)[..., :N // 2 + 1]
+    return np.fft.irfftn(spectrum, s=(N,) * 4, axes=axes)
+
+
+@lru_cache(maxsize=None)
+def _flow_matrix(N: int) -> np.ndarray:
+    """The dense matrix of P on the N^4 sites: P is the convolution with
+    the inverse FFT K of the weights, so entry (x, y) is K(y - x);
+    read-only, as shared."""
+    kernel = np.fft.irfftn(_flow_weights(N)[..., :N // 2 + 1], s=(N,) * 4,
+                           axes=(0, 1, 2, 3))
+    index = 0
+    for x in np.indices((N,) * 4).reshape(4, -1):
+        index = index * N + (x - x[:, None]) % N
+    M = kernel.ravel()[index]
+    M.flags.writeable = False
+    return M
+
+
+def _precondition(grad: np.ndarray, N: int) -> np.ndarray:
+    """P grad for the real coordinates of ``grad``: one product with
+    ``_flow_matrix(N)`` up to ``FLOW_DENSE_SITES`` sites, else one FFT
+    pair."""
+    if N ** 4 > FLOW_DENSE_SITES:
+        return _fft_precondition(grad, N)
+    flat = grad.real.reshape(-1, N ** 4)
+    return (flat @ _flow_matrix(N)).reshape(grad.shape)
+
+
+def _flow_gradient(a: np.ndarray, plus: np.ndarray, N: int) -> np.ndarray:
+    """The gradient of |F+|^2 over su(n)-valued connections at the
+    connection array ``a`` with self-dual curvature ``plus``: the su(n)
+    part of 2 d_A^* F+, as in ``curvature``."""
+    grad = 2.0 * d_adjoint(plus, 2, N, a)
+    grad.imag = 0.0
+    return grad
+
+
 def ym_flow(A0: Connection, step: float, max_iters: int,
             target: float) -> FlowResult:
-    """Gradient descent on the squared self-dual residual |F+|^2.
+    """Fourier-preconditioned gradient descent on the squared self-dual
+    residual |F+|^2.
 
-    ``step`` is the first step; after an accepted move s, with y the change
-    of the gradient, the step is s^T s / s^T y if s^T y > 0, else the last
-    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988), under a monotone
-    guard (Raydan, SIAM J. Optim. 7, 1997): a move is accepted only if
-    |F+|^2 does not increase, else the step is halved. ``target`` bounds the
+    The gradient g is the su(n) part (the real coordinates) of 2 d_A^* F+,
+    the gradient of |F+|^2 over su(n)-valued connections; the move is
+    -step P g, with P the Fourier multiplier of ``_flow_weights`` (Davies et
+    al., Phys. Rev. D 37, 1988). ``step`` is the first step; after an
+    accepted move s = -a P g_prev, with y the change of the gradient, the
+    step is the Barzilai-Borwein step in the metric of P^-1 (Barzilai and
+    Borwein, IMA J. Numer. Anal. 8, 1988), s^T P^-1 s / s^T y = -a s^T
+    g_prev / s^T y, if s^T y > 0, else the last, under a monotone guard
+    (Raydan, SIAM J. Optim. 7, 1997): a move is accepted only if |F+|^2
+    does not increase, else the step is halved. ``target`` bounds the
     squared residual.
     """
     if step <= 0:
@@ -172,7 +251,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     history = [s2]
     iters, last = 0, None
     while iters < max_iters and s2 > target:
-        grad = 2.0 * d_adjoint(plus, 2, N, A.data)
+        grad = _flow_gradient(A.data, plus, N)
         gnorm2 = float(sq_norm(grad))
         if not np.isfinite(gnorm2):
             raise FlowDiverged("non-finite gradient")
@@ -181,10 +260,11 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
         if last is not None:
             s, y = A.data - last[0], grad - last[1]
             sty = np.vdot(s, y).real
-            step = np.vdot(s, s).real / sty if sty > 0 else step
+            step = -step * np.vdot(s, last[1]).real / sty if sty > 0 else step
+        direction = _precondition(grad, N)
         accepted = False
         for _ in range(60):
-            trial = A.data - step * grad
+            trial = A.data - step * direction
             trial.imag = 0.0  # the su(n) part, as in ``curvature``
             trial = LatticeField(1, N, n, trial)
             s2_new, plus_new = residual_sq(trial)

@@ -130,3 +130,9 @@ def test_phi_pretest_never_decides_divisibility(p, kind, near):
         p = p * near
     q, r = p.divmod_poly(PHI)
     assert _phi_quotient(p) == (q if r.is_zero() else None)
+
+
+def test_phi_quotient_of_zero_is_zero():
+    # phi divides 0; the long division must not need a leading term
+    assert _phi_quotient(Poly()) == Poly()
+    assert _phi_quotient(PHI - PHI) == Poly()

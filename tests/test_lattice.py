@@ -26,10 +26,13 @@ from hkt4.lattice import (
     deriv,
     l2_inner,
     lambda_row,
+    pq_matrix,
     sd_projector,
+    slice_matrix,
     sq_norm,
     star_matrix,
     su_basis,
+    wedge_pairing,
     _diff_matrix,
 )
 from hkt4.quaternions import HypercomplexFrame
@@ -498,6 +501,31 @@ def test_lambda_row():
     # Lambda of any anti-self-dual component combination vanishes
     asd = np.eye(6) - sd_projector()
     assert np.allclose(row @ asd, 0)
+
+
+def test_real_valued_constant_matrices_are_stored_real():
+    assert star_matrix(2).dtype == sd_projector().dtype == np.float64
+    for L in LEFT.matrices():
+        assert lambda_row(L).dtype == slice_matrix(L).dtype == np.float64
+        assert action_matrix(L, 1).dtype == np.float64
+    assert np.iscomplexobj(pq_matrix(LEFT.I, 1, 0, 1))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_real_matrix_product_is_bit_identical_to_the_complex_one(N, n):
+    # the real path multiplies the (re, im) float view; on finite data it
+    # must give the complex product's numbers exactly
+    rng = np.random.default_rng(10 * N + n)
+    m = n * n - 1
+    for mat in (sd_projector(), star_matrix(1), wedge_pairing(3).T,
+                slice_matrix(LEFT.J)):
+        data = random_coordinates(rng, (3, mat.shape[1], m) + (N,) * 3 + (2 * N,))
+        # a contiguous stack and one strided along the last lattice axis
+        for d in (data[..., :N].copy(), data[..., ::2]):
+            real = apply_components(mat, d)
+            assert np.array_equal(real, apply_components(mat.astype(complex), d))
+            assert real.dtype == complex and real.shape == (3, len(mat), m) + (N,) * 4
 
 
 def test_dc_on_lattice_matches_symbol():

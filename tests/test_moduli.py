@@ -234,16 +234,17 @@ def test_ym_flow_reduces_residual():
     assert res.initial / res.final > 1e6
 
 
+def residual_sq(a):
+    """|F+|^2 and F+ of the connection form ``a``."""
+    plus = apply_components(sd_projector(), curvature(Connection(a)).data)
+    return float(sq_norm(plus)), plus
+
+
 def fixed_growth_flow(A0, step, max_iters, target):
     """Reference descent on |F+|^2 with the step grown 1.25x per accepted
     move up to 64 times the first one, halved on a rejected one."""
     N, n = A0.N, A0.n
     A, max_step = A0.A.copy(), step * 64
-
-    def residual_sq(a):
-        plus = apply_components(sd_projector(), curvature(Connection(a)).data)
-        return float(sq_norm(plus)), plus
-
     s2, plus = residual_sq(A)
     history = [s2]
     while len(history) <= max_iters and s2 > target:
@@ -273,8 +274,9 @@ def suite_flow_start(N, n, seed, eps):
 
 def test_barzilai_borwein_flow_takes_no_more_iterations_than_fixed_growth():
     # the fixed-growth step as the reference: from the same start both
-    # reach the target monotonically, the BB step in no more iterations
-    # (16 against 17 here; 243 against 3,173 from the (4, 3) start at seed 0)
+    # reach the target monotonically, the preconditioned BB step in no more
+    # iterations (5 against 17 here; 9 against 3,173 from the (4, 3) start
+    # at seed 0)
     A0 = suite_flow_start(4, 2, 0, 1e-2)
     _, r0 = asd_residual(curvature(A0))
     target = r0 ** 2 * 1e-7
@@ -286,13 +288,123 @@ def test_barzilai_borwein_flow_takes_no_more_iterations_than_fixed_growth():
         assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+def plain_bb_flow(A0, step, max_iters, target):
+    """Reference descent on |F+|^2 along -2 d_A^* F+ with the plain
+    Barzilai-Borwein step s^T s / s^T y, kept if s^T y <= 0, halved on a
+    rejected move."""
+    N, n = A0.N, A0.n
+    A, last = A0.A.copy(), None
+    s2, plus = residual_sq(A)
+    history = [s2]
+    while len(history) <= max_iters and s2 > target:
+        grad = 2.0 * d_adjoint(plus, 2, N, A.data)
+        if last is not None:
+            s, y = A.data - last[0], grad - last[1]
+            sty = np.vdot(s, y).real
+            step = np.vdot(s, s).real / sty if sty > 0 else step
+        for _ in range(60):
+            trial = A.data - step * grad
+            trial.imag = 0.0
+            trial = LatticeField(1, N, n, trial)
+            s2_new, plus_new = residual_sq(trial)
+            if s2_new <= s2:
+                last = (A.data, grad)
+                A, s2, plus = trial, s2_new, plus_new
+                break
+            step *= 0.5
+        history.append(s2)
+    return history
+
+
+@pytest.mark.parametrize("N, n, seed", [(4, 2, 0), (4, 3, 0), (5, 2, 0), (5, 3, 0)])
+def test_preconditioned_flow_takes_no_more_iterations_than_plain_bb(N, n, seed):
+    # 5 against 16 at (4, 2), 9 against 220 at (4, 3), 4 against 21 at
+    # (5, 2) and 4 against 23 at (5, 3)
+    A0 = suite_flow_start(N, n, seed, 1e-2)
+    _, r0 = asd_residual(curvature(A0))
+    target = r0 ** 2 * 1e-7
+    reference = plain_bb_flow(A0, 1e-3, 10_000, target)
+    res = ym_flow(A0, step=1e-3, max_iters=10_000, target=target)
+    assert reference[-1] <= target and res.converged
+    assert res.iterations <= len(reference) - 1
+    assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+
+
+def test_flow_from_the_rank_3_suite_start_at_seed_0_takes_at_most_60_steps():
+    # the plain BB step took 220 steps here, most of them near a round-off
+    # floor of the gradient's non-su(n) part
+    A0 = suite_flow_start(4, 3, 0, 1e-2)
+    _, r0 = asd_residual(curvature(A0))
+    res = ym_flow(A0, step=1e-3, max_iters=10_000, target=r0 ** 2 * 1e-7)
+    assert res.converged and res.iterations <= 60
+    assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+
+
 def test_flow_from_the_rank_3_suite_start_at_seed_8_converges():
-    # the fixed-growth step stopped at max_iters = 10,000 from this start
+    # the fixed-growth step stopped at max_iters = 10,000 from this start,
+    # the plain BB step took 620 steps
     A0 = suite_flow_start(4, 3, 8, 1e-2)
     _, r0 = asd_residual(curvature(A0))
     res = ym_flow(A0, step=1e-3, max_iters=10_000, target=r0 ** 2 * 1e-7)
-    assert res.converged and res.iterations < 1000
+    assert res.converged and res.iterations <= 60
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_flow_weights_are_a_symmetric_contraction(N):
+    w = moduli._flow_weights(N)
+    assert w.shape == (N,) * 4 and not w.flags.writeable
+    assert moduli._flow_weights(N) is w
+    assert np.all(w > 0) and np.all(w <= 1) and w[0, 0, 0, 0] == 1.0
+    minus = (-np.arange(N)) % N
+    assert np.array_equal(w, w[np.ix_(minus, minus, minus, minus)])
+    if N % 2 == 0:
+        # the Nyquist frequency counts as 0 on every axis
+        for axis in range(4):
+            assert np.array_equal(np.take(w, N // 2, axis=axis), np.take(w, 0, axis=axis))
+    assert np.isclose(w[1, 0, 0, 0], moduli.FLOW_SHIFT / (moduli.FLOW_SHIFT + (2 * np.pi) ** 2))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_preconditioner_maps_real_fields_to_real_fields_and_fixes_constants(N):
+    # the dense matrix up to 4^4 sites, the FFT pair above, against the
+    # complex multiplier on the full spectrum
+    assert (N ** 4 <= moduli.FLOW_DENSE_SITES) == (N <= 4)
+    if N <= 4:
+        M = moduli._flow_matrix(N)
+        assert not M.flags.writeable and moduli._flow_matrix(N) is M
+    rng = np.random.default_rng(40 + N)
+    grad = LatticeField.random(1, N, 2, rng).data
+    got = moduli._precondition(grad, N)
+    axes = (-4, -3, -2, -1)
+    full = np.fft.ifftn(moduli._flow_weights(N) * np.fft.fftn(grad, axes=axes), axes=axes)
+    assert np.isrealobj(got)
+    assert np.abs(full.imag).max() <= 1e-15 * np.abs(grad).max()
+    # the dense product sums N^4 terms per site
+    assert np.abs(got - full.real).max() <= 1e-13 * np.abs(grad).max()
+    const = np.ones_like(grad) * grad[..., :1, :1, :1, :1]
+    assert np.abs(moduli._precondition(const, N) - const).max() <= 1e-13 * np.abs(const).max()
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_flow_gradient_is_the_gradient_of_the_functional_it_decreases(N):
+    # d/dt |F+(A + t delta)|^2 at t = 0 against <g, delta> for real delta,
+    # by a central difference; the gradient is real (su(n)) at every N
+    rng = np.random.default_rng(50 + N)
+    a = LatticeField.random(1, N, 2, rng, scale=0.3)
+
+    def f(field):
+        _, r = asd_residual(curvature(Connection(field)))
+        return r * r
+
+    plus, _ = asd_residual(curvature(Connection(a)))
+    g = moduli._flow_gradient(a.data, plus.data, N)
+    assert not np.any(g.imag)
+    for _ in range(3):
+        delta = LatticeField.random(1, N, 2, rng)
+        t = 1e-5
+        slope = (f(a + t * delta) - f(a - t * delta)) / (2 * t)
+        assert slope == pytest.approx(l2_inner(LatticeField(1, N, 2, g), delta), rel=1e-7)
 
 
 def test_horizontal_slice_dimension_n2():
