@@ -170,44 +170,13 @@ def _flow_weights(N: int) -> np.ndarray:
     return w
 
 
-# grids of at most this many sites apply the flow's preconditioner as one
-# product with its dense N^4 x N^4 matrix (0.5 MB at N = 4), which is
-# cheaper there than numpy's per-axis FFT calls
-FLOW_DENSE_SITES = 4 ** 4
-
-
-def _fft_precondition(grad: np.ndarray, N: int) -> np.ndarray:
+def _precondition(grad: np.ndarray, N: int) -> np.ndarray:
     """P grad for the real coordinates of ``grad``: one real FFT pair over
     the four lattice axes, ``_flow_weights(N)`` on the half spectrum."""
     axes = (-4, -3, -2, -1)
     spectrum = np.fft.rfftn(grad.real, axes=axes)
     spectrum *= _flow_weights(N)[..., :N // 2 + 1]
     return np.fft.irfftn(spectrum, s=(N,) * 4, axes=axes)
-
-
-@lru_cache(maxsize=None)
-def _flow_matrix(N: int) -> np.ndarray:
-    """The dense matrix of P on the N^4 sites: P is the convolution with
-    the inverse FFT K of the weights, so entry (x, y) is K(y - x);
-    read-only, as shared."""
-    kernel = np.fft.irfftn(_flow_weights(N)[..., :N // 2 + 1], s=(N,) * 4,
-                           axes=(0, 1, 2, 3))
-    index = 0
-    for x in np.indices((N,) * 4).reshape(4, -1):
-        index = index * N + (x - x[:, None]) % N
-    M = kernel.ravel()[index]
-    M.flags.writeable = False
-    return M
-
-
-def _precondition(grad: np.ndarray, N: int) -> np.ndarray:
-    """P grad for the real coordinates of ``grad``: one product with
-    ``_flow_matrix(N)`` up to ``FLOW_DENSE_SITES`` sites, else one FFT
-    pair."""
-    if N ** 4 > FLOW_DENSE_SITES:
-        return _fft_precondition(grad, N)
-    flat = grad.real.reshape(-1, N ** 4)
-    return (flat @ _flow_matrix(N)).reshape(grad.shape)
 
 
 def _flow_gradient(a: np.ndarray, plus: np.ndarray, N: int) -> np.ndarray:
@@ -692,7 +661,7 @@ def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray
     tr = tr.reshape(len(a), 4, len(b), 4)
     # tr(a ^ b) as a scalar 2-form, shape (6, len(a), len(b))
     tr2 = tr[:, _MU, :, _NU] - tr[:, _NU, :, _MU]
-    return np.tensordot(np.real(hermitian_form_vector(L) @ wedge_pairing(2)), tr2, axes=1)
+    return np.tensordot(hermitian_form_vector(L) @ wedge_pairing(2), tr2, axes=1)
 
 
 def hermitian_sign_defect(W: np.ndarray, G: np.ndarray) -> float:

@@ -505,9 +505,10 @@ def test_lambda_row():
 
 def test_real_valued_constant_matrices_are_stored_real():
     assert star_matrix(2).dtype == sd_projector().dtype == np.float64
-    for L in LEFT.matrices():
+    from hkt4.lattice import hermitian_form_vector
+    for L in LEFT.matrices() + HypercomplexFrame.right().matrices():
         assert lambda_row(L).dtype == slice_matrix(L).dtype == np.float64
-        assert action_matrix(L, 1).dtype == np.float64
+        assert action_matrix(L, 1).dtype == hermitian_form_vector(L).dtype == np.float64
     assert np.iscomplexobj(pq_matrix(LEFT.I, 1, 0, 1))
 
 

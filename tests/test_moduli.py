@@ -367,12 +367,7 @@ def test_flow_weights_are_a_symmetric_contraction(N):
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_preconditioner_maps_real_fields_to_real_fields_and_fixes_constants(N):
-    # the dense matrix up to 4^4 sites, the FFT pair above, against the
-    # complex multiplier on the full spectrum
-    assert (N ** 4 <= moduli.FLOW_DENSE_SITES) == (N <= 4)
-    if N <= 4:
-        M = moduli._flow_matrix(N)
-        assert not M.flags.writeable and moduli._flow_matrix(N) is M
+    # the real FFT pair against the complex multiplier on the full spectrum
     rng = np.random.default_rng(40 + N)
     grad = LatticeField.random(1, N, 2, rng).data
     got = moduli._precondition(grad, N)
@@ -380,7 +375,6 @@ def test_preconditioner_maps_real_fields_to_real_fields_and_fixes_constants(N):
     full = np.fft.ifftn(moduli._flow_weights(N) * np.fft.fftn(grad, axes=axes), axes=axes)
     assert np.isrealobj(got)
     assert np.abs(full.imag).max() <= 1e-15 * np.abs(grad).max()
-    # the dense product sums N^4 terms per site
     assert np.abs(got - full.real).max() <= 1e-13 * np.abs(grad).max()
     const = np.ones_like(grad) * grad[..., :1, :1, :1, :1]
     assert np.abs(moduli._precondition(const, N) - const).max() <= 1e-13 * np.abs(const).max()
