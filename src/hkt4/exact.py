@@ -31,6 +31,14 @@ preceded by one pass over the terms that evaluates the numerator at
 (1, 1, i, i), a zero of phi: a nonzero value proves that phi does not divide
 it, and a zero value falls through to the division.
 
+A monomial x0^e0 x1^e1 x2^e2 x3^e3 is stored as the int
+``e0<<48 | e1<<32 | e2<<16 | e3``, so a product of monomials is an int sum
+and int order is lex order (x0 > x1 > x2 > x3). Bit 15 of each 16-bit field
+is a guard bit: exponents lie in [0, 2^15), ``Poly(...)`` rejects any other,
+and a sum that reaches 2^15 sets the guard bit without carrying into the
+next field, which ``Poly._make`` rejects. ``Poly(...)`` and ``Poly.coeffs``
+take and give exponent 4-tuples.
+
 Equal fields have equal canonical forms, so a boolean identity check
 compares its two sides with ``==`` and builds no difference. A sum of
 signed wedge products (``forms.wedge_sum``) is, per coefficient, one
@@ -41,7 +49,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from operator import index, or_
 from typing import Dict, Mapping, Optional, Tuple
 
 
@@ -132,9 +142,26 @@ class QI:
 
 I_UNIT = QI(0, 1)
 
-# Monomials are exponent 4-tuples (e0, e1, e2, e3).
-Monomial = tuple
+# A stored monomial is the packed int e0<<48 | e1<<32 | e2<<16 | e3 of its
+# exponent 4-tuple (e0, e1, e2, e3), each exponent in [0, EXP_LIMIT).
+Monomial = int
 Terms = Dict[Monomial, Tuple[int, int]]
+EXP_LIMIT = 1 << 15
+_SHIFTS = (48, 32, 16, 0)
+_GUARD = sum(EXP_LIMIT << s for s in _SHIFTS)
+
+
+def _pack(exponents) -> Monomial:
+    """The stored monomial of an exponent 4-tuple; ValueError if an exponent
+    lies outside [0, EXP_LIMIT)."""
+    e0, e1, e2, e3 = map(index, exponents)  # Python ints: no int64 wrap
+    if (e0 | e1 | e2 | e3) >> 15:  # some exponent is negative or >= 2^15
+        raise ValueError(f"exponents must lie in [0, 2^15): {exponents}")
+    return e0 << 48 | e1 << 32 | e2 << 16 | e3
+
+
+def _unpack(m: Monomial) -> Tuple[int, int, int, int]:
+    return m >> 48, m >> 32 & 0xFFFF, m >> 16 & 0xFFFF, m & 0xFFFF
 
 
 def _gaussian(v) -> Tuple[int, int, int]:
@@ -148,20 +175,17 @@ def _gaussian(v) -> Tuple[int, int, int]:
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(b[i] >= a[i] for i in range(4))
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+    # a field of b below a's borrows its guard bit and clears it
+    return (b | _GUARD) - a & _GUARD == _GUARD
 
 
 def _mul_terms(p: Terms, q: Terms) -> Terms:
     """The pairs of the product of two numerators, not normalised."""
     out: Terms = {}
     get = out.get
-    for (p0, p1, p2, p3), (a, b) in p.items():
-        for (q0, q1, q2, q3), (x, y) in q.items():
-            m = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
+    for pm, (a, b) in p.items():
+        for qm, (x, y) in q.items():
+            m = pm + qm
             re, im = a * x - b * y, a * y + b * x
             c = get(m)
             out[m] = (re, im) if c is None else (c[0] + re, c[1] + im)
@@ -175,18 +199,20 @@ def _partial_terms(p: Terms, k: int, i: int) -> Terms:
     term x^m of P with e = m_i."""
     out: Terms = {}
     get = out.get
-    lift, u = (_PHI_EXPONENTS, -2 * k) if k else (((0, 0, 0, 0),), 0)
+    lift, u = (_PHI_EXPONENTS, -2 * k) if k else ((0,), 0)
+    shift = _SHIFTS[i]
+    one = 1 << shift
     for m, (a, b) in p.items():
-        e = m[i]
+        e = m >> shift & 0xFFFF
         if e:
             ea, eb = e * a, e * b
-            n0, n1, n2, n3 = m[:i] + (e - 1,) + m[i + 1:]
-            for s0, s1, s2, s3 in lift:
-                t = (n0 + s0, n1 + s1, n2 + s2, n3 + s3)
+            n = m - one
+            for s in lift:
+                t = n + s
                 c = get(t)
                 out[t] = (ea, eb) if c is None else (c[0] + ea, c[1] + eb)
         if u:
-            t = m[:i] + (e + 1,) + m[i + 1:]
+            t = m + one
             c = get(t)
             out[t] = (u * a, u * b) if c is None else (c[0] + u * a, c[1] + u * b)
     return out
@@ -198,8 +224,8 @@ class Poly:
 
     __slots__ = ("terms", "den")
 
-    def __init__(self, coeffs: Mapping[Monomial, QI] | None = None):
-        parts = {tuple(m): _gaussian(c) for m, c in (coeffs or {}).items()}
+    def __init__(self, coeffs: Mapping[tuple, QI] | None = None):
+        parts = {_pack(m): _gaussian(c) for m, c in (coeffs or {}).items()}
         den = math.lcm(*(d for _, _, d in parts.values())) if parts else 1
         p = Poly._make({m: (a * (den // d), b * (den // d))
                         for m, (a, b, d) in parts.items()}, den)
@@ -207,7 +233,10 @@ class Poly:
 
     @staticmethod
     def _make(terms: Terms, den: int) -> "Poly":
-        """terms / den, brought to normal form."""
+        """terms / den, brought to normal form; ValueError if an exponent
+        reached 2^15, which sets its field's guard bit."""
+        if reduce(or_, terms, 0) & _GUARD:
+            raise ValueError("a monomial exponent reached 2^15")
         terms = {m: c for m, c in terms.items() if c[0] or c[1]}
         if not terms:
             den = 1
@@ -228,10 +257,11 @@ class Poly:
         return p
 
     @property
-    def coeffs(self) -> Dict[Monomial, QI]:
-        """The coefficients as Gaussian rationals (a fresh dict)."""
+    def coeffs(self) -> Dict[tuple, QI]:
+        """The coefficients as Gaussian rationals, keyed by exponent
+        4-tuples (a fresh dict)."""
         d = self.den
-        return {m: QI(Fraction(a, d), Fraction(b, d)) for m, (a, b) in self.terms.items()}
+        return {_unpack(m): QI(Fraction(a, d), Fraction(b, d)) for m, (a, b) in self.terms.items()}
 
     @staticmethod
     def zero() -> "Poly":
@@ -243,9 +273,7 @@ class Poly:
 
     @staticmethod
     def variable(i: int) -> "Poly":
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        return Poly._raw({tuple(e): (1, 0)}, 1)
+        return Poly._raw({1 << _SHIFTS[i]: (1, 0)}, 1)
 
     @staticmethod
     def coerce(v) -> "Poly":
@@ -257,12 +285,12 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == (0, 0, 0, 0) for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def constant_value(self) -> QI:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        a, b = self.terms.get((0, 0, 0, 0), (0, 0))
+        a, b = self.terms.get(0, (0, 0))
         return QI(Fraction(a, self.den), Fraction(b, self.den))
 
     def __add__(self, other):
@@ -298,7 +326,7 @@ class Poly:
     __rmul__ = __mul__
 
     def _leading(self) -> Monomial:
-        # lex order with x0 > x1 > x2 > x3
+        # lex order with x0 > x1 > x2 > x3 is int order
         return max(self.terms)
 
     def divmod_poly(self, divisor: "Poly"):
@@ -320,7 +348,7 @@ class Poly:
             if _mono_divides(lead, m):
                 # (a + bi)/work.den divided by (la + lb i)/divisor.den
                 dd = divisor.den
-                step = Poly._make({_mono_div(m, lead): ((a * la + b * lb) * dd,
+                step = Poly._make({m - lead: ((a * la + b * lb) * dd,
                                                         (b * la - a * lb) * dd)},
                                   work.den * norm)
                 quot = quot + step
@@ -335,11 +363,12 @@ class Poly:
         """P(x) -> q^shift P(q*x), in one pass over the terms."""
         q = _frac(q)
         p, r, c = q.numerator, q.denominator, q ** shift
-        hi = max(map(sum, self.terms), default=0)
+        degrees = {m: sum(_unpack(m)) for m in self.terms}
+        hi = max(degrees.values(), default=0)
         # q^(deg + shift) = p^deg r^(hi - deg) c / r^hi
         out = {}
         for m, (a, b) in self.terms.items():
-            s = p ** sum(m) * r ** (hi - sum(m)) * c.numerator
+            s = p ** degrees[m] * r ** (hi - degrees[m]) * c.numerator
             out[m] = (a * s, b * s)
         return Poly._make(out, self.den * r ** hi * c.denominator)
 
@@ -390,10 +419,11 @@ def _phi_quotient(p: Poly) -> Optional[Poly]:
     phi vanishes at (1, 1, i, i), so a nonzero value p(1, 1, i, i), read off
     in one pass as the sum of (a + b i) i^(e2 + e3), proves that phi does
     not divide p; a zero value decides nothing and the division runs.
+    (e2 + e3) mod 4 is the low two bits of (m >> 16) + m.
     """
     re = im = 0
-    for (_, _, e2, e3), (a, b) in p.terms.items():
-        r = (e2 + e3) % 4
+    for m, (a, b) in p.terms.items():
+        r = ((m >> 16) + m) & 3
         if r == 0:
             re, im = re + a, im + b
         elif r == 1:
@@ -406,15 +436,18 @@ def _phi_quotient(p: Poly) -> Optional[Poly]:
         return None
     work = dict(p.terms)
     quot = {}
-    for e in range(max((m[0] for m in work), default=0), 1, -1):
-        for m in [m for m in work if m[0] == e]:
+    # A key of work may set a guard bit of x1..x3, as e_j + e0 < 2^16 never
+    # carries, but an exact quotient's cannot: in an order with x_j first,
+    # the leading term of (p / phi) phi has x_j-degree 2 above the quotient's.
+    x0sq, x1sq, x2sq, x3sq = (2 << s for s in _SHIFTS)
+    for e in range(max(work, default=0) >> 48, 1, -1):
+        for m in [m for m in work if m >> 48 == e]:
             a, b = work.pop(m)
             if not (a or b):
                 continue
-            _, e1, e2, e3 = m
-            quot[(e - 2, e1, e2, e3)] = (a, b)
-            for t in ((e - 2, e1 + 2, e2, e3), (e - 2, e1, e2 + 2, e3),
-                      (e - 2, e1, e2, e3 + 2)):
+            m -= x0sq
+            quot[m] = (a, b)
+            for t in (m + x1sq, m + x2sq, m + x3sq):
                 c = work.get(t)
                 work[t] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
     if any(a or b for a, b in work.values()):
@@ -573,10 +606,10 @@ def _fuse(parts) -> ScalarField:
                 out[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
             continue
         lift = _phi_pow(k - j).terms
-        for (p0, p1, p2, p3), (a, b) in terms.items():
+        for pm, (a, b) in terms.items():
             re, im = a * x - b * y, a * y + b * x
-            for (q0, q1, q2, q3), (c, _) in lift.items():
-                m = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
+            for qm, (c, _) in lift.items():
+                m = pm + qm
                 v = get(m)
                 out[m] = (re * c, im * c) if v is None else (v[0] + re * c, v[1] + im * c)
     num = Poly._make(out, den)

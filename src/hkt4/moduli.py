@@ -515,11 +515,16 @@ def _real_matrix(stack: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag], axis=1).T
 
 
-def _dense_kernel(M: np.ndarray, tol: float):
+def _dense_kernel(blocks: list, tol: float):
     """Singular values, right singular vectors and kernel mask (below tol
-    relative to the largest, the threshold returned too) of a real matrix M,
-    from the SVD of R in M = QR, which zero rows (Im at odd N) do not change."""
-    _, svals, vt = np.linalg.svd(np.linalg.qr(M[np.any(M, axis=1)], mode="r"))
+    relative to the largest, the threshold returned too) of the real matrix
+    M stacked from the row blocks ``blocks``, from the SVD of R in M = QR,
+    which zero rows do not change: a block of zeros (Im at odd N) is
+    dropped, and one with no zero row is not copied."""
+    masks = [np.any(b, axis=1) for b in blocks]
+    kept = [b if m.all() else b[m] for b, m in zip(blocks, masks) if m.any()]
+    M = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    _, svals, vt = np.linalg.svd(np.linalg.qr(M, mode="r"))
     threshold = tol * max(1.0, svals.max())
     return svals, vt, svals < threshold, threshold
 
@@ -531,12 +536,18 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
         raise ValueError(f"dense kernel extraction needs dimension <= "
                          f"{MAX_DENSE_DIM}, got {dim}")
     unit = _unit_fields(1, N, n)
-    # the real matrix of the seven-component images, one chunk of columns at a time
+    # the real matrix of the seven-component images, one chunk of columns at
+    # a time; Im (zero at odd N with a real connection) only once a chunk has one
     op = slice_operator(A, L)
-    M = np.empty((2 * 7 * dim // 4, dim), order="F")
+    re, im = np.empty((7 * dim // 4, dim), order="F"), None
     for cols in _chunks(dim, 2 * unit[0].nbytes):
-        M[:, cols] = _real_matrix(op(unit[cols]))
-    svals, vt, kernel_mask, threshold = _dense_kernel(M, tol)
+        z = op(unit[cols]).reshape(len(unit[cols]), -1).T
+        re[:, cols] = z.real
+        if im is None and np.any(z.imag):
+            im = np.zeros_like(re)
+        if im is not None:
+            im[:, cols] = z.imag
+    svals, vt, kernel_mask, threshold = _dense_kernel([re] if im is None else [re, im], tol)
     kernel_dim = int(kernel_mask.sum())
     if kernel_dim == 0:
         raise RuntimeError("no kernel found for the slice operator")
@@ -556,8 +567,9 @@ def gauge_kernel_dim(A: Connection, tol: float) -> int:
     shifts = _cartan_shifts(A)
     if shifts is not None:
         return int(_mode_kernel(A.N, shifts, tol)[2].sum())
-    M = _real_matrix(d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data))
-    return int(_dense_kernel(M, tol)[2].sum())
+    z = d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data)
+    z = z.reshape(len(z), -1).T
+    return int(_dense_kernel([z.real, z.imag], tol)[2].sum())
 
 
 def induced_structure(L: Matrix, a):

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .exact import Poly, ScalarField
+from .exact import Poly, ScalarField, _pack
 from .forms import (
     ConstantMetric,
     RationalForm,
@@ -189,19 +189,28 @@ def calculus_suite(seed: int = 0) -> List[CheckResult]:
     rec = CheckRecorder()
     t0 = time.perf_counter()
     rng = random.Random(seed)
+    bits = rng.getrandbits
     frame = HypercomplexFrame.left()
     euclid = ConstantMetric.euclidean()
     omega_I = hermitian_form(euclid, frame.I)
 
+    def below(n):
+        # rng.randrange(n) by CPython's _randbelow rule: the same stream as
+        # randint draws, without their argument handling
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     def rand_scalar():
         # a/b + (c/e) sqrt(-1) with b, e in {1, 2}: integer pairs over 2
         terms = {}
-        for _ in range(rng.randint(1, 3)):
-            mono = tuple(rng.randint(0, 1) for _ in range(4))
-            a, b, c, e = (rng.randint(-3, 3), rng.randint(1, 2),
-                          rng.randint(-3, 3), rng.randint(1, 2))
+        for _ in range(1 + below(3)):
+            mono = _pack((below(2), below(2), below(2), below(2)))
+            a, b, c, e = below(7) - 3, 1 + below(2), below(7) - 3, 1 + below(2)
             terms[mono] = (a * (2 // b), c * (2 // e))
-        return ScalarField(Poly._make(terms, 2), rng.randint(0, 1))
+        return ScalarField(Poly._make(terms, 2), below(2))
 
     def rand_form(degree):
         coeffs = {}
@@ -212,14 +221,14 @@ def calculus_suite(seed: int = 0) -> List[CheckResult]:
 
     ok_d2 = ok_leibniz = ok_pq = ok_30 = ok_star = True
     for _ in range(CALCULUS_TRIALS):
-        a = rand_form(rng.randint(0, 2))
+        a = rand_form(below(3))
         ok_d2 = ok_d2 and exterior_d(exterior_d(a)).is_zero()
-        da, db = rng.randint(0, 1), rng.randint(1, 2)
+        da, db = below(2), 1 + below(2)
         f, g = rand_form(da), rand_form(db)
         # canonical forms are unique, so each identity compares its sides
         rhs = wedge_sum([(1, exterior_d(f), g), ((-1) ** da, f, exterior_d(g))])
         ok_leibniz = ok_leibniz and exterior_d(wedge(f, g)) == rhs
-        m = rng.randint(1, 3)
+        m = 1 + below(3)
         b = rand_form(m)
         total = RationalForm.zero(m)
         for p in range(m + 1):

@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkt4.exact import PHI, Poly, QI, ScalarField, _phi_quotient
+from hkt4.exact import EXP_LIMIT, PHI, Poly, QI, ScalarField, _phi_quotient, _unpack
 
 
 def rand_qi(rng):
@@ -136,3 +137,42 @@ def test_phi_quotient_of_zero_is_zero():
     # phi divides 0; the long division must not need a leading term
     assert _phi_quotient(Poly()) == Poly()
     assert _phi_quotient(PHI - PHI) == Poly()
+
+
+tuple_keys = st.dictionaries(st.tuples(*[st.integers(0, EXP_LIMIT - 1)] * 4),
+                             gaussian.filter(bool), min_size=1, max_size=6)
+
+
+@given(tuple_keys)
+def test_packed_monomials_round_trip(coeffs):
+    """Exponent tuples survive packing, and int order is lex order."""
+    p = Poly(coeffs)
+    assert p.coeffs == coeffs
+    assert _unpack(max(p.terms)) == max(coeffs)
+
+
+@pytest.mark.parametrize("mono", [(-1, 0, 0, 0), (0, 0, 0, -3), (0, EXP_LIMIT, 0, 0),
+                                  (2 ** 16, 0, 0, 0)])
+def test_exponents_outside_the_packed_range_are_rejected(mono):
+    with pytest.raises(ValueError):
+        Poly({mono: QI(1)})
+
+
+def test_exponent_overflow_raises_instead_of_carrying():
+    top = EXP_LIMIT - 1
+    half = Poly({(0, 0, EXP_LIMIT // 2, 0): QI(1)})
+    with pytest.raises(ValueError):
+        half * half  # x2^(2^15)
+    assert (half * Poly({(0, 0, EXP_LIMIT // 2 - 1, 0): QI(1)})).coeffs == {(0, 0, top, 0): QI(1)}
+    f = ScalarField(Poly({(0, top, 0, 0): QI(1)}), 0)
+    with pytest.raises(ValueError):
+        f + ScalarField.inv_phi()  # the phi lift adds x1^2
+    with pytest.raises(ValueError):
+        (f * ScalarField.inv_phi()).partial(1)  # -2 x1 x1^(2^15 - 1) / phi^2
+    g = ScalarField(Poly({(0, 0, 0, top): QI(1)}), 0)
+    with pytest.raises(ValueError):
+        g * ScalarField(Poly.variable(3), 0)
+    # numpy exponents are packed as Python ints, so x0's field cannot wrap int64
+    wide = Poly({tuple(np.array([EXP_LIMIT // 2, 0, 0, 0])): QI(1)})
+    with pytest.raises(ValueError):
+        wide * wide
