@@ -2,15 +2,17 @@
 derivatives, plus the constant linear-algebra data (star, structure actions,
 Lambda rows) shared with the exact symbolic engine.
 
-Array layout: a degree-p field is one complex array of shape
-(..., C, m, N, N, N, N): the C = binomial(4, p) components dx_t in
-``TUPLES[p]`` order (lexicographic index tuples), the m = n^2 - 1 complex
-coordinates on ``su_basis(n)`` (m = 1 for u(1)), then the four lattice
-axes, so operators broadcast over leading batch axes. A constant component
-operator (star, structure action, (p,q) projector, Lambda row) is one matrix
-over the component axis, the Lie bracket a structure-constant bracket over
-the coordinate axis; n x n matrices appear only in the dict constructor and
-the files of ``save`` and ``load``. The torus has unit periods; mode
+Array layout: a degree-p field is one array of shape (..., C, m, N, N, N, N):
+the C = binomial(4, p) components dx_t in ``TUPLES[p]`` order (lexicographic
+index tuples), the m = n^2 - 1 coordinates on ``su_basis(n)`` (m = 1 for
+u(1)), then the four lattice axes, so operators broadcast over leading batch
+axes. An su(n)-valued field has real coordinates, a float64 array; complex
+arrays hold complexified fields. The dtype picks the operator: ``deriv`` of
+a real array is Re(D_N), the su(n) part of d. A constant component operator
+(star, structure action, (p,q) projector, Lambda row) is one matrix over the
+component axis, the Lie bracket a structure-constant bracket over the
+coordinate axis; n x n matrices appear only in the dict constructor and the
+files of ``save`` and ``load``. The torus has unit periods; mode
 frequencies are the signed FFT representatives (the Nyquist mode of an even
 grid maps to -N/2, keeping every nonzero mode's frequency nonzero so the
 spectral complexes have no spurious kernels).
@@ -172,29 +174,48 @@ def frequencies(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _diff_matrix(N: int, after: int = 0) -> np.ndarray:
+def _diff_matrix(N: int, after: int = 0, real: bool = False) -> np.ndarray:
     """ifft(diag(i k) fft(I)), the differentiation matrix of the symbol i k
-    (Trefethen, Spectral Methods in MATLAB, ch. 3), or kron(D_N^T, I_after),
-    its product from the right on ``after`` trailing points; read-only."""
-    D = np.fft.ifft(1j * frequencies(N)[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
-    D = np.kron(D.T, np.eye(after)) if after else D
+    (Trefethen, Spectral Methods in MATLAB, ch. 3), with the negative sum
+    trick (Baltensperger and Trummer, SIAM J. Sci. Comput. 24, 2003): the
+    off-diagonal entries are rounded to multiples of a power of two u with
+    twice the largest absolute row sum below 2^53 u, which makes every
+    partial row sum exact, and each diagonal entry is minus the sum of its
+    row's others. So D_N c = 0 exactly, in any summation order, for a
+    constant c = +-2^k, or a complex one with such parts. Re(D_N), the
+    su(n) part, when ``real``; kron(D^T, I_after), its product from the
+    right on ``after`` trailing points, when ``after``; read-only."""
+    if after:
+        D = np.kron(_diff_matrix(N, 0, real).T, np.eye(after))
+    elif real:
+        D = _diff_matrix(N, 0, False).real.copy()
+    else:
+        D = np.fft.ifft(1j * frequencies(N)[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
+        np.fill_diagonal(D, 0.0)
+        bound = 2 * (np.abs(D.real) + np.abs(D.imag)).sum(axis=1).max()
+        u = 2.0 ** (math.frexp(bound)[1] - 53)
+        D = np.round(D.real / u) * u + 1j * (np.round(D.imag / u) * u)
+        np.fill_diagonal(D, -D.sum(axis=1))
     D.flags.writeable = False
     return D
 
 
 def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:
     """Spectral partial derivative along lattice axis mu: one batched product
-    with the differentiation matrix over the (before, axis, after) view.
-    Along the last two axes those are tiny products (after = 1 and N), so at
-    N after <= 48 the (-1, N^2, N after) view is multiplied by
-    kron(D_N^T, I_after) instead, N^2 rows per product so that OpenBLAS
-    keeps each on one thread."""
+    with Re(D_N) (real array) or D_N (complex) over the (before, axis, after)
+    view. Along the last two axes those are tiny products (after = 1 and N),
+    so the (-1, N^2, N after) view is multiplied by kron(D_N^T, I_after)
+    instead, N^2 rows per product so that OpenBLAS keeps each on one thread:
+    along the last axis always, along the third while N^2 <= 48 (complex) or
+    16 (real; its zero-padded sums would round unlike the complex ones)."""
     axis = arr.ndim - 4 + mu
     after = math.prod(arr.shape[axis + 1:])
-    if mu >= 2 and N * after <= 48:
-        return (arr.reshape(-1, N * N, N * after) @ _diff_matrix(N, after)).reshape(arr.shape)
+    real = not np.iscomplexobj(arr)
+    if mu == 3 or (mu == 2 and N * N <= (16 if real else 48)):
+        return (arr.reshape(-1, N * N, N * after)
+                @ _diff_matrix(N, after, real)).reshape(arr.shape)
     view = arr.reshape(math.prod(arr.shape[:axis]), N, after)
-    return (_diff_matrix(N) @ view).reshape(arr.shape)
+    return (_diff_matrix(N, 0, real) @ view).reshape(arr.shape)
 
 
 @lru_cache(maxsize=None)
@@ -221,9 +242,15 @@ def bracket(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
             out[..., c, :, :, :, :] += f * w
 
 
+def _promote(data: np.ndarray, A: Optional[np.ndarray]) -> np.ndarray:
+    """``data`` in the result dtype of ``data`` and the connection array A,
+    so that a real field meets a complex connection as a complex field."""
+    return data if A is None else data.astype(np.result_type(data, A), copy=False)
+
+
 def _covariant(arr: np.ndarray, mu: int, N: int,
                A: Optional[np.ndarray]) -> np.ndarray:
-    """D_mu = d_mu + [A_mu, .]; plain d_mu when A is None."""
+    """D_mu = d_mu + [A_mu, .]; plain d_mu when A is None; ``arr`` promoted."""
     term = deriv(arr, mu, N)
     if A is not None:
         bracket(A[mu], arr, term)
@@ -247,9 +274,10 @@ def covariant_gradient(data: np.ndarray, N: int,
                        A: Optional[np.ndarray] = None) -> np.ndarray:
     """The components D_mu a_t of a degree-m field (or stack), component
     C mu + t for the C components a_t: one D_mu per direction over every
-    component at once."""
+    component at once, in the result dtype of the field and the connection."""
+    data = _promote(data, A)
     C = data.shape[-6]
-    grad = np.empty(data.shape[:-6] + (4 * C,) + data.shape[-5:], dtype=complex)
+    grad = np.empty(data.shape[:-6] + (4 * C,) + data.shape[-5:], dtype=data.dtype)
     for mu in range(4):
         grad[..., C * mu:C * mu + C, :, :, :, :, :] = _covariant(data, mu, N, A)
     return grad
@@ -259,9 +287,11 @@ def _incidence_pass(data: np.ndarray, degree: int, N: int,
                     A: Optional[np.ndarray], adjoint: bool) -> np.ndarray:
     """d_A from degree to degree+1, or its adjoint back: per direction mu, one
     D_mu on the components mu reads, each result then added into its target
-    in incidence order with the incidence sign, negated for the adjoint."""
+    in incidence order with the incidence sign, negated for the adjoint; in
+    the result dtype of the field and the connection."""
+    data = _promote(data, A)
     out = np.zeros(data.shape[:-6] + (len(TUPLES[degree + (not adjoint)]),)
-                   + data.shape[-5:], dtype=complex)
+                   + data.shape[-5:], dtype=data.dtype)
     for mu, (src, dst, sign) in enumerate(_incidence(degree)):
         read, write = (dst, src) if adjoint else (src, dst)
         terms = _covariant(np.take(data, read, axis=-6), mu, N, A)
@@ -347,14 +377,15 @@ def su_basis(n: int) -> np.ndarray:
 
 class LatticeField:
     """Degree-p form with values in su(n) (u(1) when n = 1), sampled on the
-    N^4 grid, held as one array ``data`` (C, m, N, N, N, N) of complex
-    coordinates on ``su_basis(n)`` in ``TUPLES[degree]`` order: stored as
-    given, without a copy, or contracted with tr(X B_a^dagger) from a dict
-    keyed by those component tuples (absent ones are zero, any other key is
-    an error) of grids (N, N, N, N, n, n) of traceless matrices (any scalar
-    when n = 1). The real part of the coordinates is the su(n) part, which
-    ``curvature`` and the flow's gradient and trial step in ``moduli`` take
-    explicitly."""
+    N^4 grid, held as one array ``data`` (C, m, N, N, N, N) of coordinates
+    on ``su_basis(n)`` in ``TUPLES[degree]`` order. An array is stored as
+    given, without a copy, if it is float64 or complex128, and converted to
+    the nearer of the two otherwise; ``zeros`` and ``random`` are float64,
+    the coordinates of an su(n) field. A dict keyed by those component
+    tuples (absent ones are zero, any other key is an error) of grids (N, N,
+    N, N, n, n) of traceless matrices (any scalar when n = 1) is contracted
+    with tr(X B_a^dagger) into complex128 coordinates, whose real part is
+    the su(n) part."""
 
     def __init__(self, degree: int, N: int, n: int, comps):
         if not 0 <= degree <= 4:
@@ -366,7 +397,7 @@ class LatticeField:
         self.n = n
         shape = (len(TUPLES[degree]), len(su_basis(n))) + (N,) * 4
         if isinstance(comps, np.ndarray):
-            data = np.asarray(comps, dtype=complex)
+            data = np.asarray(comps, dtype=np.result_type(comps.dtype, np.float64))
             if data.shape != shape:
                 raise ValueError(f"field array has shape {data.shape}, want {shape}")
         else:
@@ -387,7 +418,8 @@ class LatticeField:
 
     @staticmethod
     def zeros(degree: int, N: int, n: int) -> "LatticeField":
-        return LatticeField(degree, N, n, {})
+        shape = (len(TUPLES[degree]), len(su_basis(n))) + (N,) * 4
+        return LatticeField(degree, N, n, np.zeros(shape))
 
     @staticmethod
     def random(degree: int, N: int, n: int, rng: np.random.Generator,
@@ -395,8 +427,8 @@ class LatticeField:
         """Gaussian su(n) coordinates on ``su_basis(n)``, times ``scale``,
         drawn site by site (the coordinate axis last in the stream)."""
         coeff = rng.standard_normal((len(TUPLES[degree]),) + (N,) * 4 + (len(su_basis(n)),))
-        data = np.zeros((coeff.shape[0], coeff.shape[-1]) + coeff.shape[1:-1], dtype=complex)
-        np.multiply(np.moveaxis(coeff, -1, 1), scale, out=data.real)
+        data = np.empty((coeff.shape[0], coeff.shape[-1]) + coeff.shape[1:-1])
+        np.multiply(np.moveaxis(coeff, -1, 1), scale, out=data)
         return LatticeField(degree, N, n, data)
 
     def copy(self) -> "LatticeField":

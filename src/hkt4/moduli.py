@@ -105,15 +105,15 @@ _MU, _NU = np.array(TUPLES[2]).T
 
 
 def curvature(conn: Connection) -> LatticeField:
-    """F = dA + A ^ A, the real part of its coordinates, which is its su(n)
-    part: at even N, d of an su(n) field leaves su(n) (docs/conventions.md,
+    """F = dA + A ^ A of the su(n) part of the connection, the real part of
+    its coordinates, as a real array: d of a real array is Re(D_N), the
+    su(n) part of d, which at even N leaves su(n) (docs/conventions.md,
     "Even grids"). Exactly zero for constant commuting connections. At A = 0
     the all-zero bracket is skipped."""
-    a = conn.A.data
+    a = conn.A.data.real
     F = d_raw(a, 1, conn.N)
     if _coupling(conn) is not None:
         bracket(a[_MU], a[_NU], F)
-    F.imag = 0.0
     return LatticeField(2, conn.N, conn.n, F)
 
 
@@ -157,9 +157,9 @@ def _flow_weights(N: int) -> np.ndarray:
     preconditioner at the N^4 modes in FFT order, c = ``FLOW_SHIFT``;
     read-only, as shared. kappa is ``frequencies(N)`` with the Nyquist
     frequency of an even grid counted as 0: d of a real Nyquist mode is
-    imaginary and ``curvature`` drops it, so those modes have no linear
-    restoring force to damp. w(k) = w(-k), so the multiplier maps real
-    fields to real fields."""
+    imaginary and Re(D_N), the d of real fields, drops it, so those modes
+    have no linear restoring force to damp. w(k) = w(-k), so the multiplier
+    maps real fields to real fields."""
     kappa = frequencies(N).copy()
     if N % 2 == 0:
         kappa[N // 2] = 0.0
@@ -171,21 +171,19 @@ def _flow_weights(N: int) -> np.ndarray:
 
 
 def _precondition(grad: np.ndarray, N: int) -> np.ndarray:
-    """P grad for the real coordinates of ``grad``: one real FFT pair over
-    the four lattice axes, ``_flow_weights(N)`` on the half spectrum."""
+    """P grad for a real ``grad``: one real FFT pair over the four lattice
+    axes, ``_flow_weights(N)`` on the half spectrum."""
     axes = (-4, -3, -2, -1)
-    spectrum = np.fft.rfftn(grad.real, axes=axes)
+    spectrum = np.fft.rfftn(grad, axes=axes)
     spectrum *= _flow_weights(N)[..., :N // 2 + 1]
     return np.fft.irfftn(spectrum, s=(N,) * 4, axes=axes)
 
 
 def _flow_gradient(a: np.ndarray, plus: np.ndarray, N: int) -> np.ndarray:
-    """The gradient of |F+|^2 over su(n)-valued connections at the
-    connection array ``a`` with self-dual curvature ``plus``: the su(n)
-    part of 2 d_A^* F+, as in ``curvature``."""
-    grad = 2.0 * d_adjoint(plus, 2, N, a)
-    grad.imag = 0.0
-    return grad
+    """The gradient of |F+|^2 over su(n)-valued connections at the real
+    connection array ``a`` with self-dual curvature ``plus`` (real, from
+    ``curvature``): 2 d_A^* F+, whose real arrays make it the su(n) part."""
+    return 2.0 * d_adjoint(plus, 2, N, a)
 
 
 def ym_flow(A0: Connection, step: float, max_iters: int,
@@ -193,8 +191,9 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     """Fourier-preconditioned gradient descent on the squared self-dual
     residual |F+|^2.
 
-    The gradient g is the su(n) part (the real coordinates) of 2 d_A^* F+,
-    the gradient of |F+|^2 over su(n)-valued connections; the move is
+    The flow moves the su(n) part of ``A0`` (its real coordinates) in real
+    arrays. The gradient g is 2 d_A^* F+ on them, the gradient of |F+|^2
+    over su(n)-valued connections; the move is
     -step P g, with P the Fourier multiplier of ``_flow_weights`` (Davies et
     al., Phys. Rev. D 37, 1988). ``step`` is the first step; after an
     accepted move s = -a P g_prev, with y the change of the gradient, the
@@ -208,7 +207,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     if step <= 0:
         raise ValueError("step must be positive")
     N, n = A0.N, A0.n
-    A = A0.A.copy()
+    A = LatticeField(1, N, n, A0.A.data.real.copy())
 
     def residual_sq(conn_form: LatticeField) -> Tuple[float, np.ndarray]:
         plus = apply_components(sd_projector(), curvature(Connection(conn_form)).data)
@@ -233,9 +232,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
         direction = _precondition(grad, N)
         accepted = False
         for _ in range(60):
-            trial = A.data - step * direction
-            trial.imag = 0.0  # the su(n) part, as in ``curvature``
-            trial = LatticeField(1, N, n, trial)
+            trial = LatticeField(1, N, n, A.data - step * direction)
             s2_new, plus_new = residual_sq(trial)
             if not np.isfinite(s2_new):
                 raise FlowDiverged("non-finite residual")
@@ -343,13 +340,14 @@ class TangentBasis:
                             np.tensordot(coeff, self.basis, axes=1))
 
     def residual(self, a: np.ndarray, phase=1) -> np.ndarray:
-        """Defect of the slice equations (raw operator) on each 1-form of the
-        stack ``_on_grid(a, phase)``, built one chunk at a time: from
-        ``coeffs`` and ``phase`` the whole grid basis is never held."""
+        """Defect of the slice equations (raw operator, complex fields) on
+        each 1-form of the stack ``_on_grid(a, phase)``, built one chunk at a
+        time: from ``coeffs`` and ``phase`` the whole grid basis is never held."""
         op = slice_operator(self.base, self.structure)
         size = 16 * a[0].shape[0] * a[0].shape[1] * self.base.N ** 4
-        return np.concatenate([np.sqrt(sq_norm(op(_on_grid(a[s], phase))))
-                               for s in _chunks(len(a), size)])
+        return np.concatenate([
+            np.sqrt(sq_norm(op(np.asarray(_on_grid(a[s], phase), dtype=complex))))
+            for s in _chunks(len(a), size)])
 
     def slice_defects(self) -> np.ndarray:
         """``residual(coeffs, phase)`` with no image on the grid: at a
@@ -504,9 +502,10 @@ def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
 
 def _unit_fields(degree: int, N: int, n: int) -> np.ndarray:
     """The coordinate unit fields of su(n)-valued degree-p forms, the
-    identity rows, shape (C m N^4, C, m, N, N, N, N)."""
+    identity rows, shape (C m N^4, C, m, N, N, N, N), complex: Re(D_N) would
+    put the Nyquist modes of an even grid in the dense kernels."""
     shape = (len(TUPLES[degree]), len(su_basis(n))) + (N,) * 4
-    return np.eye(math.prod(shape)).reshape((-1,) + shape)
+    return np.eye(math.prod(shape), dtype=complex).reshape((-1,) + shape)
 
 
 def _real_matrix(stack: np.ndarray) -> np.ndarray:
@@ -540,7 +539,7 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     # a time; Im (zero at odd N with a real connection) only once a chunk has one
     op = slice_operator(A, L)
     re, im = np.empty((7 * dim // 4, dim), order="F"), None
-    for cols in _chunks(dim, 2 * unit[0].nbytes):
+    for cols in _chunks(dim, unit[0].nbytes):
         z = op(unit[cols]).reshape(len(unit[cols]), -1).T
         re[:, cols] = z.real
         if im is None and np.any(z.imag):

@@ -157,10 +157,11 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
     rec.add("moduli.hermitian-form-sign", defect < 1e-8, defect,
             "omega~(a1,a2) = +/- (I~ a1, a2) with one global sign")
 
-    fields = np.empty((5, 4, n * n - 1) + (N,) * 4, dtype=complex)
-    for f in fields:
-        f[...] = LatticeField.random(1, N, n, rng).data
+    fields = np.empty((5, 4, n * n - 1) + (N,) * 4)
+    for i in range(len(fields)):
+        fields[i] = LatticeField.random(1, N, n, rng).data
     worst = coulomb_identity_defect(fields, frame.matrices())
+    del fields  # not held while the flow runs
     rec.add("moduli.coulomb-identity", worst < tol, worst,
             "d*_A a = Lambda d^c_L a + *(d^c_L w_L ^ a)")
 

@@ -172,10 +172,21 @@ def test_spectral_derivative_exact_on_modes():
 
 
 def test_derivative_constant_is_exactly_zero():
-    N = 4
-    arr = np.ones((3, N, N, N, N), dtype=complex)
-    for mu in range(4):
-        assert np.all(deriv(arr, mu, N) == 0)
+    # the negative sum trick on grid-rounded entries: every row of D_N sums
+    # to exactly 0 in any order, so d of a constant +-2^k (real, or complex
+    # with such parts) is exactly 0 on every axis, for the batched and the
+    # kron products alike
+    for N in range(3, 9):
+        assert not np.any(_diff_matrix(N) @ np.ones(N))
+        assert not np.any(_diff_matrix(N, 0, True) @ np.ones(N))
+        for dtype, values in [(float, (1.0, -1.0, 0.125, 32.0)),
+                              (complex, (1.0, 1 + 1j, -2 + 0.5j, -4j))]:
+            for shape in [(3,), (4, 3), (2, 6, 8)]:
+                for c in values:
+                    arr = np.full(shape + (N,) * 4, c, dtype=dtype)
+                    for mu in range(4):
+                        got = deriv(arr, mu, N)
+                        assert got.dtype == arr.dtype and not np.any(got)
 
 
 def fft_deriv(arr, mu, N):
@@ -288,15 +299,70 @@ def test_random_draw_is_the_complex_contraction_bit_for_bit(degree):
 
 def test_even_grid_nyquist_takes_d_out_of_su():
     # on an even grid the Nyquist symbol i 2 pi (-N/2) is not a real
-    # derivative, so d of an su(2) 1-form has a Hermitian part, the
-    # imaginary part of its coordinates; an odd grid has no Nyquist mode and
-    # its differentiation matrix is exactly real
+    # derivative, so D_N, the d of complex arrays, gives an su(2) 1-form
+    # given as complex coordinates a Hermitian part, the imaginary part of
+    # its coordinates; an odd grid has no Nyquist mode and its
+    # differentiation matrix is exactly real
     def hermitian_part(N):
         a = LatticeField.random(1, N, 2, np.random.default_rng(15))
-        return np.sqrt(sq_norm(d_raw(a.data, 1, N).imag))
+        return np.sqrt(sq_norm(d_raw(a.data.astype(complex), 1, N).imag))
 
     assert hermitian_part(4) > 1.0
     assert hermitian_part(5) == 0.0
+
+
+@pytest.mark.parametrize("N", [4, 5, 6, 8])
+def test_real_fields_take_the_real_part_of_d(N):
+    # d of a real array is Re(D_N), the su(n) part of the complex d: the
+    # real part of the complex result, bit for bit, and a real array
+    a = LatticeField.random(1, N, 2, np.random.default_rng(16))
+    got = d_raw(a.data, 1, N)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, d_raw(a.data.astype(complex), 1, N).real)
+    for after in (0, 1, N):
+        real = _diff_matrix(N, after, True)
+        assert not real.flags.writeable and np.isrealobj(real)
+        assert np.array_equal(real, _diff_matrix(N, after).real)
+
+
+def test_lattice_fields_are_real_and_keep_their_dtype():
+    # su(n) fields are float64; an array is stored in the nearer of float64
+    # and complex128, a dict of matrices contracted into complex128
+    rng = np.random.default_rng(17)
+    assert LatticeField.random(1, 3, 2, rng).data.dtype == np.float64
+    assert LatticeField.zeros(2, 3, 3).data.dtype == np.float64
+    assert LatticeField(0, 3, 2, np.ones((1, 3) + (3,) * 4, dtype=int)).data.dtype == np.float64
+    assert LatticeField(0, 3, 2, np.ones((1, 3) + (3,) * 4, dtype=np.complex64)).data.dtype \
+        == np.complex128
+    arr = np.zeros((3, 3, 3, 3, 2, 2), dtype=complex)
+    arr[...] = su_basis(2)[0]
+    assert LatticeField(1, 3, 2, {(0,): arr}).data.dtype == np.complex128
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3])
+def test_complex_connection_makes_d_of_a_real_field_complex(N, n):
+    # a real field next to a complex constant connection, or a complex field
+    # next to a real connection: d_A, its adjoint and the covariant gradient
+    # are complex and bit for bit those of the all-complex computation
+    rng = np.random.default_rng(30 + 10 * N + n)
+    theta = [0.37, -0.37] + [0.0] * (n - 2)
+    comp = np.zeros((N, N, N, N, n, n), dtype=complex)
+    comp[...] = np.diag(1j * np.asarray(theta))
+    A = LatticeField(1, N, n, {(1,): comp}).data
+    assert A.dtype == np.complex128 and not np.any(A.imag)
+    A_real = LatticeField.random(1, N, n, rng, scale=0.3).data
+    for degree in (0, 1, 2):
+        a = LatticeField.random(degree, N, n, rng).data
+        for conn, field in [(A, a), (A_real, a.astype(complex))]:
+            ops = [lambda x, c: covariant_gradient(x, N, c),
+                   lambda x, c: d_raw(x, degree, N, A=c)]
+            if degree:
+                ops.append(lambda x, c: d_adjoint(x, degree, N, A=c))
+            for op in ops:
+                got = op(field, conn)
+                assert got.dtype == np.complex128
+                assert np.array_equal(got, op(field.astype(complex), conn.astype(complex)))
 
 
 def test_d_squared_zero_on_lattice():
@@ -575,8 +641,8 @@ def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "field.latf"
     for n in (1, 2, 3):
-        a = LatticeField.random(2, 3, n, rng)
-        a.data.imag = rng.standard_normal(a.data.shape)
+        re = LatticeField.random(2, 3, n, rng).data
+        a = LatticeField(2, 3, n, re + 1j * rng.standard_normal(re.shape))
         a.save(path)
         b = LatticeField.load(path)
         assert b.degree == 2 and b.N == 3 and b.n == n

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -240,19 +241,24 @@ def residual_sq(a):
     return float(sq_norm(plus)), plus
 
 
+def complex_gradient(A, plus, N):
+    """2 d_A^* F+ through D_N itself, on complex copies of the real arrays:
+    the flow's gradient before its real part is taken."""
+    return 2.0 * d_adjoint(plus.astype(complex), 2, N, A.data.astype(complex))
+
+
 def fixed_growth_flow(A0, step, max_iters, target):
     """Reference descent on |F+|^2 with the step grown 1.25x per accepted
-    move up to 64 times the first one, halved on a rejected one."""
+    move up to 64 times the first one, halved on a rejected one; the trial
+    step is the real part of the complex one."""
     N, n = A0.N, A0.n
     A, max_step = A0.A.copy(), step * 64
     s2, plus = residual_sq(A)
     history = [s2]
     while len(history) <= max_iters and s2 > target:
-        grad = 2.0 * d_adjoint(plus, 2, N, A.data)
+        grad = complex_gradient(A, plus, N)
         for _ in range(60):
-            trial = A.data - step * grad
-            trial.imag = 0.0
-            trial = LatticeField(1, N, n, trial)
+            trial = LatticeField(1, N, n, (A.data - step * grad).real)
             s2_new, plus_new = residual_sq(trial)
             if s2_new <= s2:
                 A, s2, plus = trial, s2_new, plus_new
@@ -291,21 +297,19 @@ def test_barzilai_borwein_flow_takes_no_more_iterations_than_fixed_growth():
 def plain_bb_flow(A0, step, max_iters, target):
     """Reference descent on |F+|^2 along -2 d_A^* F+ with the plain
     Barzilai-Borwein step s^T s / s^T y, kept if s^T y <= 0, halved on a
-    rejected move."""
+    rejected move; the trial step is the real part of the complex one."""
     N, n = A0.N, A0.n
     A, last = A0.A.copy(), None
     s2, plus = residual_sq(A)
     history = [s2]
     while len(history) <= max_iters and s2 > target:
-        grad = 2.0 * d_adjoint(plus, 2, N, A.data)
+        grad = complex_gradient(A, plus, N)
         if last is not None:
             s, y = A.data - last[0], grad - last[1]
             sty = np.vdot(s, y).real
             step = np.vdot(s, s).real / sty if sty > 0 else step
         for _ in range(60):
-            trial = A.data - step * grad
-            trial.imag = 0.0
-            trial = LatticeField(1, N, n, trial)
+            trial = LatticeField(1, N, n, (A.data - step * grad).real)
             s2_new, plus_new = residual_sq(trial)
             if s2_new <= s2:
                 last = (A.data, grad)
@@ -401,6 +405,45 @@ def test_flow_gradient_is_the_gradient_of_the_functional_it_decreases(N):
         assert slope == pytest.approx(l2_inner(LatticeField(1, N, 2, g), delta), rel=1e-7)
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_real_curvature_and_flow_gradient_are_the_real_part_of_the_complex_ones(N, n):
+    # on float64 arrays deriv, curvature and the flow's gradient are the
+    # real part of the same computation on complex copies (D_N, then the
+    # su(n) part), bit for bit, and float64 themselves
+    rng = np.random.default_rng(60 + 10 * N + n)
+    a = LatticeField.random(1, N, n, rng, scale=0.3).data
+    ac = a.astype(complex)
+    for mu in range(4):
+        got = lattice.deriv(a, mu, N)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, lattice.deriv(ac, mu, N).real)
+    F = curvature(Connection(LatticeField(1, N, n, a))).data
+    Fc = d_raw(ac, 1, N)
+    lattice.bracket(ac[moduli._MU], ac[moduli._NU], Fc)
+    assert F.dtype == np.float64 and np.array_equal(F, Fc.real)
+    plus = apply_components(sd_projector(), F)
+    g = moduli._flow_gradient(a, plus, N)
+    gc = 2.0 * d_adjoint(plus.astype(complex), 2, N, ac)
+    assert g.dtype == np.float64 and np.array_equal(g, gc.real)
+
+
+def test_connections_curvature_and_flow_are_float64():
+    assert Connection.flat(4, 2).A.data.dtype == np.float64
+    assert curvature(Connection.flat(4, 2)).data.dtype == np.float64
+    A0 = suite_flow_start(4, 2, 0, 1e-2)
+    assert A0.A.data.dtype == np.float64
+    res = ym_flow(A0, step=1e-3, max_iters=3, target=0.0)
+    assert res.iterations == 3 and res.connection.A.data.dtype == np.float64
+    # a connection given as complex coordinates flows, and curves, as its
+    # su(n) part
+    Ac = Connection(LatticeField(1, 4, 2, A0.A.data.astype(complex)))
+    assert np.array_equal(curvature(Ac).data, curvature(A0).data)
+    resc = ym_flow(Ac, step=1e-3, max_iters=3, target=0.0)
+    assert resc.connection.A.data.dtype == np.float64
+    assert resc.history == res.history
+
+
 def test_horizontal_slice_dimension_n2():
     # dimension must not depend on the grid (no spurious discrete kernel,
     # even grids with their Nyquist modes included)
@@ -481,6 +524,40 @@ def test_dense_oracle_matches_mode_kernel_n3(monkeypatch):
     assert gap > 1e3
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
     assert subspace_distance(tb.basis, basis) < 1e-6
+
+
+def test_dense_oracles_differentiate_complex_unit_fields(monkeypatch):
+    # Re(D_N), the d of real arrays, has no Nyquist action, so real unit
+    # fields at an even grid would put the Nyquist modes in the dense
+    # kernels; the unit fields are complex, the slice oracle sees complex
+    # chunks and the dense gauge kernel at 0.37 i sigma1 dx0 (no Cartan
+    # connection) is its stabiliser, the line of i sigma1
+    N = 4
+    assert _unit_fields(0, N, 2).dtype == _unit_fields(1, N, 2).dtype == np.complex128
+    t1 = pauli_su2()[0]
+    A = constant_connection(N, 2, [(0, 0.37 * t1)])
+    assert moduli._cartan_shifts(A) is None
+    assert gauge_kernel_dim(A, 1e-10) == dense_gauge_kernel_dim(A, 1e-10) == 1
+    flat_dim = 3  # the constants at A = 0
+    real_units = _unit_fields(0, N, 2).real
+    M = _real_matrix(d_raw(real_units, 0, N))
+    s = np.linalg.svd(M, compute_uv=False)
+    assert M.shape[1] - int(np.sum(s >= 1e-10 * s.max())) == 16 * flat_dim
+    seen = []
+
+    class Captured(Exception):
+        pass
+
+    def spy(conn, L):
+        def op(a):
+            seen.append(a.dtype)
+            raise Captured
+        return op
+
+    monkeypatch.setattr(moduli, "slice_operator", spy)
+    with pytest.raises(Captured):
+        _dense_slice_basis(A, FRAME.I, 1e-10)
+    assert seen == [np.complex128]
 
 
 def test_dense_guard(monkeypatch):
@@ -605,6 +682,34 @@ def test_stacked_coulomb_defect_is_the_per_field_maximum(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(moduli, "GRID_CHUNK_BYTES", 3 * 4 * stack[0].nbytes)
             assert coulomb_identity_defect(stack, FRAME.matrices(), A) == max(worst)
+
+
+@pytest.mark.parametrize("N", [5, 8])
+def test_coulomb_identity_is_exactly_zero_at_the_flat_connection(N):
+    # d of the constant Hermitian forms is exactly 0 and both sides of the
+    # identity come out bit-equal, so the reported defect is 0.0, as at N = 3
+    # and 4
+    (check,) = [c for c in suites.moduli_suite(N, 2, 1e-10)
+                if c.name == "moduli.coulomb-identity"]
+    assert check.defect == 0.0 and check.status == "pass"
+
+
+def test_moduli_suite_frees_the_coulomb_fields_before_the_flow(monkeypatch):
+    refs, alive = [], []
+    coulomb, flow = suites.coulomb_identity_defect, suites.ym_flow
+
+    def coulomb_spy(a, structures, A=None):
+        refs.append(weakref.ref(a))
+        return coulomb(a, structures, A)
+
+    def flow_spy(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "coulomb_identity_defect", coulomb_spy)
+    monkeypatch.setattr(suites, "ym_flow", flow_spy)
+    suites.moduli_suite(3, 2, 1e-10, flow_eps=1e-2)
+    assert len(refs) == 1 and alive == [False]
 
 
 def test_moduli_suite_checks_the_coulomb_identity_in_one_call(monkeypatch):
