@@ -500,12 +500,16 @@ def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
     return coeffs, phase, min_sv, gap
 
 
-def _unit_fields(degree: int, N: int, n: int) -> np.ndarray:
+def _unit_fields(degree: int, N: int, n: int, rows: slice = slice(None)) -> np.ndarray:
     """The coordinate unit fields of su(n)-valued degree-p forms, the
-    identity rows, shape (C m N^4, C, m, N, N, N, N), complex: Re(D_N) would
-    put the Nyquist modes of an even grid in the dense kernels."""
+    identity rows ``rows`` (all C m N^4 of them by default), shape (rows, C,
+    m, N, N, N, N), complex: Re(D_N) would put the Nyquist modes of an even
+    grid in the dense kernels."""
     shape = (len(TUPLES[degree]), len(su_basis(n))) + (N,) * 4
-    return np.eye(math.prod(shape), dtype=complex).reshape((-1,) + shape)
+    ones = np.arange(math.prod(shape))[rows]
+    unit = np.zeros((len(ones), math.prod(shape)), dtype=complex)
+    unit[np.arange(len(ones)), ones] = 1.0
+    return unit.reshape((-1,) + shape)
 
 
 def _real_matrix(stack: np.ndarray) -> np.ndarray:
@@ -534,13 +538,14 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense kernel extraction needs dimension <= "
                          f"{MAX_DENSE_DIM}, got {dim}")
-    unit = _unit_fields(1, N, n)
-    # the real matrix of the seven-component images, one chunk of columns at
-    # a time; Im (zero at odd N with a real connection) only once a chunk has one
+    # the real matrix of the seven-component images, one chunk of unit
+    # fields and columns at a time; Im (zero at odd N with a real
+    # connection) only once a chunk has one
     op = slice_operator(A, L)
     re, im = np.empty((7 * dim // 4, dim), order="F"), None
-    for cols in _chunks(dim, unit[0].nbytes):
-        z = op(unit[cols]).reshape(len(unit[cols]), -1).T
+    for cols in _chunks(dim, 16 * dim):
+        unit = _unit_fields(1, N, n, cols)
+        z = op(unit).reshape(len(unit), -1).T
         re[:, cols] = z.real
         if im is None and np.any(z.imag):
             im = np.zeros_like(re)
