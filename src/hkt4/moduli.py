@@ -108,8 +108,9 @@ def curvature(conn: Connection) -> LatticeField:
     """F = dA + A ^ A of the su(n) part of the connection, the real part of
     its coordinates, as a real array: d of a real array is Re(D_N), the
     su(n) part of d, which at even N leaves su(n) (docs/conventions.md,
-    "Even grids"). Exactly zero for constant commuting connections. At A = 0
-    the all-zero bracket is skipped."""
+    "Even grids"). Zero for constant commuting connections: exactly when
+    their coordinates are +-2^k, else to round-off. At A = 0 the all-zero
+    bracket is skipped."""
     a = conn.A.data.real
     F = d_raw(a, 1, conn.N)
     if _coupling(conn) is not None:
