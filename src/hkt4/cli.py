@@ -2,17 +2,21 @@
 reports.
 
 Exit codes: 0 when every check passes, 1 on a check failure or an --out
-path that cannot be written, 2 on usage errors, including unknown config
-keys and non-finite numbers, and 3 on an internal error: any other
-exception, reported as one line on stderr without a traceback. Flags
-mirror an optional key=value config file (flags win), and the HKT4_OUT_DIR
-environment variable supplies a default output directory for bare report
-filenames.
+path that cannot be written, 2 on usage errors, and 3 on an internal error:
+any other exception, reported as one line on stderr without a traceback.
+Each input has one click type, which checks a flag and its config key
+alike: q rational > 1, grid >= 3, rank >= 2, tol positive and finite, flow
+finite and nonzero, seed in [0, 2^64), form specs with finite coefficients,
+omega real and nondegenerate (omega ^ omega != 0). Flags mirror an optional
+key=value config file (flags win, unknown keys are usage errors), and the
+HKT4_OUT_DIR environment variable supplies a default output directory for
+bare report filenames.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import os
 import re
@@ -20,33 +24,42 @@ import sys
 from fractions import Fraction
 
 import click
+import numpy as np
 
 from . import __version__, suites
+from .exact import ScalarField
+from .forms import RationalForm
+from .invariants import degree
+from .lattice import LatticeField
 from .report import VerificationReport, emit_report
 
 DEFAULT_SEED = 314159
 
 
-def _parse_fraction(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"not a rational number: {value!r}")
+class _Domain(click.ParamType):
+    """A value read by ``parse`` and kept when ``ok`` holds; a parse error
+    or a value outside ``domain`` is a usage error (exit 2)."""
+
+    def __init__(self, name, parse, ok=lambda value: True, domain=""):
+        self.name, self.parse, self.ok, self.domain = name, parse, ok, domain
+
+    def convert(self, value, param, ctx):
+        try:
+            parsed = self.parse(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            self.fail(f"{value!r}: {exc}", param, ctx)
+        if not self.ok(parsed):
+            self.fail(f"{value!r} is not {self.domain}", param, ctx)
+        return parsed
 
 
-def _check_q(q: Fraction):
-    if q is None or q <= 1:
-        raise click.UsageError("the multiplier must satisfy q > 1")
-    return q
-
-
-def _check_numbers(tol: float, flow_eps):
-    if not (math.isfinite(tol) and tol > 0):
-        raise click.UsageError(f"tol must be positive and finite, got {tol!r}")
-    if flow_eps is not None and not math.isfinite(flow_eps):
-        raise click.UsageError(f"flow must be finite, got {flow_eps!r}")
+Q = _Domain("rational", Fraction, lambda q: q > 1, "a rational number > 1")
+GRID, RANK = click.IntRange(min=3), click.IntRange(min=2)
+TOL = _Domain("float", float, lambda t: math.isfinite(t) and t > 0,
+              "positive and finite")
+FLOW = _Domain("float", float, lambda e: math.isfinite(e) and e != 0,
+               "finite and nonzero")
+SEED = click.IntRange(0, 2**64 - 1)
 
 
 def _load_config(path):
@@ -81,10 +94,7 @@ def _apply_config(ctx: click.Context, config):
         raw = values[hits.pop()]
         src = ctx.get_parameter_source(param.name)
         if src is not None and src.name != "COMMANDLINE":
-            if param.callback is not None:
-                ctx.params[param.name] = param.callback(ctx, param, raw)
-            else:
-                ctx.params[param.name] = param.type.convert(raw, param, ctx)
+            ctx.params[param.name] = param.type.convert(raw, param, ctx)
 
 
 def _resolve_out(out):
@@ -121,7 +131,7 @@ _common = [
                  help="Write the report to this path as well as stdout."),
     click.option("--format", "fmt", type=click.Choice(["json", "markdown"]),
                  default="json", show_default=True, help="Report format."),
-    click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
+    click.option("--seed", type=SEED, default=DEFAULT_SEED, show_default=True,
                  help="Seed for randomized spot checks (recorded in the report)."),
     click.option("--config", type=click.Path(exists=True), default=None,
                  help="key=value file mirrored to flags; flags win."),
@@ -157,15 +167,14 @@ def main():
 
 
 @main.command("verify-hopf")
-@click.option("--q", callback=_parse_fraction, default="2", show_default=True,
+@click.option("--q", type=Q, default="2", show_default=True,
               help="Rational multiplier of the quotient, q > 1.")
 @common_options
 @click.pass_context
 def verify_hopf(ctx, q, out, fmt, seed, config):
     """Certify the Hopf-chart identities with exact arithmetic."""
     _apply_config(ctx, config)
-    q = _check_q(ctx.params["q"])
-    checks = suites.hopf_suite(q, seed=ctx.params["seed"])
+    checks = suites.hopf_suite(ctx.params["q"], seed=ctx.params["seed"])
     _finish(ctx, VerificationReport(checks=checks, seed=ctx.params["seed"]))
 
 
@@ -180,29 +189,23 @@ def verify_flat(ctx, out, fmt, seed, config):
 
 
 @main.command("moduli")
-@click.option("--grid", type=int, default=4, show_default=True,
-              help="Lattice points per axis (>= 3).")
-@click.option("--rank", type=int, default=2, show_default=True,
-              help="Bundle rank (>= 2).")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
+@click.option("--grid", type=GRID, default=4, show_default=True,
+              help="Lattice points per axis.")
+@click.option("--rank", type=RANK, default=2, show_default=True,
+              help="Bundle rank.")
+@click.option("--tol", type=TOL, default=1e-10, show_default=True,
               help="Tolerance for the slice and structure identities.")
-@click.option("--flow", "flow_eps", type=float, default=None,
+@click.option("--flow", "flow_eps", type=FLOW, default=None,
               help="Also run the descent flow from flat + eps * random.")
 @common_options
 @click.pass_context
 def moduli_cmd(ctx, grid, rank, tol, flow_eps, out, fmt, seed, config):
     """Tangent-space model at the flat connection on the N^4 torus."""
     _apply_config(ctx, config)
-    grid, rank = ctx.params["grid"], ctx.params["rank"]
-    if grid < 3:
-        raise click.UsageError("grid must be >= 3")
-    if rank < 2:
-        raise click.UsageError("rank must be >= 2")
-    _check_numbers(ctx.params["tol"], ctx.params["flow_eps"])
-    checks = suites.moduli_suite(grid, rank, ctx.params["tol"],
-                                 seed=ctx.params["seed"],
-                                 flow_eps=ctx.params["flow_eps"])
-    _finish(ctx, VerificationReport(checks=checks, seed=ctx.params["seed"]))
+    p = ctx.params
+    checks = suites.moduli_suite(p["grid"], p["rank"], p["tol"], seed=p["seed"],
+                                 flow_eps=p["flow_eps"])
+    _finish(ctx, VerificationReport(checks=checks, seed=p["seed"]))
 
 
 _TERM_BASIS = re.compile(r"dx(\d)\^dx(\d)$")
@@ -252,38 +255,33 @@ def parse_form_spec(spec: str):
     return out
 
 
+def _hermitian_spec(spec: str):
+    """omega's terms as exact rationals, refused when a coefficient is not
+    real or when omega ^ omega = 2 Pf(omega) dx0123 vanishes."""
+    terms = parse_form_spec(spec)
+    if any(abs(c.imag) > 1e-15 for c in terms.values()):
+        raise ValueError("omega must be real")
+    w = {t: Fraction(c.real) for t, c in terms.items()}
+    w01, w23, w02, w13, w03, w12 = (w.get(t, 0) for t in
+                                    ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)))
+    if w01 * w23 - w02 * w13 + w03 * w12 == 0:
+        raise ValueError("omega is degenerate: omega ^ omega = 0")
+    return w
+
+
 @main.command("degree")
-@click.option("--f", "f_spec", required=True,
+@click.option("--f", "f_terms", type=_Domain("form", parse_form_spec), required=True,
               help="Curvature 2-form, e.g. '-2*pi*i*dx0^dx1'.")
-@click.option("--omega", "omega_spec", required=True,
+@click.option("--omega", "w_terms", type=_Domain("form", _hermitian_spec), required=True,
               help="Gauduchon Hermitian form, e.g. 'dx0^dx1+dx2^dx3'.")
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
-def degree_cmd(ctx, f_spec, omega_spec, out):
+def degree_cmd(ctx, f_terms, w_terms, out):
     """Degree (i/2pi) integral of F ^ omega on the unit torus."""
-    import json
-
-    import numpy as np
-
-    from .exact import ScalarField
-    from .forms import RationalForm
-    from .invariants import degree
-    from .lattice import LatticeField
-
-    try:
-        f_terms = parse_form_spec(f_spec)
-        w_terms = parse_form_spec(omega_spec)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     N = 3
     comps = {t: np.full((N, N, N, N, 1, 1), c) for t, c in f_terms.items()}
     F = LatticeField(2, N, 1, comps)
-    w_coeffs = {}
-    for t, c in w_terms.items():
-        if abs(c.imag) > 1e-15:
-            raise click.UsageError("omega must be real")
-        w_coeffs[t] = ScalarField.const(Fraction(c.real))
-    omega = RationalForm(2, w_coeffs)
+    omega = RationalForm(2, {t: ScalarField.const(c) for t, c in w_terms.items()})
     try:
         value = degree(F, omega)
     except ValueError as exc:
@@ -293,21 +291,19 @@ def degree_cmd(ctx, f_spec, omega_spec, out):
 
 
 @main.command("report")
-@click.option("--q", callback=_parse_fraction, default="2", show_default=True)
-@click.option("--grid", type=int, default=3, show_default=True)
-@click.option("--rank", type=int, default=2, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--flow", "flow_eps", type=float, default=None)
+@click.option("--q", type=Q, default="2", show_default=True)
+@click.option("--grid", type=GRID, default=3, show_default=True)
+@click.option("--rank", type=RANK, default=2, show_default=True)
+@click.option("--tol", type=TOL, default=1e-10, show_default=True)
+@click.option("--flow", "flow_eps", type=FLOW, default=None)
 @common_options
 @click.pass_context
 def report_cmd(ctx, q, grid, rank, tol, flow_eps, out, fmt, seed, config):
     """Run the composite suite (Hopf + flat control + moduli) and report."""
     _apply_config(ctx, config)
-    q = _check_q(ctx.params["q"])
-    _check_numbers(ctx.params["tol"], ctx.params["flow_eps"])
-    rep = suites.full_report(q=q, grid=ctx.params["grid"], rank=ctx.params["rank"],
-                             tol=ctx.params["tol"], seed=ctx.params["seed"],
-                             flow_eps=ctx.params["flow_eps"])
+    p = ctx.params
+    rep = suites.full_report(q=p["q"], grid=p["grid"], rank=p["rank"], tol=p["tol"],
+                             seed=p["seed"], flow_eps=p["flow_eps"])
     _finish(ctx, rep)
 
 

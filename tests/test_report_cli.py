@@ -1,9 +1,12 @@
 """Report schema, determinism, and the command-line surface."""
 
 import json
+import os
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from hkt4 import __version__
 from hkt4.cli import main, parse_form_spec
@@ -105,18 +108,37 @@ class TestCli:
         assert __version__ in result.output
 
     @pytest.mark.parametrize("args", [
-        ["degree", "--f", "nan*dx0^dx1", "--omega", "dx0^dx1"],
-        ["degree", "--f", "1e999*i*dx0^dx1", "--omega", "dx0^dx1"],
-        ["degree", "--f", "1e300*i*dx0^dx1", "--omega", "1e300*dx2^dx3"],
+        ["degree", "--f", "nan*dx0^dx1", "--omega", "dx0^dx1+1e300*dx2^dx3"],
+        ["degree", "--f", "1e999*i*dx0^dx1", "--omega", "dx0^dx1+1e300*dx2^dx3"],
+        ["degree", "--f", "1e300*i*dx0^dx1", "--omega", "dx0^dx1+1e300*dx2^dx3"],
         ["moduli", "--tol", "nan"],
         ["moduli", "--tol", "-1"],
         ["moduli", "--flow", "inf"],
         ["report", "--tol", "nan"],
         ["report", "--tol", "-1"],
+        # finite but outside their domain
+        ["report", "--grid", "2"],
+        ["report", "--rank", "1"],
+        ["moduli", "--seed", "-1"],
+        ["report", "--seed", "-1"],
+        ["verify-hopf", "--seed", "-1"],
+        ["verify-flat", "--seed", "-1"],
+        ["moduli", "--seed", str(2**64)],
+        ["report", "--seed", str(2**64)],
+        ["verify-hopf", "--seed", str(2**64)],
+        ["moduli", "--config", "seed = -5"],
+        ["moduli", "--flow", "0"],
+        ["degree", "--f", "-2*pi*i*dx0^dx1", "--omega", "0*dx0^dx1"],
     ])
-    def test_non_finite_numbers_are_usage_errors(self, args):
+    def test_non_finite_numbers_are_usage_errors(self, args, tmp_path):
+        if "--config" in args:  # the text of the config file
+            k = args.index("--config") + 1
+            (tmp_path / "cfg.txt").write_text(args[k] + "\n")
+            args = args[:k] + [str(tmp_path / "cfg.txt")] + args[k + 1:]
         result = self.runner.invoke(main, args)
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("Error:")
         assert "NaN" not in result.output and "Infinity" not in result.output
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
@@ -277,3 +299,98 @@ class TestCli:
                         if c["name"].startswith("hopf.axis-metric"))
                  for d in docs]
         assert names[0] != names[1]
+
+
+# every option of every command: (valid values, invalid values or None), as
+# text; a bare --out name lands in HKT4_OUT_DIR, which the test points at a
+# temporary directory
+_VALUES = {
+    "q": (st.sampled_from(["2", "3", "3/2"]),
+          st.fractions(max_value=1).map(str)
+          | st.sampled_from(["abc", "nan", "inf", "1/0", "2.5.1"])),
+    "grid": (st.integers(3, 5).map(str),
+             st.integers(max_value=2).map(str) | st.just("3.5")),
+    "rank": (st.integers(2, 3).map(str), st.integers(max_value=1).map(str)),
+    "tol": (st.floats(1e-14, 1).map(repr),
+            st.floats(max_value=0).map(repr) | st.sampled_from(["nan", "inf"])),
+    "flow": (st.floats(1e-3, 1).map(repr) | st.floats(-1, -1e-3).map(repr),
+             st.sampled_from(["0", "-0.0", "1e-400", "nan", "inf", "-inf"])),
+    "seed": (st.integers(0, 2**64 - 1).map(str),
+             (st.integers(max_value=-1) | st.integers(min_value=2**64)).map(str)),
+    "format": (st.sampled_from(["json", "markdown"]), st.just("xml")),
+    "out": (st.just("report.txt"), None),
+    "f": (st.sampled_from(["-2*pi*i*dx0^dx1", "i*dx0^dx1 - 3*i*dx2^dx3"]),
+          st.sampled_from(["nan*dx0^dx1", "1e999*i*dx0^dx1", "wat", "dx0^dx0", "2*pi"])),
+    "omega": (st.sampled_from(["dx0^dx1+dx2^dx3", "2*dx0^dx2-dx1^dx3", "dx0^dx3+dx1^dx2"]),
+              st.sampled_from(["0*dx0^dx1", "dx0^dx1", "i*dx0^dx1+dx2^dx3",
+                               "dx0^dx1 + dx0^dx1"])),
+}
+_COMMON = ["seed", "format", "out"]
+_OPTIONS = {
+    "verify-hopf": ["q"] + _COMMON,
+    "verify-flat": _COMMON,
+    "moduli": ["grid", "rank", "tol", "flow"] + _COMMON,
+    "report": ["q", "grid", "rank", "tol", "flow"] + _COMMON,
+    "degree": ["f", "omega", "out"],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(command, flags, config lines, whether some input is out of its
+    domain); each option is a flag, a config key (not for ``degree``, which
+    reads no config) or absent (not the required --f and --omega), and valid
+    or not, and a config file may hold an unknown key."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    places = ["flag", "absent"] if command == "degree" else ["flag", "config", "absent"]
+    flags, config, bad = [], [], False
+    for name in _OPTIONS[command]:
+        where = draw(st.sampled_from(["flag"] if name in ("f", "omega") else places))
+        if where == "absent":
+            continue
+        valid, invalid = _VALUES[name]
+        if invalid is not None and draw(st.integers(0, 4)) == 4:
+            value, bad = draw(invalid), True
+        else:
+            value = draw(valid)
+        if where == "flag":
+            flags += [f"--{name}", value]
+        else:
+            config.append(f"{name} = {value}")
+    if command != "degree" and draw(st.integers(0, 3)) == 3:
+        config.append("bogus = 1")
+        bad = True
+    return command, flags, config, bad
+
+
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+@settings(max_examples=200)
+@given(cli_calls())
+def test_every_cli_input_exits_0_1_or_2(call):
+    command, flags, config, bad = call
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [command] + flags
+        if config:
+            path = os.path.join(tmp, "cfg.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(config) + "\n")
+            args += ["--config", path]
+        result = CliRunner().invoke(main, args, env={"HKT4_OUT_DIR": tmp})
+        assert result.exit_code in (0, 1, 2), (args, config, result.stderr)
+        assert (result.exit_code == 2) == bad, (args, config, result.stderr)
+        written = os.path.join(tmp, "report.txt")
+        asked = "report.txt" in flags or "out = report.txt" in config
+        assert os.path.exists(written) == (asked and not bad)
+        if asked and not bad:
+            with open(written, encoding="utf-8") as fh:
+                assert fh.read() + "\n" == result.stdout
+    if bad:
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("Error:")
+    elif "markdown" in flags or "format = markdown" in config:
+        assert result.stdout.startswith("# verification report")
+    else:
+        json.loads(result.stdout, parse_constant=_refuse)
