@@ -15,7 +15,6 @@ from .quaternions import (
     Quaternion,
     independence_rank,
     structure_matrix,
-    verify_frame,
 )
 from .forms import (
     ConstantMetric,

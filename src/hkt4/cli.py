@@ -3,7 +3,9 @@ reports.
 
 Exit codes: 0 when every check passes, 1 on a check failure or an --out
 path that cannot be written, 2 on usage errors, and 3 on an internal error:
-any other exception, reported as one line on stderr without a traceback.
+any other exception, reported as one line on stderr without a traceback;
+when ``moduli`` or ``report`` runs out of memory, that line names the grid
+and rank.
 Each input has one click type, which checks a flag and its config key
 alike: q rational > 1, grid >= 3, rank >= 2, tol positive and finite, flow
 finite and nonzero, seed in [0, 2^64), form specs with finite coefficients,
@@ -16,6 +18,7 @@ bare report filenames.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
 import os
@@ -126,6 +129,16 @@ def _finish(ctx: click.Context, report: VerificationReport):
     ctx.exit(0 if report.passed else 1)
 
 
+@contextlib.contextmanager
+def _naming_grid_and_rank(p):
+    """Re-raise a MemoryError with the grid and rank that ran out of memory,
+    so that the internal error (exit 3) names them."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory at grid {p['grid']}, rank {p['rank']}: {exc}") from exc
+
+
 _common = [
     click.option("--out", type=click.Path(), default=None,
                  help="Write the report to this path as well as stdout."),
@@ -203,8 +216,9 @@ def moduli_cmd(ctx, grid, rank, tol, flow_eps, out, fmt, seed, config):
     """Tangent-space model at the flat connection on the N^4 torus."""
     _apply_config(ctx, config)
     p = ctx.params
-    checks = suites.moduli_suite(p["grid"], p["rank"], p["tol"], seed=p["seed"],
-                                 flow_eps=p["flow_eps"])
+    with _naming_grid_and_rank(p):
+        checks = suites.moduli_suite(p["grid"], p["rank"], p["tol"], seed=p["seed"],
+                                     flow_eps=p["flow_eps"])
     _finish(ctx, VerificationReport(checks=checks, seed=p["seed"]))
 
 
@@ -302,8 +316,9 @@ def report_cmd(ctx, q, grid, rank, tol, flow_eps, out, fmt, seed, config):
     """Run the composite suite (Hopf + flat control + moduli) and report."""
     _apply_config(ctx, config)
     p = ctx.params
-    rep = suites.full_report(q=p["q"], grid=p["grid"], rank=p["rank"], tol=p["tol"],
-                             seed=p["seed"], flow_eps=p["flow_eps"])
+    with _naming_grid_and_rank(p):
+        rep = suites.full_report(q=p["q"], grid=p["grid"], rank=p["rank"], tol=p["tol"],
+                                 seed=p["seed"], flow_eps=p["flow_eps"])
     _finish(ctx, rep)
 
 

@@ -264,16 +264,8 @@ class Poly:
         return {_unpack(m): QI(Fraction(a, d), Fraction(b, d)) for m, (a, b) in self.terms.items()}
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def const(c) -> "Poly":
         return Poly({(0, 0, 0, 0): c})
-
-    @staticmethod
-    def variable(i: int) -> "Poly":
-        return Poly._raw({1 << _SHIFTS[i]: (1, 0)}, 1)
 
     @staticmethod
     def coerce(v) -> "Poly":

@@ -90,16 +90,8 @@ class RationalForm:
         return RationalForm(0, {(): f})
 
     @staticmethod
-    def dx(i: int) -> "RationalForm":
-        return RationalForm(1, {(i,): ScalarField.const(1)})
-
-    @staticmethod
     def basis(indices: IndexTuple, coeff=1) -> "RationalForm":
         return RationalForm(len(indices), {tuple(indices): ScalarField.coerce(coeff)})
-
-    @staticmethod
-    def volume() -> "RationalForm":
-        return RationalForm.basis(TOP)
 
     # -- ring structure -----------------------------------------------------
 
@@ -384,9 +376,10 @@ def _fraction_sqrt(v: Fraction) -> Fraction:
 
 
 class ConstantMetric:
-    """Symmetric positive-definite 4x4 matrix of exact rationals."""
+    """Symmetric positive-definite 4x4 matrix of exact rationals, with the
+    table of all its minors (``_all_minors``)."""
 
-    __slots__ = ("matrix", "_inv", "_star")
+    __slots__ = ("matrix", "minors", "_star")
 
     def __init__(self, matrix):
         m = tuple(tuple(_frac(v) for v in row) for row in matrix)
@@ -400,7 +393,7 @@ class ConstantMetric:
         if any(minors[t, t] <= 0 for t in ((0,), (0, 1), (0, 1, 2), TOP)):
             raise ValueError("metric must be positive definite")
         self.matrix = m
-        self._inv = None
+        self.minors = minors
         self._star = None
 
     @staticmethod
@@ -408,26 +401,28 @@ class ConstantMetric:
         return ConstantMetric(IDENTITY)
 
     def det(self) -> Fraction:
-        return _all_minors(self.matrix)[TOP, TOP]
-
-    def inverse(self):
-        if self._inv is None:
-            self._inv = _mat_inverse(self.matrix)
-        return self._inv
+        return self.minors[TOP, TOP]
 
     def star_columns(self, degree: int):
         """Columns of the Hodge star on degree-m forms, as ``_columns``
         gives them: dx_s has coefficient <dx_sc, dx_t> sqrt(det) eps(sc s)
-        in *dx_t, sc the complement of s. Built once per metric."""
+        in *dx_t, sc the complement of s. Built once per metric.
+
+        <dx_sc, dx_t> is the minor of g^-1 with rows sc and columns t, read
+        from g's own table by Jacobi's complementary-minor identity: it is
+        (-1)^(sum sc + sum t) times the minor of g with rows tc (the
+        complement of t) and columns s, over det g."""
         if self._star is None:
-            minors, sd = _all_minors(self.inverse()), _fraction_sqrt(self.det())
+            det = self.det()
+            sd = _fraction_sqrt(det)
 
             def column(t):
+                tc = tuple(i for i in range(4) if i not in t)
                 out = {}
                 for s in _ALL_TUPLES[4 - len(t)]:
                     sc = tuple(i for i in range(4) if i not in s)
-                    # <dx_sc, dx_t>: the inverse-metric minor, rows sc, cols t
-                    out[s] = minors[sc, t] * sd * _perm_sign(sc + s)
+                    inverse_minor = self.minors[tc, s] / det * (-1) ** (sum(sc) + sum(t))
+                    out[s] = inverse_minor * sd * _perm_sign(sc + s)
                 return out
 
             self._star = {m: _columns(m, column) for m in _ALL_TUPLES}
@@ -443,22 +438,6 @@ class ConstantMetric:
 
     def __repr__(self):
         return f"ConstantMetric({self.matrix})"
-
-
-def _mat_inverse(m):
-    n = len(m)
-    aug = [[_frac(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def hodge_star(g: ConstantMetric, a: RationalForm) -> RationalForm:

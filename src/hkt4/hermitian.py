@@ -131,10 +131,6 @@ class HKTReport:
     H: RationalForm
 
     @property
-    def hkt(self) -> bool:
-        return all(d.is_zero() for d in self.torsion_differences)
-
-    @property
     def hyperkahler(self) -> bool:
         return self.H.is_zero()
 

@@ -431,9 +431,6 @@ class LatticeField:
         np.multiply(np.moveaxis(coeff, -1, 1), scale, out=data)
         return LatticeField(degree, N, n, data)
 
-    def copy(self) -> "LatticeField":
-        return LatticeField(self.degree, self.N, self.n, self.data.copy())
-
     def __add__(self, other: "LatticeField") -> "LatticeField":
         self._check_compatible(other)
         return LatticeField(self.degree, self.N, self.n, self.data + other.data)

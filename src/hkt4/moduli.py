@@ -616,16 +616,6 @@ class ModuliStructureReport:
     identity_defects: Dict[str, float]
     invariance_defects: Dict[str, float]
     metric_defects: Dict[str, float]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        ok_dim = all(d == self.expected_dim for d in self.kernel_dims.values())
-        vals = (list(self.slice_distances.values())
-                + list(self.identity_defects.values())
-                + list(self.invariance_defects.values())
-                + list(self.metric_defects.values()))
-        return ok_dim and all(v < self.tol for v in vals)
 
 
 def verify_moduli_structure(tb: TangentBasis,
@@ -664,7 +654,7 @@ def verify_moduli_structure(tb: TangentBasis,
                                  slice_distances=distances,
                                  identity_defects=identity_defects,
                                  invariance_defects=dict(tb.invariance_defects),
-                                 metric_defects=metric, tol=tol)
+                                 metric_defects=metric)
 
 
 def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:

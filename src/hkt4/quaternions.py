@@ -37,9 +37,6 @@ class Quaternion:
     def coords(self):
         return (self.w, self.x, self.y, self.z)
 
-    def norm_sq(self) -> Fraction:
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
-
     def __add__(self, other):
         return Quaternion(self.w + other.w, self.x + other.x,
                           self.y + other.y, self.z + other.z)
@@ -215,23 +212,6 @@ class HypercomplexFrame:
         # each frame matrix has 4 nonzero entries of 16
         return _HashedMatrix(tuple(sum((w * m[i][j] for w, m in terms if m[i][j]), _ZERO)
                                    for j in range(4)) for i in range(4))
-
-
-@dataclass
-class FrameReport:
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_frame(frame: HypercomplexFrame) -> FrameReport:
-    """Check I^2 = J^2 = K^2 = -Id and IJ = -JI = K exactly.
-
-    Failures are collected and reported, never raised.
-    """
-    return FrameReport(list(frame.failures))
 
 
 def _exact_rank(rows) -> int:

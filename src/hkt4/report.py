@@ -53,22 +53,17 @@ class CheckResult:
     paper_ref: str = "plumbing"
     ms: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 class CheckRecorder:
-    """Collects CheckResults with per-check wall times."""
+    """Collects CheckResults; ``suites._timed`` fills in their wall times."""
 
     def __init__(self):
         self.checks: List[CheckResult] = []
 
-    def add(self, name, ok, defect, paper_ref="plumbing", ms=0.0):
-        status = "pass" if ok else "fail"
-        self.checks.append(CheckResult(name, status, defect, paper_ref, ms))
+    def add(self, name, ok, defect, paper_ref="plumbing"):
+        self.checks.append(CheckResult(name, "pass" if ok else "fail", defect, paper_ref))
 
-    def exact(self, name: str, form_or_bool, paper_ref: str, ms: float = 0.0):
+    def exact(self, name: str, form_or_bool, paper_ref: str):
         """Record an exact zero test: a form (defect = its size) or a bool."""
         if isinstance(form_or_bool, bool):
             ok = form_or_bool
@@ -76,7 +71,7 @@ class CheckRecorder:
         else:
             ok = form_or_bool.is_zero()
             defect = EXACT_ZERO if ok else form_or_bool.max_abs_coeff()
-        self.add(name, ok, defect, paper_ref, ms)
+        self.add(name, ok, defect, paper_ref)
         return ok
 
 

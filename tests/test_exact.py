@@ -10,6 +10,11 @@ from hypothesis import given, settings, strategies as st
 from hkt4.exact import EXP_LIMIT, PHI, Poly, QI, ScalarField, _phi_quotient, _unpack
 
 
+def variable(i):
+    """The coordinate x_i as a polynomial."""
+    return Poly({tuple(int(j == i) for j in range(4)): 1})
+
+
 def rand_qi(rng):
     return QI(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
               Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
@@ -52,24 +57,24 @@ def test_poly_division_exact_and_inexact():
         prod = p * PHI
         quot, rem = prod.divmod_poly(PHI)
         assert rem.is_zero() and quot == p
-    q, r = Poly.variable(0).divmod_poly(PHI)
-    assert q.is_zero() and r == Poly.variable(0)
+    q, r = variable(0).divmod_poly(PHI)
+    assert q.is_zero() and r == variable(0)
 
 
 def test_scalarfield_canonical_form():
     # phi * P / phi^2 collapses to P / phi
-    p = Poly.variable(1)
+    p = variable(1)
     f = ScalarField(PHI * p, 2)
     assert f.k == 1 and f.num == p
     assert ScalarField(PHI, 1) == ScalarField.const(1)
-    assert ScalarField(Poly.zero(), 3).k == 0
+    assert ScalarField(Poly(), 3).k == 0
 
 
 def test_scalarfield_partial_matches_quotient_rule():
     # d/dx0 (x0 / phi) = (phi - 2 x0^2) / phi^2
-    f = ScalarField(Poly.variable(0), 1)
+    f = ScalarField(variable(0), 1)
     d0 = f.partial(0)
-    expected = ScalarField(PHI - Poly.variable(0) * Poly.variable(0) * 2, 2)
+    expected = ScalarField(PHI - variable(0) * variable(0) * 2, 2)
     assert d0 == expected
 
 
@@ -92,13 +97,13 @@ def test_scalarfield_div_exact():
     h = ScalarField(p * p, 0).div_exact(ScalarField(p, 0))
     assert h == ScalarField(p, 0)
     # a divisor with a factor phi moves it into the denominator
-    x0 = ScalarField(Poly.variable(0), 0)
-    assert x0.div_exact(ScalarField(PHI, 0)) == ScalarField(Poly.variable(0), 1)
+    x0 = ScalarField(variable(0), 0)
+    assert x0.div_exact(ScalarField(PHI, 0)) == ScalarField(variable(0), 1)
     assert ScalarField.const(1).div_exact(ScalarField.phi()) == ScalarField.inv_phi()
     assert ScalarField(PHI * 2, 0).div_exact(ScalarField(PHI * PHI, 0)) \
         == ScalarField.inv_phi() * 2
     with pytest.raises(ValueError):
-        x0.div_exact(ScalarField(Poly.variable(1), 0))
+        x0.div_exact(ScalarField(variable(1), 0))
 
 
 def test_scale_arguments_homogeneity():
@@ -113,7 +118,7 @@ gaussian = st.builds(QI, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 
                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
 polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), gaussian,
                         min_size=1, max_size=4).map(Poly).filter(lambda p: p.terms)
-_x = [Poly.variable(i) for i in range(4)]
+_x = [variable(i) for i in range(4)]
 # zero at (1, 1, i, i), as phi is, but not multiples of phi
 NEAR_MULTIPLES = (_x[2] - _x[3], _x[0] - _x[1], _x[0] * _x[2] - _x[1] * _x[3],
                   _x[0] * _x[0] + _x[2] * _x[2], _x[1] * _x[3] - _x[0] * _x[2] + PHI)
@@ -171,7 +176,7 @@ def test_exponent_overflow_raises_instead_of_carrying():
         (f * ScalarField.inv_phi()).partial(1)  # -2 x1 x1^(2^15 - 1) / phi^2
     g = ScalarField(Poly({(0, 0, 0, top): QI(1)}), 0)
     with pytest.raises(ValueError):
-        g * ScalarField(Poly.variable(3), 0)
+        g * ScalarField(variable(3), 0)
     # numpy exponents are packed as Python ints, so x0's field cannot wrap int64
     wide = Poly({tuple(np.array([EXP_LIMIT // 2, 0, 0, 0])): QI(1)})
     with pytest.raises(ValueError):

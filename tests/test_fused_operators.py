@@ -29,6 +29,12 @@ from hkt4.hermitian import metric_from_form
 from hkt4.quaternions import AxisTriple, HypercomplexFrame
 from hkt4.suites import random_rational_axis
 
+
+def variable(i):
+    """The coordinate x_i as a polynomial."""
+    return Poly({tuple(int(j == i) for j in range(4)): 1})
+
+
 FRAMES = (HypercomplexFrame.left(), HypercomplexFrame.right())
 
 
@@ -148,7 +154,7 @@ def test_lincomb_cancels_to_zero():
 
 
 def test_lincomb_divides_out_phi_at_the_top():
-    x = [Poly.variable(i) for i in range(4)]
+    x = [variable(i) for i in range(4)]
     top = ScalarField(x[0] * x[0], 1)
     rest = ScalarField(x[1] * x[1] + x[2] * x[2] + x[3] * x[3], 1)
     total = _lincomb([(1, 0, 1, top), (1, 0, 1, rest)])
@@ -162,7 +168,7 @@ def test_lincomb_divides_out_phi_at_the_top():
 def test_structure_action_divides_out_phi():
     # column 0 of aI + bJ + cK is (0, a, b, c), so (L u)_0 = a u_1 + b u_2
     L = HypercomplexFrame.left().span_structure(AxisTriple(Fraction(3, 5), Fraction(4, 5), 0))
-    x = [Poly.variable(i) for i in range(4)]
+    x = [variable(i) for i in range(4)]
     u = RationalForm(1, {(1,): ScalarField(x[0] * x[0], 1) * Fraction(5, 3),
                          (2,): ScalarField(x[1] * x[1] + x[2] * x[2] + x[3] * x[3], 1)
                          * Fraction(5, 4)})
@@ -222,7 +228,7 @@ def test_wedge_divides_out_phi_of_one_product():
 
 def test_exterior_d_divides_out_phi_at_the_top():
     # d_0(x0 x1/phi) - d_1(x0^2/phi) = (x1 phi - 2 x0^2 x1 + 2 x0^2 x1)/phi^2
-    x = [Poly.variable(i) for i in range(4)]
+    x = [variable(i) for i in range(4)]
     a = RationalForm(1, {(0,): ScalarField(x[0] * x[0], 1), (1,): ScalarField(x[0] * x[1], 1)})
     da = exterior_d(a)
     assert da.coeffs[(0, 1)] == ScalarField(x[1], 1) and da.coeffs[(0, 1)].k == 1
@@ -233,7 +239,7 @@ def test_dd_is_exactly_zero():
     # a = x0 dx1 - x1 dx0, built with phi in and out, so d a = 2 dx0^dx1 only
     # once phi is divided out of the wedge and of d; d d a = 0 holds for any
     # representative, so d a is pinned too
-    x = [Poly.variable(i) for i in range(4)]
+    x = [variable(i) for i in range(4)]
     a = wedge(RationalForm.function(ScalarField.phi()),
               RationalForm(1, {(0,): ScalarField(-x[1], 1), (1,): ScalarField(x[0], 1)}))
     da = exterior_d(a)

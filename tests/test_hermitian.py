@@ -26,6 +26,17 @@ from hkt4.hermitian import (
 from hkt4.hopf import build_hopf
 from hkt4.quaternions import AxisTriple, HypercomplexFrame, mat_mul, mat_transpose
 
+
+def is_hkt(rep):
+    """The three Bismut torsions of the frame coincide."""
+    return all(d.is_zero() for d in rep.torsion_differences)
+
+
+def variable(i):
+    """The coordinate x_i as a polynomial."""
+    return Poly({tuple(int(j == i) for j in range(4)): 1})
+
+
 LEFT = HypercomplexFrame.left()
 RIGHT = HypercomplexFrame.right()
 EUCLID = ConstantMetric.euclidean()
@@ -59,7 +70,7 @@ def test_hermitian_form_frozen_examples():
 def test_hermitian_form_normalization():
     for L in LEFT.matrices():
         w = hermitian_form(EUCLID, L)
-        assert wedge(w, w) == RationalForm.volume() * Fraction(2)
+        assert wedge(w, w) == RationalForm.basis((0, 1, 2, 3)) * Fraction(2)
 
 
 def test_hermitian_form_rejects_bad_metric():
@@ -87,7 +98,7 @@ def test_bismut_torsion_hopf_nonzero_closed():
     assert not rep.torsion_H.is_zero()
     assert rep.dH.is_zero()
     # torsion of a conformally flat metric: frozen hand expansion
-    x = [ScalarField(Poly.variable(i), 1) for i in range(4)]  # x_i / phi
+    x = [ScalarField(variable(i), 1) for i in range(4)]  # x_i / phi
     expected = RationalForm(3, {
         (0, 1, 2): x[3] * ScalarField(Poly.const(8), 1),
         (0, 1, 3): x[2] * ScalarField(Poly.const(-8), 1),
@@ -101,7 +112,7 @@ def test_torsion_convention_T_equals_minus_H():
     # the ledger's T / H = -1: T = L(d omega_L) is -d^c_L omega_L for every
     # L-Hermitian metric, since L omega_L = omega_L
     geo = build_hopf(2)
-    x0 = Poly.variable(0)
+    x0 = variable(0)
     tampered = ConformalMetric(ScalarField(Poly.const(4) + x0 * x0 * 4, 1), EUCLID)
     axes = (AxisTriple(Fraction(3, 5), Fraction(4, 5), 0),
             AxisTriple(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
@@ -134,15 +145,15 @@ def test_gauduchon_defect_flat_and_hopf():
 def test_gauduchon_defect_generic_conformal_factor():
     # (1 + x0^2) * euclidean breaks the condition; frozen expansion gives
     # d d^c w = 2 dx0123
-    factor = ScalarField(Poly.const(1) + Poly.variable(0) * Poly.variable(0), 0)
+    factor = ScalarField(Poly.const(1) + variable(0) * variable(0), 0)
     g = ConformalMetric(factor, EUCLID)
     defect = gauduchon_defect(g, LEFT.I)
-    assert defect == RationalForm.volume() * Fraction(2)
+    assert defect == RationalForm.basis((0, 1, 2, 3)) * Fraction(2)
 
 
 def test_hkt_report_flat_is_hyperkahler():
     rep = hkt_report(EUCLID, LEFT)
-    assert rep.hkt and rep.strong and rep.hyperkahler
+    assert is_hkt(rep) and rep.strong and rep.hyperkahler
     assert rep.del_Omega.is_zero()
     # Omega = w_J + i w_K is dz1 ^ dz2
     half = QI(1)
@@ -155,7 +166,7 @@ def test_hkt_report_flat_is_hyperkahler():
 
 def test_hkt_report_hopf():
     rep = hkt_report(hopf_metric(), LEFT)
-    assert rep.hkt and rep.strong
+    assert is_hkt(rep) and rep.strong
     assert not rep.hyperkahler
 
 
@@ -173,10 +184,10 @@ def test_hkt_report_del_omega_vanishes_even_for_odd_metrics():
 def test_hkt_report_conformal_non_gauduchon():
     # a conformal rescaling of a hyperhermitian metric stays HKT on the
     # 4-chart (no (3,0) forms), but a generic factor breaks strong-ness
-    factor = ScalarField(Poly.const(1) + Poly.variable(0) * Poly.variable(0), 0)
+    factor = ScalarField(Poly.const(1) + variable(0) * variable(0), 0)
     g = ConformalMetric(factor, EUCLID)
     rep = hkt_report(g, LEFT)
-    assert rep.hkt           # the three torsion forms still coincide
+    assert is_hkt(rep)       # the three torsion forms still coincide
     assert not rep.strong    # dH = 2 dx0123 != 0
     assert not rep.hyperkahler
     assert rep.del_Omega.is_zero()

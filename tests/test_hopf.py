@@ -22,6 +22,11 @@ from hkt4.hopf import (
 from hkt4.quaternions import AxisTriple
 
 
+def variable(i):
+    """The coordinate x_i as a polynomial."""
+    return Poly({tuple(int(j == i) for j in range(4)): 1})
+
+
 def all_pass(checks):
     return all(c.status == "pass" for c in checks)
 
@@ -177,7 +182,7 @@ CHECKS_44_GAUDUCHON = (
 def _tampered_metric(geo):
     # (4 + 4 x0^2) / phi: still Hermitian for all six structures, but no
     # longer strong or Gauduchon
-    x0 = Poly.variable(0)
+    x0 = variable(0)
     factor = ScalarField(Poly.const(4) + x0 * x0 * 4, 1)
     return dataclasses.replace(geo, metric=ConformalMetric(factor, geo.metric.base))
 

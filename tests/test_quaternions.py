@@ -15,13 +15,16 @@ from hkt4.quaternions import (
     mat_mul,
     mat_neg,
     structure_matrix,
-    verify_frame,
 )
 
 I1 = Quaternion.unit("1")
 Ii = Quaternion.unit("i")
 Ij = Quaternion.unit("j")
 Ik = Quaternion.unit("k")
+
+
+def norm_sq(p):
+    return sum(c * c for c in p.coords())
 
 
 def rand_quat(rng):
@@ -43,7 +46,7 @@ def test_norm_multiplicativity_and_associativity():
     rng = random.Random(11)
     for _ in range(40):
         p, q, r = rand_quat(rng), rand_quat(rng), rand_quat(rng)
-        assert (p * q).norm_sq() == p.norm_sq() * q.norm_sq()
+        assert norm_sq(p * q) == norm_sq(p) * norm_sq(q)
         assert (p * q) * r == p * (q * r)
 
 
@@ -171,12 +174,9 @@ def test_left_and_right_actions_commute():
 def test_verify_frame():
     left = HypercomplexFrame.left()
     right = HypercomplexFrame.right()
-    assert verify_frame(left).passed
-    assert verify_frame(right).passed
+    assert left.failures == right.failures == ()
     broken = HypercomplexFrame("left", left.I, left.J, mat_neg(left.K))
-    rep = verify_frame(broken)
-    assert not rep.passed
-    assert "IJ = K" in rep.failures and "JI = -K" in rep.failures
+    assert broken.failures == ("IJ = K", "JI = -K")
 
 
 def test_frame_span_structure():
@@ -216,12 +216,8 @@ def test_frames_are_shared_and_verified_once(monkeypatch):
     assert independence_rank(left, right) == 6
     calls = []
     monkeypatch.setattr(quaternions, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
-    assert independence_rank(left, right) == 6 and verify_frame(left).passed
+    assert independence_rank(left, right) == 6 and left.failures == ()
     assert not calls
-    # each report is a fresh object over the immutable verdict
-    rep = verify_frame(left)
-    rep.failures.append("tampered")
-    assert verify_frame(left).passed and left.failures == ()
     # a tampered copy of a verified frame is checked afresh, and fails
     minus_k = dataclasses.replace(right, K=mat_neg(right.K))
     with pytest.raises(ValueError, match="right frame fails identities"):

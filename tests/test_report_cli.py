@@ -160,6 +160,21 @@ class TestCli:
         assert result.stderr == "Error: internal error: RuntimeError: suite broke\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("command,suite", [("moduli", "moduli_suite"),
+                                               ("report", "full_report")])
+    def test_out_of_memory_names_grid_and_rank(self, monkeypatch, command, suite):
+        from hkt4 import suites
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 243. MiB")
+
+        monkeypatch.setattr(suites, suite, out_of_memory)
+        result = self.runner.invoke(main, [command, "--grid", "24", "--rank", "3"])
+        assert result.exit_code == 3
+        assert result.stderr == ("Error: internal error: MemoryError: out of memory at "
+                                 "grid 24, rank 3: Unable to allocate 243. MiB\n")
+        assert result.stdout == ""
+
     def test_verify_hopf_passes(self):
         result = self.runner.invoke(main, ["verify-hopf", "--q", "2"])
         assert result.exit_code == 0
