@@ -14,8 +14,13 @@ Products and sums are Python integer operations; no Fraction is built.
 A field P / phi^k is canonical when phi does not divide P for k > 0. phi is
 a quadratic form of rank 4, hence irreducible and so prime in the unique
 factorisation domain Q(i)[x0..x3]. Every sum, difference, product and partial
-is one canonical sum (``_fuse``): sum_j c_j T_j / phi^(k_j) over nonzero
-constants c_j has numerator sum_j c_j T_j phi^(k - k_j) over the largest k.
+is one canonical sum: sum_j c_j T_j / phi^(k_j) over nonzero constants c_j
+has numerator sum_j c_j T_j phi^(k - k_j) over the largest k. The kernels
+``_lincomb``, ``_dsum`` and ``_prodsum`` walk the terms once: each term,
+scaled by c_j and its share of the common denominator, is written into one
+dict of pairs as it is computed, and only a term below the largest k is
+built on its own and lifted by phi^(k - k_j) (``_lift_into``). The dict is
+normalised once, by ``Poly._make``. A zero constant or field adds no term.
 A term is a field's numerator P; a product PQ of canonical P / phi^a and
 Q / phi^b over phi^(a+b), where phi divides neither factor when a, b > 0; or
 a partial d_i (P / phi^a), whose numerator d_i P phi - 2a x_i P over
@@ -49,9 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
-from operator import index, or_
+from operator import index
 from typing import Dict, Mapping, Optional, Tuple
 
 
@@ -179,11 +182,12 @@ def _mono_divides(a: Monomial, b: Monomial) -> bool:
     return (b | _GUARD) - a & _GUARD == _GUARD
 
 
-def _mul_terms(p: Terms, q: Terms) -> Terms:
-    """The pairs of the product of two numerators, not normalised."""
-    out: Terms = {}
+def _mul_into(out: Terms, p: Terms, q: Terms, s: int = 1) -> Terms:
+    """Adds s times the pairs of the product of two numerators to ``out``,
+    not normalised; returns ``out``."""
     get = out.get
     for pm, (a, b) in p.items():
+        a, b = a * s, b * s
         for qm, (x, y) in q.items():
             m = pm + qm
             re, im = a * x - b * y, a * y + b * x
@@ -192,29 +196,31 @@ def _mul_terms(p: Terms, q: Terms) -> Terms:
     return out
 
 
-def _partial_terms(p: Terms, k: int, i: int) -> Terms:
-    """The pairs, not normalised and over p's denominator, of the numerator
-    of d_i (P / phi^k): d_i P for k = 0, else d_i P phi - 2k x_i P over
-    phi^(k+1), gathered in one pass as e x^(m-e_i) phi - 2k x_i x^m for each
-    term x^m of P with e = m_i."""
-    out: Terms = {}
+def _partial_into(out: Terms, p: Terms, k: int, i: int, s: int = 1) -> Terms:
+    """Adds s times the pairs, over p's denominator, of the numerator of
+    d_i (P / phi^k) to ``out``, not normalised; returns ``out``. That
+    numerator is d_i P for k = 0, else d_i P phi - 2k x_i P over phi^(k+1),
+    gathered in one pass as e x^(m-e_i) phi - 2k x_i x^m for each term x^m
+    of P with e = m_i."""
     get = out.get
-    lift, u = (_PHI_EXPONENTS, -2 * k) if k else ((0,), 0)
+    lift, u = (_PHI_EXPONENTS, -2 * k * s) if k else ((0,), 0)
     shift = _SHIFTS[i]
     one = 1 << shift
     for m, (a, b) in p.items():
         e = m >> shift & 0xFFFF
         if e:
-            ea, eb = e * a, e * b
+            es = e * s
+            ea, eb = es * a, es * b
             n = m - one
-            for s in lift:
-                t = n + s
+            for t in lift:
+                t += n
                 c = get(t)
                 out[t] = (ea, eb) if c is None else (c[0] + ea, c[1] + eb)
         if u:
             t = m + one
+            ua, ub = u * a, u * b
             c = get(t)
-            out[t] = (u * a, u * b) if c is None else (c[0] + u * a, c[1] + u * b)
+            out[t] = (ua, ub) if c is None else (c[0] + ua, c[1] + ub)
     return out
 
 
@@ -233,21 +239,25 @@ class Poly:
 
     @staticmethod
     def _make(terms: Terms, den: int) -> "Poly":
-        """terms / den, brought to normal form; ValueError if an exponent
-        reached 2^15, which sets its field's guard bit."""
-        if reduce(or_, terms, 0) & _GUARD:
+        """terms / den, den > 0, brought to normal form in one pass that
+        drops zero pairs, collects the guard bits and takes the content gcd
+        (den itself when no pair is left); ValueError if an exponent reached
+        2^15, which sets its field's guard bit."""
+        out: Terms = {}
+        seen, g, gcd = 0, den, math.gcd
+        for m, c in terms.items():
+            seen |= m
+            a, b = c
+            if a or b:
+                out[m] = c
+                if g != 1:
+                    g = gcd(g, a, b)
+        if seen & _GUARD:
             raise ValueError("a monomial exponent reached 2^15")
-        terms = {m: c for m, c in terms.items() if c[0] or c[1]}
-        if not terms:
-            den = 1
-        elif den != 1:
-            g = math.gcd(den, *chain.from_iterable(terms.values()))
-            if den < 0:
-                g = -g
-            if g != 1:
-                terms = {m: (a // g, b // g) for m, (a, b) in terms.items()}
-                den //= g
-        return Poly._raw(terms, den)
+        if g != 1:
+            out = {m: (a // g, b // g) for m, (a, b) in out.items()}
+            den //= g
+        return Poly._raw(out, den)
 
     @staticmethod
     def _raw(terms: Terms, den: int) -> "Poly":
@@ -313,7 +323,7 @@ class Poly:
             return Poly._make({m: (a * x - b * y, a * y + b * x)
                                for m, (a, b) in self.terms.items()}, self.den * d)
         o = Poly.coerce(other)
-        return Poly._make(_mul_terms(self.terms, o.terms), self.den * o.den)
+        return Poly._make(_mul_into({}, self.terms, o.terms), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -572,40 +582,16 @@ class ScalarField:
         return f"({self.num!r}) / phi^{self.k}"
 
 
-def _fuse(parts) -> ScalarField:
-    """The canonical sum of the list ``parts`` of (x, y, d, terms, k, loose),
-    each (x + y sqrt(-1)) / d, in integers with d > 0, times the nonzero
-    Gaussian-integer pairs ``terms`` over phi^k; phi may divide ``terms`` only
-    if ``loose``. The pairs are lifted to the largest k, accumulated over one
-    common denominator and normalised once; phi is divided out only where the
-    module docstring says it can divide."""
-    if not parts:
-        return ScalarField._canonical(Poly._raw({}, 1), 0)
-    k = max(p[4] for p in parts)
-    den = math.lcm(*[p[2] for p in parts])
-    out: Terms = {}
+def _lift_into(out: Terms, terms: Terms, n: int, x: int, y: int) -> None:
+    """Adds (x + y sqrt(-1)) phi^n times the pairs ``terms`` to ``out``."""
     get = out.get
-    top, loose = 0, False
-    for x, y, d, terms, j, flag in parts:
-        s = den // d
-        x, y = x * s, y * s
-        if j == k:
-            top += 1
-            loose = loose or flag
-            for m, (a, b) in terms.items():
-                re, im = a * x - b * y, a * y + b * x
-                v = get(m)
-                out[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
-            continue
-        lift = _phi_pow(k - j).terms
-        for pm, (a, b) in terms.items():
-            re, im = a * x - b * y, a * y + b * x
-            for qm, (c, _) in lift.items():
-                m = pm + qm
-                v = get(m)
-                out[m] = (re * c, im * c) if v is None else (v[0] + re * c, v[1] + im * c)
-    num = Poly._make(out, den)
-    return (ScalarField if k and (top > 1 or loose) else ScalarField._canonical)(num, k)
+    lift = _phi_pow(n).terms
+    for pm, (a, b) in terms.items():
+        re, im = a * x - b * y, a * y + b * x
+        for qm, (c, _) in lift.items():
+            m = pm + qm
+            v = get(m)
+            out[m] = (re * c, im * c) if v is None else (v[0] + re * c, v[1] + im * c)
 
 
 def _lincomb(terms) -> ScalarField:
@@ -614,19 +600,73 @@ def _lincomb(terms) -> ScalarField:
     a zero c or f adds nothing."""
     if len(terms) == 1 and terms[0][1:3] == (0, 1) and terms[0][0] in (1, -1):
         return terms[0][3] if terms[0][0] == 1 else -terms[0][3]
-    return _fuse([(x, y, d * f.num.den, f.num.terms, f.k, False) for x, y, d, f in terms])
+    parts, k, den = [], 0, 1
+    for t in terms:
+        f = t[3]
+        if (t[0] or t[1]) and f.num.terms:
+            parts.append(t)
+            k = f.k if f.k > k else k
+            den = math.lcm(den, t[2] * f.num.den)
+    out: Terms = {}
+    get = out.get
+    top = 0
+    for x, y, d, f in parts:
+        s = den // (d * f.num.den)
+        x, y = x * s, y * s
+        if f.k < k:
+            _lift_into(out, f.num.terms, k - f.k, x, y)
+            continue
+        top += 1
+        for m, (a, b) in f.num.terms.items():
+            re, im = a * x - b * y, a * y + b * x
+            v = get(m)
+            out[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
+    return (ScalarField if k and top > 1 else ScalarField._canonical)(Poly._make(out, den), k)
 
 
 def _dsum(terms) -> ScalarField:
     """The canonical sum of sign d_mu f over the list ``terms`` of
-    (sign, mu, f), sign = +-1: each partial is canonical as computed."""
-    parts = [(sign, 0, f.num.den, _partial_terms(f.num.terms, f.k, mu),
-              f.k + 1 if f.k else 0, False) for sign, mu, f in terms]
-    return _fuse([p for p in parts if p[3]])
+    (sign, mu, f), sign = +-1: each partial is canonical as computed, over
+    phi^(k+1) for f over phi^k with k > 0."""
+    parts, k, den = [], 0, 1
+    for sign, mu, f in terms:
+        if f.num.terms:
+            j = f.k + 1 if f.k else 0
+            parts.append((sign, mu, f, j))
+            k = j if j > k else k
+            den = math.lcm(den, f.num.den)
+    out: Terms = {}
+    top = 0
+    for sign, mu, f, j in parts:
+        s = sign * (den // f.num.den)
+        if j < k:
+            _lift_into(out, _partial_into({}, f.num.terms, f.k, mu), k - j, s, 0)
+        else:
+            top += 1
+            _partial_into(out, f.num.terms, f.k, mu, s)
+    return (ScalarField if k and top > 1 else ScalarField._canonical)(Poly._make(out, den), k)
 
 
 def _prodsum(terms) -> ScalarField:
     """The canonical sum of sign f g over the list ``terms`` of (sign, f, g),
-    sign = +-1: a product is loose when f or g has k = 0, as a zero field has."""
-    return _fuse([(sign, 0, f.num.den * g.num.den, _mul_terms(f.num.terms, g.num.terms),
-                   f.k + g.k, not (f.k and g.k)) for sign, f, g in terms])
+    sign = +-1: a product is loose, phi may divide it, when f or g has
+    k = 0."""
+    parts, k, den = [], 0, 1
+    for sign, f, g in terms:
+        if f.num.terms and g.num.terms:
+            j = f.k + g.k
+            parts.append((sign, f, g, j))
+            k = j if j > k else k
+            den = math.lcm(den, f.num.den * g.num.den)
+    out: Terms = {}
+    top, loose = 0, False
+    for sign, f, g, j in parts:
+        s = sign * (den // (f.num.den * g.num.den))
+        if j < k:
+            _lift_into(out, _mul_into({}, f.num.terms, g.num.terms), k - j, s, 0)
+        else:
+            top += 1
+            loose = loose or not (f.k and g.k)
+            _mul_into(out, f.num.terms, g.num.terms, s)
+    return (ScalarField if k and (top > 1 or loose) else ScalarField._canonical)(
+        Poly._make(out, den), k)

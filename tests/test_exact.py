@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkt4.exact import EXP_LIMIT, PHI, Poly, QI, ScalarField, _phi_quotient, _unpack
+from hkt4.exact import (EXP_LIMIT, PHI, Poly, QI, ScalarField, _dsum, _phi_quotient, _prodsum,
+                        _unpack)
 
 
 def variable(i):
@@ -181,3 +182,24 @@ def test_exponent_overflow_raises_instead_of_carrying():
     wide = Poly({tuple(np.array([EXP_LIMIT // 2, 0, 0, 0])): QI(1)})
     with pytest.raises(ValueError):
         wide * wide
+
+
+def test_exponent_overflow_raises_on_the_fused_paths():
+    """A product or partial written into a canonical sum, at the top phi
+    power or lifted to it, raises as Poly.__mul__ does."""
+    top = EXP_LIMIT - 1
+    inv_phi = ScalarField.inv_phi()
+    x3 = ScalarField(variable(3), 0)
+    g = ScalarField(Poly({(0, 0, 0, top): QI(1)}), 0)
+    h = ScalarField(Poly({(0, 0, 0, top - 1): QI(1)}), 0)
+    with pytest.raises(ValueError):
+        _prodsum([(1, g * inv_phi, x3), (1, inv_phi, x3)])  # x3^(2^15) / phi
+    assert _prodsum([(1, h, x3)]) == g  # x3^(2^15 - 1) alone fits
+    with pytest.raises(ValueError):
+        _prodsum([(1, h, x3), (-1, inv_phi, inv_phi)])  # lifted by phi^2: x3^4 x3^(2^15 - 1)
+    f = ScalarField(Poly({(0, top, 0, 0): QI(1)}), 0)
+    assert _dsum([(1, 1, f)]) == ScalarField(Poly({(0, top - 1, 0, 0): QI(top)}), 0)
+    with pytest.raises(ValueError):
+        _dsum([(1, 1, f * inv_phi), (1, 0, inv_phi)])  # -2 x1 x1^(2^15 - 1) / phi^2
+    with pytest.raises(ValueError):
+        _dsum([(1, 1, f), (1, 0, inv_phi)])  # lifted by phi^2: x1^4 x1^(2^15 - 2)

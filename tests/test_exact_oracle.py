@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hkt4.exact import PHI, Poly, QI, ScalarField, _phi_quotient
-from hkt4.forms import DegreeError, RationalForm, wedge, wedge_sum
+from hkt4.exact import PHI, Poly, QI, ScalarField, _lincomb, _phi_quotient
+from hkt4.forms import DegreeError, RationalForm, exterior_d, wedge, wedge_sum
 from hkt4.hopf import build_hopf
 from hkt4.quaternions import HypercomplexFrame
 
@@ -325,6 +325,70 @@ def test_operations_keep_num_coprime_to_phi(f, g, i):
     for h in (f + g, f * g, f.partial(i)):
         if h.k > 0:
             assert not phi_divides(h.num)
+
+
+# A polynomial coefficient (k = 0) next to coefficients over phi: where
+# their partials meet in d, the polynomial's partial sits below the top phi
+# power and is lifted, the others are written at the top (two of them at
+# the 1-form's (1, 2), which calls for a reduction). Only those sums are
+# checked, and every numerator is one term: with two-term numerators
+# SymPy's cancel over Q(i) took about 0.1 s per sum and this test 20 s. A
+# single partial is test_partial_matches_sympy's.
+one_term_polys = st.builds(lambda m, c: Poly({m: c}), monomials, gaussian.filter(bool))
+over_phi = st.builds(ScalarField, one_term_polys, st.just(1))
+
+
+def _monomial_field(exponents, k):
+    return ScalarField(Poly({exponents: 1}), k)
+
+
+@ORACLE
+@given(one_term_polys.filter(lambda p: not p.is_constant()), over_phi, over_phi)
+# (x1^2 dx1 + x1 x2 dx2) / phi: the two partials at phi^2 in the (1, 2)
+# coefficient sum to x2 phi / phi^2, which the reduction takes to x2 / phi
+@example(Poly({(1, 0, 0, 0): 1}), _monomial_field((0, 2, 0, 0), 1),
+         _monomial_field((0, 1, 1, 0), 1))
+def test_d_of_mixed_k_forms_matches_sympy(p, f, g):
+    for a, meets in ((RationalForm(1, {(0,): ScalarField(p), (1,): f, (2,): g}),
+                      [(0, 1), (0, 2), (1, 2)]),
+                     (RationalForm(2, {(0, 1): ScalarField(p), (0, 2): f}), [(0, 1, 2)])):
+        da, exprs = exterior_d(a), form_sym(a)
+        assert all(not c.is_zero() for c in da.coeffs.values())
+        for t in meets:
+            # sym_d's coefficient, unexpanded: expanded sums cancel far slower
+            expr = sum(sign * sp.diff(exprs[s], X[mu])
+                       for mu in range(4) for s in exprs
+                       for merged, sign in [_merge((mu,), s)] if merged == t)
+            assert_canonical(da.coeffs.get(t, ScalarField.const(0)), expr)
+
+
+def lincomb_sym(terms):
+    return sum(((x + sp.I * y) / d * field_sym(f) for x, y, d, f in terms), sp.S.Zero)
+
+
+# (x, y, d): the constant (x + y sqrt(-1)) / d, zero among them
+constants = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
+lincomb_terms = st.lists(st.builds(lambda c, f: (*c, f), constants, fields()),
+                         min_size=1, max_size=4)
+
+
+@ORACLE
+@given(lincomb_terms, st.sampled_from([1, -1]))
+def test_lincomb_of_mixed_k_fields_matches_sympy(terms, sign):
+    assert_canonical(_lincomb(terms), lincomb_sym(terms))
+    f = terms[0][3]
+    assert _lincomb([(sign, 0, 1, f)]) == (f if sign == 1 else -f)  # the single-term path
+    assert_canonical(_lincomb([(sign, 0, 1, f)]), sign * field_sym(f))
+    assert _lincomb(terms + [(-x, -y, d, f) for x, y, d, f in terms]).is_zero()
+
+
+def test_lincomb_with_a_zero_constant_at_the_top_phi_power():
+    # the zero term over phi^3 adds nothing: the sum stays over phi, not a
+    # numerator phi^2 over phi^3
+    terms = [(0, 0, 1, ScalarField.inv_phi(3)), (2, 1, 3, ScalarField.inv_phi())]
+    total = _lincomb(terms)
+    assert_canonical(total, lincomb_sym(terms))
+    assert total.k == 1
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,16 @@ def test_real_valued_constant_matrices_are_stored_real():
     assert np.iscomplexobj(pq_matrix(LEFT.I, 1, 0, 1))
 
 
+def test_slice_matrix_is_bit_identical_for_the_six_frame_structures():
+    # Lambda d^c_L is d^* on flat 1-forms for every structure, so the slice
+    # operator does not depend on L: the J and K cuts of
+    # moduli.slice-same-for-IJK repeat I's
+    structures = LEFT.matrices() + HypercomplexFrame.right().matrices()
+    assert len(set(structures)) == 6
+    for L in structures[1:]:
+        assert np.array_equal(slice_matrix(L), slice_matrix(structures[0]))
+
+
 @pytest.mark.parametrize("N", [3, 4, 5])
 @pytest.mark.parametrize("n", [2, 3])
 def test_real_matrix_product_is_bit_identical_to_the_complex_one(N, n):
