@@ -52,7 +52,6 @@ from .lattice import LatticeField, l2_inner
 from .moduli import (
     Connection,
     TangentBasis,
-    TorusSpec,
     asd_residual,
     coulomb_identity_defect,
     curvature,

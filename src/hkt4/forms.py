@@ -377,7 +377,8 @@ def _fraction_sqrt(v: Fraction) -> Fraction:
 
 class ConstantMetric:
     """Symmetric positive-definite 4x4 matrix of exact rationals, with the
-    table of all its minors (``_all_minors``)."""
+    table of all its minors (``_all_minors``); ``euclidean()`` returns one
+    shared instance."""
 
     __slots__ = ("matrix", "minors", "_star")
 
@@ -397,6 +398,7 @@ class ConstantMetric:
         self._star = None
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def euclidean() -> "ConstantMetric":
         return ConstantMetric(IDENTITY)
 

@@ -44,9 +44,10 @@ class HopfSpec:
 @dataclass
 class HopfGeometry:
     """Chart data built from the potential phi = r^2: the six forms
-    w_L = d d^c_L phi * s, the metric read off w_I+(., I+.), and the torsion
-    3-forms of both frames. ``spec`` is None for the flat control, which has
-    no quotient. Nothing is checked here; the verifiers below report."""
+    w_L = d d^c_L phi * s and the metric read off w_I+(., I+.). The torsion
+    reports, T+-, and the six metric matrices are derived from these on first
+    use. ``spec`` is None for the flat control, which has no quotient.
+    Nothing is checked here; the verifiers below report."""
 
     spec: Optional[HopfSpec]
     phi: ScalarField
@@ -55,8 +56,6 @@ class HopfGeometry:
     structures: Dict[str, Matrix]
     omegas: Dict[str, RationalForm]
     metric: ConformalMetric
-    H_plus: RationalForm
-    H_minus: RationalForm
 
     @property
     def q(self) -> Fraction:
@@ -69,21 +68,39 @@ class HopfGeometry:
         return {L: bismut_torsion(self.metric, L) for L in {
             *self.structures.values(), *self.left.matrices(), *self.right.matrices()}}
 
+    @property
+    def H_plus(self) -> RationalForm:
+        """T+ = d^c_I+ w_I+, the Bismut torsion of ``metric`` for I+."""
+        return self.torsions[self.left.I].torsion_H
+
+    @property
+    def H_minus(self) -> RationalForm:
+        """T- = d^c_I- w_I-, the Bismut torsion of ``metric`` for I-."""
+        return self.torsions[self.right.I].torsion_H
+
+    @cached_property
+    def metric_matrices(self) -> Dict[str, tuple]:
+        """The bilinear form w_L(., L.) of each named structure, computed on
+        first use."""
+        return {name: metric_from_form(self.omegas[name], L)
+                for name, L in self.structures.items()}
+
+
+def _potential_form(L: Matrix, phi: ScalarField, scale) -> RationalForm:
+    """w_L = d d^c_L phi * scale."""
+    return exterior_d(twisted_d(L, RationalForm.function(phi))) * scale
+
 
 def _build(spec: Optional[HopfSpec], scale: ScalarField | Fraction) -> HopfGeometry:
     phi = ScalarField.phi()
     left = HypercomplexFrame.left()
     right = HypercomplexFrame.right()
     structures = dict(zip(STRUCTURE_NAMES, (*left.matrices(), *right.matrices())))
-    phi_form = RationalForm.function(phi)
-    omegas = {name: exterior_d(twisted_d(L, phi_form)) * scale
-              for name, L in structures.items()}
+    omegas = {name: _potential_form(L, phi, scale) for name, L in structures.items()}
     factor = metric_from_form(omegas["I+"], structures["I+"])[0][0]
     metric = ConformalMetric(factor, ConstantMetric.euclidean())
     return HopfGeometry(spec=spec, phi=phi, left=left, right=right,
-                        structures=structures, omegas=omegas, metric=metric,
-                        H_plus=twisted_d(structures["I+"], omegas["I+"]),
-                        H_minus=twisted_d(structures["I-"], omegas["I-"]))
+                        structures=structures, omegas=omegas, metric=metric)
 
 
 def build_hopf(spec: HopfSpec | Fraction | int) -> HopfGeometry:
@@ -140,8 +157,8 @@ def verify_44(geo: HopfGeometry) -> List[CheckResult]:
         rec.checks += verify_strong_hkt(geo, side)
     rec.exact("hopf.torsion-opposition", geo.H_plus + geo.H_minus,
               "T+ = -T-")
-    rec.exact("hopf.torsion-plus-closed", exterior_d(geo.H_plus), "dT+ = 0")
-    rec.exact("hopf.torsion-minus-closed", exterior_d(geo.H_minus), "dT- = 0")
+    rec.exact("hopf.torsion-plus-closed", reports[geo.left.I].dH, "dT+ = 0")
+    rec.exact("hopf.torsion-minus-closed", reports[geo.right.I].dH, "dT- = 0")
     rank = independence_rank(geo.left, geo.right)
     rec.add("hopf.frame-independence", rank == 6,
             EXACT_ZERO if rank == 6 else float(6 - rank),
@@ -185,8 +202,7 @@ def verify_common_metric(geo: HopfGeometry) -> List[CheckResult]:
     common one is conformally Euclidean with the factor of ``geo.metric``,
     and that each w_L is the Hermitian form g(L., .) of that metric."""
     rec = CheckRecorder()
-    mats = {name: metric_from_form(geo.omegas[name], geo.structures[name])
-            for name in STRUCTURE_NAMES}
+    mats = geo.metric_matrices
     base = mats["I+"]
     for name in STRUCTURE_NAMES[1:]:
         ok = mats[name] == base
@@ -218,12 +234,11 @@ def verify_axis_family(geo: HopfGeometry, axes) -> List[CheckResult]:
     """Spot check: structures a I+ + b J+ + c K+ on rational unit axes give
     the same metric and the same torsion 3-form."""
     rec = CheckRecorder()
-    phi_form = RationalForm.function(geo.phi)
     inv_phi = ScalarField.inv_phi()
-    reference = metric_from_form(geo.omegas["I+"], geo.structures["I+"])
+    reference = geo.metric_matrices["I+"]
     for axis in axes:
         L = geo.left.span_structure(axis)
-        omega = exterior_d(twisted_d(L, phi_form)) * inv_phi
+        omega = _potential_form(L, geo.phi, inv_phi)
         label = f"({axis[0]},{axis[1]},{axis[2]})" if not hasattr(axis, "a") \
             else f"({axis.a},{axis.b},{axis.c})"
         same_metric = metric_from_form(omega, L) == reference

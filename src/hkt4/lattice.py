@@ -31,6 +31,7 @@ import numpy as np
 
 from .forms import (
     DC_SIGN,
+    _ALL_TUPLES as TUPLES,
     _MERGE,
     ConstantMetric,
     RationalForm,
@@ -40,8 +41,6 @@ from .forms import (
     structure_action,
 )
 from .quaternions import Matrix
-
-TUPLES = {m: tuple(itertools.combinations(range(4), m)) for m in range(5)}
 
 
 _EUCLID = ConstantMetric.euclidean()

@@ -12,7 +12,7 @@ block's singular values; a dense null space covers other connections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,22 +40,6 @@ from .lattice import (
     wedge_pairing,
 )
 from .quaternions import HypercomplexFrame, Matrix
-
-
-@dataclass(frozen=True)
-class TorusSpec:
-    """Flat-torus lattice problem: N^4 grid, trivial rank-n bundle with the
-    standard Hermitian metric, constant hypercomplex frame."""
-
-    N: int
-    n: int
-    frame: HypercomplexFrame = field(default_factory=HypercomplexFrame.left)
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValueError("grid size must be >= 3")
-        if self.n < 2:
-            raise ValueError("bundle rank must be >= 2")
 
 
 @dataclass

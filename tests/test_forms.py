@@ -21,7 +21,7 @@ from hkt4.forms import (
     twisted_d,
     wedge,
 )
-from hkt4.quaternions import HypercomplexFrame
+from hkt4.quaternions import IDENTITY, HypercomplexFrame
 
 
 def variable(i):
@@ -158,6 +158,15 @@ def test_structure_action_rejects_non_acs():
 def test_constant_metric_rejects_with_its_messages(matrix, message):
     with pytest.raises(ValueError, match=rf"^metric must be {message}$"):
         ConstantMetric(matrix)
+
+
+def test_euclidean_metric_is_one_shared_instance():
+    # the shared instance fills its star columns lazily, as a fresh one does
+    shared = ConstantMetric.euclidean()
+    assert shared is ConstantMetric.euclidean()
+    fresh = ConstantMetric(IDENTITY)
+    for degree in range(5):
+        assert shared.star_columns(degree) == fresh.star_columns(degree)
 
 
 def test_twisted_d_on_function():

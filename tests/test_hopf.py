@@ -153,16 +153,19 @@ def test_axis_family(geo):
     assert all_pass(verify_axis_family(geo, axes))
 
 
-def test_tampered_frame_fails_44(geo):
-    # replacing the right frame by the left one breaks opposition and
-    # independence
-    fake = dataclasses.replace(geo, right=geo.left,
-                               H_minus=geo.H_plus,
+def _tampered_frame(geo):
+    # the right frame replaced by the left one
+    return dataclasses.replace(geo, right=geo.left,
                                structures={**geo.structures,
                                            "I-": geo.structures["I+"],
                                            "J-": geo.structures["J+"],
                                            "K-": geo.structures["K+"]})
-    checks = verify_44(fake)
+
+
+def test_tampered_frame_fails_44(geo):
+    # replacing the right frame by the left one breaks opposition and
+    # independence
+    checks = verify_44(_tampered_frame(geo))
     failed = {c.name for c in checks if c.status == "fail"}
     assert "hopf.torsion-opposition" in failed
     assert "hopf.frame-independence" in failed
@@ -199,7 +202,8 @@ def _tampered_structure(geo):
 # per structure must not change any status.
 @pytest.mark.parametrize("tamper, failing", [
     (_tampered_metric,
-     {"hopf.left.torsion-closed", "hopf.right.torsion-closed"}
+     {"hopf.left.torsion-closed", "hopf.right.torsion-closed",
+      "hopf.torsion-plus-closed", "hopf.torsion-minus-closed"}
      | {f"hopf.bihermitian.{p}{m}" for p in ("I+", "J+", "K+") for m in ("I-", "J-", "K-")}
      | {f"hopf.gauduchon.{name}" for name in ("I+", "J+", "K+", "I-", "J-", "K-")}),
     (_tampered_structure,
@@ -210,6 +214,49 @@ def test_shared_torsion_reports_keep_every_status(geo, tamper, failing):
     statuses = [(c.name, c.status) for c in verify_44(fake) + verify_gauduchon(fake)]
     assert statuses == [(name, "fail" if name in failing else "pass")
                         for name in CHECKS_44_GAUDUCHON]
+
+
+def _tampered_omega(omega_I_plus):
+    return lambda geo: dataclasses.replace(
+        geo, omegas={**geo.omegas, "I+": omega_I_plus(geo)})
+
+
+@pytest.mark.parametrize("tamper", [
+    _tampered_omega(lambda geo: geo.omegas["I+"] * geo.phi),
+    _tampered_omega(lambda geo: geo.omegas["J+"]),
+    _tampered_frame, _tampered_metric, _tampered_structure,
+], ids=["omega-times-phi", "omega-swapped", "frame", "metric-factor", "structure"])
+def test_torsion_closed_checks_agree_on_tampered_geometry(geo, tamper):
+    # T+- are the torsions of the frames' I, so dT+- = 0 has the verdict of
+    # each side's strong HKT check dH = 0
+    status = {c.name: c.status for c in verify_44(tamper(geo))}
+    assert status["hopf.torsion-plus-closed"] == status["hopf.left.torsion-closed"]
+    assert status["hopf.torsion-minus-closed"] == status["hopf.right.torsion-closed"]
+
+
+def test_hopf_suite_repeats_no_exact_work(geo, monkeypatch):
+    # each (L, form) is twisted once, and w_I+(., I+.) is read once by the
+    # builder and once for the six metric matrices
+    from hkt4 import forms, hermitian, hopf
+    from hkt4.suites import hopf_suite
+
+    I_plus = (geo.omegas["I+"], geo.structures["I+"])
+    twisted, metrics = [], []
+
+    def counted_twisted_d(L, a):
+        twisted.append((L, a))
+        return forms.twisted_d(L, a)
+
+    def counted_metric(omega, L):
+        metrics.append((omega, L))
+        return hermitian.metric_from_form(omega, L)
+
+    for module in (hopf, hermitian):
+        monkeypatch.setattr(module, "twisted_d", counted_twisted_d)
+    monkeypatch.setattr(hopf, "metric_from_form", counted_metric)
+    assert all_pass(hopf_suite(Fraction(2), seed=0))
+    assert len(set(twisted)) == len(twisted)
+    assert metrics.count(I_plus) <= 2
 
 
 def test_build_hopf_accepts_plain_rational():

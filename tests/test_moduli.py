@@ -34,7 +34,6 @@ from hkt4.lattice import (
 from hkt4.moduli import (
     Connection,
     FlowDiverged,
-    TorusSpec,
     asd_residual,
     coulomb_identity_defect,
     curvature,
@@ -134,11 +133,10 @@ def pauli_su2():
 
 
 def test_torus_spec_validation():
-    TorusSpec(3, 2)
-    with pytest.raises(ValueError):
-        TorusSpec(2, 2)
-    with pytest.raises(ValueError):
-        TorusSpec(4, 1)
+    with pytest.raises(ValueError, match="grid size must be >= 3"):
+        suites.moduli_suite(2, 2, 1e-10)
+    with pytest.raises(ValueError, match="bundle rank must be >= 2"):
+        suites.moduli_suite(4, 1, 1e-10)
 
 
 def test_curvature_zero_for_flat():
@@ -1029,8 +1027,9 @@ def test_r_factor_gives_the_gram_matrix_of_the_rows():
 def test_slice_defects_round_the_same_on_one_and_two_blas_threads():
     # the R factors sum over 4,096 and 65,536 sites per entry at N = 8 and
     # 16, long enough for a BLAS reduction to be split over threads
-    code = ("from hkt4.moduli import TorusSpec, Connection, horizontal_slice; "
-            "print([repr(horizontal_slice(Connection.flat(N, 2), TorusSpec(N, 2).frame.I, "
+    code = ("from hkt4.moduli import Connection, horizontal_slice; "
+            "from hkt4.quaternions import HypercomplexFrame; "
+            "print([repr(horizontal_slice(Connection.flat(N, 2), HypercomplexFrame.left().I, "
             "1e-10).slice_defects().tolist()) for N in (5, 8, 16)])")
     src = os.path.dirname(os.path.dirname(moduli.__file__))
     outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
