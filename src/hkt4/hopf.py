@@ -8,7 +8,7 @@ induce, and the torsion 3-forms of both frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional
@@ -55,7 +55,12 @@ class HopfGeometry:
     right: HypercomplexFrame
     structures: Dict[str, Matrix]
     omegas: Dict[str, RationalForm]
-    metric: ConformalMetric
+    metric: Optional[ConformalMetric] = None
+    _matrices: Dict[str, tuple] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.metric = self.metric or ConformalMetric(self.metric_matrix("I+")[0][0],
+                                                     ConstantMetric.euclidean())
 
     @property
     def q(self) -> Fraction:
@@ -78,12 +83,12 @@ class HopfGeometry:
         """T- = d^c_I- w_I-, the Bismut torsion of ``metric`` for I-."""
         return self.torsions[self.right.I].torsion_H
 
-    @cached_property
-    def metric_matrices(self) -> Dict[str, tuple]:
-        """The bilinear form w_L(., L.) of each named structure, computed on
-        first use."""
-        return {name: metric_from_form(self.omegas[name], L)
-                for name, L in self.structures.items()}
+    def metric_matrix(self, name: str) -> tuple:
+        """w_L(., L.) of the named structure, computed once per geometry; a
+        dataclasses.replace copy starts afresh from its own omegas."""
+        if name not in self._matrices:
+            self._matrices[name] = metric_from_form(self.omegas[name], self.structures[name])
+        return self._matrices[name]
 
 
 def _potential_form(L: Matrix, phi: ScalarField, scale) -> RationalForm:
@@ -97,10 +102,8 @@ def _build(spec: Optional[HopfSpec], scale: ScalarField | Fraction) -> HopfGeome
     right = HypercomplexFrame.right()
     structures = dict(zip(STRUCTURE_NAMES, (*left.matrices(), *right.matrices())))
     omegas = {name: _potential_form(L, phi, scale) for name, L in structures.items()}
-    factor = metric_from_form(omegas["I+"], structures["I+"])[0][0]
-    metric = ConformalMetric(factor, ConstantMetric.euclidean())
     return HopfGeometry(spec=spec, phi=phi, left=left, right=right,
-                        structures=structures, omegas=omegas, metric=metric)
+                        structures=structures, omegas=omegas)
 
 
 def build_hopf(spec: HopfSpec | Fraction | int) -> HopfGeometry:
@@ -202,10 +205,9 @@ def verify_common_metric(geo: HopfGeometry) -> List[CheckResult]:
     common one is conformally Euclidean with the factor of ``geo.metric``,
     and that each w_L is the Hermitian form g(L., .) of that metric."""
     rec = CheckRecorder()
-    mats = geo.metric_matrices
-    base = mats["I+"]
+    base = geo.metric_matrix("I+")
     for name in STRUCTURE_NAMES[1:]:
-        ok = mats[name] == base
+        ok = geo.metric_matrix(name) == base
         rec.exact(f"hopf.common-metric.{name}", ok,
                   "the six w_L(., L.) induce one metric")
     factor, zero = geo.metric.factor, ScalarField.const(0)
@@ -235,7 +237,7 @@ def verify_axis_family(geo: HopfGeometry, axes) -> List[CheckResult]:
     the same metric and the same torsion 3-form."""
     rec = CheckRecorder()
     inv_phi = ScalarField.inv_phi()
-    reference = geo.metric_matrices["I+"]
+    reference = geo.metric_matrix("I+")
     for axis in axes:
         L = geo.left.span_structure(axis)
         omega = _potential_form(L, geo.phi, inv_phi)

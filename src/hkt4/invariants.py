@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .exact import QI, ScalarField
+from .exact import QI, ScalarField, _unpack
 from .forms import RationalForm, wedge
 from .lattice import LatticeField, _form_to_vector, wedge_pairing
 
@@ -29,11 +29,9 @@ def _integrate_unit_cell(f: ScalarField) -> QI:
     if f.k != 0:
         raise ValueError("cannot integrate a phi-denominator over the torus cell")
     total = QI(0)
-    for mono, c in f.num.coeffs.items():
-        w = Fraction(1)
-        for e in mono:
-            w /= (e + 1)
-        total = total + c * w
+    for m, (a, b) in f.num.terms.items():
+        w = Fraction(1, f.num.den * math.prod(e + 1 for e in _unpack(m)))
+        total = total + QI(a * w, b * w)
     return total
 
 

@@ -655,10 +655,13 @@ def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.tensordot(hermitian_form_vector(L) @ wedge_pairing(2), tr2, axes=1)
 
 
-def hermitian_sign_defect(W: np.ndarray, G: np.ndarray) -> float:
-    """|W - s G|_2 / |G|_2 with s the sign of the Frobenius pairing <W, G>:
-    zero exactly when W = +G or W = -G."""
-    s = np.sign(np.sum(W * G))
+def hermitian_form_sign(L: Matrix) -> float:
+    """s in omega~ = s (I~ ., .) on L's slice: minus the sign of w_L ^ w_L."""
+    return -float(np.sign(hermitian_form_vector(L) @ wedge_pairing(2) @ hermitian_form_vector(L)))
+
+
+def hermitian_sign_defect(W: np.ndarray, G: np.ndarray, s: float) -> float:
+    """|W - s G|_2 / |G|_2 for the expected sign s (``hermitian_form_sign``)."""
     return float(np.linalg.norm(W - s * G, 2) / np.linalg.norm(G, 2))
 
 
@@ -676,7 +679,10 @@ def _coulomb_rows(structures: Sequence[Matrix]) -> np.ndarray:
     """Both sides of the Coulomb identity as one constant (1 + len(structures))
     x 16 block on the covariant gradient components D_mu a_t (column 4 mu +
     t): the row of d*_A a = -sum_mu D_mu a_mu, then Lambda d^c_L, row 6 of
-    ``slice_matrix(L)``, for each structure L."""
+    ``slice_matrix(L)``, for each structure L. Rows hold with any A, and
+    *(d^c_L omega_L ^ a) = 0 on the flat torus (omega_L is constant), so
+    equal rows prove the identity there for every 1-form and every A:
+    ``moduli.coulomb-identity`` is the largest row difference."""
     d_star = -np.eye(4).reshape(1, 16)
     return np.vstack([d_star] + [slice_matrix(L)[6:] for L in structures])
 
@@ -687,11 +693,9 @@ def coulomb_identity_defect(a, structures: Sequence[Matrix],
     the structures L and over a 1-form field or a stack of 1-form arrays
     (k, 4, m, N, N, N, N), streamed in chunks: both sides of each chunk,
     d*_A a and Lambda d^c_L a for every L, are one constant row block
-    (``_coulomb_rows``) on one covariant gradient.
-
-    On the flat torus the Hermitian forms are constant, so the last term
-    vanishes identically; it is still assembled in full so the identity is
-    checked as stated, not in a simplified form."""
+    (``_coulomb_rows``) on one covariant gradient. The grid oracle of
+    ``moduli.coulomb-identity``: the last term, zero on the flat torus as
+    the Hermitian forms are constant, is still assembled in full."""
     if isinstance(a, LatticeField):
         if a.degree != 1:
             raise ValueError(f"the Coulomb identity acts on 1-forms, "

@@ -235,10 +235,11 @@ def test_torsion_closed_checks_agree_on_tampered_geometry(geo, tamper):
 
 
 def test_hopf_suite_repeats_no_exact_work(geo, monkeypatch):
-    # each (L, form) is twisted once, and w_I+(., I+.) is read once by the
-    # builder and once for the six metric matrices
+    # each (L, form) is twisted once, and w_I+(., I+.) is read once, when
+    # the geometry is built, for the metric and the six metric matrices; the flat
+    # control reads only its own w_I+(., I+.)
     from hkt4 import forms, hermitian, hopf
-    from hkt4.suites import hopf_suite
+    from hkt4.suites import flat_suite, hopf_suite
 
     I_plus = (geo.omegas["I+"], geo.structures["I+"])
     twisted, metrics = [], []
@@ -256,7 +257,12 @@ def test_hopf_suite_repeats_no_exact_work(geo, monkeypatch):
     monkeypatch.setattr(hopf, "metric_from_form", counted_metric)
     assert all_pass(hopf_suite(Fraction(2), seed=0))
     assert len(set(twisted)) == len(twisted)
-    assert metrics.count(I_plus) <= 2
+    assert metrics.count(I_plus) == 1
+    twisted.clear()
+    metrics.clear()
+    assert all_pass(flat_suite())
+    assert len(set(twisted)) == len(twisted)
+    assert len(metrics) == 1
 
 
 def test_build_hopf_accepts_plain_rational():

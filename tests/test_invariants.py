@@ -27,6 +27,26 @@ def test_flat_line_bundle_degree_zero():
     assert degree(u1_field({}), OMEGA) == 0.0
 
 
+def test_degree_suite_fails_on_a_wrong_unit_cell_weight(monkeypatch):
+    # degree.flat-line-bundle integrates F = d(i x0^2 (1 - x0)^2 dx1), whose
+    # integral is 0 only under the weights 1/(e + 1) of the monomials x^e
+    from hkt4 import invariants, suites
+
+    def off_by_one(f):
+        total = QI(0)
+        for mono, c in f.num.coeffs.items():
+            total = total + c * Fraction(1, math.prod(e + 2 for e in mono))
+        return total
+
+    def status():
+        (check,) = [c for c in suites.degree_suite() if c.name == "degree.flat-line-bundle"]
+        return check.status
+
+    assert status() == "pass"
+    monkeypatch.setattr(invariants, "_integrate_unit_cell", off_by_one)
+    assert status() == "fail"
+
+
 def test_unit_chern_class_degree():
     # F = -2 pi i dx0^dx1 on the unit torus pairs to magnitude 1
     F = u1_field({(0, 1): -2j * math.pi})

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -277,8 +276,8 @@ def fixed_growth_flow(A0, step, max_iters, target):
 
 
 def suite_flow_start(N, n, seed, eps):
-    """The perturbation ``moduli_suite`` flows from: drawn after its five
-    random Coulomb-identity fields."""
+    """The perturbation ``moduli_suite`` flows from: drawn after five
+    fields it draws and drops."""
     rng = np.random.default_rng(seed)
     for _ in range(5):
         LatticeField.random(1, N, n, rng)
@@ -701,34 +700,68 @@ def test_coulomb_identity_is_exactly_zero_at_the_flat_connection(N):
     assert check.defect == 0.0 and check.status == "pass"
 
 
-def test_moduli_suite_frees_the_coulomb_fields_before_the_flow(monkeypatch):
-    refs, alive = [], []
-    coulomb, flow = suites.coulomb_identity_defect, suites.ym_flow
+def test_moduli_suite_certifies_the_coulomb_identity_off_the_grid(monkeypatch):
+    # the check reads the constant row block: neither the grid oracle nor a
+    # covariant gradient runs in a whole moduli request, flow included
+    events = []
 
-    def coulomb_spy(a, structures, A=None):
-        refs.append(weakref.ref(a))
-        return coulomb(a, structures, A)
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+        return wrapped
 
-    def flow_spy(*args, **kwargs):
-        alive.append(refs[0]() is not None)
-        return flow(*args, **kwargs)
+    for module in (moduli, lattice):
+        monkeypatch.setattr(module, "covariant_gradient",
+                            spy("gradient", lattice.covariant_gradient))
+    oracle = spy("oracle", moduli.coulomb_identity_defect)
+    monkeypatch.setattr(moduli, "coulomb_identity_defect", oracle)
+    monkeypatch.setattr(suites, "coulomb_identity_defect", oracle, raising=False)
+    checks = suites.moduli_suite(3, 2, 1e-10, flow_eps=1e-2)
+    assert [c.status for c in checks] == ["pass"] * len(checks)
+    assert events == []
+    # the spies see the oracle and its gradient
+    moduli.coulomb_identity_defect(LatticeField.random(1, 3, 2, np.random.default_rng(0)),
+                                   FRAME.matrices())
+    assert events == ["oracle", "gradient"]
 
-    monkeypatch.setattr(suites, "coulomb_identity_defect", coulomb_spy)
-    monkeypatch.setattr(suites, "ym_flow", flow_spy)
-    suites.moduli_suite(3, 2, 1e-10, flow_eps=1e-2)
-    assert len(refs) == 1 and alive == [False]
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("flip", [False, True], ids=["dc", "flipped-dc"])
+def test_coulomb_certificate_bounds_the_grid_oracle(N, flip, monkeypatch):
+    # the sides differ by (row 0 - row i) . D_A a, so the oracle is at most
+    # |row 0 - row i|_2 <= 4 x the certificate (its largest entry) times
+    # |D_A a|, up to round-off, at A = 0 and at a random A
+    rng = np.random.default_rng(90 + N)
+    a = np.stack([LatticeField.random(1, N, 2, rng).data for _ in range(3)])
+    slice_matrix.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            if flip:
+                m.setattr(lattice, "DC_SIGN", -lattice.DC_SIGN)
+            rows = moduli._coulomb_rows(FRAME.matrices())
+            cert = float(np.abs(rows[1:] - rows[0]).max())
+            assert cert == (2.0 if flip else 0.0)
+            for A in (Connection.flat(N, 2), Connection(LatticeField.random(1, N, 2, rng))):
+                Ac = None if not np.any(A.A.data) else A.A.data
+                grad = float(np.sqrt(sq_norm(covariant_gradient(a, N, Ac)).max()))
+                oracle = coulomb_identity_defect(a, FRAME.matrices(), A)
+                assert oracle <= (4 * cert + 1e-13) * grad
+                assert (oracle > 1.0) == flip
+    finally:
+        slice_matrix.cache_clear()
 
 
-def test_moduli_suite_checks_the_coulomb_identity_in_one_call(monkeypatch):
-    calls, real = [], suites.coulomb_identity_defect
-
-    def spy(a, structures, A=None):
-        calls.append(len(structures))
-        return real(a, structures, A)
-
-    monkeypatch.setattr(suites, "coulomb_identity_defect", spy)
-    suites.moduli_suite(3, 2, 1e-10)
-    assert calls == [3]
+def test_moduli_suite_fails_the_coulomb_identity_with_a_flipped_dc_sign(monkeypatch):
+    slice_matrix.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "DC_SIGN", -lattice.DC_SIGN)
+            (check,) = [c for c in suites.moduli_suite(3, 2, 1e-10)
+                        if c.name == "moduli.coulomb-identity"]
+    finally:
+        slice_matrix.cache_clear()
+    assert check.status == "fail" and check.defect == 2.0
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -1210,15 +1243,41 @@ def test_hermitian_form_matrix_matches_l2_pairing(N, n, charge):
         assert abs(c1 @ W @ c2 + g) <= 1e-12 * abs(g)
         assert abs(moduli_hermitian_form(tb, a1, a2) - c1 @ W @ c2) <= 1e-12 * abs(g)
     G = l2_gram(induced_structure(tb.structure, tb.basis), tb.basis)
-    assert hermitian_sign_defect(W, G) < 1e-12
+    assert hermitian_sign_defect(W, G, -1.0) < 1e-12
 
 
 def test_hermitian_sign_check_fails_for_another_structure():
     # the Hermitian form of J against the L^2 pairing of I~ is no multiple
     tb = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
     G = l2_gram(induced_structure(FRAME.I, tb.basis), tb.basis)
-    assert hermitian_sign_defect(hermitian_form_matrix(FRAME.I, tb.basis, tb.basis), G) < 1e-12
-    assert hermitian_sign_defect(hermitian_form_matrix(FRAME.J, tb.basis, tb.basis), G) > 0.5
+    W = hermitian_form_matrix(FRAME.J, tb.basis, tb.basis)
+    for s in (-1.0, 1.0):
+        assert hermitian_sign_defect(W, G, s) > 0.5
+    assert hermitian_sign_defect(hermitian_form_matrix(FRAME.I, tb.basis, tb.basis), G, -1.0) < 1e-12
+
+
+@pytest.mark.parametrize("frame, s", [(HypercomplexFrame.left(), -1.0),
+                                      (HypercomplexFrame.right(), 1.0)],
+                         ids=["left", "right"])
+def test_hermitian_form_sign_is_minus_the_orientation_of_the_frame(frame, s):
+    # s = -eps_L: eps_L = +1 on the self-dual left forms, -1 on the
+    # anti-self-dual right ones; W = s G on each structure's slice, and the
+    # other sign misses by 2
+    for L in frame.matrices():
+        assert moduli.hermitian_form_sign(L) == s
+        tb = horizontal_slice(Connection.flat(4, 2), L, 1e-10, frame=frame)
+        W = hermitian_form_matrix(L, tb.basis, tb.basis)
+        G = l2_gram(induced_structure(L, tb.basis), tb.basis)
+        assert hermitian_sign_defect(W, G, s) < 1e-12
+        assert abs(hermitian_sign_defect(W, G, -s) - 2.0) < 1e-12
+
+
+def test_negated_induced_structure_fails_the_hermitian_form_sign(monkeypatch):
+    # the sign comes from the structure, not from the data
+    real = suites.induced_structure
+    monkeypatch.setattr(suites, "induced_structure", lambda L, a: -real(L, a))
+    status = {c.name: c.status for c in suites.moduli_suite(4, 2, 1e-10)}
+    assert status["moduli.hermitian-form-sign"] == "fail"
 
 
 def test_moduli_hermitian_form_rejects_non_slice_input():
