@@ -199,22 +199,64 @@ def _diff_matrix(N: int, after: int = 0, real: bool = False) -> np.ndarray:
     return D
 
 
-def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:
-    """Spectral partial derivative along lattice axis mu: one batched product
-    with Re(D_N) (real array) or D_N (complex) over the (before, axis, after)
-    view. Along the last two axes those are tiny products (after = 1 and N),
-    so the (-1, N^2, N after) view is multiplied by kron(D_N^T, I_after)
-    instead, N^2 rows per product so that OpenBLAS keeps each on one thread:
-    along the last axis always, along the third while N^2 <= 48 (complex) or
-    16 (real; its zero-padded sums would round unlike the complex ones)."""
+@lru_cache(maxsize=None)
+def fourier_basis(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real orthonormal Fourier basis of R^N as the rows of an N x N
+    matrix F, and the FFT index k >= 0 of each row: 1/sqrt(N) (k = 0); then
+    sqrt(2/N) cos(2 pi k j/N) and sqrt(2/N) sin(2 pi k j/N) for each
+    0 < k < N/2; and (-1)^j/sqrt(N) (k = N/2) when N is even. A multiplier
+    that is one number on the modes k and -k of an axis is diagonal in it.
+    Both arrays read-only."""
+    rows, index = [np.full(N, 1.0 / math.sqrt(N))], [0]
+    j = np.arange(N)
+    for k in range(1, (N + 1) // 2):
+        angle = 2.0 * np.pi * (k * j % N) / N
+        rows += [math.sqrt(2.0 / N) * np.cos(angle), math.sqrt(2.0 / N) * np.sin(angle)]
+        index += [k, k]
+    if N % 2 == 0:
+        rows.append((-1.0) ** j / math.sqrt(N))
+        index.append(N // 2)
+    F, index = np.stack(rows), np.array(index)
+    F.flags.writeable = index.flags.writeable = False
+    return F, index
+
+
+@lru_cache(maxsize=None)
+def _fourier_matrix(N: int, after: int = 0, inverse: bool = False) -> np.ndarray:
+    """``fourier_basis(N)``'s F, or F^T, its inverse, when ``inverse``;
+    kron(F^T, I_after) (or kron(F, I_after)) when ``after``, as
+    ``_diff_matrix``; read-only."""
+    if after:
+        M = np.kron(_fourier_matrix(N, 0, inverse).T, np.eye(after))
+    else:
+        F = fourier_basis(N)[0]
+        M = F.T.copy() if inverse else F
+    M.flags.writeable = False
+    return M
+
+
+def _along_axis(arr: np.ndarray, mu: int, N: int, matrix, flag: bool) -> np.ndarray:
+    """M arr along lattice axis mu for the cached N x N matrix
+    M = matrix(N, 0, flag): one batched product over the (before, axis,
+    after) view. Along the last two axes those are tiny products (after = 1
+    and N), so the (-1, N^2, N after) view is multiplied by
+    matrix(N, after, flag) = kron(M^T, I_after) instead, N^2 rows per
+    product so that OpenBLAS keeps each on one thread: along the last axis
+    always, along the third while N^2 <= 48 (complex) or 16 (real; its
+    zero-padded sums would round unlike the complex ones)."""
     axis = arr.ndim - 4 + mu
     after = math.prod(arr.shape[axis + 1:])
-    real = not np.iscomplexobj(arr)
-    if mu == 3 or (mu == 2 and N * N <= (16 if real else 48)):
+    if mu == 3 or (mu == 2 and N * N <= (48 if np.iscomplexobj(arr) else 16)):
         return (arr.reshape(-1, N * N, N * after)
-                @ _diff_matrix(N, after, real)).reshape(arr.shape)
+                @ matrix(N, after, flag)).reshape(arr.shape)
     view = arr.reshape(math.prod(arr.shape[:axis]), N, after)
-    return (_diff_matrix(N, 0, real) @ view).reshape(arr.shape)
+    return (matrix(N, 0, flag) @ view).reshape(arr.shape)
+
+
+def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:
+    """Spectral partial derivative along lattice axis mu: Re(D_N) (real
+    array) or D_N (complex) along the axis, by ``_along_axis``."""
+    return _along_axis(arr, mu, N, _diff_matrix, not np.iscomplexobj(arr))
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,8 @@ import numpy as np
 from .lattice import (
     LatticeField,
     TUPLES,
+    _along_axis,
+    _fourier_matrix,
     apply_components,
     bracket,
     covariant_gradient,
@@ -28,6 +30,7 @@ from .lattice import (
     d_raw,
     dc_raw,
     deriv,
+    fourier_basis,
     frequencies,
     hermitian_form_vector,
     l2_gram,
@@ -155,13 +158,32 @@ def _flow_weights(N: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def _basis_weights(N: int) -> np.ndarray:
+    """``_flow_weights(N)`` at the rows of ``fourier_basis(N)`` along each
+    axis; read-only."""
+    k = fourier_basis(N)[1]
+    w = _flow_weights(N)[np.ix_(k, k, k, k)]
+    w.flags.writeable = False
+    return w
+
+
 def _precondition(grad: np.ndarray, N: int) -> np.ndarray:
-    """P grad for a real ``grad``: one real FFT pair over the four lattice
-    axes, ``_flow_weights(N)`` on the half spectrum."""
-    axes = (-4, -3, -2, -1)
-    spectrum = np.fft.rfftn(grad, axes=axes)
-    spectrum *= _flow_weights(N)[..., :N // 2 + 1]
-    return np.fft.irfftn(spectrum, s=(N,) * 4, axes=axes)
+    """P grad = F^-1 diag(w) F grad for a real ``grad``: the real basis
+    ``fourier_basis(N)`` along each of the four lattice axes, times
+    ``_basis_weights(N)``, and the transpose back, eight real products with
+    N x N matrices by ``deriv``'s kernel. This is the Fourier multiplier
+    exactly: w(k) = c / (c + sum_mu kappa_mu^2) depends on each kappa_mu^2
+    alone, and kappa(-k)^2 = kappa(k)^2 (the Nyquist kappa is 0), so on each
+    axis P is one number on span{cos, sin} of each |k|, and diagonal in the
+    basis."""
+    out = grad
+    for mu in range(4):
+        out = _along_axis(out, mu, N, _fourier_matrix, False)
+    out *= _basis_weights(N)
+    for mu in range(4):
+        out = _along_axis(out, mu, N, _fourier_matrix, True)
+    return out
 
 
 def _flow_gradient(a: np.ndarray, plus: np.ndarray, N: int) -> np.ndarray:
@@ -624,21 +646,22 @@ def verify_moduli_structure(tb: TangentBasis,
 
     I_m, J_m, K_m = tb.ops["I"], tb.ops["J"], tb.ops["K"]
     eye = np.eye(tb.dimension)
-    spectral = lambda M: float(np.linalg.norm(M, 2))  # noqa: E731
-    identity_defects = {
-        "I^2 = -Id": spectral(I_m @ I_m + eye),
-        "J^2 = -Id": spectral(J_m @ J_m + eye),
-        "K^2 = -Id": spectral(K_m @ K_m + eye),
-        "IJ = K": spectral(I_m @ J_m - K_m),
-        "IJ = -JI": spectral(I_m @ J_m + J_m @ I_m),
+    identities = {
+        "I^2 = -Id": I_m @ I_m + eye,
+        "J^2 = -Id": J_m @ J_m + eye,
+        "K^2 = -Id": K_m @ K_m + eye,
+        "IJ = K": I_m @ J_m - K_m,
+        "IJ = -JI": I_m @ J_m + J_m @ I_m,
     }
-    metric = {name: spectral(M.T @ tb.gram @ M - tb.gram)
-              for name, M in tb.ops.items()}
+    metric = {name: M.T @ tb.gram @ M - tb.gram for name, M in tb.ops.items()}
+    # the eight spectral norms from one batched SVD
+    norms = np.linalg.svd(np.stack([*identities.values(), *metric.values()]),
+                          compute_uv=False).max(axis=-1).tolist()
     return ModuliStructureReport(kernel_dims=dims, expected_dim=expected,
                                  slice_distances=distances,
-                                 identity_defects=identity_defects,
+                                 identity_defects=dict(zip(identities, norms[:5])),
                                  invariance_defects=dict(tb.invariance_defects),
-                                 metric_defects=metric)
+                                 metric_defects=dict(zip(metric, norms[5:])))
 
 
 def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -164,8 +164,9 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
 
     if flow_eps is not None:
         rng = np.random.default_rng(seed)
-        for _ in range(5):  # drawn and dropped, so the flow starts where it did
-            LatticeField.random(1, N, n, rng)
+        dropped = np.empty(4 * N ** 4 * (n * n - 1))
+        for _ in range(5):  # five 1-forms drawn and dropped, so the flow starts where it did
+            rng.standard_normal(out=dropped)
         pert = LatticeField.random(1, N, n, rng, scale=flow_eps)
         A0 = Connection(pert)
         _, r0 = asd_residual(curvature(A0))

@@ -24,6 +24,7 @@ from hkt4.lattice import (
     d_raw,
     dc_raw,
     deriv,
+    fourier_basis,
     l2_inner,
     lambda_row,
     pq_matrix,
@@ -319,6 +320,23 @@ def test_real_fields_take_the_real_part_of_d(N):
         real = _diff_matrix(N, after, True)
         assert not real.flags.writeable and np.isrealobj(real)
         assert np.array_equal(real, _diff_matrix(N, after).real)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8, 16])
+def test_fourier_basis_is_orthonormal_read_only_and_indexed(N):
+    # each row is the unit cos or sin of its recorded FFT index k, and each
+    # |k| of the FFT order is recorded once per row it spans
+    F, k = fourier_basis(N)
+    assert fourier_basis(N)[0] is F
+    assert F.shape == (N, N) and not F.flags.writeable and not k.flags.writeable
+    assert np.abs(F @ F.T - np.eye(N)).max() <= 1e-15
+    j = np.arange(N)
+    assert np.array_equal(np.sort(k), np.sort(np.minimum(j, N - j)))
+    for row, kk in zip(F, k):
+        angle = 2 * np.pi * kk * j / N
+        waves = [w / np.linalg.norm(w) for w in (np.cos(angle), np.sin(angle))
+                 if np.linalg.norm(w) > 0.5]
+        assert min(np.abs(row - w).max() for w in waves) <= 1e-15
 
 
 def test_lattice_fields_are_real_and_keep_their_dtype():

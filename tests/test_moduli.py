@@ -390,6 +390,68 @@ def test_preconditioner_maps_real_fields_to_real_fields_and_fixes_constants(N):
     assert np.abs(moduli._precondition(const, N) - const).max() <= 1e-13 * np.abs(const).max()
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_preconditioner_is_the_complex_fft_multiplier(N, n):
+    # the real basis products against the multiplier on the full spectrum
+    rng = np.random.default_rng(60 + N + n)
+    grad = LatticeField.random(1, N, n, rng).data
+    axes = (-4, -3, -2, -1)
+    full = np.fft.ifftn(moduli._flow_weights(N) * np.fft.fftn(grad, axes=axes), axes=axes)
+    got = moduli._precondition(grad, N)
+    assert got.dtype == np.float64
+    assert np.abs(got - full.real).max() <= 1e-13 * np.abs(full.real).max()
+
+
+def test_flow_calls_no_fft(monkeypatch):
+    # np.fft builds the cached constants (frequencies, D_N) once per N; the
+    # flow's steps, the preconditioner among them, call none of it
+    A0 = suite_flow_start(5, 2, 0, 1e-2)
+    _, r0 = asd_residual(curvature(A0))
+    target = r0 ** 2 * 1e-7
+    want = ym_flow(A0, step=1e-3, max_iters=10_000, target=target)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft called on the flow path")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, refuse)
+    got = ym_flow(A0, step=1e-3, max_iters=10_000, target=target)
+    assert got.converged and got.history == want.history
+
+
+def test_preconditioner_rounds_the_same_on_one_and_two_blas_threads():
+    code = ("import hashlib; import numpy as np; from hkt4.lattice import LatticeField; "
+            "from hkt4.moduli import _precondition; "
+            "rng = np.random.default_rng(0); "
+            "print([hashlib.sha256(_precondition(LatticeField.random(1, N, 2, rng).data, N)"
+            ".tobytes()).hexdigest() for N in (4, 8, 16)])")
+    src = os.path.dirname(os.path.dirname(lattice.__file__))
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("N, n", [(4, 2), (4, 3), (5, 3)])
+def test_suite_flows_from_the_start_of_five_dropped_fields(N, n, monkeypatch):
+    # the suite draws the five dropped fields into one buffer; the stream,
+    # and so the flow's start, is that of five LatticeField.random draws
+    starts = []
+
+    def recorded(A0, **kwargs):
+        starts.append(A0)
+        return ym_flow(A0, **kwargs)
+
+    monkeypatch.setattr(suites, "ym_flow", recorded)
+    suites.moduli_suite(N, n, 1e-10, flow_eps=1e-2)
+    (A0,) = starts
+    want = suite_flow_start(N, n, 0, 1e-2).A.data
+    assert A0.A.data.dtype == want.dtype and np.array_equal(A0.A.data, want)
+
+
 @pytest.mark.parametrize("N", [4, 5])
 def test_flow_gradient_is_the_gradient_of_the_functional_it_decreases(N):
     # d/dt |F+(A + t delta)|^2 at t = 0 against <g, delta> for real delta,

@@ -40,6 +40,8 @@ CLI_RUNS = (
     (0, ["moduli", "--grid", "4", "--rank", "3"]),
     (0, ["moduli", "--grid", "4", "--rank", "3", "--flow", "1e-2", "--seed", "8"]),
     (0, ["moduli", "--grid", "5", "--rank", "2"]),
+    (0, ["moduli", "--grid", "5", "--rank", "2", "--flow", "1e-2"]),
+    (0, ["moduli", "--grid", "6", "--rank", "2", "--flow", "1e-2", "--seed", "3"]),
     (0, ["moduli", "--config", "{tmp}/moduli.cfg"]),
     (0, ["degree", "--f", "-2*pi*i*dx0^dx1", "--omega", "dx0^dx1+dx2^dx3"]),
     (2, ["moduli", "--grid", "2"]),
