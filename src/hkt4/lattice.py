@@ -235,7 +235,8 @@ def _fourier_matrix(N: int, after: int = 0, inverse: bool = False) -> np.ndarray
     return M
 
 
-def _along_axis(arr: np.ndarray, mu: int, N: int, matrix, flag: bool) -> np.ndarray:
+def _along_axis(arr: np.ndarray, mu: int, N: int, matrix, flag: bool,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """M arr along lattice axis mu for the cached N x N matrix
     M = matrix(N, 0, flag): one batched product over the (before, axis,
     after) view. Along the last two axes those are tiny products (after = 1
@@ -243,14 +244,18 @@ def _along_axis(arr: np.ndarray, mu: int, N: int, matrix, flag: bool) -> np.ndar
     matrix(N, after, flag) = kron(M^T, I_after) instead, N^2 rows per
     product so that OpenBLAS keeps each on one thread: along the last axis
     always, along the third while N^2 <= 48 (complex) or 16 (real; its
-    zero-padded sums would round unlike the complex ones)."""
+    zero-padded sums would round unlike the complex ones). Into ``out``, a
+    C-contiguous array of arr's shape not overlapping it, when given."""
     axis = arr.ndim - 4 + mu
     after = math.prod(arr.shape[axis + 1:])
     if mu == 3 or (mu == 2 and N * N <= (48 if np.iscomplexobj(arr) else 16)):
-        return (arr.reshape(-1, N * N, N * after)
-                @ matrix(N, after, flag)).reshape(arr.shape)
-    view = arr.reshape(math.prod(arr.shape[:axis]), N, after)
-    return (matrix(N, 0, flag) @ view).reshape(arr.shape)
+        view = arr.reshape(-1, N * N, N * after)
+        factors = view, matrix(N, after, flag)
+    else:
+        view = arr.reshape(math.prod(arr.shape[:axis]), N, after)
+        factors = matrix(N, 0, flag), view
+    prod = np.matmul(*factors, out=None if out is None else out.reshape(view.shape))
+    return prod.reshape(arr.shape)
 
 
 def deriv(arr: np.ndarray, mu: int, N: int) -> np.ndarray:

@@ -176,13 +176,14 @@ def _precondition(grad: np.ndarray, N: int) -> np.ndarray:
     exactly: w(k) = c / (c + sum_mu kappa_mu^2) depends on each kappa_mu^2
     alone, and kappa(-k)^2 = kappa(k)^2 (the Nyquist kappa is 0), so on each
     axis P is one number on span{cos, sin} of each |k|, and diagonal in the
-    basis."""
+    basis. The products ping-pong between two buffers; ``grad`` is kept."""
+    bufs = np.empty_like(grad), np.empty_like(grad)
     out = grad
     for mu in range(4):
-        out = _along_axis(out, mu, N, _fourier_matrix, False)
+        out = _along_axis(out, mu, N, _fourier_matrix, False, out=bufs[mu % 2])
     out *= _basis_weights(N)
     for mu in range(4):
-        out = _along_axis(out, mu, N, _fourier_matrix, True)
+        out = _along_axis(out, mu, N, _fourier_matrix, True, out=bufs[mu % 2])
     return out
 
 
@@ -318,7 +319,8 @@ class TangentBasis:
     ``coeffs`` alone (Parseval): per mode, ``coeffs`` (d, 4, m, 1, 1, 1, 1)
     are the coordinates at x = 0 and ``phase`` (n, n, N, N, N, N) the unit
     phase of each matrix entry; on the dense path ``coeffs`` is the grid
-    basis and ``phase`` 1. ``curvature_norm`` is |F_A| of the base."""
+    basis and ``phase`` 1. ``curvature_norm`` is |F_A| of the base, and
+    ``rule`` its ``ModeRule`` at ``tol``, None on the dense path."""
 
     base: Connection
     structure: Matrix
@@ -332,6 +334,7 @@ class TangentBasis:
     gap: float
     gap_ok: bool
     curvature_norm: float
+    rule: Optional[ModeRule]
 
     @property
     def dimension(self) -> int:
@@ -359,22 +362,27 @@ class TangentBasis:
     def slice_defects(self) -> np.ndarray:
         """``residual(coeffs, phase)`` with no image on the grid: at a
         constant Cartan connection D_mu acts on the matrix entry e as d_mu +
-        i shift_e, so element i's image on entry e is B_ie G_e, with B_ie the
-        7 x 4 matrix slice_matrix(L) times coeffs[i]'s entries e and G_e =
-        d phase_e + i shift_e phase_e = (Q_e R_e)^T: |B_ie G_e|_F =
-        |B_ie R_e^T|_F. On the dense path it is ``residual(coeffs)``."""
-        if self.phase.ndim == 0:
+        i shift_e (the rule's shifts), so element i's image on entry e is
+        B_ie G_e, with B_ie the 7 x 4 matrix slice_matrix(L) times coeffs[i]'s
+        entries e and G_e = d phase_e + i shift_e phase_e = (Q_e R_e)^T:
+        |B_ie G_e|_F = |B_ie R_e^T|_F, and B_ie R_e^T is the row of entries
+        e of coeffs[i] times the 4 x 28 block M_e = S (x) R_e. On the dense
+        path it is ``residual(coeffs)``."""
+        if self.rule is None:
             return self.residual(self.coeffs)
         N, n = self.base.N, self.base.n
-        shifts = _cartan_shifts(self.base).reshape(n * n, 4, 1, 1, 1, 1)
+        shifts = self.rule.shifts.reshape(n * n, 4, 1, 1, 1, 1)
         planes = self.phase.reshape((n * n,) + (N,) * 4)
         grad = np.stack([deriv(planes, mu, N) + 1j * shifts[:, mu] * planes
                          for mu in range(4)], axis=1)
         R = _r_factor(grad.reshape(n * n, 4, -1)) / N ** 2
         entries = self.coeffs.reshape(self.dimension, 4, -1) @ su_basis(n).reshape(-1, n * n)
-        B = np.einsum("smt,ite->iesm", slice_matrix(self.structure).reshape(7, 4, 4), entries)
-        return np.linalg.norm(np.einsum("iesm,etm->iest", B, R).reshape(self.dimension, -1),
-                              axis=1)
+        # M_e[t, (s, u)] = sum_mu S[s, mu, t] R_e[u, mu], S = slice_matrix(L)
+        # as (7, 4, 4): rows (t, s) of S times R_e^T
+        S = slice_matrix(self.structure).reshape(7, 4, 4).transpose(2, 0, 1).reshape(28, 4)
+        M = (S @ R.swapaxes(-1, -2)).reshape(n * n, 4, 28)
+        images = np.moveaxis(entries, -1, 0) @ M
+        return np.linalg.norm(images.swapaxes(0, 1).reshape(self.dimension, -1), axis=1)
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a
@@ -390,18 +398,22 @@ MAX_DENSE_DIM = 3200
 SYMBOL_TOL = 1e-12  # the largest symbol-identity defect round-off explains
 
 
-def _slice_basis(A: Connection, L: Matrix, tol: float):
+def _slice_basis(A: Connection, L: Matrix, tol: float, rule: Optional[ModeRule] = None):
     """``TangentBasis`` coefficients and phase of the kernel of the stacked
     operator (d_A^+, Lambda d^c_L), its smallest non-kernel singular value
     and the kernel gap: at a flat and constant Cartan connection (A = 0 too)
     the operator is block diagonal over Fourier modes and matrix entries, and
     each block's singular values follow from |xi + shift| (no discretization
-    pollution); otherwise it is a dense null space, up to ``MAX_DENSE_DIM``."""
-    shifts = _cartan_shifts(A)
-    if shifts is None:
+    pollution) once ``_certify_symbol(L)`` holds, so every L reads the one
+    ``_mode_rule(A, tol)``, ``rule`` when the caller holds it; otherwise it
+    is a dense null space, up to ``MAX_DENSE_DIM``."""
+    if rule is None:
+        rule = _mode_rule(A, tol)
+    if rule is None:
         basis, min_sv, gap = _dense_slice_basis(A, L, tol)
         return basis, np.ones((), dtype=complex), min_sv, gap
-    return _mode_slice_basis(A.N, L, tol, shifts)
+    _certify_symbol(L)
+    return rule.coeffs, rule.phase, rule.min_sv, rule.gap
 
 
 def horizontal_slice(A: Connection, L: Matrix, tol: float,
@@ -416,7 +428,8 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     _, res_norm = asd_residual(F)
     if res_norm > max(tol, 1e-8):
         raise ValueError(f"base connection is not ASD enough: |F+| = {res_norm:.3e}")
-    coeffs, phase, min_sv, gap = _slice_basis(A, L, tol)
+    rule = _mode_rule(A, tol)
+    coeffs, phase, min_sv, gap = _slice_basis(A, L, tol, rule)
     gram = l2_gram(coeffs, coeffs)
     if np.linalg.eigvalsh(gram).min() <= 0:
         raise ValueError("slice Gram matrix is not positive definite")
@@ -429,7 +442,7 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     return TangentBasis(base=A, structure=L, coeffs=coeffs, phase=phase, gram=gram,
                         ops=ops, invariance_defects=invariance, tol=tol,
                         min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD,
-                        curvature_norm=F.norm())
+                        curvature_norm=F.norm(), rule=rule)
 
 
 @lru_cache(maxsize=None)
@@ -485,14 +498,34 @@ def _certify_symbol(L: Matrix) -> None:
                            f"(|xi|^2 I + xi xi^T)/2: defect {defect:.3e}")
 
 
-def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
-    """Per-mode basis at a constant Cartan connection: by the identity that
-    ``_certify_symbol`` checks, the block of entry (j, k) at the mode xi has
-    the singular values r (1, 2^-1/2, 2^-1/2, 2^-1/2), r = |xi + shifts[j, k]|,
-    so the smallest non-kernel one is the least r >= tol over sqrt 2 and the
-    largest kernel one the largest r < tol. The gap is the smallest
-    non-kernel value over the larger of the largest kernel one and tol."""
-    _certify_symbol(L)
+@dataclass
+class ModeRule:
+    """The per-mode slice rule of a constant Cartan connection at a tol,
+    which no cutting structure changes once its symbol is certified: the
+    ``_cartan_shifts``, the stabiliser mask of ``_mode_kernel``, and the
+    slice's one-site ``coeffs`` and ``phase``, its smallest non-kernel
+    singular value and its gap (``_mode_rule``)."""
+
+    shifts: np.ndarray
+    stabiliser: np.ndarray
+    coeffs: np.ndarray
+    phase: np.ndarray
+    min_sv: float
+    gap: float
+
+
+def _mode_rule(A: Connection, tol: float) -> Optional[ModeRule]:
+    """The ``ModeRule`` of A at tol, or None if A is not constant Cartan: by
+    the identity that ``_certify_symbol`` checks, the block of entry (j, k)
+    at the mode xi has the singular values r (1, 2^-1/2, 2^-1/2, 2^-1/2),
+    r = |xi + shifts[j, k]|, so the smallest non-kernel one is the least
+    r >= tol over sqrt 2 and the largest kernel one the largest r < tol. The
+    gap is the smallest non-kernel value over the larger of the largest
+    kernel one and tol."""
+    shifts = _cartan_shifts(A)
+    if shifts is None:
+        return None
+    N = A.N
     norms, vanish, stabiliser = _mode_kernel(N, shifts, tol)
     min_sv = float(norms.min(where=~vanish, initial=np.inf)) / np.sqrt(2)
     gap = min_sv / max(float(norms.max(where=vanish, initial=0.0)), tol)
@@ -504,7 +537,7 @@ def _mode_slice_basis(N: int, L: Matrix, tol: float, shifts: np.ndarray):
     xi = _modes(N)[vanish.argmax(axis=-1)]
     phase = np.exp(1j * np.einsum("jkm,m...->jk...", xi, np.indices((N,) * 4) / N))
     phase[np.eye(len(vanish), dtype=bool)] = 1.0
-    return coeffs, phase, min_sv, gap
+    return ModeRule(shifts, stabiliser, coeffs, phase, min_sv, gap)
 
 
 def _unit_fields(degree: int, N: int, n: int, rows: slice = slice(None)) -> np.ndarray:
@@ -570,14 +603,16 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     return basis, min_nonkernel, gap
 
 
-def gauge_kernel_dim(A: Connection, tol: float) -> int:
+def gauge_kernel_dim(A: Connection, tol: float, rule: Optional[ModeRule] = None) -> int:
     """dim ker(d_A on su(n)-valued 0-forms): the Lie algebra of the
     stabiliser of A: at a constant Cartan connection, the generators whose
-    entries all have a vanishing 0-form symbol i(xi + theta_j - theta_k);
-    otherwise, the kernel of the dense singular values of d_A."""
-    shifts = _cartan_shifts(A)
-    if shifts is not None:
-        return int(_mode_kernel(A.N, shifts, tol)[2].sum())
+    entries all have a vanishing 0-form symbol i(xi + theta_j - theta_k),
+    counted from A's ``_mode_rule(A, tol)`` (``rule`` when the caller holds
+    it); otherwise, the kernel of the dense singular values of d_A."""
+    if rule is None:
+        rule = _mode_rule(A, tol)
+    if rule is not None:
+        return int(rule.stabiliser.sum())
     z = d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data)
     z = z.reshape(len(z), -1).T
     return int(_dense_kernel([z.real, z.imag], tol)[2].sum())
@@ -637,12 +672,13 @@ def verify_moduli_structure(tb: TangentBasis,
     dims = {"I": tb.dimension}
     distances = {}
     for name, L in zip("JK", (frame.J, frame.K)):
-        # the cuts share I's phase: which modes vanish, |xi + shift| < tol,
-        # depends only on A, N and tol once the symbol identity holds
-        other, _, _, _ = _slice_basis(A, L, tol)
+        # per mode, the cuts read I's rule once L's symbol is certified:
+        # which modes vanish, |xi + shift| < tol, depends only on A, N and
+        # tol; the dense path cuts L from scratch
+        other, _, _, _ = _slice_basis(A, L, tol, tb.rule)
         dims[name] = len(other)
         distances[f"I-{name}"] = subspace_distance(tb.coeffs, other)
-    expected = 4 * gauge_kernel_dim(A, tol)
+    expected = 4 * gauge_kernel_dim(A, tol, tb.rule)
 
     I_m, J_m, K_m = tb.ops["I"], tb.ops["J"], tb.ops["K"]
     eye = np.eye(tb.dimension)
@@ -684,8 +720,10 @@ def hermitian_form_sign(L: Matrix) -> float:
 
 
 def hermitian_sign_defect(W: np.ndarray, G: np.ndarray, s: float) -> float:
-    """|W - s G|_2 / |G|_2 for the expected sign s (``hermitian_form_sign``)."""
-    return float(np.linalg.norm(W - s * G, 2) / np.linalg.norm(G, 2))
+    """|W - s G|_2 / |G|_2 for the expected sign s (``hermitian_form_sign``),
+    both spectral norms from one batched SVD."""
+    diff, scale = np.linalg.svd(np.stack([W - s * G, G]), compute_uv=False).max(axis=-1)
+    return float(diff / scale)
 
 
 def moduli_hermitian_form(tb: TangentBasis, a1: LatticeField,

@@ -403,6 +403,24 @@ def test_preconditioner_is_the_complex_fft_multiplier(N, n):
     assert np.abs(got - full.real).max() <= 1e-13 * np.abs(full.real).max()
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_preconditioner_buffers_round_as_eight_allocations(N, n):
+    # the BB flow amplifies round-off about 1e4-fold, so the two reused
+    # buffers must give the eight fresh products bit for bit; grad is kept
+    rng = np.random.default_rng(70 + N + n)
+    grad = LatticeField.random(1, N, n, rng).data
+    kept = grad.copy()
+    want = grad
+    for mu in range(4):
+        want = lattice._along_axis(want, mu, N, lattice._fourier_matrix, False)
+    want = want * moduli._basis_weights(N)
+    for mu in range(4):
+        want = lattice._along_axis(want, mu, N, lattice._fourier_matrix, True)
+    assert np.array_equal(moduli._precondition(grad, N), want)
+    assert np.array_equal(grad, kept)
+
+
 def test_flow_calls_no_fft(monkeypatch):
     # np.fft builds the cached constants (frequencies, D_N) once per N; the
     # flow's steps, the preconditioner among them, call none of it
@@ -909,6 +927,21 @@ def test_moduli_suite_reads_the_curvature_the_slice_guard_computed(monkeypatch):
     assert tb.curvature_norm == real(tb.base).norm() < 1e-15
 
 
+@pytest.mark.parametrize("N, n, flow", [(4, 2, None), (4, 2, 1e-2), (4, 3, None)])
+def test_moduli_suite_computes_the_slice_rule_once(N, n, flow, monkeypatch):
+    # the I, J and K cuts, the stabiliser count and the slice defects read
+    # the one per-mode rule horizontal_slice stores
+    calls = []
+    for name in ("_cartan_shifts", "_mode_kernel"):
+        def spy(*args, _name=name, _real=getattr(moduli, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(moduli, name, spy)
+    checks = suites.moduli_suite(N, n, 1e-10, flow_eps=flow)
+    assert all(c.status == "pass" for c in checks)
+    assert sorted(calls) == ["_cartan_shifts", "_mode_kernel"]
+
+
 def test_gauge_orthogonality_of_slice():
     rng = np.random.default_rng(43)
     A = Connection.flat(4, 2)
@@ -1200,11 +1233,16 @@ def test_commuting_non_diagonal_connection_takes_dense_path(monkeypatch):
     assert len(calls) == 1
     assert tb.dimension == 4 and tb.gap_ok
     # with no phase, the slice defects are the grid residual of the basis
-    assert tb.phase.ndim == 0
+    assert tb.phase.ndim == 0 and tb.rule is None
     assert np.array_equal(tb.slice_defects(), tb.residual(tb.coeffs))
+    # with no rule to share, the J and K cuts take the dense null space too
+    rep = verify_moduli_structure(tb, FRAME)
+    assert [args[1] for args in calls] == list(FRAME.matrices())
+    assert rep.kernel_dims == {"I": 4, "J": 4, "K": 4} and rep.expected_dim == 4
+    assert max(rep.slice_distances.values()) < 1e-8
     # the same holonomy in diagonal form is certified per mode
     horizontal_slice(cartan_connection(3, 0, [0.37, -0.37]), FRAME.I, 1e-10)
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -1315,6 +1353,9 @@ def test_hermitian_sign_check_fails_for_another_structure():
     W = hermitian_form_matrix(FRAME.J, tb.basis, tb.basis)
     for s in (-1.0, 1.0):
         assert hermitian_sign_defect(W, G, s) > 0.5
+        # one batched SVD, bit for bit the two spectral norms
+        norms = np.linalg.norm(W - s * G, 2), np.linalg.norm(G, 2)
+        assert hermitian_sign_defect(W, G, s) == float(norms[0] / norms[1])
     assert hermitian_sign_defect(hermitian_form_matrix(FRAME.I, tb.basis, tb.basis), G, -1.0) < 1e-12
 
 
