@@ -6,11 +6,13 @@ path that cannot be written, 2 on usage errors, and 3 on an internal error:
 any other exception, reported as one line on stderr without a traceback;
 when ``moduli`` or ``report`` runs out of memory, that line names the grid
 and rank.
-Each input has one click type, which checks a flag and its config key
-alike: q rational > 1, grid >= 3, rank >= 2, tol positive and finite, flow
-finite and nonzero, seed in [0, 2^64), form specs with finite coefficients,
-omega real and nondegenerate (omega ^ omega != 0). Flags mirror an optional
-key=value config file (flags win, unknown keys are usage errors), and the
+Each input has one click type: q rational > 1, grid >= 3, rank >= 2, tol
+positive and finite, flow finite and nonzero, seed in [0, 2^64), form specs
+with finite coefficients, omega real and nondegenerate (omega ^ omega != 0).
+A key=value --config file is read, before any other option, into click's
+default map: each key (a parameter or option name, - read as _) is its
+flag's default, so the flag's own type checks it and a flag on the command
+line wins; an unknown key or a line without = is a usage error. The
 HKT4_OUT_DIR environment variable supplies a default output directory for
 bare report filenames.
 """
@@ -65,7 +67,15 @@ FLOW = _Domain("float", float, lambda e: math.isfinite(e) and e != 0,
 SEED = click.IntRange(0, 2**64 - 1)
 
 
-def _load_config(path):
+def _read_config(ctx: click.Context, _param, path):
+    """Read the --config file into ``ctx.default_map`` under parameter
+    names. Eager, so it runs before every other option, which click then
+    converts from the command line or else from this map."""
+    if path is None:
+        return
+    name_of = {key: param.name for param in ctx.command.params if param.name != "config"
+               for key in [param.name, *(opt.lstrip("-").replace("-", "_")
+                                         for opt in param.opts)]}
     values = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -76,28 +86,10 @@ def _load_config(path):
                 raise click.UsageError(f"bad config line: {line!r}")
             key, val = line.split("=", 1)
             values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _apply_config(ctx: click.Context, config):
-    """Fill parameters that were not given on the command line."""
-    if not config:
-        return
-    values = _load_config(config)
-    keys_of = {param: {param.name} | {opt.lstrip("-").replace("-", "_")
-                                      for opt in param.opts}
-               for param in ctx.command.params if param.name != "config"}
-    unknown = values.keys() - set().union(*keys_of.values())
+    unknown = values.keys() - name_of.keys()
     if unknown:
         raise click.UsageError(f"unknown config key: {', '.join(sorted(unknown))}")
-    for param, keys in keys_of.items():
-        hits = keys & values.keys()
-        if not hits:
-            continue
-        raw = values[hits.pop()]
-        src = ctx.get_parameter_source(param.name)
-        if src is not None and src.name != "COMMANDLINE":
-            ctx.params[param.name] = param.type.convert(raw, param, ctx)
+    ctx.default_map = {name_of[key]: val for key, val in values.items()}
 
 
 def _resolve_out(out):
@@ -123,20 +115,20 @@ def _emit(doc: str, out) -> None:
     click.echo(doc)
 
 
-def _finish(ctx: click.Context, report: VerificationReport):
-    """Emit the report in the requested format; exit 0 if it passed, else 1."""
-    _emit(emit_report(report, ctx.params["fmt"]), ctx.params["out"])
-    ctx.exit(0 if report.passed else 1)
+def _finish(report: VerificationReport, fmt, out):
+    """Emit the report in the format ``fmt``; exit 0 if it passed, else 1."""
+    _emit(emit_report(report, fmt), out)
+    click.get_current_context().exit(0 if report.passed else 1)
 
 
 @contextlib.contextmanager
-def _naming_grid_and_rank(p):
+def _naming_grid_and_rank(grid, rank):
     """Re-raise a MemoryError with the grid and rank that ran out of memory,
     so that the internal error (exit 3) names them."""
     try:
         yield
     except MemoryError as exc:
-        raise MemoryError(f"out of memory at grid {p['grid']}, rank {p['rank']}: {exc}") from exc
+        raise MemoryError(f"out of memory at grid {grid}, rank {rank}: {exc}") from exc
 
 
 _common = [
@@ -146,8 +138,9 @@ _common = [
                  default="json", show_default=True, help="Report format."),
     click.option("--seed", type=SEED, default=DEFAULT_SEED, show_default=True,
                  help="Seed for randomized spot checks (recorded in the report)."),
-    click.option("--config", type=click.Path(exists=True), default=None,
-                 help="key=value file mirrored to flags; flags win."),
+    click.option("--config", type=click.Path(exists=True), default=None, is_eager=True,
+                 expose_value=False, callback=_read_config,
+                 help="key=value file of flag defaults; flags win."),
 ]
 
 
@@ -183,22 +176,16 @@ def main():
 @click.option("--q", type=Q, default="2", show_default=True,
               help="Rational multiplier of the quotient, q > 1.")
 @common_options
-@click.pass_context
-def verify_hopf(ctx, q, out, fmt, seed, config):
+def verify_hopf(q, out, fmt, seed):
     """Certify the Hopf-chart identities with exact arithmetic."""
-    _apply_config(ctx, config)
-    checks = suites.hopf_suite(ctx.params["q"], seed=ctx.params["seed"])
-    _finish(ctx, VerificationReport(checks=checks, seed=ctx.params["seed"]))
+    _finish(VerificationReport(checks=suites.hopf_suite(q, seed=seed), seed=seed), fmt, out)
 
 
 @main.command("verify-flat")
 @common_options
-@click.pass_context
-def verify_flat(ctx, out, fmt, seed, config):
+def verify_flat(out, fmt, seed):
     """Flat control run: Euclidean metric, both frames, zero torsion."""
-    _apply_config(ctx, config)
-    checks = suites.flat_suite()
-    _finish(ctx, VerificationReport(checks=checks, seed=ctx.params["seed"]))
+    _finish(VerificationReport(checks=suites.flat_suite(), seed=seed), fmt, out)
 
 
 @main.command("moduli")
@@ -211,15 +198,11 @@ def verify_flat(ctx, out, fmt, seed, config):
 @click.option("--flow", "flow_eps", type=FLOW, default=None,
               help="Also run the descent flow from flat + eps * random.")
 @common_options
-@click.pass_context
-def moduli_cmd(ctx, grid, rank, tol, flow_eps, out, fmt, seed, config):
+def moduli_cmd(grid, rank, tol, flow_eps, out, fmt, seed):
     """Tangent-space model at the flat connection on the N^4 torus."""
-    _apply_config(ctx, config)
-    p = ctx.params
-    with _naming_grid_and_rank(p):
-        checks = suites.moduli_suite(p["grid"], p["rank"], p["tol"], seed=p["seed"],
-                                     flow_eps=p["flow_eps"])
-    _finish(ctx, VerificationReport(checks=checks, seed=p["seed"]))
+    with _naming_grid_and_rank(grid, rank):
+        checks = suites.moduli_suite(grid, rank, tol, seed=seed, flow_eps=flow_eps)
+    _finish(VerificationReport(checks=checks, seed=seed), fmt, out)
 
 
 _TERM_BASIS = re.compile(r"dx(\d)\^dx(\d)$")
@@ -311,15 +294,12 @@ def degree_cmd(ctx, f_terms, w_terms, out):
 @click.option("--tol", type=TOL, default=1e-10, show_default=True)
 @click.option("--flow", "flow_eps", type=FLOW, default=None)
 @common_options
-@click.pass_context
-def report_cmd(ctx, q, grid, rank, tol, flow_eps, out, fmt, seed, config):
+def report_cmd(q, grid, rank, tol, flow_eps, out, fmt, seed):
     """Run the composite suite (Hopf + flat control + moduli) and report."""
-    _apply_config(ctx, config)
-    p = ctx.params
-    with _naming_grid_and_rank(p):
-        rep = suites.full_report(q=p["q"], grid=p["grid"], rank=p["rank"], tol=p["tol"],
-                                 seed=p["seed"], flow_eps=p["flow_eps"])
-    _finish(ctx, rep)
+    with _naming_grid_and_rank(grid, rank):
+        rep = suites.full_report(q=q, grid=grid, rank=rank, tol=tol, seed=seed,
+                                 flow_eps=flow_eps)
+    _finish(rep, fmt, out)
 
 
 if __name__ == "__main__":

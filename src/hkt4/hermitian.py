@@ -122,11 +122,12 @@ def gauduchon_defect(g, L: Matrix) -> RationalForm:
 @dataclass
 class HKTReport:
     """HKT data of a hyperhermitian pair (g, frame) with respect to I; the
-    torsion differences are I - J, J - K and I - K."""
+    torsion differences are I - J and J - K, which vanish exactly when the
+    three torsions agree (I - K is their sum)."""
 
     Omega: RationalForm
     del_Omega: RationalForm
-    torsion_differences: Tuple[RationalForm, RationalForm, RationalForm]
+    torsion_differences: Tuple[RationalForm, RationalForm]
     strong: bool
     H: RationalForm
 
@@ -145,5 +146,5 @@ def hkt_from_torsions(frame: HypercomplexFrame, reports) -> HKTReport:
     Omega = reports[1].omega + reports[2].omega * QI(0, 1)
     del_Omega = pq_project(frame.I, exterior_d(Omega), 3, 0)
     return HKTReport(Omega=Omega, del_Omega=del_Omega,
-                     torsion_differences=(HI - HJ, HJ - HK, HI - HK),
+                     torsion_differences=(HI - HJ, HJ - HK),
                      strong=reports[0].strong, H=HI)

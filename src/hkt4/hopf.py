@@ -130,7 +130,7 @@ def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
     frame = geo.left if side == "left" else geo.right
     tag = "+" if side == "left" else "-"
     rep = hkt_from_torsions(frame, [reports[L] for L in frame.matrices()])
-    IJ, JK, _ = rep.torsion_differences
+    IJ, JK = rep.torsion_differences
     rec.exact(f"hopf.{side}.torsion-equal-IJ", IJ,
               f"d^c_I{tag} w_I{tag} = d^c_J{tag} w_J{tag}")
     rec.exact(f"hopf.{side}.torsion-equal-JK", JK,

@@ -278,21 +278,22 @@ def slice_operator(A: Connection, L: Matrix):
 
 
 def _r_factor(g: np.ndarray) -> np.ndarray:
-    """The k x k factor R_e of g[e]^T = Q_e R_e for a stack (E, k, M) of k
-    long rows, by modified Gram-Schmidt: its R is as accurate as
+    """The k x k factor R_e of g[e]^T = Q_e R_e for a complex stack (E, k,
+    M) of k long rows, by modified Gram-Schmidt in place: g is overwritten,
+    each row left orthogonal to the rows before it. Its R is as accurate as
     Householder's, and its sums are numpy's own, so, like ``sq_norm``, it
     rounds the same on any thread count (LAPACK's QR calls threaded BLAS on
     these tall matrices). A zero row gives a zero row of R."""
-    v = np.array(g, dtype=complex, order="C")
-    k = v.shape[-2]
-    R = np.zeros(v.shape[:-2] + (k, k), dtype=complex)
+    k = g.shape[-2]
+    R = np.zeros(g.shape[:-2] + (k, k), dtype=complex)
     for j in range(k):
-        row = v[:, j]
+        row = g[:, j]
         norm = np.sqrt((row.real * row.real + row.imag * row.imag).sum(axis=-1))
         q = np.divide(row, norm[:, None], out=np.zeros_like(row), where=norm[:, None] > 0)
         R[:, j, j] = norm
-        R[:, j, j + 1:] = (q.conj()[:, None] * v[:, j + 1:]).sum(axis=-1)
-        v[:, j + 1:] -= R[:, j, j + 1:, None] * q[:, None]
+        for i in range(j + 1, k):
+            R[:, j, i] = (q.conj() * g[:, i]).sum(axis=-1)
+            g[:, i] -= R[:, j, i, None] * q
     return R
 
 
@@ -320,10 +321,13 @@ class TangentBasis:
     are the coordinates at x = 0 and ``phase`` (n, n, N, N, N, N) the unit
     phase of each matrix entry; on the dense path ``coeffs`` is the grid
     basis and ``phase`` 1. ``curvature_norm`` is |F_A| of the base, and
-    ``rule`` its ``ModeRule`` at ``tol``, None on the dense path."""
+    ``rule`` its ``ModeRule`` at ``tol``, None on the dense path. The
+    induced structures are those of ``frame``, whose I, J and K
+    ``verify_moduli_structure`` also cuts by."""
 
     base: Connection
     structure: Matrix
+    frame: HypercomplexFrame
     coeffs: np.ndarray
     phase: np.ndarray
     gram: np.ndarray
@@ -373,8 +377,10 @@ class TangentBasis:
         N, n = self.base.N, self.base.n
         shifts = self.rule.shifts.reshape(n * n, 4, 1, 1, 1, 1)
         planes = self.phase.reshape((n * n,) + (N,) * 4)
-        grad = np.stack([deriv(planes, mu, N) + 1j * shifts[:, mu] * planes
-                         for mu in range(4)], axis=1)
+        grad = np.empty((n * n, 4) + planes.shape[1:], dtype=complex)
+        for mu in range(4):
+            grad[:, mu] = deriv(planes, mu, N)
+            grad[:, mu] += 1j * shifts[:, mu] * planes
         R = _r_factor(grad.reshape(n * n, 4, -1)) / N ** 2
         entries = self.coeffs.reshape(self.dimension, 4, -1) @ su_basis(n).reshape(-1, n * n)
         # M_e[t, (s, u)] = sum_mu S[s, mu, t] R_e[u, mu], S = slice_matrix(L)
@@ -439,8 +445,8 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
         ops[name] = np.linalg.solve(gram, l2_gram(coeffs, images))
         recon = np.tensordot(ops[name].T, coeffs, axes=1)
         invariance[name] = float(np.sqrt(sq_norm(images - recon)).max())
-    return TangentBasis(base=A, structure=L, coeffs=coeffs, phase=phase, gram=gram,
-                        ops=ops, invariance_defects=invariance, tol=tol,
+    return TangentBasis(base=A, structure=L, frame=frame, coeffs=coeffs, phase=phase,
+                        gram=gram, ops=ops, invariance_defects=invariance, tol=tol,
                         min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD,
                         curvature_norm=F.norm(), rule=rule)
 
@@ -659,19 +665,15 @@ class ModuliStructureReport:
     metric_defects: Dict[str, float]
 
 
-def verify_moduli_structure(tb: TangentBasis,
-                            frame: Optional[HypercomplexFrame] = None
-                            ) -> ModuliStructureReport:
-    """Check that the three induced operators make the slice quaternionic and
-    the L^2 metric hyperhermitian, and that the slice does not depend on the
-    structure used to cut it. The expected dimension is four times that of
-    the stabiliser of the base connection."""
-    if frame is None:
-        frame = HypercomplexFrame.left()
+def verify_moduli_structure(tb: TangentBasis) -> ModuliStructureReport:
+    """Check that the three induced operators of ``tb.frame`` make the slice
+    quaternionic and the L^2 metric hyperhermitian, and that the slice does
+    not depend on which of them cuts it. The expected dimension is four
+    times that of the stabiliser of the base connection."""
     tol, A = tb.tol, tb.base
     dims = {"I": tb.dimension}
     distances = {}
-    for name, L in zip("JK", (frame.J, frame.K)):
+    for name, L in zip("JK", (tb.frame.J, tb.frame.K)):
         # per mode, the cuts read I's rule once L's symbol is certified:
         # which modes vanish, |xi + shift| < tol, depends only on A, N and
         # tol; the dense path cuts L from scratch

@@ -124,7 +124,7 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
     rec.exact("moduli.flat-curvature", tb.curvature_norm == 0.0,
               "F = 0 for the flat connection")
 
-    rep = verify_moduli_structure(tb, frame)
+    rep = verify_moduli_structure(tb)
     expected = rep.expected_dim
     rec.add("moduli.kernel-dimension", tb.dimension == expected,
             float(abs(tb.dimension - expected)),

@@ -128,7 +128,7 @@ def test_criterion_07_moduli_tangent_model():
     details = []
     for n, want in ((2, 12), (3, 32)):
         tb = horizontal_slice(Connection.flat(4, n), LEFT.I, tol, frame=LEFT)
-        rep = verify_moduli_structure(tb, LEFT)
+        rep = verify_moduli_structure(tb)
         dims_ok = (tb.dimension == want
                    and all(d == want for d in rep.kernel_dims.values()))
         ident_ok = max(rep.identity_defects.values()) < tol

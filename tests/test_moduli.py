@@ -983,11 +983,24 @@ def test_induced_structure_matches_coordinate_formula():
 
 def test_verify_moduli_structure_passes():
     tb = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
-    rep = verify_moduli_structure(tb, FRAME)
+    rep = verify_moduli_structure(tb)
     assert structure_holds(rep)
     assert rep.kernel_dims == {"I": 12, "J": 12, "K": 12}
     assert max(rep.identity_defects.values()) < 1e-12
     assert max(rep.metric_defects.values()) < 1e-12
+
+
+def test_verify_moduli_structure_cuts_by_the_frame_of_the_slice(monkeypatch):
+    # a right-frame slice is cut by the right frame's J and K, next to its
+    # right-frame induced operators, not by the left frame's
+    right = HypercomplexFrame.right()
+    tb = horizontal_slice(Connection.flat(4, 2), right.I, 1e-10, frame=right)
+    certified = []
+    monkeypatch.setattr(moduli, "_certify_symbol", certified.append)
+    rep = verify_moduli_structure(tb)
+    assert certified == [right.J, right.K]
+    assert structure_holds(rep)
+    assert rep.kernel_dims == {"I": 12, "J": 12, "K": 12}
 
 
 def test_verify_moduli_structure_at_cartan_connection():
@@ -996,7 +1009,7 @@ def test_verify_moduli_structure_at_cartan_connection():
     _, _, t3 = pauli_su2()
     A = constant_connection(3, 2, [(0, 0.37 * t3)])
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
-    rep = verify_moduli_structure(tb, FRAME)
+    rep = verify_moduli_structure(tb)
     assert rep.expected_dim == 4
     assert rep.kernel_dims == {"I": 4, "J": 4, "K": 4}
     assert structure_holds(rep)
@@ -1044,7 +1057,7 @@ def test_slice_dimension_is_four_times_stabiliser(mu, theta, dim):
     assert tb.dimension == dim and tb.gap_ok
     assert np.abs(tb.gram - np.eye(dim)).max() < 1e-12
     assert tb.residual(tb.basis).max() < 1e-12
-    rep = verify_moduli_structure(tb, FRAME)
+    rep = verify_moduli_structure(tb)
     assert rep.expected_dim == dim and structure_holds(rep)
 
 
@@ -1146,7 +1159,7 @@ def test_r_factor_gives_the_gram_matrix_of_the_rows():
     g = rng.standard_normal((3, 4, 300)) + 1j * rng.standard_normal((3, 4, 300))
     g[1, 2] = 0
     g[2, 3] = 2j * g[2, 0]
-    R = moduli._r_factor(g)
+    R = moduli._r_factor(g.copy())
     assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
     gram = np.conj(g) @ g.swapaxes(-1, -2)
     assert np.abs(R.conj().swapaxes(-1, -2) @ R - gram).max() <= 1e-13 * np.abs(gram).max()
@@ -1236,7 +1249,7 @@ def test_commuting_non_diagonal_connection_takes_dense_path(monkeypatch):
     assert tb.phase.ndim == 0 and tb.rule is None
     assert np.array_equal(tb.slice_defects(), tb.residual(tb.coeffs))
     # with no rule to share, the J and K cuts take the dense null space too
-    rep = verify_moduli_structure(tb, FRAME)
+    rep = verify_moduli_structure(tb)
     assert [args[1] for args in calls] == list(FRAME.matrices())
     assert rep.kernel_dims == {"I": 4, "J": 4, "K": 4} and rep.expected_dim == 4
     assert max(rep.slice_distances.values()) < 1e-8
@@ -1262,7 +1275,7 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
 
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
     monkeypatch.setattr(moduli, "_slice_basis", spy)
-    rep = verify_moduli_structure(tb, FRAME)
+    rep = verify_moduli_structure(tb)
     monkeypatch.undo()
     # neither the claims nor the J and K cuts build grid fields
     assert "basis" not in vars(tb)
@@ -1294,7 +1307,7 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
 def test_verify_moduli_structure_detects_sign_flip():
     tb = horizontal_slice(Connection.flat(3, 2), FRAME.I, 1e-10, frame=FRAME)
     tb.ops["K"] = -tb.ops["K"]
-    rep = verify_moduli_structure(tb, FRAME)
+    rep = verify_moduli_structure(tb)
     d = rep.identity_defects
     assert d["IJ = K"] > 1.0
     assert d["K^2 = -Id"] < 1e-12 and d["IJ = -JI"] < 1e-12
