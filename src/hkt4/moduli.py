@@ -200,61 +200,59 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     residual |F+|^2.
 
     The flow moves the su(n) part of ``A0`` (its real coordinates) in real
-    arrays. The gradient g is 2 d_A^* F+ on them, the gradient of |F+|^2
-    over su(n)-valued connections; the move is
-    -step P g, with P the Fourier multiplier of ``_flow_weights`` (Davies et
-    al., Phys. Rev. D 37, 1988). ``step`` is the first step; after an
-    accepted move s = -a P g_prev, with y the change of the gradient, the
-    step is the Barzilai-Borwein step in the metric of P^-1 (Barzilai and
-    Borwein, IMA J. Numer. Anal. 8, 1988), s^T P^-1 s / s^T y = -a s^T
-    g_prev / s^T y, if s^T y > 0, else the last, under a monotone guard
-    (Raydan, SIAM J. Optim. 7, 1997): a move is accepted only if |F+|^2
-    does not increase, else the step is halved. ``target`` bounds the
-    squared residual.
+    arrays by -step P g: g = 2 d_A^* F+, the gradient of |F+|^2 over
+    su(n)-valued connections, and P the Fourier multiplier of
+    ``_flow_weights`` (Davies et al., Phys. Rev. D 37, 1988). ``step`` is
+    the first step. With p = (P g_prev).g_prev and q = (P g_prev).g, an
+    accepted move s = -a P g_prev has s.y = a (p - q) and s.g_prev = -a p,
+    so the Barzilai-Borwein step in the metric of P^-1 (Barzilai and
+    Borwein, IMA J. Numer. Anal. 8, 1988), s^T P^-1 s / s^T y =
+    a p / (p - q), is taken if p > q (s.y > 0), else the last, under a
+    monotone guard (Raydan, SIAM J. Optim. 7, 1997): a move is accepted
+    only if |F+|^2 does not increase, else the step is halved. Between
+    steps the flow holds its array, F+, the last P g and p (P is positive
+    definite: p = 0 iff g = 0). ``target`` bounds the squared residual.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     N, n = A0.N, A0.n
-    A = LatticeField(1, N, n, A0.A.data.real.copy())
 
-    def residual_sq(conn_form: LatticeField) -> Tuple[float, np.ndarray]:
-        plus = apply_components(sd_projector(), curvature(Connection(conn_form)).data)
+    def residual_sq(a: np.ndarray) -> Tuple[float, np.ndarray]:
+        plus = apply_components(sd_projector(), curvature(Connection(LatticeField(1, N, n, a))).data)
         return float(sq_norm(plus)), plus
 
-    s2, plus = residual_sq(A)
+    a = A0.A.data.real.copy()
+    s2, plus = residual_sq(a)
     if not np.isfinite(s2):
         raise FlowDiverged("non-finite residual at the starting connection")
     history = [s2]
-    iters, last = 0, None
+    iters, direction = 0, None
     while iters < max_iters and s2 > target:
-        grad = _flow_gradient(A.data, plus, N)
-        gnorm2 = float(sq_norm(grad))
-        if not np.isfinite(gnorm2):
-            raise FlowDiverged("non-finite gradient")
-        if gnorm2 == 0.0:
-            break
-        if last is not None:
-            s, y = A.data - last[0], grad - last[1]
-            sty = np.vdot(s, y).real
-            step = -step * np.vdot(s, last[1]).real / sty if sty > 0 else step
+        grad = _flow_gradient(a, plus, N)
+        if direction is not None:
+            q = np.vdot(direction, grad).real
+            step = step * p / (p - q) if p > q else step
         direction = _precondition(grad, N)
-        accepted = False
+        p = np.vdot(direction, grad).real
+        del grad
+        if not np.isfinite(p):
+            raise FlowDiverged("non-finite gradient")
+        if p == 0.0:
+            break
         for _ in range(60):
-            trial = LatticeField(1, N, n, A.data - step * direction)
+            trial = a - step * direction
             s2_new, plus_new = residual_sq(trial)
             if not np.isfinite(s2_new):
                 raise FlowDiverged("non-finite residual")
             if s2_new <= s2:
-                last = (A.data, grad)
-                A, s2, plus = trial, s2_new, plus_new
-                accepted = True
+                a, s2, plus = trial, s2_new, plus_new
                 break
             step *= 0.5
         iters += 1
         history.append(s2)
-        if not accepted:
+        if s2_new > s2:  # sixty halvings, none accepted
             break
-    return FlowResult(connection=Connection(A), history=history,
+    return FlowResult(connection=Connection(LatticeField(1, N, n, a)), history=history,
                       iterations=iters, converged=s2 <= target)
 
 

@@ -340,6 +340,65 @@ def test_preconditioned_flow_takes_no_more_iterations_than_plain_bb(N, n, seed):
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
 
 
+def difference_bb_flow(A0, step, max_iters, target):
+    """Reference descent on |F+|^2 along -P g with the Barzilai-Borwein step
+    in the metric of P^-1 from the difference arrays s = A - A_prev and
+    y = g - g_prev, -a s^T g_prev / s^T y, kept if s^T y <= 0, halved on a
+    rejected move: the step ``ym_flow`` reads off the scalars p and q."""
+    N, n = A0.N, A0.n
+    A, last = A0.A.data.copy(), None
+    s2, plus = residual_sq(LatticeField(1, N, n, A))
+    history = [s2]
+    while len(history) <= max_iters and s2 > target:
+        grad = moduli._flow_gradient(A, plus, N)
+        if last is not None:
+            s, y = A - last[0], grad - last[1]
+            sty = np.vdot(s, y).real
+            step = -step * np.vdot(s, last[1]).real / sty if sty > 0 else step
+        direction = moduli._precondition(grad, N)
+        for _ in range(60):
+            trial = A - step * direction
+            s2_new, plus_new = residual_sq(LatticeField(1, N, n, trial))
+            if s2_new <= s2:
+                last = (A, grad)
+                A, s2, plus = trial, s2_new, plus_new
+                break
+            step *= 0.5
+        history.append(s2)
+    return history
+
+
+@pytest.mark.parametrize("N, n, seed, iterations", [
+    (4, 2, 314159, 4), (4, 3, 8, 11), (5, 2, 314159, 4), (6, 2, 3, 4), (8, 2, 0, 4), (8, 3, 0, 4)])
+def test_flow_steps_from_two_scalars_as_from_the_difference_arrays(N, n, seed, iterations):
+    # s.y = a (p - q) and s.g_prev = -a p in exact arithmetic; the two
+    # round differently, and the BB trajectory grows that to about 4e-12
+    # relative at (4, 3)
+    A0 = suite_flow_start(N, n, seed, 1e-2)
+    _, r0 = asd_residual(curvature(A0))
+    target = r0 ** 2 * 1e-7
+    reference = difference_bb_flow(A0, 1e-3, 10_000, target)
+    res = ym_flow(A0, step=1e-3, max_iters=10_000, target=target)
+    assert res.converged and res.iterations == len(reference) - 1 == iterations
+    assert np.allclose(res.history, reference, rtol=1e-9, atol=0.0)
+
+
+def test_flow_peaks_at_most_eleven_real_one_forms():
+    # the state, its F+ and the last P g between steps, a trial and its
+    # curvature on top: 10.0 1-forms; keeping s, y and the last (A, g) pair
+    # as well took 15.0
+    A0 = suite_flow_start(8, 2, 0, 1e-2)
+    _, r0 = asd_residual(curvature(A0))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        ym_flow(A0, step=1e-3, max_iters=10_000, target=r0 ** 2 * 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 11 * A0.A.data.nbytes
+
+
 def test_flow_from_the_rank_3_suite_start_at_seed_0_takes_at_most_60_steps():
     # the plain BB step took 220 steps here, most of them near a round-off
     # floor of the gradient's non-su(n) part
