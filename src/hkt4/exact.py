@@ -582,6 +582,9 @@ class ScalarField:
         return f"({self.num!r}) / phi^{self.k}"
 
 
+_ZERO_FIELD = ScalarField._canonical(Poly._raw({}, 1), 0)
+
+
 def _lift_into(out: Terms, terms: Terms, n: int, x: int, y: int) -> None:
     """Adds (x + y sqrt(-1)) phi^n times the pairs ``terms`` to ``out``."""
     get = out.get
@@ -597,28 +600,32 @@ def _lift_into(out: Terms, terms: Terms, n: int, x: int, y: int) -> None:
 def _lincomb(terms) -> ScalarField:
     """The canonical sum of c f over the list ``terms`` of (x, y, d, f), each
     a field f with a constant c = (x + y sqrt(-1)) / d in integers, d > 0;
-    a zero c or f adds nothing."""
-    if len(terms) == 1 and terms[0][1:3] == (0, 1) and terms[0][0] in (1, -1):
-        return terms[0][3] if terms[0][0] == 1 else -terms[0][3]
+    a zero c or f adds nothing, and an empty sum is the shared ``_ZERO_FIELD``."""
     parts, k, den = [], 0, 1
     for t in terms:
         f = t[3]
         if (t[0] or t[1]) and f.num.terms:
             parts.append(t)
             k = f.k if f.k > k else k
-            den = math.lcm(den, t[2] * f.num.den)
+            if (d := t[2] * f.num.den) != den:
+                den = math.lcm(den, d)
+    if not parts:
+        return _ZERO_FIELD
+    if len(parts) == 1 and parts[0][1:3] == (0, 1) and parts[0][0] in (1, -1):
+        return parts[0][3] if parts[0][0] == 1 else -parts[0][3]
     out: Terms = {}
     get = out.get
     top = 0
     for x, y, d, f in parts:
         s = den // (d * f.num.den)
-        x, y = x * s, y * s
+        if s != 1:
+            x, y = x * s, y * s
         if f.k < k:
             _lift_into(out, f.num.terms, k - f.k, x, y)
             continue
         top += 1
         for m, (a, b) in f.num.terms.items():
-            re, im = a * x - b * y, a * y + b * x
+            re, im = (a * x - b * y, a * y + b * x) if y else (a * x, b * x)
             v = get(m)
             out[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
     return (ScalarField if k and top > 1 else ScalarField._canonical)(Poly._make(out, den), k)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .exact import I_UNIT, QI, ScalarField, _dsum, _frac, _gaussian, _lincomb, _prodsum
-from .quaternions import IDENTITY, Matrix
+from .quaternions import IDENTITY, Matrix, _dense_product, _integer_form
 
 IndexTuple = Tuple[int, ...]
 
@@ -207,31 +207,40 @@ def _form(degree: int, groups: Dict[IndexTuple, list], kernel) -> RationalForm:
 
 def _integer_matrix(L: Matrix):
     """(D, D L), D the lcm of L's denominators; raises ValueError unless L
-    squares to -Id."""
-    D = math.lcm(*(v.denominator for row in L for v in row))
-    M = [[v.numerator * (D // v.denominator) for v in row] for row in L]
-    if any(sum(M[i][k] * M[k][j] for k in range(4)) != (-D * D if i == j else 0)
-           for i in range(4) for j in range(4)):
+    squares to -Id, checked as row-by-column products of D L."""
+    D, M = _integer_form(L)
+    if _dense_product(M, M) != [[-D * D if i == j else 0 for j in range(4)] for i in range(4)]:
         raise ValueError("matrix does not square to -Id")
     return D, M
+
+
+def _laplace_table():
+    """The keys (rows, cols) of the 70 minors in computing order, and for each
+    but the empty one its first row r and (c_j, where the minor without r and c_j is, j odd)."""
+    position, table = {((), ()): 0}, []
+    for k in range(1, 5):
+        for t, s in itertools.product(_ALL_TUPLES[k], repeat=2):
+            table.append((t[0], tuple((c, position[t[1:], s[:j] + s[j + 1:]], j % 2)
+                                      for j, c in enumerate(s))))
+            position[t, s] = len(position)
+    return tuple(position), tuple(table)
+
+
+_MINOR_KEYS, _LAPLACE = _laplace_table()
 
 
 def _all_minors(m):
     """Every minor of the exact 4 x 4 matrix m as {(rows, cols): minor}, for
     index tuples of sizes 0..4 (70 minors, the empty one 1): each by one
     Laplace step along its first row from the minors one size smaller."""
-    minors = {((), ()): 1}
-    for k in range(1, 5):
-        for t in _ALL_TUPLES[k]:
-            row, rest = m[t[0]], t[1:]
-            for s in _ALL_TUPLES[k]:
-                total = 0
-                for j, c in enumerate(s):
-                    if row[c]:
-                        term = row[c] * minors[rest, s[:j] + s[j + 1:]]
-                        total += -term if j % 2 else term
-                minors[t, s] = total
-    return minors
+    minors = [1]
+    for r, steps in _LAPLACE:
+        row, total = m[r], 0
+        for c, p, odd in steps:
+            if x := row[c]:
+                total = total - x * minors[p] if odd else total + x * minors[p]
+        minors.append(total)
+    return dict(zip(_MINOR_KEYS, minors))
 
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)

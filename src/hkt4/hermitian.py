@@ -13,6 +13,7 @@ from typing import Tuple
 from .exact import QI, ScalarField, _lincomb
 from .forms import (
     RationalForm,
+    _form,
     exterior_d,
     pq_project,
     twisted_d,
@@ -21,8 +22,8 @@ from .forms import (
 from .quaternions import (
     HypercomplexFrame,
     Matrix,
-    mat_mul,
-    mat_transpose,
+    _dense_product,
+    _integer_form,
 )
 
 
@@ -50,37 +51,42 @@ def _as_conformal(g) -> ConformalMetric:
     raise TypeError(f"not a metric: {g!r}")
 
 
+def _pullback(g, L: Matrix):
+    """(W, D D_B, W M == D^2 B): L^T g as W = M^T B over D D_B, and whether
+    L^T g L = g, for the integer forms (D, M) of L and (D_B, B) of g's base."""
+    D, M = _integer_form(L)
+    DB, B = _integer_form(_as_conformal(g).base.matrix)
+    W = _dense_product(list(zip(*M)), B)
+    return W, D * DB, _dense_product(W, M) == [[D * D * b for b in row] for row in B]
+
+
 def check_hermitian(g, L: Matrix) -> bool:
     """Exact check of g(LX, LY) = g(X, Y); the conformal factor is immaterial."""
-    base = _as_conformal(g).base.matrix
-    return mat_mul(mat_transpose(L), mat_mul(base, L)) == base
+    return _pullback(g, L)[2]
 
 
 def hermitian_form(g, L: Matrix) -> RationalForm:
-    """The 2-form omega_L = g(L., .) of an L-Hermitian metric."""
+    """The 2-form omega_L = g(L., .) of an L-Hermitian metric, from ``_pullback``."""
     gm = _as_conformal(g)
-    if not check_hermitian(gm, L):
+    W, den, hermitian = _pullback(gm, L)
+    if not hermitian:
         raise ValueError("metric is not Hermitian for the given structure")
-    W = mat_mul(mat_transpose(L), gm.base.matrix)
-    coeffs = {}
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if W[a][b] != 0:
-                coeffs[(a, b)] = gm.factor * QI(W[a][b])
-    return RationalForm(2, coeffs)
+    return _form(2, {(a, b): [(W[a][b], 0, den, gm.factor)]
+                     for a in range(4) for b in range(a + 1, 4)}, _lincomb)
 
 
 def metric_from_form(omega: RationalForm, L: Matrix):
     """Bilinear form omega(., L.) as a 4x4 matrix of ScalarFields: entry
-    (a, b) is sum_c omega_ac L_cb, one fused linear combination."""
+    (a, b) is sum_c omega_ac L_cb, one fused linear combination over L's lcm D."""
+    D, M = _integer_form(L)
+
     def entry(a, b):
         terms = []
         for c in range(4):
-            v = L[c][b]
+            v = M[c][b]
             f = omega.coeffs.get((a, c) if a < c else (c, a)) if v and a != c else None
             if f is not None:
-                x = v.numerator if a < c else -v.numerator
-                terms.append((x, 0, v.denominator, f))
+                terms.append((v if a < c else -v, 0, D, f))
         return _lincomb(terms)
 
     return tuple(tuple(entry(a, b) for b in range(4)) for a in range(4))

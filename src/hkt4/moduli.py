@@ -96,12 +96,13 @@ def curvature(conn: Connection) -> LatticeField:
     its coordinates, as a real array: d of a real array is Re(D_N), the
     su(n) part of d, which at even N leaves su(n) (docs/conventions.md,
     "Even grids"). Zero for constant commuting connections: exactly when
-    their coordinates are +-2^k, else to round-off. At A = 0 the all-zero
-    bracket is skipped."""
+    their coordinates are +-2^k, else to round-off. At A = 0, F is the zero
+    2-form, exactly d of 0, and neither d nor the bracket runs."""
     a = conn.A.data.real
+    if _coupling(conn) is None:
+        return LatticeField(2, conn.N, conn.n, np.zeros((len(_MU),) + a.shape[1:]))
     F = d_raw(a, 1, conn.N)
-    if _coupling(conn) is not None:
-        bracket(a[_MU], a[_NU], F)
+    bracket(a[_MU], a[_NU], F)
     return LatticeField(2, conn.N, conn.n, F)
 
 

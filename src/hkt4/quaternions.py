@@ -6,6 +6,7 @@ Coordinates follow x = x0 + x1 i + x2 j + x3 k throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -86,7 +87,8 @@ class AxisTriple:
         object.__setattr__(self, "a", _frac(a))
         object.__setattr__(self, "b", _frac(b))
         object.__setattr__(self, "c", _frac(c))
-        if self.a ** 2 + self.b ** 2 + self.c ** 2 != 1:
+        D, [(a, b, c)] = _integer_form([(self.a, self.b, self.c)])
+        if a * a + b * b + c * c != D * D:
             raise ValueError("axis must satisfy a^2 + b^2 + c^2 = 1")
 
     def as_quaternion(self) -> Quaternion:
@@ -120,8 +122,16 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-v for v in row) for row in a)
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
+def _integer_form(rows):
+    """(D, D rows) as lists of integers, D the lcm of the rows' denominators."""
+    D = math.lcm(*(v.denominator for row in rows for v in row))
+    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
+
+
+def _dense_product(a, b):
+    """a b for 4 x 4 matrices of integers, say, as row-by-column products."""
+    cols = list(zip(*b))
+    return [[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] + r[3] * c[3] for c in cols] for r in a]
 
 
 class _HashedMatrix(tuple):
@@ -204,14 +214,22 @@ class HypercomplexFrame:
                   ("JI = -K", mat_mul(J, I), mat_neg(K)))
         return tuple(name for name, got, want in checks if got != want)
 
+    @cached_property
+    def _entry_integers(self):
+        """(D, rows of (D I_ij, D J_ij, D K_ij)), one denominator D for all."""
+        D, M = _integer_form(self.I + self.J + self.K)
+        return D, [list(zip(*M[i::4])) for i in range(4)]
+
     def span_structure(self, axis: AxisTriple | Sequence) -> Matrix:
-        """a*I + b*J + c*K for a unit axis; squares to -Id."""
+        """a*I + b*J + c*K for a unit axis; squares to -Id. Each entry is one
+        integer sum over the axis's and the frame's denominators."""
         if not isinstance(axis, AxisTriple):
             axis = AxisTriple(*axis)
-        terms = tuple(zip((axis.a, axis.b, axis.c), self.matrices()))
-        # each frame matrix has 4 nonzero entries of 16
-        return _HashedMatrix(tuple(sum((w * m[i][j] for w, m in terms if m[i][j]), _ZERO)
-                                   for j in range(4)) for i in range(4))
+        D, [(a, b, c)] = _integer_form([(axis.a, axis.b, axis.c)])
+        Df, rows = self._entry_integers
+        den = D * Df
+        return _HashedMatrix(tuple(tuple(Fraction(n, den) if (n := a * x + b * y + c * z) else _ZERO
+                                         for x, y, z in row) for row in rows))
 
 
 def _exact_rank(rows) -> int:

@@ -54,13 +54,12 @@ from .report import EXACT_ZERO, CheckRecorder, CheckResult, VerificationReport
 
 
 def random_rational_axis(rng: random.Random) -> AxisTriple:
-    """Exact point on S^2 from the rational parametrization
-    ((1 - u^2 - v^2), 2u, 2v) / (1 + u^2 + v^2)."""
-    u = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-    v = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-    s = u * u + v * v
-    den = 1 + s
-    return AxisTriple((1 - s) / den, 2 * u / den, 2 * v / den)
+    """Exact point ((1 - u^2 - v^2), 2u, 2v) / (1 + u^2 + v^2) on S^2, in integers: for u = P/Q
+    and v = R/Q it is (Q^2 - P^2 - R^2, 2PQ, 2RQ) / (Q^2 + P^2 + R^2)."""
+    p1, q1, p2, q2 = (rng.randint(-6, 6), rng.randint(1, 5), rng.randint(-6, 6), rng.randint(1, 5))
+    P, R, Q = p1 * q2, p2 * q1, q1 * q2
+    den = Q * Q + P * P + R * R
+    return AxisTriple(*(Fraction(n, den) for n in (Q * Q - P * P - R * R, 2 * P * Q, 2 * R * Q)))
 
 
 def _timed(checks: List[CheckResult], started: float) -> List[CheckResult]:

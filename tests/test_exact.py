@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkt4.exact import (EXP_LIMIT, PHI, Poly, QI, ScalarField, _dsum, _phi_quotient, _prodsum,
-                        _unpack)
+from hkt4 import exact
+from hkt4.exact import (EXP_LIMIT, PHI, Poly, QI, ScalarField, _dsum, _lincomb, _phi_quotient,
+                        _prodsum, _unpack)
 
 
 def variable(i):
@@ -137,6 +138,36 @@ def test_phi_pretest_never_decides_divisibility(p, kind, near):
         p = p * near
     q, r = p.divmod_poly(PHI)
     assert _phi_quotient(p) == (q if r.is_zero() else None)
+
+
+# fields over phi^0..phi^2 whose numerators may carry phi factors, the zero
+# field among them, and constants (x, y, d): zero, +-1, real and complex
+lincomb_fields = st.builds(lambda p, j, k: ScalarField(p * PHI if j else p, k),
+                           polys | st.just(Poly()), st.booleans(), st.integers(0, 2))
+lincomb_constants = (st.sampled_from([(0, 0, 1), (1, 0, 1), (-1, 0, 1)])
+                     | st.tuples(st.integers(-3, 3), st.just(0), st.integers(1, 4))
+                     | st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4)))
+
+
+def lincomb_reference(terms):
+    """sum c f by Poly arithmetic over the largest phi power, reduced by the
+    ScalarField constructor."""
+    k = max((f.k for *_, f in terms), default=0)
+    total = Poly()
+    for x, y, d, f in terms:
+        num = f.num * QI(Fraction(x, d), Fraction(y, d))
+        for _ in range(k - f.k):
+            num = num * PHI
+        total = total + num
+    return ScalarField(total, k)
+
+
+@given(st.lists(st.builds(lambda c, f: (*c, f), lincomb_constants, lincomb_fields), max_size=5))
+def test_lincomb_matches_the_reference_sum(terms):
+    got, want = _lincomb(terms), lincomb_reference(terms)
+    assert (got.num.terms, got.num.den, got.k) == (want.num.terms, want.num.den, want.k)
+    zero = exact._ZERO_FIELD  # returned for every empty sum, so never written
+    assert (zero.num.terms, zero.num.den, zero.k) == ({}, 1, 0) and zero == ScalarField.const(0)
 
 
 def test_phi_quotient_of_zero_is_zero():

@@ -1,13 +1,16 @@
 """Oracles for the integer fast paths of the exact operators: the
-compound-matrix pullback against the wedge expansion, and every fused sum
+compound-matrix pullback against the wedge expansion, every fused sum
 (structure_action, pq_project, hodge_star, metric_from_form, exterior_d,
-wedge) against a per-term ScalarField sum."""
+wedge) against a per-term ScalarField sum, and the integer forms of the axis
+draw, the span of a frame, the minor table and the Hermitian checks against
+their Fraction formulas."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from hkt4.exact import PHI, Poly, QI, ScalarField, _lincomb
 from hkt4.forms import (
@@ -16,6 +19,7 @@ from hkt4.forms import (
     ConstantMetric,
     RationalForm,
     _action_matrix,
+    _all_minors,
     _pq_matrix,
     _wedge_covectors,
     exterior_d,
@@ -25,8 +29,8 @@ from hkt4.forms import (
     twisted_d,
     wedge,
 )
-from hkt4.hermitian import metric_from_form
-from hkt4.quaternions import AxisTriple, HypercomplexFrame
+from hkt4.hermitian import ConformalMetric, check_hermitian, hermitian_form, metric_from_form
+from hkt4.quaternions import IDENTITY, AxisTriple, HypercomplexFrame, mat, mat_mul, mat_neg
 from hkt4.suites import random_rational_axis
 
 
@@ -249,3 +253,108 @@ def test_dd_is_exactly_zero():
     for degree in range(3):
         for _ in range(4):
             assert exterior_d(exterior_d(rand_form(rng, degree))) == RationalForm.zero(degree + 2)
+
+
+# ---------------------------------------------------------------------------
+# Integer forms against the Fraction formulas they replace
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def rand_matrix(rng, density=0.75):
+    return mat([[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < density else 0
+                 for _ in range(4)] for _ in range(4)])
+
+
+def test_random_rational_axis_matches_the_fraction_formula():
+    for seed in range(250):
+        rng, draws = random.Random(seed), random.Random(seed)
+        u = Fraction(draws.randint(-6, 6), draws.randint(1, 5))
+        v = Fraction(draws.randint(-6, 6), draws.randint(1, 5))
+        s = u * u + v * v
+        axis = random_rational_axis(rng)
+        assert (axis.a, axis.b, axis.c) == ((1 - s) / (1 + s), 2 * u / (1 + s), 2 * v / (1 + s))
+        assert rng.getstate() == draws.getstate()  # the same four draws
+
+
+def test_span_structure_matches_the_fraction_sum():
+    rng = random.Random(31)
+    # a frame's span needs no frame identities, so random rational matrices
+    # stand for a frame with non-integer entries
+    rational = HypercomplexFrame("left", *(rand_matrix(rng) for _ in range(3)))
+    axes = [random_rational_axis(rng) for _ in range(20)] + [AxisTriple(0, 0, -1)]
+    for frame in (*FRAMES, rational):
+        for axis in axes:
+            expected = tuple(tuple(sum((w * m[i][j] for w, m in zip(
+                (axis.a, axis.b, axis.c), frame.matrices())), Fraction(0))
+                for j in range(4)) for i in range(4))
+            assert frame.span_structure(axis) == expected
+
+
+def test_all_minors_match_sympy():
+    rng = random.Random(32)
+    matrices = [mat([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]) for _ in range(3)]
+    matrices += [rand_matrix(rng, density) for density in (0.3, 0.6, 1.0)]
+    matrices += [next(axis_structures(seed=33, count=1)), mat([[0] * 4] * 4)]
+    for m in matrices:
+        minors = _all_minors(m)
+        assert len(minors) == 70
+        symbolic = sp.Matrix(4, 4, lambda i, j: sp.Rational(m[i][j].numerator, m[i][j].denominator))
+        for k in range(5):
+            for t in _ALL_TUPLES[k]:
+                for s in _ALL_TUPLES[k]:
+                    want = symbolic.extract(list(t), list(s)).det() if k else 1
+                    assert minors[t, s] == Fraction(int(sp.numer(want)), int(sp.denom(want)))
+
+
+def hermitian_bases(rng):
+    """Rational positive-definite metrics: the Euclidean one, the average of
+    a random one over a frame (Hermitian for it) and random ones."""
+    bases = [ConstantMetric.euclidean()]
+    for frame in FRAMES:
+        g0 = mat([[2, 1, 0, Fraction(1, 3)], [1, 3, 0, 0], [0, 0, 1, 0], [Fraction(1, 3), 0, 0, 5]])
+        pulled = [g0] + [mat_mul(transpose(L), mat_mul(g0, L)) for L in frame.matrices()]
+        bases.append(ConstantMetric([[sum(m[i][j] for m in pulled) / 4 for j in range(4)]
+                                     for i in range(4)]))
+    for _ in range(3):
+        a = rand_matrix(rng)
+        bases.append(ConstantMetric([[sum(a[i][k] * a[j][k] for k in range(4)) + (i == j)
+                                      for j in range(4)] for i in range(4)]))
+    return bases
+
+
+def test_check_hermitian_matches_the_fraction_product():
+    rng = random.Random(34)
+    structures = [L for frame in FRAMES for L in frame.matrices()]
+    structures += list(axis_structures(seed=35, count=3))
+    # none of these squares to -Id; check_hermitian still answers
+    others = [IDENTITY, mat_neg(IDENTITY), mat([[0] * 4] * 4)] + [rand_matrix(rng) for _ in range(4)]
+    verdicts = []
+    for g in hermitian_bases(rng):
+        for L in structures + others:
+            expected = mat_mul(transpose(L), mat_mul(g.matrix, L)) == g.matrix
+            got = check_hermitian(g, L)
+            assert type(got) is bool and got == expected
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_hermitian_form_matches_the_fraction_formula():
+    rng = random.Random(36)
+    factor = ScalarField(Poly.const(4), 1)
+    structures = [L for frame in FRAMES for L in frame.matrices()]
+    structures += list(axis_structures(seed=37, count=3))
+    for base in hermitian_bases(rng):
+        for g in (base, ConformalMetric(factor, base)):
+            gm = g if isinstance(g, ConformalMetric) else ConformalMetric.from_constant(g)
+            for L in structures:
+                if not check_hermitian(g, L):
+                    with pytest.raises(ValueError):
+                        hermitian_form(g, L)
+                    continue
+                W = mat_mul(transpose(L), base.matrix)
+                expected = RationalForm(2, {(a, b): gm.factor * QI(W[a][b])
+                                            for a in range(4) for b in range(a + 1, 4) if W[a][b]})
+                assert hermitian_form(g, L) == expected

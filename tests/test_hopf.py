@@ -1,6 +1,7 @@
 """End-to-end exact verification of the Hopf chart geometry."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hkt4.hopf import (
     verify_strong_hkt,
 )
 from hkt4.quaternions import AxisTriple
+from hkt4.suites import random_rational_axis
 
 
 def variable(i):
@@ -151,6 +153,32 @@ def test_axis_family(geo):
             AxisTriple(Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3)),
             AxisTriple(Fraction(12, 13), Fraction(3, 13), Fraction(4, 13))]
     assert all_pass(verify_axis_family(geo, axes))
+
+
+FRACTION_OPS = [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv", "pow")
+                for r in ("", "r")]
+
+
+def test_axis_family_makes_no_fraction_arithmetic(geo):
+    # five fresh axes, drawn and verified on a warm geometry, run every step
+    # of a new structure (span, minors, compound matrices, metric) in integers
+    verify_axis_family(geo, [AxisTriple(1, 0, 0)])
+    calls = []
+
+    def counted(name, op):
+        return lambda *args: calls.append(name) or op(*args)
+
+    saved = {name: Fraction.__dict__[name] for name in FRACTION_OPS}
+    try:
+        for name, op in saved.items():
+            setattr(Fraction, name, counted(name, op))
+        rng = random.Random(2006)
+        checks = verify_axis_family(geo, [random_rational_axis(rng) for _ in range(5)])
+    finally:
+        for name, op in saved.items():
+            setattr(Fraction, name, op)
+    assert len(checks) == 10 and all_pass(checks)
+    assert calls == []
 
 
 def _tampered_frame(geo):
