@@ -43,6 +43,7 @@ from .lattice import (
     wedge_pairing,
 )
 from .quaternions import HypercomplexFrame, Matrix
+from .report import CheckRecorder, CheckResult
 
 
 @dataclass
@@ -196,7 +197,7 @@ def _flow_gradient(a: np.ndarray, plus: np.ndarray, N: int) -> np.ndarray:
 
 
 def ym_flow(A0: Connection, step: float, max_iters: int,
-            target: float) -> FlowResult:
+            reduction: float) -> FlowResult:
     """Fourier-preconditioned gradient descent on the squared self-dual
     residual |F+|^2.
 
@@ -212,7 +213,8 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     monotone guard (Raydan, SIAM J. Optim. 7, 1997): a move is accepted
     only if |F+|^2 does not increase, else the step is halved. Between
     steps the flow holds its array, F+, the last P g and p (P is positive
-    definite: p = 0 iff g = 0). ``target`` bounds the squared residual.
+    definite: p = 0 iff g = 0). The flow stops once |F+|^2 is at most
+    ``reduction`` times its value at ``A0``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -226,7 +228,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     s2, plus = residual_sq(a)
     if not np.isfinite(s2):
         raise FlowDiverged("non-finite residual at the starting connection")
-    history = [s2]
+    history, target = [s2], reduction * s2
     iters, direction = 0, None
     while iters < max_iters and s2 > target:
         grad = _flow_gradient(a, plus, N)
@@ -248,6 +250,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
             if s2_new <= s2:
                 a, s2, plus = trial, s2_new, plus_new
                 break
+            del trial, plus_new
             step *= 0.5
         iters += 1
         history.append(s2)
@@ -403,17 +406,15 @@ MAX_DENSE_DIM = 3200
 SYMBOL_TOL = 1e-12  # the largest symbol-identity defect round-off explains
 
 
-def _slice_basis(A: Connection, L: Matrix, tol: float, rule: Optional[ModeRule] = None):
+def _slice_basis(A: Connection, L: Matrix, tol: float, rule: Optional[ModeRule]):
     """``TangentBasis`` coefficients and phase of the kernel of the stacked
     operator (d_A^+, Lambda d^c_L), its smallest non-kernel singular value
     and the kernel gap: at a flat and constant Cartan connection (A = 0 too)
     the operator is block diagonal over Fourier modes and matrix entries, and
     each block's singular values follow from |xi + shift| (no discretization
     pollution) once ``_certify_symbol(L)`` holds, so every L reads the one
-    ``_mode_rule(A, tol)``, ``rule`` when the caller holds it; otherwise it
-    is a dense null space, up to ``MAX_DENSE_DIM``."""
-    if rule is None:
-        rule = _mode_rule(A, tol)
+    ``rule = _mode_rule(A, tol)``; with ``rule`` None it is a dense null
+    space, up to ``MAX_DENSE_DIM``."""
     if rule is None:
         basis, min_sv, gap = _dense_slice_basis(A, L, tol)
         return basis, np.ones((), dtype=complex), min_sv, gap
@@ -608,14 +609,12 @@ def _dense_slice_basis(A: Connection, L: Matrix, tol: float):
     return basis, min_nonkernel, gap
 
 
-def gauge_kernel_dim(A: Connection, tol: float, rule: Optional[ModeRule] = None) -> int:
+def gauge_kernel_dim(A: Connection, tol: float, rule: Optional[ModeRule]) -> int:
     """dim ker(d_A on su(n)-valued 0-forms): the Lie algebra of the
     stabiliser of A: at a constant Cartan connection, the generators whose
     entries all have a vanishing 0-form symbol i(xi + theta_j - theta_k),
-    counted from A's ``_mode_rule(A, tol)`` (``rule`` when the caller holds
-    it); otherwise, the kernel of the dense singular values of d_A."""
-    if rule is None:
-        rule = _mode_rule(A, tol)
+    counted from ``rule = _mode_rule(A, tol)``; with ``rule`` None, the
+    kernel of the dense singular values of d_A."""
     if rule is not None:
         return int(rule.stabiliser.sum())
     z = d_raw(_unit_fields(0, A.N, A.n), 0, A.N, A=A.A.data)
@@ -654,51 +653,66 @@ def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(np.linalg.norm(resid, 2))
 
 
-@dataclass
-class ModuliStructureReport:
-    kernel_dims: Dict[str, int]
-    expected_dim: int
-    slice_distances: Dict[str, float]
-    identity_defects: Dict[str, float]
-    invariance_defects: Dict[str, float]
-    metric_defects: Dict[str, float]
-
-
-def verify_moduli_structure(tb: TangentBasis) -> ModuliStructureReport:
-    """Check that the three induced operators of ``tb.frame`` make the slice
-    quaternionic and the L^2 metric hyperhermitian, and that the slice does
-    not depend on which of them cuts it. The expected dimension is four
-    times that of the stabiliser of the base connection."""
+def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
+    """The slice's ``moduli.*`` checks, in report order: its dimension is
+    four times that of the stabiliser of the base connection, with a clear
+    gap, and it solves the slice equations; the J and K of ``tb.frame`` cut
+    the same slice; the three induced operators make it quaternionic and
+    preserve it, and the L^2 metric is hyperhermitian; the Hermitian form is
+    the L^2 pairing of I~ with one global sign."""
+    rec = CheckRecorder()
     tol, A = tb.tol, tb.base
-    dims = {"I": tb.dimension}
-    distances = {}
-    for name, L in zip("JK", (tb.frame.J, tb.frame.K)):
+    dims, distances = [tb.dimension], []
+    for L in (tb.frame.J, tb.frame.K):
         # per mode, the cuts read I's rule once L's symbol is certified:
         # which modes vanish, |xi + shift| < tol, depends only on A, N and
         # tol; the dense path cuts L from scratch
         other, _, _, _ = _slice_basis(A, L, tol, tb.rule)
-        dims[name] = len(other)
-        distances[f"I-{name}"] = subspace_distance(tb.coeffs, other)
+        dims.append(len(other))
+        distances.append(subspace_distance(tb.coeffs, other))
     expected = 4 * gauge_kernel_dim(A, tol, tb.rule)
 
     I_m, J_m, K_m = tb.ops["I"], tb.ops["J"], tb.ops["K"]
     eye = np.eye(tb.dimension)
     identities = {
-        "I^2 = -Id": I_m @ I_m + eye,
-        "J^2 = -Id": J_m @ J_m + eye,
-        "K^2 = -Id": K_m @ K_m + eye,
-        "IJ = K": I_m @ J_m - K_m,
-        "IJ = -JI": I_m @ J_m + J_m @ I_m,
+        "I^2=-Id": I_m @ I_m + eye,
+        "J^2=-Id": J_m @ J_m + eye,
+        "K^2=-Id": K_m @ K_m + eye,
+        "IJ=K": I_m @ J_m - K_m,
+        "IJ=-JI": I_m @ J_m + J_m @ I_m,
     }
     metric = {name: M.T @ tb.gram @ M - tb.gram for name, M in tb.ops.items()}
     # the eight spectral norms from one batched SVD
     norms = np.linalg.svd(np.stack([*identities.values(), *metric.values()]),
                           compute_uv=False).max(axis=-1).tolist()
-    return ModuliStructureReport(kernel_dims=dims, expected_dim=expected,
-                                 slice_distances=distances,
-                                 identity_defects=dict(zip(identities, norms[:5])),
-                                 invariance_defects=dict(tb.invariance_defects),
-                                 metric_defects=dict(zip(metric, norms[5:])))
+
+    rec.add("moduli.kernel-dimension", tb.dimension == expected,
+            float(abs(tb.dimension - expected)), "dim T[A] = 4 dim H^0(A)")
+    rec.add("moduli.kernel-gap", tb.gap_ok,
+            0.0 if not np.isfinite(tb.gap) else 1.0 / tb.gap, "plumbing")
+    worst = float(tb.slice_defects().max())
+    rec.add("moduli.slice-equations", worst < tol, worst,
+            "d_A^+ a = 0 and Lambda d^c_L a = 0")
+    rec.add("moduli.slice-same-for-IJK",
+            all(d == expected for d in dims) and max(distances) < tol, max(distances),
+            "tangent space independent of the cutting structure")
+    for name, defect in zip(identities, norms[:5]):
+        rec.add(f"moduli.structure.{name}", defect < tol, defect,
+                "induced structures are quaternionic")
+    for name, defect in tb.invariance_defects.items():
+        rec.add(f"moduli.slice-invariance.{name}", defect < tol, defect,
+                "induced structures preserve the slice")
+    for name, defect in zip(metric, norms[5:]):
+        rec.add(f"moduli.metric-invariance.{name}", defect < tol, defect,
+                "L^2 metric Hermitian for each induced structure")
+
+    # Hermitian 2-form against the L^2 metric on the whole slice: W = s G
+    W = hermitian_form_matrix(tb.structure, tb.coeffs, tb.coeffs)
+    G = l2_gram(induced_structure(tb.structure, tb.coeffs), tb.coeffs)
+    defect = hermitian_sign_defect(W, G, hermitian_form_sign(tb.structure))
+    rec.add("moduli.hermitian-form-sign", defect < 1e-8, defect,
+            "omega~(a1,a2) = +/- (I~ a1, a2) with one global sign")
+    return rec.checks
 
 
 def hermitian_form_matrix(L: Matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:

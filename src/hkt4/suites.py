@@ -34,18 +34,12 @@ from .hopf import (
     verify_gauduchon,
 )
 from .invariants import degree, slope
-from .lattice import LatticeField, l2_gram
+from .lattice import LatticeField
 from .lattice import l2_inner  # noqa: F401 - the L^2 metric, in this namespace too
 from .moduli import (
     Connection,
     _coulomb_rows,
-    asd_residual,
-    curvature,
-    hermitian_form_matrix,
-    hermitian_form_sign,
-    hermitian_sign_defect,
     horizontal_slice,
-    induced_structure,
     verify_moduli_structure,
     ym_flow,
 )
@@ -123,38 +117,7 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
     rec.exact("moduli.flat-curvature", tb.curvature_norm == 0.0,
               "F = 0 for the flat connection")
 
-    rep = verify_moduli_structure(tb)
-    expected = rep.expected_dim
-    rec.add("moduli.kernel-dimension", tb.dimension == expected,
-            float(abs(tb.dimension - expected)),
-            "dim T[A] = 4 dim H^0(A)")
-    rec.add("moduli.kernel-gap", tb.gap_ok,
-            0.0 if not np.isfinite(tb.gap) else 1.0 / tb.gap, "plumbing")
-    worst = float(tb.slice_defects().max())
-    rec.add("moduli.slice-equations", worst < tol, worst,
-            "d_A^+ a = 0 and Lambda d^c_L a = 0")
-
-    dims_ok = all(d == expected for d in rep.kernel_dims.values())
-    rec.add("moduli.slice-same-for-IJK",
-            dims_ok and max(rep.slice_distances.values()) < tol,
-            max(rep.slice_distances.values()),
-            "tangent space independent of the cutting structure")
-    for name, defect in rep.identity_defects.items():
-        rec.add(f"moduli.structure.{name.replace(' ', '')}", defect < tol,
-                defect, "induced structures are quaternionic")
-    for name, defect in rep.invariance_defects.items():
-        rec.add(f"moduli.slice-invariance.{name}", defect < tol, defect,
-                "induced structures preserve the slice")
-    for name, defect in rep.metric_defects.items():
-        rec.add(f"moduli.metric-invariance.{name}", defect < tol, defect,
-                "L^2 metric Hermitian for each induced structure")
-
-    # Hermitian 2-form against the L^2 metric on the whole slice: W = s G
-    W = hermitian_form_matrix(tb.structure, tb.coeffs, tb.coeffs)
-    G = l2_gram(induced_structure(tb.structure, tb.coeffs), tb.coeffs)
-    defect = hermitian_sign_defect(W, G, hermitian_form_sign(tb.structure))
-    rec.add("moduli.hermitian-form-sign", defect < 1e-8, defect,
-            "omega~(a1,a2) = +/- (I~ a1, a2) with one global sign")
+    rec.checks += verify_moduli_structure(tb)
 
     rows = _coulomb_rows(frame.matrices())  # equal rows: the identity for every a and A
     worst = float(np.abs(rows[1:] - rows[0]).max())
@@ -168,9 +131,7 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
             rng.standard_normal(out=dropped)
         del dropped
         pert = LatticeField.random(1, N, n, rng, scale=flow_eps)
-        A0 = Connection(pert)
-        _, r0 = asd_residual(curvature(A0))
-        res = ym_flow(A0, step=1e-3, max_iters=10_000, target=r0 ** 2 * 1e-7)
+        res = ym_flow(Connection(pert), step=1e-3, max_iters=10_000, reduction=1e-7)
         monotone = all(res.history[i + 1] <= res.history[i]
                        for i in range(len(res.history) - 1))
         factor = res.initial / res.final if res.final > 0 else np.inf
