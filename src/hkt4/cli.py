@@ -70,22 +70,27 @@ SEED = click.IntRange(0, 2**64 - 1)
 def _read_config(ctx: click.Context, _param, path):
     """Read the --config file into ``ctx.default_map`` under parameter
     names. Eager, so it runs before every other option, which click then
-    converts from the command line or else from this map."""
+    converts from the command line or else from this map. A file that is
+    not UTF-8 is a usage error (exit 2)."""
     if path is None:
         return
     name_of = {key: param.name for param in ctx.command.params if param.name != "config"
                for key in [param.name, *(opt.lstrip("-").replace("-", "_")
                                          for opt in param.opts)]}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"config file is not UTF-8: {exc}")
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     unknown = values.keys() - name_of.keys()
     if unknown:
         raise click.UsageError(f"unknown config key: {', '.join(sorted(unknown))}")
@@ -138,8 +143,8 @@ _common = [
                  default="json", show_default=True, help="Report format."),
     click.option("--seed", type=SEED, default=DEFAULT_SEED, show_default=True,
                  help="Seed for randomized spot checks (recorded in the report)."),
-    click.option("--config", type=click.Path(exists=True), default=None, is_eager=True,
-                 expose_value=False, callback=_read_config,
+    click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
+                 is_eager=True, expose_value=False, callback=_read_config,
                  help="key=value file of flag defaults; flags win."),
 ]
 

@@ -36,7 +36,6 @@ from .forms import (
     ConstantMetric,
     RationalForm,
     hodge_star,
-    lambda_contract,
     pq_project,
     structure_action,
 )
@@ -105,15 +104,11 @@ def hermitian_form_vector(L: Matrix) -> np.ndarray:
 @lru_cache(maxsize=None)
 def lambda_row(L: Matrix) -> np.ndarray:
     """Row vector with Lambda(beta) = row . beta_components for the flat
-    Hermitian form of L."""
-    from .hermitian import hermitian_form
-
-    omega = hermitian_form(_EUCLID, L)
-    row = np.zeros(6, dtype=complex)
-    for i, t in enumerate(TUPLES[2]):
-        lam = lambda_contract(omega, RationalForm.basis(t))
-        row[i] = complex(lam.num.constant_value()) if not lam.is_zero() else 0.0
-    return _real_if_real(row)
+    Hermitian form w of L: the ledger's beta ^ w = Lambda(beta) w^2/2 reads
+    row = 2 P w / (w . P w) with P = ``wedge_pairing(2)``."""
+    w = hermitian_form_vector(L)
+    Pw = wedge_pairing(2) @ w
+    return 2 * Pw / (w @ Pw)
 
 
 @lru_cache(maxsize=None)

@@ -142,30 +142,18 @@ FLOW_SHIFT = math.pi ** 2
 
 
 @lru_cache(maxsize=None)
-def _flow_weights(N: int) -> np.ndarray:
-    """The weights w(k) = c / (c + sum_mu kappa_mu^2) of the flow's
-    preconditioner at the N^4 modes in FFT order, c = ``FLOW_SHIFT``;
-    read-only, as shared. kappa is ``frequencies(N)`` with the Nyquist
-    frequency of an even grid counted as 0: d of a real Nyquist mode is
-    imaginary and Re(D_N), the d of real fields, drops it, so those modes
-    have no linear restoring force to damp. w(k) = w(-k), so the multiplier
-    maps real fields to real fields."""
-    kappa = frequencies(N).copy()
-    if N % 2 == 0:
-        kappa[N // 2] = 0.0
+def _basis_weights(N: int) -> np.ndarray:
+    """The weights w = c / (c + sum_mu kappa_mu^2) of the flow's
+    preconditioner at the rows of ``fourier_basis(N)`` along each axis,
+    c = ``FLOW_SHIFT``; read-only, as shared. kappa is ``frequencies(N)`` at
+    each row's index k >= 0, with the Nyquist row of an even grid counted as
+    0: d of a real Nyquist mode is imaginary and Re(D_N), the d of real
+    fields, drops it, so those modes have no linear restoring force to damp."""
+    k = fourier_basis(N)[1]
+    kappa = np.where(2 * k == N, 0.0, frequencies(N)[k])
     k2 = kappa ** 2
     w = FLOW_SHIFT / (FLOW_SHIFT + k2[:, None, None, None] + k2[:, None, None]
                       + k2[:, None] + k2)
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=None)
-def _basis_weights(N: int) -> np.ndarray:
-    """``_flow_weights(N)`` at the rows of ``fourier_basis(N)`` along each
-    axis; read-only."""
-    k = fourier_basis(N)[1]
-    w = _flow_weights(N)[np.ix_(k, k, k, k)]
     w.flags.writeable = False
     return w
 
@@ -175,10 +163,11 @@ def _precondition(grad: np.ndarray, N: int) -> np.ndarray:
     ``fourier_basis(N)`` along each of the four lattice axes, times
     ``_basis_weights(N)``, and the transpose back, eight real products with
     N x N matrices by ``deriv``'s kernel. This is the Fourier multiplier
-    exactly: w(k) = c / (c + sum_mu kappa_mu^2) depends on each kappa_mu^2
-    alone, and kappa(-k)^2 = kappa(k)^2 (the Nyquist kappa is 0), so on each
-    axis P is one number on span{cos, sin} of each |k|, and diagonal in the
-    basis. The products ping-pong between two buffers; ``grad`` is kept."""
+    c / (c + sum_mu kappa_mu^2) on the N^4 modes exactly: it depends on each
+    kappa_mu^2 alone, and kappa(-k)^2 = kappa(k)^2 (the Nyquist kappa is 0),
+    so on each axis P is one number on span{cos, sin} of each |k|, diagonal
+    in the basis, and maps real fields to real fields. The products
+    ping-pong between two buffers; ``grad`` is kept."""
     bufs = np.empty_like(grad), np.empty_like(grad)
     out = grad
     for mu in range(4):
@@ -204,7 +193,7 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     The flow moves the su(n) part of ``A0`` (its real coordinates) in real
     arrays by -step P g: g = 2 d_A^* F+, the gradient of |F+|^2 over
     su(n)-valued connections, and P the Fourier multiplier of
-    ``_flow_weights`` (Davies et al., Phys. Rev. D 37, 1988). ``step`` is
+    ``_precondition`` (Davies et al., Phys. Rev. D 37, 1988). ``step`` is
     the first step. With p = (P g_prev).g_prev and q = (P g_prev).g, an
     accepted move s = -a P g_prev has s.y = a (p - q) and s.g_prev = -a p,
     so the Barzilai-Borwein step in the metric of P^-1 (Barzilai and
@@ -414,7 +403,8 @@ def _slice_basis(A: Connection, L: Matrix, tol: float, rule: Optional[ModeRule])
     each block's singular values follow from |xi + shift| (no discretization
     pollution) once ``_certify_symbol(L)`` holds, so every L reads the one
     ``rule = _mode_rule(A, tol)``; with ``rule`` None it is a dense null
-    space, up to ``MAX_DENSE_DIM``."""
+    space, up to ``MAX_DENSE_DIM``. ``verify_moduli_structure`` calls it
+    only for an L whose ``slice_matrix`` differs from the slice's own."""
     if rule is None:
         basis, min_sv, gap = _dense_slice_basis(A, L, tol)
         return basis, np.ones((), dtype=complex), min_sv, gap
@@ -659,15 +649,19 @@ def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
     gap, and it solves the slice equations; the J and K of ``tb.frame`` cut
     the same slice; the three induced operators make it quaternionic and
     preserve it, and the L^2 metric is hyperhermitian; the Hermitian form is
-    the L^2 pairing of I~ with one global sign."""
+    the L^2 pairing of I~ with one global sign. A J or K whose
+    ``slice_matrix`` equals the slice's own (``np.array_equal``, as on the
+    six frame structures) cuts the slice itself, ``tb.coeffs``, which its
+    ``subspace_distance`` still measures; another is cut by
+    ``_slice_basis``."""
     rec = CheckRecorder()
     tol, A = tb.tol, tb.base
     dims, distances = [tb.dimension], []
     for L in (tb.frame.J, tb.frame.K):
-        # per mode, the cuts read I's rule once L's symbol is certified:
-        # which modes vanish, |xi + shift| < tol, depends only on A, N and
-        # tol; the dense path cuts L from scratch
-        other, _, _, _ = _slice_basis(A, L, tol, tb.rule)
+        # another operator reads I's rule per mode once its symbol is
+        # certified, and is cut from scratch on the dense path
+        same = np.array_equal(slice_matrix(L), slice_matrix(tb.structure))
+        other = tb.coeffs if same else _slice_basis(A, L, tol, tb.rule)[0]
         dims.append(len(other))
         distances.append(subspace_distance(tb.coeffs, other))
     expected = 4 * gauge_kernel_dim(A, tol, tb.rule)

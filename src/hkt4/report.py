@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import List, Union
 
 from . import __version__
+from .forms import DC_SIGN
 
 SCHEMA = "report-v1"
 
@@ -21,7 +22,7 @@ CONVENTIONS = {
     "coordinates": "x = x0 + x1 i + x2 j + x3 k",
     "orientation": "dx0^dx1^dx2^dx3",
     "form_action": "pullback: (L a)(X1..Xm) = a(L X1..L Xm)",
-    "twisted_differential_sign": -1,
+    "twisted_differential_sign": DC_SIGN,
     "right_frame_K": "-R_k",
     "torsion_ratio_T_over_H": "-1",
     "degree_normalization": "sqrt(-1)/(2*pi)",

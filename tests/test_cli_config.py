@@ -101,3 +101,15 @@ def test_format_and_out_flags_beat_their_config_keys(monkeypatch, tmp_path):
     assert result.exit_code == 0
     json.loads(result.stdout)
     assert (tmp_path / "from_flag.txt").read_text() + "\n" == result.stdout
+
+
+def test_a_directory_or_a_file_not_in_utf8_is_a_usage_error(tmp_path):
+    # both exit 2 with click's usage message, not 3 as an internal error
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"grid = 4\n\xff\xfe\n")
+    for path, message in [(tmp_path, "is a directory"), (cfg, "config file is not UTF-8")]:
+        result = CliRunner().invoke(main, ["moduli", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("Usage:")
+        assert message in result.stderr.splitlines()[-1]

@@ -36,7 +36,10 @@ from hkt4.lattice import (
     wedge_pairing,
     _diff_matrix,
 )
-from hkt4.quaternions import HypercomplexFrame
+from hkt4 import suites
+from hkt4.forms import ConstantMetric, RationalForm, lambda_contract
+from hkt4.hermitian import hermitian_form
+from hkt4.quaternions import HypercomplexFrame, structure_matrix
 
 LEFT = HypercomplexFrame.left()
 
@@ -581,6 +584,29 @@ def test_lambda_row():
     # Lambda of any anti-self-dual component combination vanishes
     asd = np.eye(6) - sd_projector()
     assert np.allclose(row @ asd, 0)
+
+
+def lambda_contract_row(L):
+    """Oracle: the Lambda row from the exact contraction of each basis 2-form
+    against the flat Hermitian form of L."""
+    omega = hermitian_form(ConstantMetric.euclidean(), L)
+    lams = [lambda_contract(omega, RationalForm.basis(t)) for t in TUPLES[2]]
+    row = np.array([0.0 if lam.is_zero() else complex(lam.num.constant_value())
+                    for lam in lams])
+    assert not row.imag.any()
+    return row.real
+
+
+def test_lambda_row_is_the_exact_contraction():
+    # bit for bit on the six frame structures, within 1e-15 on rational axes
+    for L in LEFT.matrices() + HypercomplexFrame.right().matrices():
+        assert np.array_equal(lambda_row(L), lambda_contract_row(L))
+    rng = random.Random(9)
+    for _ in range(40):
+        axis = suites.random_rational_axis(rng)
+        for side in ("left", "right"):
+            L = structure_matrix(side, axis)
+            assert np.abs(lambda_row(L) - lambda_contract_row(L)).max() <= 1e-15
 
 
 def test_real_valued_constant_matrices_are_stored_real():

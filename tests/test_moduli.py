@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -449,19 +450,38 @@ def test_flow_from_the_rank_3_suite_start_at_seed_8_converges():
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 6])
-def test_flow_weights_are_a_symmetric_contraction(N):
-    w = moduli._flow_weights(N)
-    assert w.shape == (N,) * 4 and not w.flags.writeable
-    assert moduli._flow_weights(N) is w
-    assert np.all(w > 0) and np.all(w <= 1) and w[0, 0, 0, 0] == 1.0
-    minus = (-np.arange(N)) % N
-    assert np.array_equal(w, w[np.ix_(minus, minus, minus, minus)])
+def fft_weights(N):
+    """Oracle: the flow's preconditioner weights c / (c + sum_mu kappa_mu^2)
+    at the N^4 modes in FFT order, the Nyquist frequency of an even grid
+    counted as 0."""
+    kappa = frequencies(N).copy()
     if N % 2 == 0:
-        # the Nyquist frequency counts as 0 on every axis
+        kappa[N // 2] = 0.0
+    k2 = kappa ** 2
+    return moduli.FLOW_SHIFT / (moduli.FLOW_SHIFT + k2[:, None, None, None]
+                                + k2[:, None, None] + k2[:, None] + k2)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8, 16])
+def test_flow_weights_are_a_symmetric_contraction(N):
+    w = moduli._basis_weights(N)
+    assert w.shape == (N,) * 4 and not w.flags.writeable
+    assert moduli._basis_weights(N) is w
+    assert np.all(w > 0) and np.all(w <= 1) and w[0, 0, 0, 0] == 1.0
+    # the cos and sin rows of each k weigh as one: w(k) = w(-k)
+    k = lattice.fourier_basis(N)[1]
+    for axis in range(4):
+        for row in range(1, N - 1, 2):
+            assert k[row] == k[row + 1]
+            assert np.array_equal(np.take(w, row, axis=axis), np.take(w, row + 1, axis=axis))
+    if N % 2 == 0:
+        # the Nyquist row counts as k = 0 on every axis
+        assert k[-1] == N // 2
         for axis in range(4):
-            assert np.array_equal(np.take(w, N // 2, axis=axis), np.take(w, 0, axis=axis))
+            assert np.array_equal(np.take(w, N - 1, axis=axis), np.take(w, 0, axis=axis))
     assert np.isclose(w[1, 0, 0, 0], moduli.FLOW_SHIFT / (moduli.FLOW_SHIFT + (2 * np.pi) ** 2))
+    # the FFT-order weights at each row's mode, bit for bit
+    assert np.array_equal(w, fft_weights(N)[np.ix_(k, k, k, k)])
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
@@ -471,7 +491,7 @@ def test_preconditioner_maps_real_fields_to_real_fields_and_fixes_constants(N):
     grad = LatticeField.random(1, N, 2, rng).data
     got = moduli._precondition(grad, N)
     axes = (-4, -3, -2, -1)
-    full = np.fft.ifftn(moduli._flow_weights(N) * np.fft.fftn(grad, axes=axes), axes=axes)
+    full = np.fft.ifftn(fft_weights(N) * np.fft.fftn(grad, axes=axes), axes=axes)
     assert np.isrealobj(got)
     assert np.abs(full.imag).max() <= 1e-15 * np.abs(grad).max()
     assert np.abs(got - full.real).max() <= 1e-13 * np.abs(grad).max()
@@ -486,7 +506,7 @@ def test_preconditioner_is_the_complex_fft_multiplier(N, n):
     rng = np.random.default_rng(60 + N + n)
     grad = LatticeField.random(1, N, n, rng).data
     axes = (-4, -3, -2, -1)
-    full = np.fft.ifftn(moduli._flow_weights(N) * np.fft.fftn(grad, axes=axes), axes=axes)
+    full = np.fft.ifftn(fft_weights(N) * np.fft.fftn(grad, axes=axes), axes=axes)
     got = moduli._precondition(grad, N)
     assert got.dtype == np.float64
     assert np.abs(got - full.real).max() <= 1e-13 * np.abs(full.real).max()
@@ -1077,16 +1097,44 @@ def test_verify_moduli_structure_passes():
     assert max(defects(checks, "moduli.metric-invariance.").values()) < 1e-12
 
 
+def spy_on(monkeypatch, name, arg):
+    """Replace ``moduli.<name>`` by a wrapper that records the positional
+    argument ``arg`` of each call; return the list."""
+    seen, real = [], getattr(moduli, name)
+
+    def spy(*args):
+        seen.append(args[arg])
+        return real(*args)
+
+    monkeypatch.setattr(moduli, name, spy)
+    return seen
+
+
 def test_verify_moduli_structure_cuts_by_the_frame_of_the_slice(monkeypatch):
     # a right-frame slice is cut by the right frame's J and K, next to its
-    # right-frame induced operators, not by the left frame's
+    # right-frame induced operators, not by the left frame's; their operator
+    # is the slice's own, so each cut is the slice itself
     right = HypercomplexFrame.right()
     tb = horizontal_slice(Connection.flat(4, 2), right.I, 1e-10, frame=right)
-    certified = []
-    monkeypatch.setattr(moduli, "_certify_symbol", certified.append)
+    operators = spy_on(monkeypatch, "slice_matrix", 0)
+    cuts = spy_on(monkeypatch, "_slice_basis", 1)
     checks = verify_moduli_structure(tb)
-    assert certified == [right.J, right.K]
+    assert [L for L in operators if L != right.I] == [right.J, right.K]
+    assert cuts == []
     assert tb.dimension == 12 and structure_holds(checks)
+
+
+def test_a_slice_cut_by_an_axis_structure_is_cut_again_by_j_and_k(monkeypatch):
+    # the operator of a rational-axis structure differs from J's and K's in
+    # the last bits, so verify cuts J and K itself, and they cut the same slice
+    L = FRAME.span_structure((Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)))
+    assert not any(np.array_equal(slice_matrix(L), slice_matrix(M)) for M in FRAME.matrices())
+    A = cartan_connection(4, 2, [0.3, 0.5, -0.8])
+    tb = horizontal_slice(A, L, 1e-10, frame=FRAME)
+    cuts = spy_on(monkeypatch, "_slice_basis", 1)
+    checks = verify_moduli_structure(tb)
+    assert cuts == [FRAME.J, FRAME.K]
+    assert tb.dimension == 8 and all(c.status == "pass" for c in checks)
 
 
 def test_verify_moduli_structure_at_cartan_connection():
@@ -1352,10 +1400,9 @@ def test_commuting_non_diagonal_connection_takes_dense_path(dense_path, monkeypa
     # with no phase, the slice defects are the grid residual of the basis
     assert tb.phase.ndim == 0 and tb.rule is None
     assert np.array_equal(tb.slice_defects(), tb.residual(tb.coeffs))
-    # the build decides the rule once; with no rule to share, the J and K
-    # cuts take the dense null space too, and the checks decide no rule again
-    assert calls == [("build", "_mode_rule"), ("build", FRAME.I),
-                     ("verify", FRAME.J), ("verify", FRAME.K)]
+    # the build decides the rule once and takes one dense null space; J and
+    # K have I's operator, so the checks cut neither again and decide no rule
+    assert calls == [("build", "_mode_rule"), ("build", FRAME.I)]
     assert all(c.status == "pass" for c in checks)
     # the same holonomy in diagonal form is certified per mode
     diagonal = []
@@ -1387,27 +1434,23 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
     # connections charge i sigma3 dx0 (off-diagonal phases at charge pi)
     A = (Connection.flat(N, 2) if charge is None
          else constant_connection(N, 2, [(0, charge * pauli_su2()[2])]))
-    cuts, slice_basis = [], moduli._slice_basis
-    distances, distance = [], moduli.subspace_distance
-
-    def spy(*args):
-        out = slice_basis(*args)
-        cuts.append(out[0].shape)
-        return out
+    cut_shapes, distances, distance = [], [], moduli.subspace_distance
 
     def spy_distance(*args):
+        cut_shapes.extend(arg.shape for arg in args)
         distances.append(distance(*args))
         return distances[-1]
 
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
-    monkeypatch.setattr(moduli, "_slice_basis", spy)
+    cuts = spy_on(monkeypatch, "_slice_basis", 1)
     monkeypatch.setattr(moduli, "subspace_distance", spy_distance)
     checks = verify_moduli_structure(tb)
     monkeypatch.undo()
-    # neither the claims nor the J and K cuts build grid fields
+    # neither the claims nor the J and K cuts build grid fields; J and K have
+    # I's operator, so each cut is the slice itself
     assert "basis" not in vars(tb)
     assert tb.coeffs.shape[3:7] == (1, 1, 1, 1)
-    assert [shape[3:7] for shape in cuts] == [(1, 1, 1, 1)] * 2
+    assert cuts == [] and cut_shapes == [tb.coeffs.shape] * 4
     if charge == np.pi:
         assert np.abs(tb.phase - 1).max() > 1.0
     b = tb.basis

@@ -8,9 +8,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from hkt4 import __version__
+from hkt4 import __version__, forms
 from hkt4.cli import main, parse_form_spec
 from hkt4.report import (
+    CONVENTIONS,
     CheckResult,
     VerificationReport,
     convention_ledger_hash,
@@ -24,6 +25,11 @@ def make_report():
         CheckResult("b.second", "fail", 0.25, "claim two", 2.0),
         CheckResult("c.third", "pass", 1e-12, "plumbing", 3.0),
     ], seed=7)
+
+
+def test_the_ledger_reads_the_twisted_differential_sign_of_the_code():
+    # a flipped DC_SIGN changes every report's convention_ledger_hash
+    assert CONVENTIONS["twisted_differential_sign"] == forms.DC_SIGN == -1
 
 
 def test_report_json_schema():
