@@ -44,8 +44,9 @@ and a sum that reaches 2^15 sets the guard bit without carrying into the
 next field, which ``Poly._make`` rejects. ``Poly(...)`` and ``Poly.coeffs``
 take and give exponent 4-tuples.
 
-Equal fields have equal canonical forms, so a boolean identity check
-compares its two sides with ``==`` and builds no difference. A sum of
+Equal fields have equal canonical forms, so an identity check compares
+its two sides with ``==`` and builds their difference only to size a
+failing check's defect (``report.CheckRecorder.equal``). A sum of
 signed wedge products (``forms.wedge_sum``) is, per coefficient, one
 canonical sum over the products of every pair.
 """
@@ -552,13 +553,13 @@ class ScalarField:
     def partial(self, i: int) -> "ScalarField":
         return _dsum([(1, i, self)])
 
-    def scale_arguments(self, q: Fraction) -> "ScalarField":
-        """f(x) -> f(q*x); exact because phi(q*x) = q^2 phi(x), and canonical
-        because phi divides P(q*x) only if it divides P."""
+    def scale_arguments(self, q: Fraction, shift: int = 0) -> "ScalarField":
+        """f(x) -> q^shift f(q*x); exact because phi(q*x) = q^2 phi(x), and
+        canonical because phi divides P(q*x) only if it divides P."""
         q = _frac(q)
         if q == 0:
             raise ValueError("scale factor must be nonzero")
-        return ScalarField._canonical(self.num.scale_arguments(q, -2 * self.k), self.k)
+        return ScalarField._canonical(self.num.scale_arguments(q, shift - 2 * self.k), self.k)
 
     def max_abs_coeff(self) -> float:
         """Crude magnitude of the field, for defect reporting only."""

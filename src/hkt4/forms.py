@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .exact import I_UNIT, QI, ScalarField, _dsum, _frac, _gaussian, _lincomb, _prodsum
-from .quaternions import IDENTITY, Matrix, _dense_product, _integer_form
+from .quaternions import IDENTITY, Matrix, _dense_product, _HashedMatrix, _integer_form
 
 IndexTuple = Tuple[int, ...]
 
@@ -110,23 +110,17 @@ class RationalForm:
             return NotImplemented
         if other.degree != self.degree:
             raise DegreeError("cannot add forms of different degree")
-        groups = {t: [(1, 0, 1, f)] for t, f in self.coeffs.items()}
-        for t, f in other.coeffs.items():
-            groups.setdefault(t, []).append((sign, 0, 1, f))
-        return _form(self.degree, groups, _lincomb)
+        return _form_sum(self.degree, [(1, 0, 1, self), (sign, 0, 1, other)])
 
     def __neg__(self):
-        return _form(self.degree, {t: [(-1, 0, 1, f)] for t, f in self.coeffs.items()},
-                     _lincomb)
+        return _form_sum(self.degree, [(-1, 0, 1, self)])
 
     def __mul__(self, scalar):
         if isinstance(scalar, ScalarField):
             return _form(self.degree, {t: [(1, f, scalar)] for t, f in self.coeffs.items()},
                          _prodsum)
         if isinstance(scalar, (int, Fraction, QI)):
-            c = _gaussian(scalar)
-            return _form(self.degree, {t: [(*c, f)] for t, f in self.coeffs.items()},
-                         _lincomb)
+            return _form_sum(self.degree, [(*_gaussian(scalar), self)])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -203,6 +197,17 @@ def _form(degree: int, groups: Dict[IndexTuple, list], kernel) -> RationalForm:
     r = RationalForm.__new__(RationalForm)
     r.degree, r.coeffs = degree, out
     return r
+
+
+def _form_sum(degree: int, terms) -> RationalForm:
+    """The degree-m form sum of c a over the list ``terms`` of (x, y, d, a),
+    each a form a of degree m with a constant c = (x + y sqrt(-1)) / d in
+    integers: one fused sum per coefficient."""
+    groups: Dict[IndexTuple, list] = {}
+    for x, y, d, a in terms:
+        for t, f in a.coeffs.items():
+            groups.setdefault(t, []).append((x, y, d, f))
+    return _form(degree, groups, _lincomb)
 
 
 def _integer_matrix(L: Matrix):
@@ -402,7 +407,7 @@ class ConstantMetric:
         minors = _all_minors(m)
         if any(minors[t, t] <= 0 for t in ((0,), (0, 1), (0, 1, 2), TOP)):
             raise ValueError("metric must be positive definite")
-        self.matrix = m
+        self.matrix = _HashedMatrix(m)
         self.minors = minors
         self._star = None
 
@@ -476,6 +481,5 @@ def scale_pullback(a: RationalForm, q) -> RationalForm:
     q = _frac(q)
     if q == 0:
         raise ValueError("scale factor must be nonzero")
-    c = _gaussian(q ** a.degree)
-    return _form(a.degree, {t: [(*c, f.scale_arguments(q))] for t, f in a.coeffs.items()},
-                 _lincomb)
+    # each coefficient is q^m f(qx), one pass over its terms
+    return _form(a.degree, a.coeffs, lambda f: f.scale_arguments(q, a.degree))

@@ -8,12 +8,14 @@ the Hopf metric enters: factor * constant base metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
-from .exact import QI, ScalarField, _lincomb
+from .exact import ScalarField, _lincomb
 from .forms import (
     RationalForm,
     _form,
+    _form_sum,
     exterior_d,
     pq_project,
     twisted_d,
@@ -107,10 +109,15 @@ class TorsionReport:
     def strong(self) -> bool:
         return self.dH.is_zero()
 
+    @cached_property
+    def minus_H(self) -> RationalForm:
+        """-torsion_H, negated once per report."""
+        return -self.torsion_H
+
     def bihermitian_with(self, other: "TorsionReport") -> bool:
         """True iff the two Bismut torsion 3-forms are exact negatives of
         each other and both are closed (dH = 0)."""
-        return self.torsion_H == -other.torsion_H and self.strong and other.strong
+        return self.torsion_H == other.minus_H and self.strong and other.strong
 
 
 def bismut_torsion(g, L: Matrix) -> TorsionReport:
@@ -127,15 +134,18 @@ def gauduchon_defect(g, L: Matrix) -> RationalForm:
 
 @dataclass
 class HKTReport:
-    """HKT data of a hyperhermitian pair (g, frame) with respect to I; the
-    torsion differences are I - J and J - K, which vanish exactly when the
-    three torsions agree (I - K is their sum)."""
+    """HKT data of a hyperhermitian pair (g, frame) with respect to I: the
+    three Bismut torsions of I, J and K, which coincide on an HKT pair, and
+    H, the torsion of I."""
 
     Omega: RationalForm
     del_Omega: RationalForm
-    torsion_differences: Tuple[RationalForm, RationalForm]
+    torsions: Tuple[RationalForm, RationalForm, RationalForm]
     strong: bool
-    H: RationalForm
+
+    @property
+    def H(self) -> RationalForm:
+        return self.torsions[0]
 
     @property
     def hyperkahler(self) -> bool:
@@ -147,10 +157,10 @@ def hkt_report(g, frame: HypercomplexFrame) -> HKTReport:
 
 
 def hkt_from_torsions(frame: HypercomplexFrame, reports) -> HKTReport:
-    """HKT data of (g, frame) from the torsion reports of g for I, J, K."""
-    HI, HJ, HK = (rep.torsion_H for rep in reports)
-    Omega = reports[1].omega + reports[2].omega * QI(0, 1)
+    """HKT data of (g, frame) from the torsion reports of g for I, J, K;
+    Omega = w_J + sqrt(-1) w_K is one fused sum per coefficient."""
+    Omega = _form_sum(2, [(1, 0, 1, reports[1].omega), (0, 1, 1, reports[2].omega)])
     del_Omega = pq_project(frame.I, exterior_d(Omega), 3, 0)
     return HKTReport(Omega=Omega, del_Omega=del_Omega,
-                     torsion_differences=(HI - HJ, HJ - HK),
-                     strong=reports[0].strong, H=HI)
+                     torsions=tuple(rep.torsion_H for rep in reports),
+                     strong=reports[0].strong)

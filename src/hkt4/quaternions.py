@@ -102,8 +102,25 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(_frac(v) for v in row) for row in rows)
 
 
+class _HashedMatrix(tuple):
+    """A constant matrix that hashes once and finds its integer form once:
+    it keys the operator caches of forms.py, where hashing 16 Fractions
+    would cost more than most lookups, and feeds the integer kernels."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _integers(self):
+        return _integer_form(tuple(self))
+
+
 _ZERO = Fraction(0)
-IDENTITY: Matrix = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+IDENTITY: Matrix = _HashedMatrix(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -123,27 +140,18 @@ def mat_neg(a: Matrix) -> Matrix:
 
 
 def _integer_form(rows):
-    """(D, D rows) as lists of integers, D the lcm of the rows' denominators."""
+    """(D, D rows) as tuples of integers, D the lcm of the rows' denominators;
+    read once per ``_HashedMatrix`` and kept on it."""
+    if type(rows) is _HashedMatrix:
+        return rows._integers
     D = math.lcm(*(v.denominator for row in rows for v in row))
-    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
+    return D, tuple(tuple(v.numerator * (D // v.denominator) for v in row) for row in rows)
 
 
 def _dense_product(a, b):
     """a b for 4 x 4 matrices of integers, say, as row-by-column products."""
     cols = list(zip(*b))
     return [[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] + r[3] * c[3] for c in cols] for r in a]
-
-
-class _HashedMatrix(tuple):
-    """A structure matrix that hashes once: it keys the operator caches of
-    forms.py, where hashing 16 Fractions would cost more than most lookups."""
-
-    @cached_property
-    def _hash(self) -> int:
-        return tuple.__hash__(self)
-
-    def __hash__(self):
-        return self._hash
 
 
 def _mult_matrix(u: Quaternion, side: Side) -> Matrix:

@@ -3,10 +3,10 @@ convention ledger constants that identify a build of this tool."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Union
 
 from . import __version__
@@ -31,7 +31,11 @@ CONVENTIONS = {
 }
 
 
+@lru_cache(maxsize=None)
 def convention_ledger_hash() -> str:
+    # hashlib loads OpenSSL, a few ms that only a report needs
+    import hashlib
+
     blob = json.dumps(CONVENTIONS, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -56,7 +60,11 @@ class CheckResult:
 
 
 class CheckRecorder:
-    """Collects CheckResults; ``suites._timed`` fills in their wall times."""
+    """Collects CheckResults; ``suites._timed`` fills in their wall times.
+
+    An exact identity lhs = rhs between canonical forms is decided by ``==``
+    (``equal``): equal values have equal canonical forms, so the difference
+    lhs - rhs is built only to size the defect of a failing check."""
 
     def __init__(self):
         self.checks: List[CheckResult] = []
@@ -74,6 +82,18 @@ class CheckRecorder:
             defect = EXACT_ZERO if ok else form_or_bool.max_abs_coeff()
         self.add(name, ok, defect, paper_ref)
         return ok
+
+    def equal(self, name: str, lhs, rhs, paper_ref: str):
+        """Record the exact identity lhs = rhs of two canonical forms; a
+        failing check's defect is the size of lhs - rhs."""
+        ok = lhs == rhs
+        self.add(name, ok, EXACT_ZERO if ok else (lhs - rhs).max_abs_coeff(), paper_ref)
+        return ok
+
+
+# the items of the report's top level and of each check, at indent 2 and 6
+_HEAD_JSON = json.JSONEncoder(allow_nan=False, separators=(",\n  ", ": "))
+_CHECK_JSON = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
 
 
 @dataclass
@@ -111,7 +131,17 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        """``json.dumps(self.to_dict(), indent=2, allow_nan=False)``, byte for
+        byte, through the C encoder: ``indent`` would select the pure-Python
+        one, so the head and each check are laid out by their separators."""
+        doc = self.to_dict()
+        checks = _CHECK_JSON.encode(doc.pop("checks"))
+        if checks != "[]":
+            # an encoded string holds no raw newline, so "},\n      {" is
+            # only ever the seam between two checks
+            seam = "\n    },\n    {\n      "
+            checks = "[\n    {\n      " + checks[2:-2].replace("},\n      {", seam) + "\n    }\n  ]"
+        return "{\n  " + _HEAD_JSON.encode(doc)[1:-1] + ',\n  "checks": ' + checks + "\n}"
 
     def to_markdown(self) -> str:
         lines = [

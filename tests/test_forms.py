@@ -354,6 +354,17 @@ def test_scale_pullback():
         scale_pullback(dx(0), 0)
 
 
+def test_scale_pullback_is_the_argument_pullback_times_q_to_the_degree():
+    # each coefficient is q^m f(qx), scaled in one pass: the same canonical
+    # form as f(qx) first and the factor q^m after
+    rng = random.Random(2006)
+    for q in (Fraction(2), Fraction(3, 2), Fraction(-5, 7), Fraction(1, 3)):
+        for degree in range(5):
+            a = rand_form(rng, degree, complexified=True)
+            pulled = RationalForm(degree, {t: f.scale_arguments(q) for t, f in a.coeffs.items()})
+            assert scale_pullback(a, q) == pulled * q ** degree
+
+
 def test_scale_pullback_commutes_with_d():
     rng = random.Random(43)
     q = Fraction(3, 2)

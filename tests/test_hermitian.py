@@ -33,7 +33,8 @@ def transpose(m):
 
 def is_hkt(rep):
     """The three Bismut torsions of the frame coincide."""
-    return all(d.is_zero() for d in rep.torsion_differences)
+    HI, HJ, HK = rep.torsions
+    return HI == HJ == HK
 
 
 def variable(i):

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from hkt4.exact import Poly, ScalarField
-from hkt4.forms import RationalForm, exterior_d, scale_pullback
+from hkt4.forms import RationalForm, exterior_d, scale_pullback, twisted_d
 from hkt4.hermitian import ConformalMetric, metric_from_form
 from hkt4.hopf import (
+    STRUCTURE_NAMES,
     HopfSpec,
+    _potential_form,
     build_flat_control,
     build_hopf,
     verify_44,
@@ -291,6 +293,95 @@ def test_hopf_suite_repeats_no_exact_work(geo, monkeypatch):
     assert all_pass(flat_suite())
     assert len(set(twisted)) == len(twisted)
     assert len(metrics) == 1
+
+
+def test_passing_suites_build_no_sum_of_forms(monkeypatch):
+    # a passing identity is decided by comparing canonical sides
+    from hkt4.suites import flat_suite, hopf_suite
+
+    calls = []
+    combine = RationalForm._combine
+    monkeypatch.setattr(RationalForm, "_combine",
+                        lambda self, other, sign: calls.append(sign) or combine(self, other, sign))
+    assert all_pass(hopf_suite(Fraction(2), seed=0))
+    assert all_pass(flat_suite())
+    assert calls == []
+
+
+def test_verify_44_negates_each_right_torsion_once(monkeypatch):
+    # the nine pairs and the opposition T+ = -T- share three negations
+    fresh = build_hopf(Fraction(5, 2))
+    right = {id(fresh.torsions[L].torsion_H) for L in fresh.right.matrices()}
+    negated = []
+    neg = RationalForm.__neg__
+    monkeypatch.setattr(RationalForm, "__neg__", lambda a: negated.append(id(a)) or neg(a))
+    assert all_pass(verify_44(fresh))
+    assert sorted(negated) == sorted(right)
+
+
+AXES = [AxisTriple(1, 0, 0), AxisTriple(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))]
+
+
+def _identity_differences(geo):
+    """Each identity the verifiers decide by comparing sides, with the
+    difference of its sides: its defect when the check fails."""
+    torsion = {L: rep.torsion_H for L, rep in geo.torsions.items()}
+    out = {}
+    for side, frame in (("left", geo.left), ("right", geo.right)):
+        out[f"hopf.{side}.torsion-equal-IJ"] = torsion[frame.I] - torsion[frame.J]
+        out[f"hopf.{side}.torsion-equal-JK"] = torsion[frame.J] - torsion[frame.K]
+    out["hopf.torsion-opposition"] = geo.H_plus + geo.H_minus
+    for name, L in geo.structures.items():
+        out[f"hopf.hermitian-form.{name}"] = geo.torsions[L].omega - geo.omegas[name]
+    for name in STRUCTURE_NAMES:
+        omega = geo.omegas[name]
+        out[f"hopf.descent.omega-{name}"] = scale_pullback(omega, geo.q) - omega
+    out["hopf.descent.H-plus"] = scale_pullback(geo.H_plus, geo.q) - geo.H_plus
+    out["hopf.descent.H-minus"] = scale_pullback(geo.H_minus, geo.q) - geo.H_minus
+    for axis in AXES:
+        L = geo.left.span_structure(axis)
+        omega = _potential_form(L, geo.phi, ScalarField.inv_phi())
+        out[f"hopf.axis-torsion.({axis.a},{axis.b},{axis.c})"] = \
+            twisted_d(L, omega) - geo.H_plus
+    return out
+
+
+def _swapped_torsion(geo):
+    # the torsion report of J+ replaced by that of J-
+    fake = dataclasses.replace(geo)
+    fake.torsions = {**geo.torsions, geo.left.J: geo.torsions[geo.right.J]}
+    return fake
+
+
+HERMITIAN_FORMS = {f"hopf.hermitian-form.{name}" for name in STRUCTURE_NAMES}
+
+
+@pytest.mark.parametrize("tamper, failing", [
+    (_tampered_omega(lambda geo: geo.omegas["I+"] * geo.phi),
+     {"hopf.hermitian-form.I+", "hopf.descent.omega-I+"}),
+    (_tampered_omega(lambda geo: geo.omegas["J+"]), {"hopf.hermitian-form.I+"}),
+    (_tampered_frame, {"hopf.torsion-opposition", "hopf.hermitian-form.I-",
+                       "hopf.hermitian-form.J-", "hopf.hermitian-form.K-"}),
+    (_tampered_metric, HERMITIAN_FORMS | {"hopf.descent.H-plus", "hopf.descent.H-minus"}
+     | {f"hopf.axis-torsion.({a.a},{a.b},{a.c})" for a in AXES}),
+    (_tampered_structure, {"hopf.hermitian-form.I-"}),
+    (_swapped_torsion, {"hopf.left.torsion-equal-IJ", "hopf.left.torsion-equal-JK",
+                        "hopf.hermitian-form.J+"}),
+], ids=["omega-times-phi", "omega-swapped", "frame", "metric-factor", "structure",
+        "torsion-swapped"])
+def test_compared_identities_keep_status_and_defect(geo, tamper, failing):
+    # each status and defect is the one the difference of the two sides gives
+    fake = tamper(geo)
+    checks = {c.name: c for c in verify_44(fake) + verify_common_metric(fake)
+              + verify_descent(fake) + verify_axis_family(fake, AXES)}
+    differences = _identity_differences(fake)
+    assert {name for name, d in differences.items() if not d.is_zero()} == failing
+    for name, difference in differences.items():
+        got = checks[name]
+        if difference.is_zero():
+            assert (got.status, got.defect) == ("pass", "exact-zero"), name
+        else:
+            assert (got.status, got.defect) == ("fail", difference.max_abs_coeff()), name
 
 
 def test_build_hopf_accepts_plain_rational():

@@ -236,3 +236,17 @@ def test_independence_rank_is_computed_once_per_pair(monkeypatch):
     assert independence_rank(left, right) == 6
     assert independence_rank(left, right) == 6
     assert len(calls) == 1
+
+
+def test_a_hashed_matrix_finds_its_integer_form_once():
+    from hkt4.forms import ConstantMetric
+    from hkt4.quaternions import _integer_form
+
+    frame = HypercomplexFrame.left()
+    axis = frame.span_structure((Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)))
+    metric = ConstantMetric([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, Fraction(1, 2), 0],
+                             [0, 0, 0, Fraction(1, 2)]])
+    for m, lcm in ((IDENTITY, 1), (frame.I, 1), (axis, 3), (metric.matrix, 2)):
+        D, rows = _integer_form(m)
+        assert D == lcm and tuple(tuple(Fraction(n, D) for n in row) for row in rows) == m
+        assert _integer_form(tuple(m)) == (D, rows) and _integer_form(m) is _integer_form(m)

@@ -65,6 +65,50 @@ def test_report_json_encodes_non_finite_defects_as_strings():
     assert json.loads(emit_report(rep)) == json.loads(doc)
 
 
+def indent_2(doc: dict) -> str:
+    """The layout the reports keep: the pure-Python encoder at indent 2."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("rep", [
+    VerificationReport(),
+    VerificationReport(checks=[
+        CheckResult('a "quoted" {name},', "fail", float("nan"), 'claim}, {"two"\n', 1.5),
+        CheckResult("b.inf", "fail", float("-inf")),
+        CheckResult("c.tiny", "pass", 1e-300, "plumbing", 0.0004),
+        CheckResult("d.exact", "pass", "exact-zero", "\u00e9t\u00e9"),
+    ], seed=2**64 - 1),
+    make_report(),
+], ids=["empty", "non-finite-and-quotes", "three-checks"])
+def test_report_json_is_the_indent_2_encoding(rep):
+    assert rep.to_json() == indent_2(rep.to_dict())
+
+
+def test_golden_commands_print_the_indent_2_encoding():
+    from test_report_golden import RUNS
+
+    for args in RUNS:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        assert result.output == indent_2(json.loads(result.output)) + "\n", args
+
+
+def test_importing_hkt4_loads_no_hashlib():
+    # OpenSSL's hashlib costs milliseconds per interpreter; only the ledger
+    # hash of a report needs it
+    import subprocess
+    import sys
+
+    import hkt4
+
+    code = "import sys, hkt4, hkt4.cli; print('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hkt4.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr
+    assert convention_ledger_hash() == "4029e16666fceba5"
+
+
 def test_report_markdown():
     md = make_report().to_markdown()
     assert md.startswith("# verification report (FAIL)")
