@@ -28,7 +28,7 @@ IndexTuple = Tuple[int, ...]
 DC_SIGN = -1
 
 # Entries kept by each operator cache: a request uses about 45 structure
-# matrix and degree keys, which stay cached while stale random axes go.
+# matrix and degree keys, which stay cached while stale structures go.
 OPERATOR_CACHE_SIZE = 256
 
 _ALL_TUPLES = {m: tuple(itertools.combinations(range(4), m)) for m in range(5)}
@@ -314,8 +314,14 @@ def twisted_d(L: Matrix, a: RationalForm) -> RationalForm:
     """
     if a.degree > 3:
         raise DegreeError("twisted differential needs degree <= 3")
-    da = exterior_d(structure_action(L, a))
-    return _apply_matrix(_action_matrix(L, da.degree), da, sign=DC_SIGN * (-1) ** a.degree)
+    return twisted_action(L, exterior_d(structure_action(L, a)))
+
+
+def twisted_action(L: Matrix, b: RationalForm) -> RationalForm:
+    """DC_SIGN * (-1)^(m-1) * L(b) for an m-form b, the action that ends
+    ``twisted_d``: twisted_d(L, a) = twisted_action(L, d(L a)). On b = d w
+    of an L-invariant 2-form w it is the torsion d^c_L w."""
+    return _apply_matrix(_action_matrix(L, b.degree), b, sign=DC_SIGN * (-1) ** (b.degree - 1))
 
 
 def _wedge_covectors(covectors) -> Dict[IndexTuple, QI]:

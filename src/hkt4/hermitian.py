@@ -33,8 +33,8 @@ from .quaternions import (
 class ConformalMetric:
     """factor * base with an exact ScalarField factor, positive on the chart.
 
-    Positivity of the factor is the caller's responsibility; the factors used
-    here (constants and 1/phi multiples) are manifestly positive.
+    Positivity of the factor is the caller's responsibility; the Hopf chart
+    and the flat control report it (``hopf.verify_positive_metric``).
     """
 
     factor: ScalarField
@@ -78,17 +78,24 @@ def hermitian_form(g, L: Matrix) -> RationalForm:
 
 
 def metric_from_form(omega: RationalForm, L: Matrix):
-    """Bilinear form omega(., L.) as a 4x4 matrix of ScalarFields: entry
-    (a, b) is sum_c omega_ac L_cb, one fused linear combination over L's lcm D."""
-    D, M = _integer_form(L)
+    """Bilinear form omega(., L.) as a 4x4 matrix of ScalarFields."""
+    return metric_from_forms([(omega, L)])
+
+
+def metric_from_forms(pairs):
+    """The sum of omega(., L.) over the (omega, L) of ``pairs`` as a 4x4
+    matrix of ScalarFields: entry (a, b) is the sum of omega_ac L_cb over the
+    pairs and c, one fused linear combination over each L's lcm D."""
+    forms = [(omega.coeffs, *_integer_form(L)) for omega, L in pairs]
 
     def entry(a, b):
         terms = []
-        for c in range(4):
-            v = M[c][b]
-            f = omega.coeffs.get((a, c) if a < c else (c, a)) if v and a != c else None
-            if f is not None:
-                terms.append((v if a < c else -v, 0, D, f))
+        for coeffs, D, M in forms:
+            for c in range(4):
+                v = M[c][b]
+                f = coeffs.get((a, c) if a < c else (c, a)) if v and a != c else None
+                if f is not None:
+                    terms.append((v if a < c else -v, 0, D, f))
         return _lincomb(terms)
 
     return tuple(tuple(entry(a, b) for b in range(4)) for a in range(4))

@@ -13,16 +13,25 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional
 
-from .exact import ScalarField, _frac
-from .forms import ConstantMetric, RationalForm, exterior_d, scale_pullback, twisted_d
+from .exact import ScalarField, _frac, _lincomb
+from .forms import (
+    ConstantMetric,
+    RationalForm,
+    _form_sum,
+    exterior_d,
+    scale_pullback,
+    twisted_action,
+    twisted_d,
+)
 from .hermitian import (
     ConformalMetric,
     TorsionReport,
     bismut_torsion,
     hkt_from_torsions,
     metric_from_form,
+    metric_from_forms,
 )
-from .quaternions import HypercomplexFrame, Matrix, independence_rank
+from .quaternions import AxisTriple, HypercomplexFrame, Matrix, _integer_form, independence_rank
 from .report import EXACT_ZERO, CheckRecorder, CheckResult
 
 STRUCTURE_NAMES = ("I+", "J+", "K+", "I-", "J-", "K-")
@@ -212,9 +221,22 @@ def verify_common_metric(geo: HopfGeometry) -> List[CheckResult]:
                     for a in range(4) for b in range(4))
     rec.exact("hopf.common-metric.conformal", conformal,
               "the common metric is conformally Euclidean")
+    rec.checks += verify_positive_metric(geo)
     for name, L in geo.structures.items():
         rec.equal(f"hopf.hermitian-form.{name}", geo.torsions[L].omega, geo.omegas[name],
                   "w_L = g(L., .) for the common metric")
+    return rec.checks
+
+
+def verify_positive_metric(geo: HopfGeometry) -> List[CheckResult]:
+    """The factor of ``geo.metric`` is c / phi^k for a rational c > 0, read
+    off its integer pairs: positive off the origin, so the common metric is
+    a Riemannian metric and not its negative."""
+    terms = geo.metric.factor.num.terms
+    re, im = terms.get(0, (0, 0)) if len(terms) == 1 else (0, 0)
+    rec = CheckRecorder()
+    rec.exact("hopf.common-metric.positive", re > 0 and im == 0,
+              "the common metric is positive definite")
     return rec.checks
 
 
@@ -228,20 +250,90 @@ def verify_gauduchon(geo: HopfGeometry) -> List[CheckResult]:
     return rec.checks
 
 
+# the pairs (i, j), i < j, of a frame's (I, J, K): the keys of the cross
+# sums, in the order a failing family check looks for one that is not zero
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _axis_family(geo: HopfGeometry, names):
+    """The bilinear forms over the axes of the frame of the named structures
+    (L_0, L_1, L_2), from its w_i = geo.omegas: the metric terms
+    M_ij = w_i(., L_j .) and the torsion terms T_ij = DC_SIGN L_i(d w_j), each
+    as {(i, i): the diagonal term} and {(i, j): the cross sum of PAIRS}.
+    For L = sum_i a_i L_i on the unit sphere, w_L(., L.) = sum_ij a_i a_j M_ij,
+    and d^c_L w_L = sum_ij a_i a_j T_ij when w_L is L-invariant
+    (docs/conventions.md, the axis family)."""
+    omegas = [geo.omegas[name] for name in names]
+    Ls = [geo.structures[name] for name in names]
+    dw = [exterior_d(w) for w in omegas]
+    T = [[twisted_action(L, d) for d in dw] for L in Ls]
+    metric = {(i, i): geo.metric_matrix(name) for i, name in enumerate(names)}
+    torsion = {(i, i): T[i][i] for i in range(3)}
+    for i, j in PAIRS:
+        metric[i, j] = metric_from_forms([(omegas[i], Ls[j]), (omegas[j], Ls[i])])
+        torsion[i, j] = _form_sum(3, [(1, 0, 1, T[i][j]), (1, 0, 1, T[j][i])])
+    return metric, torsion
+
+
+def _matrix_is_zero(m) -> bool:
+    return not any(map(any, m))
+
+
+def _matrix_size(m) -> float:
+    return max(f.max_abs_coeff() for row in m for f in row)
+
+
+# how each kind of family term is tested for zero and sized
+_TERM_KINDS = (("metric", _matrix_is_zero, _matrix_size),
+               ("torsion", RationalForm.is_zero, RationalForm.max_abs_coeff))
+
+
+def _at_axis(axis: AxisTriple, family):
+    """The terms (x, 0, D^2, f) of sum_i a_i^2 f_ii + sum_(i<j) a_i a_j f_ij
+    for the axis (a_0, a_1, a_2) = (A_0, A_1, A_2) / D in integers."""
+    D, [A] = _integer_form([(axis.a, axis.b, axis.c)])
+    return [(A[i] * A[j], 0, D * D, f) for (i, j), f in family.items()]
+
+
+def _metric_at(axis: AxisTriple, metric) -> tuple:
+    """The metric family of ``_axis_family`` at the axis, entry by entry."""
+    terms = _at_axis(axis, metric)
+    return tuple(tuple(_lincomb([(x, y, d, m[r][c]) for x, y, d, m in terms]) for c in range(4))
+                 for r in range(4))
+
+
+def _torsion_at(axis: AxisTriple, torsion) -> RationalForm:
+    """The torsion family of ``_axis_family`` at the axis."""
+    return _form_sum(3, _at_axis(axis, torsion))
+
+
 def verify_axis_family(geo: HopfGeometry, axes) -> List[CheckResult]:
-    """Spot check: structures a I+ + b J+ + c K+ on rational unit axes give
-    the same metric and the same torsion 3-form."""
+    """Every structure a I + b J + c K on the unit sphere gives the same
+    metric and the same torsion 3-form, for both frames: the bilinear forms
+    of ``_axis_family``, whose diagonal terms the common-metric and
+    torsion-equal checks compare, are constant on the sphere iff their
+    cross sums vanish (``hopf.axis-family.*``; a failing check's defect is
+    the size of the first cross sum of PAIRS that does not). The left
+    frame's forms are then evaluated at the rational unit ``axes``, against
+    the metric of I+ and T+ (``hopf.axis-metric.*``, ``hopf.axis-torsion.*``)."""
     rec = CheckRecorder()
-    inv_phi = ScalarField.inv_phi()
+    families = {}
+    for side, names in (("left", STRUCTURE_NAMES[:3]), ("right", STRUCTURE_NAMES[3:])):
+        tag = "+" if side == "left" else "-"
+        families[side] = _axis_family(geo, names)
+        for (kind, is_zero, size), family in zip(_TERM_KINDS, families[side]):
+            bad = [family[pair] for pair in PAIRS if not is_zero(family[pair])]
+            rec.add(f"hopf.axis-family.{side}.{kind}", not bad,
+                    size(bad[0]) if bad else EXACT_ZERO,
+                    f"every a I{tag} + b J{tag} + c K{tag} on the sphere gives the same {kind}")
+    metric, torsion = families["left"]
     reference = geo.metric_matrix("I+")
     for axis in axes:
-        L = geo.left.span_structure(axis)
-        omega = _potential_form(L, geo.phi, inv_phi)
-        label = f"({axis[0]},{axis[1]},{axis[2]})" if not hasattr(axis, "a") \
-            else f"({axis.a},{axis.b},{axis.c})"
-        same_metric = metric_from_form(omega, L) == reference
-        rec.exact(f"hopf.axis-metric.{label}", same_metric,
+        if not isinstance(axis, AxisTriple):
+            axis = AxisTriple(*axis)
+        label = f"({axis.a},{axis.b},{axis.c})"
+        rec.exact(f"hopf.axis-metric.{label}", _metric_at(axis, metric) == reference,
                   "every induced structure gives the same metric")
-        rec.equal(f"hopf.axis-torsion.{label}", twisted_d(L, omega), geo.H_plus,
+        rec.equal(f"hopf.axis-torsion.{label}", _torsion_at(axis, torsion), geo.H_plus,
                   "every induced structure gives the same torsion")
     return rec.checks

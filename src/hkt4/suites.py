@@ -32,6 +32,7 @@ from .hopf import (
     verify_common_metric,
     verify_descent,
     verify_gauduchon,
+    verify_positive_metric,
 )
 from .invariants import degree, slope
 from .lattice import LatticeField
@@ -97,7 +98,7 @@ def flat_suite() -> List[CheckResult]:
     t0 = time.perf_counter()
     checks = frame_suite()
     flat = build_flat_control()
-    control = verify_44(flat) + verify_gauduchon(flat)
+    control = verify_positive_metric(flat) + verify_44(flat) + verify_gauduchon(flat)
     for c in control:
         c.name = c.name.replace("hopf.", "flat.", 1)
     checks += control

@@ -1,18 +1,23 @@
 """End-to-end exact verification of the Hopf chart geometry."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from hkt4.exact import Poly, ScalarField
-from hkt4.forms import RationalForm, exterior_d, scale_pullback, twisted_d
+from hkt4.exact import QI, Poly, ScalarField
+from hkt4.forms import RationalForm, exterior_d, scale_pullback, twisted_action, twisted_d
 from hkt4.hermitian import ConformalMetric, metric_from_form
 from hkt4.hopf import (
+    PAIRS,
     STRUCTURE_NAMES,
     HopfSpec,
+    _axis_family,
+    _metric_at,
     _potential_form,
+    _torsion_at,
     build_flat_control,
     build_hopf,
     verify_44,
@@ -20,9 +25,10 @@ from hkt4.hopf import (
     verify_common_metric,
     verify_descent,
     verify_gauduchon,
+    verify_positive_metric,
     verify_strong_hkt,
 )
-from hkt4.quaternions import AxisTriple
+from hkt4.quaternions import AxisTriple, HypercomplexFrame
 from hkt4.suites import random_rational_axis
 
 
@@ -143,6 +149,39 @@ def test_tampered_geometry_fails_common_metric(geo):
         assert "hopf.hermitian-form.J+" not in failed
 
 
+@pytest.mark.parametrize("factor", [
+    ScalarField(Poly.const(-4), 1),
+    ScalarField(Poly.const(QI(0, 4)), 1),
+    ScalarField(Poly.const(4) + variable(0) * variable(0) * 4, 1),
+], ids=["negative", "imaginary", "not-constant"])
+def test_common_metric_positive_fails_off_positive_constants(geo, factor):
+    fake = dataclasses.replace(geo, metric=ConformalMetric(factor, geo.metric.base))
+    assert [(c.name, c.status) for c in verify_positive_metric(fake)] == \
+        [("hopf.common-metric.positive", "fail")]
+
+
+def test_flipped_dc_sign_fails_the_positive_metric():
+    # d^c with the other sign negates every w_L, hence the metric and every
+    # torsion alike: each identity still holds, and only the sign of the
+    # metric shows the flip
+    import os
+    import subprocess
+    import sys
+
+    import hkt4
+
+    code = ("import json, hkt4.forms as forms; forms.DC_SIGN = -forms.DC_SIGN; "
+            "from hkt4.suites import flat_suite, hopf_suite; "
+            "print(json.dumps([c.name for c in hopf_suite(2) + flat_suite() "
+            "if c.status != 'pass']))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hkt4.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["hopf.common-metric.positive",
+                                       "flat.common-metric.positive"]
+
+
 def test_verify_gauduchon(geo):
     assert all_pass(verify_gauduchon(geo))
     assert all_pass(verify_gauduchon(build_flat_control()))
@@ -162,8 +201,8 @@ FRACTION_OPS = [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv", "pow")
 
 
 def test_axis_family_makes_no_fraction_arithmetic(geo):
-    # five fresh axes, drawn and verified on a warm geometry, run every step
-    # of a new structure (span, minors, compound matrices, metric) in integers
+    # five fresh axes, drawn and verified on a warm geometry: the two frames'
+    # certificates and the evaluations at each axis run in integers
     verify_axis_family(geo, [AxisTriple(1, 0, 0)])
     calls = []
 
@@ -179,7 +218,7 @@ def test_axis_family_makes_no_fraction_arithmetic(geo):
     finally:
         for name, op in saved.items():
             setattr(Fraction, name, op)
-    assert len(checks) == 10 and all_pass(checks)
+    assert len(checks) == 14 and all_pass(checks)
     assert calls == []
 
 
@@ -320,11 +359,21 @@ def test_verify_44_negates_each_right_torsion_once(monkeypatch):
 
 
 AXES = [AxisTriple(1, 0, 0), AxisTriple(Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))]
+AXIS_TORSIONS = {f"hopf.axis-torsion.({a.a},{a.b},{a.c})" for a in AXES}
+
+
+def _scratch_structure(frame, axis):
+    """L = a I + b J + c K and w_L = d d^c_L phi / phi built from scratch:
+    the oracle of the axis family."""
+    L = frame.span_structure(axis)
+    return L, _potential_form(L, ScalarField.phi(), ScalarField.inv_phi())
 
 
 def _identity_differences(geo):
     """Each identity the verifiers decide by comparing sides, with the
-    difference of its sides: its defect when the check fails."""
+    difference of its sides: its defect when the check fails. An axis
+    torsion's sides are those of the scratch oracle, which reads no
+    ``geo.omegas``."""
     torsion = {L: rep.torsion_H for L, rep in geo.torsions.items()}
     out = {}
     for side, frame in (("left", geo.left), ("right", geo.right)):
@@ -339,8 +388,7 @@ def _identity_differences(geo):
     out["hopf.descent.H-plus"] = scale_pullback(geo.H_plus, geo.q) - geo.H_plus
     out["hopf.descent.H-minus"] = scale_pullback(geo.H_minus, geo.q) - geo.H_minus
     for axis in AXES:
-        L = geo.left.span_structure(axis)
-        omega = _potential_form(L, geo.phi, ScalarField.inv_phi())
+        L, omega = _scratch_structure(geo.left, axis)
         out[f"hopf.axis-torsion.({axis.a},{axis.b},{axis.c})"] = \
             twisted_d(L, omega) - geo.H_plus
     return out
@@ -356,32 +404,118 @@ def _swapped_torsion(geo):
 HERMITIAN_FORMS = {f"hopf.hermitian-form.{name}" for name in STRUCTURE_NAMES}
 
 
+# The failing compared identities of each tampered geometry. The axis
+# torsions read the geometry's w_I+, w_J+ and w_K+, so a tampered w_I+ fails
+# them too (AXIS_TORSIONS), where the scratch oracle, which builds w_L from
+# phi, does not see the tamper: those sets only grew.
 @pytest.mark.parametrize("tamper, failing", [
     (_tampered_omega(lambda geo: geo.omegas["I+"] * geo.phi),
-     {"hopf.hermitian-form.I+", "hopf.descent.omega-I+"}),
-    (_tampered_omega(lambda geo: geo.omegas["J+"]), {"hopf.hermitian-form.I+"}),
+     {"hopf.hermitian-form.I+", "hopf.descent.omega-I+"} | AXIS_TORSIONS),
+    (_tampered_omega(lambda geo: geo.omegas["J+"]), {"hopf.hermitian-form.I+"} | AXIS_TORSIONS),
     (_tampered_frame, {"hopf.torsion-opposition", "hopf.hermitian-form.I-",
                        "hopf.hermitian-form.J-", "hopf.hermitian-form.K-"}),
     (_tampered_metric, HERMITIAN_FORMS | {"hopf.descent.H-plus", "hopf.descent.H-minus"}
-     | {f"hopf.axis-torsion.({a.a},{a.b},{a.c})" for a in AXES}),
+     | AXIS_TORSIONS),
     (_tampered_structure, {"hopf.hermitian-form.I-"}),
     (_swapped_torsion, {"hopf.left.torsion-equal-IJ", "hopf.left.torsion-equal-JK",
                         "hopf.hermitian-form.J+"}),
 ], ids=["omega-times-phi", "omega-swapped", "frame", "metric-factor", "structure",
         "torsion-swapped"])
 def test_compared_identities_keep_status_and_defect(geo, tamper, failing):
-    # each status and defect is the one the difference of the two sides gives
+    # each status and defect is the one the difference of the two sides
+    # gives; an axis torsion may fail on a tampered w where the oracle does not
     fake = tamper(geo)
     checks = {c.name: c for c in verify_44(fake) + verify_common_metric(fake)
               + verify_descent(fake) + verify_axis_family(fake, AXES)}
     differences = _identity_differences(fake)
-    assert {name for name, d in differences.items() if not d.is_zero()} == failing
+    assert {name for name in differences if checks[name].status == "fail"} == failing
     for name, difference in differences.items():
         got = checks[name]
-        if difference.is_zero():
-            assert (got.status, got.defect) == ("pass", "exact-zero"), name
-        else:
+        if not difference.is_zero():
             assert (got.status, got.defect) == ("fail", difference.max_abs_coeff()), name
+        elif name in failing:
+            assert name in AXIS_TORSIONS and fake.omegas is not geo.omegas, name
+            assert got.status == "fail" and got.defect > 0, name
+        else:
+            assert (got.status, got.defect) == ("pass", "exact-zero"), name
+
+
+FRAMES = [("left", STRUCTURE_NAMES[:3]), ("right", STRUCTURE_NAMES[3:])]
+
+
+@pytest.mark.parametrize("side, names", FRAMES, ids=["left", "right"])
+def test_axis_family_equals_the_scratch_oracle(geo, side, names):
+    # the bilinear forms at a unit axis are the metric and the torsion of
+    # the structure built from scratch there, on either frame
+    frame = geo.left if side == "left" else geo.right
+    metric, torsion = _axis_family(geo, names)
+    rng = random.Random(41)
+    axes = [random_rational_axis(rng) for _ in range(20)] + [AxisTriple(0, 0, -1)]
+    for axis in axes:
+        L, omega = _scratch_structure(frame, axis)
+        assert _torsion_at(axis, torsion) == twisted_d(L, omega), axis
+        assert _metric_at(axis, metric) == metric_from_form(omega, L), axis
+    # every cross sum vanishes while the terms it sums do not
+    assert all(torsion[p].is_zero() for p in PAIRS)
+    assert not twisted_action(geo.structures[names[0]],
+                              exterior_d(geo.omegas[names[1]])).is_zero()
+
+
+def _plus_constant(name, form):
+    return lambda geo: dataclasses.replace(geo, omegas={**geo.omegas,
+                                                        name: geo.omegas[name] + form})
+
+
+DX01 = RationalForm.basis((0, 1))
+X0_DX23 = RationalForm(2, {(2, 3): variable(0)})
+
+
+@pytest.mark.parametrize("tamper, failing", [
+    # a constant 2-form is closed: it breaks a metric cross sum only
+    (_plus_constant("J+", DX01), {"hopf.axis-family.left.metric"}),
+    (_plus_constant("J-", DX01), {"hopf.axis-family.right.metric"}),
+    # x0 dx2^dx3 is not closed: it breaks a torsion cross sum too
+    (_plus_constant("K+", X0_DX23), {"hopf.axis-family.left.metric",
+                                     "hopf.axis-family.left.torsion"}),
+    (_plus_constant("K-", X0_DX23), {"hopf.axis-family.right.metric",
+                                     "hopf.axis-family.right.torsion"}),
+], ids=["left-constant", "right-constant", "left-open", "right-open"])
+def test_axis_family_certificates_fail_on_tampered_omegas(geo, tamper, failing):
+    fake = tamper(geo)
+    checks = {c.name: c for c in verify_axis_family(fake, [])}
+    assert {name for name, c in checks.items() if c.status == "fail"} == failing
+    # the defect is the size of the first cross sum, in PAIRS order, that
+    # does not vanish, each sum built here from its two scratch terms
+    for side, names in FRAMES:
+        w = [fake.omegas[name] for name in names]
+        L = [fake.structures[name] for name in names]
+        metric_sums = [[metric_from_form(w[i], L[j])[r][c] + metric_from_form(w[j], L[i])[r][c]
+                        for r in range(4) for c in range(4)] for i, j in PAIRS]
+        torsion_sums = [twisted_action(L[i], exterior_d(w[j])) + twisted_action(L[j], exterior_d(w[i]))
+                        for i, j in PAIRS]
+        sizes = {"metric": [max(f.max_abs_coeff() for f in s) for s in metric_sums],
+                 "torsion": [s.max_abs_coeff() for s in torsion_sums]}
+        for kind, size in sizes.items():
+            got = checks[f"hopf.axis-family.{side}.{kind}"]
+            nonzero = [x for x in size if x]
+            assert got.defect == (nonzero[0] if nonzero else "exact-zero"), (side, kind)
+
+
+def test_fresh_axes_build_no_structure(geo, monkeypatch):
+    # a warm request evaluates the certificates at its axes: no axis
+    # structure is spanned and no compound-matrix table is built
+    from hkt4 import forms
+    from hkt4.suites import hopf_suite
+
+    hopf_suite(Fraction(2), seed=0, axes=5)
+    spans = []
+    span = HypercomplexFrame.span_structure
+    monkeypatch.setattr(HypercomplexFrame, "span_structure",
+                        lambda self, axis: spans.append(axis) or span(self, axis))
+    misses = forms._minors.cache_info().misses
+    assert all_pass(hopf_suite(Fraction(7, 3), seed=2006, axes=5))
+    assert spans == []
+    assert forms._minors.cache_info().misses == misses
 
 
 def test_build_hopf_accepts_plain_rational():
@@ -413,15 +547,17 @@ def test_torsions_computed_once_per_geometry(monkeypatch):
 
 
 def test_operator_caches_stay_bounded_over_fresh_axes():
+    # fresh axes add no operator: after a first request every lookup hits
     from hkt4 import forms
     from hkt4.suites import hopf_suite
 
+    caches = (forms._minors, forms._action_matrix, forms._pq_matrix)
+    hopf_suite(Fraction(2), seed=999)
+    misses = [cache.cache_info().misses for cache in caches]
     for seed in range(1000, 1070):
         hopf_suite(Fraction(2), seed=seed)
-        for cache in (forms._minors, forms._action_matrix, forms._pq_matrix):
-            assert cache.cache_info().currsize <= forms.OPERATOR_CACHE_SIZE
-    for cache in (forms._minors, forms._action_matrix):
-        assert cache.cache_info().currsize == forms.OPERATOR_CACHE_SIZE
+        assert [cache.cache_info().misses for cache in caches] == misses
+        assert all(cache.cache_info().currsize <= forms.OPERATOR_CACHE_SIZE for cache in caches)
 
 
 def test_each_structure_is_checked_once(monkeypatch):
@@ -446,5 +582,6 @@ def test_each_structure_is_checked_once(monkeypatch):
     monkeypatch.setattr(forms, "_integer_matrix", counted)
     monkeypatch.setattr(forms, "_action_matrix", spied)
     hopf_suite(Fraction(7, 3), seed=4)
-    assert len(met) > 6
+    frames = (HypercomplexFrame.left(), HypercomplexFrame.right())
+    assert met == {L for frame in frames for L in frame.matrices()}
     assert sorted(checked) == sorted(met)

@@ -79,6 +79,8 @@ ALLOWED = {
         "failure: the defect CheckRecorder.exact reports for a nonzero form",
     "exact.py:ScalarField.max_abs_coeff":
         "failure: under RationalForm.max_abs_coeff",
+    "hopf.py:_matrix_size":
+        "failure: the defect of a failing hopf.axis-family.*.metric check",
 }
 
 
