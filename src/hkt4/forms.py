@@ -81,10 +81,6 @@ class RationalForm:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(degree: int) -> "RationalForm":
-        return RationalForm(degree)
-
-    @staticmethod
     def function(f) -> "RationalForm":
         f = ScalarField.coerce(f)
         return RationalForm(0, {(): f})

@@ -191,7 +191,7 @@ def test_criterion_11_degree_and_slope():
     import math
     omega = RationalForm(2, {(0, 1): ScalarField.const(1),
                              (2, 3): ScalarField.const(1)})
-    ok = degree(RationalForm.zero(2), omega) == 0.0
+    ok = degree(RationalForm(2), omega) == 0.0
     comps = {(0, 1): np.full((3, 3, 3, 3, 1, 1), -2j * math.pi)}
     F = LatticeField(2, 3, 1, comps)
     d = degree(F, omega)
@@ -241,7 +241,7 @@ def test_criterion_12_calculus_property_suite():
         # pq completeness and idempotence
         m = rng.randint(1, 3)
         b = rand_form(rng, m)
-        total = RationalForm.zero(m)
+        total = RationalForm(m)
         for p in range(m + 1):
             piece = pq_project(LEFT.I, b, p, m - p)
             ok = ok and (pq_project(LEFT.I, piece, p, m - p) - piece).is_zero()

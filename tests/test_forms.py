@@ -216,7 +216,7 @@ def test_pq_project_complete_and_idempotent():
     rng = random.Random(17)
     for degree in range(5):
         a = rand_form(rng, degree, complexified=True)
-        total = RationalForm.zero(degree)
+        total = RationalForm(degree)
         for p in range(degree + 1):
             q = degree - p
             piece = pq_project(LEFT.J, a, p, q)

@@ -73,7 +73,7 @@ def rand_form(rng, degree):
 def per_term(columns, a, degree):
     """The constant matrix applied to a by ScalarField products and sums, one
     term at a time."""
-    out = RationalForm.zero(degree)
+    out = RationalForm(degree)
     for t, f in a.coeffs.items():
         for s, c in as_dict(columns[_ALL_TUPLES[a.degree].index(t)]).items():
             out = out + RationalForm(degree, {s: f * c})
@@ -187,7 +187,7 @@ def merge_sign(seq):
 
 def d_per_term(a):
     """d a by ScalarField.partial and +, one term at a time."""
-    out = RationalForm.zero(a.degree + 1)
+    out = RationalForm(a.degree + 1)
     for t, f in a.coeffs.items():
         for mu in set(range(4)) - set(t):
             s = tuple(sorted((mu,) + t))
@@ -197,7 +197,7 @@ def d_per_term(a):
 
 def wedge_per_term(a, b):
     """a ^ b by ScalarField * and +, one term at a time."""
-    out = RationalForm.zero(a.degree + b.degree)
+    out = RationalForm(a.degree + b.degree)
     for s, f in a.coeffs.items():
         for t, g in b.coeffs.items():
             if not set(s) & set(t):
@@ -248,11 +248,11 @@ def test_dd_is_exactly_zero():
               RationalForm(1, {(0,): ScalarField(-x[1], 1), (1,): ScalarField(x[0], 1)}))
     da = exterior_d(a)
     assert da == RationalForm.basis((0, 1), 2) and da.coeffs[(0, 1)].k == 0
-    assert exterior_d(da) == RationalForm.zero(3)
+    assert exterior_d(da) == RationalForm(3)
     rng = random.Random(24)
     for degree in range(3):
         for _ in range(4):
-            assert exterior_d(exterior_d(rand_form(rng, degree))) == RationalForm.zero(degree + 2)
+            assert exterior_d(exterior_d(rand_form(rng, degree))) == RationalForm(degree + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def u1_field(entries, N=3):
 
 
 def test_flat_line_bundle_degree_zero():
-    assert degree(RationalForm.zero(2), OMEGA) == 0.0
+    assert degree(RationalForm(2), OMEGA) == 0.0
     assert degree(u1_field({}), OMEGA) == 0.0
 
 
