@@ -9,13 +9,13 @@ u(1)), then the four lattice axes, so operators broadcast over leading batch
 axes. An su(n)-valued field has real coordinates, a float64 array; complex
 arrays hold complexified fields. The dtype picks the operator: ``deriv`` of
 a real array is Re(D_N), the su(n) part of d. A constant component operator
-(star, structure action, (p,q) projector, Lambda row) is one matrix over the
-component axis, the Lie bracket a structure-constant bracket over the
-coordinate axis; n x n matrices appear only in the dict constructor and the
-files of ``save`` and ``load``. The torus has unit periods; mode
-frequencies are the signed FFT representatives (the Nyquist mode of an even
-grid maps to -N/2, keeping every nonzero mode's frequency nonzero so the
-spectral complexes have no spurious kernels).
+(star, structure action, Lambda row) is one matrix over the component axis,
+the Lie bracket a structure-constant bracket over the coordinate axis; n x n
+matrices appear only in the dict constructor and the files of ``save`` and
+``load``. The torus has unit periods; mode frequencies are the signed FFT
+representatives (the Nyquist mode of an even grid maps to -N/2, keeping
+every nonzero mode's frequency nonzero so the spectral complexes have no
+spurious kernels).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .forms import (
     ConstantMetric,
     RationalForm,
     hodge_star,
-    pq_project,
     structure_action,
 )
 from .quaternions import Matrix
@@ -122,11 +121,6 @@ def slice_matrix(L: Matrix) -> np.ndarray:
         inc[dst, 4 * mu + np.array(src)] = sign
     dc = -DC_SIGN * action_matrix(L, 2) @ inc @ np.kron(np.eye(4), action_matrix(L, 1))
     return np.vstack([sd_projector() @ inc, lambda_row(L) @ dc])
-
-
-@lru_cache(maxsize=None)
-def pq_matrix(L: Matrix, degree: int, p: int, q: int) -> np.ndarray:
-    return _constant_op_matrix(lambda f: pq_project(L, f, p, q), degree, degree)
 
 
 @lru_cache(maxsize=None)
@@ -466,10 +460,9 @@ class LatticeField:
     def random(degree: int, N: int, n: int, rng: np.random.Generator,
                scale: float = 1.0) -> "LatticeField":
         """Gaussian su(n) coordinates on ``su_basis(n)``, times ``scale``,
-        drawn site by site (the coordinate axis last in the stream)."""
-        coeff = rng.standard_normal((len(TUPLES[degree]),) + (N,) * 4 + (len(su_basis(n)),))
-        data = np.empty((coeff.shape[0], coeff.shape[-1]) + coeff.shape[1:-1])
-        np.multiply(np.moveaxis(coeff, -1, 1), scale, out=data)
+        drawn in the stored layout (the grid axes last in the stream)."""
+        data = rng.standard_normal((len(TUPLES[degree]), len(su_basis(n))) + (N,) * 4)
+        data *= scale
         return LatticeField(degree, N, n, data)
 
     def __add__(self, other: "LatticeField") -> "LatticeField":

@@ -23,6 +23,7 @@ from .lattice import (
     TUPLES,
     _along_axis,
     _fourier_matrix,
+    action_matrix,
     apply_components,
     bracket,
     covariant_gradient,
@@ -35,7 +36,6 @@ from .lattice import (
     hermitian_form_vector,
     l2_gram,
     l2_inner,  # noqa: F401 - the slice's L^2 metric, in this namespace too
-    pq_matrix,
     sd_projector,
     slice_matrix,
     sq_norm,
@@ -613,15 +613,14 @@ def gauge_kernel_dim(A: Connection, tol: float, rule: Optional[ModeRule]) -> int
 
 
 def induced_structure(L: Matrix, a):
-    """The operator a -> sqrt(-1)(a^{0,1} - a^{1,0}) on 1-forms, computed
-    through the (p,q) splitting as the ledger defines it, on a field or on a
-    stack of 1-form arrays (..., 4, m, N, N, N, N). The tests check that
-    it equals the coordinate formula -L(a)."""
+    """The operator a -> sqrt(-1)(a^{0,1} - a^{1,0}) on 1-forms, read as the
+    ledger's coordinate formula -L(a), on a field or on a stack of 1-form
+    arrays (..., 4, m, N, N, N, N). The tests check it against the (p,q)
+    splitting."""
     is_field = isinstance(a, LatticeField)
     if is_field and a.degree != 1:
         raise ValueError("induced structure acts on 1-forms")
-    mat = 1j * (pq_matrix(L, 1, 0, 1) - pq_matrix(L, 1, 1, 0))
-    out = apply_components(mat, a.data if is_field else a)
+    out = apply_components(-action_matrix(L, 1), a.data if is_field else a)
     return LatticeField(1, a.N, a.n, out) if is_field else out
 
 

@@ -27,7 +27,6 @@ from hkt4.lattice import (
     fourier_basis,
     l2_inner,
     lambda_row,
-    pq_matrix,
     sd_projector,
     slice_matrix,
     sq_norm,
@@ -277,9 +276,9 @@ def test_covariant_gradient_and_bracket_match_their_references_bit_for_bit(N, n,
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_random_draw_is_the_complex_contraction_bit_for_bit(degree):
     # the coordinates of the contraction sum_a coeff_a B_a of the normal
-    # draws (coordinate last in the stream) are the scaled draws themselves,
-    # bit for bit with real part only, so seeded fields stay the seeded
-    # su(n) fields; their expansion is the complex contraction
+    # draws (drawn in the stored (C, m, N, N, N, N) layout) are the scaled
+    # draws themselves, bit for bit and real, so seeded fields stay the
+    # seeded su(n) fields; their expansion is the complex contraction
     for N in (3, 4, 5, 8):
         for n in (1, 2, 3, 4):
             for scale in (1.0, 1e-2, 0.3):
@@ -287,12 +286,11 @@ def test_random_draw_is_the_complex_contraction_bit_for_bit(degree):
                 got = LatticeField.random(degree, N, n, np.random.default_rng(seed), scale)
                 basis = su_basis(n)
                 coeff = np.random.default_rng(seed).standard_normal(
-                    (len(TUPLES[degree]), N, N, N, N, len(basis)))
-                want = np.moveaxis(scale * coeff, -1, 1)
-                assert np.array_equal(got.data.real.view(np.uint64), want.view(np.uint64))
-                assert np.array_equal(got.data.imag.view(np.uint64),
-                                      np.zeros_like(want).view(np.uint64))
-                contraction = scale * np.einsum("...a,aij->...ij", coeff, basis)
+                    (len(TUPLES[degree]), len(basis), N, N, N, N))
+                want = scale * coeff
+                assert got.data.dtype == np.float64
+                assert np.array_equal(got.data.view(np.uint64), want.view(np.uint64))
+                contraction = scale * np.einsum("ta...,aij->t...ij", coeff, basis)
                 assert np.abs(expand(got.data, n) - contraction).max() \
                     <= 1e-15 * np.abs(contraction).max()
 
@@ -615,7 +613,6 @@ def test_real_valued_constant_matrices_are_stored_real():
     for L in LEFT.matrices() + HypercomplexFrame.right().matrices():
         assert lambda_row(L).dtype == slice_matrix(L).dtype == np.float64
         assert action_matrix(L, 1).dtype == hermitian_form_vector(L).dtype == np.float64
-    assert np.iscomplexobj(pq_matrix(LEFT.I, 1, 0, 1))
 
 
 def test_slice_matrix_is_bit_identical_for_the_six_frame_structures():

@@ -275,9 +275,10 @@ class TestCli:
         assert "moduli.flow-reduction" in names
 
     def test_moduli_flow_from_the_slow_rank_3_start(self):
-        # from this start the fixed-growth step ran to its 10,000 iterations
+        # from this start the fixed-growth step takes 6,423 iterations, the
+        # plain BB step 286
         result = self.runner.invoke(main, ["moduli", "--grid", "4", "--rank", "3",
-                                           "--flow", "1e-2", "--seed", "8"])
+                                           "--flow", "1e-2", "--seed", "0"])
         assert result.exit_code == 0
         by_name = {c["name"]: c for c in json.loads(result.output)["checks"]}
         assert by_name["moduli.flow-monotone"]["status"] == "pass"

@@ -11,7 +11,8 @@ Regenerate the file in place with
     PYTHONPATH=src python tests/test_report_golden.py
 
 which keeps each pinned defect that the new run matches by ``same_defect``,
-so the file changes only where a report really moved, not by round-off.
+so the file changes only where a report really moved, not by round-off, and
+prints one line per defect it did not keep: command, check, old, new.
 """
 
 import json
@@ -63,15 +64,19 @@ def test_reports_match_golden():
         assert bad == [], args
 
 
-def keep_pinned(report: dict, pinned: dict) -> dict:
-    """``report`` with each defect that ``same_defect`` matches to the
-    defect of the same check in the ``pinned`` report set back to it."""
+def keep_pinned(report: dict, pinned: dict) -> list:
+    """Set each defect of ``report`` that ``same_defect`` matches to the
+    defect of the same check in the ``pinned`` report back to it; return
+    ``(check, old, new)`` for each defect not kept, old None if unpinned."""
     defects = {c["name"]: c["defect"] for c in pinned.get("checks", [])}
+    moved = []
     for check in report["checks"]:
         want = defects.get(check["name"])
         if want is not None and same_defect(check["defect"], want):
             check["defect"] = want
-    return report
+        else:
+            moved.append((check["name"], want, check["defect"]))
+    return moved
 
 
 def test_regeneration_keeps_matching_pinned_defects():
@@ -82,8 +87,9 @@ def test_regeneration_keeps_matching_pinned_defects():
                          {"name": "b", "defect": 1.5},
                          {"name": "c", "defect": 3.0},
                          {"name": "d", "defect": 2.0}]}
-    assert [c["defect"] for c in keep_pinned(report, pinned)["checks"]] == \
-        [0.0947870653973525, 1.5, 3.0, 2.0]
+    assert keep_pinned(report, pinned) == \
+        [("b", 1.0, 1.5), ("c", "exact-zero", 3.0), ("d", None, 2.0)]
+    assert [c["defect"] for c in report["checks"]] == [0.0947870653973525, 1.5, 3.0, 2.0]
 
 
 if __name__ == "__main__":
@@ -92,6 +98,8 @@ if __name__ == "__main__":
     regenerated = {}
     for args in RUNS:
         key = " ".join(args)
-        regenerated[key] = keep_pinned(run(args), golden.get(key, {}))
+        regenerated[key] = run(args)
+        for name, old, new in keep_pinned(regenerated[key], golden.get(key, {})):
+            print(f"{key} | {name} | {old!r} -> {new!r}")
     with open(DATA, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(regenerated, indent=1) + "\n")
