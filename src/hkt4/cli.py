@@ -223,7 +223,8 @@ def parse_form_spec(spec: str):
     if not compact:
         raise ValueError("empty form spec")
     out = {}
-    for term in re.findall(r"[+-]?[^+-]+", compact):
+    # a sign after an exponent's e or E belongs to its float
+    for term in re.findall(r"[+-]?(?:[^+-]|(?<=[eE])[+-])+", compact):
         sign = 1.0
         if term[0] == "+":
             term = term[1:]

@@ -27,8 +27,9 @@ IndexTuple = Tuple[int, ...]
 # (-1)^m L d L; fixed by positivity of d d^c_I(r^2), which the tests pin.
 DC_SIGN = -1
 
-# Entries kept by each operator cache: a request uses about 45 structure
-# matrix and degree keys, which stay cached while stale structures go.
+# Entries kept by each operator cache. The suites key them on the six frame
+# structures alone, so none is evicted; the bound is for library callers who
+# span many structures.
 OPERATOR_CACHE_SIZE = 256
 
 _ALL_TUPLES = {m: tuple(itertools.combinations(range(4), m)) for m in range(5)}

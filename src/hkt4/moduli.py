@@ -313,8 +313,8 @@ class TangentBasis:
     phase of each matrix entry; on the dense path ``coeffs`` is the grid
     basis and ``phase`` 1. ``curvature_norm`` is |F_A| of the base, and
     ``rule`` its ``ModeRule`` at ``tol``, None on the dense path. The
-    induced structures are those of ``frame``, whose I, J and K
-    ``verify_moduli_structure`` also cuts by."""
+    induced structures are those of ``frame``, whose J and K
+    ``verify_moduli_structure`` checks to cut the same slice."""
 
     base: Connection
     structure: Matrix
@@ -395,27 +395,13 @@ MAX_DENSE_DIM = 3200
 SYMBOL_TOL = 1e-12  # the largest symbol-identity defect round-off explains
 
 
-def _slice_basis(A: Connection, L: Matrix, tol: float, rule: Optional[ModeRule]):
-    """``TangentBasis`` coefficients and phase of the kernel of the stacked
-    operator (d_A^+, Lambda d^c_L), its smallest non-kernel singular value
-    and the kernel gap: at a flat and constant Cartan connection (A = 0 too)
-    the operator is block diagonal over Fourier modes and matrix entries, and
-    each block's singular values follow from |xi + shift| (no discretization
-    pollution) once ``_certify_symbol(L)`` holds, so every L reads the one
-    ``rule = _mode_rule(A, tol)``; with ``rule`` None it is a dense null
-    space, up to ``MAX_DENSE_DIM``. ``verify_moduli_structure`` calls it
-    only for an L whose ``slice_matrix`` differs from the slice's own."""
-    if rule is None:
-        basis, min_sv, gap = _dense_slice_basis(A, L, tol)
-        return basis, np.ones((), dtype=complex), min_sv, gap
-    _certify_symbol(L)
-    return rule.coeffs, rule.phase, rule.min_sv, rule.gap
-
-
 def horizontal_slice(A: Connection, L: Matrix, tol: float,
                      frame: Optional[HypercomplexFrame] = None) -> TangentBasis:
     """The slice basis cut by L, with its L^2 Gram matrix and the matrices
-    of the three induced structures of ``frame`` in that basis."""
+    of the three induced structures of ``frame`` in that basis: at a flat or
+    constant Cartan connection every L whose symbol ``_certify_symbol``
+    certifies reads the one ``_mode_rule(A, tol)``; else the slice is a dense
+    null space, up to ``MAX_DENSE_DIM``."""
     if frame is None:
         frame = HypercomplexFrame.left()
     if not 0 < tol < np.inf:
@@ -425,10 +411,13 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     if res_norm > max(tol, 1e-8):
         raise ValueError(f"base connection is not ASD enough: |F+| = {res_norm:.3e}")
     rule = _mode_rule(A, tol)
-    coeffs, phase, min_sv, gap = _slice_basis(A, L, tol, rule)
+    if rule is None:
+        coeffs, min_sv, gap = _dense_slice_basis(A, L, tol)
+        phase = np.ones((), dtype=complex)
+    else:
+        _certify_symbol(L)
+        coeffs, phase, min_sv, gap = rule.coeffs, rule.phase, rule.min_sv, rule.gap
     gram = l2_gram(coeffs, coeffs)
-    if np.linalg.eigvalsh(gram).min() <= 0:
-        raise ValueError("slice Gram matrix is not positive definite")
     ops, invariance = {}, {}
     for name, Lf in zip("IJK", frame.matrices()):
         images = induced_structure(Lf, coeffs)
@@ -648,21 +637,21 @@ def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
     gap, and it solves the slice equations; the J and K of ``tb.frame`` cut
     the same slice; the three induced operators make it quaternionic and
     preserve it, and the L^2 metric is hyperhermitian; the Hermitian form is
-    the L^2 pairing of I~ with one global sign. A J or K whose
-    ``slice_matrix`` equals the slice's own (``np.array_equal``, as on the
-    six frame structures) cuts the slice itself, ``tb.coeffs``, which its
-    ``subspace_distance`` still measures; another is cut by
-    ``_slice_basis``."""
+    the L^2 pairing of I~ with one global sign. Per mode, J and K cut the
+    slice itself once ``_certify_symbol`` holds for them. On the dense path a
+    J or K whose ``slice_matrix`` equals the slice's own (``np.array_equal``,
+    as on the six frame structures) cuts the slice itself too; another is cut
+    by ``_dense_slice_basis`` and measured by ``subspace_distance``."""
     rec = CheckRecorder()
     tol, A = tb.tol, tb.base
-    dims, distances = [tb.dimension], []
+    dims, distances = [tb.dimension], [0.0]
     for L in (tb.frame.J, tb.frame.K):
-        # another operator reads I's rule per mode once its symbol is
-        # certified, and is cut from scratch on the dense path
-        same = np.array_equal(slice_matrix(L), slice_matrix(tb.structure))
-        other = tb.coeffs if same else _slice_basis(A, L, tol, tb.rule)[0]
-        dims.append(len(other))
-        distances.append(subspace_distance(tb.coeffs, other))
+        if tb.rule is not None:
+            _certify_symbol(L)
+        elif not np.array_equal(slice_matrix(L), slice_matrix(tb.structure)):
+            other = _dense_slice_basis(A, L, tol)[0]
+            dims.append(len(other))
+            distances.append(subspace_distance(tb.coeffs, other))
     expected = 4 * gauge_kernel_dim(A, tol, tb.rule)
 
     I_m, J_m, K_m = tb.ops["I"], tb.ops["J"], tb.ops["K"]

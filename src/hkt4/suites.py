@@ -258,10 +258,11 @@ def degree_suite() -> List[CheckResult]:
 def full_report(q=Fraction(2), grid: int = 3, rank: int = 2,
                 tol: float = 1e-10, seed: int = 0,
                 flow_eps: Optional[float] = None) -> VerificationReport:
+    # moduli first, so that it refuses bad input before the exact work
+    moduli_checks = moduli_suite(grid, rank, tol, seed=seed, flow_eps=flow_eps)
     checks = hopf_suite(q, seed=seed)
     # flat_suite repeats the frame checks of hopf_suite
     checks += [c for c in flat_suite() if not c.name.startswith("frames.")]
     checks += calculus_suite(seed=seed)
     checks += degree_suite()
-    checks += moduli_suite(grid, rank, tol, seed=seed, flow_eps=flow_eps)
-    return VerificationReport(checks=checks, seed=seed)
+    return VerificationReport(checks=checks + moduli_checks, seed=seed)

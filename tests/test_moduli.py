@@ -165,6 +165,18 @@ def test_suites_refuse_a_flow_eps_outside_the_cli_domain(eps):
         suites.full_report(flow_eps=eps)
 
 
+@pytest.mark.parametrize("kwargs", [{"rank": 1}, {"flow_eps": 0.0}, {"grid": 2}, {"tol": 0.0}],
+                         ids=["rank", "flow_eps", "grid", "tol"])
+def test_full_report_refuses_bad_moduli_input_before_the_exact_suites(kwargs, monkeypatch):
+    # the moduli part is built first, so a bad input costs no exact work
+    def hopf_suite(*args, **kwargs):
+        raise AssertionError("hopf_suite ran before the moduli input was refused")
+
+    monkeypatch.setattr(suites, "hopf_suite", hopf_suite)
+    with pytest.raises(ValueError):
+        suites.full_report(**kwargs)
+
+
 def test_curvature_zero_for_flat():
     A = Connection.flat(3, 2)
     assert curvature(A).norm() == 0.0
@@ -440,11 +452,17 @@ def test_a_rejected_trial_is_freed_before_the_next_one_is_built():
 
 
 def test_flow_from_the_rank_3_suite_start_at_seed_0_takes_at_most_60_steps():
-    # the plain BB step took 286 steps here, the fixed-growth step 6,423
+    # the hard rank-3 start: the flow takes 9 steps here, the plain BB step
+    # 286 (test_preconditioned_flow_takes_no_more_iterations_than_plain_bb
+    # compares the two) and the fixed-growth step 6,423; the suite flows
+    # from the same start and passes its flow checks
     A0 = suite_flow_start(4, 3, 0, 1e-2)
     res = ym_flow(A0, step=1e-3, max_iters=10_000, reduction=1e-7)
     assert res.converged and res.iterations <= 60
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+    checks = suites.moduli_suite(4, 3, 1e-10, seed=0, flow_eps=1e-2)
+    flow = [c.status for c in checks if c.name.startswith("moduli.flow-")]
+    assert flow == ["pass", "pass"]
 
 
 def test_flow_from_the_rank_3_suite_start_at_seed_8_converges():
@@ -1024,16 +1042,14 @@ def test_coulomb_identity_rejects_forms_of_other_degrees():
 @pytest.mark.parametrize("theta", [None, [0.37, -0.37], [np.pi, -np.pi]],
                          ids=["flat", "cartan", "cartan-pi"])
 def test_slices_of_the_three_structures_share_their_phase(N, theta):
-    # verify_moduli_structure compares the J and K slices to I's through
-    # their coefficients alone, which stand for the fields under one phase;
-    # at theta = pi the off-diagonal entries vanish at a mode xi != 0
+    # verify_moduli_structure takes the J and K slices to be I's, whose
+    # coefficients stand for the fields under one phase; at theta = pi the
+    # off-diagonal entries vanish at a mode xi != 0
     A = Connection.flat(N, 2) if theta is None else cartan_connection(N, 0, theta)
-    rule = moduli._mode_rule(A, 1e-10)
-    _, phase_I, _, _ = moduli._slice_basis(A, FRAME.I, 1e-10, rule)
+    phase_I = horizontal_slice(A, FRAME.I, 1e-10).phase
     assert np.all(phase_I == 1) == (theta is None or theta[0] < 1)
     for L in (FRAME.J, FRAME.K):
-        _, phase, _, _ = moduli._slice_basis(A, L, 1e-10, rule)
-        assert np.array_equal(phase, phase_I)
+        assert np.array_equal(horizontal_slice(A, L, 1e-10).phase, phase_I)
 
 
 def test_moduli_suite_reads_the_curvature_the_slice_guard_computed(monkeypatch):
@@ -1147,31 +1163,60 @@ def spy_on(monkeypatch, name, arg):
     return seen
 
 
+def spy_on_cuts(monkeypatch):
+    """Spy on the symbol certificates, the dense cuts and the subspace
+    distances of ``moduli``; return the three lists, each by structure (the
+    distances by their first basis)."""
+    return (spy_on(monkeypatch, "_certify_symbol", 0),
+            spy_on(monkeypatch, "_dense_slice_basis", 1),
+            spy_on(monkeypatch, "subspace_distance", 0))
+
+
 def test_verify_moduli_structure_cuts_by_the_frame_of_the_slice(monkeypatch):
-    # a right-frame slice is cut by the right frame's J and K, next to its
-    # right-frame induced operators, not by the left frame's; their operator
-    # is the slice's own, so each cut is the slice itself
-    right = HypercomplexFrame.right()
-    tb = horizontal_slice(Connection.flat(4, 2), right.I, 1e-10, frame=right)
-    operators = spy_on(monkeypatch, "slice_matrix", 0)
-    cuts = spy_on(monkeypatch, "_slice_basis", 1)
-    checks = verify_moduli_structure(tb)
-    assert [L for L in operators if L != right.I] == [right.J, right.K]
-    assert cuts == []
-    assert tb.dimension == 12 and structure_holds(checks)
+    # per mode a slice is cut by its own frame's J and K, next to its induced
+    # operators (a right-frame slice not by the left frame's), at A = 0 and at
+    # a constant Cartan connection: each symbol is certified, so each cut is
+    # the slice itself, neither cut again nor measured
+    frames = [FRAME, FRAME, HypercomplexFrame.right(), HypercomplexFrame.right()]
+    bases = [Connection.flat(4, 2), cartan_connection(4, 0, [0.37, -0.37])] * 2
+    slices = [horizontal_slice(A, frame.I, 1e-10, frame=frame) for A, frame in zip(bases, frames)]
+    certified, cuts, distances = spy_on_cuts(monkeypatch)
+    checks = [verify_moduli_structure(tb) for tb in slices]
+    assert certified == [L for frame in frames for L in (frame.J, frame.K)]
+    assert cuts == [] and distances == []
+    assert [tb.dimension for tb in slices] == [12, 4, 12, 4]
+    assert all(structure_holds(c) for c in checks)
 
 
-def test_a_slice_cut_by_an_axis_structure_is_cut_again_by_j_and_k(monkeypatch):
+def test_a_slice_cut_by_an_axis_structure_certifies_j_and_k(monkeypatch):
     # the operator of a rational-axis structure differs from J's and K's in
-    # the last bits, so verify cuts J and K itself, and they cut the same slice
+    # the last bits, but per mode every certified symbol has the one kernel
+    # of the slice's rule, so verify certifies J and K and cuts neither
     L = FRAME.span_structure((Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)))
     assert not any(np.array_equal(slice_matrix(L), slice_matrix(M)) for M in FRAME.matrices())
     A = cartan_connection(4, 2, [0.3, 0.5, -0.8])
     tb = horizontal_slice(A, L, 1e-10, frame=FRAME)
-    cuts = spy_on(monkeypatch, "_slice_basis", 1)
+    certified, cuts, distances = spy_on_cuts(monkeypatch)
     checks = verify_moduli_structure(tb)
-    assert cuts == [FRAME.J, FRAME.K]
+    assert certified == [FRAME.J, FRAME.K]
+    assert cuts == [] and distances == []
     assert tb.dimension == 8 and all(c.status == "pass" for c in checks)
+
+
+def test_a_dense_slice_cut_by_an_axis_structure_is_cut_again_by_j_and_k(monkeypatch):
+    # off the per-mode path J's and K's operators differ from a rational-axis
+    # structure's, so each is cut by a dense null space and measured
+    L = FRAME.span_structure((Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)))
+    A = constant_connection(3, 2, [(0, 0.37 * pauli_su2()[0])])
+    tb = horizontal_slice(A, L, 1e-10, frame=FRAME)
+    assert tb.rule is None
+    certified, cuts, distances = spy_on_cuts(monkeypatch)
+    checks = verify_moduli_structure(tb)
+    assert certified == [] and cuts == [FRAME.J, FRAME.K]
+    assert len(distances) == 2 and all(d is tb.coeffs for d in distances)
+    (same,) = [c for c in checks if c.name == "moduli.slice-same-for-IJK"]
+    assert same.defect < 1e-12
+    assert tb.dimension == 4 and all(c.status == "pass" for c in checks)
 
 
 def test_verify_moduli_structure_at_cartan_connection():
@@ -1289,7 +1334,8 @@ def test_mode_slice_basis_matches_the_per_mode_svd(N, name):
     turn = list(ORACLE_CONNECTIONS).index(name) % 3
     cuts = FRAME.matrices() if N < 8 else FRAME.matrices()[turn:turn + 1]
     for L in cuts:
-        coeffs, phase, min_sv, gap = moduli._slice_basis(A, L, 1e-10, moduli._mode_rule(A, 1e-10))
+        tb = horizontal_slice(A, L, 1e-10)
+        coeffs, phase, min_sv, gap = tb.coeffs, tb.phase, tb.min_nonkernel_sv, tb.gap
         want = svd_mode_slice_basis(N, L, 1e-10, moduli._cartan_shifts(A))
         assert np.array_equal(coeffs, want[0]) and np.array_equal(phase, want[1])
         assert abs(min_sv - want[2]) <= 1e-14 * want[2]
@@ -1382,7 +1428,8 @@ def test_rational_axis_structures_pass_the_symbol_certificate():
         assert np.abs(S - _mode_symbol(L, np.eye(4))).max() < 1e-15
     A = cartan_connection(4, 2, [0.3, 0.5, -0.8])
     for L in structures[::5]:
-        coeffs, phase, min_sv, _ = moduli._slice_basis(A, L, 1e-10, moduli._mode_rule(A, 1e-10))
+        tb = horizontal_slice(A, L, 1e-10)
+        coeffs, phase, min_sv = tb.coeffs, tb.phase, tb.min_nonkernel_sv
         want = svd_mode_slice_basis(4, L, 1e-10, moduli._cartan_shifts(A))
         assert len(coeffs) == 8 and np.array_equal(coeffs, want[0])
         assert np.array_equal(phase, want[1])
@@ -1471,23 +1518,15 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
     # connections charge i sigma3 dx0 (off-diagonal phases at charge pi)
     A = (Connection.flat(N, 2) if charge is None
          else constant_connection(N, 2, [(0, charge * pauli_su2()[2])]))
-    cut_shapes, distances, distance = [], [], moduli.subspace_distance
-
-    def spy_distance(*args):
-        cut_shapes.extend(arg.shape for arg in args)
-        distances.append(distance(*args))
-        return distances[-1]
-
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
-    cuts = spy_on(monkeypatch, "_slice_basis", 1)
-    monkeypatch.setattr(moduli, "subspace_distance", spy_distance)
+    _, cuts, distances = spy_on_cuts(monkeypatch)
     checks = verify_moduli_structure(tb)
     monkeypatch.undo()
-    # neither the claims nor the J and K cuts build grid fields; J and K have
-    # I's operator, so each cut is the slice itself
+    # neither the claims nor the J and K checks build grid fields; per mode
+    # J and K cut the slice itself, so nothing is cut again or measured
     assert "basis" not in vars(tb)
     assert tb.coeffs.shape[3:7] == (1, 1, 1, 1)
-    assert cuts == [] and cut_shapes == [tb.coeffs.shape] * 4
+    assert cuts == [] and distances == []
     if charge == np.pi:
         assert np.abs(tb.phase - 1).max() > 1.0
     b = tb.basis
@@ -1505,13 +1544,13 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
     assert np.abs(hermitian_form_matrix(FRAME.I, tb.coeffs, tb.coeffs) - W).max() < 1e-12
     G = l2_gram(induced_structure(FRAME.I, b), b)
     assert np.abs(l2_gram(induced_structure(FRAME.I, tb.coeffs), tb.coeffs) - G).max() < 1e-12
-    # the J and K distances of the checks, each against its grid value
+    # the check's 0.0 against the grid distance of J's and K's own slices
     (same,) = [c for c in checks if c.name == "moduli.slice-same-for-IJK"]
-    assert len(distances) == 2 and same.defect == max(distances)
-    for got, L in zip(distances, (FRAME.J, FRAME.K)):
-        coeffs, phase, _, _ = moduli._slice_basis(A, L, 1e-10, tb.rule)
-        grid = subspace_distance(b, moduli._on_grid(coeffs, phase))
-        assert abs(got - grid) < 1e-12
+    assert same.defect == 0.0
+    for L in (FRAME.J, FRAME.K):
+        other = horizontal_slice(A, L, 1e-10)
+        grid = subspace_distance(b, moduli._on_grid(other.coeffs, other.phase))
+        assert abs(same.defect - grid) < 1e-12
 
 
 def test_verify_moduli_structure_detects_sign_flip():

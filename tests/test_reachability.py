@@ -59,6 +59,13 @@ ALLOWED = {
         "oracle: the SVD of the dense slice operator, under _dense_slice_basis",
     "moduli.py:_unit_fields":
         "oracle: the complex unit fields the dense slice operator acts on",
+    "moduli.py:subspace_distance":
+        "oracle: the distance of two slices in the tests, and of a dense "
+        "re-cut whose operator differs from the slice's",
+    "moduli.py:subspace_distance.<locals>.to_matrix":
+        "oracle: under subspace_distance",
+    "moduli.py:_real_matrix":
+        "oracle: the real matrix of a stack, under subspace_distance and in the tests",
     "lattice.py:LatticeField.save":
         "documented: the LATF1 snapshot format of the README's Field snapshots",
     "lattice.py:LatticeField.load":

@@ -148,6 +148,18 @@ def test_parse_form_spec():
         parse_form_spec("2*pi")
 
 
+def test_form_specs_read_floats_in_scientific_notation():
+    # a sign after an exponent's e is the exponent's, not a new term
+    assert parse_form_spec("-2e-1*pi*i*dx0^dx1") == parse_form_spec("-0.2*pi*i*dx0^dx1")
+    assert parse_form_spec("1e+0*dx0^dx1+dx2^dx3") == {(0, 1): 1.0, (2, 3): 1.0}
+    runner = CliRunner()
+    for f, omega in (("-2e-1*pi*i*dx0^dx1", "dx0^dx1+dx2^dx3"),
+                     ("-0.2*pi*i*dx0^dx1", "1E+0*dx0^dx1+dx2^dx3")):
+        result = runner.invoke(main, ["degree", "--f", f, "--omega", omega])
+        assert result.exit_code == 0, result.output
+        assert abs(json.loads(result.stdout)["degree"] - 0.1) < 1e-12
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
