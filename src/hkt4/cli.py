@@ -224,7 +224,10 @@ def parse_form_spec(spec: str):
         raise ValueError("empty form spec")
     out = {}
     # a sign after an exponent's e or E belongs to its float
-    for term in re.findall(r"[+-]?(?:[^+-]|(?<=[eE])[+-])+", compact):
+    terms = re.findall(r"[+-]?(?:[^+-]|(?<=[eE])[+-])+", compact)
+    if "".join(terms) != compact:
+        raise ValueError(f"stray sign in form spec {spec!r}: every sign needs a term")
+    for term in terms:
         sign = 1.0
         if term[0] == "+":
             term = term[1:]

@@ -1,5 +1,6 @@
 """Exact coefficient arithmetic: Gaussian rationals, 4-variable polynomials,
-and rational fields of the shape P / phi^k with phi = x0^2 + x1^2 + x2^2 + x3^2.
+and the fields of Q(i)[x0..x3][1/phi], phi = x0^2 + x1^2 + x2^2 + x3^2,
+each stored in its phi-adic normal form.
 
 Every identity downstream is certified by exact zero tests in this ring, so
 no floating point is allowed anywhere in this module.
@@ -11,31 +12,6 @@ a, b are divided by their gcd (Knuth, TAOCP Vol. 2, 4.6.1), so equal
 polynomials have equal storage and the zero polynomial is ``({}, 1)``.
 Products and sums are Python integer operations; no Fraction is built.
 
-A field P / phi^k is canonical when phi does not divide P for k > 0. phi is
-a quadratic form of rank 4, hence irreducible and so prime in the unique
-factorisation domain Q(i)[x0..x3]. Every sum, difference, product and partial
-is one canonical sum: sum_j c_j T_j / phi^(k_j) over nonzero constants c_j
-has numerator sum_j c_j T_j phi^(k - k_j) over the largest k. The kernels
-``_lincomb``, ``_dsum`` and ``_prodsum`` walk the terms once: each term,
-scaled by c_j and its share of the common denominator, is written into one
-dict of pairs as it is computed, and only a term below the largest k is
-built on its own and lifted by phi^(k - k_j) (``_lift_into``). The dict is
-normalised once, by ``Poly._make``. A zero constant or field adds no term.
-A term is a field's numerator P; a product PQ of canonical P / phi^a and
-Q / phi^b over phi^(a+b), where phi divides neither factor when a, b > 0; or
-a partial d_i (P / phi^a), whose numerator d_i P phi - 2a x_i P over
-phi^(a+1) is -2a x_i P mod phi for a > 0, and phi divides neither x_i nor P.
-So a term is canonical as computed unless it is a product with a factor of
-k = 0, and when one canonical term sits alone at the largest k > 0 the
-numerator is c_j T_j mod phi, canonical too. Only two or more terms there,
-or one product with a factor of k = 0 (in (phi dx0) ^ (dx1 / phi) the
-product phi / phi is 1, with k = 0), call for a reduction, and only there is
-phi divided out, by long division in x0 (phi is monic in x0). The public
-constructor and exact quotients reduce the same way. The division is
-preceded by one pass over the terms that evaluates the numerator at
-(1, 1, i, i), a zero of phi: a nonzero value proves that phi does not divide
-it, and a zero value falls through to the division.
-
 A monomial x0^e0 x1^e1 x2^e2 x3^e3 is stored as the int
 ``e0<<48 | e1<<32 | e2<<16 | e3``, so a product of monomials is an int sum
 and int order is lex order (x0 > x1 > x2 > x3). Bit 15 of each 16-bit field
@@ -44,19 +20,48 @@ and a sum that reaches 2^15 sets the guard bit without carrying into the
 next field, which ``Poly._make`` rejects. ``Poly(...)`` and ``Poly.coeffs``
 take and give exponent 4-tuples.
 
-Equal fields have equal canonical forms, so an identity check compares
-its two sides with ``==`` and builds their difference only to size a
-failing check's defect (``report.CheckRecorder.equal``). A sum of
-signed wedge products (``forms.wedge_sum``) is, per coefficient, one
-canonical sum over the products of every pair.
+A field is the sum of c x^m phi^t over monomials x^m of x0-degree 0 or 1
+and integers t, stored as Gaussian-integer pairs over one denominator in
+the same normal form, each keyed by the int ``t<<52 | m`` (``key >> 52``
+is t, negative for a negative key, and ``key & _MONO`` is m). phi is monic
+of degree 2 in x0, so a polynomial P has exactly one phi-adic expansion
+sum_t D_t phi^t with digits D_t of x0-degree below 2 (the generalised
+Taylor expansion; von zur Gathen and Gerhard, Modern Computer Algebra, 3rd
+ed., 2013), and P / phi^k has the same digits k places lower. These
+monomials are therefore a basis of the ring, and equal fields have equal
+storage: an identity check compares its two sides with ``==`` and builds
+their difference only to size a failing check's defect
+(``report.CheckRecorder.equal``).
+
+Every sum, product and partial is one pass over its terms into one dict of
+pairs, normalised once (``_lincomb``, ``_dsum``, ``_prodsum``; a sum of
+signed wedge products, ``forms.wedge_sum``, is per coefficient one
+``_prodsum``). A sum merges keys and needs no common phi power. A product
+adds keys, and a partial follows
+d_i(x^m phi^t) = m_i x^(m - e_i) phi^t + 2t x_i x^m phi^(t-1). Either may
+reach x0^2, the one term written as four keys, x0^2 = phi - x1^2 - x2^2
+- x3^2 (``_add_x0sq``). The rewrite adds 2 to an exponent of x1..x3, below
+2^16 and so with no carry, and their guard bits stop a stored exponent at
+2^15 as in a polynomial; x0's exponent never passes 2 and has no guard.
+
+The public constructor ``ScalarField(P, k)`` expands P by long division in
+x0 that keeps every remainder digit (``_phi_digits``). ``num`` and ``k``
+are derived and cached: the canonical P / phi^k, k the negated least t if
+that is negative, else 0, and P the digits summed by Horner's rule in phi.
+phi does not divide P when k > 0, as the digit at the least t is nonzero
+mod phi. They are read to print a field, to size a defect, by the general
+division of ``div_exact`` and outside the kernels; a numerator with an
+exponent at 2^15 raises there.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index
-from typing import Dict, Mapping, Optional, Tuple
+from functools import reduce
+from itertools import chain
+from operator import index, or_
+from typing import Dict, Mapping, Tuple
 
 
 def _frac(v) -> Fraction:
@@ -153,6 +158,14 @@ Terms = Dict[Monomial, Tuple[int, int]]
 EXP_LIMIT = 1 << 15
 _SHIFTS = (48, 32, 16, 0)
 _GUARD = sum(EXP_LIMIT << s for s in _SHIFTS)
+# A stored key of a field is t<<52 | m for x^m phi^t: x0's field of m is
+# bits 48..51 and holds 0 or 1, and t is any int. Adding n * _PHI_KEY to a
+# key multiplies by phi^n.
+_PHI_KEY = 1 << 52
+_MONO = _PHI_KEY - 1
+_FIELD_GUARD = _GUARD & ((1 << 48) - 1)
+_FIELD_MASKS = (0xF, 0xFFFF, 0xFFFF, 0xFFFF)
+_X0SQ, _X1SQ, _X2SQ, _X3SQ = (2 << s for s in _SHIFTS)
 
 
 def _pack(exponents) -> Monomial:
@@ -183,8 +196,21 @@ def _mono_divides(a: Monomial, b: Monomial) -> bool:
     return (b | _GUARD) - a & _GUARD == _GUARD
 
 
+def _normal(terms: Terms, den: int, guard: int) -> Tuple[Terms, int]:
+    """terms / den, den > 0, in normal form: zero pairs dropped and the
+    content gcd taken (den itself when no pair is left); ValueError if a
+    key sets a bit of ``guard``, as an exponent that reached 2^15 does."""
+    if guard and reduce(or_, terms, 0) & guard:
+        raise ValueError("a monomial exponent reached 2^15")
+    out = {m: c for m, c in terms.items() if c[0] or c[1]}
+    if den != 1 and (g := math.gcd(den, *chain.from_iterable(out.values()))) != 1:
+        out = {m: (a // g, b // g) for m, (a, b) in out.items()}
+        den //= g
+    return out, den
+
+
 def _mul_into(out: Terms, p: Terms, q: Terms, s: int = 1) -> Terms:
-    """Adds s times the pairs of the product of two numerators to ``out``,
+    """Adds s times the pairs of the product of two polynomials to ``out``,
     not normalised; returns ``out``."""
     get = out.get
     for pm, (a, b) in p.items():
@@ -194,34 +220,6 @@ def _mul_into(out: Terms, p: Terms, q: Terms, s: int = 1) -> Terms:
             re, im = a * x - b * y, a * y + b * x
             c = get(m)
             out[m] = (re, im) if c is None else (c[0] + re, c[1] + im)
-    return out
-
-
-def _partial_into(out: Terms, p: Terms, k: int, i: int, s: int = 1) -> Terms:
-    """Adds s times the pairs, over p's denominator, of the numerator of
-    d_i (P / phi^k) to ``out``, not normalised; returns ``out``. That
-    numerator is d_i P for k = 0, else d_i P phi - 2k x_i P over phi^(k+1),
-    gathered in one pass as e x^(m-e_i) phi - 2k x_i x^m for each term x^m
-    of P with e = m_i."""
-    get = out.get
-    lift, u = (_PHI_EXPONENTS, -2 * k * s) if k else ((0,), 0)
-    shift = _SHIFTS[i]
-    one = 1 << shift
-    for m, (a, b) in p.items():
-        e = m >> shift & 0xFFFF
-        if e:
-            es = e * s
-            ea, eb = es * a, es * b
-            n = m - one
-            for t in lift:
-                t += n
-                c = get(t)
-                out[t] = (ea, eb) if c is None else (c[0] + ea, c[1] + eb)
-        if u:
-            t = m + one
-            ua, ub = u * a, u * b
-            c = get(t)
-            out[t] = (ua, ub) if c is None else (c[0] + ua, c[1] + ub)
     return out
 
 
@@ -240,25 +238,9 @@ class Poly:
 
     @staticmethod
     def _make(terms: Terms, den: int) -> "Poly":
-        """terms / den, den > 0, brought to normal form in one pass that
-        drops zero pairs, collects the guard bits and takes the content gcd
-        (den itself when no pair is left); ValueError if an exponent reached
-        2^15, which sets its field's guard bit."""
-        out: Terms = {}
-        seen, g, gcd = 0, den, math.gcd
-        for m, c in terms.items():
-            seen |= m
-            a, b = c
-            if a or b:
-                out[m] = c
-                if g != 1:
-                    g = gcd(g, a, b)
-        if seen & _GUARD:
-            raise ValueError("a monomial exponent reached 2^15")
-        if g != 1:
-            out = {m: (a // g, b // g) for m, (a, b) in out.items()}
-            den //= g
-        return Poly._raw(out, den)
+        """terms / den brought to normal form (``_normal``); ValueError if an
+        exponent reached 2^15, which sets its field's guard bit."""
+        return Poly._raw(*_normal(terms, den, _GUARD))
 
     @staticmethod
     def _raw(terms: Terms, den: int) -> "Poly":
@@ -362,19 +344,6 @@ class Poly:
                 work = work - head
         return quot, rem
 
-    def scale_arguments(self, q: Fraction, shift: int = 0) -> "Poly":
-        """P(x) -> q^shift P(q*x), in one pass over the terms."""
-        q = _frac(q)
-        p, r, c = q.numerator, q.denominator, q ** shift
-        degrees = {m: sum(_unpack(m)) for m in self.terms}
-        hi = max(degrees.values(), default=0)
-        # q^(deg + shift) = p^deg r^(hi - deg) c / r^hi
-        out = {}
-        for m, (a, b) in self.terms.items():
-            s = p ** degrees[m] * r ** (hi - degrees[m]) * c.numerator
-            out[m] = (a * s, b * s)
-        return Poly._make(out, self.den * r ** hi * c.denominator)
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -399,114 +368,110 @@ class Poly:
 
 PHI = Poly({(2, 0, 0, 0): QI(1), (0, 2, 0, 0): QI(1),
             (0, 0, 2, 0): QI(1), (0, 0, 0, 2): QI(1)})
-_PHI_POWERS = [Poly.const(1), PHI]
-_PHI_EXPONENTS = tuple(PHI.terms)
 
 
-def _phi_pow(n: int) -> Poly:
-    while len(_PHI_POWERS) <= n:
-        _PHI_POWERS.append(_PHI_POWERS[-1] * PHI)
-    return _PHI_POWERS[n]
-
-
-def _phi_quotient(p: Poly) -> Optional[Poly]:
-    """p / phi when phi divides p (the zero polynomial when p is), else None.
-
-    Long division in x0 by the monic x0^2 + (x1^2 + x2^2 + x3^2): each term
-    at x0^e, from the top down, moves to the quotient and sends minus itself
-    times x1^2, x2^2 and x3^2 down to x0^(e-2). What is left has x0-degree
-    below 2; it is the lex normal form modulo phi, the remainder
-    ``divmod_poly(PHI)`` gives. The quotient keeps p's denominator and
-    content (Gauss's lemma, phi being primitive), so it is in normal form.
-
-    phi vanishes at (1, 1, i, i), so a nonzero value p(1, 1, i, i), read off
-    in one pass as the sum of (a + b i) i^(e2 + e3), proves that phi does
-    not divide p; a zero value decides nothing and the division runs.
-    (e2 + e3) mod 4 is the low two bits of (m >> 16) + m.
-    """
-    re = im = 0
-    for m, (a, b) in p.terms.items():
-        r = ((m >> 16) + m) & 3
-        if r == 0:
-            re, im = re + a, im + b
-        elif r == 1:
-            re, im = re - b, im + a
-        elif r == 2:
-            re, im = re - a, im - b
-        else:
-            re, im = re + b, im - a
-    if re or im:
-        return None
-    work = dict(p.terms)
-    quot = {}
-    # A key of work may set a guard bit of x1..x3, as e_j + e0 < 2^16 never
-    # carries, but an exact quotient's cannot: in an order with x_j first,
-    # the leading term of (p / phi) phi has x_j-degree 2 above the quotient's.
-    x0sq, x1sq, x2sq, x3sq = (2 << s for s in _SHIFTS)
-    for e in range(max(work, default=0) >> 48, 1, -1):
-        for m in [m for m in work if m >> 48 == e]:
+def _phi_digits(p: Terms, t: int) -> Terms:
+    """The keys and pairs of P phi^t for the pairs ``p`` of a polynomial P,
+    not normalised: the phi-adic digits of P, by long division in x0 by the
+    monic x0^2 + (x1^2 + x2^2 + x3^2) that keeps every remainder. Each term
+    at x0^e, e >= 2, from the top down, moves to phi x0^(e-2) and sends
+    minus itself times x1^2, x2^2 and x3^2 to x0^(e-2); the work keys count
+    phi above the polynomial's 64 bits."""
+    work = dict(p)
+    lift = 1 << 64
+    for e in range(max(p, default=0) >> 48, 1, -1):
+        for m in [m for m in work if m >> 48 & 0xFFFF == e]:
             a, b = work.pop(m)
-            if not (a or b):
-                continue
-            m -= x0sq
-            quot[m] = (a, b)
-            for t in (m + x1sq, m + x2sq, m + x3sq):
-                c = work.get(t)
-                work[t] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
-    if any(a or b for a, b in work.values()):
-        return None
-    return Poly._raw(quot, p.den)
+            m -= _X0SQ
+            for n, x, y in ((m + lift, a, b), (m + _X1SQ, -a, -b),
+                            (m + _X2SQ, -a, -b), (m + _X3SQ, -a, -b)):
+                c = work.get(n)
+                work[n] = (x, y) if c is None else (c[0] + x, c[1] + y)
+    return {((m >> 64) + t) * _PHI_KEY + (m & lift - 1): c for m, c in work.items()}
 
 
 class ScalarField:
-    """Exact function P / phi^k on R^4 minus the origin.
+    """Exact function on R^4 minus the origin, an element of
+    Q(i)[x0..x3][1/phi]: the sum of c x^m phi^t over its stored keys, in
+    the phi-adic normal form of the module docstring.
 
-    Closed under +, *, and all partials; canonical form keeps the numerator
-    coprime to phi whenever k > 0.
+    Closed under +, *, and all partials; equal fields have equal storage.
+    ``num`` and ``k``, the canonical P / phi^k, are derived on demand.
     """
 
-    __slots__ = ("num", "k")
+    __slots__ = ("terms", "den", "_canon")
 
     def __init__(self, num, k: int = 0):
         num = Poly.coerce(num)
         if k < 0:
             raise ValueError("denominator exponent must be >= 0")
-        while k > 0 and num.terms:
-            q = _phi_quotient(num)
-            if q is None:
-                break
-            num, k = q, k - 1
-        self.num = num
-        self.k = k if num.terms else 0
+        self.terms, self.den = _normal(_phi_digits(num.terms, -k), num.den, _FIELD_GUARD)
 
     @staticmethod
-    def _canonical(num: Poly, k: int) -> "ScalarField":
-        """num / phi^k that is canonical by construction (see the module
-        docstring); skips the reduction."""
+    def _make(terms: Terms, den: int) -> "ScalarField":
+        """The field of the keys and pairs ``terms`` over den brought to
+        normal form (``_normal``); ValueError if an exponent of x1..x3
+        reached 2^15."""
+        return ScalarField._raw(*_normal(terms, den, _FIELD_GUARD))
+
+    @staticmethod
+    def _raw(terms: Terms, den: int) -> "ScalarField":
+        """The field of ``terms`` over den already in normal form."""
         f = ScalarField.__new__(ScalarField)
-        f.num, f.k = num, k if num.terms else 0
+        f.terms, f.den = terms, den
         return f
 
     @staticmethod
     def coerce(v) -> "ScalarField":
         if isinstance(v, ScalarField):
             return v
-        return ScalarField(Poly.coerce(v), 0)
+        if isinstance(v, Poly):
+            return ScalarField(v, 0)
+        return ScalarField.const(v)
 
     @staticmethod
     def const(c) -> "ScalarField":
-        return ScalarField(Poly.const(c), 0)
+        a, b, d = _gaussian(c)
+        return ScalarField._make({0: (a, b)}, d)
 
     @staticmethod
     def phi() -> "ScalarField":
-        return ScalarField(PHI, 0)
+        return ScalarField._raw({_PHI_KEY: (1, 0)}, 1)
 
     @staticmethod
     def inv_phi(k: int = 1) -> "ScalarField":
         return ScalarField(Poly.const(1), k)
 
+    def _pair(self) -> Tuple[Poly, int]:
+        """(num, k), computed once: the digits at t + k, k the negated
+        least t if that is negative, summed by Horner's rule in phi."""
+        try:
+            return self._canon
+        except AttributeError:
+            pass
+        k = max(0, -(min(self.terms) >> 52)) if self.terms else 0
+        digits: Dict[int, Terms] = {}
+        for m, c in self.terms.items():
+            digits.setdefault((m >> 52) + k, {})[m & _MONO] = c
+        num = Poly()
+        for t in range(max(digits, default=-1), -1, -1):
+            num = num * PHI + Poly._make(digits.get(t, {}), self.den)
+        self._canon = (num, k)
+        return self._canon
+
+    @property
+    def num(self) -> Poly:
+        """The numerator P of the canonical P / phi^k."""
+        return self._pair()[0]
+
+    @property
+    def k(self) -> int:
+        """The exponent k of the canonical P / phi^k: phi does not divide P
+        when k > 0, and k = 0 for the zero field."""
+        return self._pair()[1]
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.terms
 
     def __bool__(self):
         return not self.is_zero()
@@ -517,7 +482,7 @@ class ScalarField:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField._canonical(-self.num, self.k)
+        return ScalarField._raw({m: (-a, -b) for m, (a, b) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return _lincomb([(1, 0, 1, self), (-1, 0, 1, ScalarField.coerce(other))])
@@ -536,33 +501,47 @@ class ScalarField:
             raise ZeroDivisionError("division by zero field")
         if self.is_zero():
             return ScalarField.const(0)
-        # a k = 0 divisor Q phi^s: divide by Q, coprime to phi, then by phi^s
-        den, k = o.num, self.k
-        while not o.k and (q := _phi_quotient(den)) is not None:
-            den, k = q, k + 1
-        if den.is_constant():
-            # P phi^(o.k) / (c phi^k): common phi powers cancel; phi | P only if k > self.k
-            j = min(o.k, k)
-            num = self.num * (QI(1) / den.constant_value()) * _phi_pow(o.k - j)
-            return (ScalarField if k > self.k else ScalarField._canonical)(num, k - j)
-        q, r = (self.num * _phi_pow(o.k)).divmod_poly(den)
+        # o = Q phi^v, phi not dividing Q, v the least t of o: divide both
+        # by phi^v, then by Q, which divides a quotient in the ring exactly
+        # when it divides the numerator, phi being prime
+        shift = -(min(o.terms) >> 52) * _PHI_KEY
+        f = ScalarField._raw({m + shift: c for m, c in self.terms.items()}, self.den)
+        if len(o.terms) == 1 and not min(o.terms) & _MONO:
+            # Q = (a + b i) / den: 1 / Q = den (a - b i) / (a^2 + b^2)
+            (a, b), = o.terms.values()
+            return _lincomb([(o.den * a, -o.den * b, a * a + b * b, f)])
+        Q = ScalarField._raw({m + shift: c for m, c in o.terms.items()}, o.den).num
+        q, r = f.num.divmod_poly(Q)
         if not r.is_zero():
             raise ValueError("inexact field division")
-        return ScalarField(q, k)
+        return ScalarField(q, f.k)
 
     def partial(self, i: int) -> "ScalarField":
         return _dsum([(1, i, self)])
 
     def scale_arguments(self, q: Fraction, shift: int = 0) -> "ScalarField":
-        """f(x) -> q^shift f(q*x); exact because phi(q*x) = q^2 phi(x), and
-        canonical because phi divides P(q*x) only if it divides P."""
+        """f(x) -> q^shift f(q*x), in one pass over the terms: phi(q*x) =
+        q^2 phi(x), so x^m phi^t scales by q^(|m| + 2t + shift) and the keys
+        stay."""
         q = _frac(q)
         if q == 0:
             raise ValueError("scale factor must be nonzero")
-        return ScalarField._canonical(self.num.scale_arguments(q, shift - 2 * self.k), self.k)
+        if not self.terms:
+            return self
+        degrees = {m: sum(_unpack(m & _MONO)) + 2 * (m >> 52) + shift for m in self.terms}
+        lo, hi = min(degrees.values()), max(degrees.values())
+        # q^e = p^(e - lo) r^(hi - e) c with c = q^lo / r^(hi - lo)
+        p, r = q.numerator, q.denominator
+        c = q ** lo / r ** (hi - lo)
+        out = {}
+        for m, (a, b) in self.terms.items():
+            s = p ** (degrees[m] - lo) * r ** (hi - degrees[m]) * c.numerator
+            out[m] = (a * s, b * s)
+        return ScalarField._make(out, self.den * c.denominator)
 
     def max_abs_coeff(self) -> float:
-        """Crude magnitude of the field, for defect reporting only."""
+        """Crude magnitude of the field, for defect reporting only: the
+        largest coefficient of its canonical numerator."""
         if self.is_zero():
             return 0.0
         return max(math.sqrt(float(c.abs2())) for c in self.num.coeffs.values())
@@ -572,10 +551,10 @@ class ScalarField:
             other = ScalarField.const(other)
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return self.num == other.num and self.k == other.k
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.num, self.k))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __repr__(self):
         if self.k == 0:
@@ -583,32 +562,75 @@ class ScalarField:
         return f"({self.num!r}) / phi^{self.k}"
 
 
-_ZERO_FIELD = ScalarField._canonical(Poly._raw({}, 1), 0)
+_ZERO_FIELD = ScalarField._raw({}, 1)
 
 
-def _lift_into(out: Terms, terms: Terms, n: int, x: int, y: int) -> None:
-    """Adds (x + y sqrt(-1)) phi^n times the pairs ``terms`` to ``out``."""
+def _add_x0sq(out: Terms, m: int, a: int, b: int) -> None:
+    """Adds (a + b sqrt(-1)) times the key m, whose x0 exponent is 2, to
+    ``out`` as phi - x1^2 - x2^2 - x3^2 times the rest of m."""
+    m -= _X0SQ
     get = out.get
-    lift = _phi_pow(n).terms
-    for pm, (a, b) in terms.items():
-        re, im = a * x - b * y, a * y + b * x
-        for qm, (c, _) in lift.items():
+    n = m + _PHI_KEY
+    c = get(n)
+    out[n] = (a, b) if c is None else (c[0] + a, c[1] + b)
+    for n in (m + _X1SQ, m + _X2SQ, m + _X3SQ):
+        c = get(n)
+        out[n] = (-a, -b) if c is None else (c[0] - a, c[1] - b)
+
+
+def _field_mul_into(out: Terms, p: Terms, q: Terms, s: int) -> None:
+    """Adds s times the pairs of the product of the fields stored as p and
+    q to ``out``, not normalised: keys add, and x0^2 is rewritten."""
+    get = out.get
+    for pm, (a, b) in p.items():
+        a, b = a * s, b * s
+        for qm, (x, y) in q.items():
             m = pm + qm
-            v = get(m)
-            out[m] = (re * c, im * c) if v is None else (v[0] + re * c, v[1] + im * c)
+            re, im = a * x - b * y, a * y + b * x
+            if m & _X0SQ:
+                _add_x0sq(out, m, re, im)
+            else:
+                c = get(m)
+                out[m] = (re, im) if c is None else (c[0] + re, c[1] + im)
+
+
+def _partial_into(out: Terms, p: Terms, i: int, s: int) -> None:
+    """Adds s times the pairs of d_i of the field stored as p to ``out``,
+    not normalised: d_i(x^m phi^t) = e x^(m - e_i) phi^t
+    + 2t x_i x^m phi^(t-1), e = m_i, with x0^2 rewritten when i = 0."""
+    get = out.get
+    shift, mask = _SHIFTS[i], _FIELD_MASKS[i]
+    one = 1 << shift
+    up = one - _PHI_KEY  # x_i / phi
+    for m, (a, b) in p.items():
+        if e := m >> shift & mask:
+            es = e * s
+            ea, eb = es * a, es * b
+            n = m - one
+            c = get(n)
+            out[n] = (ea, eb) if c is None else (c[0] + ea, c[1] + eb)
+        if t := m >> 52:
+            u = 2 * t * s
+            ua, ub = u * a, u * b
+            n = m + up
+            if n & _X0SQ:
+                _add_x0sq(out, n, ua, ub)
+            else:
+                c = get(n)
+                out[n] = (ua, ub) if c is None else (c[0] + ua, c[1] + ub)
 
 
 def _lincomb(terms) -> ScalarField:
-    """The canonical sum of c f over the list ``terms`` of (x, y, d, f), each
-    a field f with a constant c = (x + y sqrt(-1)) / d in integers, d > 0;
-    a zero c or f adds nothing, and an empty sum is the shared ``_ZERO_FIELD``."""
-    parts, k, den = [], 0, 1
+    """The sum of c f over the list ``terms`` of (x, y, d, f), each a field f
+    with a constant c = (x + y sqrt(-1)) / d in integers, d > 0: a merge of
+    the keys over the common denominator. A zero c or f adds nothing, and an
+    empty sum is the shared ``_ZERO_FIELD``."""
+    parts, den = [], 1
     for t in terms:
         f = t[3]
-        if (t[0] or t[1]) and f.num.terms:
+        if (t[0] or t[1]) and f.terms:
             parts.append(t)
-            k = f.k if f.k > k else k
-            if (d := t[2] * f.num.den) != den:
+            if (d := t[2] * f.den) != den:
                 den = math.lcm(den, d)
     if not parts:
         return _ZERO_FIELD
@@ -616,65 +638,40 @@ def _lincomb(terms) -> ScalarField:
         return parts[0][3] if parts[0][0] == 1 else -parts[0][3]
     out: Terms = {}
     get = out.get
-    top = 0
     for x, y, d, f in parts:
-        s = den // (d * f.num.den)
+        s = den // (d * f.den)
         if s != 1:
             x, y = x * s, y * s
-        if f.k < k:
-            _lift_into(out, f.num.terms, k - f.k, x, y)
-            continue
-        top += 1
-        for m, (a, b) in f.num.terms.items():
+        for m, (a, b) in f.terms.items():
             re, im = (a * x - b * y, a * y + b * x) if y else (a * x, b * x)
             v = get(m)
             out[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
-    return (ScalarField if k and top > 1 else ScalarField._canonical)(Poly._make(out, den), k)
+    return ScalarField._make(out, den)
 
 
 def _dsum(terms) -> ScalarField:
-    """The canonical sum of sign d_mu f over the list ``terms`` of
-    (sign, mu, f), sign = +-1: each partial is canonical as computed, over
-    phi^(k+1) for f over phi^k with k > 0."""
-    parts, k, den = [], 0, 1
-    for sign, mu, f in terms:
-        if f.num.terms:
-            j = f.k + 1 if f.k else 0
-            parts.append((sign, mu, f, j))
-            k = j if j > k else k
-            den = math.lcm(den, f.num.den)
+    """The sum of sign d_mu f over the list ``terms`` of (sign, mu, f),
+    sign = +-1, written term by term into one dict (``_partial_into``)."""
+    den = 1
+    for _, _, f in terms:
+        if f.terms and f.den != den:
+            den = math.lcm(den, f.den)
     out: Terms = {}
-    top = 0
-    for sign, mu, f, j in parts:
-        s = sign * (den // f.num.den)
-        if j < k:
-            _lift_into(out, _partial_into({}, f.num.terms, f.k, mu), k - j, s, 0)
-        else:
-            top += 1
-            _partial_into(out, f.num.terms, f.k, mu, s)
-    return (ScalarField if k and top > 1 else ScalarField._canonical)(Poly._make(out, den), k)
+    for sign, mu, f in terms:
+        if f.terms:
+            _partial_into(out, f.terms, mu, sign * (den // f.den))
+    return ScalarField._make(out, den)
 
 
 def _prodsum(terms) -> ScalarField:
-    """The canonical sum of sign f g over the list ``terms`` of (sign, f, g),
-    sign = +-1: a product is loose, phi may divide it, when f or g has
-    k = 0."""
-    parts, k, den = [], 0, 1
-    for sign, f, g in terms:
-        if f.num.terms and g.num.terms:
-            j = f.k + g.k
-            parts.append((sign, f, g, j))
-            k = j if j > k else k
-            den = math.lcm(den, f.num.den * g.num.den)
+    """The sum of sign f g over the list ``terms`` of (sign, f, g), sign =
+    +-1, written pair by pair into one dict (``_field_mul_into``)."""
+    den = 1
+    for _, f, g in terms:
+        if f.terms and g.terms and (d := f.den * g.den) != den:
+            den = math.lcm(den, d)
     out: Terms = {}
-    top, loose = 0, False
-    for sign, f, g, j in parts:
-        s = sign * (den // (f.num.den * g.num.den))
-        if j < k:
-            _lift_into(out, _mul_into({}, f.num.terms, g.num.terms), k - j, s, 0)
-        else:
-            top += 1
-            loose = loose or not (f.k and g.k)
-            _mul_into(out, f.num.terms, g.num.terms, s)
-    return (ScalarField if k and (top > 1 or loose) else ScalarField._canonical)(
-        Poly._make(out, den), k)
+    for sign, f, g in terms:
+        if f.terms and g.terms:
+            _field_mul_into(out, f.terms, g.terms, sign * (den // (f.den * g.den)))
+    return ScalarField._make(out, den)

@@ -189,7 +189,7 @@ def _form(degree: int, groups: Dict[IndexTuple, list], kernel) -> RationalForm:
     out = {}
     for s, ts in groups.items():
         f = kernel(ts)
-        if f.num.terms:
+        if f.terms:
             out[s] = f
     r = RationalForm.__new__(RationalForm)
     r.degree, r.coeffs = degree, out

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional
 
-from .exact import ScalarField, _frac, _lincomb
+from .exact import _PHI_KEY, ScalarField, _frac, _lincomb
 from .forms import (
     ConstantMetric,
     RationalForm,
@@ -146,8 +146,7 @@ def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
               f"d^c_J{tag} w_J{tag} = d^c_K{tag} w_K{tag}")
     rec.exact(f"hopf.{side}.torsion-closed", reports[frame.I].dH,
               "dH = 0 (strong HKT)")
-    factor = geo.metric.factor
-    if factor.k == 0 and factor.num.is_constant():
+    if not any(geo.metric.factor.terms):  # a constant: its one key is 0
         rec.exact(f"hopf.{side}.torsion-zero", rep.H.is_zero(),
                   "hyperkahler iff H = 0")
     else:
@@ -229,13 +228,16 @@ def verify_common_metric(geo: HopfGeometry) -> List[CheckResult]:
 
 
 def verify_positive_metric(geo: HopfGeometry) -> List[CheckResult]:
-    """The factor of ``geo.metric`` is c / phi^k for a rational c > 0, read
-    off its integer pairs: positive off the origin, so the common metric is
-    a Riemannian metric and not its negative."""
-    terms = geo.metric.factor.num.terms
-    re, im = terms.get(0, (0, 0)) if len(terms) == 1 else (0, 0)
+    """The factor of ``geo.metric`` is c / phi^k for a rational c > 0 and
+    k >= 0, read off its one stored term c phi^t: positive off the origin,
+    so the common metric is a Riemannian metric and not its negative."""
+    terms, ok = geo.metric.factor.terms, False
+    if len(terms) == 1:
+        [(key, (re, im))] = terms.items()
+        t, m = divmod(key, _PHI_KEY)
+        ok = m == 0 and t <= 0 and re > 0 and im == 0
     rec = CheckRecorder()
-    rec.exact("hopf.common-metric.positive", re > 0 and im == 0,
+    rec.exact("hopf.common-metric.positive", ok,
               "the common metric is positive definite")
     return rec.checks
 

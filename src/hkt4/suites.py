@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .exact import I_UNIT, QI, Poly, ScalarField, _pack
+from .exact import _PHI_KEY, I_UNIT, QI, Poly, ScalarField, _pack
 from .forms import (
     TOP,
     ConstantMetric,
@@ -169,13 +169,16 @@ def calculus_suite(seed: int = 0) -> List[CheckResult]:
         return r
 
     def rand_scalar():
-        # a/b + (c/e) sqrt(-1) with b, e in {1, 2}: integer pairs over 2
+        # a/b + (c/e) sqrt(-1) with b, e in {1, 2}: integer pairs over 2,
+        # over phi^k; a multilinear numerator is its own phi-adic digit, so
+        # the pairs are stored at t = -k as drawn
         terms = {}
         for _ in range(1 + below(3)):
             mono = _pack((below(2), below(2), below(2), below(2)))
             a, b, c, e = below(7) - 3, 1 + below(2), below(7) - 3, 1 + below(2)
             terms[mono] = (a * (2 // b), c * (2 // e))
-        return ScalarField(Poly._make(terms, 2), below(2))
+        shift = -below(2) * _PHI_KEY
+        return ScalarField._make({m + shift: c for m, c in terms.items()}, 2)
 
     def rand_form(degree):
         coeffs = {}

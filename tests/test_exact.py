@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkt4 import exact
-from hkt4.exact import (EXP_LIMIT, PHI, Poly, QI, ScalarField, _dsum, _lincomb, _phi_quotient,
-                        _prodsum, _unpack)
+from hkt4.exact import (EXP_LIMIT, PHI, Poly, QI, ScalarField, _dsum, _lincomb, _prodsum,
+                        _unpack)
 
 
 def variable(i):
@@ -129,15 +129,19 @@ NEAR_MULTIPLES = (_x[2] - _x[3], _x[0] - _x[1], _x[0] * _x[2] - _x[1] * _x[3],
 @settings(max_examples=150)
 @given(polys, st.sampled_from(("random", "multiple", "near")),
        st.sampled_from(NEAR_MULTIPLES))
-def test_phi_pretest_never_decides_divisibility(p, kind, near):
-    """_phi_quotient agrees with generic division on random polynomials, on
-    multiples of phi and on polynomials that vanish where phi does."""
+def test_phi_divisibility_matches_generic_division(p, kind, near):
+    """P / phi is a polynomial field exactly when generic division by phi
+    leaves no remainder, and then its numerator is the quotient: on random
+    polynomials, on multiples of phi and on polynomials that vanish where
+    phi does."""
     if kind == "multiple":
         p = p * PHI
     elif kind == "near":
         p = p * near
     q, r = p.divmod_poly(PHI)
-    assert _phi_quotient(p) == (q if r.is_zero() else None)
+    f = ScalarField(p, 1)
+    assert (f.k == 0) == r.is_zero()
+    assert (f.num, f.k) == ((q, 0) if r.is_zero() else (p, 1))
 
 
 # fields over phi^0..phi^2 whose numerators may carry phi factors, the zero
@@ -170,10 +174,42 @@ def test_lincomb_matches_the_reference_sum(terms):
     assert (zero.num.terms, zero.num.den, zero.k) == ({}, 1, 0) and zero == ScalarField.const(0)
 
 
-def test_phi_quotient_of_zero_is_zero():
-    # phi divides 0; the long division must not need a leading term
-    assert _phi_quotient(Poly()) == Poly()
-    assert _phi_quotient(PHI - PHI) == Poly()
+def test_phi_expansion_of_zero_is_zero():
+    # phi divides 0; the expansion must not need a leading term
+    for f in (ScalarField(Poly(), 2), ScalarField(PHI - PHI, 1)):
+        assert f.terms == {} and f.den == 1 and (f.num, f.k) == (Poly(), 0)
+        assert f == exact._ZERO_FIELD
+
+
+# polynomials up to x0^4, so that the expansion keeps several digits
+deep_polys = st.dictionaries(st.tuples(st.integers(0, 4), *[st.integers(0, 2)] * 3), gaussian,
+                             min_size=1, max_size=4).map(Poly)
+
+
+def phi_power(j):
+    out = Poly.const(1)
+    for _ in range(j):
+        out = out * PHI
+    return out
+
+
+@settings(max_examples=150)
+@given(deep_polys, st.integers(0, 3), st.integers(0, 3))
+def test_normal_form_is_unique_and_round_trips(p, k, j):
+    """P phi^j / phi^(k+j) is stored as P / phi^k is, and the derived
+    (num, k) is the pair the retired reduction gave: divide by phi while
+    generic division leaves no remainder."""
+    f, g = ScalarField(p, k), ScalarField(p * phi_power(j), k + j)
+    assert (g.terms, g.den) == (f.terms, f.den)
+    assert g == f and hash(g) == hash(f)
+    assert all(m >> 48 & 0xF < 2 for m in f.terms)  # x0-degree 0 or 1
+    num, e = p, k
+    while e > 0 and not num.is_zero():
+        q, r = num.divmod_poly(PHI)
+        if not r.is_zero():
+            break
+        num, e = q, e - 1
+    assert (g.num, g.k) == (num, e if num.terms else 0)
 
 
 tuple_keys = st.dictionaries(st.tuples(*[st.integers(0, EXP_LIMIT - 1)] * 4),
@@ -202,13 +238,20 @@ def test_exponent_overflow_raises_instead_of_carrying():
         half * half  # x2^(2^15)
     assert (half * Poly({(0, 0, EXP_LIMIT // 2 - 1, 0): QI(1)})).coeffs == {(0, 0, top, 0): QI(1)}
     f = ScalarField(Poly({(0, top, 0, 0): QI(1)}), 0)
+    total = f + ScalarField.inv_phi()  # stored as x1^(2^15 - 1) + 1/phi
     with pytest.raises(ValueError):
-        f + ScalarField.inv_phi()  # the phi lift adds x1^2
+        total.num  # x1^(2^15 - 1) phi + 1: phi adds x1^2
     with pytest.raises(ValueError):
         (f * ScalarField.inv_phi()).partial(1)  # -2 x1 x1^(2^15 - 1) / phi^2
     g = ScalarField(Poly({(0, 0, 0, top): QI(1)}), 0)
     with pytest.raises(ValueError):
         g * ScalarField(variable(3), 0)
+    # the x0^2 rewrite adds x1^2, in a product and in the constructor
+    x0 = ScalarField(variable(0), 0)
+    with pytest.raises(ValueError):
+        ScalarField(Poly({(1, top - 1, 0, 0): QI(1)}), 0) * x0  # -x1^2 x1^(2^15 - 2)
+    with pytest.raises(ValueError):
+        ScalarField(Poly({(2, top - 1, 0, 0): QI(1)}), 0)
     # numpy exponents are packed as Python ints, so x0's field cannot wrap int64
     wide = Poly({tuple(np.array([EXP_LIMIT // 2, 0, 0, 0])): QI(1)})
     with pytest.raises(ValueError):
@@ -216,8 +259,10 @@ def test_exponent_overflow_raises_instead_of_carrying():
 
 
 def test_exponent_overflow_raises_on_the_fused_paths():
-    """A product or partial written into a canonical sum, at the top phi
-    power or lifted to it, raises as Poly.__mul__ does."""
+    """A product or partial written into a sum raises as Poly.__mul__ does,
+    through the x0^2 rewrite too. A sum of terms over different phi powers
+    needs no lift, so one whose common numerator overflows raises where
+    that numerator is read."""
     top = EXP_LIMIT - 1
     inv_phi = ScalarField.inv_phi()
     x3 = ScalarField(variable(3), 0)
@@ -226,11 +271,40 @@ def test_exponent_overflow_raises_on_the_fused_paths():
     with pytest.raises(ValueError):
         _prodsum([(1, g * inv_phi, x3), (1, inv_phi, x3)])  # x3^(2^15) / phi
     assert _prodsum([(1, h, x3)]) == g  # x3^(2^15 - 1) alone fits
+    total = _prodsum([(1, h, x3), (-1, inv_phi, inv_phi)])  # x3^(2^15 - 1) - 1/phi^2
     with pytest.raises(ValueError):
-        _prodsum([(1, h, x3), (-1, inv_phi, inv_phi)])  # lifted by phi^2: x3^4 x3^(2^15 - 1)
+        total.num  # x3^(2^15 - 1) phi^2 - 1: phi^2 adds x3^4
+    x0 = ScalarField(variable(0), 0)
+    with pytest.raises(ValueError):
+        _prodsum([(1, x0, ScalarField(Poly({(1, 0, 0, top - 1): QI(1)}), 0))])  # -x3^2 x3^(2^15 - 2)
     f = ScalarField(Poly({(0, top, 0, 0): QI(1)}), 0)
     assert _dsum([(1, 1, f)]) == ScalarField(Poly({(0, top - 1, 0, 0): QI(top)}), 0)
     with pytest.raises(ValueError):
         _dsum([(1, 1, f * inv_phi), (1, 0, inv_phi)])  # -2 x1 x1^(2^15 - 1) / phi^2
+    total = _dsum([(1, 1, f), (1, 0, inv_phi)])  # (2^15 - 1) x1^(2^15 - 2) - 2 x0 / phi^2
     with pytest.raises(ValueError):
-        _dsum([(1, 1, f), (1, 0, inv_phi)])  # lifted by phi^2: x1^4 x1^(2^15 - 2)
+        total.num  # phi^2 adds x1^4 to x1^(2^15 - 2)
+    with pytest.raises(ValueError):
+        # d_0 (x0 x1^(2^15 - 2) / phi) has -2 x0^2 x1^(2^15 - 2) / phi^2, and x0^2 adds -x1^2
+        _dsum([(1, 0, ScalarField(Poly({(1, top - 1, 0, 0): QI(1)}), 1))])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_hot_path_materialises_the_numerator(monkeypatch, seed):
+    """A warm hopf_suite and calculus_suite read every field through its
+    stored keys: a spy on the derived num and k counts no read."""
+    from hkt4.suites import calculus_suite, hopf_suite
+
+    q = Fraction(7, 3)
+    hopf_suite(q, seed=seed)
+    calculus_suite(seed)
+    reads = []
+    for name in ("num", "k"):
+        derived = getattr(ScalarField, name).fget
+        monkeypatch.setattr(ScalarField, name, property(
+            lambda f, derived=derived, name=name: reads.append(name) or derived(f)))
+    assert ScalarField.phi().k == 0 and reads == ["k"]  # the spy sees a read
+    reads.clear()
+    checks = hopf_suite(q, seed=seed) + calculus_suite(seed)
+    assert reads == []
+    assert {c.status for c in checks} == {"pass"}

@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from hkt4.exact import PHI, Poly, QI, ScalarField, _lincomb, _phi_quotient
+from hkt4.exact import PHI, Poly, QI, ScalarField, _lincomb
 from hkt4.forms import DegreeError, RationalForm, exterior_d, wedge, wedge_sum
 from hkt4.hopf import build_hopf
 from hkt4.quaternions import HypercomplexFrame
@@ -302,12 +302,8 @@ def test_div_exact_rejects_quotients_outside_the_ring():
 @given(polys, st.integers(0, 2), st.integers(0, 3))
 def test_phi_reduction_matches_generic_division(p, j, k):
     num = p * phi_pow(j)
-    # the dedicated division by phi agrees with generic lex division
-    if not num.is_zero():
-        q, r = num.divmod_poly(PHI)
-        assert _phi_quotient(num) == (q if r.is_zero() else None)
-    # canonicalisation strips phi factors exactly as repeated generic
-    # division does
+    # the derived numerator has phi factors stripped exactly as repeated
+    # generic division strips them
     f = ScalarField(num, k)
     ref_num, ref_k = num, k
     while ref_k > 0 and not ref_num.is_zero():
@@ -328,9 +324,9 @@ def test_operations_keep_num_coprime_to_phi(f, g, i):
 
 
 # A polynomial coefficient (k = 0) next to coefficients over phi: where
-# their partials meet in d, the polynomial's partial sits below the top phi
-# power and is lifted, the others are written at the top (two of them at
-# the 1-form's (1, 2), which calls for a reduction). Only those sums are
+# their partials meet in d, terms over different phi powers merge into one
+# sum (at the 1-form's (1, 2), two partials over phi^2 whose sum has a
+# factor phi). Only those sums are
 # checked, and every numerator is one term: with two-term numerators
 # SymPy's cancel over Q(i) took about 0.1 s per sum and this test 20 s. A
 # single partial is test_partial_matches_sympy's.
@@ -345,7 +341,7 @@ def _monomial_field(exponents, k):
 @ORACLE
 @given(one_term_polys.filter(lambda p: not p.is_constant()), over_phi, over_phi)
 # (x1^2 dx1 + x1 x2 dx2) / phi: the two partials at phi^2 in the (1, 2)
-# coefficient sum to x2 phi / phi^2, which the reduction takes to x2 / phi
+# coefficient sum to x2 phi / phi^2, which is x2 / phi
 @example(Poly({(1, 0, 0, 0): 1}), _monomial_field((0, 2, 0, 0), 1),
          _monomial_field((0, 1, 1, 0), 1))
 def test_d_of_mixed_k_forms_matches_sympy(p, f, g):

@@ -163,7 +163,7 @@ def test_lincomb_divides_out_phi_at_the_top():
     rest = ScalarField(x[1] * x[1] + x[2] * x[2] + x[3] * x[3], 1)
     total = _lincomb([(1, 0, 1, top), (1, 0, 1, rest)])
     assert total == ScalarField.const(1) and total.k == 0
-    # one term at the top k is canonical as lifted: x0^2/phi^2 + 1/phi
+    # x0^2/phi^2 + 1/phi has no factor phi to divide out
     mixed = _lincomb([(1, 0, 1, ScalarField(x[0] * x[0], 2)),
                       (1, 0, 1, ScalarField.inv_phi())])
     assert mixed == ScalarField(x[0] * x[0] + PHI, 2) and mixed.k == 2

@@ -160,6 +160,18 @@ def test_form_specs_read_floats_in_scientific_notation():
         assert abs(json.loads(result.stdout)["degree"] - 0.1) < 1e-12
 
 
+@pytest.mark.parametrize("spec", ["--dx0^dx1", "+-dx0^dx1", "dx0^dx1+", "dx0^dx1+-dx2^dx3",
+                                  "dx0^dx1++dx2^dx3", "-"])
+def test_form_specs_refuse_a_sign_with_no_term(spec):
+    # a sign that no term follows was dropped, not refused
+    with pytest.raises(ValueError):
+        parse_form_spec(spec)
+    for flag, other in (("--f", "dx0^dx1+dx2^dx3"), ("--omega", "dx0^dx1+dx2^dx3")):
+        args = ["degree", flag, spec, "--omega" if flag == "--f" else "--f", other]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
