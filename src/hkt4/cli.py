@@ -216,8 +216,8 @@ _TERM_BASIS = re.compile(r"dx(\d)\^dx(\d)$")
 def parse_form_spec(spec: str):
     """Constant 2-form spec: terms like '-2*pi*i*dx0^dx1 + dx2^dx3'.
 
-    Coefficient factors are floats, 'pi', and 'i', joined by '*'. Returns a
-    dict from sorted index pairs to complex coefficients.
+    Each term is one dxA^dxB and coefficient factors (floats, 'pi', 'i'), joined
+    by '*'. Returns a dict from sorted index pairs to complex coefficients.
     """
     compact = spec.replace(" ", "")
     if not compact:
@@ -241,6 +241,8 @@ def parse_form_spec(spec: str):
             elif factor == "i":
                 coeff *= 1j
             elif factor.startswith("dx"):
+                if indices is not None:
+                    raise ValueError(f"term {term!r} has more than one basis factor")
                 m = _TERM_BASIS.fullmatch(factor)
                 if not m:
                     raise ValueError(f"bad basis factor {factor!r}; want dxA^dxB")

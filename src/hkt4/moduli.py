@@ -210,8 +210,10 @@ def ym_flow(A0: Connection, step: float, max_iters: int,
     N, n = A0.N, A0.n
 
     def residual_sq(a: np.ndarray) -> Tuple[float, np.ndarray]:
-        plus = apply_components(sd_projector(), curvature(Connection(LatticeField(1, N, n, a))).data)
-        return float(sq_norm(plus)), plus
+        with np.errstate(over="ignore", invalid="ignore"):  # the flow tests finiteness
+            F = curvature(Connection(LatticeField(1, N, n, a)))
+            plus = apply_components(sd_projector(), F.data)
+            return float(sq_norm(plus)), plus
 
     a = A0.A.data.real.copy()
     s2, plus = residual_sq(a)
@@ -268,26 +270,6 @@ def slice_operator(A: Connection, L: Matrix):
     return op
 
 
-def _r_factor(g: np.ndarray) -> np.ndarray:
-    """The k x k factor R_e of g[e]^T = Q_e R_e for a complex stack (E, k,
-    M) of k long rows, by modified Gram-Schmidt in place: g is overwritten,
-    each row left orthogonal to the rows before it. Its R is as accurate as
-    Householder's, and its sums are numpy's own, so, like ``sq_norm``, it
-    rounds the same on any thread count (LAPACK's QR calls threaded BLAS on
-    these tall matrices). A zero row gives a zero row of R."""
-    k = g.shape[-2]
-    R = np.zeros(g.shape[:-2] + (k, k), dtype=complex)
-    for j in range(k):
-        row = g[:, j]
-        norm = np.sqrt((row.real * row.real + row.imag * row.imag).sum(axis=-1))
-        q = np.divide(row, norm[:, None], out=np.zeros_like(row), where=norm[:, None] > 0)
-        R[:, j, j] = norm
-        for i in range(j + 1, k):
-            R[:, j, i] = (q.conj() * g[:, i]).sum(axis=-1)
-            g[:, i] -= R[:, j, i, None] * q
-    return R
-
-
 def _on_grid(coeffs: np.ndarray, phase) -> np.ndarray:
     """The grid fields of one-site coordinates ``coeffs`` (..., m, 1, 1, 1,
     1) with each matrix entry jk times its plane of ``phase``, through the
@@ -309,18 +291,17 @@ class TangentBasis:
     the three induced structures in that basis and, for each structure, the
     largest L^2 distance of its images of the basis from the slice, all from
     ``coeffs`` alone (Parseval): per mode, ``coeffs`` (d, 4, m, 1, 1, 1, 1)
-    are the coordinates at x = 0 and ``phase`` (n, n, N, N, N, N) the unit
-    phase of each matrix entry; on the dense path ``coeffs`` is the grid
-    basis and ``phase`` 1. ``curvature_norm`` is |F_A| of the base, and
-    ``rule`` its ``ModeRule`` at ``tol``, None on the dense path. The
-    induced structures are those of ``frame``, whose J and K
-    ``verify_moduli_structure`` checks to cut the same slice."""
+    are the coordinates at x = 0, and each matrix entry sits at the mode of
+    ``rule.modes``; on the dense path ``coeffs`` is the grid basis.
+    ``curvature_norm`` is |F_A| of the base, and ``rule`` its ``ModeRule``
+    at ``tol``, None on the dense path. The induced structures are those of
+    ``frame``, whose J and K ``verify_moduli_structure`` checks to cut the
+    same slice."""
 
     base: Connection
     structure: Matrix
     frame: HypercomplexFrame
     coeffs: np.ndarray
-    phase: np.ndarray
     gram: np.ndarray
     ops: Dict[str, np.ndarray]
     invariance_defects: Dict[str, float]
@@ -334,6 +315,15 @@ class TangentBasis:
     @property
     def dimension(self) -> int:
         return len(self.coeffs)
+
+    @property
+    def phase(self) -> np.ndarray:
+        """The plane waves e^{i xi.x} of the entries' modes, (n, n, N, N, N,
+        N), built on each call (no check reads them); 1 on the dense path."""
+        if self.rule is None:
+            return np.ones((), dtype=complex)
+        N = self.base.N
+        return np.exp(1j * np.einsum("jkm,m...->jk...", self.rule.modes, np.indices((N,) * 4) / N))
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -355,29 +345,33 @@ class TangentBasis:
             for s in _chunks(len(a), size)])
 
     def slice_defects(self) -> np.ndarray:
-        """``residual(coeffs, phase)`` with no image on the grid: at a
-        constant Cartan connection D_mu acts on the matrix entry e as d_mu +
-        i shift_e (the rule's shifts), so element i's image on entry e is
-        B_ie G_e, with B_ie the 7 x 4 matrix slice_matrix(L) times coeffs[i]'s
-        entries e and G_e = d phase_e + i shift_e phase_e = (Q_e R_e)^T:
-        |B_ie G_e|_F = |B_ie R_e^T|_F, and B_ie R_e^T is the row of entries
-        e of coeffs[i] times the 4 x 28 block M_e = S (x) R_e. On the dense
-        path it is ``residual(coeffs)``."""
+        """``residual(coeffs, phase)`` with no grid array: at a constant
+        Cartan connection element i's image on the matrix entry e is B_ie G_e,
+        B_ie the 7 x 4 matrix slice_matrix(L) times coeffs[i]'s entries e and
+        G_e[mu] = d_mu p_e + i shift_e,mu p_e for the entry's plane wave p_e,
+        a product of four axis lines p_mu. So G_e = R_e^T Q_e, Q_e with
+        orthonormal rows, for a 5 x 4 R_e read off the lines, |B_ie G_e|_F =
+        |B_ie R_e^T|_F, and B_ie R_e^T is the row of entries e of coeffs[i]
+        times the 4 x 35 block M_e = S (x) R_e (docs/conventions.md, one-site
+        reduction). On the dense path it is ``residual(coeffs)``."""
         if self.rule is None:
             return self.residual(self.coeffs)
         N, n = self.base.N, self.base.n
-        shifts = self.rule.shifts.reshape(n * n, 4, 1, 1, 1, 1)
-        planes = self.phase.reshape((n * n,) + (N,) * 4)
-        grad = np.empty((n * n, 4) + planes.shape[1:], dtype=complex)
-        for mu in range(4):
-            grad[:, mu] = deriv(planes, mu, N)
-            grad[:, mu] += 1j * shifts[:, mu] * planes
-        R = _r_factor(grad.reshape(n * n, 4, -1)) / N ** 2
+        p = np.exp(1j * self.rule.modes.reshape(n * n, 4, 1) * (np.arange(N) / N))
+        # D_N along each line, by deriv's own matrix on axis 0 of a grid view
+        q = deriv(p.reshape(-1, N, 1, 1, 1), 0, N).reshape(p.shape)
+        q += 1j * self.rule.shifts.reshape(n * n, 4, 1) * p
+        c = (p.conj() * q).sum(axis=-1)
+        r = q - c[..., None] / N * p
+        r_norm = np.sqrt((r.real * r.real + r.imag * r.imag).sum(axis=-1))
+        # q_mu = (c_mu/N) p_mu + r_mu with r_mu orthogonal to p_mu: R_e has rows
+        # N c and N^(3/2) |r_mu| e_mu, here over N^2 as residual's site average
+        R = np.concatenate([c[:, None] / N, r_norm[:, :, None] * np.eye(4) / np.sqrt(N)], axis=1)
         entries = self.coeffs.reshape(self.dimension, 4, -1) @ su_basis(n).reshape(-1, n * n)
         # M_e[t, (s, u)] = sum_mu S[s, mu, t] R_e[u, mu], S = slice_matrix(L)
         # as (7, 4, 4): rows (t, s) of S times R_e^T
         S = slice_matrix(self.structure).reshape(7, 4, 4).transpose(2, 0, 1).reshape(28, 4)
-        M = (S @ R.swapaxes(-1, -2)).reshape(n * n, 4, 28)
+        M = (S @ R.swapaxes(-1, -2)).reshape(n * n, 4, -1)
         images = np.moveaxis(entries, -1, 0) @ M
         return np.linalg.norm(images.swapaxes(0, 1).reshape(self.dimension, -1), axis=1)
 
@@ -413,10 +407,9 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     rule = _mode_rule(A, tol)
     if rule is None:
         coeffs, min_sv, gap = _dense_slice_basis(A, L, tol)
-        phase = np.ones((), dtype=complex)
     else:
         _certify_symbol(L)
-        coeffs, phase, min_sv, gap = rule.coeffs, rule.phase, rule.min_sv, rule.gap
+        coeffs, min_sv, gap = rule.coeffs, rule.min_sv, rule.gap
     gram = l2_gram(coeffs, coeffs)
     ops, invariance = {}, {}
     for name, Lf in zip("IJK", frame.matrices()):
@@ -424,7 +417,7 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
         ops[name] = np.linalg.solve(gram, l2_gram(coeffs, images))
         recon = np.tensordot(ops[name].T, coeffs, axes=1)
         invariance[name] = float(np.sqrt(sq_norm(images - recon)).max())
-    return TangentBasis(base=A, structure=L, frame=frame, coeffs=coeffs, phase=phase,
+    return TangentBasis(base=A, structure=L, frame=frame, coeffs=coeffs,
                         gram=gram, ops=ops, invariance_defects=invariance, tol=tol,
                         min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD,
                         curvature_norm=F.norm(), rule=rule)
@@ -488,13 +481,14 @@ class ModeRule:
     """The per-mode slice rule of a constant Cartan connection at a tol,
     which no cutting structure changes once its symbol is certified: the
     ``_cartan_shifts``, the stabiliser mask of ``_mode_kernel``, and the
-    slice's one-site ``coeffs`` and ``phase``, its smallest non-kernel
-    singular value and its gap (``_mode_rule``)."""
+    slice's one-site ``coeffs``, the mode xi of each matrix entry (``modes``,
+    (n, n, 4), 0 on the diagonal), its smallest non-kernel singular value and
+    its gap (``_mode_rule``)."""
 
     shifts: np.ndarray
     stabiliser: np.ndarray
     coeffs: np.ndarray
-    phase: np.ndarray
+    modes: np.ndarray
     min_sv: float
     gap: float
 
@@ -515,14 +509,11 @@ def _mode_rule(A: Connection, tol: float) -> Optional[ModeRule]:
     min_sv = float(norms.min(where=~vanish, initial=np.inf)) / np.sqrt(2)
     gap = min_sv / max(float(norms.max(where=vanish, initial=0.0)), tol)
     # dx_mu x g at x = 0, row mu * len(gens) + g, for the stabiliser's unit
-    # coordinate vectors g, and the phase e^{i xi.x} of each entry's first
-    # vanishing mode (1 on the diagonal and at A = 0)
+    # coordinate vectors g, and each entry's first vanishing mode (0 on the
+    # diagonal, whose shift is 0, and at A = 0)
     gens = np.eye(len(stabiliser))[stabiliser]
     coeffs = np.einsum("mt,ga->mgta", np.eye(4), gens).reshape(-1, 4, len(gens[0]), 1, 1, 1, 1)
-    xi = _modes(N)[vanish.argmax(axis=-1)]
-    phase = np.exp(1j * np.einsum("jkm,m...->jk...", xi, np.indices((N,) * 4) / N))
-    phase[np.eye(len(vanish), dtype=bool)] = 1.0
-    return ModeRule(shifts, stabiliser, coeffs, phase, min_sv, gap)
+    return ModeRule(shifts, stabiliser, coeffs, _modes(N)[vanish.argmax(axis=-1)], min_sv, gap)
 
 
 def _unit_fields(degree: int, N: int, n: int, rows: slice = slice(None)) -> np.ndarray:

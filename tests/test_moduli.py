@@ -1371,22 +1371,9 @@ def test_slice_defects_of_non_kernel_coefficients_match_the_residual(name):
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
-def test_r_factor_gives_the_gram_matrix_of_the_rows():
-    # upper triangular with R^H R = conj(g) g^T, a zero row and a dependent
-    # row included
-    rng = np.random.default_rng(57)
-    g = rng.standard_normal((3, 4, 300)) + 1j * rng.standard_normal((3, 4, 300))
-    g[1, 2] = 0
-    g[2, 3] = 2j * g[2, 0]
-    R = moduli._r_factor(g.copy())
-    assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
-    gram = np.conj(g) @ g.swapaxes(-1, -2)
-    assert np.abs(R.conj().swapaxes(-1, -2) @ R - gram).max() <= 1e-13 * np.abs(gram).max()
-
-
 def test_slice_defects_round_the_same_on_one_and_two_blas_threads():
-    # the R factors sum over 4,096 and 65,536 sites per entry at N = 8 and
-    # 16, long enough for a BLAS reduction to be split over threads
+    # the defects at N = 5, 8 and 16 sum over each entry's axis lines and
+    # apply deriv's N x N matrix to them; a BLAS thread count changes none
     code = ("from hkt4.moduli import Connection, horizontal_slice; "
             "from hkt4.quaternions import HypercomplexFrame; "
             "print([repr(horizontal_slice(Connection.flat(N, 2), HypercomplexFrame.left().I, "
@@ -1398,6 +1385,56 @@ def test_slice_defects_round_the_same_on_one_and_two_blas_threads():
                                 "OPENBLAS_NUM_THREADS": threads}).stdout
             for threads in ("1", "2")]
     assert outs[0] == outs[1]
+
+
+def test_slice_defects_see_a_scaled_spectral_derivative(monkeypatch):
+    # the one-axis defects still apply deriv's matrix: at central holonomy
+    # D_N p = i xi p with |xi| = 2 pi cancels the shift, and D_N x 1.001
+    # leaves 2 pi / 1000 on the grid and on the lines alike
+    tb = horizontal_slice(cartan_connection(4, 0, [np.pi, -np.pi]), FRAME.I, 1e-10,
+                          frame=FRAME)
+    flat = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
+    D = lattice._diff_matrix
+
+    def scaled(N, after=0, real=False):
+        # from the unscaled D_N alone, so that no cached matrix is scaled
+        M = D(N) * 1.001
+        M = M.real if real else M
+        return np.kron(M.T, np.eye(after)) if after else M
+
+    monkeypatch.setattr(lattice, "_diff_matrix", scaled)
+    got, want = tb.slice_defects().max(), tb.residual(tb.basis).max()
+    assert abs(got - 2e-3 * np.pi) < 1e-15 and abs(want - 2e-3 * np.pi) < 1e-15
+    checks = {c.name: c for c in verify_moduli_structure(tb)}
+    assert checks["moduli.slice-equations"].status == "fail"
+    # at A = 0 the check is structural: every phase line is constant, and
+    # each row of D_4 (entries pi and i pi in pairs of opposite sign) maps
+    # it to exactly 0 at any scale, so the per-mode defects read 0.0 and the
+    # grid oracle, on the basis constants, round-off
+    assert flat.slice_defects().max() == 0.0
+    assert flat.residual(flat.basis).max() < 1e-14
+    checks = {c.name: c for c in verify_moduli_structure(flat)}
+    assert checks["moduli.slice-equations"].status == "pass"
+
+
+def test_the_mode_slice_holds_no_grid_array():
+    # the rule keeps each entry's mode, and the slice checks build neither
+    # the phase nor the grid basis
+    tb = horizontal_slice(Connection.flat(8, 3), FRAME.I, 1e-10, frame=FRAME)
+    verify_moduli_structure(tb)
+    assert "phase" not in vars(tb) and "basis" not in vars(tb)
+    assert tb.rule.modes.shape == (3, 3, 4)
+    assert max(np.size(v) for v in vars(tb.rule).values()) < 8 ** 4
+    # one-axis lines: the defects at (16, 3) take no N^4 array
+    tb = horizontal_slice(Connection.flat(16, 3), FRAME.I, 1e-10, frame=FRAME)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tb.slice_defects()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 2 ** 20
 
 
 def test_the_mode_slice_runs_no_svd(monkeypatch):

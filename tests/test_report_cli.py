@@ -172,6 +172,31 @@ def test_form_specs_refuse_a_sign_with_no_term(spec):
         assert result.exit_code == 2, (args, result.output)
 
 
+@pytest.mark.parametrize("spec", ["-2*pi*i*dx1^dx0*dx2^dx3", "dx0^dx1*dx2^dx3",
+                                  "dx0^dx1+2*dx0^dx2*pi*dx1^dx3"])
+def test_form_specs_refuse_a_term_with_two_basis_factors(spec):
+    # a term's last dxA^dxB was kept and the others dropped
+    with pytest.raises(ValueError, match="more than one basis factor"):
+        parse_form_spec(spec)
+    for flag, other in (("--f", "dx0^dx1+dx2^dx3"), ("--omega", "dx0^dx1")):
+        args = ["degree", flag, spec, "--omega" if flag == "--f" else "--f", other]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert "more than one basis factor" in result.output
+
+
+@pytest.mark.parametrize("eps", ["1e77", "1e300"])
+def test_a_diverging_flow_fails_the_flow_checks(eps):
+    # the residual overflows at the flow's start: both flow checks fail
+    # (exit 1), not an internal error (exit 3), and no RuntimeWarning is
+    # raised on the way (the test suite makes one an error)
+    result = CliRunner().invoke(main, ["moduli", "--grid", "4", "--rank", "2", "--flow", eps])
+    assert result.exit_code == 1, result.output
+    status = {c["name"]: c["status"] for c in json.loads(result.stdout)["checks"]}
+    assert status.pop("moduli.flow-monotone") == status.pop("moduli.flow-reduction") == "fail"
+    assert set(status.values()) == {"pass"}
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
