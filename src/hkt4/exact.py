@@ -269,15 +269,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == 0 for m in self.terms)
-
-    def constant_value(self) -> QI:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        a, b = self.terms.get(0, (0, 0))
-        return QI(Fraction(a, self.den), Fraction(b, self.den))
-
     def __add__(self, other):
         o = Poly.coerce(other)
         if not o.terms:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact import QI, ScalarField, _unpack
 from .forms import RationalForm, wedge
-from .lattice import LatticeField, _form_to_vector, wedge_pairing
+from .lattice import LatticeField, _constant_vector, wedge_pairing
 
 
 def _integrate_unit_cell(f: ScalarField) -> QI:
@@ -47,7 +47,7 @@ def _lattice_degree_integral(F: LatticeField, omega: RationalForm) -> complex:
         raise ValueError("degree needs scalar (rank-1) curvature values")
     # F = i c for the u(1) coordinate c = -i F
     means = 1j * np.mean(F.data[:, 0], axis=(1, 2, 3, 4))
-    return complex(means @ wedge_pairing(2) @ _form_to_vector(omega, 2))
+    return complex(means @ wedge_pairing(2) @ _constant_vector(omega, 2))
 
 
 DegreeInput = Union[RationalForm, LatticeField]

@@ -32,11 +32,11 @@ import numpy as np
 from .forms import (
     DC_SIGN,
     _ALL_TUPLES as TUPLES,
+    _INDEX,
     _MERGE,
     ConstantMetric,
     RationalForm,
-    hodge_star,
-    structure_action,
+    _action_matrix,
 )
 from .quaternions import Matrix
 
@@ -45,46 +45,33 @@ _EUCLID = ConstantMetric.euclidean()
 
 
 # ---------------------------------------------------------------------------
-# constant matrices derived from the symbolic engine (single source of truth
-# for every sign convention)
+# constant matrices read off the exact column tables of the symbolic engine
+# (single source of truth for every sign convention)
 
-def _form_to_vector(form: RationalForm, degree: int) -> np.ndarray:
-    out = np.zeros(len(TUPLES[degree]), dtype=complex)
-    for i, t in enumerate(TUPLES[degree]):
-        f = form.coeffs.get(t)
-        if f is not None:
-            if not f.num.is_constant() or f.k != 0:
-                raise ValueError("expected a constant-coefficient form")
-            out[i] = complex(f.num.constant_value())
-    return _real_if_real(out)
-
-
-def _real_if_real(arr: np.ndarray) -> np.ndarray:
-    """The real part of a complex array whose imaginary parts are all
-    exactly 0, else the array: constant matrices with real entries (star,
-    structure action, Lambda row, slice operator) are then real, and
-    ``apply_components`` applies them by a real product."""
-    return arr if arr.imag.any() else arr.real.copy()
-
-
-def _constant_op_matrix(op, degree_in: int, degree_out: int) -> np.ndarray:
-    cols = []
-    for t in TUPLES[degree_in]:
-        image = op(RationalForm.basis(t))
-        cols.append(_form_to_vector(image, degree_out))
-    return np.stack(cols, axis=1)
+def _column_matrix(cols, degree_out: int) -> np.ndarray:
+    """The constant matrix of the exact columns ``cols`` (``forms._columns``:
+    entry (s, t) is (x + y sqrt(-1)) / d) into degree-``degree_out``
+    components, each entry x / d and y / d correctly rounded, as the engine's
+    image of the basis form t reads; real unless some y is not 0, so that
+    ``apply_components`` applies a real matrix by a real product."""
+    out = np.zeros((len(TUPLES[degree_out]), len(cols)), dtype=complex)
+    index = _INDEX[degree_out]
+    for t, col in enumerate(cols):
+        for s, x, y, d in col:
+            out[index[s], t] = complex(x / d, y / d)
+    return out if out.imag.any() else out.real.copy()
 
 
 @lru_cache(maxsize=None)
 def action_matrix(L: Matrix, degree: int) -> np.ndarray:
     """Numeric matrix of the pullback action on degree-m components."""
-    return _constant_op_matrix(lambda f: structure_action(L, f), degree, degree)
+    return _column_matrix(_action_matrix(L, degree), degree)
 
 
 @lru_cache(maxsize=None)
 def star_matrix(degree: int) -> np.ndarray:
     """Euclidean Hodge star as a matrix on components."""
-    return _constant_op_matrix(lambda f: hodge_star(_EUCLID, f), degree, 4 - degree)
+    return _column_matrix(_EUCLID.star_columns(degree), 4 - degree)
 
 
 @lru_cache(maxsize=None)
@@ -92,12 +79,25 @@ def sd_projector() -> np.ndarray:
     return 0.5 * (np.eye(6) + star_matrix(2))
 
 
+def _constant_vector(form: RationalForm, degree: int) -> np.ndarray:
+    """The components of a constant form, as one column of ``_column_matrix``:
+    each coefficient's stored term at key 0 (x^0 phi^0, the only key of a
+    constant field) over its ``den``. ValueError if a coefficient has another
+    key."""
+    col = []
+    for s, f in form.coeffs.items():
+        if f.terms.keys() - {0}:
+            raise ValueError("expected a constant-coefficient form")
+        col.append((s, *f.terms.get(0, (0, 0)), f.den))
+    return _column_matrix([col], degree)[:, 0]
+
+
 @lru_cache(maxsize=None)
 def hermitian_form_vector(L: Matrix) -> np.ndarray:
     """Components of the flat Hermitian form g(L., .) for the structure L."""
     from .hermitian import hermitian_form
 
-    return _form_to_vector(hermitian_form(_EUCLID, L), 2)
+    return _constant_vector(hermitian_form(_EUCLID, L), 2)
 
 
 @lru_cache(maxsize=None)

@@ -116,6 +116,29 @@ def asd_residual(F: LatticeField) -> Tuple[LatticeField, float]:
             float(np.sqrt(sq_norm(plus))))
 
 
+def _curvature_norms(A: Connection, rule: Optional[ModeRule]) -> Tuple[float, float]:
+    """|F| and |F+| of the base: on the grid by ``curvature`` and
+    ``asd_residual``, or, per mode (``rule`` not None, so A is exactly
+    constant), at one site: row 0 of Re(D_N), ``deriv``'s own matrix, on the
+    line of each coordinate, the one-site bracket and ``sd_projector``. Each
+    site's d of a constant sums its own row of D_N, so the grid norms differ
+    from these by round-off only; at A = 0 both are exactly 0.0, and neither
+    d nor the bracket runs."""
+    if rule is None:
+        F = curvature(A)
+        return F.norm(), asd_residual(F)[1]
+    N = A.N
+    a = A.A.data[:, :, :1, :1, :1, :1].real
+    F = np.zeros((len(_MU),) + a.shape[1:])
+    if _coupling(A) is not None:
+        lines = np.repeat(a.reshape(-1, 1, 1, 1, 1), N, axis=1)
+        da = deriv(lines, 0, N)[:, 0, 0, 0, 0].reshape(a.shape[:2])
+        F[:, :, 0, 0, 0, 0] = da[_NU] - da[_MU]
+        bracket(a[_MU], a[_NU], F)
+    plus = apply_components(sd_projector(), F)
+    return float(np.sqrt(sq_norm(F))), float(np.sqrt(sq_norm(plus)))
+
+
 class FlowDiverged(RuntimeError):
     pass
 
@@ -293,10 +316,10 @@ class TangentBasis:
     ``coeffs`` alone (Parseval): per mode, ``coeffs`` (d, 4, m, 1, 1, 1, 1)
     are the coordinates at x = 0, and each matrix entry sits at the mode of
     ``rule.modes``; on the dense path ``coeffs`` is the grid basis.
-    ``curvature_norm`` is |F_A| of the base, and ``rule`` its ``ModeRule``
-    at ``tol``, None on the dense path. The induced structures are those of
-    ``frame``, whose J and K ``verify_moduli_structure`` checks to cut the
-    same slice."""
+    ``curvature_norm`` is |F_A| of the base (``_curvature_norms``), and
+    ``rule`` its ``ModeRule`` at ``tol``, None on the dense path. The
+    induced structures are those of ``frame``, whose J and K
+    ``verify_moduli_structure`` checks to cut the same slice."""
 
     base: Connection
     structure: Matrix
@@ -395,16 +418,16 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     of the three induced structures of ``frame`` in that basis: at a flat or
     constant Cartan connection every L whose symbol ``_certify_symbol``
     certifies reads the one ``_mode_rule(A, tol)``; else the slice is a dense
-    null space, up to ``MAX_DENSE_DIM``."""
+    null space, up to ``MAX_DENSE_DIM``. The base must be ASD within
+    max(tol, 1e-8), by ``_curvature_norms``."""
     if frame is None:
         frame = HypercomplexFrame.left()
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    F = curvature(A)
-    _, res_norm = asd_residual(F)
+    rule = _mode_rule(A, tol)
+    F_norm, res_norm = _curvature_norms(A, rule)
     if res_norm > max(tol, 1e-8):
         raise ValueError(f"base connection is not ASD enough: |F+| = {res_norm:.3e}")
-    rule = _mode_rule(A, tol)
     if rule is None:
         coeffs, min_sv, gap = _dense_slice_basis(A, L, tol)
     else:
@@ -420,7 +443,7 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     return TangentBasis(base=A, structure=L, frame=frame, coeffs=coeffs,
                         gram=gram, ops=ops, invariance_defects=invariance, tol=tol,
                         min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD,
-                        curvature_norm=F.norm(), rule=rule)
+                        curvature_norm=F_norm, rule=rule)
 
 
 @lru_cache(maxsize=None)
@@ -448,16 +471,25 @@ def _cartan_shifts(A: Connection) -> Optional[np.ndarray]:
 
 
 def _mode_kernel(N: int, shifts: np.ndarray, tol: float):
-    """The kernel rule at a constant Cartan connection: the norms r = |xi +
-    shifts[j, k]| at the N^4 modes, shape (n, n, N^4), one pass per distinct
-    shift; the mask r < tol of the vanishing channels; and the stabiliser,
+    """The kernel rule at a constant Cartan connection, per distinct shift
+    alpha among the channels' ``shifts`` (n, n, 4), grouped by value as float
+    tuples (-0.0 joins 0.0): the norms r = |xi + alpha| at the N^4 modes,
+    shape (k, N^4), one pass each; the mask r < tol of the vanishing modes;
+    ``channel`` (n, n), the row of each channel's shift; and the stabiliser,
     the mask of the ``su_basis`` generators each of whose nonzero entries
     has a vanishing channel."""
-    alpha, channel = np.unique(shifts.reshape(-1, 4), axis=0, return_inverse=True)
-    norms = np.linalg.norm(_modes(N) + alpha[:, None], axis=-1)
-    norms = norms[channel.reshape(shifts.shape[:2])]
+    groups: Dict[tuple, int] = {}
+    channel = np.array([groups.setdefault(alpha, len(groups))
+                        for alpha in map(tuple, shifts.reshape(-1, 4).tolist())])
+    channel = channel.reshape(shifts.shape[:2])
+    norms = np.empty((len(groups), N ** 4))
+    for row, alpha in zip(norms, groups):
+        r = _modes(N) + alpha
+        r *= r
+        np.sqrt(r.sum(axis=-1), out=row)
     vanish, gens = norms < tol, su_basis(len(shifts))
-    return norms, vanish, np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))
+    stabiliser = np.all(vanish.any(axis=-1)[channel] | (gens == 0), axis=(-2, -1))
+    return norms, vanish, channel, stabiliser
 
 
 @lru_cache(maxsize=None)
@@ -505,7 +537,7 @@ def _mode_rule(A: Connection, tol: float) -> Optional[ModeRule]:
     if shifts is None:
         return None
     N = A.N
-    norms, vanish, stabiliser = _mode_kernel(N, shifts, tol)
+    norms, vanish, channel, stabiliser = _mode_kernel(N, shifts, tol)
     min_sv = float(norms.min(where=~vanish, initial=np.inf)) / np.sqrt(2)
     gap = min_sv / max(float(norms.max(where=vanish, initial=0.0)), tol)
     # dx_mu x g at x = 0, row mu * len(gens) + g, for the stabiliser's unit
@@ -513,7 +545,8 @@ def _mode_rule(A: Connection, tol: float) -> Optional[ModeRule]:
     # diagonal, whose shift is 0, and at A = 0)
     gens = np.eye(len(stabiliser))[stabiliser]
     coeffs = np.einsum("mt,ga->mgta", np.eye(4), gens).reshape(-1, 4, len(gens[0]), 1, 1, 1, 1)
-    return ModeRule(shifts, stabiliser, coeffs, _modes(N)[vanish.argmax(axis=-1)], min_sv, gap)
+    modes = _modes(N)[vanish.argmax(axis=-1)][channel]
+    return ModeRule(shifts, stabiliser, coeffs, modes, min_sv, gap)
 
 
 def _unit_fields(degree: int, N: int, n: int, rows: slice = slice(None)) -> np.ndarray:

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hkt4.exact import QI, ScalarField
+from hkt4.exact import QI, Poly, ScalarField
 from hkt4.forms import RationalForm
 from hkt4.invariants import degree, slope
-from hkt4.lattice import LatticeField
+from hkt4.lattice import LatticeField, _constant_vector
 
 OMEGA = RationalForm(2, {(0, 1): ScalarField.const(1),
                          (2, 3): ScalarField.const(1)})
@@ -103,6 +103,24 @@ def test_degree_linear_in_omega():
     w2 = RationalForm(2, {(0, 1): ScalarField.const(2),
                           (2, 3): ScalarField.const(2)})
     assert abs(degree(F, w2) - 2 * degree(F, OMEGA)) < 1e-12
+
+
+def test_constant_vector_reads_the_stored_constant():
+    # the stored term at key 0 over den is the derived numerator's constant,
+    # correctly rounded either way; a field with another key is refused
+    omega = RationalForm(2, {(0, 1): ScalarField.const(Fraction(1, 3)),
+                             (0, 3): ScalarField.const(QI(Fraction(-2, 7), Fraction(5, 3))),
+                             (2, 3): ScalarField.const(Fraction(10 ** 20 + 1, 3 ** 40))})
+    want = np.zeros(6, dtype=complex)
+    for i, t in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]):
+        if t in omega.coeffs:
+            num = omega.coeffs[t].num  # the derived numerator, over phi^0
+            (a, b), = num.terms.values()
+            want[i] = complex(QI(Fraction(a, num.den), Fraction(b, num.den)))
+    assert np.array_equal(_constant_vector(omega, 2), want)
+    for field in (ScalarField(Poly({(1, 0, 0, 0): 1})), ScalarField.inv_phi()):
+        with pytest.raises(ValueError, match="constant-coefficient"):
+            _constant_vector(RationalForm(2, {(0, 1): field}), 2)
 
 
 def test_slope():

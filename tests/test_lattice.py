@@ -589,7 +589,8 @@ def lambda_contract_row(L):
     against the flat Hermitian form of L."""
     omega = hermitian_form(ConstantMetric.euclidean(), L)
     lams = [lambda_contract(omega, RationalForm.basis(t)) for t in TUPLES[2]]
-    row = np.array([0.0 if lam.is_zero() else complex(lam.num.constant_value())
+    assert all(lam.terms.keys() <= {0} for lam in lams)  # constants: x^0 phi^0 only
+    row = np.array([complex(*(c / lam.den for c in lam.terms.get(0, (0, 0))))
                     for lam in lams])
     assert not row.imag.any()
     return row.real

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from hkt4 import lattice, moduli, suites
-from hkt4.forms import pq_project
+from hkt4.exact import QI
+from hkt4.forms import ConstantMetric, RationalForm, hodge_star, pq_project, structure_action
+from hkt4.hermitian import hermitian_form
 from hkt4.lattice import (
     LatticeField,
     action_matrix,
@@ -23,6 +25,7 @@ from hkt4.lattice import (
     d_raw,
     dc_raw,
     frequencies,
+    hermitian_form_vector,
     l2_gram,
     l2_inner,
     lambda_row,
@@ -1053,19 +1056,22 @@ def test_slices_of_the_three_structures_share_their_phase(N, theta):
 
 
 def test_moduli_suite_reads_the_curvature_the_slice_guard_computed(monkeypatch):
-    calls, real = [], moduli.curvature
+    # the slice guard computes |F| and |F+| once, at one site per mode, and
+    # moduli.flat-curvature reads that |F|; the grid curvature is its oracle
+    calls, real = [], moduli._curvature_norms
 
-    def spy(conn):
-        calls.append(conn)
-        return real(conn)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(moduli, "curvature", spy)
+    monkeypatch.setattr(moduli, "_curvature_norms", spy)
     checks = suites.moduli_suite(3, 2, 1e-10)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][1] is not None
     (flat,) = [c for c in checks if c.name == "moduli.flat-curvature"]
     assert (flat.status, flat.defect) == ("pass", "exact-zero")
     tb = horizontal_slice(cartan_connection(3, 0, [0.37, -0.37]), FRAME.I, 1e-10)
-    assert tb.curvature_norm == real(tb.base).norm() < 1e-15
+    assert len(calls) == 2 and tb.curvature_norm < 1e-15
+    assert abs(tb.curvature_norm - curvature(tb.base).norm()) < 1e-14
 
 
 @pytest.mark.parametrize("N, n, flow", [(4, 2, None), (4, 2, 1e-2), (4, 3, None)])
@@ -1111,13 +1117,65 @@ def test_induced_structure_examples():
     assert (induced_structure(FRAME.J, ib) + b).norm() < 1e-12
 
 
+def form_to_vector(form, degree):
+    """Oracle: the components of a constant exact form, each coefficient's
+    derived numerator over phi^k read as one Gaussian rational; real if
+    every imaginary part is exactly 0."""
+    out = np.zeros(len(TUPLES[degree]), dtype=complex)
+    for i, t in enumerate(TUPLES[degree]):
+        f = form.coeffs.get(t)
+        if f is not None:
+            num = f.num
+            if f.k != 0 or any(num.terms):
+                raise ValueError("expected a constant-coefficient form")
+            a, b = num.terms.get(0, (0, 0))
+            out[i] = complex(QI(Fraction(a, num.den), Fraction(b, num.den)))
+    return out if out.imag.any() else out.real.copy()
+
+
+def constant_op_matrix(op, degree_in, degree_out):
+    """Oracle: a constant operator on exact forms as the matrix whose
+    columns are its images of the basis forms."""
+    return np.stack([form_to_vector(op(RationalForm.basis(t)), degree_out)
+                     for t in TUPLES[degree_in]], axis=1)
+
+
 def pq_induced_matrix(L):
     """Oracle: the ledger's sqrt(-1)(a^{0,1} - a^{1,0}) as a complex matrix
     on 1-form components, from the exact (p,q) projectors."""
     def pq(p, q):
-        return lattice._constant_op_matrix(lambda f: pq_project(L, f, p, q), 1, 1)
+        return constant_op_matrix(lambda f: pq_project(L, f, p, q), 1, 1)
 
     return 1j * (pq(0, 1) - pq(1, 0))
+
+
+def both_frame_structures():
+    """The six frame structures and twelve on seeded rational axes, left and
+    right: entries that are not dyadic test the rounding."""
+    rng = random.Random(59)
+    axes = [suites.random_rational_axis(rng) for _ in range(6)]
+    return (FRAME.matrices() + HypercomplexFrame.right().matrices()
+            + tuple(structure_matrix(side, axis) for side in ("left", "right") for axis in axes))
+
+
+def test_constant_matrices_are_the_images_of_the_basis_forms():
+    # read off the exact column tables, bit for bit and in the same dtype
+    euclid = ConstantMetric.euclidean()
+    for degree in range(5):
+        want = constant_op_matrix(lambda f: hodge_star(euclid, f), degree, 4 - degree)
+        got = lattice.star_matrix(degree)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for L in both_frame_structures():
+            want = constant_op_matrix(lambda f: structure_action(L, f), degree, degree)
+            got = action_matrix(L, degree)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_hermitian_form_vector_is_the_exact_form():
+    for L in both_frame_structures():
+        want = form_to_vector(hermitian_form(ConstantMetric.euclidean(), L), 2)
+        got = hermitian_form_vector(L)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_induced_structure_matches_coordinate_formula():
@@ -1452,6 +1510,80 @@ def test_the_mode_table_is_one_shared_read_only_array():
     assert np.array_equal(xi, mode_table(4))
 
 
+def unique_mode_kernel(N, shifts, tol):
+    """Oracle: the norms, vanish mask and stabiliser of every channel, the
+    distinct shifts grouped by np.unique."""
+    alpha, channel = np.unique(shifts.reshape(-1, 4), axis=0, return_inverse=True)
+    norms = np.linalg.norm(mode_table(N) + alpha[:, None], axis=-1)
+    norms = norms[channel.reshape(shifts.shape[:2])]
+    vanish, gens = norms < tol, su_basis(len(shifts))
+    return norms, vanish, np.all(vanish.any(axis=-1) | (gens == 0), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+@pytest.mark.parametrize("tol", [1e-10, 2.0])
+def test_mode_kernel_groups_the_shifts_as_unique_does(N, tol):
+    # repeated rows (equal eigenvalue gaps, a central holonomy) and a -0.0
+    # that np.unique groups with 0.0; each channel reads its group's row
+    cases = [moduli._cartan_shifts(cartan_connection(N, 1, [0.5, 0.0, -0.5])),
+             moduli._cartan_shifts(cartan_connection(N, 0, [np.pi, -np.pi])),
+             moduli._cartan_shifts(Connection.flat(N, 3))]
+    signed = cases[0].copy()
+    signed[0, 0, :2] = signed[1, 1, 2:] = -0.0
+    signed[2, 0, 3] = -0.0
+    for shifts in cases + [signed]:
+        norms, vanish, channel, stabiliser = moduli._mode_kernel(N, shifts, tol)
+        want_norms, want_vanish, want_stabiliser = unique_mode_kernel(N, shifts, tol)
+        assert len(norms) == len(np.unique(shifts.reshape(-1, 4), axis=0))
+        assert np.array_equal(norms[channel], want_norms)
+        assert np.array_equal(vanish[channel], want_vanish)
+        assert np.array_equal(stabiliser, want_stabiliser)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_site_curvature_is_exactly_zero_at_a_flat_connection(N, n):
+    A = Connection.flat(N, n)
+    assert moduli._curvature_norms(A, moduli._mode_rule(A, 1e-10)) == (0.0, 0.0)
+    F = curvature(A)
+    assert (F.norm(), asd_residual(F)[1]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8, 16])
+@pytest.mark.parametrize("theta", [[0.37, -0.37], [np.pi, -np.pi], [0.37, 1.1, -1.47]])
+@pytest.mark.parametrize("axes", [(0,), (1, 3), (0, 1, 2, 3)])
+def test_one_site_curvature_matches_the_grid(N, theta, axes):
+    # a constant Cartan connection's d sums one row of D_N per site, so the
+    # one-site norms and the grid's agree to round-off
+    A = constant_connection(N, len(theta), [(mu, np.diag(1j * np.asarray(theta))) for mu in axes])
+    got = moduli._curvature_norms(A, moduli._mode_rule(A, 1e-10))
+    F = curvature(A)
+    want = F.norm(), asd_residual(F)[1]
+    assert np.abs(np.subtract(got, want)).max() < 1e-14
+
+
+def test_the_slice_guard_builds_no_grid_curvature_per_mode(monkeypatch):
+    # at (16, 3) one 2-form is 25 MiB; the per-mode guard reads one site
+    A = Connection.flat(16, 3)
+    horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)  # the shared caches
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid curvature or a np.unique on the per-mode path")
+
+    for name in ("curvature", "asd_residual"):
+        monkeypatch.setattr(moduli, name, refuse)
+    monkeypatch.setattr(np, "unique", refuse)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tb.curvature_norm == 0.0 and tb.dimension == 4 * 8
+    assert peak - held < 4 * 2 ** 20
+
+
 def test_rational_axis_structures_pass_the_symbol_certificate():
     # every orthogonal complex structure, left or right, satisfies the
     # identity; on a rational axis it holds up to round-off
@@ -1727,8 +1859,7 @@ def test_moduli_hermitian_form_zero_mode_closed_form():
                              for mu in range(4) if alpha[mu] != 0})
         one_forms.append(f)
     top = wedge(omega_sym, wedge(one_forms[0], one_forms[1]))
-    coeff = top.coeffs.get((0, 1, 2, 3))
-    scalar = complex(coeff.num.constant_value()) if coeff is not None else 0.0
+    scalar = complex(form_to_vector(top, 4)[0])
     trace = complex(np.einsum("ij,ji->", gsel[0], gsel[1]))
     expected = (scalar * trace).real
     assert abs(value - expected) < 1e-12

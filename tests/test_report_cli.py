@@ -197,6 +197,26 @@ def test_a_diverging_flow_fails_the_flow_checks(eps):
     assert set(status.values()) == {"pass"}
 
 
+@pytest.mark.parametrize("eps", ["1e308", "-1.7e308", "1e300"])
+def test_a_flow_start_past_float64_fails_the_flow_checks(eps):
+    # at 1e308 the start's draw times eps overflows before the flow runs; the
+    # flow tests finiteness from its start, so a fresh interpreter that makes
+    # a RuntimeWarning an error still exits 1 with nothing on stderr
+    import subprocess
+    import sys
+
+    import hkt4
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hkt4.__file__))}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hkt4.cli",
+                           "moduli", "--grid", "4", "--rank", "2", "--flow", eps],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+    status = {c["name"]: c["status"] for c in json.loads(proc.stdout)["checks"]}
+    assert status.pop("moduli.flow-monotone") == status.pop("moduli.flow-reduction") == "fail"
+    assert set(status.values()) == {"pass"}
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
