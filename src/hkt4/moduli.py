@@ -309,31 +309,28 @@ def _on_grid(coeffs: np.ndarray, phase) -> np.ndarray:
 
 @dataclass
 class TangentBasis:
-    """Orthonormal basis ``_on_grid(coeffs, phase)`` of the horizontal slice
-    at a connection, with the Gram matrix of the L^2 metric, the matrices of
-    the three induced structures in that basis and, for each structure, the
-    largest L^2 distance of its images of the basis from the slice, all from
-    ``coeffs`` alone (Parseval): per mode, ``coeffs`` (d, 4, m, 1, 1, 1, 1)
-    are the coordinates at x = 0, and each matrix entry sits at the mode of
-    ``rule.modes``; on the dense path ``coeffs`` is the grid basis.
-    ``curvature_norm`` is |F_A| of the base (``_curvature_norms``), and
-    ``rule`` its ``ModeRule`` at ``tol``, None on the dense path. The
-    induced structures are those of ``frame``, whose J and K
-    ``verify_moduli_structure`` checks to cut the same slice."""
+    """L^2-orthonormal basis ``_on_grid(coeffs, phase)`` of the horizontal
+    slice cut by ``structure``, and no check on it: per mode ``coeffs`` (d,
+    4, m, 1, 1, 1, 1) are unit coordinate vectors at x = 0, each matrix
+    entry at the mode of ``rule.modes``; on the dense path ``coeffs`` is the
+    grid basis. ``curvature_norm`` is |F_A| of the base
+    (``_curvature_norms``) and ``rule`` its ``ModeRule`` at ``tol``, None on
+    the dense path. ``verify_moduli_structure`` checks the slice with the
+    induced structures of ``frame``."""
 
     base: Connection
     structure: Matrix
     frame: HypercomplexFrame
     coeffs: np.ndarray
-    gram: np.ndarray
-    ops: Dict[str, np.ndarray]
-    invariance_defects: Dict[str, float]
     tol: float
     min_nonkernel_sv: float
     gap: float
-    gap_ok: bool
     curvature_norm: float
     rule: Optional[ModeRule]
+
+    @property
+    def gap_ok(self) -> bool:
+        return self.gap > GAP_THRESHOLD
 
     @property
     def dimension(self) -> int:
@@ -400,9 +397,9 @@ class TangentBasis:
 
     def projection_defect(self, a: np.ndarray) -> np.ndarray:
         """Relative L^2 distance from the slice of each 1-form array of a
-        stack (k, 4, m, N, N, N, N); zero for a zero field."""
-        coeff = np.linalg.solve(self.gram, l2_gram(self.basis, a))
-        diff = np.sqrt(sq_norm(a - np.tensordot(coeff.T, self.basis, axes=1)))
+        stack (k, 4, m, N, N, N, N), by its L^2 pairings with the orthonormal
+        basis; zero for a zero field."""
+        diff = np.sqrt(sq_norm(a - np.tensordot(l2_gram(a, self.basis), self.basis, axes=1)))
         denom = np.sqrt(sq_norm(a))
         return np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0)
 
@@ -414,12 +411,12 @@ SYMBOL_TOL = 1e-12  # the largest symbol-identity defect round-off explains
 
 def horizontal_slice(A: Connection, L: Matrix, tol: float,
                      frame: Optional[HypercomplexFrame] = None) -> TangentBasis:
-    """The slice basis cut by L, with its L^2 Gram matrix and the matrices
-    of the three induced structures of ``frame`` in that basis: at a flat or
-    constant Cartan connection every L whose symbol ``_certify_symbol``
-    certifies reads the one ``_mode_rule(A, tol)``; else the slice is a dense
-    null space, up to ``MAX_DENSE_DIM``. The base must be ASD within
-    max(tol, 1e-8), by ``_curvature_norms``."""
+    """The L^2-orthonormal slice basis cut by L, with its gap, for
+    ``verify_moduli_structure`` to check with the structures of ``frame``:
+    at a flat or constant Cartan connection every L whose symbol
+    ``_certify_symbol`` certifies reads the one ``_mode_rule(A, tol)``; else
+    the slice is a dense null space, up to ``MAX_DENSE_DIM``. The base must
+    be ASD within max(tol, 1e-8), by ``_curvature_norms``."""
     if frame is None:
         frame = HypercomplexFrame.left()
     if not 0 < tol < np.inf:
@@ -433,17 +430,8 @@ def horizontal_slice(A: Connection, L: Matrix, tol: float,
     else:
         _certify_symbol(L)
         coeffs, min_sv, gap = rule.coeffs, rule.min_sv, rule.gap
-    gram = l2_gram(coeffs, coeffs)
-    ops, invariance = {}, {}
-    for name, Lf in zip("IJK", frame.matrices()):
-        images = induced_structure(Lf, coeffs)
-        ops[name] = np.linalg.solve(gram, l2_gram(coeffs, images))
-        recon = np.tensordot(ops[name].T, coeffs, axes=1)
-        invariance[name] = float(np.sqrt(sq_norm(images - recon)).max())
-    return TangentBasis(base=A, structure=L, frame=frame, coeffs=coeffs,
-                        gram=gram, ops=ops, invariance_defects=invariance, tol=tol,
-                        min_nonkernel_sv=min_sv, gap=gap, gap_ok=gap > GAP_THRESHOLD,
-                        curvature_norm=F_norm, rule=rule)
+    return TangentBasis(base=A, structure=L, frame=frame, coeffs=coeffs, tol=tol,
+                        min_nonkernel_sv=min_sv, gap=gap, curvature_norm=F_norm, rule=rule)
 
 
 @lru_cache(maxsize=None)
@@ -455,18 +443,27 @@ def _modes(N: int) -> np.ndarray:
     return xi
 
 
+@lru_cache(maxsize=None)
+def _cartan_generators(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The mask of the diagonal (Cartan) generators of ``su_basis(n)`` and
+    the imaginary parts of all the generators' diagonals, (m, n); read-only."""
+    gens = su_basis(n)
+    diag = np.diagonal(gens, axis1=-2, axis2=-1)
+    cartan = np.all(gens == diag[..., None] * np.eye(n), axis=(-2, -1))
+    cartan.flags.writeable = False
+    return cartan, diag.imag
+
+
 def _cartan_shifts(A: Connection) -> Optional[np.ndarray]:
     """The shifts theta_j - theta_k, shape (n, n, 4), of A_mu = i
     diag(theta^mu), whose coordinates are exactly constant and real on the
     diagonal (Cartan) generators and exactly 0 on the others, or None.
     D_mu acts on e^{i xi.x} E_jk as i(xi_mu + theta_j^mu - theta_k^mu)."""
-    gens, a = su_basis(A.n), A.A.data
-    diag = np.diagonal(gens, axis1=-2, axis2=-1)
-    cartan = np.all(gens == diag[..., None] * np.eye(A.n), axis=(-2, -1))
+    (cartan, diag), a = _cartan_generators(A.n), A.A.data
     coords = a[:, :, 0, 0, 0, 0].real * cartan
     if not np.all(a == coords[..., None, None, None, None]):
         return None
-    theta = coords @ diag.imag
+    theta = coords @ diag
     return np.moveaxis(theta[:, :, None] - theta[:, None, :], 0, -1)
 
 
@@ -656,16 +653,17 @@ def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
 
 
 def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
-    """The slice's ``moduli.*`` checks, in report order: its dimension is
-    four times that of the stabiliser of the base connection, with a clear
-    gap, and it solves the slice equations; the J and K of ``tb.frame`` cut
-    the same slice; the three induced operators make it quaternionic and
-    preserve it, and the L^2 metric is hyperhermitian; the Hermitian form is
-    the L^2 pairing of I~ with one global sign. Per mode, J and K cut the
-    slice itself once ``_certify_symbol`` holds for them. On the dense path a
-    J or K whose ``slice_matrix`` equals the slice's own (``np.array_equal``,
-    as on the six frame structures) cuts the slice itself too; another is cut
-    by ``_dense_slice_basis`` and measured by ``subspace_distance``."""
+    """The slice's ``moduli.*`` checks, in report order, each computed here
+    once from ``tb.coeffs``: its dimension is four times that of the
+    stabiliser of the base connection, with a clear gap, and it solves the
+    slice equations; the J and K of ``tb.frame`` cut the same slice; the
+    three induced operators make it quaternionic and preserve it, and the
+    L^2 metric is hyperhermitian; the Hermitian form is the L^2 pairing of
+    I~ with one global sign. Per mode, J and K cut the slice itself once
+    ``_certify_symbol`` holds for them. On the dense path a J or K whose
+    ``slice_matrix`` equals the slice's own (``np.array_equal``, as on the
+    six frame structures) cuts the slice itself too; another is cut by
+    ``_dense_slice_basis`` and measured by ``subspace_distance``."""
     rec = CheckRecorder()
     tol, A = tb.tol, tb.base
     dims, distances = [tb.dimension], [0.0]
@@ -678,18 +676,19 @@ def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
             distances.append(subspace_distance(tb.coeffs, other))
     expected = 4 * gauge_kernel_dim(A, tol, tb.rule)
 
-    I_m, J_m, K_m = tb.ops["I"], tb.ops["J"], tb.ops["K"]
+    # on the orthonormal basis an operator's matrix M is the basis's pairing
+    # with its images, with no solve; M^T coeffs is their part in the slice
+    images = [induced_structure(L, tb.coeffs) for L in tb.frame.matrices()]
+    ops = [l2_gram(tb.coeffs, im) for im in images]
+    invariance = [float(np.sqrt(sq_norm(im - np.tensordot(M.T, tb.coeffs, axes=1))).max())
+                  for im, M in zip(images, ops)]
+    I_m, J_m, K_m = ops
     eye = np.eye(tb.dimension)
-    identities = {
-        "I^2=-Id": I_m @ I_m + eye,
-        "J^2=-Id": J_m @ J_m + eye,
-        "K^2=-Id": K_m @ K_m + eye,
-        "IJ=K": I_m @ J_m - K_m,
-        "IJ=-JI": I_m @ J_m + J_m @ I_m,
-    }
-    metric = {name: M.T @ tb.gram @ M - tb.gram for name, M in tb.ops.items()}
+    identities = {"I^2=-Id": I_m @ I_m + eye, "J^2=-Id": J_m @ J_m + eye,
+                  "K^2=-Id": K_m @ K_m + eye, "IJ=K": I_m @ J_m - K_m,
+                  "IJ=-JI": I_m @ J_m + J_m @ I_m}
     # the eight spectral norms from one batched SVD
-    norms = np.linalg.svd(np.stack([*identities.values(), *metric.values()]),
+    norms = np.linalg.svd(np.stack([*identities.values(), *(M.T @ M - eye for M in ops)]),
                           compute_uv=False).max(axis=-1).tolist()
 
     rec.add("moduli.kernel-dimension", tb.dimension == expected,
@@ -702,15 +701,13 @@ def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
     rec.add("moduli.slice-same-for-IJK",
             all(d == expected for d in dims) and max(distances) < tol, max(distances),
             "tangent space independent of the cutting structure")
-    for name, defect in zip(identities, norms[:5]):
-        rec.add(f"moduli.structure.{name}", defect < tol, defect,
-                "induced structures are quaternionic")
-    for name, defect in tb.invariance_defects.items():
-        rec.add(f"moduli.slice-invariance.{name}", defect < tol, defect,
-                "induced structures preserve the slice")
-    for name, defect in zip(metric, norms[5:]):
-        rec.add(f"moduli.metric-invariance.{name}", defect < tol, defect,
-                "L^2 metric Hermitian for each induced structure")
+    for group, names, values, ref in (
+            ("structure", identities, norms[:5], "induced structures are quaternionic"),
+            ("slice-invariance", "IJK", invariance, "induced structures preserve the slice"),
+            ("metric-invariance", "IJK", norms[5:],
+             "L^2 metric Hermitian for each induced structure")):
+        for name, defect in zip(names, values):
+            rec.add(f"moduli.{group}.{name}", defect < tol, defect, ref)
 
     # Hermitian 2-form against the L^2 metric on the whole slice: W = s G
     W = hermitian_form_matrix(tb.structure, tb.coeffs, tb.coeffs)

@@ -97,15 +97,17 @@ def hopf_suite(q, seed: int = 0, axes: int = 5) -> List[CheckResult]:
     return _timed(checks, t0)
 
 
-def flat_suite() -> List[CheckResult]:
-    t0 = time.perf_counter()
-    checks = frame_suite()
+def _flat_control() -> List[CheckResult]:
     flat = build_flat_control()
     control = verify_positive_metric(flat) + verify_44(flat) + verify_gauduchon(flat)
     for c in control:
         c.name = c.name.replace("hopf.", "flat.", 1)
-    checks += control
-    return _timed(checks, t0)
+    return control
+
+
+def flat_suite() -> List[CheckResult]:
+    t0 = time.perf_counter()
+    return _timed(frame_suite() + _flat_control(), t0)
 
 
 def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
@@ -270,8 +272,8 @@ def full_report(q=Fraction(2), grid: int = 3, rank: int = 2,
     # moduli first, so that it refuses bad input before the exact work
     moduli_checks = moduli_suite(grid, rank, tol, seed=seed, flow_eps=flow_eps)
     checks = hopf_suite(q, seed=seed)
-    # flat_suite repeats the frame checks of hopf_suite
-    checks += [c for c in flat_suite() if not c.name.startswith("frames.")]
+    t0 = time.perf_counter()
+    checks += _timed(_flat_control(), t0)  # hopf_suite has the frame checks
     checks += calculus_suite(seed=seed)
     checks += degree_suite()
     return VerificationReport(checks=checks + moduli_checks, seed=seed)

@@ -54,7 +54,7 @@ from hkt4.moduli import (
     _real_matrix,
     _unit_fields,
 )
-from hkt4.quaternions import HypercomplexFrame, structure_matrix
+from hkt4.quaternions import HypercomplexFrame, mat_neg, structure_matrix
 
 FRAME = HypercomplexFrame.left()
 
@@ -682,7 +682,7 @@ def test_horizontal_slice_dimension_n2():
         tb = horizontal_slice(Connection.flat(N, 2), FRAME.I, 1e-10, frame=FRAME)
         assert tb.dimension == 12
         assert tb.gap_ok
-        assert np.allclose(tb.gram, np.eye(12))
+        assert np.abs(l2_gram(tb.basis, tb.basis) - np.eye(12)).max() < 1e-12
 
 
 def test_horizontal_slice_dimension_n3():
@@ -1332,7 +1332,7 @@ def test_slice_dimension_is_four_times_stabiliser(mu, theta, dim):
     assert ruled_gauge_kernel_dim(A, 1e-10) == dense_gauge_kernel_dim(A, 1e-10) == dim // 4
     tb = horizontal_slice(A, FRAME.I, 1e-10, frame=FRAME)
     assert tb.dimension == dim and tb.gap_ok
-    assert np.abs(tb.gram - np.eye(dim)).max() < 1e-12
+    assert np.abs(l2_gram(tb.basis, tb.basis) - np.eye(dim)).max() < 1e-12
     assert tb.residual(tb.basis).max() < 1e-12
     assert all(c.status == "pass" for c in verify_moduli_structure(tb))
 
@@ -1405,8 +1405,8 @@ def test_mode_slice_basis_matches_the_per_mode_svd(N, name):
 @pytest.mark.parametrize("N", [3, 4, 5, 8])
 @pytest.mark.parametrize("name", ["flat", "generic", "central", "resonant"])
 def test_slice_defects_match_the_grid_residual(N, name):
-    # one gradient of the phase and its R factors give the slice-equation
-    # defects of the grid basis
+    # the R factors read off each entry's four axis lines give the
+    # slice-equation defects of the grid basis
     A = ORACLE_CONNECTIONS[name](N)
     for L in FRAME.matrices():
         tb = horizontal_slice(A, L, 1e-10, frame=FRAME)
@@ -1700,15 +1700,26 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
         assert np.abs(tb.phase - 1).max() > 1.0
     b = tb.basis
     assert b.shape == (tb.dimension, 4, 3) + (N,) * 4
+    # the checks' structure, invariance and metric defects against the same
+    # quantities on the grid basis, with its Gram matrix solved against
     gram = l2_gram(b, b)
-    assert np.abs(tb.gram - gram).max() < 1e-12
+    assert np.abs(gram - np.eye(tb.dimension)).max() < 1e-12
+    ops = {}
     for name, L in zip("IJK", FRAME.matrices()):
         images = induced_structure(L, b)
-        ops = np.linalg.solve(gram, l2_gram(b, images))
-        assert np.abs(tb.ops[name] - ops).max() < 1e-12
-        recon = np.tensordot(ops.T, b, axes=1)
+        ops[name] = np.linalg.solve(gram, l2_gram(b, images))
+        recon = np.tensordot(ops[name].T, b, axes=1)
         invariance = float(np.sqrt(sq_norm(images - recon)).max())
-        assert abs(tb.invariance_defects[name] - invariance) < 1e-12
+        assert abs(defects(checks, "moduli.slice-invariance.")[name] - invariance) < 1e-12
+        metric = np.linalg.norm(ops[name].T @ gram @ ops[name] - gram, 2)
+        assert abs(defects(checks, "moduli.metric-invariance.")[name] - metric) < 1e-12
+    I_m, J_m, K_m = ops.values()
+    eye = np.eye(tb.dimension)
+    identities = {"I^2=-Id": I_m @ I_m + eye, "J^2=-Id": J_m @ J_m + eye,
+                  "K^2=-Id": K_m @ K_m + eye, "IJ=K": I_m @ J_m - K_m,
+                  "IJ=-JI": I_m @ J_m + J_m @ I_m}
+    for name, M in identities.items():
+        assert abs(defects(checks, "moduli.structure.")[name] - np.linalg.norm(M, 2)) < 1e-12
     W = hermitian_form_matrix(FRAME.I, b, b)
     assert np.abs(hermitian_form_matrix(FRAME.I, tb.coeffs, tb.coeffs) - W).max() < 1e-12
     G = l2_gram(induced_structure(FRAME.I, b), b)
@@ -1723,13 +1734,86 @@ def test_one_site_claims_match_grid_claims(N, charge, monkeypatch):
 
 
 def test_verify_moduli_structure_detects_sign_flip():
-    tb = horizontal_slice(Connection.flat(3, 2), FRAME.I, 1e-10, frame=FRAME)
-    tb.ops["K"] = -tb.ops["K"]
+    # a frame whose K is negated: IJ = -K, while K^2 = -Id and IJ = -JI hold
+    flipped = HypercomplexFrame("left", FRAME.I, FRAME.J, mat_neg(FRAME.K))
+    tb = horizontal_slice(Connection.flat(3, 2), FRAME.I, 1e-10, frame=flipped)
     checks = verify_moduli_structure(tb)
     d = defects(checks, "moduli.structure.")
     assert d["IJ=K"] > 1.0
     assert d["K^2=-Id"] < 1e-12 and d["IJ=-JI"] < 1e-12
     assert not structure_holds(checks)
+
+
+def test_horizontal_slice_builds_the_slice_alone(monkeypatch):
+    # per mode and on the dense path the slice holds its basis and no
+    # induced operator: verify_moduli_structure computes each one, with no
+    # Gram matrix to solve against
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(moduli, "induced_structure", spy("induced", moduli.induced_structure))
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    per_mode = horizontal_slice(cartan_connection(3, 0, [0.37, -0.37]), FRAME.I, 1e-10,
+                                frame=FRAME)
+    dense = horizontal_slice(constant_connection(3, 2, [(0, 0.37 * pauli_su2()[0])]),
+                             FRAME.I, 1e-10, frame=FRAME)
+    assert per_mode.rule is not None and dense.rule is None
+    assert calls == []
+    for tb in (per_mode, dense):
+        assert all(c.status == "pass" for c in verify_moduli_structure(tb))
+        # I, J and K, then I~ for the Hermitian form
+        assert calls == ["induced"] * 4
+        calls.clear()
+
+
+def cartan_shifts_formula(A):
+    """``moduli._cartan_shifts`` with the Cartan mask and the diagonals of
+    ``su_basis(n)`` rebuilt on each call."""
+    gens, a = su_basis(A.n), A.A.data
+    diag = np.diagonal(gens, axis1=-2, axis2=-1)
+    cartan = np.all(gens == diag[..., None] * np.eye(A.n), axis=(-2, -1))
+    coords = a[:, :, 0, 0, 0, 0].real * cartan
+    if not np.all(a == coords[..., None, None, None, None]):
+        return None
+    theta = coords @ diag.imag
+    return np.moveaxis(theta[:, :, None] - theta[:, None, :], 0, -1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cartan_shifts_read_the_cached_generators(n):
+    rng = np.random.default_rng(80 + n)
+    theta = rng.standard_normal(n)
+    theta -= theta.mean()
+    off = np.zeros((n, n), dtype=complex)
+    off[0, 1], off[1, 0] = 0.37, -0.37
+    A = cartan_connection(3, 1, theta)
+    imaginary = A.A.data.copy()
+    imaginary[1] += 1e-3j * (imaginary[1] != 0)
+    cases = {
+        "flat": (Connection.flat(3, n), True),
+        "cartan": (A, True),
+        "two axes": (constant_connection(3, n, [(0, np.diag(1j * theta)),
+                                                (2, np.diag(1j * theta[::-1]))]), True),
+        "off-diagonal": (constant_connection(3, n, [(0, off)]), False),
+        "cartan and off-diagonal": (constant_connection(3, n, [(3, np.diag(1j * theta) + off)]),
+                                    False),
+        "complex": (Connection(LatticeField(1, 3, n, imaginary)), False),
+        "non-constant": (Connection(LatticeField.random(1, 3, n, rng, scale=0.1)), False),
+    }
+    for name, (conn, constant_cartan) in cases.items():
+        got, want = moduli._cartan_shifts(conn), cartan_shifts_formula(conn)
+        assert (got is not None) == (want is not None) == constant_cartan, name
+        if constant_cartan:
+            assert np.array_equal(got, want), name
+    cartan, diag = moduli._cartan_generators(n)
+    assert moduli._cartan_generators(n) is moduli._cartan_generators(n)
+    assert not cartan.flags.writeable and not diag.flags.writeable
+    assert cartan.sum() == n - 1
 
 
 def test_l2_metric_invariant_under_induced_structures():
@@ -1807,13 +1891,16 @@ def test_hermitian_form_sign_is_minus_the_orientation_of_the_frame(frame, s):
 
 
 def test_negated_induced_structure_fails_the_hermitian_form_sign(monkeypatch):
-    # the sign comes from the structure, not from the data; the slice is
-    # built first, so that only the Hermitian check reads the negation
+    # the sign comes from the structure, not from the data: negating every
+    # induced operator moves the Hermitian check's defect to 2 and, of the
+    # quaternion relations, fails only IJ = K, where two negations cancel
     tb = horizontal_slice(Connection.flat(4, 2), FRAME.I, 1e-10, frame=FRAME)
     real = moduli.induced_structure
     monkeypatch.setattr(moduli, "induced_structure", lambda L, a: -real(L, a))
-    failed = [c.name for c in verify_moduli_structure(tb) if c.status == "fail"]
-    assert failed == ["moduli.hermitian-form-sign"]
+    checks = verify_moduli_structure(tb)
+    failed = [c.name for c in checks if c.status == "fail"]
+    assert failed == ["moduli.structure.IJ=K", "moduli.hermitian-form-sign"]
+    assert abs(defects(checks, "moduli.")["hermitian-form-sign"] - 2.0) < 1e-12
 
 
 def test_moduli_hermitian_form_rejects_non_slice_input():
