@@ -41,7 +41,6 @@ from .hermitian import (
 )
 from .hopf import (
     HopfGeometry,
-    HopfSpec,
     build_flat_control,
     build_hopf,
     verify_44,

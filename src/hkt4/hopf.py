@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional
 
 from .exact import _PHI_KEY, ScalarField, _frac, _lincomb
@@ -35,30 +35,19 @@ from .quaternions import AxisTriple, HypercomplexFrame, Matrix, _integer_form, i
 from .report import EXACT_ZERO, CheckRecorder, CheckResult
 
 STRUCTURE_NAMES = ("I+", "J+", "K+", "I-", "J-", "K-")
-
-
-@dataclass(frozen=True)
-class HopfSpec:
-    """Real multiplier q > 1 of the cyclic group acting by x -> q x."""
-
-    q: Fraction
-
-    def __init__(self, q):
-        q = _frac(q)
-        if q <= 1:
-            raise ValueError("the multiplier must satisfy q > 1")
-        object.__setattr__(self, "q", q)
+FRAMES = (("left", STRUCTURE_NAMES[:3]), ("right", STRUCTURE_NAMES[3:]))
 
 
 @dataclass
 class HopfGeometry:
     """Chart data built from the potential phi = r^2: the six forms
     w_L = d d^c_L phi * s and the metric read off w_I+(., I+.). The torsion
-    reports, T+-, and the six metric matrices are derived from these on first
-    use. ``spec`` is None for the flat control, which has no quotient.
+    reports, T+-, the six metric matrices and both frames' axis families are
+    derived from these on first use; a ``dataclasses.replace`` copy derives
+    its own. None of it depends on the multiplier q of the quotient, which
+    only ``verify_descent`` reads, so each chart is built once per process.
     Nothing is checked here; the verifiers below report."""
 
-    spec: Optional[HopfSpec]
     phi: ScalarField
     left: HypercomplexFrame
     right: HypercomplexFrame
@@ -71,16 +60,18 @@ class HopfGeometry:
         self.metric = self.metric or ConformalMetric(self.metric_matrix("I+")[0][0],
                                                      ConstantMetric.euclidean())
 
-    @property
-    def q(self) -> Fraction:
-        return self.spec.q
-
     @cached_property
     def torsions(self) -> Dict[Matrix, TorsionReport]:
         """The torsion report of ``metric`` for each structure of ``structures``
         and both frames, computed on first use; every verifier reads these."""
         return {L: bismut_torsion(self.metric, L) for L in {
             *self.structures.values(), *self.left.matrices(), *self.right.matrices()}}
+
+    @cached_property
+    def axis_families(self) -> Dict[str, tuple]:
+        """``_axis_family`` of each frame, keyed "left" and "right", computed
+        on first use; ``verify_axis_family`` reads these."""
+        return {side: _axis_family(self, names) for side, names in FRAMES}
 
     @property
     def H_plus(self) -> RationalForm:
@@ -105,27 +96,27 @@ def _potential_form(L: Matrix, phi: ScalarField, scale) -> RationalForm:
     return exterior_d(twisted_d(L, RationalForm.function(phi))) * scale
 
 
-def _build(spec: Optional[HopfSpec], scale: ScalarField | Fraction) -> HopfGeometry:
+def _build(scale: ScalarField | Fraction) -> HopfGeometry:
     phi = ScalarField.phi()
     left = HypercomplexFrame.left()
     right = HypercomplexFrame.right()
     structures = dict(zip(STRUCTURE_NAMES, (*left.matrices(), *right.matrices())))
     omegas = {name: _potential_form(L, phi, scale) for name, L in structures.items()}
-    return HopfGeometry(spec=spec, phi=phi, left=left, right=right,
+    return HopfGeometry(phi=phi, left=left, right=right,
                         structures=structures, omegas=omegas)
 
 
-def build_hopf(spec: HopfSpec | Fraction | int) -> HopfGeometry:
+@lru_cache(maxsize=None)
+def build_hopf() -> HopfGeometry:
     """The Hopf chart: w_L = d d^c_L phi / phi, metric (4/phi) Euclid."""
-    if not isinstance(spec, HopfSpec):
-        spec = HopfSpec(spec)
-    return _build(spec, ScalarField.inv_phi())
+    return _build(ScalarField.inv_phi())
 
 
+@lru_cache(maxsize=None)
 def build_flat_control() -> HopfGeometry:
     """Euclidean control: w_L = d d^c_L phi / 4 = g(L., .) for the flat
     metric, so every torsion form vanishes (the hyperkahler regime)."""
-    return _build(None, Fraction(1, 4))
+    return _build(Fraction(1, 4))
 
 
 def verify_strong_hkt(geo: HopfGeometry, side: str) -> List[CheckResult]:
@@ -186,11 +177,14 @@ def verify_44(geo: HopfGeometry) -> List[CheckResult]:
     return rec.checks
 
 
-def verify_descent(geo: HopfGeometry) -> List[CheckResult]:
-    """Pullback under x -> qx fixes the six Hermitian forms and both torsion
-    forms; a deliberately non-invariant form keeps the check honest."""
+def verify_descent(geo: HopfGeometry, q) -> List[CheckResult]:
+    """Pullback under x -> qx, for a rational q > 1, fixes the six Hermitian
+    forms and both torsion forms; a deliberately non-invariant form keeps the
+    check honest."""
+    q = _frac(q)
+    if q <= 1:
+        raise ValueError("the multiplier must satisfy q > 1")
     rec = CheckRecorder()
-    q = geo.q
     for name in STRUCTURE_NAMES:
         rec.equal(f"hopf.descent.omega-{name}",
                   scale_pullback(geo.omegas[name], q), geo.omegas[name],
@@ -319,10 +313,8 @@ def verify_axis_family(geo: HopfGeometry, axes) -> List[CheckResult]:
     frame's forms are then evaluated at the rational unit ``axes``, against
     the metric of I+ and T+ (``hopf.axis-metric.*``, ``hopf.axis-torsion.*``)."""
     rec = CheckRecorder()
-    families = {}
-    for side, names in (("left", STRUCTURE_NAMES[:3]), ("right", STRUCTURE_NAMES[3:])):
-        tag = "+" if side == "left" else "-"
-        families[side] = _axis_family(geo, names)
+    families = geo.axis_families
+    for side, tag in (("left", "+"), ("right", "-")):
         for (kind, is_zero, size), family in zip(_TERM_KINDS, families[side]):
             bad = [family[pair] for pair in PAIRS if not is_zero(family[pair])]
             rec.add(f"hopf.axis-family.{side}.{kind}", not bad,

@@ -677,11 +677,13 @@ def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
     expected = 4 * gauge_kernel_dim(A, tol, tb.rule)
 
     # on the orthonormal basis an operator's matrix M is the basis's pairing
-    # with its images, with no solve; M^T coeffs is their part in the slice
-    images = [induced_structure(L, tb.coeffs) for L in tb.frame.matrices()]
-    ops = [l2_gram(tb.coeffs, im) for im in images]
-    invariance = [float(np.sqrt(sq_norm(im - np.tensordot(M.T, tb.coeffs, axes=1))).max())
-                  for im, M in zip(images, ops)]
+    # with its images, with no solve; M^T coeffs is their part in the slice.
+    # Each distinct structure, the slice's own among them, is applied once
+    frame = tb.frame.matrices()
+    images = {L: induced_structure(L, tb.coeffs) for L in dict.fromkeys((*frame, tb.structure))}
+    ops = [l2_gram(tb.coeffs, images[L]) for L in frame]
+    invariance = [float(np.sqrt(sq_norm(images[L] - np.tensordot(M.T, tb.coeffs, axes=1))).max())
+                  for L, M in zip(frame, ops)]
     I_m, J_m, K_m = ops
     eye = np.eye(tb.dimension)
     identities = {"I^2=-Id": I_m @ I_m + eye, "J^2=-Id": J_m @ J_m + eye,
@@ -711,7 +713,7 @@ def verify_moduli_structure(tb: TangentBasis) -> List[CheckResult]:
 
     # Hermitian 2-form against the L^2 metric on the whole slice: W = s G
     W = hermitian_form_matrix(tb.structure, tb.coeffs, tb.coeffs)
-    G = l2_gram(induced_structure(tb.structure, tb.coeffs), tb.coeffs)
+    G = l2_gram(images[tb.structure], tb.coeffs)
     defect = hermitian_sign_defect(W, G, hermitian_form_sign(tb.structure))
     rec.add("moduli.hermitian-form-sign", defect < 1e-8, defect,
             "omega~(a1,a2) = +/- (I~ a1, a2) with one global sign")

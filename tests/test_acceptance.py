@@ -55,7 +55,7 @@ def report(label: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def geo():
-    return build_hopf(Fraction(2))
+    return build_hopf()
 
 
 def test_criterion_01_hopf_strong_hkt(geo):
@@ -93,7 +93,7 @@ def test_criterion_03_common_metric(geo):
 
 
 def test_criterion_04_descent(geo):
-    q = geo.q
+    q = Fraction(2)
     ok = all(scale_pullback(geo.omegas[name], q) == geo.omegas[name]
              for name in geo.structures)
     ok = ok and scale_pullback(geo.H_plus, q) == geo.H_plus

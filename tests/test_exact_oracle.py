@@ -463,7 +463,7 @@ def test_ledger_metric_is_four_over_phi_times_euclid():
         W[a, b], W[b, a] = c, -c
     g = (W * sp.Matrix(I_PLUS)).applyfunc(sp.cancel)
     assert g == (4 / SPHI) * sp.eye(4)
-    geo = build_hopf(Fraction(2))
+    geo = build_hopf()
     assert sp.cancel(field_sym(geo.metric.factor) - 4 / SPHI) == 0
     assert geo.metric.base.matrix == tuple(tuple(int(i == j) for j in range(4))
                                            for i in range(4))
@@ -479,7 +479,7 @@ def test_ledger_torsion_closed_form():
               (0, 2, 3): 8 * x1 / SPHI ** 2, (1, 2, 3): -8 * x0 / SPHI ** 2}
     for t in set(H) | set(closed):
         assert sp.cancel(H.get(t, 0) - closed.get(t, 0)) == 0, t
-    geo = build_hopf(Fraction(2))
+    geo = build_hopf()
     assert_form_equals(geo.H_plus, closed)
     assert_form_equals(-geo.H_minus, closed)
 

@@ -116,7 +116,7 @@ def test_bismut_torsion_hopf_nonzero_closed():
 def test_torsion_convention_T_equals_minus_H():
     # the ledger's T / H = -1: T = L(d omega_L) is -d^c_L omega_L for every
     # L-Hermitian metric, since L omega_L = omega_L
-    geo = build_hopf(2)
+    geo = build_hopf()
     x0 = variable(0)
     tampered = ConformalMetric(ScalarField(Poly.const(4) + x0 * x0 * 4, 1), EUCLID)
     axes = (AxisTriple(Fraction(3, 5), Fraction(4, 5), 0),

@@ -11,9 +11,9 @@ from hkt4.exact import QI, Poly, ScalarField
 from hkt4.forms import RationalForm, exterior_d, scale_pullback, twisted_action, twisted_d
 from hkt4.hermitian import ConformalMetric, metric_from_form
 from hkt4.hopf import (
+    FRAMES,
     PAIRS,
     STRUCTURE_NAMES,
-    HopfSpec,
     _axis_family,
     _metric_at,
     _potential_form,
@@ -29,7 +29,7 @@ from hkt4.hopf import (
     verify_strong_hkt,
 )
 from hkt4.quaternions import AxisTriple, HypercomplexFrame
-from hkt4.suites import random_rational_axis
+from hkt4.suites import hopf_suite, random_rational_axis
 
 
 def variable(i):
@@ -41,17 +41,30 @@ def all_pass(checks):
     return all(c.status == "pass" for c in checks)
 
 
+# the multiplier of the descent checks
+Q = Fraction(2)
+
+
 @pytest.fixture(scope="module")
 def geo():
-    return build_hopf(HopfSpec(2))
+    return build_hopf()
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        HopfSpec(1)
-    with pytest.raises(ValueError):
-        HopfSpec(Fraction(1, 2))
-    HopfSpec(Fraction(3, 2))
+@pytest.fixture
+def cold_charts():
+    # both charts built afresh inside the test, and again by the next user
+    for build in (build_hopf, build_flat_control):
+        build.cache_clear()
+    yield
+    for build in (build_hopf, build_flat_control):
+        build.cache_clear()
+
+
+def test_descent_q_domain(geo):
+    for q in (1, Fraction(1, 2), 0, -2):
+        with pytest.raises(ValueError):
+            verify_descent(geo, q)
+    assert all_pass(verify_descent(geo, Fraction(3, 2)))
 
 
 def test_build_invariants_pass(geo):
@@ -61,12 +74,6 @@ def test_build_invariants_pass(geo):
     base = metric_from_form(geo.omegas["I+"], geo.structures["I+"])
     assert all(metric_from_form(geo.omegas[name], L) == base
                for name, L in geo.structures.items())
-
-
-def test_omegas_do_not_depend_on_q(geo):
-    other = build_hopf(HopfSpec(Fraction(3, 2)))
-    for name in geo.omegas:
-        assert geo.omegas[name] == other.omegas[name]
 
 
 def test_left_omegas_frozen(geo):
@@ -122,11 +129,11 @@ def test_flat_control_strong_hkt_zero_torsion():
 
 
 def test_verify_descent(geo):
-    checks = verify_descent(geo)
+    checks = verify_descent(geo, Q)
     assert all_pass(checks)
     # dphi scales by q^2: the non-invariance control really moves
     dphi = exterior_d(RationalForm.function(geo.phi))
-    assert scale_pullback(dphi, geo.q) == dphi * Fraction(4)
+    assert scale_pullback(dphi, Q) == dphi * Fraction(4)
 
 
 def test_verify_common_metric(geo):
@@ -303,12 +310,12 @@ def test_torsion_closed_checks_agree_on_tampered_geometry(geo, tamper):
     assert status["hopf.torsion-minus-closed"] == status["hopf.right.torsion-closed"]
 
 
-def test_hopf_suite_repeats_no_exact_work(geo, monkeypatch):
+def test_hopf_suite_repeats_no_exact_work(geo, monkeypatch, cold_charts):
     # each (L, form) is twisted once, and w_I+(., I+.) is read once, when
     # the geometry is built, for the metric and the six metric matrices; the flat
     # control reads only its own w_I+(., I+.)
     from hkt4 import forms, hermitian, hopf
-    from hkt4.suites import flat_suite, hopf_suite
+    from hkt4.suites import flat_suite
 
     I_plus = (geo.omegas["I+"], geo.structures["I+"])
     twisted, metrics = [], []
@@ -336,7 +343,7 @@ def test_hopf_suite_repeats_no_exact_work(geo, monkeypatch):
 
 def test_passing_suites_build_no_sum_of_forms(monkeypatch):
     # a passing identity is decided by comparing canonical sides
-    from hkt4.suites import flat_suite, hopf_suite
+    from hkt4.suites import flat_suite
 
     calls = []
     combine = RationalForm._combine
@@ -347,9 +354,9 @@ def test_passing_suites_build_no_sum_of_forms(monkeypatch):
     assert calls == []
 
 
-def test_verify_44_negates_each_right_torsion_once(monkeypatch):
+def test_verify_44_negates_each_right_torsion_once(monkeypatch, cold_charts):
     # the nine pairs and the opposition T+ = -T- share three negations
-    fresh = build_hopf(Fraction(5, 2))
+    fresh = build_hopf()
     right = {id(fresh.torsions[L].torsion_H) for L in fresh.right.matrices()}
     negated = []
     neg = RationalForm.__neg__
@@ -384,9 +391,9 @@ def _identity_differences(geo):
         out[f"hopf.hermitian-form.{name}"] = geo.torsions[L].omega - geo.omegas[name]
     for name in STRUCTURE_NAMES:
         omega = geo.omegas[name]
-        out[f"hopf.descent.omega-{name}"] = scale_pullback(omega, geo.q) - omega
-    out["hopf.descent.H-plus"] = scale_pullback(geo.H_plus, geo.q) - geo.H_plus
-    out["hopf.descent.H-minus"] = scale_pullback(geo.H_minus, geo.q) - geo.H_minus
+        out[f"hopf.descent.omega-{name}"] = scale_pullback(omega, Q) - omega
+    out["hopf.descent.H-plus"] = scale_pullback(geo.H_plus, Q) - geo.H_plus
+    out["hopf.descent.H-minus"] = scale_pullback(geo.H_minus, Q) - geo.H_minus
     for axis in AXES:
         L, omega = _scratch_structure(geo.left, axis)
         out[f"hopf.axis-torsion.({axis.a},{axis.b},{axis.c})"] = \
@@ -426,7 +433,7 @@ def test_compared_identities_keep_status_and_defect(geo, tamper, failing):
     # gives; an axis torsion may fail on a tampered w where the oracle does not
     fake = tamper(geo)
     checks = {c.name: c for c in verify_44(fake) + verify_common_metric(fake)
-              + verify_descent(fake) + verify_axis_family(fake, AXES)}
+              + verify_descent(fake, Q) + verify_axis_family(fake, AXES)}
     differences = _identity_differences(fake)
     assert {name for name in differences if checks[name].status == "fail"} == failing
     for name, difference in differences.items():
@@ -438,9 +445,6 @@ def test_compared_identities_keep_status_and_defect(geo, tamper, failing):
             assert got.status == "fail" and got.defect > 0, name
         else:
             assert (got.status, got.defect) == ("pass", "exact-zero"), name
-
-
-FRAMES = [("left", STRUCTURE_NAMES[:3]), ("right", STRUCTURE_NAMES[3:])]
 
 
 @pytest.mark.parametrize("side, names", FRAMES, ids=["left", "right"])
@@ -505,7 +509,6 @@ def test_fresh_axes_build_no_structure(geo, monkeypatch):
     # a warm request evaluates the certificates at its axes: no axis
     # structure is spanned and no compound-matrix table is built
     from hkt4 import forms
-    from hkt4.suites import hopf_suite
 
     hopf_suite(Fraction(2), seed=0, axes=5)
     spans = []
@@ -518,14 +521,33 @@ def test_fresh_axes_build_no_structure(geo, monkeypatch):
     assert forms._minors.cache_info().misses == misses
 
 
-def test_build_hopf_accepts_plain_rational():
-    build_hopf(2)
-    build_hopf(Fraction(5, 2))
-    with pytest.raises(ValueError):
-        build_hopf(1)
+def test_hopf_suite_q_domain():
+    assert all_pass(hopf_suite(2)) and all_pass(hopf_suite(Fraction(5, 2)))
+    for q in (1, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            hopf_suite(q)
 
 
-def test_torsions_computed_once_per_geometry(monkeypatch):
+def test_warm_requests_rebuild_no_chart(monkeypatch):
+    # the charts do not depend on q: once warm, a request at another q and
+    # seed, and the flat control, build no form, torsion, metric or family
+    from hkt4 import hopf
+    from hkt4.suites import _flat_control
+
+    assert build_hopf() is build_hopf() and build_flat_control() is build_flat_control()
+    assert all_pass(hopf_suite(Fraction(2), seed=0) + _flat_control())
+    calls = []
+
+    def spy(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("_potential_form", "bismut_torsion", "_axis_family", "metric_from_form"):
+        monkeypatch.setattr(hopf, name, spy(name, getattr(hopf, name)))
+    assert all_pass(hopf_suite(Fraction(7, 3), seed=2006) + _flat_control())
+    assert calls == []
+
+
+def test_torsions_computed_once_per_geometry(monkeypatch, cold_charts):
     from hkt4 import hermitian, hopf
 
     calls = []
@@ -535,7 +557,7 @@ def test_torsions_computed_once_per_geometry(monkeypatch):
         return hermitian.bismut_torsion(g, L)
 
     monkeypatch.setattr(hopf, "bismut_torsion", counted)
-    fresh = build_hopf(Fraction(3, 2))
+    fresh = build_hopf()
     checks = (verify_common_metric(fresh) + verify_44(fresh) + verify_gauduchon(fresh)
               + verify_strong_hkt(fresh, "left"))
     assert all_pass(checks)
@@ -549,7 +571,6 @@ def test_torsions_computed_once_per_geometry(monkeypatch):
 def test_operator_caches_stay_bounded_over_fresh_axes():
     # fresh axes add no operator: after a first request every lookup hits
     from hkt4 import forms
-    from hkt4.suites import hopf_suite
 
     caches = (forms._minors, forms._action_matrix, forms._pq_matrix)
     hopf_suite(Fraction(2), seed=999)
@@ -560,11 +581,10 @@ def test_operator_caches_stay_bounded_over_fresh_axes():
         assert all(cache.cache_info().currsize <= forms.OPERATOR_CACHE_SIZE for cache in caches)
 
 
-def test_each_structure_is_checked_once(monkeypatch):
+def test_each_structure_is_checked_once(monkeypatch, cold_charts):
     # from cold caches, one hopf_suite checks each structure the compound
     # matrices meet once, whatever the degrees and projectors it asks for
     from hkt4 import forms
-    from hkt4.suites import hopf_suite
 
     for cache in (forms._minors, forms._action_matrix, forms._pq_matrix):
         cache.cache_clear()

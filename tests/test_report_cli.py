@@ -126,6 +126,29 @@ def test_full_report_names_each_check_once():
     assert len(names) == len(set(names))
 
 
+def test_every_report_names_each_check_once():
+    # the golden reports, and verify-hopf at two seeds that draw an axis twice
+    import random
+
+    from hkt4.suites import random_rational_axis
+    from test_report_golden import DATA
+
+    with open(DATA, encoding="utf-8") as fh:
+        reports = list(json.load(fh).values())
+    for seed in (11, 276):
+        rng = random.Random(seed)
+        axes = {random_rational_axis(rng) for _ in range(5)}
+        result = CliRunner().invoke(main, ["verify-hopf", "--seed", str(seed)])
+        assert result.exit_code == 0, result.output
+        rep = json.loads(result.output)
+        assert len(axes) == 4 == sum(c["name"].startswith("hopf.axis-metric.")
+                                     for c in rep["checks"])
+        reports.append(rep)
+    for rep in reports:
+        names = [c["name"] for c in rep["checks"]]
+        assert len(names) == len(set(names))
+
+
 def test_report_pass_status():
     rep = VerificationReport(checks=[
         CheckResult("x", "pass", "exact-zero"),
