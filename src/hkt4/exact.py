@@ -43,6 +43,10 @@ reach x0^2, the one term written as four keys, x0^2 = phi - x1^2 - x2^2
 - x3^2 (``_add_x0sq``). The rewrite adds 2 to an exponent of x1..x3, below
 2^16 and so with no carry, and their guard bits stop a stored exponent at
 2^15 as in a polynomial; x0's exponent never passes 2 and has no guard.
+The guard is tested where a key grows: a product or partial tests each key
+it writes against x0^2 and the guard bits at once (``_GROWN``), and the
+rewrite tests the squares it adds. A sum and the pullback write no new key,
+so their normalisation scans no key.
 
 The public constructor ``ScalarField(P, k)`` expands P by long division in
 x0 that keeps every remainder digit (``_phi_digits``). ``num`` and ``k``
@@ -59,7 +63,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
 from operator import index, or_
 from typing import Dict, Mapping, Tuple
 
@@ -166,6 +169,10 @@ _MONO = _PHI_KEY - 1
 _FIELD_GUARD = _GUARD & ((1 << 48) - 1)
 _FIELD_MASKS = (0xF, 0xFFFF, 0xFFFF, 0xFFFF)
 _X0SQ, _X1SQ, _X2SQ, _X3SQ = (2 << s for s in _SHIFTS)
+_X123SQ = _X1SQ + _X2SQ + _X3SQ
+# a product or partial tests each key it writes against these bits once: a
+# key that sets one reached x0^2 or an exponent of 2^15 (``_add_x0sq``)
+_GROWN = _X0SQ | _FIELD_GUARD
 
 
 def _pack(exponents) -> Monomial:
@@ -196,17 +203,25 @@ def _mono_divides(a: Monomial, b: Monomial) -> bool:
     return (b | _GUARD) - a & _GUARD == _GUARD
 
 
-def _normal(terms: Terms, den: int, guard: int) -> Tuple[Terms, int]:
-    """terms / den, den > 0, in normal form: zero pairs dropped and the
-    content gcd taken (den itself when no pair is left); ValueError if a
-    key sets a bit of ``guard``, as an exponent that reached 2^15 does."""
+def _normal(terms: Terms, den: int, guard: int = 0) -> Tuple[Terms, int]:
+    """terms / den, den > 0, in normal form, in one pass: the content gcd
+    taken pair by pair until it reaches 1, then zero pairs dropped (den
+    itself is the gcd when every pair is zero). ``terms`` itself is returned
+    when it is already normal. ValueError if a key sets a bit of ``guard``,
+    as an exponent that reached 2^15 does."""
     if guard and reduce(or_, terms, 0) & guard:
         raise ValueError("a monomial exponent reached 2^15")
-    out = {m: c for m, c in terms.items() if c[0] or c[1]}
-    if den != 1 and (g := math.gcd(den, *chain.from_iterable(out.values()))) != 1:
-        out = {m: (a // g, b // g) for m, (a, b) in out.items()}
-        den //= g
-    return out, den
+    g = den
+    if g != 1:
+        gcd = math.gcd
+        for a, b in terms.values():
+            if (g := gcd(g, a, b)) == 1:
+                break
+        else:
+            return {m: (a // g, b // g) for m, (a, b) in terms.items() if a or b}, den // g
+    if (0, 0) in terms.values():
+        return {m: c for m, c in terms.items() if c[0] or c[1]}, den
+    return terms, den
 
 
 def _mul_into(out: Terms, p: Terms, q: Terms, s: int = 1) -> Terms:
@@ -401,9 +416,9 @@ class ScalarField:
     @staticmethod
     def _make(terms: Terms, den: int) -> "ScalarField":
         """The field of the keys and pairs ``terms`` over den brought to
-        normal form (``_normal``); ValueError if an exponent of x1..x3
-        reached 2^15."""
-        return ScalarField._raw(*_normal(terms, den, _FIELD_GUARD))
+        normal form (``_normal``). The keys are not scanned: the kernel
+        that writes a grown key tests its guard bits there."""
+        return ScalarField._raw(*_normal(terms, den))
 
     @staticmethod
     def _raw(terms: Terms, den: int) -> "ScalarField":
@@ -558,8 +573,12 @@ _ZERO_FIELD = ScalarField._raw({}, 1)
 
 def _add_x0sq(out: Terms, m: int, a: int, b: int) -> None:
     """Adds (a + b sqrt(-1)) times the key m, whose x0 exponent is 2, to
-    ``out`` as phi - x1^2 - x2^2 - x3^2 times the rest of m."""
+    ``out`` as phi - x1^2 - x2^2 - x3^2 times the rest of m. The kernels
+    also send here a key that sets a guard bit (``_GROWN``): ValueError if
+    m does, or if a square takes an exponent of x1..x3 to 2^15."""
     m -= _X0SQ
+    if (m | m + _X123SQ) & _FIELD_GUARD:
+        raise ValueError("a monomial exponent reached 2^15")
     get = out.get
     n = m + _PHI_KEY
     c = get(n)
@@ -578,7 +597,7 @@ def _field_mul_into(out: Terms, p: Terms, q: Terms, s: int) -> None:
         for qm, (x, y) in q.items():
             m = pm + qm
             re, im = a * x - b * y, a * y + b * x
-            if m & _X0SQ:
+            if m & _GROWN:
                 _add_x0sq(out, m, re, im)
             else:
                 c = get(m)
@@ -604,7 +623,7 @@ def _partial_into(out: Terms, p: Terms, i: int, s: int) -> None:
             u = 2 * t * s
             ua, ub = u * a, u * b
             n = m + up
-            if n & _X0SQ:
+            if n & _GROWN:
                 _add_x0sq(out, n, ua, ub)
             else:
                 c = get(n)

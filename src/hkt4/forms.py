@@ -53,6 +53,10 @@ def _perm_sign(seq) -> int:
 _MERGE = {(s, t): (tuple(sorted(s + t)), _perm_sign(s + t))
           for s in itertools.chain(*_ALL_TUPLES.values())
           for t in itertools.chain(*_ALL_TUPLES.values()) if not set(s) & set(t)}
+# t -> ((mu ^ t, sign, mu), ...) over the directions mu not in t: where d
+# sends d_mu of the coefficient of dx_t, and with which merge sign
+_D_TERMS = {t: tuple((*_MERGE[(mu,), t], mu) for mu in range(4) if mu not in t)
+            for t in itertools.chain(*_ALL_TUPLES.values())}
 
 
 class RationalForm:
@@ -176,10 +180,8 @@ def exterior_d(a: RationalForm) -> RationalForm:
         raise DegreeError("d of a top-degree form is not defined here")
     groups: Dict[IndexTuple, list] = {}
     for t, f in a.coeffs.items():
-        for mu in range(4):
-            hit = _MERGE.get(((mu,), t))
-            if hit:
-                groups.setdefault(hit[0], []).append((hit[1], mu, f))
+        for s, sign, mu in _D_TERMS[t]:
+            groups.setdefault(s, []).append((sign, mu, f))
     return _form(a.degree + 1, groups, _dsum)
 
 

@@ -42,10 +42,11 @@ FRAMES = (("left", STRUCTURE_NAMES[:3]), ("right", STRUCTURE_NAMES[3:]))
 class HopfGeometry:
     """Chart data built from the potential phi = r^2: the six forms
     w_L = d d^c_L phi * s and the metric read off w_I+(., I+.). The torsion
-    reports, T+-, the six metric matrices and both frames' axis families are
-    derived from these on first use; a ``dataclasses.replace`` copy derives
-    its own. None of it depends on the multiplier q of the quotient, which
-    only ``verify_descent`` reads, so each chart is built once per process.
+    reports, T+-, the six metric matrices, d phi and both frames' axis
+    families are derived from these on first use; a ``dataclasses.replace``
+    copy derives its own. None of it depends on the multiplier q of the
+    quotient, which only ``verify_descent`` reads, so each chart is built
+    once per process.
     Nothing is checked here; the verifiers below report."""
 
     phi: ScalarField
@@ -66,6 +67,12 @@ class HopfGeometry:
         and both frames, computed on first use; every verifier reads these."""
         return {L: bismut_torsion(self.metric, L) for L in {
             *self.structures.values(), *self.left.matrices(), *self.right.matrices()}}
+
+    @cached_property
+    def dphi(self) -> RationalForm:
+        """d phi, computed on first use: the non-invariant form of
+        ``verify_descent``'s control."""
+        return exterior_d(RationalForm.function(self.phi))
 
     @cached_property
     def axis_families(self) -> Dict[str, tuple]:
@@ -177,13 +184,20 @@ def verify_44(geo: HopfGeometry) -> List[CheckResult]:
     return rec.checks
 
 
-def verify_descent(geo: HopfGeometry, q) -> List[CheckResult]:
-    """Pullback under x -> qx, for a rational q > 1, fixes the six Hermitian
-    forms and both torsion forms; a deliberately non-invariant form keeps the
-    check honest."""
+def multiplier(q) -> Fraction:
+    """The multiplier q of the quotient as a Fraction; ValueError unless it
+    is a rational q > 1."""
     q = _frac(q)
     if q <= 1:
         raise ValueError("the multiplier must satisfy q > 1")
+    return q
+
+
+def verify_descent(geo: HopfGeometry, q) -> List[CheckResult]:
+    """Pullback under x -> qx, for a rational q > 1 (``multiplier``), fixes
+    the six Hermitian forms and both torsion forms; a deliberately
+    non-invariant form, d phi, keeps the check honest."""
+    q = multiplier(q)
     rec = CheckRecorder()
     for name in STRUCTURE_NAMES:
         rec.equal(f"hopf.descent.omega-{name}",
@@ -193,8 +207,7 @@ def verify_descent(geo: HopfGeometry, q) -> List[CheckResult]:
               "torsion descends to the quotient")
     rec.equal("hopf.descent.H-minus", scale_pullback(geo.H_minus, q), geo.H_minus,
               "torsion descends to the quotient")
-    dphi = exterior_d(RationalForm.function(geo.phi))
-    rec.exact("hopf.descent.nonvacuous-control", scale_pullback(dphi, q) != dphi,
+    rec.exact("hopf.descent.nonvacuous-control", scale_pullback(geo.dphi, q) != geo.dphi,
               "plumbing")
     return rec.checks
 

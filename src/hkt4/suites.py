@@ -29,6 +29,7 @@ from .hermitian import hermitian_form
 from .hopf import (
     build_flat_control,
     build_hopf,
+    multiplier,
     verify_44,
     verify_axis_family,
     verify_common_metric,
@@ -85,6 +86,7 @@ def frame_suite() -> List[CheckResult]:
 
 def hopf_suite(q, seed: int = 0, axes: int = 5) -> List[CheckResult]:
     t0 = time.perf_counter()
+    q = multiplier(q)  # refused before any check runs
     checks = frame_suite()
     geo = build_hopf()
     checks += verify_common_metric(geo)
@@ -155,6 +157,11 @@ def moduli_suite(N: int, n: int, tol: float, seed: int = 0,
 
 # random trials of d^2 = 0 and of the Leibniz rule in calculus_suite
 CALCULUS_TRIALS = 25
+# (bits, bound) of each value one term of calculus_suite's random scalar
+# draws, in order: its four exponents, then a, b, c, e. Each pair must be
+# (bound.bit_length(), bound), so that drawing getrandbits(bits) until the
+# value is below bound takes the stream rng.randrange(bound) takes
+_TERM_DRAWS = ((2, 2),) * 4 + ((3, 7), (2, 2), (3, 7), (2, 2))
 
 
 def calculus_suite(seed: int = 0) -> List[CheckResult]:
@@ -169,25 +176,21 @@ def calculus_suite(seed: int = 0) -> List[CheckResult]:
     euclid = ConstantMetric.euclidean()
     omega_I = hermitian_form(euclid, frame.I)
 
-    def below(n):
-        # rng.randrange(n) by CPython's _randbelow rule: the same stream as
-        # randint draws, without their argument handling
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
-
     def rand_scalar():
-        # a/b + (c/e) sqrt(-1) with b, e in {1, 2}: integer pairs over 2,
-        # over phi^k; a multilinear numerator is its own phi-adic digit, so
-        # the pairs are stored at t = -k as drawn
+        # 1 to 3 terms (a - 3)/(1 + b) + ((c - 3)/(1 + e)) sqrt(-1) times a
+        # multilinear monomial, as integer pairs over 2, over phi^k; such a
+        # numerator is its own phi-adic digit, so the pairs are stored at
+        # t = -k as drawn
         terms = {}
-        for _ in range(1 + below(3)):
-            mono = _pack((below(2), below(2), below(2), below(2)))
-            a, b, c, e = below(7) - 3, 1 + below(2), below(7) - 3, 1 + below(2)
-            terms[mono] = (a * (2 // b), c * (2 // e))
-        shift = -below(2) * _PHI_KEY
+        for _ in range(1 + rng.randrange(3)):
+            v = []
+            for nbits, bound in _TERM_DRAWS:
+                while (r := bits(nbits)) >= bound:
+                    pass
+                v.append(r)
+            *mono, a, b, c, e = v
+            terms[_pack(mono)] = ((a - 3) * (2 // (1 + b)), (c - 3) * (2 // (1 + e)))
+        shift = -rng.randrange(2) * _PHI_KEY
         return ScalarField._make({m + shift: c for m, c in terms.items()}, 2)
 
     def rand_form(degree):
@@ -199,9 +202,9 @@ def calculus_suite(seed: int = 0) -> List[CheckResult]:
 
     ok_d2 = ok_leibniz = True
     for _ in range(CALCULUS_TRIALS):
-        a = rand_form(below(3))
+        a = rand_form(rng.randrange(3))
         ok_d2 = ok_d2 and exterior_d(exterior_d(a)).is_zero()
-        da, db = below(2), 1 + below(2)
+        da, db = rng.randrange(2), 1 + rng.randrange(2)
         f, g = rand_form(da), rand_form(db)
         # canonical forms are unique, so each identity compares its sides
         rhs = wedge_sum([(1, exterior_d(f), g), ((-1) ** da, f, exterior_d(g))])

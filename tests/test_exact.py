@@ -1,5 +1,6 @@
 """Exact coefficient ring: Gaussian rationals, polynomials, phi-denominators."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -308,3 +309,57 @@ def test_no_hot_path_materialises_the_numerator(monkeypatch, seed):
     checks = hopf_suite(q, seed=seed) + calculus_suite(seed)
     assert reads == []
     assert {c.status for c in checks} == {"pass"}
+
+
+def two_pass_normal(terms, den):
+    """The normal form by its definition: zero pairs dropped, then den and
+    every a, b divided by their gcd."""
+    out = {m: c for m, c in terms.items() if c != (0, 0)}
+    g = math.gcd(den, *(x for c in out.values() for x in c))
+    return {m: (a // g, b // g) for m, (a, b) in out.items()}, den // g
+
+
+raw_terms = st.dictionaries(st.integers(-(1 << 54), 1 << 54),
+                            st.one_of(st.just((0, 0)),
+                                      st.tuples(st.integers(-6, 6), st.integers(-6, 6))),
+                            max_size=6)
+raw_dens = st.one_of(st.just(1), st.integers(1, 8).map(lambda e: 2 ** e),
+                     st.integers(1, 40).map(lambda n: 2 * n + 1))
+
+
+@settings(max_examples=300)
+@given(raw_terms, raw_dens, st.sampled_from((1, 2, 3, 4, 6, 9)), st.booleans())
+def test_one_pass_normal_form_matches_the_two_pass_reference(terms, den, factor, all_zero):
+    terms = {m: (0, 0) if all_zero else (a * factor, b * factor) for m, (a, b) in terms.items()}
+    den *= factor
+    got = exact._normal(dict(terms), den)
+    assert got == two_pass_normal(terms, den)
+    if not got[0]:
+        assert got[1] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_hot_path_runs_the_guard_scan(monkeypatch, seed):
+    """A warm hopf_suite and calculus_suite test the guard bits only where a
+    kernel writes a grown key: a spy on the key scan of the normalisation
+    counts no call. A sum and the pullback write no new key, so a field at
+    the largest exponent passes through them."""
+    from hkt4.suites import calculus_suite, hopf_suite
+
+    q = Fraction(7, 3)
+    hopf_suite(q, seed=seed)
+    calculus_suite(seed)
+    top = ScalarField(Poly({(0, EXP_LIMIT - 1, 0, 0): QI(1)}), 1)  # x1^(2^15 - 1) / phi
+    twice = ScalarField(Poly({(0, EXP_LIMIT - 1, 0, 0): QI(2)}), 1)
+    scans = []
+    scan = exact.reduce
+    monkeypatch.setattr(exact, "reduce", lambda *args: scans.append(args) or scan(*args))
+    assert Poly.const(1).den == 1 and len(scans) == 1  # the spy sees a scan
+    scans.clear()
+    checks = hopf_suite(q, seed=seed) + calculus_suite(seed)
+    assert scans == []
+    assert {c.status for c in checks} == {"pass"}
+    assert _lincomb([(1, 0, 1, top), (1, 0, 1, top)]) == twice
+    assert _lincomb([(2, 0, 1, top), (-1, 0, 1, twice)]).is_zero()
+    assert top.scale_arguments(-1) == -top and top.scale_arguments(1, 1) == top
+    assert scans == []

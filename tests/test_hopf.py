@@ -521,11 +521,21 @@ def test_fresh_axes_build_no_structure(geo, monkeypatch):
     assert forms._minors.cache_info().misses == misses
 
 
-def test_hopf_suite_q_domain():
-    assert all_pass(hopf_suite(2)) and all_pass(hopf_suite(Fraction(5, 2)))
+def test_hopf_suite_q_domain(monkeypatch, cold_charts):
+    # a q <= 1 is refused before the suite builds a chart or runs a check
+    from hkt4 import hopf, suites
+
+    calls = []
+    for module, name in ((hopf, "_potential_form"), (suites, "verify_common_metric")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     for q in (1, Fraction(1, 2)):
         with pytest.raises(ValueError):
             hopf_suite(q)
+    assert calls == []
+    assert all_pass(hopf_suite(2)) and all_pass(hopf_suite(Fraction(5, 2)))
+    assert "verify_common_metric" in calls and "_potential_form" in calls
 
 
 def test_warm_requests_rebuild_no_chart(monkeypatch):
@@ -541,10 +551,12 @@ def test_warm_requests_rebuild_no_chart(monkeypatch):
     def spy(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    for name in ("_potential_form", "bismut_torsion", "_axis_family", "metric_from_form"):
+    for name in ("_potential_form", "bismut_torsion", "_axis_family", "metric_from_form",
+                 "exterior_d"):
         monkeypatch.setattr(hopf, name, spy(name, getattr(hopf, name)))
     assert all_pass(hopf_suite(Fraction(7, 3), seed=2006) + _flat_control())
     assert calls == []
+    assert build_hopf().dphi is build_hopf().dphi  # d phi of the descent control
 
 
 def test_torsions_computed_once_per_geometry(monkeypatch, cold_charts):
